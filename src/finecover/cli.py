@@ -76,6 +76,22 @@ def _default_stage() -> int:
     return 48
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for --stage and --depth: 0 and negatives are errors,
+    not a request for the default."""
+    try:
+        v = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if v < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {v}")
+    return v
+
+
+def _stage(args) -> int:
+    return _default_stage() if args.stage is None else args.stage
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w") as fh:
@@ -139,8 +155,8 @@ def cmd_integrate(args) -> int:
     eps = parse_expr_const(args.epsilon)
     if eps <= 0:
         raise ValueError(f"epsilon must be positive, got {args.epsilon}")
-    stage = args.stage or _default_stage()
-    depth = args.depth or default_depth(args.preset, eps)
+    stage = _stage(args)
+    depth = default_depth(args.preset, eps) if args.depth is None else args.depth
     got = integrate(f, fam, eps, depth, stage, hints=default_hints(args.preset))
     if isinstance(got, Obstruction):
         _emit(obstruction_json(got), args.out)
@@ -153,7 +169,7 @@ def cmd_cousin(args) -> int:
     g, pinned = _build_gauge(args)
     if args.space and args.space != g.domain:
         raise ValueError(f"gauge lives on {g.domain}, not {args.space}")
-    stage = args.stage or _default_stage()
+    stage = _stage(args)
     hints = _parse_hints(args, g, pinned)
     if g.domain == "cantor":
         got = find_cover_cantor(g, args.depth, stage, hints=hints)
@@ -173,7 +189,7 @@ def cmd_cousin(args) -> int:
 
 def cmd_verify(args) -> int:
     g, _ = _build_gauge(args)
-    stage = args.stage or _default_stage()
+    stage = _stage(args)
     with open(args.artifact) as fh:
         text = fh.read()
     header = text.splitlines()[0].strip() if text.strip() else ""
@@ -215,14 +231,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gallery(args) -> int:
-    stage = args.stage or _default_stage()
+    stage = _stage(args)
     if args.demo == "heine-borel":
         if not args.cover:
             raise ValueError("heine-borel needs --cover FILE")
         with open(args.cover) as fh:
             cov = parse_cover_file(fh.read())
         g = heine_borel_gauge(cov)
-        depth = args.depth or 10
+        depth = 10 if args.depth is None else args.depth
         got = find_cover_unit(g, depth, stage)
         if isinstance(got, Obstruction):
             _emit(obstruction_json(got), args.out)
@@ -243,7 +259,7 @@ def cmd_gallery(args) -> int:
         )
         return EXIT_OK
     if args.demo == "cauchy-gap":
-        depth = args.depth or 16
+        depth = 16 if args.depth is None else args.depth
         obs = gap_obstruction_demo(default_cauchy_spec(), depth, stage)
         run = obs.unresolved[0]
         _emit(
@@ -261,7 +277,7 @@ def cmd_gallery(args) -> int:
         return EXIT_OK
     if args.demo == "oracle-pin":
         z = _pin_point(args.bits or "01")
-        depth = args.depth or 10
+        depth = 10 if args.depth is None else args.depth
         cover = oracle_pin_demo(OracleSpec(z), depth, stage)
         _emit(
             integral_json(
@@ -285,9 +301,9 @@ def _make_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p, depth_default=None):
-        p.add_argument("--stage", type=int, default=None, help=f"verification stage (default ${_STAGE_ENV} or 48)")
+        p.add_argument("--stage", type=_positive_int, default=None, help=f"verification stage (default ${_STAGE_ENV} or 48)")
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
-        p.add_argument("--depth", type=int, default=depth_default, help="dyadic search depth")
+        p.add_argument("--depth", type=_positive_int, default=depth_default, help="dyadic search depth")
 
     p = sub.add_parser("integrate", help="certified enclosure of a built-in integral")
     p.add_argument("--preset", required=True, help="identity, square, sqrt-reciprocal, dirichlet, step")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from .exact import (
     Interval,
@@ -109,7 +109,8 @@ class FineCover:
         order: list = []
         space = None
         for p, r in entries:
-            r = Fraction(r)
+            if type(r) is not Fraction:
+                r = Fraction(r)
             if r <= 0:
                 raise ValueError(f"cover radius must be > 0, got {r} at {p!r}")
             if isinstance(p, UnitPoint):
@@ -197,20 +198,19 @@ def uncovered_witness(cover: FineCover):
     prefixes = {cylinder_for_ball(p, cover.radii[p]).prefix for p in cover.points}
     maxlen = max(len(s) for s in prefixes)
 
-    def probe(node: str) -> Optional[str]:
-        if any(node[:d] in prefixes for d in range(len(node) + 1)):
-            return None
+    # depth-first, left branch first; a node is only pushed when no proper
+    # prefix of it is a cylinder of the cover, so checking the node alone
+    # tells whether it is covered
+    stack = [""]
+    while stack:
+        node = stack.pop()
+        if node in prefixes:
+            continue
         if len(node) >= maxlen:
-            return node
-        left = probe(node + "0")
-        if left is not None:
-            return left
-        return probe(node + "1")
-
-    bad = probe("")
-    if bad is None:
-        return None
-    return CantorPoint.from_pattern(bad, "0")
+            return CantorPoint.from_pattern(node, "0")
+        stack.append(node + "1")
+        stack.append(node + "0")
+    return None
 
 
 def verify_partition(g: GaugeCode, part: TaggedPartition, stage: int) -> Verdict:
@@ -340,38 +340,56 @@ def find_cover_unit(g: GaugeCode, depth: int, stage: int, hints=()) -> Union[Fin
     ascending order, then midpoint, then endpoints) with the strict verdict
     gauge(m) > b-a; it contributes the entry (m, b-a). Cells still
     unaccepted at `depth` come back as an Obstruction of merged dyadic runs.
+
+    Branch and bound: for a continuous unit-interval code the whole cell is
+    first enclosed by one region evaluation at `stage`. When the upper end
+    of that enclosure is <= b-a, no gauge value in the cell exceeds the
+    width, so no sample could get the strict Yes: the cell survives without
+    sampling. Survivors hand the bound to their children, and a child whose
+    inherited bound is already <= its width is passed down without any
+    evaluation. Only cells that could not have been accepted are skipped,
+    and the rest are sampled exactly as before, so the covers and
+    obstructions are the same as those of the plain sample-only walk.
     """
     if depth < 1:
         raise ValueError("need depth >= 1")
     hints = _exact_unit_hints(hints)
+    bounded = g.kind == "continuous" and g.domain == "unit"
     entries = []
-    frontier = [0]  # cell indices at the current level
+    frontier = [(0, None)]  # (cell index at the current level, upper bound on the gauge there)
     for level in range(depth + 1):
         w = pow2(-level)
         survivors = []
-        for i in frontier:
+        for i, bound in frontier:
             a, b = i * w, (i + 1) * w
+            if bounded:
+                if bound is None or bound > w:
+                    hi = g.region_eval(Interval(a, b), stage).hi
+                    bound = hi if bound is None else min(bound, hi)
+                if bound <= w:
+                    survivors.append((i, bound))
+                    continue
             samples = [h for h in hints if a <= h.exact_value() <= b]
             mid = UnitPoint.from_rat((a + b) / 2)
             for cand in (mid, UnitPoint.from_rat(a), UnitPoint.from_rat(b)):
                 if all(s != cand for s in samples):
                     samples.append(cand)
             for m in samples:
-                if verified_above(g, m, b - a, stage) is Verdict.YES:
-                    entries.append((m, b - a))
+                if verified_above(g, m, w, stage) is Verdict.YES:
+                    entries.append((m, w))
                     break
             else:
-                survivors.append(i)
+                survivors.append((i, bound))
         if not survivors:
             return FineCover(entries)
         if level == depth:
-            regions = _merge_dyadic_run(survivors, level)
+            regions = _merge_dyadic_run([i for i, _ in survivors], level)
             trace = tuple(
                 {"region": reg, "last_verdict": Verdict.UNKNOWN, "stage": stage}
                 for reg in regions
             )
             return Obstruction(tuple(regions), trace, depth, "unit")
-        frontier = [c for i in survivors for c in (2 * i, 2 * i + 1)]
+        frontier = [(c, bound) for i, bound in survivors for c in (2 * i, 2 * i + 1)]
     raise AssertionError("unreachable")
 
 

@@ -79,14 +79,21 @@ class Interval:
     hi: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval: [{self.lo}, {self.hi}]")
+        # endpoints that already are Fractions are kept as they are
+        lo, hi = self.lo, self.hi
+        if type(lo) is not Fraction:
+            lo = Fraction(lo)
+            object.__setattr__(self, "lo", lo)
+        if type(hi) is not Fraction:
+            hi = Fraction(hi)
+            object.__setattr__(self, "hi", hi)
+        if lo > hi:
+            raise ValueError(f"empty interval: [{lo}, {hi}]")
 
     @staticmethod
     def point(x) -> "Interval":
-        x = Fraction(x)
+        if type(x) is not Fraction:
+            x = Fraction(x)
         return Interval(x, x)
 
     @property
@@ -208,8 +215,10 @@ class QuadVal:
     b: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+        if type(self.a) is not Fraction:
+            object.__setattr__(self, "a", Fraction(self.a))
+        if type(self.b) is not Fraction:
+            object.__setattr__(self, "b", Fraction(self.b))
 
     @property
     def is_rational(self) -> bool:

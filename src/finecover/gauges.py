@@ -336,7 +336,8 @@ def _decide(lo, hi, q: Fraction, strict: bool, g, x) -> Optional[Verdict]:
 
 
 def _verdict(g: GaugeCode, x: Point, q, stage: int, strict: bool) -> Verdict:
-    q = Fraction(q)
+    if type(q) is not Fraction:
+        q = Fraction(q)
     if q < 0:
         raise ValueError("need q >= 0")
     aggregated = g.kind in ("baire1", "baire2") or (g.kind == "direct" and not g.monotone)

@@ -22,6 +22,7 @@ from .covers import (
     verify_partition,
 )
 from .exact import (
+    CauchyViolation,
     Interval,
     QuadVal,
     ceil_log_recip,
@@ -132,7 +133,9 @@ def integrate(
     part = cover_to_partition(got)
     check = verify_partition(g, part, stage)
     if check is not Verdict.YES:
-        raise AssertionError(f"converted partition failed fineness: {check}")
+        # the partition is fine whenever the search's Yes verdicts hold, so
+        # a failure here means the gauge's answers contradict each other
+        raise CauchyViolation(f"converted partition failed fineness: {check}")
     prec = ceil_log_recip(eps, 2) + 1
     s = riemann_sum(f, part, prec)
     return IntegralCertificate(eps, part, s, iv_pad(s, eps))

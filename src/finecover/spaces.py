@@ -211,7 +211,8 @@ class UnitPoint:
 
     @classmethod
     def from_rat(cls, q) -> "UnitPoint":
-        q = Fraction(q)
+        if type(q) is not Fraction:
+            q = Fraction(q)
         if not cls.AMBIENT.contains(q):
             raise ValueError(f"point {q} outside ambient [-1, 2]")
         return cls(exact=q)

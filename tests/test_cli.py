@@ -5,11 +5,14 @@ from fractions import Fraction as F
 
 import pytest
 
+from finecover import cli, covers
 from finecover.cli import main
 from finecover.covers import verify_cover
+from finecover.exact import Interval
 from finecover.gallery import gap_limit_point
-from finecover.gauges import Verdict
+from finecover.gauges import DirectCode, Verdict
 from finecover.gaugespec import parse_gauge
+from finecover.integral import GaugeFamily
 from finecover.serialize import parse_cover_csv
 
 
@@ -34,6 +37,71 @@ def test_integrate_rejects_bad_epsilon(capsys):
     code, _, err = run(capsys, "integrate", "--preset", "identity", "--epsilon", "0")
     assert code == 1
     assert "epsilon" in err or "positive" in err
+
+
+def test_integrate_search_visits_only_cells_that_can_accept(capsys, monkeypatch):
+    # the halved identity gauge is the constant 1/4096: region bounds rule
+    # out levels 0..12 without a sample, and each level-13 cell accepts at
+    # its midpoint, so there is exactly one verdict per emitted cell
+    calls = []
+    inner = covers.verified_above
+
+    def counting(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(covers, "verified_above", counting)
+    code, out, _ = run(capsys, "integrate", "--preset", "identity", "--epsilon", "1/1024")
+    assert code == 0
+    assert json.loads(out)["cells"] == 8192
+    assert len(calls) == 8192
+
+
+def test_integrate_contradicting_gauge_exits_four(capsys, monkeypatch):
+    # non-monotone gauges answering 1 on the first call at a point and 0 on
+    # every later one: the search accepts, the partition check then fails
+    def fam(eps):
+        seen = set()
+
+        def at(p, stage):
+            first = p not in seen
+            seen.add(p)
+            return Interval.point(F(1) if first else F(0))
+
+        return DirectCode(at, domain="unit", monotone=False, label="flaky")
+
+    f, _, ref = cli.builtin_integrands()["identity"]
+    monkeypatch.setattr(cli, "builtin_integrands", lambda: {"flaky": (f, GaugeFamily(fam), ref)})
+    code, out, err = run(capsys, "integrate", "--preset", "flaky", "--epsilon", "1/4", "--depth", "4", "--stage", "1")
+    assert code == 4
+    assert out == ""
+    assert "failed fineness" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--stage", "--depth"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["integrate", "--preset", "identity", "--epsilon", "1/16"],
+        ["cousin", "--gauge", "const:1/4"],
+        ["verify", "--gauge", "const:1/4", "--in", "cover.csv"],
+        ["gallery", "oracle-pin", "--bits", "01"],
+    ],
+)
+def test_zero_or_negative_stage_and_depth_rejected(capsys, argv, flag, value):
+    code, out, err = run(capsys, *argv, flag, value)
+    assert code == 1
+    assert out == ""
+    assert f"argument {flag}: must be >= 1, got {value}" in err
+
+
+def test_verify_deep_cantor_cover_names_witness(capsys, tmp_path):
+    art = tmp_path / "deep.csv"
+    art.write_text(f"point,radius\nprefix=;period=01,1/{2**1500}\n")
+    code, out, _ = run(capsys, "verify", "--preset", "oracle-pin:01", "--in", str(art))
+    assert code == 3
+    assert out == "not a cover: prefix=;period=0 is uncovered\n"
 
 
 def test_integrate_unknown_preset(capsys):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finecover.covers import (
     FineCover,
@@ -20,7 +22,7 @@ from finecover.covers import (
     verify_cover,
     verify_partition,
 )
-from finecover.exact import Interval, QuadVal, pow2
+from finecover.exact import Interval, QuadVal, iv_intersect, pow2
 from finecover.gauges import (
     DirectCode,
     Verdict,
@@ -30,6 +32,7 @@ from finecover.gauges import (
     transfer_gauge_psi,
     verified_at_least,
 )
+from finecover.gaugespec import parse_gauge
 from finecover.spaces import CantorPoint, UnitPoint
 
 F = Fraction
@@ -125,6 +128,18 @@ def test_uncovered_witness_frozen():
     assert uncovered_witness(c) == F(1, 2)
     full = FineCover([(up("1/4"), F(1, 2)), (up("3/4"), F(1, 2))])
     assert uncovered_witness(full) is None
+
+
+def test_uncovered_witness_deep_cantor_cover():
+    # one cylinder 1500 bits deep: the probe walks 1500 levels down the
+    # leftmost uncovered branch
+    cover = FineCover([(CantorPoint.from_pattern("", "01"), pow2(-1500))])
+    w = uncovered_witness(cover)
+    assert w == CantorPoint.from_pattern("", "0")
+    # the all-zeros branch is covered at the bottom, so the probe backtracks
+    # from depth 1500
+    zeros = FineCover([(CantorPoint.from_pattern("", "0"), pow2(-1500)), (CantorPoint.from_pattern("", "1"), F(1, 2))])
+    assert uncovered_witness(zeros) == CantorPoint.from_pattern("0" * 1499 + "1", "0")
 
 
 def test_verify_cover_covering_failure():
@@ -311,6 +326,47 @@ def test_find_cover_unit_quad_hint():
     assert isinstance(hit, Obstruction)
     # the spike value 1 beats the width of [1/2, 1] already at level 1
     assert list(hit.unresolved) == [Interval(F(0), F(1, 2))]
+
+
+_CONSTS = st.builds(lambda n, d: f"{n}/{d}", st.integers(0, 9), st.sampled_from([1, 2, 3, 4, 8, 16]))
+_EXPRS = st.recursive(
+    st.just("x") | _CONSTS,
+    lambda sub: st.one_of(
+        st.tuples(sub, sub).map(lambda t: f"({t[0]} + {t[1]})"),
+        st.tuples(sub, sub).map(lambda t: f"min({t[0]}, {t[1]})"),
+        st.tuples(sub, sub).map(lambda t: f"max({t[0]}, {t[1]})"),
+        st.tuples(sub, sub).map(lambda t: f"|{t[0]} - {t[1]}|"),
+        st.tuples(sub, sub).map(lambda t: f"({t[0]}) * ({t[1]})"),
+        sub.map(lambda e: f"({e}) / 3"),
+        st.tuples(_CONSTS, _CONSTS).map(lambda t: f"dist({t[0]}, {t[1]})"),
+    ),
+    max_leaves=6,
+)
+_GAUGES = st.one_of(_EXPRS, st.tuples(_EXPRS, st.integers(1, 6)).map(lambda t: f"|{t[0]}| + 2^-{t[1]}"))
+
+
+def _point_only(g):
+    """The same region evaluator, reachable only through sample points: a
+    direct code, which the search never bounds on whole cells."""
+    return DirectCode(lambda x, s: g.region_eval(iv_intersect(x.approx(s), Interval(0, 1)), s), domain="unit")
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    _GAUGES,
+    st.integers(1, 7),
+    st.sampled_from([1, 3, 8]),
+    st.lists(st.builds(F, st.integers(0, 16), st.just(16)), max_size=3),
+)
+def test_find_cover_unit_pruning_matches_point_only_search(text, depth, stage, hint_vals):
+    hints = [up(h) for h in hint_vals]
+    pruned = find_cover_unit(parse_gauge(text), depth, stage, hints=hints)
+    ref = find_cover_unit(_point_only(parse_gauge(text)), depth, stage, hints=hints)
+    assert type(pruned) is type(ref)
+    if isinstance(ref, FineCover):
+        assert pruned.entries() == ref.entries()
+    else:
+        assert pruned.unresolved == ref.unresolved
 
 
 # -- cantor search -------------------------------------------------------

@@ -112,6 +112,18 @@ def test_interval_basic():
         Interval(Fraction(1), Fraction(0))
 
 
+def test_interval_coerces_only_non_fractions():
+    box = Interval(1, 2)
+    assert type(box.lo) is Fraction and type(box.hi) is Fraction
+    assert box == Interval(Fraction(1), Fraction(2))
+    assert Interval("1/3", 1).lo == Fraction(1, 3)
+    assert type(Interval.point(3).lo) is Fraction
+    with pytest.raises(ValueError):
+        Interval(Fraction(2), 1)
+    q = QuadVal(1, "1/2")
+    assert type(q.a) is Fraction and q.b == Fraction(1, 2)
+
+
 def test_interval_ops_sound():
     """Exact containment survives every lifted operation."""
     rng = random.Random(7103)

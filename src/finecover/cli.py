@@ -18,6 +18,7 @@ from .covers import (
     FineCover,
     NotACover,
     Obstruction,
+    check_fineness,
     cover_to_partition,
     find_cover_cantor,
     find_cover_unit,
@@ -36,7 +37,7 @@ from .gallery import (
     oracle_pin_demo,
     oracle_pin_gauge,
 )
-from .gauges import Verdict, verified_at_least
+from .gauges import Verdict
 from .gaugespec import SpecError, parse_cover_file, parse_expr_const, parse_gauge, parse_gauge_file
 from .integral import builtin_integrands, default_depth, default_hints, integrate
 from .serialize import (
@@ -202,29 +203,25 @@ def cmd_verify(args) -> int:
             w = cantor_str(witness) if cover.space == "cantor" else unit_str(witness)
             print(f"not a cover: {w} is uncovered")
             return EXIT_FAILED
-        worst = Verdict.YES
-        for i, (p, r) in enumerate(cover.entries()):
-            v = verified_at_least(g, p, r, stage)
-            if v is Verdict.NO:
-                w = cantor_str(p) if cover.space == "cantor" else unit_str(p)
-                print(f"entry {i}: gauge at {w} is below the radius {rat_str(r)}")
-                return EXIT_FAILED
-            if v is Verdict.UNKNOWN:
-                worst = Verdict.UNKNOWN
+        entries = cover.entries()
+        worst, bad = check_fineness(g, entries, stage)
+        if bad is not None:
+            p, r = entries[bad]
+            w = cantor_str(p) if cover.space == "cantor" else unit_str(p)
+            print(f"entry {bad}: gauge at {w} is below the radius {rat_str(r)}")
+            return EXIT_FAILED
         print("cover verified" if worst is Verdict.YES else "cover unresolved at this stage")
         return EXIT_OK if worst is Verdict.YES else EXIT_UNKNOWN
     if header == "lo,hi,tag":
         if g.domain != "unit":
             raise ValueError("partitions live on the unit interval")
         part = parse_partition_csv(text)
-        worst = Verdict.YES
-        for i, (lo, hi, tag) in enumerate(part.cells):
-            v = verified_at_least(g, tag, hi - lo, stage)
-            if v is Verdict.NO:
-                print(f"cell {i} [{rat_str(lo)},{rat_str(hi)}]: gauge at {unit_str(tag)} is below the width")
-                return EXIT_FAILED
-            if v is Verdict.UNKNOWN:
-                worst = Verdict.UNKNOWN
+        cells = part.cells
+        worst, bad = check_fineness(g, ((tag, hi - lo) for lo, hi, tag in cells), stage)
+        if bad is not None:
+            lo, hi, tag = cells[bad]
+            print(f"cell {bad} [{rat_str(lo)},{rat_str(hi)}]: gauge at {unit_str(tag)} is below the width")
+            return EXIT_FAILED
         print("partition verified" if worst is Verdict.YES else "partition unresolved at this stage")
         return EXIT_OK if worst is Verdict.YES else EXIT_UNKNOWN
     raise ValueError(f"unrecognized artifact header {header!r}")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 from .exact import (
     Interval,
@@ -213,30 +213,32 @@ def uncovered_witness(cover: FineCover):
     return None
 
 
+def check_fineness(g: GaugeCode, pairs, stage: int) -> tuple[Verdict, Optional[int]]:
+    """Check "gauge at x >= q" for each (x, q) in order, stopping at the first No.
+
+    Returns the worst verdict (No, else Unknown if any, else Yes) and the
+    index of the pair that said No, or None.
+    """
+    worst = Verdict.YES
+    for i, (x, q) in enumerate(pairs):
+        v = verified_at_least(g, x, q, stage)
+        if v is Verdict.NO:
+            return v, i
+        if v is Verdict.UNKNOWN:
+            worst = v
+    return worst, None
+
+
 def verify_partition(g: GaugeCode, part: TaggedPartition, stage: int) -> Verdict:
     """Is every cell within the gauge at its tag? Yes / No / Unknown."""
-    saw_unknown = False
-    for lo, hi, tag in part.cells:
-        v = verified_at_least(g, tag, hi - lo, stage)
-        if v is Verdict.NO:
-            return Verdict.NO
-        if v is Verdict.UNKNOWN:
-            saw_unknown = True
-    return Verdict.UNKNOWN if saw_unknown else Verdict.YES
+    return check_fineness(g, ((tag, hi - lo) for lo, hi, tag in part.cells), stage)[0]
 
 
 def verify_cover(g: GaugeCode, cover: FineCover, stage: int) -> Verdict:
     """Exact covering check, then per-point radius-below-gauge verdicts."""
     if uncovered_witness(cover) is not None:
         return Verdict.NO
-    saw_unknown = False
-    for p, r in cover.entries():
-        v = verified_at_least(g, p, r, stage)
-        if v is Verdict.NO:
-            return Verdict.NO
-        if v is Verdict.UNKNOWN:
-            saw_unknown = True
-    return Verdict.UNKNOWN if saw_unknown else Verdict.YES
+    return check_fineness(g, cover.entries(), stage)[0]
 
 
 def partition_to_cover(part: TaggedPartition) -> FineCover:

@@ -12,9 +12,6 @@ from fractions import Fraction
 from math import floor, isqrt
 from typing import Union
 
-Rat = Fraction
-
-
 def parse_rat(text: str) -> Fraction:
     """Parse a rational literal: "3/8", "-2", or a decimal like "0.125".
 
@@ -129,14 +126,6 @@ def iv_neg(a: Interval) -> Interval:
 def iv_mul(a: Interval, b: Interval) -> Interval:
     products = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
     return Interval(min(products), max(products))
-
-
-def iv_div(a: Interval, b: Interval) -> Interval:
-    """Requires 0 strictly outside b."""
-    if b.lo <= 0 <= b.hi:
-        raise ZeroDivisionError(f"divisor interval {b} contains 0")
-    quotients = (a.lo / b.lo, a.lo / b.hi, a.hi / b.lo, a.hi / b.hi)
-    return Interval(min(quotients), max(quotients))
 
 
 def iv_abs(a: Interval) -> Interval:

@@ -25,8 +25,12 @@ from .exact import (
     CauchyViolation,
     Interval,
     iv_abs,
+    iv_add,
     iv_hull,
     iv_intersect,
+    iv_max,
+    iv_min,
+    iv_mul,
     iv_pad,
     iv_refine,
     iv_scale,
@@ -188,8 +192,8 @@ def _block_enclosure(term_at: Callable[[int], Interval], stage: int) -> Interval
     return iv_pad(hull, worst)
 
 
-class Baire1Code:
-    """A pointwise limit of continuous codes, known only term by term.
+class _LimitCode:
+    """A pointwise limit of codes one level down, known only term by term.
 
     modulus, when declared, maps j to an index N past which every term sits
     within 2^-j of the limit (nondecreasing in j). It is the only source of
@@ -197,11 +201,9 @@ class Baire1Code:
     limit *could* be, never what it is not.
     """
 
-    kind = "baire1"
-
     def __init__(
         self,
-        terms: Callable[[int], ContinuousCode],
+        terms: Callable[[int], GaugeCode],
         modulus: Optional[Callable[[int], int]] = None,
         domain: str = "unit",
         label: str = "",
@@ -210,11 +212,11 @@ class Baire1Code:
         self.modulus = modulus
         self.domain = domain
         self.label = label
-        self._term_cache: dict[int, ContinuousCode] = {}
+        self._term_cache: dict[int, GaugeCode] = {}
         self._cert: dict[Point, Interval] = {}
         self._best_lo: dict[Point, Fraction] = {}
 
-    def term(self, n: int) -> ContinuousCode:
+    def term(self, n: int) -> GaugeCode:
         if n not in self._term_cache:
             code = self.terms(n)
             if code.domain != self.domain:
@@ -231,7 +233,7 @@ class Baire1Code:
         n = max(1, self.modulus(j))
         return iv_pad(self.term(n)._eval(x, stage), pow2(-j))
 
-    def _eval(self, x: Point, stage: int) -> Interval:
+    def _limit_eval(self, x: Point, stage: int) -> Interval:
         hull = _block_enclosure(lambda n: self.term(n)._eval(x, stage), stage)
         cert = self._certificate(x, stage)
         if cert is not None:
@@ -250,66 +252,30 @@ class Baire1Code:
         return got
 
     def __repr__(self) -> str:
-        return f"Baire1Code({self.label or '...'}, domain={self.domain})"
+        return f"{type(self).__name__}({self.label or '...'}, domain={self.domain})"
 
 
-class Baire2Code:
+# Each code class defines its own `kind` and `_eval`, even where `_eval` only
+# delegates: perfbench/tracing.py wraps every class's own `_eval` and counts
+# evaluations per kind by that function's code object.
+
+
+class Baire1Code(_LimitCode):
+    """A pointwise limit of continuous codes."""
+
+    kind = "baire1"
+
+    def _eval(self, x: Point, stage: int) -> Interval:
+        return self._limit_eval(x, stage)
+
+
+class Baire2Code(_LimitCode):
     """A pointwise limit of Baire1Codes; one more level of the same policy."""
 
     kind = "baire2"
 
-    def __init__(
-        self,
-        terms: Callable[[int], Baire1Code],
-        modulus: Optional[Callable[[int], int]] = None,
-        domain: str = "unit",
-        label: str = "",
-    ):
-        self.terms = terms
-        self.modulus = modulus
-        self.domain = domain
-        self.label = label
-        self._term_cache: dict[int, Baire1Code] = {}
-        self._cert: dict[Point, Interval] = {}
-        self._best_lo: dict[Point, Fraction] = {}
-
-    def term(self, n: int) -> Baire1Code:
-        if n not in self._term_cache:
-            code = self.terms(n)
-            if code.domain != self.domain:
-                raise DomainError(f"term {n} declares domain {code.domain}, code is {self.domain}")
-            self._term_cache[n] = code
-        return self._term_cache[n]
-
-    def _certificate(self, x: Point, stage: int) -> Optional[Interval]:
-        if self.modulus is None:
-            return None
-        j = _resolvable_j(self.modulus, stage)
-        if j is None:
-            return None
-        n = max(1, self.modulus(j))
-        return iv_pad(self.term(n)._eval(x, stage), pow2(-j))
-
     def _eval(self, x: Point, stage: int) -> Interval:
-        hull = _block_enclosure(lambda n: self.term(n)._eval(x, stage), stage)
-        cert = self._certificate(x, stage)
-        if cert is not None:
-            self._cert[x] = iv_refine(self._cert.get(x), cert, what=f"certificate of {self.label or id(self)} at {x!r}")
-        known = self._cert.get(x)
-        if known is not None:
-            got = iv_intersect(hull, known)
-            if got is None:
-                raise CauchyViolation(
-                    f"limit code {self.label or id(self)}: block hull {hull} avoids certified {known} at {x!r}"
-                )
-        else:
-            got = hull
-        prev = self._best_lo.get(x)
-        self._best_lo[x] = got.lo if prev is None else max(prev, got.lo)
-        return got
-
-    def __repr__(self) -> str:
-        return f"Baire2Code({self.label or '...'}, domain={self.domain})"
+        return self._limit_eval(x, stage)
 
 
 GaugeCode = Union[ContinuousCode, DirectCode, Baire1Code, Baire2Code]
@@ -340,7 +306,7 @@ def _verdict(g: GaugeCode, x: Point, q, stage: int, strict: bool) -> Verdict:
         q = Fraction(q)
     if q < 0:
         raise ValueError("need q >= 0")
-    aggregated = g.kind in ("baire1", "baire2") or (g.kind == "direct" and not g.monotone)
+    aggregated = isinstance(g, _LimitCode) or (g.kind == "direct" and not g.monotone)
     best_lo: Optional[Fraction] = None
     min_hi: Optional[Fraction] = None
     for s in _ladder(stage):
@@ -357,7 +323,7 @@ def _verdict(g: GaugeCode, x: Point, q, stage: int, strict: bool) -> Verdict:
             return got
     if not aggregated:
         return Verdict.UNKNOWN
-    if g.kind in ("baire1", "baire2"):
+    if isinstance(g, _LimitCode):
         cert = g._cert.get(x)
         lo, hi = g._best_lo[x], (cert.hi if cert is not None else None)
     else:
@@ -381,7 +347,8 @@ def verified_at_least(g: GaugeCode, x: Point, q, stage: int) -> Verdict:
 
 def continuous_const(q, domain: str = "unit") -> ContinuousCode:
     q = Fraction(q)
-    return ContinuousCode(lambda region, k: Interval.point(q), domain=domain, label=str(q))
+    box = Interval.point(q)
+    return ContinuousCode(lambda region, k: box, domain=domain, label=str(q))
 
 
 def continuous_identity() -> ContinuousCode:
@@ -399,8 +366,6 @@ def _combine2(op, a: ContinuousCode, b: ContinuousCode, name: str) -> Continuous
 
 
 def continuous_add(a: ContinuousCode, b: ContinuousCode) -> ContinuousCode:
-    from .exact import iv_add
-
     return _combine2(iv_add, a, b, "add")
 
 
@@ -409,20 +374,14 @@ def continuous_sub(a: ContinuousCode, b: ContinuousCode) -> ContinuousCode:
 
 
 def continuous_mul(a: ContinuousCode, b: ContinuousCode) -> ContinuousCode:
-    from .exact import iv_mul
-
     return _combine2(iv_mul, a, b, "mul")
 
 
 def continuous_min(a: ContinuousCode, b: ContinuousCode) -> ContinuousCode:
-    from .exact import iv_min
-
     return _combine2(iv_min, a, b, "min")
 
 
 def continuous_max(a: ContinuousCode, b: ContinuousCode) -> ContinuousCode:
-    from .exact import iv_max
-
     return _combine2(iv_max, a, b, "max")
 
 
@@ -448,11 +407,12 @@ def continuous_dist_to(points) -> ContinuousCode:
     pts = sorted(Fraction(p) for p in points)
     if not pts:
         raise ValueError("need at least one point")
+    boxes = [Interval.point(p) for p in pts]
 
     def ev(region: Interval, k: int) -> Interval:
         best = None
-        for p in pts:
-            d = iv_abs(iv_sub(region, Interval.point(p)))
+        for box in boxes:
+            d = iv_abs(iv_sub(region, box))
             best = d if best is None else Interval(min(best.lo, d.lo), min(best.hi, d.hi))
         return best
 
@@ -467,15 +427,8 @@ def scale_code(g: GaugeCode, factor) -> GaugeCode:
     c = Fraction(factor)
     if c <= 0:
         raise ValueError("scaling factor must be > 0")
-    shift = 0
-    while pow2(shift) < c:
-        shift += 1
     if g.kind == "continuous":
-        return ContinuousCode(
-            lambda region, k: iv_scale(c, g.region_eval(region, k)),
-            domain=g.domain,
-            label=f"scale({c},{g.label})",
-        )
+        return continuous_scale(c, g)
     if g.kind == "direct":
         return DirectCode(
             lambda x, s: iv_scale(c, g.point_eval(x, s)),
@@ -483,17 +436,13 @@ def scale_code(g: GaugeCode, factor) -> GaugeCode:
             monotone=g.monotone,
             label=f"scale({c},{g.label})",
         )
-    modulus = None if g.modulus is None else (lambda j, _m=g.modulus, _sh=shift: _m(j + _sh))
-    if g.kind == "baire1":
-        return Baire1Code(
-            lambda n: continuous_scale(c, g.term(n)),
-            modulus=modulus,
-            domain=g.domain,
-            label=f"scale({c},{g.label})",
-        )
-    return Baire2Code(
+    # a term within 2^-(j+shift) of the limit scales to within c 2^-(j+shift) <= 2^-j
+    shift = 0
+    while pow2(shift) < c:
+        shift += 1
+    return type(g)(
         lambda n: scale_code(g.term(n), c),
-        modulus=modulus,
+        modulus=None if g.modulus is None else (lambda j: g.modulus(j + shift)),
         domain=g.domain,
         label=f"scale({c},{g.label})",
     )
@@ -523,14 +472,7 @@ def pullback_gauge_phi(g: GaugeCode) -> GaugeCode:
             monotone=g.monotone,
             label=f"phi*({g.label})",
         )
-    if g.kind == "baire1":
-        return Baire1Code(
-            lambda n: pullback_gauge_phi(g.term(n)),
-            modulus=g.modulus,
-            domain="cantor",
-            label=f"phi*({g.label})",
-        )
-    return Baire2Code(
+    return type(g)(
         lambda n: pullback_gauge_phi(g.term(n)),
         modulus=g.modulus,
         domain="cantor",

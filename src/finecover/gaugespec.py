@@ -6,8 +6,9 @@ integer exponent. baire1(n -> expr) builds a stage-indexed code, n starting
 at 1; baire2 nests one more level. Built-ins name the showcase gauges:
 heine-borel(cover-file), cauchy-gap(seq-name), oracle-pin(bit-pattern).
 
-Division and exponents must not depend on x; the index n is fine. Every
-error carries the 1-based line and column it was noticed at.
+Division and exponents must not depend on x; the index n is fine. An
+expression nests at most MAX_DEPTH levels. Every error carries the 1-based
+line and column it was noticed at.
 """
 
 from __future__ import annotations
@@ -15,19 +16,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
-from .exact import (
-    Interval,
-    iv_abs,
-    iv_add,
-    iv_max,
-    iv_min,
-    iv_mul,
-    iv_scale,
-    iv_sub,
-    pow2,
-)
+from .exact import pow2
 from .gallery import (
     CauchySpec,
     OpenCoverSpec,
@@ -37,7 +28,22 @@ from .gallery import (
     heine_borel_gauge,
     oracle_pin_gauge,
 )
-from .gauges import Baire1Code, Baire2Code, ContinuousCode, GaugeCode
+from .gauges import (
+    Baire1Code,
+    Baire2Code,
+    ContinuousCode,
+    GaugeCode,
+    continuous_abs,
+    continuous_add,
+    continuous_const,
+    continuous_dist_to,
+    continuous_identity,
+    continuous_max,
+    continuous_min,
+    continuous_mul,
+    continuous_scale,
+    continuous_sub,
+)
 from .spaces import CantorPoint
 
 
@@ -51,6 +57,11 @@ class SpecError(ValueError):
 
 
 _BUILTINS = ("heine-borel", "cauchy-gap", "oracle-pin")
+# Levels an expression may nest: an operand is one level, and every
+# bracket, sign, exponent, argument list or operator around it adds one.
+# The bound keeps the recursive parser and the tree walkers below far from
+# Python's recursion limit.
+MAX_DEPTH = 100
 _ARROWS = ("->", "|->")
 
 
@@ -174,6 +185,7 @@ class _Parser:
         self.toks = toks
         self.pos = 0
         self.bound: list = list(free_names)  # index names in scope, innermost last
+        self.depth = 0  # operands open on the parse stack
 
     def peek(self) -> _Tok:
         return self.toks[self.pos]
@@ -194,6 +206,15 @@ class _Parser:
         t = self.peek()
         if t.kind != "end":
             raise SpecError(f"trailing input starting at {t.text!r}", t.line, t.col)
+        # operator chains nest in the tree but not in the parser; walk it
+        # without recursion to find the deepest node
+        stack = [(node, 1)]
+        while stack:
+            sub, level = stack.pop()
+            if level > MAX_DEPTH:
+                raise SpecError(f"expression nested deeper than {MAX_DEPTH} levels", *sub[1])
+            kids = sub[2] if sub[0] == "dist" else sub[2:]
+            stack.extend((k, level + 1) for k in kids if isinstance(k, tuple))
         return node
 
     def expr(self):
@@ -219,11 +240,18 @@ class _Parser:
                 return node
 
     def unary(self):
+        # every recursion of the parser passes through here
         t = self.peek()
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise SpecError(f"expression nested deeper than {MAX_DEPTH} levels", t.line, t.col)
         if t.kind == "sym" and t.text == "-":
             self.take()
-            return ("neg", (t.line, t.col), self.unary())
-        return self.power()
+            node = ("neg", (t.line, t.col), self.unary())
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     def power(self):
         base = self.atom()
@@ -264,27 +292,21 @@ class _Parser:
             return ("x", loc)
         if name in self.bound:
             return ("idx", loc, name)
-        if name in ("min", "max"):
+        if name in ("min", "max", "dist"):
             self.expect_sym("(")
             args = [self.expr()]
             while self.peek().text == ",":
                 self.take()
                 args.append(self.expr())
             self.expect_sym(")")
+            if name == "dist":
+                return ("dist", loc, args)
             if len(args) < 2:
                 raise SpecError(f"{name} needs at least two arguments", t.line, t.col)
             node = args[0]
             for a in args[1:]:
                 node = (name, loc, node, a)
             return node
-        if name == "dist":
-            self.expect_sym("(")
-            args = [self.expr()]
-            while self.peek().text == ",":
-                self.take()
-                args.append(self.expr())
-            self.expect_sym(")")
-            return ("dist", loc, args)
         if name in ("baire1", "baire2"):
             self.expect_sym("(")
             it = self.take()
@@ -361,54 +383,45 @@ def _eval_const(node, env: dict) -> Fraction:
     raise SpecError(f"not a constant expression ({op})", *loc)
 
 
-def _compile_region(node, env: dict) -> Callable[[Interval], Interval]:
-    """Build an exact interval evaluator for an expression whose only free
+_BINARY = {
+    "add": continuous_add,
+    "sub": continuous_sub,
+    "mul": continuous_mul,
+    "min": continuous_min,
+    "max": continuous_max,
+}
+
+
+def _compile_region(node, env: dict) -> ContinuousCode:
+    """Compose the continuous code of an expression whose only free
     variable is x. Index names are frozen via env."""
     op, loc = node[0], node[1]
     if op == "x":
-        return lambda box: box
+        return continuous_identity()
     if not _free_x(node):
-        v = Interval.point(_eval_const(node, env))
-        return lambda box: v
+        return continuous_const(_eval_const(node, env))
     if op == "neg":
-        f = _compile_region(node[2], env)
-        return lambda box: iv_scale(Fraction(-1), f(box))
+        return continuous_scale(-1, _compile_region(node[2], env))
     if op == "abs":
-        f = _compile_region(node[2], env)
-        return lambda box: iv_abs(f(box))
-    if op in ("add", "sub", "mul", "min", "max"):
-        f = _compile_region(node[2], env)
-        g = _compile_region(node[3], env)
-        h = {"add": iv_add, "sub": iv_sub, "mul": iv_mul, "min": iv_min, "max": iv_max}[op]
-        return lambda box: h(f(box), g(box))
+        return continuous_abs(_compile_region(node[2], env))
+    if op in _BINARY:
+        return _BINARY[op](_compile_region(node[2], env), _compile_region(node[3], env))
     if op == "div":
         if _free_x(node[3]):
             raise SpecError("divisor may not depend on x", *loc)
         d = _eval_const(node[3], env)
         if d == 0:
             raise SpecError("division by zero", *loc)
-        f = _compile_region(node[2], env)
-        return lambda box: iv_scale(1 / d, f(box))
+        return continuous_scale(1 / d, _compile_region(node[2], env))
     if op == "pow2":
         raise SpecError("exponent may not depend on x", *loc)
     if op == "dist":
-        pts = [_eval_const(a, env) for a in node[2]]
-        ivs = [Interval.point(p) for p in pts]
-
-        def ev(box: Interval) -> Interval:
-            best: Optional[Interval] = None
-            for p in ivs:
-                d = iv_abs(iv_sub(box, p))
-                best = d if best is None else Interval(min(best.lo, d.lo), min(best.hi, d.hi))
-            return best
-
-        return ev
+        return continuous_dist_to([_eval_const(a, env) for a in node[2]])
     raise SpecError(f"{op} cannot appear inside a gauge expression", *loc)
 
 
 def _continuous(node, env: dict, label: str) -> ContinuousCode:
-    f = _compile_region(node, env)
-    return ContinuousCode(lambda box, k: f(box), domain="unit", label=label)
+    return ContinuousCode(_compile_region(node, env).region_eval, domain="unit", label=label)
 
 
 def _parse_bits(raw: str, loc) -> CantorPoint:

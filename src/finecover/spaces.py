@@ -87,13 +87,6 @@ class CantorPoint:
     def from_rule(cls, rule: Callable[[int], int], label: Optional[str] = None) -> "CantorPoint":
         return cls(rule, label=label)
 
-    @property
-    def period_hint(self) -> Optional[tuple[int, int]]:
-        """(preperiod length, period length) when eventually periodic."""
-        if self.pattern is None:
-            return None
-        return len(self.pattern[0]), len(self.pattern[1])
-
     def bit(self, i: int) -> int:
         while len(self._bits) <= i:
             b = self._rule(len(self._bits))
@@ -123,24 +116,6 @@ class CantorPoint:
         return f"CantorPoint(rule, label={self.label!r})"
 
 
-def first_diff(x: CantorPoint, y: CantorPoint, bound: int) -> Optional[int]:
-    """Index of the first differing bit below `bound`, or None if none found."""
-    for i in range(bound):
-        if x.bit(i) != y.bit(i):
-            return i
-    return None
-
-
-def cantor_dist(x: CantorPoint, y: CantorPoint, depth: int) -> Interval:
-    """d(x,y) = 2^-(first difference index), resolved through `depth` bits."""
-    if depth < 1:
-        raise ValueError("need depth >= 1")
-    i = first_diff(x, y, depth)
-    if i is None:
-        return Interval(Fraction(0), pow2(-depth))
-    return Interval.point(pow2(-i))
-
-
 @dataclass(frozen=True)
 class Cylinder:
     """The set [sigma] of sequences extending a finite bit string."""
@@ -164,13 +139,6 @@ class Cylinder:
 
     def contains(self, other: "Cylinder") -> bool:
         return other.prefix.startswith(self.prefix)
-
-    def child(self, bit: int) -> "Cylinder":
-        return Cylinder(self.prefix + str(bit))
-
-    def sample(self, bit: int) -> CantorPoint:
-        """The constant-tail extension sigma + bit bit bit ..."""
-        return CantorPoint.from_pattern(self.prefix, str(bit))
 
     def phi_interval(self) -> Interval:
         """Image under phi: the dyadic cell [0.sigma, 0.sigma + 2^-|sigma|]."""

@@ -11,7 +11,7 @@ from finecover.covers import verify_cover
 from finecover.exact import Interval
 from finecover.gallery import gap_limit_point
 from finecover.gauges import DirectCode, Verdict
-from finecover.gaugespec import parse_gauge
+from finecover.gaugespec import MAX_DEPTH, parse_gauge
 from finecover.integral import GaugeFamily
 from finecover.serialize import parse_cover_csv
 
@@ -263,3 +263,33 @@ def test_module_entry_point():
     )
     assert got.returncode == 0
     assert "integrate" in got.stdout
+
+
+# Gauge texts nested exactly n levels deep, one per way of nesting: the
+# parser's brackets and signs, and the tree's operator and argument chains.
+NESTED = {
+    "parens": lambda n: "(" * (n - 1) + "x + 1/8" + ")" * (n - 1),
+    "bars": lambda n: "|" * (n - 3) + "x + 1/8" + "|" * (n - 3),
+    "signs": lambda n: "1/8 + " + "-" * (n - 2) + "x",
+    "sum": lambda n: "1/8" + " + x" * (n - 2),
+    "min": lambda n: "min(1/8 + x, " + ", ".join(["1"] * (n - 3)) + ")",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED))
+def test_deep_gauge_exits_one_without_traceback(capsys, shape):
+    code, out, err = run(capsys, "cousin", "--gauge", NESTED[shape](3000), "--depth", "4")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: line 1, col ")
+    assert f"nested deeper than {MAX_DEPTH} levels" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED))
+def test_gauge_at_depth_bound_searches(capsys, shape):
+    code, out, _ = run(capsys, "cousin", "--gauge", NESTED[shape](MAX_DEPTH), "--depth", "6")
+    assert code == 0
+    assert out.splitlines()[0] == "point,radius"
+    code, _, err = run(capsys, "cousin", "--gauge", NESTED[shape](MAX_DEPTH + 1), "--depth", "6")
+    assert code == 1
+    assert f"nested deeper than {MAX_DEPTH} levels" in err

@@ -11,7 +11,6 @@ from finecover.exact import (
     floor_log_recip,
     iv_abs,
     iv_add,
-    iv_div,
     iv_geom_tail,
     iv_hull,
     iv_intersect,
@@ -136,8 +135,6 @@ def test_interval_ops_sound():
         assert iv_abs(a).contains(abs(x))
         assert iv_min(a, b).contains(min(x, y))
         assert iv_max(a, b).contains(max(x, y))
-        if not b.contains(Fraction(0)):
-            assert iv_div(a, b).contains(x / y)
         c = rand_rat(rng)
         assert iv_scale(c, a).contains(c * x)
         assert iv_hull(a, b).contains(x) and iv_hull(a, b).contains(y)
@@ -147,11 +144,6 @@ def test_interval_ops_sound():
         else:
             assert a.encloses(got) and b.encloses(got)
             assert got.lo == max(a.lo, b.lo) and got.hi == min(a.hi, b.hi)
-
-
-def test_iv_div_rejects_zero():
-    with pytest.raises(ZeroDivisionError):
-        iv_div(Interval.point(1), Interval(Fraction(-1), Fraction(1)))
 
 
 def test_iv_pad():

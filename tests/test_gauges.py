@@ -7,6 +7,7 @@ from finecover.exact import CauchyViolation, Interval, pow2, pow3
 from finecover.gauges import (
     Baire1Code,
     Baire2Code,
+    ContinuousCode,
     DirectCode,
     DomainError,
     Verdict,
@@ -258,22 +259,64 @@ def test_baire2_double_limit():
     assert verified_above(g, x, Fraction(2, 3), 24) is Verdict.NO
 
 
+def test_each_code_class_keeps_its_own_kind_and_eval():
+    # the benchmark's trace wraps each class's own _eval and counts
+    # evaluations per kind by that function's code object
+    classes = {ContinuousCode: "continuous", DirectCode: "direct", Baire1Code: "baire1", Baire2Code: "baire2"}
+    for cls, kind in classes.items():
+        assert cls.__dict__["kind"] == kind
+        assert "_eval" in cls.__dict__
+    assert len({cls.__dict__["_eval"].__code__ for cls in classes}) == 4
+
+
+def _baire2_const(label):
+    def level1(m):
+        return Baire1Code(
+            lambda n, m=m: continuous_const(Fraction(1, 2) + pow2(-m) + pow2(-n)),
+            modulus=lambda j: max(1, j),
+            label=f"{label}-{m}",
+        )
+
+    return Baire2Code(level1, modulus=lambda j: max(1, j), label=label)
+
+
 def test_scale_code_kinds():
     g = scale_code(continuous_dist_to([Fraction(1, 2)]), Fraction(1, 2))
     x = UnitPoint.from_rat(Fraction(1, 4))
+    assert type(g) is ContinuousCode and g.kind == "continuous"
+    assert g.label == "scale(1/2,dist('1/2',))"
     assert eval_enclosure(g, x, 4) == Interval.point(Fraction(1, 8))
+
+    d = scale_code(DirectCode(lambda p, s: Interval.point(Fraction(3, 8)), monotone=False, label="d"), Fraction(2))
+    assert type(d) is DirectCode and d.kind == "direct" and d.label == "scale(2,d)"
+    assert d.monotone is False
+    assert eval_enclosure(d, x, 4) == Interval.point(Fraction(3, 4))
 
     b = scale_code(
         Baire1Code(
             lambda n: continuous_const(Fraction(1, 2) + pow2(-n)),
             modulus=lambda j: max(1, j),
+            label="b1",
         ),
         Fraction(2),
     )
+    assert type(b) is Baire1Code and b.kind == "baire1" and b.label == "scale(2,b1)"
+    assert b.modulus(3) == 4  # factor 2 costs one more bit of the modulus
+    assert b.term(1).label == "scale(2,1)"
     box = eval_enclosure(b, x, 12)
     assert box.contains(Fraction(1))
     assert box.width <= Fraction(1, 64)
 
+    b2 = scale_code(_baire2_const("b2"), Fraction(3))
+    assert type(b2) is Baire2Code and b2.kind == "baire2" and b2.label == "scale(3,b2)"
+    assert b2.modulus(5) == 7  # factor 3 costs two more bits
+    assert type(b2.term(1)) is Baire1Code and b2.term(1).label == "scale(3,b2-1)"
+    assert b2.term(1).modulus(5) == 7
+    box = eval_enclosure(b2, x, 12)
+    assert box.contains(Fraction(3, 2))
+    assert verified_above(b2, x, Fraction(1), 12) is Verdict.YES
+
+    assert scale_code(b, Fraction(1)).modulus(3) == 4  # no shift for factors <= 1
     with pytest.raises(ValueError):
         scale_code(g, Fraction(0))
 
@@ -281,13 +324,35 @@ def test_scale_code_kinds():
 def test_pullback_phi():
     g = continuous_dist_to([Fraction(1, 2)])
     back = pullback_gauge_phi(g)
-    assert back.domain == "cantor"
+    assert type(back) is ContinuousCode and back.kind == "continuous"
+    assert back.domain == "cantor" and back.label == "phi*(dist('1/2',))"
     x = CantorPoint.from_pattern("", "01")  # phi = 1/3
     box = eval_enclosure(back, x, 6)
     assert box.contains(Fraction(1, 6)) and box.width <= pow2(-6)
     assert back.region_eval(Cylinder("1"), 4) == Interval(Fraction(0), Fraction(1, 2))
     with pytest.raises(DomainError):
         pullback_gauge_phi(continuous_const(1, domain="cantor"))
+
+    d = pullback_gauge_phi(DirectCode(lambda p, s: Interval.point(p.rational_value()), monotone=False, label="id"))
+    assert type(d) is DirectCode and d.kind == "direct"
+    assert d.domain == "cantor" and d.label == "phi*(id)" and d.monotone is False
+    assert eval_enclosure(d, x, 4) == Interval.point(Fraction(1, 3))
+
+    mod = lambda j: max(1, j)
+    b = pullback_gauge_phi(
+        Baire1Code(lambda n: continuous_add(continuous_identity(), continuous_const(pow2(-n))), modulus=mod, label="b1")
+    )
+    assert type(b) is Baire1Code and b.kind == "baire1"
+    assert b.domain == "cantor" and b.label == "phi*(b1)" and b.modulus is mod
+    assert type(b.term(2)) is ContinuousCode and b.term(2).domain == "cantor"
+    box = eval_enclosure(b, x, 12)
+    assert box.contains(Fraction(1, 3)) and box.width <= Fraction(1, 64)
+
+    b2 = pullback_gauge_phi(_baire2_const("b2"))
+    assert type(b2) is Baire2Code and b2.kind == "baire2"
+    assert b2.domain == "cantor" and b2.label == "phi*(b2)"
+    assert type(b2.term(1)) is Baire1Code and b2.term(1).domain == "cantor"
+    assert eval_enclosure(b2, x, 12).contains(Fraction(1, 2))
 
 
 def test_psi_transfer_values():

@@ -12,10 +12,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 
 from .covers import (
-    FineCover,
     NotACover,
     Obstruction,
     check_fineness,
@@ -45,6 +43,7 @@ from .serialize import (
     cover_csv,
     integral_json,
     obstruction_json,
+    parse_bits,
     parse_cantor,
     parse_cover_csv,
     parse_partition_csv,
@@ -53,7 +52,6 @@ from .serialize import (
     region_str,
     unit_str,
 )
-from .spaces import CantorPoint, UnitPoint
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -101,14 +99,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _pin_point(raw: str) -> CantorPoint:
-    if "prefix=" in raw:
-        return parse_cantor(raw)
-    if raw and all(c in "01" for c in raw):
-        return CantorPoint.from_pattern("", raw)
-    raise ValueError(f"bad bit pattern {raw!r}")
-
-
 def _build_gauge(args):
     """Gauge plus the pinned point when the preset has one."""
     preset = getattr(args, "preset", None)
@@ -116,7 +106,7 @@ def _build_gauge(args):
         if preset == "cauchy-gap":
             return cauchy_gap_gauge(default_cauchy_spec()), None
         if preset.startswith("oracle-pin:"):
-            z = _pin_point(preset.split(":", 1)[1])
+            z = parse_bits(preset.split(":", 1)[1])
             return oracle_pin_gauge(OracleSpec(z)), z
         raise ValueError(f"unknown preset {preset!r}")
     if getattr(args, "gauge_file", None):
@@ -273,7 +263,7 @@ def cmd_gallery(args) -> int:
         )
         return EXIT_OK
     if args.demo == "oracle-pin":
-        z = _pin_point(args.bits or "01")
+        z = parse_bits(args.bits or "01")
         depth = 10 if args.depth is None else args.depth
         cover = oracle_pin_demo(OracleSpec(z), depth, stage)
         _emit(

@@ -15,16 +15,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import le, lt
 from typing import Optional, Union
 
 from .exact import (
     Interval,
     QuadVal,
     ceil_log_recip,
+    dyadic_runs,
     pow2,
     simplest_dyadic_between,
 )
-from .gauges import GaugeCode, Verdict, verified_above, verified_at_least
+from .gauges import DomainError, GaugeCode, Verdict, verified_above, verified_at_least
 from .spaces import (
     CantorPoint,
     Cylinder,
@@ -86,11 +88,6 @@ class TaggedPartition:
         ]
 
 
-def _unit_sort_key(p: UnitPoint):
-    v = p.exact_value()
-    return v.as_fraction() if isinstance(v, QuadVal) and v.is_rational else v
-
-
 def _cantor_sort_key(p: CantorPoint):
     return (p.bits(48), p.pattern or ("", ""))
 
@@ -134,7 +131,7 @@ class FineCover:
             raise ValueError("a cover needs at least one point")
         self.space = space
         if space == "unit":
-            order.sort(key=_unit_sort_key)
+            order.sort(key=UnitPoint.exact_value)
         else:
             order.sort(key=_cantor_sort_key)
         self.points: list = order
@@ -306,78 +303,60 @@ def cover_to_partition(cover: FineCover) -> TaggedPartition:
 # -- subdivision searches ------------------------------------------------
 
 
-def _exact_unit_hints(hints) -> list[UnitPoint]:
-    out = []
+def _numeral(i: int, level: int) -> str:
+    """The `level`-bit binary numeral of i: the prefix of Cantor cell i."""
+    return format(i, f"0{level}b") if level else ""
+
+
+def _checked_hints(g: GaugeCode, hints, space: str, key) -> list:
+    """The search hints in `key` order, once the code is checked to live on
+    `space` and every hint to be an exact point of it."""
+    if g.domain != space:
+        raise DomainError(f"{space} search got a {g.domain} code")
+    point_type = UnitPoint if space == "unit" else CantorPoint
     for h in hints or ():
-        if not isinstance(h, UnitPoint) or not h.is_exact:
-            raise ValueError(f"search hints must be exact points, got {h!r}")
-        out.append(h)
-    out.sort(key=_unit_sort_key)
-    return out
+        if not isinstance(h, point_type) or (space == "unit" and not h.is_exact):
+            raise ValueError(f"{space} search hints must be exact points of that space, got {h!r}")
+    return sorted(hints or (), key=key)
 
 
-def _merge_dyadic_run(cells: list[int], level: int) -> list[Interval]:
-    """Maximal runs of adjacent level-`level` cells as closed intervals."""
-    if not cells:
-        return []
-    cells = sorted(cells)
-    w = pow2(-level)
-    out = []
-    start = prev = cells[0]
-    for i in cells[1:]:
-        if i == prev + 1:
-            prev = i
-            continue
-        out.append(Interval(start * w, (prev + 1) * w))
-        start = prev = i
-    out.append(Interval(start * w, (prev + 1) * w))
-    return out
+def _subdivide(g: GaugeCode, depth: int, stage: int, strict: bool, region, samples, regions):
+    """Breadth-first search over the binary tree of cells, for both spaces.
 
+    Cell i at level l, of width w = 2^-l, is accepted on the first of
+    `samples(i, l)` whose verdict "gauge > w" (strict) or "gauge >= w" is
+    Yes, giving the entry (sample, w); otherwise cells 2i and 2i+1 go on to
+    level l+1. Cells left at `depth` form an Obstruction of `regions`.
 
-def find_cover_unit(g: GaugeCode, depth: int, stage: int, hints=()) -> Union[FineCover, Obstruction]:
-    """Subdivide [0,1] into dyadic cells until the gauge verifiably beats
-    each cell's width at some sample point.
-
-    A cell [a,b] is accepted on the first sample m (in-cell hints in
-    ascending order, then midpoint, then endpoints) with the strict verdict
-    gauge(m) > b-a; it contributes the entry (m, b-a). Cells still
-    unaccepted at `depth` come back as an Obstruction of merged dyadic runs.
-
-    Branch and bound: for a continuous unit-interval code the whole cell is
-    first enclosed by one region evaluation at `stage`. When the upper end
-    of that enclosure is <= b-a, no gauge value in the cell exceeds the
-    width, so no sample could get the strict Yes: the cell survives without
-    sampling. Survivors hand the bound to their children, and a child whose
-    inherited bound is already <= its width is passed down without any
-    evaluation. Only cells that could not have been accepted are skipped,
-    and the rest are sampled exactly as before, so the covers and
-    obstructions are the same as those of the plain sample-only walk.
+    Branch and bound: a continuous code is first enclosed on the whole cell
+    `region(i, l)` by one region evaluation at `stage`. When the upper end
+    rules acceptance out (hi <= w strict, hi < w non-strict), no sample
+    could get the Yes, so the cell survives unsampled and hands the bound
+    to its children, which skip evaluation while it still rules them out.
+    Only cells that could not have been accepted are skipped, so covers and
+    obstructions are those of the plain sample-only walk.
     """
     if depth < 1:
         raise ValueError("need depth >= 1")
-    hints = _exact_unit_hints(hints)
-    bounded = g.kind == "continuous" and g.domain == "unit"
+    # looked up per call: the names may be rebound to instrumented wrappers
+    verdict = verified_above if strict else verified_at_least
+    rules_out = le if strict else lt  # bound vs width: acceptance impossible
+    bounded = g.kind == "continuous"
     entries = []
     frontier = [(0, None)]  # (cell index at the current level, upper bound on the gauge there)
     for level in range(depth + 1):
         w = pow2(-level)
         survivors = []
         for i, bound in frontier:
-            a, b = i * w, (i + 1) * w
             if bounded:
-                if bound is None or bound > w:
-                    hi = g.region_eval(Interval(a, b), stage).hi
+                if bound is None or not rules_out(bound, w):
+                    hi = g.region_eval(region(i, level), stage).hi
                     bound = hi if bound is None else min(bound, hi)
-                if bound <= w:
+                if rules_out(bound, w):
                     survivors.append((i, bound))
                     continue
-            samples = [h for h in hints if a <= h.exact_value() <= b]
-            mid = UnitPoint.from_rat((a + b) / 2)
-            for cand in (mid, UnitPoint.from_rat(a), UnitPoint.from_rat(b)):
-                if all(s != cand for s in samples):
-                    samples.append(cand)
-            for m in samples:
-                if verified_above(g, m, w, stage) is Verdict.YES:
+            for m in samples(i, level):
+                if verdict(g, m, w, stage) is Verdict.YES:
                     entries.append((m, w))
                     break
             else:
@@ -385,55 +364,74 @@ def find_cover_unit(g: GaugeCode, depth: int, stage: int, hints=()) -> Union[Fin
         if not survivors:
             return FineCover(entries)
         if level == depth:
-            regions = _merge_dyadic_run([i for i, _ in survivors], level)
+            unresolved = tuple(regions([i for i, _ in survivors], level))
             trace = tuple(
                 {"region": reg, "last_verdict": Verdict.UNKNOWN, "stage": stage}
-                for reg in regions
+                for reg in unresolved
             )
-            return Obstruction(tuple(regions), trace, depth, "unit")
+            return Obstruction(unresolved, trace, depth, g.domain)
         frontier = [(c, bound) for i, bound in survivors for c in (2 * i, 2 * i + 1)]
     raise AssertionError("unreachable")
+
+
+def find_cover_unit(g: GaugeCode, depth: int, stage: int, hints=()) -> Union[FineCover, Obstruction]:
+    """Subdivide [0,1] into dyadic cells until the gauge verifiably beats
+    each cell's width at some sample point.
+
+    Cell i at level l is [i 2^-l, (i+1) 2^-l]. It is accepted on the first
+    sample m (in-cell hints in ascending order, then midpoint, then
+    endpoints) with the strict verdict gauge(m) > 2^-l, and contributes the
+    entry (m, 2^-l). Cells still unaccepted at `depth` come back as an
+    Obstruction of merged dyadic runs. Continuous codes are bounded on
+    whole cells first (see `_subdivide`).
+    """
+    hints = _checked_hints(g, hints, "unit", UnitPoint.exact_value)
+
+    def region(i: int, level: int) -> Interval:
+        return Interval(Fraction(i, 1 << level), Fraction(i + 1, 1 << level))
+
+    def samples(i: int, level: int):
+        a, b = Fraction(i, 1 << level), Fraction(i + 1, 1 << level)
+        in_cell = [h for h in hints if a <= h.exact_value() <= b]
+        yield from in_cell
+        # built one at a time, each only after the previous sample failed
+        for q in (Fraction(2 * i + 1, 2 << level), a, b):
+            cand = UnitPoint.from_rat(q)
+            if cand not in in_cell:
+                yield cand
+
+    return _subdivide(g, depth, stage, True, region, samples, dyadic_runs)
 
 
 def find_cover_cantor(g: GaugeCode, depth: int, stage: int, hints=()) -> Union[FineCover, Obstruction]:
     """Breadth-first over cylinders: accept [sigma] once the gauge at some
     sample point of the cylinder is verifiably >= its width 2^-|sigma|.
 
-    Samples are in-cylinder hints first, then the two constant-tail
-    extensions. Accepted cylinders contribute (sample, 2^-|sigma|);
-    survivors at `depth` form the Obstruction, sorted by prefix.
+    Cell i at level l is the cylinder of the l-bit numeral of i, the
+    sequence-space twin of the dyadic cell that phi maps it onto. Samples
+    are in-cylinder hints first, then the two constant-tail extensions.
+    Accepted cylinders contribute (sample, 2^-|sigma|); survivors at
+    `depth` form the Obstruction, sorted by prefix. Continuous codes are
+    bounded on whole cylinders first (see `_subdivide`).
     """
-    if depth < 1:
-        raise ValueError("need depth >= 1")
-    hints = sorted(hints or (), key=_cantor_sort_key)
-    entries = []
-    frontier = [""]
-    for level in range(depth + 1):
-        w = pow2(-level)
-        survivors = []
-        for prefix in frontier:
-            samples = [h for h in hints if h.bits(level) == prefix]
-            for bit in (0, 1):
-                cand = CantorPoint.from_pattern(prefix, str(bit))
-                if all(s != cand for s in samples):
-                    samples.append(cand)
-            for m in samples:
-                if verified_at_least(g, m, w, stage) is Verdict.YES:
-                    entries.append((m, w))
-                    break
-            else:
-                survivors.append(prefix)
-        if not survivors:
-            return FineCover(entries)
-        if level == depth:
-            regions = tuple(Cylinder(s) for s in sorted(survivors))
-            trace = tuple(
-                {"region": reg, "last_verdict": Verdict.UNKNOWN, "stage": stage}
-                for reg in regions
-            )
-            return Obstruction(regions, trace, depth, "cantor")
-        frontier = [s + c for s in survivors for c in "01"]
-    raise AssertionError("unreachable")
+    hints = _checked_hints(g, hints, "cantor", _cantor_sort_key)
+
+    def region(i: int, level: int) -> Cylinder:
+        return Cylinder(_numeral(i, level))
+
+    def samples(i: int, level: int):
+        prefix = _numeral(i, level)
+        in_cell = [h for h in hints if h.bits(level) == prefix]
+        yield from in_cell
+        for tail in "01":
+            cand = CantorPoint.from_pattern(prefix, tail)
+            if cand not in in_cell:
+                yield cand
+
+    def regions(cells, level: int) -> list:
+        return [region(i, level) for i in cells]
+
+    return _subdivide(g, depth, stage, False, region, samples, regions)
 
 
 # -- transfers of covers between the spaces ------------------------------
@@ -466,11 +464,9 @@ def transfer_cover_psi(cover: FineCover) -> FineCover:
         raise ValueError("psi transfer pulls unit-interval covers back")
     entries = []
     for p, r in cover.entries():
-        v = p.exact_value()
-        if isinstance(v, QuadVal):
-            if not v.is_rational:
-                raise ValueError(f"psi transfer needs rational cover points, got {v}")
-            v = v.as_fraction()
+        if not p.is_rational:
+            raise ValueError(f"psi transfer needs rational cover points, got {p.exact}")
+        v = p.exact
         lo, hi = max(v - r, Fraction(0)), min(v + r, Fraction(1))
         if lo > hi:
             continue  # ball entirely outside [0,1]

@@ -342,6 +342,21 @@ def exact_floor(x: ExactPoint) -> int:
     return floor(x)
 
 
+def dyadic_runs(cells, level: int) -> list[Interval]:
+    """Maximal runs of adjacent level-`level` dyadic cells as closed intervals.
+
+    Cell i is [i 2^-level, (i+1) 2^-level]; `cells` lists indices in
+    ascending order.
+    """
+    runs: list[list[int]] = []  # [first index, one past the last]
+    for i in cells:
+        if runs and runs[-1][1] == i:
+            runs[-1][1] = i + 1
+        else:
+            runs.append([i, i + 1])
+    return [Interval(Fraction(a, 1 << level), Fraction(b, 1 << level)) for a, b in runs]
+
+
 def simplest_dyadic_between(lo: ExactPoint, hi: ExactPoint) -> Fraction:
     """Dyadic rational m/2**k strictly inside (lo, hi), with k minimal."""
     if not lo < hi:

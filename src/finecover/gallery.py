@@ -164,9 +164,6 @@ def check_star(cov: OpenCoverSpec, g: ContinuousCode, p, k: int) -> Verdict:
     return Verdict.UNKNOWN
 
 
-_SUBCOVER_CAP = 96
-
-
 def finite_subcover(cov: OpenCoverSpec, cover: FineCover, stage: int = 16) -> int:
     """Index k such that the first k+1 intervals already cover [0,1].
 

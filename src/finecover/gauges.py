@@ -24,6 +24,7 @@ from typing import Callable, Optional, Union
 from .exact import (
     CauchyViolation,
     Interval,
+    dyadic_runs,
     iv_abs,
     iv_add,
     iv_hull,
@@ -552,17 +553,5 @@ def preimage_pieces(g: Baire1Code, ball: Ball, count: int) -> list[list[Interval
                 got = iv_abs(iv_sub(term.region_eval(cell, stage), c))
                 if got.hi <= bound:
                     member[i] = True
-        out.append(_merge_cells(member))
+        out.append(dyadic_runs([i for i, flag in enumerate(member) if flag], _GRID))
     return out
-
-
-def _merge_cells(member: list[bool]) -> list[Interval]:
-    runs = []
-    start = None
-    for i, flag in enumerate(member + [False]):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            runs.append(Interval(start * pow2(-_GRID), i * pow2(-_GRID)))
-            start = None
-    return runs

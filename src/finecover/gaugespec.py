@@ -20,7 +20,6 @@ from typing import Optional
 
 from .exact import pow2
 from .gallery import (
-    CauchySpec,
     OpenCoverSpec,
     OracleSpec,
     cauchy_gap_gauge,
@@ -44,7 +43,7 @@ from .gauges import (
     continuous_scale,
     continuous_sub,
 )
-from .spaces import CantorPoint
+from .serialize import parse_bits
 
 
 class SpecError(ValueError):
@@ -424,20 +423,6 @@ def _continuous(node, env: dict, label: str) -> ContinuousCode:
     return ContinuousCode(_compile_region(node, env).region_eval, domain="unit", label=label)
 
 
-def _parse_bits(raw: str, loc) -> CantorPoint:
-    raw = raw.strip()
-    if "prefix=" in raw:
-        try:
-            from .serialize import parse_cantor
-
-            return parse_cantor(raw)
-        except ValueError as e:
-            raise SpecError(str(e), *loc)
-    if not raw or any(c not in "01" for c in raw):
-        raise SpecError(f"bit pattern must be nonempty over 0/1, got {raw!r}", *loc)
-    return CantorPoint.from_pattern("", raw)
-
-
 def compile_gauge(node, base_dir: str = ".") -> GaugeCode:
     op, loc = node[0], node[1]
     if op == "baire1":
@@ -476,7 +461,11 @@ def compile_gauge(node, base_dir: str = ".") -> GaugeCode:
                 raise SpecError(f"unknown sequence preset {seq!r}", *loc)
             return cauchy_gap_gauge(default_cauchy_spec())
         if name == "oracle-pin":
-            return oracle_pin_gauge(OracleSpec(_parse_bits(arg, loc)))
+            try:
+                z = parse_bits(arg)
+            except ValueError as e:
+                raise SpecError(str(e), *loc)
+            return oracle_pin_gauge(OracleSpec(z))
         raise SpecError(f"unknown built-in {name!r}", *loc)
     if _free_x(node) or op in ("const", "add", "sub", "mul", "div", "neg", "abs", "min", "max", "dist", "pow2", "x"):
         return _continuous(node, {}, label="spec")

@@ -14,7 +14,6 @@ from math import isqrt
 from typing import Callable, Optional, Union
 
 from .covers import (
-    FineCover,
     Obstruction,
     TaggedPartition,
     cover_to_partition,
@@ -44,22 +43,13 @@ class EvaluationError(ValueError):
 class Integrand:
     """Pointwise-enclosable function on [0,1].
 
-    evaluator(point, prec) returns an enclosure of width <= 2^-prec;
-    special_values (keyed by exact rational) override it outright, for
-    functions defined by fiat at isolated points.
+    evaluator(point, prec) returns an enclosure of width <= 2^-prec.
     """
 
     evaluator: Callable[[UnitPoint, int], Interval]
-    special_values: dict = None
     label: str = ""
 
     def at(self, tag: UnitPoint, prec: int) -> Interval:
-        if self.special_values and tag.is_exact:
-            v = tag.exact_value()
-            if isinstance(v, QuadVal) and v.is_rational:
-                v = v.as_fraction()
-            if isinstance(v, Fraction) and v in self.special_values:
-                return Interval.point(self.special_values[v])
         try:
             return self.evaluator(tag, prec)
         except EvaluationError:
@@ -145,12 +135,7 @@ def integrate(
 
 
 def _exact_rational(tag: UnitPoint) -> Optional[Fraction]:
-    if not tag.is_exact:
-        return None
-    v = tag.exact_value()
-    if isinstance(v, QuadVal):
-        return v.as_fraction() if v.is_rational else None
-    return v
+    return tag.exact if tag.is_rational else None
 
 
 def poly_integrand(coeffs, label: str = "") -> tuple[Integrand, GaugeFamily, Fraction]:
@@ -184,8 +169,10 @@ def poly_integrand(coeffs, label: str = "") -> tuple[Integrand, GaugeFamily, Fra
 
 def _sqrt_recip_eval(tag: UnitPoint, prec: int) -> Interval:
     q = _exact_rational(tag)
-    if q is None or q <= 0:
-        raise EvaluationError(f"reciprocal square root needs an exact rational in (0,1], got {tag}")
+    if q == 0:
+        return Interval.point(Fraction(0))  # the value at the pole, fixed by fiat
+    if q is None or q < 0:
+        raise EvaluationError(f"reciprocal square root needs an exact rational in [0,1], got {tag}")
     # 1/sqrt(a/b) = sqrt(b/a), enclosed by a shifted integer square root
     m = prec
     t = (q.denominator << (2 * m)) // q.numerator
@@ -283,12 +270,8 @@ def _sqrt_recip_family() -> GaugeFamily:
 
 def _step_eval(c: Fraction):
     def ev(tag: UnitPoint, prec: int) -> Interval:
-        q = _exact_rational(tag)
-        if q is not None:
-            return Interval.point(Fraction(1 if q >= c else 0))
         if tag.is_exact:
-            v = tag.exact_value()
-            return Interval.point(Fraction(1 if v >= c else 0))
+            return Interval.point(Fraction(1 if tag.exact_value() >= c else 0))
         box = tag.approx(prec)
         if box.lo >= c:
             return Interval.point(Fraction(1))
@@ -308,7 +291,7 @@ def builtin_integrands() -> dict:
         "identity": (ident, ident_fam, Fraction(1, 2)),
         "square": (square, square_fam, Fraction(1, 3)),
         "sqrt-reciprocal": (
-            Integrand(_sqrt_recip_eval, special_values={Fraction(0): Fraction(0)}, label="sqrt-reciprocal"),
+            Integrand(_sqrt_recip_eval, label="sqrt-reciprocal"),
             _sqrt_recip_family(),
             Fraction(2),
         ),

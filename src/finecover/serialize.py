@@ -40,6 +40,14 @@ def parse_cantor(s: str) -> CantorPoint:
     return CantorPoint.from_pattern(prefix, period)
 
 
+def parse_bits(raw: str) -> CantorPoint:
+    """A pinned bit pattern: "prefix=...;period=..." or bare period bits."""
+    raw = raw.strip()
+    if "prefix=" in raw:
+        return parse_cantor(raw)
+    return CantorPoint.from_pattern("", raw)
+
+
 def unit_str(p: UnitPoint, prec: int = 24) -> str:
     if p.is_rational:
         return f"rat:{rat_str(p.rational_value())}"

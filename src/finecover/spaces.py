@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .exact import (
-    CauchyViolation,
     ExactPoint,
     Interval,
     QuadVal,
@@ -160,7 +159,9 @@ def cylinder_for_ball(x: CantorPoint, r: Fraction) -> Cylinder:
 class UnitPoint:
     """A point of the unit interval, exact or given by a nested approximant.
 
-    Exact points hold a Fraction or a QuadVal and support exact comparison;
+    Exact points hold a Fraction or an irrational QuadVal (from_quad turns
+    a rational QuadVal into a Fraction), so `is_rational` alone tells
+    whether the point is rational, and they support exact comparison;
     approximant points only promise enclosures of width <= 2^-k. Successive
     approximant queries are intersected, so the published enclosures nest
     even when the underlying rule's do not, and a contradictory rule raises
@@ -284,14 +285,11 @@ class Ball:
 
 def _pattern_value(prefix: str, period: str, base: int, digit_of: Callable[[str], int]) -> Fraction:
     # sum of digit_of(c) * base^-(i+1) over the eventually periodic expansion
-    head = Fraction(0)
-    for i, c in enumerate(prefix):
-        head += Fraction(digit_of(c)) * Fraction(base) ** -(i + 1)
-    unit = Fraction(0)
-    for i, c in enumerate(period):
-        unit += Fraction(digit_of(c)) * Fraction(base) ** -(i + 1)
-    tail = unit / (1 - Fraction(base) ** -len(period))
-    return head + Fraction(base) ** -len(prefix) * tail
+    def digits(s: str) -> Fraction:
+        return sum((Fraction(digit_of(c), base ** (i + 1)) for i, c in enumerate(s)), Fraction(0))
+
+    tail = digits(period) / (1 - Fraction(1, base ** len(period)))
+    return digits(prefix) + tail / base ** len(prefix)
 
 
 def phi_value(x: CantorPoint) -> Fraction:
@@ -337,6 +335,31 @@ def psi(x: CantorPoint) -> UnitPoint:
 # -- the middle-thirds set ----------------------------------------------
 
 
+def _thirds_walk(z: Fraction):
+    """The middle-thirds digit walk of a rational z in [0,1].
+
+    Each step zooms into the left third (bit 0) or the right third (bit 1),
+    scaling by 3. A rational orbit either revisits a state, so z is in C,
+    or lands in a removed middle third at local scale 3^-len(bits).
+    Returns (bits, index where the orbit cycles, None) in the first case
+    and (bits, None, landing state) in the second.
+    """
+    w = z
+    seen: dict[Fraction, int] = {}
+    bits = []
+    while w not in seen:
+        seen[w] = len(bits)
+        if w <= THIRD:
+            bits.append("0")
+            w = 3 * w
+        elif w >= TWO_THIRDS:
+            bits.append("1")
+            w = 3 * w - 2
+        else:
+            return "".join(bits), None, w
+    return "".join(bits), seen[w], None
+
+
 def dist_to_cantor(z: Fraction) -> Fraction:
     """Exact d(z, C) for rational z in [0,1].
 
@@ -347,20 +370,10 @@ def dist_to_cantor(z: Fraction) -> Fraction:
     z = Fraction(z)
     if not 0 <= z <= 1:
         raise ValueError(f"need 0 <= z <= 1, got {z}")
-    w = z
-    scale = Fraction(1)
-    seen = set()
-    while True:
-        if w in seen:
-            return Fraction(0)
-        seen.add(w)
-        if w <= THIRD:
-            w = 3 * w
-        elif w >= TWO_THIRDS:
-            w = 3 * w - 2
-        else:
-            return scale * min(w - THIRD, TWO_THIRDS - w)
-        scale /= 3
+    bits, _, w = _thirds_walk(z)
+    if w is None:
+        return Fraction(0)
+    return pow3(-len(bits)) * min(w - THIRD, TWO_THIRDS - w)
 
 
 def leftmost_cantor_ge(a: Fraction) -> Fraction:
@@ -370,50 +383,11 @@ def leftmost_cantor_ge(a: Fraction) -> Fraction:
         raise ValueError(f"no C point >= {a}")
     if a <= 0:
         return Fraction(0)
-    w = a
-    lo = Fraction(0)
-    scale = Fraction(1)
-    seen = set()
-    while True:
-        if w in seen:
-            return a  # orbit cycled without leaving the construction: a is in C
-        seen.add(w)
-        if w <= THIRD:
-            w = 3 * w
-        elif w >= TWO_THIRDS:
-            lo += TWO_THIRDS * scale
-            w = 3 * w - 2
-        else:
-            # a sits in a removed gap: next C point is the right third's start
-            return lo + TWO_THIRDS * scale
-        scale /= 3
-
-
-def _thirds_step(w):
-    """One step of the psi-inverse digit walk; returns (bit, next w)."""
-    if w <= THIRD:
-        return 0, 3 * w
-    if w >= TWO_THIRDS:
-        return 1, 3 * w - 2
-    raise NotInCantorSet(f"point at distance >= {min(w - THIRD, TWO_THIRDS - w)} from C (local scale)")
-
-
-def psi_preimage_prefix(z: Union[UnitPoint, Fraction, QuadVal], n: int) -> str:
-    """First n bits of psi^-1(z) for z on (or asserted on) the set C."""
-    if isinstance(z, UnitPoint):
-        if not z.is_exact:
-            raise ValueError("psi preimage needs an exact point")
-        z = z.exact_value()
-    w: ExactPoint = Fraction(z) if isinstance(z, int) else z
-    if isinstance(w, QuadVal) and w.is_rational:
-        w = w.as_fraction()
-    if not (0 <= w and w <= 1):
-        raise NotInCantorSet(f"{w} outside [0,1]")
-    out = []
-    for _ in range(n):
-        bit, w = _thirds_step(w)
-        out.append(str(bit))
-    return "".join(out)
+    bits, _, w = _thirds_walk(a)
+    if w is None:
+        return a  # orbit cycled without leaving the construction: a is in C
+    # a sits in a removed gap: next C point is the right third's start
+    return psi_value(CantorPoint.from_pattern(bits + "1", "0"))
 
 
 def psi_preimage_point(z: Fraction) -> CantorPoint:
@@ -425,12 +399,7 @@ def psi_preimage_point(z: Fraction) -> CantorPoint:
     z = Fraction(z)
     if not 0 <= z <= 1:
         raise NotInCantorSet(f"{z} outside [0,1]")
-    w = z
-    seen: dict[Fraction, int] = {}
-    bits = []
-    while w not in seen:
-        seen[w] = len(bits)
-        bit, w = _thirds_step(w)
-        bits.append(str(bit))
-    start = seen[w]
-    return CantorPoint.from_pattern("".join(bits[:start]), "".join(bits[start:]))
+    bits, start, w = _thirds_walk(z)
+    if w is not None:
+        raise NotInCantorSet(f"{z} lies in a removed middle third at scale 3^-{len(bits)}")
+    return CantorPoint.from_pattern(bits[:start], bits[start:])

@@ -180,6 +180,18 @@ def test_cousin_space_mismatch(capsys):
     assert "cantor" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("--preset", "oracle-pin:2"), ("--gauge", "oracle-pin(2)")],
+)
+def test_cousin_bad_pin_bits_exit_one(capsys, argv):
+    # the preset and the grammar read the pinned bits with one parser
+    code, out, err = run(capsys, "cousin", *argv, "--space", "cantor", "--depth", "4")
+    assert code == 1
+    assert out == ""
+    assert "bad bit pattern" in err
+
+
 def test_verify_flags_inflated_radius(capsys, tmp_path):
     _, out, _ = run(capsys, "cousin", "--gauge", "const:1/4", "--depth", "8")
     lines = out.splitlines()

@@ -25,15 +25,17 @@ from finecover.covers import (
 from finecover.exact import Interval, QuadVal, iv_intersect, pow2
 from finecover.gauges import (
     DirectCode,
+    DomainError,
     Verdict,
     continuous_const,
     continuous_dist_to,
+    pullback_gauge_phi,
     scale_code,
     transfer_gauge_psi,
     verified_at_least,
 )
 from finecover.gaugespec import parse_gauge
-from finecover.spaces import CantorPoint, UnitPoint
+from finecover.spaces import CantorPoint, Cylinder, UnitPoint
 
 F = Fraction
 STAGE = 8
@@ -347,8 +349,19 @@ _GAUGES = st.one_of(_EXPRS, st.tuples(_EXPRS, st.integers(1, 6)).map(lambda t: f
 
 def _point_only(g):
     """The same region evaluator, reachable only through sample points: a
-    direct code, which the search never bounds on whole cells."""
+    direct code, which the search never bounds on whole cells. A sequence
+    point is evaluated on the cylinder of its first s bits."""
+    if g.domain == "cantor":
+        return DirectCode(lambda x, s: g.region_eval(Cylinder(x.bits(s)), s), domain="cantor")
     return DirectCode(lambda x, s: g.region_eval(iv_intersect(x.approx(s), Interval(0, 1)), s), domain="unit")
+
+
+def _assert_same_search(pruned, ref):
+    assert type(pruned) is type(ref)
+    if isinstance(ref, FineCover):
+        assert pruned.entries() == ref.entries()
+    else:
+        assert pruned.unresolved == ref.unresolved
 
 
 @settings(max_examples=80, deadline=None)
@@ -356,17 +369,50 @@ def _point_only(g):
     _GAUGES,
     st.integers(1, 7),
     st.sampled_from([1, 3, 8]),
-    st.lists(st.builds(F, st.integers(0, 16), st.just(16)), max_size=3),
+    st.lists(st.integers(0, 16), max_size=3),
 )
-def test_find_cover_unit_pruning_matches_point_only_search(text, depth, stage, hint_vals):
-    hints = [up(h) for h in hint_vals]
+def test_find_cover_unit_pruning_matches_point_only_search(text, depth, stage, hint_nums):
+    hints = [up(F(n, 16)) for n in hint_nums]
     pruned = find_cover_unit(parse_gauge(text), depth, stage, hints=hints)
     ref = find_cover_unit(_point_only(parse_gauge(text)), depth, stage, hints=hints)
-    assert type(pruned) is type(ref)
-    if isinstance(ref, FineCover):
-        assert pruned.entries() == ref.entries()
-    else:
-        assert pruned.unresolved == ref.unresolved
+    _assert_same_search(pruned, ref)
+    # the sequence side: the phi pullback, hinted at the hints' binary expansions
+    hints = [
+        CantorPoint.from_pattern(format(n, "04b"), "0") if n < 16 else CantorPoint.from_pattern("", "1")
+        for n in hint_nums
+    ]
+    pruned = find_cover_cantor(pullback_gauge_phi(parse_gauge(text)), depth, stage, hints=hints)
+    ref = find_cover_cantor(_point_only(pullback_gauge_phi(parse_gauge(text))), depth, stage, hints=hints)
+    _assert_same_search(pruned, ref)
+
+
+def test_find_cover_cantor_prunes_cylinders_below_the_width():
+    # the bound 1/8 rules out levels 0..2 without a sample, and the first
+    # sample of each level-3 cylinder accepts
+    g = continuous_const(F(1, 8), domain="cantor")
+    c = find_cover_cantor(g, depth=3, stage=STAGE)
+    assert isinstance(c, FineCover)
+    assert len(c) == 8
+    assert len(g._acc) == 8
+
+
+@pytest.mark.parametrize(
+    "search, domain, hint",
+    [
+        (find_cover_cantor, "cantor", UnitPoint.from_rat(F(1, 2))),
+        (find_cover_unit, "unit", CantorPoint.from_pattern("", "01")),
+        (find_cover_unit, "unit", UnitPoint.from_fn(lambda k: Interval(F(1, 3), F(1, 3)))),
+    ],
+)
+def test_search_rejects_hints_from_the_wrong_space(search, domain, hint):
+    with pytest.raises(ValueError, match="hints must be exact points"):
+        search(continuous_const(F(1, 2), domain=domain), 3, STAGE, hints=[hint])
+
+
+@pytest.mark.parametrize("search, domain", [(find_cover_cantor, "unit"), (find_cover_unit, "cantor")])
+def test_search_rejects_a_code_from_the_other_space(search, domain):
+    with pytest.raises(DomainError):
+        search(continuous_const(F(1, 2), domain=domain), 1, STAGE)
 
 
 # -- cantor search -------------------------------------------------------

@@ -17,7 +17,6 @@ from finecover.spaces import (
     phi_value,
     psi,
     psi_preimage_point,
-    psi_preimage_prefix,
     psi_value,
 )
 
@@ -208,19 +207,14 @@ def test_leftmost_cantor_ge_properties():
 
 
 def test_psi_preimage_prefix():
-    assert psi_preimage_prefix(Fraction(1), 3) == "111"
-    assert psi_preimage_prefix(Fraction(2, 3), 3) == "100"
-    assert psi_preimage_prefix(Fraction(1, 4), 4) == "0101"  # 1/4 = psi(0101...)
+    assert psi_preimage_point(Fraction(1)).bits(3) == "111"
+    assert psi_preimage_point(Fraction(2, 3)).bits(3) == "100"
+    assert psi_preimage_point(Fraction(1, 4)).bits(4) == "0101"  # 1/4 = psi(0101...)
+    assert psi_preimage_point(Fraction(1, 3)).bits(3) == "011"
     with pytest.raises(NotInCantorSet):
-        psi_preimage_prefix(Fraction(1, 2), 2)
+        psi_preimage_point(Fraction(1, 2))
     with pytest.raises(NotInCantorSet):
-        psi_preimage_prefix(QuadVal(0, Fraction(1, 2)), 8)  # sqrt2/2 hits a gap
-    with pytest.raises(NotInCantorSet):
-        psi_preimage_prefix(Fraction(5, 4), 1)
-    # UnitPoint wrapper and the opaque rejection
-    assert psi_preimage_prefix(UnitPoint.from_rat(Fraction(1, 3)), 3) == "011"
-    with pytest.raises(ValueError):
-        psi_preimage_prefix(UnitPoint.from_fn(lambda k: Interval(0, 0)), 2)
+        psi_preimage_point(Fraction(5, 4))
 
 
 def test_psi_preimage_point_roundtrip():

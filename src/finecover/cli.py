@@ -49,6 +49,7 @@ from .serialize import (
     parse_partition_csv,
     parse_unit,
     partition_csv,
+    point_str,
     region_str,
     unit_str,
 )
@@ -184,6 +185,8 @@ def cmd_verify(args) -> int:
     with open(args.artifact) as fh:
         text = fh.read()
     header = text.splitlines()[0].strip() if text.strip() else ""
+    # each artifact kind names its noun, its (point, bound) pairs and the
+    # line that reports the pair at index i failing
     if header == "point,radius":
         cover = parse_cover_csv(text)
         if cover.space != g.domain:
@@ -193,28 +196,30 @@ def cmd_verify(args) -> int:
             w = cantor_str(witness) if cover.space == "cantor" else unit_str(witness)
             print(f"not a cover: {w} is uncovered")
             return EXIT_FAILED
-        entries = cover.entries()
-        worst, bad = check_fineness(g, entries, stage)
-        if bad is not None:
-            p, r = entries[bad]
-            w = cantor_str(p) if cover.space == "cantor" else unit_str(p)
-            print(f"entry {bad}: gauge at {w} is below the radius {rat_str(r)}")
-            return EXIT_FAILED
-        print("cover verified" if worst is Verdict.YES else "cover unresolved at this stage")
-        return EXIT_OK if worst is Verdict.YES else EXIT_UNKNOWN
-    if header == "lo,hi,tag":
+        noun, pairs = "cover", cover.entries()
+
+        def failure(i: int) -> str:
+            p, r = pairs[i]
+            return f"entry {i}: gauge at {point_str(p)} is below the radius {rat_str(r)}"
+
+    elif header == "lo,hi,tag":
         if g.domain != "unit":
             raise ValueError("partitions live on the unit interval")
-        part = parse_partition_csv(text)
-        cells = part.cells
-        worst, bad = check_fineness(g, ((tag, hi - lo) for lo, hi, tag in cells), stage)
-        if bad is not None:
-            lo, hi, tag = cells[bad]
-            print(f"cell {bad} [{rat_str(lo)},{rat_str(hi)}]: gauge at {unit_str(tag)} is below the width")
-            return EXIT_FAILED
-        print("partition verified" if worst is Verdict.YES else "partition unresolved at this stage")
-        return EXIT_OK if worst is Verdict.YES else EXIT_UNKNOWN
-    raise ValueError(f"unrecognized artifact header {header!r}")
+        cells = parse_partition_csv(text).cells
+        noun, pairs = "partition", ((tag, hi - lo) for lo, hi, tag in cells)
+
+        def failure(i: int) -> str:
+            lo, hi, tag = cells[i]
+            return f"cell {i} [{rat_str(lo)},{rat_str(hi)}]: gauge at {point_str(tag)} is below the width"
+
+    else:
+        raise ValueError(f"unrecognized artifact header {header!r}")
+    worst, bad = check_fineness(g, pairs, stage)
+    if bad is not None:
+        print(failure(bad))
+        return EXIT_FAILED
+    print(f"{noun} verified" if worst is Verdict.YES else f"{noun} unresolved at this stage")
+    return EXIT_OK if worst is Verdict.YES else EXIT_UNKNOWN
 
 
 def cmd_gallery(args) -> int:

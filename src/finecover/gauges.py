@@ -307,28 +307,26 @@ def _verdict(g: GaugeCode, x: Point, q, stage: int, strict: bool) -> Verdict:
         q = Fraction(q)
     if q < 0:
         raise ValueError("need q >= 0")
-    aggregated = isinstance(g, _LimitCode) or (g.kind == "direct" and not g.monotone)
-    best_lo: Optional[Fraction] = None
-    min_hi: Optional[Fraction] = None
+    limit = isinstance(g, _LimitCode)
+    # a direct code whose enclosures do not nest is judged on the best
+    # bounds any rung gave
+    spread = g.kind == "direct" and not g.monotone
+    lo = hi = None
     for s in _ladder(stage):
         box = eval_enclosure(g, x, s)
-        if aggregated:
-            best_lo = box.lo if best_lo is None else max(best_lo, box.lo)
-            min_hi = box.hi if min_hi is None else min(min_hi, box.hi)
-            continue
-        # accumulated interval only shrinks, so a decision now is permanent
-        # and cannot conflict with later stages (those would fail to refine)
-        acc = g._acc[x]
-        got = _decide(acc.lo, acc.hi, q, strict, g, x)
-        if got is not None:
-            return got
-    if not aggregated:
-        return Verdict.UNKNOWN
-    if isinstance(g, _LimitCode):
+        if spread:
+            lo = box.lo if lo is None else max(lo, box.lo)
+            hi = box.hi if hi is None else min(hi, box.hi)
+        elif not limit:
+            # the returned interval is the accumulated one, which only
+            # shrinks, so a decision now is permanent and cannot conflict
+            # with later stages (those would fail to refine)
+            got = _decide(box.lo, box.hi, q, strict, g, x)
+            if got is not None:
+                return got
+    if limit:
         cert = g._cert.get(x)
         lo, hi = g._best_lo[x], (cert.hi if cert is not None else None)
-    else:
-        lo, hi = best_lo, min_hi
     got = _decide(lo, hi, q, strict, g, x)
     return got if got is not None else Verdict.UNKNOWN
 

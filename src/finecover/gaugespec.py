@@ -13,6 +13,7 @@ line and column it was noticed at.
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,15 +59,20 @@ class SpecError(ValueError):
 _BUILTINS = ("heine-borel", "cauchy-gap", "oracle-pin")
 # Levels an expression may nest: an operand is one level, and every
 # bracket, sign, exponent, argument list or operator around it adds one.
-# The bound keeps the recursive parser and the tree walkers below far from
-# Python's recursion limit.
+# The bound keeps the recursive parser and compiler far from Python's
+# recursion limit.
 MAX_DEPTH = 100
-_ARROWS = ("->", "|->")
+# symbol text -> token; arrows are tried before the one-character symbols
+# "|" and "-" they start with, and the last two arrows are typeset variants
+_ARROWS = ("|->", "->", "↦", "→")
+_SYMBOLS = {c: ("sym", c) for c in "()+-*/^|,"}
+_SYMBOLS.update({a: ("arrow", a) for a in _ARROWS})
+_SYMBOLS["·"] = ("sym", "*")  # middle dot multiplies
 
 
 @dataclass(frozen=True)
 class _Tok:
-    kind: str  # num name sym arrow end
+    kind: str  # num name sym arrow raw end
     text: str
     line: int
     col: int
@@ -74,109 +80,75 @@ class _Tok:
 
 def _lex(src: str) -> list:
     toks = []
-    line, col = 1, 1
-    i = 0
     n = len(src)
+    line, line_start, i = 1, 0, 0
+
+    def scan(j: int, ok) -> int:
+        while j < n and ok(src[j]):
+            j += 1
+        return j
+
+    def col(at: int) -> int:
+        return at - line_start + 1
+
+    def tok(kind: str, text: str, at: int) -> None:
+        toks.append(_Tok(kind, text, line, col(at)))
+
     while i < n:
-        c = src[i]
+        c, start = src[i], i
         if c == "\n":
-            line += 1
-            col = 1
+            line, line_start, i = line + 1, i + 1, i + 1
+        elif c.isspace():
             i += 1
-            continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if c.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            toks.append(_Tok("num", src[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha():
-            hit = next(
-                (b for b in _BUILTINS if src.startswith(b, i)), None
-            )
-            if hit is not None:
-                # built-in arguments (paths, bit patterns) are captured raw,
-                # up to the matching close paren
-                toks.append(_Tok("name", hit, start_line, start_col))
-                i += len(hit)
-                col += len(hit)
-                while i < n and src[i].isspace() and src[i] != "\n":
-                    i += 1
-                    col += 1
-                if i >= n or src[i] != "(":
-                    raise SpecError(f"{hit} needs a parenthesized argument", line, col)
-                toks.append(_Tok("sym", "(", line, col))
-                i += 1
-                col += 1
-                depth = 1
-                arg_line, arg_col = line, col
-                buf = []
-                while i < n and depth > 0:
-                    ch = src[i]
-                    if ch == "(":
-                        depth += 1
-                    elif ch == ")":
-                        depth -= 1
-                        if depth == 0:
-                            break
-                    elif ch == "\n":
-                        raise SpecError(f"unclosed {hit}(...)", line, col)
-                    buf.append(ch)
-                    i += 1
-                    col += 1
-                if depth != 0:
-                    raise SpecError(f"unclosed {hit}(...)", line, col)
-                toks.append(_Tok("raw", "".join(buf), arg_line, arg_col))
-                toks.append(_Tok("sym", ")", line, col))
-                i += 1
-                col += 1
+        elif c == "#":
+            i = scan(i, lambda ch: ch != "\n")
+        elif c.isdigit():
+            i = scan(i, str.isdigit)
+            tok("num", src[start:i], start)
+        elif c.isalpha():
+            hit = next((b for b in _BUILTINS if src.startswith(b, i)), None)
+            if hit is None:
+                i = scan(i, lambda ch: ch.isalnum() or ch == "_")
+                tok("name", src[start:i], start)
                 continue
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
+            # built-in arguments (paths, bit patterns) are captured raw, up
+            # to the matching close paren on the same line
+            tok("name", hit, start)
+            i = scan(i + len(hit), lambda ch: ch.isspace() and ch != "\n")
+            if i >= n or src[i] != "(":
+                raise SpecError(f"{hit} needs a parenthesized argument", line, col(i))
+            tok("sym", "(", i)
+            depth, j = 1, i + 1
+            while j < n and src[j] != "\n" and depth:
+                depth += {"(": 1, ")": -1}.get(src[j], 0)
                 j += 1
-            toks.append(_Tok("name", src[i:j], start_line, start_col))
-            col += j - i
+            if depth:
+                raise SpecError(f"unclosed {hit}(...)", line, col(j))
+            tok("raw", src[i + 1 : j - 1], i + 1)
+            tok("sym", ")", j - 1)
             i = j
-            continue
-        arrow = next((a for a in _ARROWS if src.startswith(a, i)), None)
-        if arrow is not None:
-            toks.append(_Tok("arrow", arrow, start_line, start_col))
-            i += len(arrow)
-            col += len(arrow)
-            continue
-        if c == "↦" or c == "→":  # typeset arrow variants
-            toks.append(_Tok("arrow", c, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        if c == "·":  # middle dot multiplies
-            toks.append(_Tok("sym", "*", start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        if c in "()+-*/^|,":
-            toks.append(_Tok("sym", c, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise SpecError(f"stray character {c!r}", line, col)
-    toks.append(_Tok("end", "", line, col))
+        else:
+            text = next((a for a in _ARROWS if src.startswith(a, i)), c)
+            if text not in _SYMBOLS:
+                raise SpecError(f"stray character {c!r}", line, col(i))
+            tok(*_SYMBOLS[text], start)
+            i += len(text)
+    tok("end", "", i)
     return toks
 
 
 # AST: tuples (op, loc, *args) with loc = (line, col)
 # ops: const x idx abs add sub mul div neg min max dist pow2 baire1 baire2 builtin
+
+
+def _walk(node):
+    """Every node of a tree with its nesting level, without recursion."""
+    stack = [(node, 1)]
+    while stack:
+        sub, level = stack.pop()
+        yield sub, level
+        kids = sub[2] if sub[0] == "dist" else sub[2:]
+        stack.extend((k, level + 1) for k in kids if isinstance(k, tuple))
 
 
 class _Parser:
@@ -205,15 +177,10 @@ class _Parser:
         t = self.peek()
         if t.kind != "end":
             raise SpecError(f"trailing input starting at {t.text!r}", t.line, t.col)
-        # operator chains nest in the tree but not in the parser; walk it
-        # without recursion to find the deepest node
-        stack = [(node, 1)]
-        while stack:
-            sub, level = stack.pop()
+        # operator chains nest in the tree but not in the parser
+        for sub, level in _walk(node):
             if level > MAX_DEPTH:
                 raise SpecError(f"expression nested deeper than {MAX_DEPTH} levels", *sub[1])
-            kids = sub[2] if sub[0] == "dist" else sub[2:]
-            stack.extend((k, level + 1) for k in kids if isinstance(k, tuple))
         return node
 
     def expr(self):
@@ -331,96 +298,74 @@ class _Parser:
         raise SpecError(f"unknown name {name!r}", t.line, t.col)
 
 
-def _free_x(node) -> bool:
-    op = node[0]
-    if op == "x":
-        return True
-    if op in ("const", "idx"):
-        return False
-    if op == "dist":
-        return True  # distance is measured from x even when args are constant
-    if op in ("baire1", "baire2"):
-        return _free_x(node[3])
-    if op == "builtin":
-        return False
-    return any(_free_x(a) for a in node[2:] if isinstance(a, tuple))
+# exact operation and continuous-code constructor of each operator
+_OPS = {
+    "neg": (operator.neg, lambda a: continuous_scale(-1, a)),
+    "abs": (abs, continuous_abs),
+    "add": (operator.add, continuous_add),
+    "sub": (operator.sub, continuous_sub),
+    "mul": (operator.mul, continuous_mul),
+    "min": (min, continuous_min),
+    "max": (max, continuous_max),
+}
+# what keeps an expression from being a constant: x, dist (measured from
+# x), and the combinators and built-ins, which are gauges themselves
+_NOT_CONSTANT = ("x", "dist", "baire1", "baire2", "builtin")
 
 
-def _eval_const(node, env: dict) -> Fraction:
+def _compile(node, env: dict):
+    """The exact Fraction of an x-free expression, or the continuous code of
+    one that depends on x, in one pass. Index names are frozen via env."""
     op, loc = node[0], node[1]
     if op == "const":
         return node[2]
     if op == "idx":
         return Fraction(env[node[2]])
     if op == "x":
-        raise SpecError("x is not allowed here", *loc)
-    if op == "neg":
-        return -_eval_const(node[2], env)
-    if op == "abs":
-        return abs(_eval_const(node[2], env))
-    if op in ("add", "sub", "mul", "div", "min", "max"):
-        a = _eval_const(node[2], env)
-        b = _eval_const(node[3], env)
-        if op == "add":
-            return a + b
-        if op == "sub":
-            return a - b
-        if op == "mul":
-            return a * b
-        if op == "min":
-            return min(a, b)
-        if op == "max":
-            return max(a, b)
-        if b == 0:
-            raise SpecError("division by zero", *loc)
-        return a / b
+        return continuous_identity()
+    if op == "dist":
+        return continuous_dist_to([_constant(a, env) for a in node[2]])
     if op == "pow2":
-        e = _eval_const(node[2], env)
+        e = _compile(node[2], env)
+        if not isinstance(e, Fraction):
+            raise SpecError("exponent may not depend on x", *loc)
         if e.denominator != 1:
             raise SpecError(f"exponent must be an integer, got {e}", *loc)
         return pow2(int(e))
-    raise SpecError(f"not a constant expression ({op})", *loc)
-
-
-_BINARY = {
-    "add": continuous_add,
-    "sub": continuous_sub,
-    "mul": continuous_mul,
-    "min": continuous_min,
-    "max": continuous_max,
-}
-
-
-def _compile_region(node, env: dict) -> ContinuousCode:
-    """Compose the continuous code of an expression whose only free
-    variable is x. Index names are frozen via env."""
-    op, loc = node[0], node[1]
-    if op == "x":
-        return continuous_identity()
-    if not _free_x(node):
-        return continuous_const(_eval_const(node, env))
-    if op == "neg":
-        return continuous_scale(-1, _compile_region(node[2], env))
-    if op == "abs":
-        return continuous_abs(_compile_region(node[2], env))
-    if op in _BINARY:
-        return _BINARY[op](_compile_region(node[2], env), _compile_region(node[3], env))
     if op == "div":
-        if _free_x(node[3]):
+        a, d = _compile(node[2], env), _compile(node[3], env)
+        if not isinstance(d, Fraction):
             raise SpecError("divisor may not depend on x", *loc)
-        d = _eval_const(node[3], env)
         if d == 0:
             raise SpecError("division by zero", *loc)
-        return continuous_scale(1 / d, _compile_region(node[2], env))
-    if op == "pow2":
-        raise SpecError("exponent may not depend on x", *loc)
-    if op == "dist":
-        return continuous_dist_to([_eval_const(a, env) for a in node[2]])
-    raise SpecError(f"{op} cannot appear inside a gauge expression", *loc)
+        return a / d if isinstance(a, Fraction) else continuous_scale(1 / d, a)
+    if op in _OPS:
+        exact, code = _OPS[op]
+        args = [_compile(a, env) for a in node[2:]]
+        if all(isinstance(a, Fraction) for a in args):
+            return exact(*args)
+        return code(*(continuous_const(a) if isinstance(a, Fraction) else a for a in args))
+    raise SpecError(f"{op} cannot appear inside an expression", *loc)
+
+
+def _check_constant(node) -> None:
+    """Raise at the first node, in source order, that is not constant."""
+    bad = min((sub for sub, _ in _walk(node) if sub[0] in _NOT_CONSTANT), key=lambda sub: sub[1], default=None)
+    if bad is not None:
+        raise SpecError("x is not allowed here" if bad[0] == "x" else f"not a constant expression ({bad[0]})", *bad[1])
+
+
+def _constant(node, env: dict) -> Fraction:
+    """The exact value of an expression that may not read x."""
+    _check_constant(node)
+    return _compile(node, env)
 
 
 def _continuous(node, env: dict, label: str) -> ContinuousCode:
-    return ContinuousCode(_compile_region(node, env).region_eval, domain="unit", label=label)
+    code = _compile(node, env)
+    if isinstance(code, Fraction):
+        code = continuous_const(code)
+    return ContinuousCode(code.region_eval, domain="unit", label=label)
 
 
 def compile_gauge(node, base_dir: str = ".") -> GaugeCode:
@@ -467,9 +412,7 @@ def compile_gauge(node, base_dir: str = ".") -> GaugeCode:
                 raise SpecError(str(e), *loc)
             return oracle_pin_gauge(OracleSpec(z))
         raise SpecError(f"unknown built-in {name!r}", *loc)
-    if _free_x(node) or op in ("const", "add", "sub", "mul", "div", "neg", "abs", "min", "max", "dist", "pow2", "x"):
-        return _continuous(node, {}, label="spec")
-    raise SpecError(f"cannot compile {op} as a gauge", *loc)
+    return _continuous(node, {}, label="spec")
 
 
 def parse_gauge(text: str, base_dir: str = ".") -> GaugeCode:
@@ -488,8 +431,7 @@ def parse_expr_const(text: str, env: Optional[dict] = None) -> Fraction:
     """Evaluate a closed expression (no x), e.g. a CLI epsilon or a tail
     rule instantiated at a concrete index."""
     env = env or {}
-    node = _Parser(_lex(text), free_names=tuple(env)).parse()
-    return _eval_const(node, env)
+    return _constant(_Parser(_lex(text), free_names=tuple(env)).parse(), env)
 
 
 def parse_cover_file(text: str) -> OpenCoverSpec:
@@ -510,11 +452,10 @@ def parse_cover_file(text: str) -> OpenCoverSpec:
                 raise SpecError("tail rule needs exactly two expressions", ln, 1)
             try:
                 tail_exprs = tuple(_Parser(_lex(p), free_names=("n",)).parse() for p in parts)
+                for t in tail_exprs:
+                    _check_constant(t)
             except SpecError as e:
                 raise SpecError(f"in tail rule: {e}", ln, 1)
-            for t in tail_exprs:
-                if _free_x(t):
-                    raise SpecError("tail rule may use n but not x", ln, 1)
             continue
         parts = line.split()
         if len(parts) != 2:
@@ -529,7 +470,7 @@ def parse_cover_file(text: str) -> OpenCoverSpec:
         ce, re = tail_exprs
 
         def tail(n: int):
-            return (_eval_const(ce, {"n": n}), _eval_const(re, {"n": n}))
+            return (_compile(ce, {"n": n}), _compile(re, {"n": n}))
 
     try:
         return OpenCoverSpec(tuple(head), tail=tail)

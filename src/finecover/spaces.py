@@ -141,7 +141,7 @@ class Cylinder:
 
     def phi_interval(self) -> Interval:
         """Image under phi: the dyadic cell [0.sigma, 0.sigma + 2^-|sigma|]."""
-        v = sum((Fraction(int(b)) * pow2(-i - 1) for i, b in enumerate(self.prefix)), Fraction(0))
+        v = _numeral(self.prefix, 2)
         return Interval(v, v + self.width)
 
     def __str__(self) -> str:
@@ -283,20 +283,22 @@ class Ball:
 # -- phi: binary expansion 2^omega -> [0,1] ------------------------------
 
 
-def _pattern_value(prefix: str, period: str, base: int, digit_of: Callable[[str], int]) -> Fraction:
-    # sum of digit_of(c) * base^-(i+1) over the eventually periodic expansion
-    def digits(s: str) -> Fraction:
-        return sum((Fraction(digit_of(c), base ** (i + 1)) for i, c in enumerate(s)), Fraction(0))
+def _numeral(bits: str, base: int) -> Fraction:
+    """0.bits read in the given base, bit 1 standing for the digit base - 1."""
+    return Fraction(int(bits.replace("1", str(base - 1)) or "0", base), base ** len(bits))
 
-    tail = digits(period) / (1 - Fraction(1, base ** len(period)))
-    return digits(prefix) + tail / base ** len(prefix)
+
+def _pattern_value(prefix: str, period: str, base: int) -> Fraction:
+    # the eventually periodic expansion 0.prefix period period ... in base
+    tail = _numeral(period, base) / (1 - Fraction(1, base ** len(period)))
+    return _numeral(prefix, base) + tail / base ** len(prefix)
 
 
 def phi_value(x: CantorPoint) -> Fraction:
     """Exact phi for pattern points."""
     if x.pattern is None:
         raise ValueError("phi_value needs an eventually periodic point")
-    return _pattern_value(*x.pattern, base=2, digit_of=int)
+    return _pattern_value(*x.pattern, base=2)
 
 
 def phi(x: CantorPoint) -> UnitPoint:
@@ -305,7 +307,7 @@ def phi(x: CantorPoint) -> UnitPoint:
         return UnitPoint.from_rat(phi_value(x))
 
     def fn(k: int) -> Interval:
-        v = sum((Fraction(x.bit(n)) * pow2(-n - 1) for n in range(k + 1)), Fraction(0))
+        v = _numeral(x.bits(k + 1), 2)
         return Interval(v, v + pow2(-k - 1))
 
     return UnitPoint.from_fn(fn, label=f"phi({x!r})")
@@ -314,7 +316,7 @@ def phi(x: CantorPoint) -> UnitPoint:
 def psi_value(x: CantorPoint) -> Fraction:
     if x.pattern is None:
         raise ValueError("psi_value needs an eventually periodic point")
-    return _pattern_value(*x.pattern, base=3, digit_of=lambda c: 2 * int(c))
+    return _pattern_value(*x.pattern, base=3)
 
 
 def psi(x: CantorPoint) -> UnitPoint:
@@ -326,7 +328,7 @@ def psi(x: CantorPoint) -> UnitPoint:
         return UnitPoint.from_rat(psi_value(x))
 
     def fn(k: int) -> Interval:
-        v = sum((Fraction(2 * x.bit(n)) * pow3(-n - 1) for n in range(k)), Fraction(0))
+        v = _numeral(x.bits(k), 3)
         return Interval(v, v + pow3(-k))
 
     return UnitPoint.from_fn(fn, label=f"psi({x!r})")

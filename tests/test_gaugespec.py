@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finecover.exact import pow2
 from finecover.gauges import (
@@ -154,3 +156,80 @@ def test_parse_expr_const():
         parse_expr_const("x + 1")
     with pytest.raises(SpecError):
         parse_expr_const("1/(n-2)", {"n": 2})
+
+
+@pytest.mark.parametrize(
+    "parse,text,line,col",
+    [
+        (parse_gauge, "1/(x)", 1, 2),
+        (parse_gauge, "2^x", 1, 2),
+        (parse_expr_const, "x + 1", 1, 1),
+        (parse_gauge, "heine-borel(", 1, 13),
+        (parse_gauge, "x\n\t+ @", 2, 4),
+        (parse_cover_file, "0 1/2\n1/4 1\ntail: x n\n", 3, 1),
+    ],
+)
+def test_errors_cite_column(parse, text, line, col):
+    with pytest.raises(SpecError) as err:
+        parse(text)
+    assert (err.value.line, err.value.col) == (line, col)
+
+
+def test_end_of_input_after_a_comment_points_past_it():
+    with pytest.raises(SpecError) as err:
+        parse_gauge("min(x, 1) +  # unfinished")
+    assert (err.value.line, err.value.col) == (1, 26)
+
+
+# Random expression trees as (text, exact evaluator); every operator is
+# bracketed, so the text means what the tree says.
+_RATS = st.fractions(min_value=-2, max_value=2, max_denominator=8)
+
+
+def _rat(q):
+    return f"({q.numerator}/{q.denominator})", lambda x: q
+
+
+def _dist(qs):
+    return f"dist({', '.join(_rat(q)[0] for q in qs)})", lambda x: min(abs(x - q) for q in qs)
+
+
+def _binary(t):
+    (a, fa), sym, (b, fb) = t
+    op = {"+": lambda u, v: u + v, "-": lambda u, v: u - v, "*": lambda u, v: u * v}[sym]
+    return f"({a} {sym} {b})", lambda x: op(fa(x), fb(x))
+
+
+def _min_max(t):
+    name, args = t
+    pick = min if name == "min" else max
+    return f"{name}({', '.join(a for a, _ in args)})", lambda x: pick(f(x) for _, f in args)
+
+
+def _trees(with_x: bool):
+    leaves = [_RATS.map(_rat), st.integers(-4, 4).map(lambda k: (f"2^({k})", lambda x: F(2) ** k))]
+    if with_x:
+        leaves += [st.just(("x", lambda x: x)), st.lists(_RATS, min_size=1, max_size=3).map(_dist)]
+
+    def extend(kids):
+        return st.one_of(
+            st.tuples(kids, st.sampled_from("+-*"), kids).map(_binary),
+            st.tuples(kids, _RATS.filter(bool)).map(
+                lambda t: (f"({t[0][0]} / {_rat(t[1])[0]})", lambda x: t[0][1](x) / t[1])
+            ),
+            st.tuples(st.sampled_from(["min", "max"]), st.lists(kids, min_size=2, max_size=3)).map(_min_max),
+            kids.map(lambda t: (f"|{t[0]}|", lambda x: abs(t[1](x)))),
+            kids.map(lambda t: (f"-({t[0]})", lambda x: -t[1](x))),
+        )
+
+    return st.recursive(st.one_of(leaves), extend, max_leaves=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree=_trees(with_x=True), const=_trees(with_x=False), x=st.fractions(0, 1, max_denominator=64))
+def test_rendered_trees_evaluate_exactly(tree, const, x):
+    text, f = tree
+    assert value_at(parse_gauge(text), x) == f(x)
+    text, f = const
+    assert parse_expr_const(text) == f(None)
+    assert value_at(parse_gauge(text), x) == f(None)

@@ -1,10 +1,19 @@
 """Source hygiene that no installed linter checks: every name a module
-imports is used in that module."""
+imports is used in that module, and every module-level definition in the
+package is used somewhere outside its own body."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "finecover"
+TESTS = Path(__file__).resolve().parent
+
+
+def _quoted_annotations(tree: ast.AST) -> set[str]:
+    """Names inside string annotations, which name classes as well."""
+    annotations = [n.annotation for n in ast.walk(tree) if isinstance(n, (ast.arg, ast.AnnAssign))]
+    annotations += [n.returns for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return {n.value for ann in filter(None, annotations) for n in ast.walk(ann) if isinstance(n, ast.Constant) and isinstance(n.value, str)}
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -16,12 +25,7 @@ def _unused_imports(tree: ast.Module) -> list[str]:
             for alias in node.names:
                 name = alias.asname or alias.name.split(".")[0]
                 imported[name] = node.lineno
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    # a quoted annotation names a class as well
-    annotations = [n.annotation for n in ast.walk(tree) if isinstance(n, (ast.arg, ast.AnnAssign))]
-    annotations += [n.returns for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
-    for ann in filter(None, annotations):
-        used.update(n.value for n in ast.walk(ann) if isinstance(n, ast.Constant) and isinstance(n.value, str))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | _quoted_annotations(tree)
     return [f"line {line}: {name}" for name, line in sorted(imported.items()) if name not in used]
 
 
@@ -34,3 +38,41 @@ def test_every_imported_name_is_used():
         if unused:
             found[path.name] = unused
     assert not found, found
+
+
+def _defined(stmt: ast.stmt) -> set[str]:
+    """Names a module-level statement defines, dunders aside."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = {stmt.name}
+    elif isinstance(stmt, ast.Assign):
+        names = {t.id for t in stmt.targets if isinstance(t, ast.Name)}
+    elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        names = {stmt.target.id}
+    else:
+        names = set()
+    return {n for n in names if not (n.startswith("__") and n.endswith("__"))}
+
+
+def _referenced(stmt: ast.stmt) -> set[str]:
+    """Names a statement reads, imports or reaches as an attribute."""
+    names = _quoted_annotations(stmt)
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_definition_is_used_outside_itself():
+    definitions, used = {}, set()
+    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            own = _defined(stmt) if path.parent == SRC else set()
+            definitions.update((name, f"{path.name}:{stmt.lineno}") for name in own)
+            # a recursive function calling itself does not keep it alive
+            used |= _referenced(stmt) - own
+    dead = sorted(f"{where} {name}" for name, where in definitions.items() if name not in used)
+    assert not dead, dead

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -83,6 +84,15 @@ def test_cylinder_basics():
     assert str(Cylinder("")) == "[root]"
     with pytest.raises(ValueError):
         Cylinder("0x1")
+
+
+def test_phi_interval_is_the_image_of_the_cylinder():
+    for depth in range(9):
+        for bits in itertools.product("01", repeat=depth):
+            prefix = "".join(bits)
+            lo = phi_value(CantorPoint.from_pattern(prefix, "0"))
+            hi = phi_value(CantorPoint.from_pattern(prefix, "1"))
+            assert Cylinder(prefix).phi_interval() == Interval(lo, hi)
 
 
 def test_cylinder_for_ball():

@@ -1,7 +1,8 @@
 """Exact rational arithmetic: intervals, dyadic helpers, quadratic values.
 
-Everything on the verified path is a Fraction or an Interval with Fraction
-endpoints. Floats never enter; display code may format decimals, but the
+Everything on the verified path is a Fraction, an Interval with Fraction
+endpoints, or an integer-numerator triple standing for such an Interval.
+Floats never enter; display code may format decimals, but the
 computations themselves stay exact.
 """
 
@@ -9,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, isqrt
-from typing import Union
+from math import floor, isqrt, lcm
+from typing import Optional, Union
 
 def parse_rat(text: str) -> Fraction:
     """Parse a rational literal: "3/8", "-2", or a decimal like "0.125".
@@ -115,33 +116,9 @@ def iv_add(a: Interval, b: Interval) -> Interval:
     return Interval(a.lo + b.lo, a.hi + b.hi)
 
 
-def iv_sub(a: Interval, b: Interval) -> Interval:
-    return Interval(a.lo - b.hi, a.hi - b.lo)
-
-
-def iv_neg(a: Interval) -> Interval:
-    return Interval(-a.hi, -a.lo)
-
-
 def iv_mul(a: Interval, b: Interval) -> Interval:
     products = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
     return Interval(min(products), max(products))
-
-
-def iv_abs(a: Interval) -> Interval:
-    if a.lo >= 0:
-        return a
-    if a.hi <= 0:
-        return iv_neg(a)
-    return Interval(Fraction(0), max(-a.lo, a.hi))
-
-
-def iv_min(a: Interval, b: Interval) -> Interval:
-    return Interval(min(a.lo, b.lo), min(a.hi, b.hi))
-
-
-def iv_max(a: Interval, b: Interval) -> Interval:
-    return Interval(max(a.lo, b.lo), max(a.hi, b.hi))
 
 
 def iv_scale(c: Fraction, a: Interval) -> Interval:
@@ -165,12 +142,12 @@ def iv_intersect(a: Interval, b: Interval) -> Union[Interval, None]:
     lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
     if lo > hi:
         return None
+    # an operand that already is the intersection is returned as it is
+    if lo is a.lo and hi is a.hi:
+        return a
+    if lo is b.lo and hi is b.hi:
+        return b
     return Interval(lo, hi)
-
-
-def iv_geom_tail(n: int) -> Interval:
-    """Enclosure [0, 2**-n] for any nonnegative tail sum bounded by 2**-n."""
-    return Interval(Fraction(0), pow2(-n))
 
 
 class CauchyViolation(ValueError):
@@ -185,6 +162,191 @@ def iv_refine(old: Union[Interval, None], new: Interval, what: str = "enclosure"
     if got is None:
         raise CauchyViolation(f"{what}: {new} disjoint from accumulated {old}")
     return got
+
+
+# -- integer-numerator intervals ------------------------------------------
+#
+# Region evaluation carries the interval [lo/d, hi/d] as the triple
+# (lo, hi, d) of ints with d > 0, not necessarily reduced. Each op applies
+# the endpoint formula of interval arithmetic (that of iv_add, iv_mul,
+# iv_scale or iv_intersect where the op has an Interval twin) to the
+# numerators over a common denominator, and operands with equal
+# denominators combine without multiplying. Every op is exact, so a triple
+# turned into an Interval by rt_interval has exactly the endpoints that
+# Fraction arithmetic gives; only the normalisation of each intermediate
+# Fraction is skipped.
+
+
+def rt_point(q: Fraction) -> tuple:
+    n = q.numerator
+    return n, n, q.denominator
+
+
+def rt_cell(i: int, level: int) -> tuple:
+    """The dyadic cell [i 2^-level, (i+1) 2^-level]."""
+    return i, i + 1, 1 << level
+
+
+def rt_of(box: Interval) -> tuple:
+    lo, hi = box.lo, box.hi
+    a, b = lo.denominator, hi.denominator
+    if a == b:
+        return lo.numerator, hi.numerator, a
+    return lo.numerator * b, hi.numerator * a, a * b
+
+
+def rt_interval(r: tuple) -> Interval:
+    lo, hi, d = r
+    return Interval(Fraction(lo, d), Fraction(hi, d))
+
+
+def _aligned(a: tuple, b: tuple) -> tuple:
+    """The numerators of a and b over one denominator: (alo, ahi, blo, bhi, d)."""
+    alo, ahi, ad = a
+    blo, bhi, bd = b
+    if ad == bd:
+        return alo, ahi, blo, bhi, ad
+    return alo * bd, ahi * bd, blo * ad, bhi * ad, ad * bd
+
+
+def rt_add(a: tuple, b: tuple) -> tuple:
+    alo, ahi, blo, bhi, d = _aligned(a, b)
+    return alo + blo, ahi + bhi, d
+
+
+def rt_sub(a: tuple, b: tuple) -> tuple:
+    alo, ahi, blo, bhi, d = _aligned(a, b)
+    return alo - bhi, ahi - blo, d
+
+
+def rt_mul(a: tuple, b: tuple) -> tuple:
+    alo, ahi, ad = a
+    blo, bhi, bd = b
+    products = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
+    return min(products), max(products), ad * bd
+
+
+def rt_abs(a: tuple) -> tuple:
+    lo, hi, d = a
+    if lo >= 0:
+        return a
+    if hi <= 0:
+        return -hi, -lo, d
+    return 0, max(-lo, hi), d
+
+
+def rt_min(a: tuple, b: tuple) -> tuple:
+    alo, ahi, blo, bhi, d = _aligned(a, b)
+    return min(alo, blo), min(ahi, bhi), d
+
+
+def rt_max(a: tuple, b: tuple) -> tuple:
+    alo, ahi, blo, bhi, d = _aligned(a, b)
+    return max(alo, blo), max(ahi, bhi), d
+
+
+def rt_scale(c: Fraction, a: tuple) -> tuple:
+    lo, hi, d = a
+    p = c.numerator
+    if p < 0:
+        lo, hi = hi, lo
+    return p * lo, p * hi, c.denominator * d
+
+
+def rt_intersect(a: tuple, b: tuple) -> Optional[tuple]:
+    """Intersection, or None when the intervals are disjoint."""
+    alo, ahi, blo, bhi, d = _aligned(a, b)
+    lo, hi = max(alo, blo), min(ahi, bhi)
+    return None if lo > hi else (lo, hi, d)
+
+
+def rt_geom_tail(n: int) -> tuple:
+    """Enclosure [0, 2**-n] for any nonnegative tail sum bounded by 2**-n."""
+    return 0, 1, 1 << n
+
+
+def rt_points(qs) -> list:
+    """Point triples of the rationals qs, all over one common denominator."""
+    d = lcm(*(q.denominator for q in qs))
+    out = []
+    for q in qs:
+        n = q.numerator * (d // q.denominator)
+        out.append((n, n, d))
+    return out
+
+
+def rt_dist(a: tuple, points: list) -> tuple:
+    """Range of min |x - p| over the points (from rt_points), x in a."""
+    best = None
+    for p in points:
+        d = rt_abs(rt_sub(a, p))
+        best = d if best is None else rt_min(best, d)
+    return best
+
+
+# A block's common denominator stays below this many bits unless a single
+# interval needs more. One denominator for a long tail would be the lcm of
+# all its terms' denominators, and the cache would grow quadratically.
+_BLOCK_BITS = 256
+
+
+def rt_into_terms(intervals) -> list:
+    """Intervals (a_n, b_n), n = 0, 1, ..., prepared for rt_into_sum.
+
+    Consecutive intervals share a common denominator D, one per block:
+    each block is (D, N, terms) with one term (2aD, 2bD, (a+b)D, (b-a)D, s)
+    per interval, N the number of intervals and s = N - n, so that the
+    weight 2^-n is 2^s / 2^N.
+    """
+    count = len(intervals)
+    blocks, group, den = [], [], 1
+    for n, (a, b) in enumerate(intervals):
+        both = lcm(a.denominator, b.denominator)
+        wider = lcm(den, both)
+        if group and wider.bit_length() > _BLOCK_BITS:
+            blocks.append((den, group))
+            group, wider = [], both
+        den = wider
+        group.append((n, a, b))
+    if group:
+        blocks.append((den, group))
+    out = []
+    for den, group in blocks:
+        terms = []
+        for n, a, b in group:
+            lo, hi = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+            terms.append((2 * lo, 2 * hi, lo + hi, hi - lo, count - n))
+        out.append((den, count, terms))
+    return out
+
+
+def rt_into_sum(r: tuple, blocks: list) -> tuple:
+    """Range over x in r of sum_n 2^-n max(0, min(x - a_n, b_n - x)).
+
+    Each term is piecewise linear with one peak, at the midpoint of its
+    interval, so the ends of r, plus the peak when r holds the midpoint,
+    are its only candidate extremes. A block sums over the denominator
+    2 d D 2^N, where every candidate is an integer.
+    """
+    lo, hi, d = r
+    total = 0, 0, 1
+    for den, count, terms in blocks:
+        xl, xh = 2 * lo * den, 2 * hi * den
+        slo = shi = 0
+        for a2, b2, m, h, s in terms:
+            a2, b2 = a2 * d, b2 * d
+            vl, vh = min(xl - a2, b2 - xl), min(xh - a2, b2 - xh)
+            vl, vh = (vl if vl > 0 else 0), (vh if vh > 0 else 0)
+            if vl > vh:
+                vl, vh = vh, vl
+            m *= d
+            if xl <= m <= xh:
+                h *= d
+                vl, vh = min(vl, h), max(vh, h)
+            slo += vl << s
+            shi += vh << s
+        total = rt_add(total, (slo, shi, (2 * d * den) << count))
+    return total
 
 
 QuadLike = Union["QuadVal", Fraction, int]

@@ -16,10 +16,12 @@ from .covers import FineCover, Obstruction, find_cover_cantor, find_cover_unit
 from .exact import (
     Interval,
     floor_log_recip,
-    iv_add,
-    iv_geom_tail,
-    iv_scale,
     pow2,
+    rt_add,
+    rt_geom_tail,
+    rt_into_sum,
+    rt_into_terms,
+    rt_scale,
 )
 from .gauges import (
     Baire1Code,
@@ -85,19 +87,7 @@ class OpenCoverSpec:
         return out
 
 
-def _dist_into_range(box: Interval, a: Fraction, b: Fraction) -> Interval:
-    """Range of x -> max(0, min(x-a, b-x)) over the box. Piecewise linear
-    with one peak at the interval midpoint, so endpoints plus the clamped
-    peak are the only candidates."""
-
-    def d(x: Fraction) -> Fraction:
-        return max(Fraction(0), min(x - a, b - x))
-
-    vals = [d(box.lo), d(box.hi)]
-    mid = (a + b) / 2
-    if box.lo <= mid <= box.hi:
-        vals.append((b - a) / 2)
-    return Interval(min(vals), max(vals))
+_QUARTER = Fraction(1, 4)
 
 
 def heine_borel_gauge(cov: OpenCoverSpec) -> ContinuousCode:
@@ -106,19 +96,23 @@ def heine_borel_gauge(cov: OpenCoverSpec) -> ContinuousCode:
 
     Finite families sum exactly. With a tail rule, terms past the working
     bound contribute [0, 2^-K] (each distance-into is at most its radius,
-    at most 1), scaled by the same quarter.
+    at most 1), scaled by the same quarter. The intervals up to each
+    working bound are put over common denominators once and kept, and the
+    series is summed in integers.
     """
+    prepared: dict = {}  # working bound -> rt_into_terms of the intervals up to it
 
-    def ev(box: Interval, k: int) -> Interval:
+    def kernel(r: tuple, k: int) -> tuple:
         bound = k + 2
-        total = Interval.point(Fraction(0))
-        for n, (a, b) in enumerate(cov.intervals_upto(bound)):
-            total = iv_add(total, iv_scale(pow2(-n), _dist_into_range(box, a, b)))
+        terms = prepared.get(bound)
+        if terms is None:
+            terms = prepared[bound] = rt_into_terms(cov.intervals_upto(bound))
+        total = rt_into_sum(r, terms)
         if cov.tail is not None:
-            total = iv_add(total, iv_geom_tail(bound))
-        return iv_scale(Fraction(1, 4), total)
+            total = rt_add(total, rt_geom_tail(bound))
+        return rt_scale(_QUARTER, total)
 
-    return ContinuousCode(ev, domain="unit", label="open-cover-series")
+    return ContinuousCode.from_kernel(kernel, domain="unit", label="open-cover-series")
 
 
 def _merge_open(intervals) -> list:

@@ -25,20 +25,28 @@ from .exact import (
     CauchyViolation,
     Interval,
     dyadic_runs,
-    iv_abs,
-    iv_add,
     iv_hull,
     iv_intersect,
-    iv_max,
-    iv_min,
-    iv_mul,
     iv_pad,
     iv_refine,
     iv_scale,
-    iv_sub,
     pow2,
     pow3,
     floor_log_recip,
+    rt_abs,
+    rt_add,
+    rt_cell,
+    rt_dist,
+    rt_interval,
+    rt_intersect,
+    rt_max,
+    rt_min,
+    rt_mul,
+    rt_of,
+    rt_point,
+    rt_points,
+    rt_scale,
+    rt_sub,
 )
 from .spaces import (
     Ball,
@@ -50,7 +58,7 @@ from .spaces import (
     psi_preimage_point,
 )
 
-UNIT = Interval(Fraction(0), Fraction(1))
+_UNIT_CELL = rt_cell(0, 0)
 
 
 class DomainError(ValueError):
@@ -67,11 +75,13 @@ Point = Union[UnitPoint, CantorPoint]
 Region = Union[Interval, Cylinder]
 
 
-def _point_region(x: Point, k: int, domain: str) -> Region:
+def _point_region(x: Point, k: int, domain: str):
+    """The kernel input a point query evaluates on: the triple of the
+    point's approximant clipped to [0,1], or the point's depth-k cylinder."""
     if domain == "unit":
         if not isinstance(x, UnitPoint):
             raise DomainError(f"unit-interval code evaluated at {x!r}")
-        box = iv_intersect(x.approx(k), UNIT)
+        box = rt_intersect(rt_of(x.approx(k)), _UNIT_CELL)
         if box is None:
             raise DomainError(f"point {x!r} verifiably outside [0,1]")
         return box
@@ -118,18 +128,38 @@ class ContinuousCode:
     region_eval(region, k) must enclose {f(t) : t in region} and tighten as
     the region shrinks and k grows. Point queries go through the point's own
     width <= 2^-k approximant.
+
+    The code evaluates through its kernel, in the integer-numerator format
+    of `exact`: kernel(r, k) takes a unit-interval region as the triple r
+    (a sequence-space region as its Cylinder) and returns the enclosure as
+    a triple. The continuous_* constructors compose kernels, and a caller's
+    own Interval-valued region evaluator is adapted to one, once, here.
     """
 
     kind = "continuous"
 
     def __init__(self, region_eval: Callable[[Region, int], Interval], domain: str = "unit", label: str = ""):
-        self.region_eval = region_eval
+        if domain == "unit":
+            self.kernel = lambda r, k: rt_of(region_eval(rt_interval(r), k))
+        else:
+            self.kernel = lambda cyl, k: rt_of(region_eval(cyl, k))
         self.domain = domain
         self.label = label
         self._acc: dict[Point, Interval] = {}
 
+    @classmethod
+    def from_kernel(cls, kernel: Callable, domain: str = "unit", label: str = "") -> "ContinuousCode":
+        """The code of a kernel, as the continuous_* constructors build them."""
+        code = cls.__new__(cls)
+        code.kernel, code.domain, code.label, code._acc = kernel, domain, label, {}
+        return code
+
+    def region_eval(self, region: Region, k: int) -> Interval:
+        """Enclosure of the code over the region, built as one Interval."""
+        return rt_interval(self.kernel(rt_of(region) if self.domain == "unit" else region, k))
+
     def _eval(self, x: Point, stage: int) -> Interval:
-        raw = self.region_eval(_point_region(x, stage, self.domain), stage)
+        raw = rt_interval(self.kernel(_point_region(x, stage, self.domain), stage))
         got = iv_refine(self._acc.get(x), raw, what=f"continuous code {self.label or id(self)} at {x!r}")
         self._acc[x] = got
         return got
@@ -346,59 +376,54 @@ def verified_at_least(g: GaugeCode, x: Point, q, stage: int) -> Verdict:
 
 def continuous_const(q, domain: str = "unit") -> ContinuousCode:
     q = Fraction(q)
-    box = Interval.point(q)
-    return ContinuousCode(lambda region, k: box, domain=domain, label=str(q))
+    point = rt_point(q)
+    return ContinuousCode.from_kernel(lambda r, k: point, domain=domain, label=str(q))
 
 
 def continuous_identity() -> ContinuousCode:
-    return ContinuousCode(lambda region, k: region, domain="unit", label="x")
+    return ContinuousCode.from_kernel(lambda r, k: r, domain="unit", label="x")
 
 
 def _combine2(op, a: ContinuousCode, b: ContinuousCode, name: str) -> ContinuousCode:
     if a.domain != b.domain:
         raise DomainError(f"cannot combine {a.domain} code with {b.domain} code")
-    return ContinuousCode(
-        lambda region, k: op(a.region_eval(region, k), b.region_eval(region, k)),
+    ka, kb = a.kernel, b.kernel
+    return ContinuousCode.from_kernel(
+        lambda r, k: op(ka(r, k), kb(r, k)),
         domain=a.domain,
         label=f"{name}({a.label},{b.label})",
     )
 
 
 def continuous_add(a: ContinuousCode, b: ContinuousCode) -> ContinuousCode:
-    return _combine2(iv_add, a, b, "add")
+    return _combine2(rt_add, a, b, "add")
 
 
 def continuous_sub(a: ContinuousCode, b: ContinuousCode) -> ContinuousCode:
-    return _combine2(iv_sub, a, b, "sub")
+    return _combine2(rt_sub, a, b, "sub")
 
 
 def continuous_mul(a: ContinuousCode, b: ContinuousCode) -> ContinuousCode:
-    return _combine2(iv_mul, a, b, "mul")
+    return _combine2(rt_mul, a, b, "mul")
 
 
 def continuous_min(a: ContinuousCode, b: ContinuousCode) -> ContinuousCode:
-    return _combine2(iv_min, a, b, "min")
+    return _combine2(rt_min, a, b, "min")
 
 
 def continuous_max(a: ContinuousCode, b: ContinuousCode) -> ContinuousCode:
-    return _combine2(iv_max, a, b, "max")
+    return _combine2(rt_max, a, b, "max")
 
 
 def continuous_abs(a: ContinuousCode) -> ContinuousCode:
-    return ContinuousCode(
-        lambda region, k: iv_abs(a.region_eval(region, k)),
-        domain=a.domain,
-        label=f"abs({a.label})",
-    )
+    ka = a.kernel
+    return ContinuousCode.from_kernel(lambda r, k: rt_abs(ka(r, k)), domain=a.domain, label=f"abs({a.label})")
 
 
 def continuous_scale(q, a: ContinuousCode) -> ContinuousCode:
     q = Fraction(q)
-    return ContinuousCode(
-        lambda region, k: iv_scale(q, a.region_eval(region, k)),
-        domain=a.domain,
-        label=f"scale({q},{a.label})",
-    )
+    ka = a.kernel
+    return ContinuousCode.from_kernel(lambda r, k: rt_scale(q, ka(r, k)), domain=a.domain, label=f"scale({q},{a.label})")
 
 
 def continuous_dist_to(points) -> ContinuousCode:
@@ -406,16 +431,10 @@ def continuous_dist_to(points) -> ContinuousCode:
     pts = sorted(Fraction(p) for p in points)
     if not pts:
         raise ValueError("need at least one point")
-    boxes = [Interval.point(p) for p in pts]
-
-    def ev(region: Interval, k: int) -> Interval:
-        best = None
-        for box in boxes:
-            d = iv_abs(iv_sub(region, box))
-            best = d if best is None else Interval(min(best.lo, d.lo), min(best.hi, d.hi))
-        return best
-
-    return ContinuousCode(ev, domain="unit", label=f"dist{tuple(str(p) for p in pts)}")
+    boxes = rt_points(pts)
+    return ContinuousCode.from_kernel(
+        lambda r, k: rt_dist(r, boxes), domain="unit", label=f"dist{tuple(str(p) for p in pts)}"
+    )
 
 
 # -- generic combinators -------------------------------------------------
@@ -459,8 +478,9 @@ def pullback_gauge_phi(g: GaugeCode) -> GaugeCode:
     if g.domain != "unit":
         raise DomainError("pullback needs a unit-interval code")
     if g.kind == "continuous":
-        return ContinuousCode(
-            lambda cyl, k: g.region_eval(cyl.phi_interval(), k),
+        kernel = g.kernel
+        return ContinuousCode.from_kernel(
+            lambda cyl, k: kernel(rt_cell(cyl.index, cyl.depth), k),
             domain="cantor",
             label=f"phi*({g.label})",
         )
@@ -534,7 +554,7 @@ def preimage_pieces(g: Baire1Code, ball: Ball, count: int) -> list[list[Interval
         raise DomainError("preimage pieces run on the unit interval")
     if not isinstance(ball.center, UnitPoint) or not ball.center.is_rational:
         raise ValueError("ball center must be an exact rational point")
-    c = Interval.point(ball.center.rational_value())
+    c = continuous_const(ball.center.rational_value())
     member = [False] * (1 << _GRID)
     out: list[list[Interval]] = []
     for k in range(count):
@@ -543,13 +563,12 @@ def preimage_pieces(g: Baire1Code, ball: Ball, count: int) -> list[list[Interval
         j = None if g.modulus is None else _resolvable_j(g.modulus, stage)
         if j is not None and s_k - pow2(-j) > 0:
             bound = s_k - pow2(-j)
-            term = g.term(max(1, g.modulus(j)))
+            gap = continuous_abs(continuous_sub(g.term(max(1, g.modulus(j))), c))
             for i in range(len(member)):
                 if member[i]:
                     continue
                 cell = Interval(i * pow2(-_GRID), (i + 1) * pow2(-_GRID))
-                got = iv_abs(iv_sub(term.region_eval(cell, stage), c))
-                if got.hi <= bound:
+                if gap.region_eval(cell, stage).hi <= bound:
                     member[i] = True
         out.append(dyadic_runs([i for i, flag in enumerate(member) if flag], _GRID))
     return out

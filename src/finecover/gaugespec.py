@@ -7,8 +7,9 @@ at 1; baire2 nests one more level. Built-ins name the showcase gauges:
 heine-borel(cover-file), cauchy-gap(seq-name), oracle-pin(bit-pattern).
 
 Division and exponents must not depend on x; the index n is fine. An
-expression nests at most MAX_DEPTH levels. Every error carries the 1-based
-line and column it was noticed at.
+expression nests at most MAX_DEPTH levels, and an exponent is at most
+MAX_EXPONENT in size. Numerals are ASCII digits. Every error carries the
+1-based line and column it was noticed at.
 """
 
 from __future__ import annotations
@@ -62,6 +63,11 @@ _BUILTINS = ("heine-borel", "cauchy-gap", "oracle-pin")
 # The bound keeps the recursive parser and compiler far from Python's
 # recursion limit.
 MAX_DEPTH = 100
+# Largest |e| in 2^e. It is checked before the power is formed, so no
+# power a text asks for, at parse time or in a term at some index, has
+# more than 65,537 bits.
+MAX_EXPONENT = 1 << 16
+_DIGITS = frozenset("0123456789")
 # symbol text -> token; arrows are tried before the one-character symbols
 # "|" and "-" they start with, and the last two arrows are typeset variants
 _ARROWS = ("|->", "->", "↦", "→")
@@ -102,8 +108,8 @@ def _lex(src: str) -> list:
             i += 1
         elif c == "#":
             i = scan(i, lambda ch: ch != "\n")
-        elif c.isdigit():
-            i = scan(i, str.isdigit)
+        elif c in _DIGITS:
+            i = scan(i, _DIGITS.__contains__)
             tok("num", src[start:i], start)
         elif c.isalpha():
             hit = next((b for b in _BUILTINS if src.startswith(b, i)), None)
@@ -235,7 +241,10 @@ class _Parser:
         t = self.take()
         loc = (t.line, t.col)
         if t.kind == "num":
-            return ("const", loc, Fraction(int(t.text)))
+            try:
+                return ("const", loc, Fraction(int(t.text)))
+            except ValueError:  # longer than the interpreter's int-string limit
+                raise SpecError(f"numeral of {len(t.text)} digits is too long", t.line, t.col) from None
         if t.kind == "sym" and t.text == "(":
             node = self.expr()
             self.expect_sym(")")
@@ -331,6 +340,8 @@ def _compile(node, env: dict):
             raise SpecError("exponent may not depend on x", *loc)
         if e.denominator != 1:
             raise SpecError(f"exponent must be an integer, got {e}", *loc)
+        if abs(e) > MAX_EXPONENT:
+            raise SpecError(f"exponent beyond +-{MAX_EXPONENT}", *loc)
         return pow2(int(e))
     if op == "div":
         a, d = _compile(node[2], env), _compile(node[3], env)
@@ -365,7 +376,7 @@ def _continuous(node, env: dict, label: str) -> ContinuousCode:
     code = _compile(node, env)
     if isinstance(code, Fraction):
         code = continuous_const(code)
-    return ContinuousCode(code.region_eval, domain="unit", label=label)
+    return ContinuousCode.from_kernel(code.kernel, domain="unit", label=label)
 
 
 def compile_gauge(node, base_dir: str = ".") -> GaugeCode:
@@ -439,7 +450,7 @@ def parse_cover_file(text: str) -> OpenCoverSpec:
     '#', and at most one "tail: center-expr radius-expr" line whose
     expressions may use the index n."""
     head = []
-    tail_exprs = None
+    tail_exprs, tail_ln = None, 0
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -456,6 +467,7 @@ def parse_cover_file(text: str) -> OpenCoverSpec:
                     _check_constant(t)
             except SpecError as e:
                 raise SpecError(f"in tail rule: {e}", ln, 1)
+            tail_ln = ln
             continue
         parts = line.split()
         if len(parts) != 2:
@@ -464,6 +476,10 @@ def parse_cover_file(text: str) -> OpenCoverSpec:
             a, b = (parse_expr_const(p) for p in parts)
         except (SpecError, ValueError) as e:
             raise SpecError(f"bad endpoint: {e}", ln, 1)
+        try:
+            OpenCoverSpec(((a, b),))  # checked on its own, so an error cites this line
+        except ValueError as e:
+            raise SpecError(str(e), ln, 1)
         head.append((a, b))
     tail = None
     if tail_exprs is not None:
@@ -474,5 +490,5 @@ def parse_cover_file(text: str) -> OpenCoverSpec:
 
     try:
         return OpenCoverSpec(tuple(head), tail=tail)
-    except ValueError as e:
-        raise SpecError(str(e), 1, 1)
+    except ValueError as e:  # the head intervals passed on their own lines
+        raise SpecError(f"in tail rule: {e}", tail_ln, 1)

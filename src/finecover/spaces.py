@@ -133,6 +133,12 @@ class Cylinder:
     def width(self) -> Fraction:
         return pow2(-self.depth)
 
+    @property
+    def index(self) -> int:
+        """The prefix as a binary numeral: phi maps the cylinder onto the
+        dyadic cell [index 2^-depth, (index + 1) 2^-depth]."""
+        return int(self.prefix or "0", 2)
+
     def contains_point(self, x: CantorPoint) -> bool:
         return x.bits(self.depth) == self.prefix
 

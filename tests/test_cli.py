@@ -11,7 +11,7 @@ from finecover.covers import verify_cover
 from finecover.exact import Interval
 from finecover.gallery import gap_limit_point
 from finecover.gauges import DirectCode, Verdict
-from finecover.gaugespec import MAX_DEPTH, parse_gauge
+from finecover.gaugespec import MAX_DEPTH, MAX_EXPONENT, parse_gauge
 from finecover.integral import GaugeFamily
 from finecover.serialize import parse_cover_csv
 
@@ -190,6 +190,25 @@ def test_cousin_bad_pin_bits_exit_one(capsys, argv):
     assert code == 1
     assert out == ""
     assert "bad bit pattern" in err
+
+
+@pytest.mark.parametrize(
+    "text,col",
+    [
+        ("x + \u00b2", 5),
+        pytest.param("x + " + "9" * 5000, 5, id="numeral-of-5000-digits"),
+        (f"x + 2^{MAX_EXPONENT + 1}", 6),
+        (f"x + 2^-{MAX_EXPONENT + 1}", 6),
+    ],
+)
+def test_bad_gauge_text_exits_one_at_its_column(capsys, text, col):
+    # a superscript digit is no numeral; a numeral past the interpreter's
+    # int-string limit and an exponent past MAX_EXPONENT are rejected
+    # before any arithmetic
+    code, out, err = run(capsys, "cousin", "--gauge", text, "--depth", "4")
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: line 1, col {col}: ") and "Traceback" not in err
 
 
 def test_verify_flags_inflated_radius(capsys, tmp_path):

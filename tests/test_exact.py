@@ -9,21 +9,30 @@ from finecover.exact import (
     ceil_log_recip,
     exact_floor,
     floor_log_recip,
-    iv_abs,
     iv_add,
-    iv_geom_tail,
     iv_hull,
     iv_intersect,
-    iv_max,
-    iv_min,
     iv_mul,
     iv_pad,
     iv_scale,
-    iv_sub,
     parse_rat,
     pow2,
     pow3,
     rat_str,
+    rt_abs,
+    rt_add,
+    rt_geom_tail,
+    rt_interval,
+    rt_intersect,
+    rt_into_sum,
+    rt_into_terms,
+    rt_max,
+    rt_min,
+    rt_mul,
+    rt_of,
+    rt_point,
+    rt_scale,
+    rt_sub,
     simplest_dyadic_between,
 )
 
@@ -123,27 +132,58 @@ def test_interval_coerces_only_non_fractions():
     assert type(q.a) is Fraction and q.b == Fraction(1, 2)
 
 
+def rand_triple(rng, box):
+    """box as an integer-numerator triple, over a denominator that is
+    sometimes not reduced, so equal and unequal denominators both occur."""
+    lo, hi, d = rt_of(box)
+    m = rng.choice([1, 1, 2, 3])
+    return lo * m, hi * m, d * m
+
+
 def test_interval_ops_sound():
-    """Exact containment survives every lifted operation."""
+    """Exact containment survives every lifted operation, on Intervals and
+    on integer-numerator triples alike."""
     rng = random.Random(7103)
     for _ in range(1000):
         a, b = rand_interval(rng), rand_interval(rng)
         x, y = rand_point_in(rng, a), rand_point_in(rng, b)
-        assert iv_add(a, b).contains(x + y)
-        assert iv_sub(a, b).contains(x - y)
-        assert iv_mul(a, b).contains(x * y)
-        assert iv_abs(a).contains(abs(x))
-        assert iv_min(a, b).contains(min(x, y))
-        assert iv_max(a, b).contains(max(x, y))
+        ta, tb = rand_triple(rng, a), rand_triple(rng, b)
+        assert rt_interval(ta) == a
         c = rand_rat(rng)
-        assert iv_scale(c, a).contains(c * x)
+        assert iv_add(a, b).contains(x + y) and rt_interval(rt_add(ta, tb)) == iv_add(a, b)
+        assert iv_mul(a, b).contains(x * y) and rt_interval(rt_mul(ta, tb)) == iv_mul(a, b)
+        assert iv_scale(c, a).contains(c * x) and rt_interval(rt_scale(c, ta)) == iv_scale(c, a)
+        assert rt_interval(rt_sub(ta, tb)).contains(x - y)
+        assert rt_interval(rt_abs(ta)).contains(abs(x))
+        assert rt_interval(rt_min(ta, tb)).contains(min(x, y))
+        assert rt_interval(rt_max(ta, tb)).contains(max(x, y))
+        assert rt_interval(rt_min(ta, tb)) == Interval(min(a.lo, b.lo), min(a.hi, b.hi))
+        assert rt_interval(rt_max(ta, tb)) == Interval(max(a.lo, b.lo), max(a.hi, b.hi))
         assert iv_hull(a, b).contains(x) and iv_hull(a, b).contains(y)
         got = iv_intersect(a, b)
         if got is None:
             assert a.hi < b.lo or b.hi < a.lo
+            assert rt_intersect(ta, tb) is None
         else:
             assert a.encloses(got) and b.encloses(got)
             assert got.lo == max(a.lo, b.lo) and got.hi == min(a.hi, b.hi)
+            assert rt_interval(rt_intersect(ta, tb)) == got
+
+
+def test_series_blocks_keep_denominators_small():
+    """A long tail of cubic denominators is split into several blocks, each
+    over a bounded common denominator, and the blocks sum to the Fraction
+    series sum_n 2^-n max(0, min(x - a_n, b_n - x))."""
+    intervals = [
+        (Fraction(1, (n + 2) ** 3) - Fraction(1, n + 2), Fraction(1, (n + 2) ** 3) + Fraction(1, n + 2))
+        for n in range(70)
+    ]
+    blocks = rt_into_terms(intervals)
+    assert len(blocks) > 1
+    assert all(den.bit_length() <= 256 for den, _, _ in blocks)
+    for x in (Fraction(0), Fraction(1, 3), Fraction(2, 7)):
+        want = sum(max(Fraction(0), min(x - a, b - x)) * pow2(-n) for n, (a, b) in enumerate(intervals))
+        assert rt_interval(rt_into_sum(rt_point(x), blocks)) == Interval.point(want)
 
 
 def test_iv_pad():
@@ -156,7 +196,7 @@ def test_iv_pad():
 def test_geom_tail_encloses_true_tail():
     for n in range(1, 12):
         tail = sum(pow2(-i) for i in range(n + 1, n + 60))
-        box = iv_geom_tail(n)
+        box = rt_interval(rt_geom_tail(n))
         assert box.lo == 0 and box.hi == pow2(-n)
         assert box.contains(tail)
 

@@ -2,9 +2,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finecover.covers import FineCover, find_cover_unit
-from finecover.exact import pow2
+from finecover.exact import Interval, pow2
 from finecover.gallery import (
     CauchySpec,
     OpenCoverSpec,
@@ -35,6 +37,75 @@ def test_open_cover_spec_rejects_bad_intervals():
         OpenCoverSpec(((F(3, 4), F(1, 4)),))
     with pytest.raises(ValueError):
         OpenCoverSpec(((F(0), F(1)),), tail=lambda n: (F(1, 2), F(2)))
+
+
+def _ref_dist_into_range(box, a, b):
+    """Range of x -> max(0, min(x-a, b-x)) over the box: the ends, and the
+    peak (b-a)/2 when the box holds the midpoint."""
+
+    def d(x):
+        return max(F(0), min(x - a, b - x))
+
+    vals = [d(box.lo), d(box.hi)]
+    if box.lo <= (a + b) / 2 <= box.hi:
+        vals.append((b - a) / 2)
+    return Interval(min(vals), max(vals))
+
+
+def _ref_series(cov, box, k):
+    """The series gauge's enclosure at stage k, summed in Fractions."""
+    bound = k + 2
+    lo = hi = F(0)
+    for n, (a, b) in enumerate(cov.intervals_upto(bound)):
+        part = _ref_dist_into_range(box, a, b)
+        lo, hi = lo + part.lo * pow2(-n), hi + part.hi * pow2(-n)
+    if cov.tail is not None:
+        hi += pow2(-bound)
+    return Interval(lo / 4, hi / 4)
+
+
+_ENDS = st.fractions(min_value=F(-1, 2), max_value=F(3, 2), max_denominator=24)
+_HEADS = st.lists(st.tuples(_ENDS, _ENDS).filter(lambda ab: ab[0] != ab[1]).map(sorted), min_size=1, max_size=5)
+# tail n -> (c / (n+2)^p, r / (n+1)): radii in (0, 1], and with p = 3 the
+# common denominator of a long tail outgrows one block
+_TAILS = st.one_of(
+    st.none(),
+    st.tuples(st.integers(0, 8), st.integers(1, 3), st.fractions(F(1, 8), 1, max_denominator=8)),
+)
+
+
+def _tail_rule(params):
+    if params is None:
+        return None
+    c, p, r = params
+    return lambda n: (F(c, (n + 2) ** p), r / (n + 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    head=_HEADS,
+    tail=_TAILS,
+    k=st.integers(0, 64),
+    which=st.integers(0, 4),
+    around=st.tuples(st.fractions(0, F(1, 4), max_denominator=32), st.fractions(0, F(1, 4), max_denominator=32)),
+    cell=st.integers(0, 10).flatmap(lambda level: st.tuples(st.integers(0, 2**level - 1), st.just(level))),
+)
+def test_series_gauge_matches_the_fraction_sum(head, tail, k, which, around, cell):
+    """The integer kernel of the series gauge gives exactly the Fraction
+    sum of distances-into at stages 0..64: on dyadic cells, on points, and
+    on boxes around an interval's midpoint, where the peak counts."""
+    cov = OpenCoverSpec(tuple(head), tail=_tail_rule(tail))
+    g = heine_borel_gauge(cov)
+    a, b = cov.intervals_upto(k + 2)[which % len(head)]
+    mid = (a + b) / 2
+    i, level = cell
+    for box in (
+        Interval(mid - around[0], mid + around[1]),
+        Interval.point(mid),
+        Interval(F(i, 2**level), F(i + 1, 2**level)),
+        Interval.point(a),
+    ):
+        assert g.region_eval(box, k) == _ref_series(cov, box, k)
 
 
 def test_series_gauge_two_interval_values():

@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finecover.exact import pow2
+from finecover.exact import Interval, QuadVal, iv_intersect, pow2
 from finecover.gauges import (
     Baire1Code,
     Baire2Code,
     ContinuousCode,
     DirectCode,
     Verdict,
+    continuous_sub,
     eval_enclosure,
     verified_above,
 )
@@ -167,6 +168,9 @@ def test_parse_expr_const():
         (parse_gauge, "heine-borel(", 1, 13),
         (parse_gauge, "x\n\t+ @", 2, 4),
         (parse_cover_file, "0 1/2\n1/4 1\ntail: x n\n", 3, 1),
+        (parse_cover_file, "0 1\ntail: 1/0 n\n", 2, 1),
+        (parse_cover_file, "0 1\ntail: n 2\n", 2, 1),
+        (parse_cover_file, "0 1\n1/2 1/4\n", 2, 1),
     ],
 )
 def test_errors_cite_column(parse, text, line, col):
@@ -181,45 +185,95 @@ def test_end_of_input_after_a_comment_points_past_it():
     assert (err.value.line, err.value.col) == (1, 26)
 
 
-# Random expression trees as (text, exact evaluator); every operator is
-# bracketed, so the text means what the tree says.
+# Random expression trees as (text, exact evaluator, interval evaluator);
+# every operator is bracketed, so the text means what the tree says. The
+# interval evaluator is the reference for region evaluation: Interval ops
+# on Fraction endpoints, with the endpoint formulas of interval arithmetic.
 _RATS = st.fractions(min_value=-2, max_value=2, max_denominator=8)
 
 
+def _ref_mul(a, b):
+    products = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
+    return Interval(min(products), max(products))
+
+
+def _ref_abs(a):
+    if a.lo >= 0:
+        return a
+    if a.hi <= 0:
+        return Interval(-a.hi, -a.lo)
+    return Interval(F(0), max(-a.lo, a.hi))
+
+
+_REF = {
+    "+": lambda a, b: Interval(a.lo + b.lo, a.hi + b.hi),
+    "-": lambda a, b: Interval(a.lo - b.hi, a.hi - b.lo),
+    "*": _ref_mul,
+    "min": lambda a, b: Interval(min(a.lo, b.lo), min(a.hi, b.hi)),
+    "max": lambda a, b: Interval(max(a.lo, b.lo), max(a.hi, b.hi)),
+}
+
+
 def _rat(q):
-    return f"({q.numerator}/{q.denominator})", lambda x: q
+    return f"({q.numerator}/{q.denominator})", lambda x: q, lambda box: Interval.point(q)
+
+
+def _ref_dist(qs, box):
+    out = None
+    for q in qs:
+        d = _ref_abs(_REF["-"](box, Interval.point(q)))
+        out = d if out is None else _REF["min"](out, d)
+    return out
 
 
 def _dist(qs):
-    return f"dist({', '.join(_rat(q)[0] for q in qs)})", lambda x: min(abs(x - q) for q in qs)
+    text = f"dist({', '.join(_rat(q)[0] for q in qs)})"
+    return text, lambda x: min(abs(x - q) for q in qs), lambda box: _ref_dist(qs, box)
 
 
 def _binary(t):
-    (a, fa), sym, (b, fb) = t
+    (a, fa, ra), sym, (b, fb, rb) = t
     op = {"+": lambda u, v: u + v, "-": lambda u, v: u - v, "*": lambda u, v: u * v}[sym]
-    return f"({a} {sym} {b})", lambda x: op(fa(x), fb(x))
+    return f"({a} {sym} {b})", lambda x: op(fa(x), fb(x)), lambda box: _REF[sym](ra(box), rb(box))
+
+
+def _fold(name, boxes):
+    out = boxes[0]
+    for box in boxes[1:]:
+        out = _REF[name](out, box)
+    return out
 
 
 def _min_max(t):
     name, args = t
     pick = min if name == "min" else max
-    return f"{name}({', '.join(a for a, _ in args)})", lambda x: pick(f(x) for _, f in args)
+    return (
+        f"{name}({', '.join(a for a, _, _ in args)})",
+        lambda x: pick(f(x) for _, f, _ in args),
+        lambda box: _fold(name, [r(box) for _, _, r in args]),
+    )
+
+
+def _div(t):
+    (a, fa, ra), q = t
+    return f"({a} / {_rat(q)[0]})", lambda x: fa(x) / q, lambda box: _ref_mul(ra(box), Interval.point(1 / q))
 
 
 def _trees(with_x: bool):
-    leaves = [_RATS.map(_rat), st.integers(-4, 4).map(lambda k: (f"2^({k})", lambda x: F(2) ** k))]
+    leaves = [
+        _RATS.map(_rat),
+        st.integers(-4, 4).map(lambda k: (f"2^({k})", lambda x: F(2) ** k, lambda box: Interval.point(F(2) ** k))),
+    ]
     if with_x:
-        leaves += [st.just(("x", lambda x: x)), st.lists(_RATS, min_size=1, max_size=3).map(_dist)]
+        leaves += [st.just(("x", lambda x: x, lambda box: box)), st.lists(_RATS, min_size=1, max_size=3).map(_dist)]
 
     def extend(kids):
         return st.one_of(
             st.tuples(kids, st.sampled_from("+-*"), kids).map(_binary),
-            st.tuples(kids, _RATS.filter(bool)).map(
-                lambda t: (f"({t[0][0]} / {_rat(t[1])[0]})", lambda x: t[0][1](x) / t[1])
-            ),
+            st.tuples(kids, _RATS.filter(bool)).map(_div),
             st.tuples(st.sampled_from(["min", "max"]), st.lists(kids, min_size=2, max_size=3)).map(_min_max),
-            kids.map(lambda t: (f"|{t[0]}|", lambda x: abs(t[1](x)))),
-            kids.map(lambda t: (f"-({t[0]})", lambda x: -t[1](x))),
+            kids.map(lambda t: (f"|{t[0]}|", lambda x: abs(t[1](x)), lambda box: _ref_abs(t[2](box)))),
+            kids.map(lambda t: (f"-({t[0]})", lambda x: -t[1](x), lambda box: _ref_mul(t[2](box), Interval.point(F(-1))))),
         )
 
     return st.recursive(st.one_of(leaves), extend, max_leaves=12)
@@ -228,8 +282,38 @@ def _trees(with_x: bool):
 @settings(max_examples=150, deadline=None)
 @given(tree=_trees(with_x=True), const=_trees(with_x=False), x=st.fractions(0, 1, max_denominator=64))
 def test_rendered_trees_evaluate_exactly(tree, const, x):
-    text, f = tree
+    text, f, _ = tree
     assert value_at(parse_gauge(text), x) == f(x)
-    text, f = const
+    text, f, _ = const
     assert parse_expr_const(text) == f(None)
     assert value_at(parse_gauge(text), x) == f(None)
+
+
+_UNIT = Interval(F(0), F(1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    tree=_trees(with_x=True),
+    cell=st.integers(0, 12).flatmap(lambda level: st.tuples(st.integers(0, 2**level - 1), st.just(level))),
+    x=st.fractions(0, 1, max_denominator=64),
+    quad=st.tuples(st.fractions(0, 1, max_denominator=8), st.fractions(-1, 1, max_denominator=8).filter(bool)),
+    k=st.integers(0, 40),
+)
+def test_rendered_trees_match_the_interval_reference(tree, cell, x, quad, k):
+    """Region evaluation of a compiled gauge gives exactly the intervals of
+    the Fraction reference, on dyadic cells, rational points and the
+    approximants of quadratic irrationals."""
+    text, _, ref = tree
+    i, level = cell
+    box = Interval(F(i, 2**level), F(i + 1, 2**level))
+    g = parse_gauge(text)
+    assert g.region_eval(box, k) == ref(box)
+    assert g.region_eval(Interval.point(x), k) == ref(Interval.point(x))
+    # a caller's own Interval evaluator composes with compiled codes
+    mixed = continuous_sub(g, ContinuousCode(lambda region, k: ref(region)))
+    assert mixed.region_eval(box, k) == _REF["-"](ref(box), ref(box))
+    a, b = quad
+    if 0 <= QuadVal(a, b) <= 1:
+        point = UnitPoint.from_quad(QuadVal(a, b))
+        assert eval_enclosure(parse_gauge(text), point, k) == ref(iv_intersect(point.approx(k), _UNIT))

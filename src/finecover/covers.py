@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import le, lt
+from operator import itemgetter, le, lt
 from typing import Optional, Union
 
 from .exact import (
@@ -143,17 +143,6 @@ class FineCover:
     def entries(self):
         return [(p, self.radii[p]) for p in self.points]
 
-    def balls(self) -> list[Interval]:
-        """Unit-interval balls [p-r, p+r], in point order."""
-        if self.space != "unit":
-            raise ValueError("balls() is for unit-interval covers")
-        out = []
-        for p in self.points:
-            v = p.exact_value()
-            r = self.radii[p]
-            out.append((v - r, v + r))
-        return out
-
     def __repr__(self) -> str:
         return f"FineCover({self.space}, {len(self.points)} points)"
 
@@ -173,6 +162,43 @@ class Obstruction:
     space: str
 
 
+def _sweep(cover: FineCover) -> tuple[list, Optional[Fraction]]:
+    """One pass over a unit cover's balls, sorted once by left end.
+
+    Returns the rows (lo, hi, point, radius) of the balls that no other
+    ball contains, in ascending order of both ends, and the witness of the
+    first gap in [0,1] (None when the balls cover it): the simplest dyadic
+    rational between the covered reach and the next left end. The covering
+    sweep runs over the kept balls only; a dropped ball lies inside a kept
+    one whose left end is no larger, so it never extends the reach and the
+    first left end past the reach is a kept ball's.
+    """
+    rows = []
+    for p in cover.points:
+        v, r = p.exact, cover.radii[p]
+        rows.append((v - r, v + r, p, r))
+    rows.sort(key=itemgetter(0))
+    kept = []
+    reach, gap = Fraction(0), None  # [0, reach] is covered up to the first gap
+    for row in rows:
+        lo, hi = row[0], row[1]
+        if kept:
+            if hi <= kept[-1][1]:
+                continue  # inside the last kept ball
+            if lo == kept[-1][0]:
+                kept.pop()  # the last kept ball is inside this one
+        kept.append(row)
+        if gap is None:
+            if lo > reach:
+                gap = lo
+            elif hi > reach:
+                reach = hi
+    if reach >= 1:
+        return kept, None
+    nxt = Fraction(1) if gap is None else min(gap, Fraction(1))
+    return kept, simplest_dyadic_between(reach, nxt)
+
+
 def uncovered_witness(cover: FineCover):
     """An explicit point missed by the cover, or None if it covers everything.
 
@@ -181,17 +207,7 @@ def uncovered_witness(cover: FineCover):
     unresolved branch of the cylinder prefix tree.
     """
     if cover.space == "unit":
-        balls = sorted(cover.balls())
-        t = Fraction(0)
-        i = 0
-        n = len(balls)
-        while i < n and balls[i][0] <= t:
-            t = max(t, balls[i][1])
-            i += 1
-        if t >= 1:
-            return None
-        nxt = balls[i][0] if i < n else Fraction(1)
-        return simplest_dyadic_between(t, min(nxt, Fraction(1)))
+        return _sweep(cover)[1]
     prefixes = {cylinder_for_ball(p, cover.radii[p]).prefix for p in cover.points}
     maxlen = max(len(s) for s in prefixes)
 
@@ -248,26 +264,19 @@ def partition_to_cover(part: TaggedPartition) -> FineCover:
     return FineCover(entries)
 
 
-def minimize_cover(cover: FineCover) -> FineCover:
-    """Drop every ball contained in another; the covering must survive intact."""
+def _minimal_rows(cover: FineCover) -> list:
+    """The rows of `_sweep` for a unit cover that must cover [0,1]."""
     if cover.space != "unit":
         raise ValueError("minimize_cover works on unit-interval covers")
-    if uncovered_witness(cover) is not None:
+    kept, witness = _sweep(cover)
+    if witness is not None:
         raise NotACover("input does not cover [0,1]")
-    rows = []
-    for p, r in cover.entries():
-        v = p.exact_value()
-        rows.append((v - r, -(v + r), p, r))
-    rows.sort()
-    best_hi = None
-    kept = []
-    for lo, neg_hi, p, r in rows:
-        hi = -neg_hi
-        if best_hi is not None and hi <= best_hi:
-            continue
-        best_hi = hi
-        kept.append((p, r))
-    return FineCover(kept)
+    return kept
+
+
+def minimize_cover(cover: FineCover) -> FineCover:
+    """Drop every ball contained in another; the covering must survive intact."""
+    return FineCover([(p, r) for _, _, p, r in _minimal_rows(cover)])
 
 
 def cover_to_partition(cover: FineCover) -> TaggedPartition:
@@ -277,12 +286,12 @@ def cover_to_partition(cover: FineCover) -> TaggedPartition:
     simplest dyadic rational strictly inside (cover points may be exact
     quadratic irrationals; cuts must stay rational).
     """
-    slim = minimize_cover(cover)
-    pts = [(p, p.exact_value(), slim.radii[p]) for p in slim.points]
+    rows = _minimal_rows(cover)
     cuts = [Fraction(0)]
-    for (p0, v0, r0), (p1, v1, r1) in zip(pts, pts[1:]):
-        lo = max(v0, v1 - r1)
-        hi = min(v1, v0 + r0)
+    for (_, hi0, p0, _), (lo1, _, p1, _) in zip(rows, rows[1:]):
+        v0, v1 = p0.exact, p1.exact
+        lo = max(v0, lo1)
+        hi = min(v1, hi0)
         if lo > hi:
             raise NotACover(f"adjacent balls at {v0} and {v1} fail to overlap")
         if lo == hi:
@@ -295,9 +304,9 @@ def cover_to_partition(cover: FineCover) -> TaggedPartition:
                 cut = mid.as_fraction() if mid.is_rational else simplest_dyadic_between(lo, hi)
             else:
                 cut = mid
-        cuts.append(Fraction(cut))
+        cuts.append(cut)
     cuts.append(Fraction(1))
-    return TaggedPartition(tuple(cuts), tuple(p for p, _, _ in pts))
+    return TaggedPartition(tuple(cuts), tuple(row[2] for row in rows))
 
 
 # -- subdivision searches ------------------------------------------------

@@ -486,9 +486,15 @@ def parse_cover_file(text: str) -> OpenCoverSpec:
         ce, re = tail_exprs
 
         def tail(n: int):
-            return (_compile(ce, {"n": n}), _compile(re, {"n": n}))
+            # called at any index while a search runs, so a failure cites the rule's line
+            try:
+                return (_compile(ce, {"n": n}), _compile(re, {"n": n}))
+            except ValueError as e:
+                raise SpecError(f"in tail rule: {e}", tail_ln, 1)
 
     try:
         return OpenCoverSpec(tuple(head), tail=tail)
+    except SpecError:
+        raise  # from the tail rule, already at its line
     except ValueError as e:  # the head intervals passed on their own lines
         raise SpecError(f"in tail rule: {e}", tail_ln, 1)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import Callable, Optional, Union
 
 from .covers import (
@@ -28,8 +28,9 @@ from .exact import (
     iv_add,
     iv_mul,
     iv_pad,
-    iv_scale,
     pow2,
+    rt_of,
+    rt_scale,
 )
 from .gauges import DirectCode, GaugeCode, Verdict, continuous_const, scale_code
 from .spaces import UnitPoint
@@ -88,15 +89,28 @@ class IntegralCertificate:
 
 
 def riemann_sum(f: Integrand, part: TaggedPartition, prec: int = 24) -> Interval:
-    """Exact enclosure of sum f(tag_i) * (x_{i+1} - x_i), left to right."""
-    total = Interval.point(Fraction(0))
+    """Exact enclosure of sum f(tag_i) * (x_{i+1} - x_i), left to right.
+
+    The lower and upper sums are integer numerators over one running
+    denominator, the lcm of the terms' so far; a term whose denominator
+    divides it is added without growing it. Every term is exact, so the
+    result is the rational that Interval arithmetic gives.
+    """
+    lo_sum = hi_sum = 0
+    den = 1
     for lo, hi, tag in part.cells:
         w = hi - lo
         if w == 0:
             continue
-        box = f.at(tag, prec)
-        total = iv_add(total, iv_scale(w, box))
-    return total
+        # w > 0, so the term is [w f_lo, w f_hi]
+        t_lo, t_hi, t_den = rt_scale(w, rt_of(f.at(tag, prec)))
+        if den % t_den:
+            grow = t_den // gcd(den, t_den)
+            lo_sum, hi_sum, den = lo_sum * grow, hi_sum * grow, den * grow
+        k = den // t_den
+        lo_sum += t_lo * k
+        hi_sum += t_hi * k
+    return Interval(Fraction(lo_sum, den), Fraction(hi_sum, den))
 
 
 def integrate(

@@ -174,7 +174,7 @@ class UnitPoint:
     CauchyViolation.
     """
 
-    __slots__ = ("exact", "_fn", "label", "_best")
+    __slots__ = ("exact", "_fn", "label", "_best", "_hash")
 
     AMBIENT = Interval(Fraction(-1), Fraction(2))
 
@@ -183,6 +183,8 @@ class UnitPoint:
         self._fn = fn
         self.label = label
         self._best: Optional[Interval] = None
+        # exact never changes after this, so the hash is taken once
+        self._hash = id(self) if exact is None else hash(exact)
 
     @classmethod
     def from_rat(cls, q) -> "UnitPoint":
@@ -244,9 +246,7 @@ class UnitPoint:
         return self is other
 
     def __hash__(self) -> int:
-        if self.is_exact:
-            return hash(self.exact)
-        return id(self)
+        return self._hash
 
     def _cmp_value(self, other: "UnitPoint"):
         if not (self.is_exact and other.is_exact):

@@ -22,7 +22,7 @@ from finecover.covers import (
     verify_cover,
     verify_partition,
 )
-from finecover.exact import Interval, QuadVal, iv_intersect, pow2
+from finecover.exact import Interval, QuadVal, iv_intersect, pow2, simplest_dyadic_between
 from finecover.gauges import (
     DirectCode,
     DomainError,
@@ -223,6 +223,120 @@ def test_cover_to_partition_quad_points_get_dyadic_cuts():
     v = r2
     lo, hi = t.cuts[1], t.cuts[2]
     assert lo < v < hi  # the quad tag sits inside its cell
+
+
+# The conversion as it was written before the single sweep, kept as the
+# reference: the balls sorted and swept for the witness, then the rows
+# sorted by (lo, -hi), the contained ones dropped, and a second FineCover.
+
+
+def _ref_witness(cover):
+    balls = sorted((p.exact - cover.radii[p], p.exact + cover.radii[p]) for p in cover.points)
+    t, i = F(0), 0
+    while i < len(balls) and balls[i][0] <= t:
+        t = max(t, balls[i][1])
+        i += 1
+    if t >= 1:
+        return None
+    nxt = balls[i][0] if i < len(balls) else F(1)
+    return simplest_dyadic_between(t, min(nxt, F(1)))
+
+
+def _ref_minimize(cover):
+    if _ref_witness(cover) is not None:
+        raise NotACover("input does not cover [0,1]")
+    rows = sorted((p.exact - r, -(p.exact + r), p, r) for p, r in cover.entries())
+    best_hi, kept = None, []
+    for lo, neg_hi, p, r in rows:
+        if best_hi is not None and -neg_hi <= best_hi:
+            continue
+        best_hi = -neg_hi
+        kept.append((p, r))
+    return FineCover(kept)
+
+
+def _ref_cover_to_partition(cover):
+    slim = _ref_minimize(cover)
+    pts = [(p, p.exact, slim.radii[p]) for p in slim.points]
+    cuts = [F(0)]
+    for (p0, v0, r0), (p1, v1, r1) in zip(pts, pts[1:]):
+        lo, hi = max(v0, v1 - r1), min(v1, v0 + r0)
+        if lo > hi:
+            raise NotACover(f"adjacent balls at {v0} and {v1} fail to overlap")
+        if lo == hi:
+            if isinstance(lo, QuadVal) and not lo.is_rational:
+                raise NotACover(f"overlap degenerates to the irrational point {lo}")
+            cut = lo.as_fraction() if isinstance(lo, QuadVal) else lo
+        else:
+            mid = (lo + hi) * F(1, 2)
+            if isinstance(mid, QuadVal):
+                cut = mid.as_fraction() if mid.is_rational else simplest_dyadic_between(lo, hi)
+            else:
+                cut = mid
+        cuts.append(F(cut))
+    cuts.append(F(1))
+    return TaggedPartition(tuple(cuts), tuple(p for p, _, _ in pts))
+
+
+def _point(v):
+    return UnitPoint.from_quad(v) if isinstance(v, QuadVal) else UnitPoint.from_rat(v)
+
+
+_SMALL = st.fractions(F(1, 64), F(1, 2), max_denominator=64)
+_EXTRA_POINTS = st.one_of(
+    st.fractions(F(-1, 4), F(5, 4), max_denominator=16),
+    st.builds(
+        QuadVal,
+        st.fractions(F(-1, 4), F(1), max_denominator=8),
+        st.fractions(F(-1, 4), F(1, 4), max_denominator=8).filter(bool),
+    ),
+)
+
+
+@st.composite
+def _unit_covers(draw):
+    """A dyadic grid of balls with some dropped (gaps at 0, inside or near
+    1, unless the neighbours still reach), random rational and quadratic
+    balls, and balls derived from drawn ones: inside them, inside them with
+    the same left end, and around them with the same left end."""
+    n = 1 << draw(st.integers(0, 4))
+    stretch = draw(st.sampled_from([F(1, 2), F(3, 4), F(1)]))
+    dropped = draw(st.sets(st.integers(0, n - 1), max_size=2))
+    balls = [(F(2 * i + 1, 2 * n), stretch / n) for i in range(n) if i not in dropped]
+    balls += draw(st.lists(st.tuples(_EXTRA_POINTS, _SMALL), max_size=6))
+    if not balls:
+        balls.append(draw(st.tuples(_EXTRA_POINTS, _SMALL)))
+    for j, how, s in draw(st.lists(st.tuples(st.integers(0, 99), st.integers(0, 2), _SMALL), max_size=4)):
+        v, r = balls[j % len(balls)]
+        if how == 0:
+            balls.append((v + r / 4, r / 2))  # strictly inside
+        elif how == 1:
+            balls.append((v - r / 4, 3 * r / 4))  # inside, same left end
+        else:
+            balls.append((v + s / 4, r + s / 4))  # around, same left end
+    return FineCover([(_point(v), r) for v, r in balls])
+
+
+@settings(max_examples=200, deadline=None)
+@given(cover=_unit_covers())
+def test_one_sweep_matches_the_two_sort_conversion(cover):
+    """uncovered_witness, minimize_cover and cover_to_partition give what
+    the two-sort conversion gives, or raise the same error: NotACover, or
+    MalformedPartition for a tag outside [0,1]."""
+    assert uncovered_witness(cover) == _ref_witness(cover)
+    for new, ref in ((minimize_cover, _ref_minimize), (cover_to_partition, _ref_cover_to_partition)):
+        try:
+            want = ref(cover)
+        except (NotACover, MalformedPartition) as e:
+            with pytest.raises(type(e)) as got:
+                new(cover)
+            assert str(got.value) == str(e)
+            continue
+        got = new(cover)
+        if isinstance(want, FineCover):
+            assert got.entries() == want.entries()
+        else:
+            assert got == want
 
 
 # -- round trips ---------------------------------------------------------

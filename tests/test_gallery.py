@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finecover.covers import FineCover, find_cover_unit
@@ -90,13 +90,16 @@ def _tail_rule(params):
     around=st.tuples(st.fractions(0, F(1, 4), max_denominator=32), st.fractions(0, F(1, 4), max_denominator=32)),
     cell=st.integers(0, 10).flatmap(lambda level: st.tuples(st.integers(0, 2**level - 1), st.just(level))),
 )
+# stage 0 sums only the first 3 of 4 head intervals
+@example(head=[(F(0), F(1, 4)), (F(1, 4), F(1, 2)), (F(1, 2), F(3, 4)), (F(3, 4), F(1))], tail=None, k=0, which=3, around=(F(0), F(0)), cell=(0, 0))
 def test_series_gauge_matches_the_fraction_sum(head, tail, k, which, around, cell):
     """The integer kernel of the series gauge gives exactly the Fraction
     sum of distances-into at stages 0..64: on dyadic cells, on points, and
     on boxes around an interval's midpoint, where the peak counts."""
     cov = OpenCoverSpec(tuple(head), tail=_tail_rule(tail))
     g = heine_borel_gauge(cov)
-    a, b = cov.intervals_upto(k + 2)[which % len(head)]
+    summed = cov.intervals_upto(k + 2)
+    a, b = summed[which % len(summed)]
     mid = (a + b) / 2
     i, level = cell
     for box in (

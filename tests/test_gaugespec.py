@@ -171,6 +171,8 @@ def test_parse_expr_const():
         (parse_cover_file, "0 1\ntail: 1/0 n\n", 2, 1),
         (parse_cover_file, "0 1\ntail: n 2\n", 2, 1),
         (parse_cover_file, "0 1\n1/2 1/4\n", 2, 1),
+        # the tail rule fails only at n = 20, past the indices checked at parse time
+        (lambda text: parse_cover_file(text).intervals_upto(24), "0 1\ntail: 1/(n-20) 1/2\n", 2, 1),
     ],
 )
 def test_errors_cite_column(parse, text, line, col):

@@ -1,8 +1,10 @@
 """Source hygiene that no installed linter checks: every name a module
 imports is used in that module, and every module-level definition in the
-package is used somewhere outside its own body."""
+package, and every method and property of its classes, is used somewhere
+outside its own body."""
 
 import ast
+import copy
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "finecover"
@@ -40,6 +42,10 @@ def test_every_imported_name_is_used():
     assert not found, found
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _defined(stmt: ast.stmt) -> set[str]:
     """Names a module-level statement defines, dunders aside."""
     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -50,7 +56,24 @@ def _defined(stmt: ast.stmt) -> set[str]:
         names = {stmt.target.id}
     else:
         names = set()
-    return {n for n in names if not (n.startswith("__") and n.endswith("__"))}
+    return {n for n in names if not _is_dunder(n)}
+
+
+def _units(stmt: ast.stmt):
+    """(node, names it defines, names it may use without counting) for a
+    module-level statement: a class splits into each of its methods and
+    properties, dunders aside, and the rest of its body."""
+    own = _defined(stmt)
+    if not isinstance(stmt, ast.ClassDef):
+        yield stmt, own, own
+        return
+    methods = [m for m in stmt.body if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)) and not _is_dunder(m.name)]
+    for m in methods:
+        # a method reaching its own class does not keep the class alive
+        yield m, {m.name}, {m.name} | own
+    rest = copy.copy(stmt)
+    rest.body = [b for b in stmt.body if b not in methods]
+    yield rest, own, own
 
 
 def _referenced(stmt: ast.stmt) -> set[str]:
@@ -67,12 +90,16 @@ def _referenced(stmt: ast.stmt) -> set[str]:
 
 
 def test_every_definition_is_used_outside_itself():
+    """Module-level functions, classes and constants of the package, and
+    the methods and properties of its classes, dunders aside."""
     definitions, used = {}, set()
     for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
         for stmt in ast.parse(path.read_text(), filename=str(path)).body:
-            own = _defined(stmt) if path.parent == SRC else set()
-            definitions.update((name, f"{path.name}:{stmt.lineno}") for name in own)
-            # a recursive function calling itself does not keep it alive
-            used |= _referenced(stmt) - own
+            for node, own, skip in _units(stmt):
+                if path.parent != SRC:
+                    own = skip = set()
+                definitions.update((name, f"{path.name}:{node.lineno}") for name in own)
+                # a recursive function calling itself does not keep it alive
+                used |= _referenced(node) - skip
     dead = sorted(f"{where} {name}" for name, where in definitions.items() if name not in used)
     assert not dead, dead

@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finecover.covers import Obstruction, TaggedPartition
-from finecover.exact import Interval, QuadVal, pow2
+from finecover.exact import Interval, QuadVal, iv_add, iv_scale, pow2
 from finecover.gauges import Verdict, eval_enclosure
 from finecover.integral import (
     EvaluationError,
@@ -53,6 +55,46 @@ def test_riemann_sum_propagates_evaluator_failure():
     t = TaggedPartition((F(0), F(1)), (opaque,))
     with pytest.raises(EvaluationError, match="blob"):
         riemann_sum(f, t)
+
+
+def _ref_riemann_sum(f, part, prec):
+    """The Interval fold riemann_sum was written as before its integer sum."""
+    total = Interval.point(F(0))
+    for lo, hi, tag in part.cells:
+        if hi != lo:
+            total = iv_add(total, iv_scale(hi - lo, f.at(tag, prec)))
+    return total
+
+
+@st.composite
+def _partitions(draw):
+    """Cuts with small, mostly non-dyadic denominators, repeated cuts
+    (zero-width cells) allowed; each tag a rational of its cell or, in a
+    cell of positive width, a quadratic irrational inside it."""
+    inner = draw(st.lists(st.fractions(0, 1, max_denominator=30), max_size=8))
+    cuts = [F(0)] + sorted(inner) + [F(1)]
+    tags = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        w = hi - lo
+        if w and draw(st.booleans()):
+            # lo + w c (sqrt2 - 1), strictly inside for 0 < c <= 2
+            c = draw(st.fractions(F(1, 8), 2, max_denominator=8))
+            tags.append(UnitPoint.from_quad(QuadVal(lo - w * c, w * c)))
+        else:
+            tags.append(up(lo + w * draw(st.fractions(0, 1, max_denominator=12))))
+    return TaggedPartition(tuple(cuts), tuple(tags))
+
+
+_INTEGRANDS = st.one_of(
+    st.lists(st.fractions(-3, 3, max_denominator=7), min_size=1, max_size=4).map(lambda cs: poly_integrand(cs)[0]),
+    st.sampled_from(["dirichlet", "step"]).map(lambda name: builtin_integrands()[name][0]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=_INTEGRANDS, part=_partitions(), prec=st.integers(0, 30))
+def test_integer_sum_matches_the_interval_fold(f, part, prec):
+    assert riemann_sum(f, part, prec) == _ref_riemann_sum(f, part, prec)
 
 
 def test_special_value_overrides_evaluator():

@@ -268,6 +268,21 @@ def test_unit_point_quad():
         UnitPoint.from_quad(QuadVal(2, 1))
 
 
+def test_unit_point_hash_is_its_value_hash():
+    """The hash is taken once, at construction: an exact point hashes like
+    its value, so equal points hash alike however they were built, and an
+    approximant point by identity."""
+    for q in (Fraction(3, 8), Fraction(-1), Fraction(2), Fraction(1, 3)):
+        assert hash(UnitPoint.from_rat(q)) == hash(q)
+    half = UnitPoint.from_quad(QuadVal(Fraction(1, 2), 0))
+    assert half == UnitPoint.from_rat(Fraction(1, 2)) and hash(half) == hash(Fraction(1, 2))
+    v = QuadVal(Fraction(1, 2), Fraction(1, 4))
+    a, b = UnitPoint.from_quad(v), UnitPoint.from_quad(QuadVal(Fraction(2, 4), Fraction(1, 4)))
+    assert a == b and hash(a) == hash(b) == hash(v)
+    opaque = UnitPoint.from_fn(lambda k: Interval.point(Fraction(1, 2)))
+    assert hash(opaque) == id(opaque) and {opaque: 1}[opaque] == 1
+
+
 def test_unit_point_opaque_nesting():
     # raw boxes alternate sides of 1/2; published enclosures must nest
     def fn(k):

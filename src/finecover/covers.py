@@ -19,11 +19,11 @@ from operator import itemgetter, le, lt
 from typing import Optional, Union
 
 from .exact import (
-    Interval,
     QuadVal,
     ceil_log_recip,
     dyadic_runs,
     pow2,
+    rt_cell,
     simplest_dyadic_between,
 )
 from .gauges import DomainError, GaugeCode, Verdict, verified_above, verified_at_least
@@ -165,18 +165,23 @@ class Obstruction:
 def _sweep(cover: FineCover) -> tuple[list, Optional[Fraction]]:
     """One pass over a unit cover's balls, sorted once by left end.
 
-    Returns the rows (lo, hi, point, radius) of the balls that no other
-    ball contains, in ascending order of both ends, and the witness of the
-    first gap in [0,1] (None when the balls cover it): the simplest dyadic
-    rational between the covered reach and the next left end. The covering
-    sweep runs over the kept balls only; a dropped ball lies inside a kept
-    one whose left end is no larger, so it never extends the reach and the
-    first left end past the reach is a kept ball's.
+    Returns the rows (lo, hi, point, radius) of the balls that meet [0,1]
+    and that no other ball contains, in ascending order of both ends, and
+    the witness of the first gap in [0,1] (None when the balls cover it):
+    the simplest dyadic rational between the covered reach and the next
+    left end. A ball that meets [0,1] in at most an endpoint is skipped:
+    one with hi = 0 never extends the reach, and one with lo = 1 can only
+    set the gap to 1, the bound the witness takes anyway.
+    The covering sweep runs over the kept balls only; a dropped ball lies
+    inside a kept one whose left end is no larger, so it never extends the
+    reach and the first left end past the reach is a kept ball's.
     """
     rows = []
     for p in cover.points:
         v, r = p.exact, cover.radii[p]
-        rows.append((v - r, v + r, p, r))
+        lo, hi = v - r, v + r
+        if hi > 0 and lo < 1:
+            rows.append((lo, hi, p, r))
     rows.sort(key=itemgetter(0))
     kept = []
     reach, gap = Fraction(0), None  # [0, reach] is covered up to the first gap
@@ -275,7 +280,8 @@ def _minimal_rows(cover: FineCover) -> list:
 
 
 def minimize_cover(cover: FineCover) -> FineCover:
-    """Drop every ball contained in another; the covering must survive intact."""
+    """Drop every ball that meets [0,1] in at most an endpoint or lies
+    inside another; the covering must survive intact."""
     return FineCover([(p, r) for _, _, p, r in _minimal_rows(cover)])
 
 
@@ -338,30 +344,33 @@ def _subdivide(g: GaugeCode, depth: int, stage: int, strict: bool, region, sampl
     level l+1. Cells left at `depth` form an Obstruction of `regions`.
 
     Branch and bound: a continuous code is first enclosed on the whole cell
-    `region(i, l)` by one region evaluation at `stage`. When the upper end
-    rules acceptance out (hi <= w strict, hi < w non-strict), no sample
-    could get the Yes, so the cell survives unsampled and hands the bound
-    to its children, which skip evaluation while it still rules them out.
-    Only cells that could not have been accepted are skipped, so covers and
-    obstructions are those of the plain sample-only walk.
+    `region(i, l)` (the kernel's input: a triple, or a Cylinder) by one
+    kernel evaluation at `stage`. When the upper end hi/d rules acceptance
+    out (hi/d <= w strict, hi/d < w non-strict, that is hi << l against
+    d), no sample could get the Yes, so the cell survives unsampled and
+    hands the bound (hi, d) to its children, which skip evaluation while it
+    still rules them out. Only cells that could not have been accepted are
+    skipped, so covers and obstructions are those of the plain sample-only
+    walk.
     """
     if depth < 1:
         raise ValueError("need depth >= 1")
     # looked up per call: the names may be rebound to instrumented wrappers
     verdict = verified_above if strict else verified_at_least
-    rules_out = le if strict else lt  # bound vs width: acceptance impossible
+    rules_out = le if strict else lt  # hi << level vs d: acceptance impossible
     bounded = g.kind == "continuous"
     entries = []
-    frontier = [(0, None)]  # (cell index at the current level, upper bound on the gauge there)
+    frontier = [(0, None)]  # (cell index at the current level, upper bound (hi, d) on the gauge there)
     for level in range(depth + 1):
         w = pow2(-level)
         survivors = []
         for i, bound in frontier:
             if bounded:
-                if bound is None or not rules_out(bound, w):
-                    hi = g.region_eval(region(i, level), stage).hi
-                    bound = hi if bound is None else min(bound, hi)
-                if rules_out(bound, w):
+                if bound is None or not rules_out(bound[0] << level, bound[1]):
+                    _, hi, d = g.kernel(region(i, level), stage)
+                    if bound is None or hi * bound[1] < bound[0] * d:
+                        bound = hi, d
+                if rules_out(bound[0] << level, bound[1]):
                     survivors.append((i, bound))
                     continue
             for m in samples(i, level):
@@ -396,9 +405,6 @@ def find_cover_unit(g: GaugeCode, depth: int, stage: int, hints=()) -> Union[Fin
     """
     hints = _checked_hints(g, hints, "unit", UnitPoint.exact_value)
 
-    def region(i: int, level: int) -> Interval:
-        return Interval(Fraction(i, 1 << level), Fraction(i + 1, 1 << level))
-
     def samples(i: int, level: int):
         a, b = Fraction(i, 1 << level), Fraction(i + 1, 1 << level)
         in_cell = [h for h in hints if a <= h.exact_value() <= b]
@@ -409,7 +415,7 @@ def find_cover_unit(g: GaugeCode, depth: int, stage: int, hints=()) -> Union[Fin
             if cand not in in_cell:
                 yield cand
 
-    return _subdivide(g, depth, stage, True, region, samples, dyadic_runs)
+    return _subdivide(g, depth, stage, True, rt_cell, samples, dyadic_runs)
 
 
 def find_cover_cantor(g: GaugeCode, depth: int, stage: int, hints=()) -> Union[FineCover, Obstruction]:

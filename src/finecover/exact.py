@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, isqrt, lcm
-from typing import Optional, Union
+from math import floor, gcd, isqrt, lcm
+from typing import Callable, Optional, Union
 
 def parse_rat(text: str) -> Fraction:
     """Parse a rational literal: "3/8", "-2", or a decimal like "0.125".
@@ -121,20 +121,11 @@ def iv_mul(a: Interval, b: Interval) -> Interval:
     return Interval(min(products), max(products))
 
 
-def iv_scale(c: Fraction, a: Interval) -> Interval:
-    x, y = c * a.lo, c * a.hi
-    return Interval(min(x, y), max(x, y))
-
-
 def iv_pad(a: Interval, e: Fraction) -> Interval:
     """Widen both endpoints outward by e >= 0."""
     if e < 0:
         raise ValueError("pad amount must be >= 0")
     return Interval(a.lo - e, a.hi + e)
-
-
-def iv_hull(a: Interval, b: Interval) -> Interval:
-    return Interval(min(a.lo, b.lo), max(a.hi, b.hi))
 
 
 def iv_intersect(a: Interval, b: Interval) -> Union[Interval, None]:
@@ -166,12 +157,13 @@ def iv_refine(old: Union[Interval, None], new: Interval, what: str = "enclosure"
 
 # -- integer-numerator intervals ------------------------------------------
 #
-# Region evaluation carries the interval [lo/d, hi/d] as the triple
-# (lo, hi, d) of ints with d > 0, not necessarily reduced. Each op applies
-# the endpoint formula of interval arithmetic (that of iv_add, iv_mul,
-# iv_scale or iv_intersect where the op has an Interval twin) to the
-# numerators over a common denominator, and operands with equal
-# denominators combine without multiplying. Every op is exact, so a triple
+# Region evaluation and the point verdicts of `gauges` carry the interval
+# [lo/d, hi/d] as the triple (lo, hi, d) of ints with d > 0, not
+# necessarily reduced. Each op applies the endpoint formula of interval
+# arithmetic (that of iv_add, iv_mul, iv_intersect, iv_refine or iv_pad
+# where the op has an Interval twin) to the numerators over a common
+# denominator, and operands with equal denominators combine without
+# multiplying. Every op is exact, so a triple
 # turned into an Interval by rt_interval has exactly the endpoints that
 # Fraction arithmetic gives; only the normalisation of each intermediate
 # Fraction is skipped.
@@ -253,11 +245,46 @@ def rt_scale(c: Fraction, a: tuple) -> tuple:
     return p * lo, p * hi, c.denominator * d
 
 
+def rt_meet(a: tuple, b: tuple) -> tuple:
+    """(max of the lower ends, min of the upper ends), empty when lo > hi."""
+    alo, ahi, blo, bhi, d = _aligned(a, b)
+    return max(alo, blo), min(ahi, bhi), d
+
+
 def rt_intersect(a: tuple, b: tuple) -> Optional[tuple]:
     """Intersection, or None when the intervals are disjoint."""
-    alo, ahi, blo, bhi, d = _aligned(a, b)
-    lo, hi = max(alo, blo), min(ahi, bhi)
+    lo, hi, d = rt_meet(a, b)
     return None if lo > hi else (lo, hi, d)
+
+
+def rt_refine(old: Optional[tuple], new: tuple, what: Callable[[], str]) -> tuple:
+    """iv_refine on triples, reduced by gcd so that refining again and
+    again cannot grow the denominator. what() names the value in the
+    error, and is only called when the enclosures turn out disjoint."""
+    got = new if old is None else rt_intersect(old, new)
+    if got is None:
+        raise CauchyViolation(f"{what()}: {rt_interval(new)} disjoint from accumulated {rt_interval(old)}")
+    lo, hi, d = got
+    g = gcd(lo, hi, d)
+    return got if g == 1 else (lo // g, hi // g, d // g)
+
+
+def rt_pad(a: tuple, j: int) -> tuple:
+    """Widen both ends outward by 2^-j, j >= 0."""
+    lo, hi, d = a
+    return (lo << j) - d, (hi << j) + d, d << j
+
+
+def rt_block(boxes: list) -> tuple:
+    """The hull of the boxes, padded by the largest gap between the ends of
+    neighbours, over the lcm of their denominators."""
+    den = lcm(*(d for _, _, d in boxes))
+    ends = [(lo * (den // d), hi * (den // d)) for lo, hi, d in boxes]
+    lo, hi = min(e[0] for e in ends), max(e[1] for e in ends)
+    worst = 0
+    for (alo, ahi), (blo, bhi) in zip(ends, ends[1:]):
+        worst = max(worst, abs(alo - blo), abs(ahi - bhi))
+    return lo - worst, hi + worst, den
 
 
 def rt_geom_tail(n: int) -> tuple:

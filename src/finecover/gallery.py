@@ -312,15 +312,16 @@ def oracle_pin_gauge(spec: OracleSpec) -> DirectCode:
     the code is flagged non-monotone.
     """
 
-    def at(x: CantorPoint, stage: int) -> Interval:
-        f = pin_index(spec, x, bound=max(stage, 8))
+    def kernel(x: CantorPoint, stage: int) -> tuple:
+        bound = max(stage, 8)
+        f = pin_index(spec, x, bound=bound)
         if f == 0:
-            return Interval.point(Fraction(1))
+            return 1, 1, 1
         if f is None:
-            return Interval(pow2(-max(stage, 8)), Fraction(1))
-        return Interval.point(pow2(-f))
+            return 1, 1 << bound, 1 << bound  # [2^-bound, 1]
+        return 1, 1, 1 << f  # 2^-f
 
-    return DirectCode(at, domain="cantor", monotone=False, label="pin")
+    return DirectCode.from_kernel(kernel, domain="cantor", monotone=False, label="pin")
 
 
 def oracle_pin_demo(spec: OracleSpec, depth: int, stage: int) -> FineCover:

@@ -13,38 +13,43 @@ intersection; limit codes fold only *certificates* derived from a declared
 convergence modulus, because their raw trailing-block hulls may legitimately
 jump around before the modulus kicks in. No-verdicts for limit codes come
 from the certified interval alone.
+
+Evaluation runs on the integer-numerator triples of `exact`: every code's
+`_eval` returns (lo, hi, d), the per-point accumulators hold triples
+reduced by gcd, and verdicts compare numerators by cross-multiplication.
+Only the public `eval_enclosure` turns a triple into an Interval.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Optional, Union
 
 from .exact import (
     CauchyViolation,
     Interval,
     dyadic_runs,
-    iv_hull,
-    iv_intersect,
-    iv_pad,
-    iv_refine,
-    iv_scale,
     pow2,
     pow3,
     floor_log_recip,
     rt_abs,
     rt_add,
+    rt_block,
     rt_cell,
     rt_dist,
     rt_interval,
     rt_intersect,
     rt_max,
+    rt_meet,
     rt_min,
     rt_mul,
     rt_of,
+    rt_pad,
     rt_point,
     rt_points,
+    rt_refine,
     rt_scale,
     rt_sub,
 )
@@ -76,11 +81,18 @@ Region = Union[Interval, Cylinder]
 
 
 def _point_region(x: Point, k: int, domain: str):
-    """The kernel input a point query evaluates on: the triple of the
-    point's approximant clipped to [0,1], or the point's depth-k cylinder."""
+    """The kernel input a point query evaluates on: the triple of an exact
+    rational point in [0,1], else of the point's approximant clipped to
+    [0,1]; or the point's depth-k cylinder."""
     if domain == "unit":
         if not isinstance(x, UnitPoint):
             raise DomainError(f"unit-interval code evaluated at {x!r}")
+        q = x.exact
+        if type(q) is Fraction:
+            n, d = q.numerator, q.denominator
+            if n < 0 or n > d:
+                raise DomainError(f"point {x!r} verifiably outside [0,1]")
+            return n, n, d
         box = rt_intersect(rt_of(x.approx(k)), _UNIT_CELL)
         if box is None:
             raise DomainError(f"point {x!r} verifiably outside [0,1]")
@@ -90,7 +102,8 @@ def _point_region(x: Point, k: int, domain: str):
     return Cylinder(x.bits(k))
 
 
-def _ladder(stage: int) -> list[int]:
+@lru_cache(maxsize=32)
+def _ladder(stage: int) -> tuple:
     """Stages actually evaluated under budget `stage`: powers of two, then the budget."""
     if stage < 0:
         raise ValueError("stage must be >= 0")
@@ -101,11 +114,7 @@ def _ladder(stage: int) -> list[int]:
         s *= 2
     if not out or out[-1] != stage:
         out.append(stage)
-    return out
-
-
-def _iv_gap(a: Interval, b: Interval) -> Fraction:
-    return max(abs(a.lo - b.lo), abs(a.hi - b.hi))
+    return tuple(out)
 
 
 def _resolvable_j(modulus: Callable[[int], int], stage: int) -> Optional[int]:
@@ -134,6 +143,7 @@ class ContinuousCode:
     (a sequence-space region as its Cylinder) and returns the enclosure as
     a triple. The continuous_* constructors compose kernels, and a caller's
     own Interval-valued region evaluator is adapted to one, once, here.
+    Point evaluations (`_eval`) stay triples too, accumulated per point.
     """
 
     kind = "continuous"
@@ -145,7 +155,7 @@ class ContinuousCode:
             self.kernel = lambda cyl, k: rt_of(region_eval(cyl, k))
         self.domain = domain
         self.label = label
-        self._acc: dict[Point, Interval] = {}
+        self._acc: dict[Point, tuple] = {}
 
     @classmethod
     def from_kernel(cls, kernel: Callable, domain: str = "unit", label: str = "") -> "ContinuousCode":
@@ -158,9 +168,9 @@ class ContinuousCode:
         """Enclosure of the code over the region, built as one Interval."""
         return rt_interval(self.kernel(rt_of(region) if self.domain == "unit" else region, k))
 
-    def _eval(self, x: Point, stage: int) -> Interval:
-        raw = rt_interval(self.kernel(_point_region(x, stage, self.domain), stage))
-        got = iv_refine(self._acc.get(x), raw, what=f"continuous code {self.label or id(self)} at {x!r}")
+    def _eval(self, x: Point, stage: int) -> tuple:
+        raw = self.kernel(_point_region(x, stage, self.domain), stage)
+        got = rt_refine(self._acc.get(x), raw, lambda: f"continuous code {self.label or id(self)} at {x!r}")
         self._acc[x] = got
         return got
 
@@ -175,6 +185,10 @@ class DirectCode:
     stage grows; only then are they intersected across calls. Evaluators
     whose fallback intervals are stand-ins rather than sound limit
     enclosures must pass monotone=False.
+
+    Like a continuous code, the code evaluates through a kernel: kernel(x,
+    s) returns the enclosure at the point x as a triple. A caller's own
+    Interval-valued point evaluator is adapted to one, once, here.
     """
 
     kind = "direct"
@@ -186,17 +200,26 @@ class DirectCode:
         monotone: bool = True,
         label: str = "",
     ):
-        self.point_eval = point_eval
+        self.kernel = lambda x, s: rt_of(point_eval(x, s))
         self.domain = domain
         self.monotone = monotone
         self.label = label
-        self._acc: dict[Point, Interval] = {}
+        self._acc: dict[Point, tuple] = {}
 
-    def _eval(self, x: Point, stage: int) -> Interval:
-        raw = self.point_eval(x, stage)
+    @classmethod
+    def from_kernel(
+        cls, kernel: Callable, domain: str = "unit", monotone: bool = True, label: str = ""
+    ) -> "DirectCode":
+        """The code of a triple-valued point kernel."""
+        code = cls.__new__(cls)
+        code.kernel, code.domain, code.monotone, code.label, code._acc = kernel, domain, monotone, label, {}
+        return code
+
+    def _eval(self, x: Point, stage: int) -> tuple:
+        raw = self.kernel(x, stage)
         if not self.monotone:
             return raw
-        got = iv_refine(self._acc.get(x), raw, what=f"direct code {self.label or id(self)} at {x!r}")
+        got = rt_refine(self._acc.get(x), raw, lambda: f"direct code {self.label or id(self)} at {x!r}")
         self._acc[x] = got
         return got
 
@@ -210,17 +233,6 @@ def _block(stage: int) -> tuple[int, int]:
     if stage < 2:
         return 1, 2
     return -(-stage // 2), stage
-
-
-def _block_enclosure(term_at: Callable[[int], Interval], stage: int) -> Interval:
-    lo_n, hi_n = _block(stage)
-    boxes = [term_at(n) for n in range(lo_n, hi_n + 1)]
-    hull = boxes[0]
-    worst = Fraction(0)
-    for a, b in zip(boxes, boxes[1:]):
-        hull = iv_hull(hull, b)
-        worst = max(worst, _iv_gap(a, b))
-    return iv_pad(hull, worst)
 
 
 class _LimitCode:
@@ -244,8 +256,9 @@ class _LimitCode:
         self.domain = domain
         self.label = label
         self._term_cache: dict[int, GaugeCode] = {}
-        self._cert: dict[Point, Interval] = {}
-        self._best_lo: dict[Point, Fraction] = {}
+        self._cert: dict[Point, tuple] = {}
+        self._best_lo: dict[Point, tuple] = {}  # (numerator, denominator)
+        self._resolved_at: dict[int, Optional[tuple]] = {}
 
     def term(self, n: int) -> GaugeCode:
         if n not in self._term_cache:
@@ -255,31 +268,38 @@ class _LimitCode:
             self._term_cache[n] = code
         return self._term_cache[n]
 
-    def _certificate(self, x: Point, stage: int) -> Optional[Interval]:
-        if self.modulus is None:
-            return None
-        j = _resolvable_j(self.modulus, stage)
-        if j is None:
-            return None
-        n = max(1, self.modulus(j))
-        return iv_pad(self.term(n)._eval(x, stage), pow2(-j))
+    def _resolved(self, stage: int) -> Optional[tuple]:
+        """(j, N): the finest 2^-j the modulus certifies by `stage` and the
+        term index N = max(1, modulus(j)) that carries it; None when the
+        modulus certifies nothing yet or there is none. Kept per stage."""
+        if stage not in self._resolved_at:
+            j = None if self.modulus is None else _resolvable_j(self.modulus, stage)
+            self._resolved_at[stage] = None if j is None else (j, max(1, self.modulus(j)))
+        return self._resolved_at[stage]
 
-    def _limit_eval(self, x: Point, stage: int) -> Interval:
-        hull = _block_enclosure(lambda n: self.term(n)._eval(x, stage), stage)
-        cert = self._certificate(x, stage)
-        if cert is not None:
-            self._cert[x] = iv_refine(self._cert.get(x), cert, what=f"certificate of {self.label or id(self)} at {x!r}")
+    def _limit_eval(self, x: Point, stage: int) -> tuple:
+        lo_n, hi_n = _block(stage)
+        hull = rt_block([self.term(n)._eval(x, stage) for n in range(lo_n, hi_n + 1)])
+        resolved = self._resolved(stage)
+        if resolved is not None:
+            j, n = resolved
+            cert = rt_pad(self.term(n)._eval(x, stage), j)
+            what = lambda: f"certificate of {self.label or id(self)} at {x!r}"
+            self._cert[x] = rt_refine(self._cert.get(x), cert, what)
         known = self._cert.get(x)
         if known is not None:
-            got = iv_intersect(hull, known)
+            got = rt_intersect(hull, known)
             if got is None:
                 raise CauchyViolation(
-                    f"limit code {self.label or id(self)}: block hull {hull} avoids certified {known} at {x!r}"
+                    f"limit code {self.label or id(self)}: block hull {rt_interval(hull)} "
+                    f"avoids certified {rt_interval(known)} at {x!r}"
                 )
         else:
             got = hull
+        lo, _, d = got
         prev = self._best_lo.get(x)
-        self._best_lo[x] = got.lo if prev is None else max(prev, got.lo)
+        if prev is None or lo * prev[1] > prev[0] * d:
+            self._best_lo[x] = lo, d
         return got
 
     def __repr__(self) -> str:
@@ -296,7 +316,7 @@ class Baire1Code(_LimitCode):
 
     kind = "baire1"
 
-    def _eval(self, x: Point, stage: int) -> Interval:
+    def _eval(self, x: Point, stage: int) -> tuple:
         return self._limit_eval(x, stage)
 
 
@@ -305,7 +325,7 @@ class Baire2Code(_LimitCode):
 
     kind = "baire2"
 
-    def _eval(self, x: Point, stage: int) -> Interval:
+    def _eval(self, x: Point, stage: int) -> tuple:
         return self._limit_eval(x, stage)
 
 
@@ -316,12 +336,15 @@ def eval_enclosure(g: GaugeCode, x: Point, stage: int) -> Interval:
     """Interval consistent with every limit value observable through `stage`."""
     if stage < 0:
         raise ValueError("stage must be >= 0")
-    return g._eval(x, stage)
+    return rt_interval(g._eval(x, stage))
 
 
-def _decide(lo, hi, q: Fraction, strict: bool, g, x) -> Optional[Verdict]:
-    yes = lo is not None and (lo > q if strict else lo >= q)
-    no = hi is not None and (hi <= q if strict else hi < q)
+def _decide(lo, hi, d: int, q: Fraction, strict: bool, g, x) -> Optional[Verdict]:
+    """The verdict that the bounds lo/d and hi/d on the value settle, if
+    any; a bound that is None says nothing."""
+    qn, qd = q.numerator, q.denominator
+    yes = lo is not None and (lo * qd > qn * d if strict else lo * qd >= qn * d)
+    no = hi is not None and (hi * qd <= qn * d if strict else hi * qd < qn * d)
     if yes and no:
         op = ">" if strict else ">="
         raise CauchyViolation(f"code {g!r} verifies both sides of {op} {q} at {x!r}")
@@ -335,29 +358,37 @@ def _decide(lo, hi, q: Fraction, strict: bool, g, x) -> Optional[Verdict]:
 def _verdict(g: GaugeCode, x: Point, q, stage: int, strict: bool) -> Verdict:
     if type(q) is not Fraction:
         q = Fraction(q)
-    if q < 0:
+    if q.numerator < 0:
         raise ValueError("need q >= 0")
     limit = isinstance(g, _LimitCode)
     # a direct code whose enclosures do not nest is judged on the best
     # bounds any rung gave
     spread = g.kind == "direct" and not g.monotone
-    lo = hi = None
+    best = None
     for s in _ladder(stage):
-        box = eval_enclosure(g, x, s)
+        box = g._eval(x, s)
         if spread:
-            lo = box.lo if lo is None else max(lo, box.lo)
-            hi = box.hi if hi is None else min(hi, box.hi)
+            best = box if best is None else rt_meet(best, box)
         elif not limit:
-            # the returned interval is the accumulated one, which only
+            # the returned triple is the accumulated one, which only
             # shrinks, so a decision now is permanent and cannot conflict
             # with later stages (those would fail to refine)
-            got = _decide(box.lo, box.hi, q, strict, g, x)
+            got = _decide(*box, q, strict, g, x)
             if got is not None:
                 return got
     if limit:
+        # the best lower end observed and the certified upper end, if any,
+        # over one denominator
+        lo, lo_d = g._best_lo[x]
         cert = g._cert.get(x)
-        lo, hi = g._best_lo[x], (cert.hi if cert is not None else None)
-    got = _decide(lo, hi, q, strict, g, x)
+        if cert is None:
+            best = lo, None, lo_d
+        else:
+            _, hi, d = cert
+            best = lo * d, hi * lo_d, lo_d * d
+    if best is None:
+        return Verdict.UNKNOWN
+    got = _decide(*best, q, strict, g, x)
     return got if got is not None else Verdict.UNKNOWN
 
 
@@ -448,8 +479,9 @@ def scale_code(g: GaugeCode, factor) -> GaugeCode:
     if g.kind == "continuous":
         return continuous_scale(c, g)
     if g.kind == "direct":
-        return DirectCode(
-            lambda x, s: iv_scale(c, g.point_eval(x, s)),
+        kernel = g.kernel
+        return DirectCode.from_kernel(
+            lambda x, s: rt_scale(c, kernel(x, s)),
             domain=g.domain,
             monotone=g.monotone,
             label=f"scale({c},{g.label})",
@@ -485,8 +517,9 @@ def pullback_gauge_phi(g: GaugeCode) -> GaugeCode:
             label=f"phi*({g.label})",
         )
     if g.kind == "direct":
-        return DirectCode(
-            lambda x, s: g.point_eval(phi(x), s),
+        kernel = g.kernel
+        return DirectCode.from_kernel(
+            lambda x, s: kernel(phi(x), s),
             domain="cantor",
             monotone=g.monotone,
             label=f"phi*({g.label})",
@@ -560,10 +593,10 @@ def preimage_pieces(g: Baire1Code, ball: Ball, count: int) -> list[list[Interval
     for k in range(count):
         stage = 5 + k
         s_k = ball.radius * (1 - pow2(-(k + 1)))
-        j = None if g.modulus is None else _resolvable_j(g.modulus, stage)
+        j, n = g._resolved(stage) or (None, None)
         if j is not None and s_k - pow2(-j) > 0:
             bound = s_k - pow2(-j)
-            gap = continuous_abs(continuous_sub(g.term(max(1, g.modulus(j))), c))
+            gap = continuous_abs(continuous_sub(g.term(n), c))
             for i in range(len(member)):
                 if member[i]:
                     continue

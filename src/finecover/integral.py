@@ -28,8 +28,8 @@ from .exact import (
     iv_add,
     iv_mul,
     iv_pad,
-    pow2,
     rt_of,
+    rt_point,
     rt_scale,
 )
 from .gauges import DirectCode, GaugeCode, Verdict, continuous_const, scale_code
@@ -229,19 +229,21 @@ def dirichlet_gauge_family() -> GaugeFamily:
     """
 
     def fam(eps: Fraction) -> GaugeCode:
-        def at(p: UnitPoint, stage: int) -> Interval:
+        en, ed = eps.numerator, eps.denominator
+
+        def kernel(p: UnitPoint, stage: int) -> tuple:
             q = _exact_rational(p)
             if q is not None:
                 cap = stage + 64
                 n = stern_brocot_index(q, cap)
                 if n is None:
-                    return Interval(Fraction(0), eps * pow2(-cap))
-                return Interval.point(eps * pow2(-n))
+                    return 0, en, ed << cap  # [0, eps 2^-cap]
+                return en, en, ed << n  # eps 2^-n
             if p.is_exact:
-                return Interval.point(Fraction(1))  # exact quadratic irrational
-            return Interval(Fraction(0), Fraction(1))
+                return 1, 1, 1  # exact quadratic irrational
+            return 0, 1, 1
 
-        return DirectCode(at, domain="unit", label=f"dirichlet-{eps}")
+        return DirectCode.from_kernel(kernel, domain="unit", label=f"dirichlet-{eps}")
 
     return GaugeFamily(fam, label="dirichlet")
 
@@ -269,15 +271,21 @@ def dirichlet_hints(level: int = 2) -> list[UnitPoint]:
 
 def _sqrt_recip_family() -> GaugeFamily:
     def fam(eps: Fraction) -> GaugeCode:
-        def at(p: UnitPoint, stage: int) -> Interval:
+        at_zero = rt_point((eps / 4) ** 2)
+        en, ed2 = eps.numerator, 2 * eps.denominator
+
+        def kernel(p: UnitPoint, stage: int) -> tuple:
             q = _exact_rational(p)
             if q is None:
                 raise EvaluationError(f"gauge needs exact rational points, got {p}")
-            if q == 0:
-                return Interval.point((eps / 4) ** 2)
-            return Interval.point(eps * q / 2)
+            n = q.numerator
+            if n == 0:
+                return at_zero
+            # eps q / 2 for q = n/m
+            v = en * n
+            return v, v, ed2 * q.denominator
 
-        return DirectCode(at, domain="unit", label=f"sqrt-recip-{eps}")
+        return DirectCode.from_kernel(kernel, domain="unit", label=f"sqrt-recip-{eps}")
 
     return GaugeFamily(fam, label="sqrt-recip")
 

@@ -228,6 +228,7 @@ def test_cover_to_partition_quad_points_get_dyadic_cuts():
 # The conversion as it was written before the single sweep, kept as the
 # reference: the balls sorted and swept for the witness, then the rows
 # sorted by (lo, -hi), the contained ones dropped, and a second FineCover.
+# Balls that miss [0,1] are dropped first, as the sweep does.
 
 
 def _ref_witness(cover):
@@ -245,7 +246,8 @@ def _ref_witness(cover):
 def _ref_minimize(cover):
     if _ref_witness(cover) is not None:
         raise NotACover("input does not cover [0,1]")
-    rows = sorted((p.exact - r, -(p.exact + r), p, r) for p, r in cover.entries())
+    meets = [(p, r) for p, r in cover.entries() if p.exact + r > 0 and p.exact - r < 1]
+    rows = sorted((p.exact - r, -(p.exact + r), p, r) for p, r in meets)
     best_hi, kept = None, []
     for lo, neg_hi, p, r in rows:
         if best_hi is not None and -neg_hi <= best_hi:
@@ -337,6 +339,46 @@ def test_one_sweep_matches_the_two_sort_conversion(cover):
             assert got.entries() == want.entries()
         else:
             assert got == want
+
+
+def _conversion_outcome(convert, cover):
+    try:
+        got = convert(cover)
+    except (NotACover, MalformedPartition) as e:
+        return type(e), str(e)
+    return got.entries() if isinstance(got, FineCover) else got
+
+
+def test_balls_centred_outside_the_interval_that_miss_it_are_skipped():
+    """Balls disjoint from [0,1], or touching it only at 0 or at 1."""
+    for r, far in (
+        (F(1), (F(19, 10), F(1, 20))),
+        (F(1), (F(-1), F(1, 2))),
+        (F(1, 2), (F(-1, 4), F(1, 4))),
+        (F(1, 2), (F(5, 4), F(1, 4))),
+    ):
+        cover = FineCover([(up(F(1, 2)), r), (up(far[0]), far[1])])
+        assert uncovered_witness(cover) is None
+        assert minimize_cover(cover).entries() == [(up(F(1, 2)), r)]
+        assert cover_to_partition(cover) == TaggedPartition((F(0), F(1)), (up(F(1, 2)),))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    cover=_unit_covers(),
+    far=st.one_of(st.fractions(-1, F(-1, 2), max_denominator=16), st.fractions(F(3, 2), 2, max_denominator=16)),
+    share=st.fractions(F(1, 64), F(1), max_denominator=64),
+)
+def test_a_ball_that_misses_the_interval_changes_no_conversion(cover, far, share):
+    """Adding a ball disjoint from [0,1], or touching it only at an endpoint
+    (its radius a share of its centre's distance to [0,1], share 1 touching),
+    leaves the witness, minimize_cover and cover_to_partition as they were,
+    errors included."""
+    reach = -far if far < 0 else far - 1
+    wider = FineCover(cover.entries() + [(up(far), reach * share)])
+    assert uncovered_witness(wider) == uncovered_witness(cover)
+    for convert in (minimize_cover, cover_to_partition):
+        assert _conversion_outcome(convert, wider) == _conversion_outcome(convert, cover)
 
 
 # -- round trips ---------------------------------------------------------

@@ -10,17 +10,16 @@ from finecover.exact import (
     exact_floor,
     floor_log_recip,
     iv_add,
-    iv_hull,
     iv_intersect,
     iv_mul,
     iv_pad,
-    iv_scale,
     parse_rat,
     pow2,
     pow3,
     rat_str,
     rt_abs,
     rt_add,
+    rt_block,
     rt_geom_tail,
     rt_interval,
     rt_intersect,
@@ -152,14 +151,18 @@ def test_interval_ops_sound():
         c = rand_rat(rng)
         assert iv_add(a, b).contains(x + y) and rt_interval(rt_add(ta, tb)) == iv_add(a, b)
         assert iv_mul(a, b).contains(x * y) and rt_interval(rt_mul(ta, tb)) == iv_mul(a, b)
-        assert iv_scale(c, a).contains(c * x) and rt_interval(rt_scale(c, ta)) == iv_scale(c, a)
+        scaled = Interval(min(c * a.lo, c * a.hi), max(c * a.lo, c * a.hi))
+        assert scaled.contains(c * x) and rt_interval(rt_scale(c, ta)) == scaled
         assert rt_interval(rt_sub(ta, tb)).contains(x - y)
         assert rt_interval(rt_abs(ta)).contains(abs(x))
         assert rt_interval(rt_min(ta, tb)).contains(min(x, y))
         assert rt_interval(rt_max(ta, tb)).contains(max(x, y))
         assert rt_interval(rt_min(ta, tb)) == Interval(min(a.lo, b.lo), min(a.hi, b.hi))
         assert rt_interval(rt_max(ta, tb)) == Interval(max(a.lo, b.lo), max(a.hi, b.hi))
-        assert iv_hull(a, b).contains(x) and iv_hull(a, b).contains(y)
+        gap = max(abs(a.lo - b.lo), abs(a.hi - b.hi))
+        block = rt_interval(rt_block([ta, tb]))
+        assert block == Interval(min(a.lo, b.lo) - gap, max(a.hi, b.hi) + gap)
+        assert block.contains(x) and block.contains(y)
         got = iv_intersect(a, b)
         if got is None:
             assert a.hi < b.lo or b.hi < a.lo

@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from finecover.exact import CauchyViolation, Interval, pow2, pow3
+from finecover.exact import CauchyViolation, Interval, QuadVal, iv_intersect, iv_pad, pow2, pow3, rt_interval
+from finecover.gallery import OracleSpec, oracle_pin_gauge, pin_index
 from finecover.gauges import (
     Baire1Code,
     Baire2Code,
@@ -29,6 +32,7 @@ from finecover.gauges import (
     verified_at_least,
 )
 from finecover.spaces import Ball, CantorPoint, Cylinder, UnitPoint
+from finecover.integral import builtin_integrands, stern_brocot_index
 
 
 def _rand_expr(rng, depth=3):
@@ -406,3 +410,400 @@ def test_preimage_pieces_inner_approximation():
     # no modulus, nothing verifiable
     bare = Baire1Code(lambda n: continuous_const(0))
     assert preimage_pieces(bare, Ball(UnitPoint.from_rat(Fraction(0)), Fraction(1)), 2) == [[], []]
+
+
+def test_modulus_is_resolved_once_per_stage():
+    """A limit code asks its modulus for the finest certified 2^-j once per
+    stage, not once per certificate: a stage-s scan makes s + 2 calls
+    (j = 0 .. s + 1) and one more gives the term index."""
+    calls = []
+
+    def modulus(j):
+        calls.append(j)
+        return max(1, j)
+
+    g = Baire1Code(lambda n: continuous_const(Fraction(1, 2) + pow2(-n)), modulus=modulus)
+    points = [UnitPoint.from_rat(Fraction(i, 7)) for i in range(8)]
+    for x in points:
+        assert verified_above(g, x, Fraction(1, 4), 10) is Verdict.YES
+    assert len(calls) == sum(s + 3 for s in (1, 2, 4, 8, 10))
+    for x in points:
+        eval_enclosure(g, x, 10)
+        assert verified_above(g, x, Fraction(3, 5), 10) is Verdict.NO
+    assert len(calls) == sum(s + 3 for s in (1, 2, 4, 8, 10))
+
+
+# -- the Interval-valued evaluation layer, kept as the reference ----------
+#
+# Point verdicts run on integer-numerator triples. This is the layer as it
+# was written before, in Fractions and Intervals: accumulators folded with
+# iv_refine, limit codes enclosed by the padded block hull and certified
+# through a modulus scanned afresh each time, and verdicts decided on
+# Fraction compares. It evaluates the same kinds of codes through their
+# kernels and keeps its own accumulators, so the two layers must agree on
+# every enclosure, verdict and exception.
+
+_UNIT = Interval(0, 1)
+
+
+def _ref_refine(old, new):
+    if old is None:
+        return new
+    got = iv_intersect(old, new)
+    if got is None:
+        raise CauchyViolation(f"{new} disjoint from accumulated {old}")
+    return got
+
+
+def _ref_block_enclosure(term_at, stage):
+    lo_n, hi_n = (1, 2) if stage < 2 else (-(-stage // 2), stage)
+    boxes = [term_at(n) for n in range(lo_n, hi_n + 1)]
+    hull = boxes[0]
+    worst = Fraction(0)
+    for a, b in zip(boxes, boxes[1:]):
+        hull = Interval(min(hull.lo, b.lo), max(hull.hi, b.hi))
+        worst = max(worst, abs(a.lo - b.lo), abs(a.hi - b.hi))
+    return iv_pad(hull, worst)
+
+
+def _ref_resolvable_j(modulus, stage):
+    best, j = None, 0
+    while j <= 4 * stage + 64 and modulus(j) <= stage:
+        best = j
+        j += 1
+    return best
+
+
+def _ref_ladder(stage):
+    if stage < 0:
+        raise ValueError("stage must be >= 0")
+    out, s = [], 1
+    while s <= stage:
+        out.append(s)
+        s *= 2
+    if not out or out[-1] != stage:
+        out.append(stage)
+    return out
+
+
+class _Reference:
+    def __init__(self):
+        self.acc, self.cert, self.best_lo = {}, {}, {}
+
+    def eval(self, g, x, stage):
+        key = (id(g), x)
+        if g.kind == "continuous":
+            if g.domain == "unit":
+                if not isinstance(x, UnitPoint):
+                    raise DomainError("not a unit point")
+                box = iv_intersect(x.approx(stage), _UNIT)
+                if box is None:
+                    raise DomainError("outside [0,1]")
+                raw = g.region_eval(box, stage)
+            else:
+                if not isinstance(x, CantorPoint):
+                    raise DomainError("not a sequence point")
+                raw = g.region_eval(Cylinder(x.bits(stage)), stage)
+            self.acc[key] = got = _ref_refine(self.acc.get(key), raw)
+            return got
+        if g.kind == "direct":
+            raw = rt_interval(g.kernel(x, stage))
+            if not g.monotone:
+                return raw
+            self.acc[key] = got = _ref_refine(self.acc.get(key), raw)
+            return got
+        hull = _ref_block_enclosure(lambda n: self.eval(g.term(n), x, stage), stage)
+        j = None if g.modulus is None else _ref_resolvable_j(g.modulus, stage)
+        if j is not None:
+            cert = iv_pad(self.eval(g.term(max(1, g.modulus(j))), x, stage), pow2(-j))
+            self.cert[key] = _ref_refine(self.cert.get(key), cert)
+        known = self.cert.get(key)
+        if known is not None:
+            got = iv_intersect(hull, known)
+            if got is None:
+                raise CauchyViolation("block hull avoids the certificate")
+        else:
+            got = hull
+        prev = self.best_lo.get(key)
+        self.best_lo[key] = got.lo if prev is None else max(prev, got.lo)
+        return got
+
+    def enclosure(self, g, x, stage):
+        if stage < 0:
+            raise ValueError("stage must be >= 0")
+        return self.eval(g, x, stage)
+
+    @staticmethod
+    def _decide(lo, hi, q, strict):
+        yes = lo is not None and (lo > q if strict else lo >= q)
+        no = hi is not None and (hi <= q if strict else hi < q)
+        if yes and no:
+            raise CauchyViolation("both sides")
+        return Verdict.YES if yes else Verdict.NO if no else None
+
+    def verdict(self, g, x, q, stage, strict):
+        q = Fraction(q)
+        if q < 0:
+            raise ValueError("need q >= 0")
+        limit = g.kind in ("baire1", "baire2")
+        spread = g.kind == "direct" and not g.monotone
+        lo = hi = None
+        for s in _ref_ladder(stage):
+            box = self.enclosure(g, x, s)
+            if spread:
+                lo = box.lo if lo is None else max(lo, box.lo)
+                hi = box.hi if hi is None else min(hi, box.hi)
+            elif not limit:
+                got = self._decide(box.lo, box.hi, q, strict)
+                if got is not None:
+                    return got
+        if limit:
+            cert = self.cert.get((id(g), x))
+            lo, hi = self.best_lo[(id(g), x)], (cert.hi if cert is not None else None)
+        got = self._decide(lo, hi, q, strict)
+        return got if got is not None else Verdict.UNKNOWN
+
+
+def _geometric_terms(limit, c, ratio):
+    return lambda n: continuous_add(limit(), continuous_const(c * ratio**n))
+
+
+_MODULUS = lambda j: max(1, j + 1)  # true for geometric terms, |c| <= 1, |ratio| <= 1/2
+
+
+_KINDS = (
+    "continuous", "direct", "direct-stand-in", "direct-liar", "pin",
+    "baire1", "baire1-bare", "baire1-liar", "baire2", "baire2-bare",
+)
+
+
+@st.composite
+def _codes(draw, kind):
+    """(space, builder) for one gauge code of the given kind, on [0,1] or
+    pulled back to the sequence space; the builder is called once per
+    layer, so that each layer evaluates codes of its own."""
+    seed = draw(st.integers(0, 10**6))
+    expr = lambda: _rand_expr(random.Random(seed), depth=2)[0]
+    c = draw(st.sampled_from([Fraction(1), Fraction(-1, 2), Fraction(1, 3)]))
+    ratio = draw(st.sampled_from([Fraction(1, 2), Fraction(-1, 3), Fraction(1, 4)]))
+    tight, v = draw(st.integers(1, 12)), draw(st.fractions(0, 2, max_denominator=16))
+
+    def direct():
+        g = expr()
+
+        def ev(x, s):
+            box = iv_intersect(x.approx(s), _UNIT)
+            if box is None:
+                raise DomainError("outside [0,1]")
+            return g.region_eval(box, s)
+
+        return DirectCode(ev)
+
+    def baire2(modulus):
+        def level1(m):
+            shifted = lambda: continuous_add(expr(), continuous_const(pow2(-m)))
+            return Baire1Code(_geometric_terms(shifted, c, ratio), modulus=_MODULUS)
+
+        return lambda: Baire2Code(level1, modulus=modulus)
+
+    flip = draw(st.integers(2, 14))
+    recipes = {
+        "continuous": expr,
+        "direct": direct,
+        # [2^-s, 1] below stage `tight`, then a value that may lie outside
+        "direct-stand-in": lambda: DirectCode(
+            lambda x, s: Interval(pow2(-s), 1) if s < tight else Interval.point(v), monotone=False
+        ),
+        "direct-liar": lambda: DirectCode(lambda x, s: Interval.point(Fraction(1, 2 + s % 3))),
+        "baire1": lambda: Baire1Code(_geometric_terms(expr, c, ratio), modulus=_MODULUS),
+        "baire1-bare": lambda: Baire1Code(_geometric_terms(expr, c, ratio)),
+        "baire1-liar": lambda: Baire1Code(
+            lambda n: continuous_const(Fraction(5 if n < flip else 0)), modulus=lambda j: 1
+        ),
+        "baire2": baire2(_MODULUS),
+        "baire2-bare": baire2(None),
+    }
+    if kind == "pin":
+        z = draw(st.sampled_from([("", "01"), ("1", "0"), ("01", "110")]))
+        return "cantor", lambda: oracle_pin_gauge(OracleSpec(CantorPoint.from_pattern(*z)))
+    recipe = recipes[kind]
+    if draw(st.booleans()):
+        return "unit", recipe
+    return "cantor", lambda: pullback_gauge_phi(recipe())
+
+
+@st.composite
+def _points(draw, space):
+    """A builder of one point; approximant points keep the history of their
+    queries, so each layer gets a point of its own."""
+    if space == "cantor":
+        prefix = draw(st.text("01", max_size=6))
+        if draw(st.booleans()):
+            period = draw(st.text("01", min_size=1, max_size=3))
+            return lambda: CantorPoint.from_pattern(prefix, period)
+        bits = prefix + "1"
+        return lambda: CantorPoint.from_rule(lambda i: int(bits[i % len(bits)]) ^ (i > 20))
+    kind = draw(st.sampled_from(["rational", "end", "outside", "quad", "approx"]))
+    if kind == "rational":
+        q = draw(st.fractions(0, 1, max_denominator=64))
+    elif kind == "end":
+        q = draw(st.sampled_from([Fraction(0), Fraction(1)]))
+    elif kind == "outside":
+        q = draw(st.sampled_from([Fraction(-1, 3), Fraction(3, 2)]))
+    elif kind == "quad":
+        a = draw(st.fractions(0, 1, max_denominator=8))
+        b = draw(st.fractions(Fraction(-1, 4), Fraction(1, 4), max_denominator=8).filter(bool))
+        return lambda: UnitPoint.from_quad(QuadVal(a, b))
+    else:
+        w = draw(st.fractions(0, 1, max_denominator=64))
+        return lambda: UnitPoint.from_fn(lambda k: Interval(w - pow2(-k - 1), w + pow2(-k - 1)))
+    return lambda: UnitPoint.from_rat(q)
+
+
+_QS = st.one_of(
+    st.just(Fraction(0)),
+    st.tuples(st.integers(0, 64), st.integers(0, 8)).map(lambda t: Fraction(t[0], 1 << t[1])),
+    st.fractions(0, 2, max_denominator=30),
+)
+
+
+def _outcome(call):
+    """The value of call(), or the class of the ValueError it raised
+    (CauchyViolation and DomainError among them)."""
+    try:
+        return call()
+    except ValueError as e:
+        return type(e)
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_triple_layer_matches_the_interval_reference(kind, data):
+    """Enclosures, verdicts and exceptions of the triple layer are those of
+    the Interval reference, over every code kind, point kind and q, with
+    the stages in random order so the accumulators are reused."""
+    space, code = data.draw(_codes(kind))
+    point = data.draw(_points(space))
+    ops = data.draw(st.lists(
+        st.tuples(st.sampled_from(["enclosure", "above", "at_least"]), st.integers(0, 16), _QS),
+        min_size=1, max_size=6,
+    ))
+    g, x, ref, rg, rx = code(), point(), _Reference(), code(), point()
+    for op, stage, q in ops:
+        if op == "enclosure":
+            got = _outcome(lambda: eval_enclosure(g, x, stage))
+            want = _outcome(lambda: ref.enclosure(rg, rx, stage))
+        else:
+            check = verified_above if op == "above" else verified_at_least
+            got = _outcome(lambda: check(g, x, q, stage))
+            want = _outcome(lambda: ref.verdict(rg, rx, q, stage, op == "above"))
+        assert got == want, (op, stage, q)
+        if isinstance(want, type):
+            break
+
+
+# -- hand-written kernels against the Interval evaluators they replace ----
+#
+# The pin gauge and the dirichlet and sqrt-reciprocal families build their
+# triples by hand. The evaluators below are the Interval-valued ones those
+# kernels replaced; each kernel's triple must be the same interval.
+
+
+def _ref_pin_at(spec):
+    def at(x, stage):
+        f = pin_index(spec, x, bound=max(stage, 8))
+        if f == 0:
+            return Interval.point(Fraction(1))
+        if f is None:
+            return Interval(pow2(-max(stage, 8)), Fraction(1))
+        return Interval.point(pow2(-f))
+
+    return at
+
+
+def _ref_dirichlet_at(eps):
+    def at(p, stage):
+        q = p.exact if p.is_rational else None
+        if q is not None:
+            cap = stage + 64
+            n = stern_brocot_index(q, cap)
+            if n is None:
+                return Interval(Fraction(0), eps * pow2(-cap))
+            return Interval.point(eps * pow2(-n))
+        if p.is_exact:
+            return Interval.point(Fraction(1))
+        return Interval(Fraction(0), Fraction(1))
+
+    return at
+
+
+def _ref_sqrt_recip_at(eps):
+    def at(p, stage):
+        q = p.exact if p.is_rational else None
+        if q is None:
+            raise ValueError(f"gauge needs exact rational points, got {p}")
+        if q == 0:
+            return Interval.point((eps / 4) ** 2)
+        return Interval.point(eps * q / 2)
+
+    return at
+
+
+def _kernel_outcome(call):
+    try:
+        return call()
+    except ValueError as e:
+        return str(e)
+
+
+_EPS = st.one_of(
+    st.integers(0, 12).map(lambda k: pow2(-k)),
+    st.fractions(Fraction(1, 30), 1, max_denominator=30),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    family=st.sampled_from(["dirichlet", "sqrt-reciprocal"]),
+    eps=_EPS,
+    point=_points("unit"),
+    stages=st.lists(st.integers(0, 40), min_size=1, max_size=4),
+)
+def test_family_kernels_match_their_interval_evaluators(family, eps, point, stages):
+    """Rationals (0 and 1 among them, points outside [0,1] and deep
+    Stern-Brocot points past the cap), quadratic irrationals and
+    approximant points."""
+    code = builtin_integrands()[family][1].at(eps)
+    at = (_ref_dirichlet_at if family == "dirichlet" else _ref_sqrt_recip_at)(eps)
+    x = point()
+    for s in stages:
+        got = _kernel_outcome(lambda: rt_interval(code.kernel(x, s)))
+        assert got == _kernel_outcome(lambda: at(x, s)), (x, s)
+
+
+def test_dirichlet_kernel_past_the_stern_brocot_cap():
+    eps = Fraction(3, 10)
+    code = builtin_integrands()["dirichlet"][1].at(eps)
+    x = UnitPoint.from_rat(Fraction(1, 70))  # index 2^68 + 2, past the cap stage + 64
+    for s in (0, 5, 69, 80):
+        assert rt_interval(code.kernel(x, s)) == _ref_dirichlet_at(eps)(x, s)
+    assert stern_brocot_index(Fraction(1, 70), 64) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    z=st.sampled_from([("", "01"), ("1", "0"), ("01", "110"), ("0110", "1")]),
+    point=_points("cantor"),
+    near=st.integers(0, 40),
+    stages=st.lists(st.integers(0, 40), min_size=1, max_size=4),
+)
+def test_pin_kernel_matches_its_interval_evaluator(z, point, near, stages):
+    """Pattern and rule points, Z itself, and rule points agreeing with Z
+    on their first `near` bits, so the scan bound sometimes runs out."""
+    spec = OracleSpec(CantorPoint.from_pattern(*z))
+    code, at = oracle_pin_gauge(spec), _ref_pin_at(spec)
+    zed = spec.Z
+    for x in (point(), zed, CantorPoint.from_rule(lambda i: zed.bit(i) ^ (i >= near))):
+        for s in stages:
+            assert rt_interval(code.kernel(x, s)) == at(x, s), (x, s)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finecover.covers import Obstruction, TaggedPartition
-from finecover.exact import Interval, QuadVal, iv_add, iv_scale, pow2
+from finecover.exact import Interval, QuadVal, iv_add, pow2
 from finecover.gauges import Verdict, eval_enclosure
 from finecover.integral import (
     EvaluationError,
@@ -62,7 +62,8 @@ def _ref_riemann_sum(f, part, prec):
     total = Interval.point(F(0))
     for lo, hi, tag in part.cells:
         if hi != lo:
-            total = iv_add(total, iv_scale(hi - lo, f.at(tag, prec)))
+            box = f.at(tag, prec)
+            total = iv_add(total, Interval((hi - lo) * box.lo, (hi - lo) * box.hi))
     return total
 
 

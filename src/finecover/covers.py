@@ -151,9 +151,12 @@ class FineCover:
 class Obstruction:
     """Regions a search could not resolve by its depth limit.
 
-    Every region's acceptance test last answered Unknown: a sample saying
-    No never refutes the existential test, so a No verdict here would be
-    dishonest.
+    A region survives its level when its region bound ruled out
+    acceptance, when every sample said No, or when some sample said
+    Unknown. It is reported as unresolved, never refuted: finitely many
+    samples saying No do not refute the existential test, and a bound
+    speaks only for the region's own level, so a No verdict here would
+    be dishonest.
     """
 
     unresolved: tuple
@@ -290,9 +293,13 @@ def cover_to_partition(cover: FineCover) -> TaggedPartition:
 
     Cut choice: the midpoint of the overlap when it is rational, else the
     simplest dyadic rational strictly inside (cover points may be exact
-    quadratic irrationals; cuts must stay rational).
+    quadratic irrationals; cuts must stay rational). A kept ball centred
+    outside [0,1] is a NotACover, since its centre cannot be a tag.
     """
     rows = _minimal_rows(cover)
+    for _, _, p, _ in rows:
+        if not 0 <= p.exact <= 1:
+            raise NotACover(f"ball centred at {p.exact} outside [0,1] cannot tag a cell")
     cuts = [Fraction(0)]
     for (_, hi0, p0, _), (lo1, _, p1, _) in zip(rows, rows[1:]):
         v0, v1 = p0.exact, p1.exact

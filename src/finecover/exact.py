@@ -245,15 +245,10 @@ def rt_scale(c: Fraction, a: tuple) -> tuple:
     return p * lo, p * hi, c.denominator * d
 
 
-def rt_meet(a: tuple, b: tuple) -> tuple:
-    """(max of the lower ends, min of the upper ends), empty when lo > hi."""
-    alo, ahi, blo, bhi, d = _aligned(a, b)
-    return max(alo, blo), min(ahi, bhi), d
-
-
 def rt_intersect(a: tuple, b: tuple) -> Optional[tuple]:
     """Intersection, or None when the intervals are disjoint."""
-    lo, hi, d = rt_meet(a, b)
+    alo, ahi, blo, bhi, d = _aligned(a, b)
+    lo, hi = max(alo, blo), min(ahi, bhi)
     return None if lo > hi else (lo, hi, d)
 
 

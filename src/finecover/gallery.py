@@ -48,9 +48,12 @@ class GalleryFalsification(RuntimeError):
 @dataclass(frozen=True)
 class OpenCoverSpec:
     """Open rational intervals: a finite head, then an optional tail rule
-    n -> (center, radius) for all n past the head. Tail radii must stay
-    in (0, 1] so the series tail bound stays valid; the first few are
-    checked, the rest are trusted.
+    n -> (center, radius) for all n past the head. Tail radii must lie in
+    (0, 1] for the series tail bound; the first few are checked, and a
+    later radius above 1 is clipped to 1. The clipped interval lies inside
+    the stated one, so a union of clipped intervals that covers a set, as
+    found by check_star and finite_subcover, also covers it in the stated
+    family.
     """
 
     head: tuple
@@ -74,7 +77,7 @@ class OpenCoverSpec:
         if self.tail is None:
             return None
         c, r = self.tail(n)
-        c, r = Fraction(c), Fraction(r)
+        c, r = Fraction(c), min(Fraction(r), Fraction(1))
         return (c - r, c + r)
 
     def intervals_upto(self, k: int) -> list:
@@ -305,11 +308,10 @@ def pin_index(spec: OracleSpec, x: CantorPoint, bound: int = 0) -> Optional[int]
 def oracle_pin_gauge(spec: OracleSpec) -> DirectCode:
     """2^-f(x) with f the first-disagreement index against Z, and 1 at Z.
 
-    When the scan bound is too small to find the disagreement the
-    evaluator answers [2^-bound, 1], consistent with the sample being Z
-    itself; that stand-in is exactly what hides Z's neighborhood from
-    unhinted searches, and it is deliberately not a limit enclosure, so
-    the code is flagged non-monotone.
+    When the scan bound b is too small to find the disagreement, x is
+    either Z (value 1) or disagrees past bit b (value at most 2^-(b+1)),
+    so the evaluator answers the hull [0, 1]. That enclosure is exactly
+    what hides Z's neighborhood from unhinted searches.
     """
 
     def kernel(x: CantorPoint, stage: int) -> tuple:
@@ -318,10 +320,10 @@ def oracle_pin_gauge(spec: OracleSpec) -> DirectCode:
         if f == 0:
             return 1, 1, 1
         if f is None:
-            return 1, 1 << bound, 1 << bound  # [2^-bound, 1]
+            return 0, 1, 1  # the hull of {1} and [0, 2^-(bound+1)]
         return 1, 1, 1 << f  # 2^-f
 
-    return DirectCode.from_kernel(kernel, domain="cantor", monotone=False, label="pin")
+    return DirectCode.from_kernel(kernel, domain="cantor", label="pin")
 
 
 def oracle_pin_demo(spec: OracleSpec, depth: int, stage: int) -> FineCover:

@@ -7,12 +7,14 @@ assumes a limit exists: `eval_enclosure` reports an interval consistent
 with what has been observed through the stage budget, and `verified_above`
 turns that into Yes / No / Unknown with both positive answers permanent.
 
-Permanence is structural, not hoped for. Continuous and monotone direct
-codes fold every enclosure they ever produce into a per-point running
-intersection; limit codes fold only *certificates* derived from a declared
-convergence modulus, because their raw trailing-block hulls may legitimately
-jump around before the modulus kicks in. No-verdicts for limit codes come
-from the certified interval alone.
+Permanence is structural, not hoped for. Every point code's enclosures
+must hold the value, so continuous and direct codes fold every enclosure
+they ever produce into a per-point running intersection, and one that
+misses the others is a CauchyViolation; limit codes fold only
+*certificates* derived from a declared convergence modulus, because their
+raw trailing-block hulls may legitimately jump around before the modulus
+kicks in. No-verdicts for limit codes come from the certified interval
+alone.
 
 Evaluation runs on the integer-numerator triples of `exact`: every code's
 `_eval` returns (lo, hi, d), the per-point accumulators hold triples
@@ -42,7 +44,6 @@ from .exact import (
     rt_interval,
     rt_intersect,
     rt_max,
-    rt_meet,
     rt_min,
     rt_mul,
     rt_of,
@@ -181,10 +182,9 @@ class ContinuousCode:
 class DirectCode:
     """A gauge whose values are computed outright, no tower of codes.
 
-    `monotone` says the evaluator's enclosures at a fixed point nest as the
-    stage grows; only then are they intersected across calls. Evaluators
-    whose fallback intervals are stand-ins rather than sound limit
-    enclosures must pass monotone=False.
+    Every enclosure the evaluator returns at a point must hold the value
+    there; the enclosures are intersected across calls, so a coarse
+    fallback is fine but a stand-in that may miss the value is not.
 
     Like a continuous code, the code evaluates through a kernel: kernel(x,
     s) returns the enclosure at the point x as a triple. A caller's own
@@ -193,32 +193,21 @@ class DirectCode:
 
     kind = "direct"
 
-    def __init__(
-        self,
-        point_eval: Callable[[Point, int], Interval],
-        domain: str = "unit",
-        monotone: bool = True,
-        label: str = "",
-    ):
+    def __init__(self, point_eval: Callable[[Point, int], Interval], domain: str = "unit", label: str = ""):
         self.kernel = lambda x, s: rt_of(point_eval(x, s))
         self.domain = domain
-        self.monotone = monotone
         self.label = label
         self._acc: dict[Point, tuple] = {}
 
     @classmethod
-    def from_kernel(
-        cls, kernel: Callable, domain: str = "unit", monotone: bool = True, label: str = ""
-    ) -> "DirectCode":
+    def from_kernel(cls, kernel: Callable, domain: str = "unit", label: str = "") -> "DirectCode":
         """The code of a triple-valued point kernel."""
         code = cls.__new__(cls)
-        code.kernel, code.domain, code.monotone, code.label, code._acc = kernel, domain, monotone, label, {}
+        code.kernel, code.domain, code.label, code._acc = kernel, domain, label, {}
         return code
 
     def _eval(self, x: Point, stage: int) -> tuple:
         raw = self.kernel(x, stage)
-        if not self.monotone:
-            return raw
         got = rt_refine(self._acc.get(x), raw, lambda: f"direct code {self.label or id(self)} at {x!r}")
         self._acc[x] = got
         return got
@@ -360,35 +349,26 @@ def _verdict(g: GaugeCode, x: Point, q, stage: int, strict: bool) -> Verdict:
         q = Fraction(q)
     if q.numerator < 0:
         raise ValueError("need q >= 0")
-    limit = isinstance(g, _LimitCode)
-    # a direct code whose enclosures do not nest is judged on the best
-    # bounds any rung gave
-    spread = g.kind == "direct" and not g.monotone
-    best = None
-    for s in _ladder(stage):
-        box = g._eval(x, s)
-        if spread:
-            best = box if best is None else rt_meet(best, box)
-        elif not limit:
+    if not isinstance(g, _LimitCode):
+        for s in _ladder(stage):
             # the returned triple is the accumulated one, which only
             # shrinks, so a decision now is permanent and cannot conflict
             # with later stages (those would fail to refine)
-            got = _decide(*box, q, strict, g, x)
+            got = _decide(*g._eval(x, s), q, strict, g, x)
             if got is not None:
                 return got
-    if limit:
-        # the best lower end observed and the certified upper end, if any,
-        # over one denominator
-        lo, lo_d = g._best_lo[x]
-        cert = g._cert.get(x)
-        if cert is None:
-            best = lo, None, lo_d
-        else:
-            _, hi, d = cert
-            best = lo * d, hi * lo_d, lo_d * d
-    if best is None:
         return Verdict.UNKNOWN
-    got = _decide(*best, q, strict, g, x)
+    for s in _ladder(stage):
+        g._eval(x, s)
+    # the best lower end observed and the certified upper end, if any,
+    # over one denominator
+    lo, lo_d = g._best_lo[x]
+    cert = g._cert.get(x)
+    if cert is None:
+        got = _decide(lo, None, lo_d, q, strict, g, x)
+    else:
+        _, hi, d = cert
+        got = _decide(lo * d, hi * lo_d, lo_d * d, q, strict, g, x)
     return got if got is not None else Verdict.UNKNOWN
 
 
@@ -483,7 +463,6 @@ def scale_code(g: GaugeCode, factor) -> GaugeCode:
         return DirectCode.from_kernel(
             lambda x, s: rt_scale(c, kernel(x, s)),
             domain=g.domain,
-            monotone=g.monotone,
             label=f"scale({c},{g.label})",
         )
     # a term within 2^-(j+shift) of the limit scales to within c 2^-(j+shift) <= 2^-j
@@ -521,7 +500,6 @@ def pullback_gauge_phi(g: GaugeCode) -> GaugeCode:
         return DirectCode.from_kernel(
             lambda x, s: kernel(phi(x), s),
             domain="cantor",
-            monotone=g.monotone,
             label=f"phi*({g.label})",
         )
     return type(g)(
@@ -565,7 +543,7 @@ def transfer_gauge_psi(g: GaugeCode) -> DirectCode:
         box = eval_enclosure(g, psi_preimage_point(zq), stage)
         return Interval(_third_bucket(box.lo), _third_bucket(box.hi))
 
-    return DirectCode(ev, domain="unit", monotone=True, label=f"psi*({g.label})")
+    return DirectCode(ev, domain="unit", label=f"psi*({g.label})")
 
 
 # -- verified preimage pieces -------------------------------------------

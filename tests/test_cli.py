@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from finecover import cli, covers
+from finecover import cli, covers, integral
 from finecover.cli import main
 from finecover.covers import verify_cover
 from finecover.exact import Interval
@@ -58,19 +58,22 @@ def test_integrate_search_visits_only_cells_that_can_accept(capsys, monkeypatch)
 
 
 def test_integrate_contradicting_gauge_exits_four(capsys, monkeypatch):
-    # non-monotone gauges answering 1 on the first call at a point and 0 on
-    # every later one: the search accepts, the partition check then fails
+    # a gauge answering 1 until the cover is converted and 0 after: the
+    # scaled search code and the gauge keep separate accumulators, so each
+    # one's enclosures nest, the search accepts and the partition check
+    # then fails
+    converted = []
+    inner = integral.cover_to_partition
+
+    def converting(cover):
+        converted.append(cover)
+        return inner(cover)
+
     def fam(eps):
-        seen = set()
-
-        def at(p, stage):
-            first = p not in seen
-            seen.add(p)
-            return Interval.point(F(1) if first else F(0))
-
-        return DirectCode(at, domain="unit", monotone=False, label="flaky")
+        return DirectCode(lambda p, stage: Interval.point(F(0) if converted else F(1)), label="liar")
 
     f, _, ref = cli.builtin_integrands()["identity"]
+    monkeypatch.setattr(integral, "cover_to_partition", converting)
     monkeypatch.setattr(cli, "builtin_integrands", lambda: {"flaky": (f, GaugeFamily(fam), ref)})
     code, out, err = run(capsys, "integrate", "--preset", "flaky", "--epsilon", "1/4", "--depth", "4", "--stage", "1")
     assert code == 4

@@ -260,6 +260,9 @@ def _ref_minimize(cover):
 def _ref_cover_to_partition(cover):
     slim = _ref_minimize(cover)
     pts = [(p, p.exact, slim.radii[p]) for p in slim.points]
+    for _, v, _ in pts:
+        if not 0 <= v <= 1:
+            raise NotACover(f"ball centred at {v} outside [0,1] cannot tag a cell")
     cuts = [F(0)]
     for (p0, v0, r0), (p1, v1, r1) in zip(pts, pts[1:]):
         lo, hi = max(v0, v1 - r1), min(v1, v0 + r0)
@@ -323,14 +326,13 @@ def _unit_covers(draw):
 @given(cover=_unit_covers())
 def test_one_sweep_matches_the_two_sort_conversion(cover):
     """uncovered_witness, minimize_cover and cover_to_partition give what
-    the two-sort conversion gives, or raise the same error: NotACover, or
-    MalformedPartition for a tag outside [0,1]."""
+    the two-sort conversion gives, or raise the same NotACover."""
     assert uncovered_witness(cover) == _ref_witness(cover)
     for new, ref in ((minimize_cover, _ref_minimize), (cover_to_partition, _ref_cover_to_partition)):
         try:
             want = ref(cover)
-        except (NotACover, MalformedPartition) as e:
-            with pytest.raises(type(e)) as got:
+        except NotACover as e:
+            with pytest.raises(NotACover) as got:
                 new(cover)
             assert str(got.value) == str(e)
             continue
@@ -339,6 +341,13 @@ def test_one_sweep_matches_the_two_sort_conversion(cover):
             assert got.entries() == want.entries()
         else:
             assert got == want
+
+
+def test_a_kept_ball_centred_outside_the_interval_is_not_a_cover():
+    cover = FineCover([(up(F(-1, 8)), F(1, 2)), (up(F(1, 2)), F(1, 2))])
+    assert uncovered_witness(cover) is None
+    with pytest.raises(NotACover, match="ball centred at -1/8 outside"):
+        cover_to_partition(cover)
 
 
 def _conversion_outcome(convert, cover):

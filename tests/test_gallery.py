@@ -26,7 +26,8 @@ from finecover.gallery import (
     tailed_cover,
     two_interval_cover,
 )
-from finecover.gauges import Verdict, eval_enclosure, verified_above
+from finecover.gauges import Verdict, eval_enclosure, verified_above, verified_at_least
+from finecover.gaugespec import parse_cover_file
 from finecover.spaces import CantorPoint, UnitPoint
 
 
@@ -142,6 +143,22 @@ def test_series_gauge_positive_on_covered_points():
         assert v is Verdict.YES
 
 
+def test_series_gauge_clips_tail_radii_past_the_checked_indices():
+    # radius 1/2 at every checked tail index, 3/2 at n = 9 and growing;
+    # clipped to 1, the tail bound [0, 2^-K] holds again at every stage
+    cov = parse_cover_file("0 1\ntail: 1/2 1/2+(n-1)*(n-2)*(n-3)*(n-4)*(n-5)*(n-6)*(n-7)*(n-8)/40320\n")
+    assert cov.interval(8) == (F(0), F(1))
+    assert cov.interval(9) == cov.interval(20) == (F(-1, 2), F(3, 2))
+    x = UnitPoint.from_rat(F(1, 2))
+    g = heine_borel_gauge(cov)
+    assert verified_above(g, x, F(3, 8), 32) is Verdict.NO
+    fine = eval_enclosure(g, x, 32)
+    coarse = eval_enclosure(heine_borel_gauge(cov), x, 4)
+    assert fine.hi < F(3, 8)
+    assert max(fine.lo, coarse.lo) <= min(fine.hi, coarse.hi)
+    assert eval_enclosure(g, x, 4) == fine
+
+
 def test_check_star_decides_two_interval():
     cov = two_interval_cover()
     g = heine_borel_gauge(cov)
@@ -254,6 +271,20 @@ def test_pin_gauge_values():
     z = CantorPoint.from_pattern("01", "01")
     box = eval_enclosure(g, z, 8)
     assert box.lo == box.hi == F(1)
+
+
+@pytest.mark.parametrize("near", [12, 30, 60])
+def test_pin_gauge_is_honest_on_rule_points_past_the_scan(near):
+    # x agrees with Z for `near` bits, so its value is 2^-(near+1), below
+    # 2^-12; a scan bound that runs out first must not answer Yes
+    spec = default_oracle_spec()
+    z = spec.Z
+    x = CantorPoint.from_rule(lambda i: z.bit(i) ^ (i >= near))
+    g = oracle_pin_gauge(spec)
+    assert verified_at_least(g, x, pow2(-12), 8) is Verdict.UNKNOWN
+    assert eval_enclosure(g, x, 8) == Interval(F(0), F(1))
+    assert verified_at_least(g, x, pow2(-12), near + 10) is Verdict.NO
+    assert eval_enclosure(g, x, near + 10) == Interval.point(pow2(-(near + 1)))
 
 
 def test_pin_demo_hides_then_finds():

@@ -133,15 +133,11 @@ def test_direct_code_accumulation():
             return Interval(Fraction(0), Fraction(1))
         return Interval(Fraction(1, 2), Fraction(3, 4))
 
-    g = DirectCode(ev, monotone=True)
+    g = DirectCode(ev)
     x = UnitPoint.from_rat(Fraction(1, 3))
     assert eval_enclosure(g, x, 8) == Interval(Fraction(1, 2), Fraction(3, 4))
     # later coarse queries keep what was already verified
     assert eval_enclosure(g, x, 1) == Interval(Fraction(1, 2), Fraction(3, 4))
-
-    raw = DirectCode(ev, monotone=False)
-    assert eval_enclosure(raw, x, 8) == Interval(Fraction(1, 2), Fraction(3, 4))
-    assert eval_enclosure(raw, x, 1) == Interval(Fraction(0), Fraction(1))
 
 
 def test_yes_sticks_across_off_ladder_stages():
@@ -151,7 +147,7 @@ def test_yes_sticks_across_off_ladder_stages():
             return Interval.point(Fraction(1, 2))
         return Interval(Fraction(0), Fraction(1))
 
-    g = DirectCode(lambda x, s: ev(None, s), monotone=True)
+    g = DirectCode(lambda x, s: ev(None, s))
     x = UnitPoint.from_rat(Fraction(1, 4))
     assert verified_above(g, x, Fraction(1, 3), 6) is Verdict.YES
     assert verified_above(g, x, Fraction(1, 3), 10) is Verdict.YES
@@ -291,9 +287,8 @@ def test_scale_code_kinds():
     assert g.label == "scale(1/2,dist('1/2',))"
     assert eval_enclosure(g, x, 4) == Interval.point(Fraction(1, 8))
 
-    d = scale_code(DirectCode(lambda p, s: Interval.point(Fraction(3, 8)), monotone=False, label="d"), Fraction(2))
+    d = scale_code(DirectCode(lambda p, s: Interval.point(Fraction(3, 8)), label="d"), Fraction(2))
     assert type(d) is DirectCode and d.kind == "direct" and d.label == "scale(2,d)"
-    assert d.monotone is False
     assert eval_enclosure(d, x, 4) == Interval.point(Fraction(3, 4))
 
     b = scale_code(
@@ -337,9 +332,9 @@ def test_pullback_phi():
     with pytest.raises(DomainError):
         pullback_gauge_phi(continuous_const(1, domain="cantor"))
 
-    d = pullback_gauge_phi(DirectCode(lambda p, s: Interval.point(p.rational_value()), monotone=False, label="id"))
+    d = pullback_gauge_phi(DirectCode(lambda p, s: Interval.point(p.rational_value()), label="id"))
     assert type(d) is DirectCode and d.kind == "direct"
-    assert d.domain == "cantor" and d.label == "phi*(id)" and d.monotone is False
+    assert d.domain == "cantor" and d.label == "phi*(id)"
     assert eval_enclosure(d, x, 4) == Interval.point(Fraction(1, 3))
 
     mod = lambda j: max(1, j)
@@ -508,8 +503,6 @@ class _Reference:
             return got
         if g.kind == "direct":
             raw = rt_interval(g.kernel(x, stage))
-            if not g.monotone:
-                return raw
             self.acc[key] = got = _ref_refine(self.acc.get(key), raw)
             return got
         hull = _ref_block_enclosure(lambda n: self.eval(g.term(n), x, stage), stage)
@@ -546,20 +539,16 @@ class _Reference:
         if q < 0:
             raise ValueError("need q >= 0")
         limit = g.kind in ("baire1", "baire2")
-        spread = g.kind == "direct" and not g.monotone
-        lo = hi = None
         for s in _ref_ladder(stage):
             box = self.enclosure(g, x, s)
-            if spread:
-                lo = box.lo if lo is None else max(lo, box.lo)
-                hi = box.hi if hi is None else min(hi, box.hi)
-            elif not limit:
+            if not limit:
                 got = self._decide(box.lo, box.hi, q, strict)
                 if got is not None:
                     return got
-        if limit:
-            cert = self.cert.get((id(g), x))
-            lo, hi = self.best_lo[(id(g), x)], (cert.hi if cert is not None else None)
+        if not limit:
+            return Verdict.UNKNOWN
+        cert = self.cert.get((id(g), x))
+        lo, hi = self.best_lo[(id(g), x)], (cert.hi if cert is not None else None)
         got = self._decide(lo, hi, q, strict)
         return got if got is not None else Verdict.UNKNOWN
 
@@ -610,9 +599,9 @@ def _codes(draw, kind):
     recipes = {
         "continuous": expr,
         "direct": direct,
-        # [2^-s, 1] below stage `tight`, then a value that may lie outside
+        # [2^-tight, 1] below stage `tight`, then a value that may lie outside
         "direct-stand-in": lambda: DirectCode(
-            lambda x, s: Interval(pow2(-s), 1) if s < tight else Interval.point(v), monotone=False
+            lambda x, s: Interval(pow2(-tight), 1) if s < tight else Interval.point(v)
         ),
         "direct-liar": lambda: DirectCode(lambda x, s: Interval.point(Fraction(1, 2 + s % 3))),
         "baire1": lambda: Baire1Code(_geometric_terms(expr, c, ratio), modulus=_MODULUS),
@@ -703,11 +692,11 @@ def test_triple_layer_matches_the_interval_reference(kind, data):
             break
 
 
-# -- hand-written kernels against the Interval evaluators they replace ----
+# -- hand-written kernels against Interval reference evaluators -----------
 #
 # The pin gauge and the dirichlet and sqrt-reciprocal families build their
-# triples by hand. The evaluators below are the Interval-valued ones those
-# kernels replaced; each kernel's triple must be the same interval.
+# triples by hand. The evaluators below are Interval-valued references for
+# them; each kernel's triple must be the same interval.
 
 
 def _ref_pin_at(spec):
@@ -716,7 +705,7 @@ def _ref_pin_at(spec):
         if f == 0:
             return Interval.point(Fraction(1))
         if f is None:
-            return Interval(pow2(-max(stage, 8)), Fraction(1))
+            return Interval(Fraction(0), Fraction(1))
         return Interval.point(pow2(-f))
 
     return at

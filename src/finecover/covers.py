@@ -13,9 +13,12 @@ with 2^-m <= r, so the acceptance test is the non-strict "gauge >= 2^-depth".
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter, le, lt
+from functools import cmp_to_key
+from math import lcm
+from operator import le, lt
 from typing import Optional, Union
 
 from .exact import (
@@ -39,6 +42,9 @@ from .spaces import (
 )
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 class MalformedPartition(ValueError):
     """Structural invariant of a tagged partition fails."""
 
@@ -55,7 +61,8 @@ class TaggedPartition:
     tags: tuple
 
     def __post_init__(self) -> None:
-        cuts = tuple(Fraction(c) for c in self.cuts)
+        # cuts that already are Fractions are kept as they are
+        cuts = tuple(c if type(c) is Fraction else Fraction(c) for c in self.cuts)
         tags = tuple(self.tags)
         object.__setattr__(self, "cuts", cuts)
         object.__setattr__(self, "tags", tags)
@@ -63,7 +70,8 @@ class TaggedPartition:
             raise MalformedPartition("need at least the two endpoint cuts")
         if cuts[0] != 0 or cuts[-1] != 1:
             raise MalformedPartition(f"cuts must run from 0 to 1, got {cuts[0]}..{cuts[-1]}")
-        if any(a > b for a, b in zip(cuts, cuts[1:])):
+        ends = [(c.numerator, c.denominator) for c in cuts]
+        if any(an * bd > bn * ad for (an, ad), (bn, bd) in zip(ends, ends[1:])):
             raise MalformedPartition("cuts must be nondecreasing")
         if len(tags) != len(cuts) - 1:
             raise MalformedPartition(f"{len(cuts) - 1} cells but {len(tags)} tags")
@@ -72,8 +80,10 @@ class TaggedPartition:
                 raise MalformedPartition(f"tag {i} is not a point of [0,1]")
             lo, hi = cuts[i], cuts[i + 1]
             if tag.is_exact:
-                v = tag.exact_value()
-                if v < lo or v > hi:
+                v = tag.exact
+                vn, vd = v.numerator, v.denominator
+                (ln, ld), (hn, hd) = ends[i], ends[i + 1]
+                if vn * ld < ln * vd or vn * hd > hn * vd:
                     raise MalformedPartition(f"tag {i} = {v} outside its cell [{lo},{hi}]")
             else:
                 box = tag.approx(24)
@@ -165,46 +175,69 @@ class Obstruction:
     space: str
 
 
+def _by_left_end(a: tuple, b: tuple) -> int:
+    """The order of two `_sweep` rows by left end, by cross-multiplication."""
+    x, y = a[0] * b[2], b[0] * a[2]
+    return (x > y) - (x < y)
+
+
+def _value(n, d: int):
+    """The exact value n/d of an int or QuadVal numerator over d."""
+    return n * Fraction(1, d)
+
+
 def _sweep(cover: FineCover) -> tuple[list, Optional[Fraction]]:
     """One pass over a unit cover's balls, sorted once by left end.
 
-    Returns the rows (lo, hi, point, radius) of the balls that meet [0,1]
-    and that no other ball contains, in ascending order of both ends, and
-    the witness of the first gap in [0,1] (None when the balls cover it):
-    the simplest dyadic rational between the covered reach and the next
-    left end. A ball that meets [0,1] in at most an endpoint is skipped:
-    one with hi = 0 never extends the reach, and one with lo = 1 can only
-    set the gap to 1, the bound the witness takes anyway.
+    Returns the rows of the balls that meet [0,1] and that no other ball
+    contains, in ascending order of both ends, and the witness of the first
+    gap in [0,1] (None when the balls cover it): the simplest dyadic
+    rational between the covered reach and the next left end. A ball that
+    meets [0,1] in at most an endpoint is skipped: one with hi = 0 never
+    extends the reach, and one with lo = 1 can only set the gap to 1, the
+    bound the witness takes anyway.
     The covering sweep runs over the kept balls only; a dropped ball lies
     inside a kept one whose left end is no larger, so it never extends the
     reach and the first left end past the reach is a kept ball's.
+
+    A row (lo, hi, d, c, point, radius) holds the ball's ends and centre as
+    numerators over the row's own denominator d, the lcm of the centre's
+    and the radius's, so its integers stay the size of one row whatever
+    the cover. Rows compare by cross-multiplication. A quadratic centre's
+    numerator is a QuadVal with integer parts, which multiplies, subtracts
+    and compares like an int.
     """
     rows = []
     for p in cover.points:
         v, r = p.exact, cover.radii[p]
-        lo, hi = v - r, v + r
-        if hi > 0 and lo < 1:
-            rows.append((lo, hi, p, r))
-    rows.sort(key=itemgetter(0))
+        vd, rd = v.denominator, r.denominator
+        d = lcm(vd, rd)
+        c, s = v.numerator * (d // vd), r.numerator * (d // rd)
+        lo, hi = c - s, c + s
+        if hi > 0 and lo < d:
+            rows.append((lo, hi, d, c, p, r))
+    rows.sort(key=cmp_to_key(_by_left_end))
     kept = []
-    reach, gap = Fraction(0), None  # [0, reach] is covered up to the first gap
+    reach, reach_d, gap = 0, 1, None  # [0, reach/reach_d] is covered up to the first gap
     for row in rows:
-        lo, hi = row[0], row[1]
+        lo, hi, d = row[0], row[1], row[2]
         if kept:
-            if hi <= kept[-1][1]:
+            last = kept[-1]
+            if hi * last[2] <= last[1] * d:
                 continue  # inside the last kept ball
-            if lo == kept[-1][0]:
+            if lo * last[2] == last[0] * d:
                 kept.pop()  # the last kept ball is inside this one
         kept.append(row)
         if gap is None:
-            if lo > reach:
-                gap = lo
-            elif hi > reach:
-                reach = hi
-    if reach >= 1:
+            if lo * reach_d > reach * d:
+                gap = row
+            elif hi * reach_d > reach * d:
+                reach, reach_d = hi, d
+    if reach >= reach_d:
         return kept, None
-    nxt = Fraction(1) if gap is None else min(gap, Fraction(1))
-    return kept, simplest_dyadic_between(reach, nxt)
+    # every row starts below 1, so the gap does too
+    nxt = _ONE if gap is None else _value(gap[0], gap[2])
+    return kept, simplest_dyadic_between(_value(reach, reach_d), nxt)
 
 
 def uncovered_witness(cover: FineCover):
@@ -285,7 +318,22 @@ def _minimal_rows(cover: FineCover) -> list:
 def minimize_cover(cover: FineCover) -> FineCover:
     """Drop every ball that meets [0,1] in at most an endpoint or lies
     inside another; the covering must survive intact."""
-    return FineCover([(p, r) for _, _, p, r in _minimal_rows(cover)])
+    return FineCover([(row[4], row[5]) for row in _minimal_rows(cover)])
+
+
+def _cut(lo, lo_d: int, hi, hi_d: int) -> Fraction:
+    """The cut in the overlap [lo/lo_d, hi/hi_d] of two neighbours, with
+    lo/lo_d <= hi/hi_d: the midpoint when it is rational, else the simplest
+    dyadic rational strictly inside."""
+    x, y = lo * hi_d, hi * lo_d
+    m = x + y  # the midpoint is m / (2 lo_d hi_d)
+    if isinstance(m, QuadVal):
+        if not m.is_rational:
+            if x == y:
+                raise NotACover(f"overlap degenerates to the irrational point {_value(lo, lo_d)}")
+            return simplest_dyadic_between(_value(lo, lo_d), _value(hi, hi_d))
+        m = m.as_fraction()
+    return Fraction(m, 2 * lo_d * hi_d)
 
 
 def cover_to_partition(cover: FineCover) -> TaggedPartition:
@@ -294,32 +342,24 @@ def cover_to_partition(cover: FineCover) -> TaggedPartition:
     Cut choice: the midpoint of the overlap when it is rational, else the
     simplest dyadic rational strictly inside (cover points may be exact
     quadratic irrationals; cuts must stay rational). A kept ball centred
-    outside [0,1] is a NotACover, since its centre cannot be a tag.
+    outside [0,1] is a NotACover, since its centre cannot be a tag. The
+    overlaps are compared on the rows' numerators; a Fraction is built for
+    each cut only.
     """
     rows = _minimal_rows(cover)
-    for _, _, p, _ in rows:
-        if not 0 <= p.exact <= 1:
+    for _, _, d, c, p, _ in rows:
+        if not 0 <= c <= d:
             raise NotACover(f"ball centred at {p.exact} outside [0,1] cannot tag a cell")
-    cuts = [Fraction(0)]
-    for (_, hi0, p0, _), (lo1, _, p1, _) in zip(rows, rows[1:]):
-        v0, v1 = p0.exact, p1.exact
-        lo = max(v0, lo1)
-        hi = min(v1, hi0)
-        if lo > hi:
-            raise NotACover(f"adjacent balls at {v0} and {v1} fail to overlap")
-        if lo == hi:
-            if isinstance(lo, QuadVal) and not lo.is_rational:
-                raise NotACover(f"overlap degenerates to the irrational point {lo}")
-            cut = lo.as_fraction() if isinstance(lo, QuadVal) else lo
-        else:
-            mid = (lo + hi) * Fraction(1, 2)
-            if isinstance(mid, QuadVal):
-                cut = mid.as_fraction() if mid.is_rational else simplest_dyadic_between(lo, hi)
-            else:
-                cut = mid
-        cuts.append(cut)
-    cuts.append(Fraction(1))
-    return TaggedPartition(tuple(cuts), tuple(row[2] for row in rows))
+    cuts = [_ZERO]
+    for (_, hi0, d0, c0, p0, _), (lo1, _, d1, c1, p1, _) in zip(rows, rows[1:]):
+        # the overlap [max(centre 0, left end 1), min(centre 1, right end 0)]
+        lo, lo_d = (c0, d0) if c0 * d1 >= lo1 * d0 else (lo1, d1)
+        hi, hi_d = (c1, d1) if c1 * d0 <= hi0 * d1 else (hi0, d0)
+        if lo * hi_d > hi * lo_d:
+            raise NotACover(f"adjacent balls at {p0.exact} and {p1.exact} fail to overlap")
+        cuts.append(_cut(lo, lo_d, hi, hi_d))
+    cuts.append(_ONE)
+    return TaggedPartition(tuple(cuts), tuple(row[4] for row in rows))
 
 
 # -- subdivision searches ------------------------------------------------
@@ -409,16 +449,35 @@ def find_cover_unit(g: GaugeCode, depth: int, stage: int, hints=()) -> Union[Fin
     entry (m, 2^-l). Cells still unaccepted at `depth` come back as an
     Obstruction of merged dyadic runs. Continuous codes are bounded on
     whole cells first (see `_subdivide`).
+
+    The samples (2i+1, 2i, 2i+2) 2^-(l+1) are built from the cell's
+    integers, each when it is first tried, and kept for one level: a cell
+    shares an end with its neighbour, and its ends are the midpoint and an
+    end of its parent. In-cell hints are found by bisection on the sorted
+    hint values.
     """
     hints = _checked_hints(g, hints, "unit", UnitPoint.exact_value)
+    values = [h.exact for h in hints]
+    # the level sampled last, its points k 2^-(level+1) by k, and those of the level before
+    at, here, above = -1, {}, {}
 
     def samples(i: int, level: int):
-        a, b = Fraction(i, 1 << level), Fraction(i + 1, 1 << level)
-        in_cell = [h for h in hints if a <= h.exact_value() <= b]
-        yield from in_cell
-        # built one at a time, each only after the previous sample failed
-        for q in (Fraction(2 * i + 1, 2 << level), a, b):
-            cand = UnitPoint.from_rat(q)
+        nonlocal at, here, above
+        if level != at:
+            above, here, at = (here if level == at + 1 else {}), {}, level
+        in_cell = ()
+        if values:
+            a, b = Fraction(i, 1 << level), Fraction(i + 1, 1 << level)
+            in_cell = hints[bisect_left(values, a) : bisect_right(values, b)]
+            yield from in_cell
+        for k in (2 * i + 1, 2 * i, 2 * i + 2):
+            cand = here.get(k)
+            if cand is None:
+                # an even k is the point k/2 of the level before
+                cand = None if k & 1 else above.get(k >> 1)
+                if cand is None:
+                    cand = UnitPoint.from_rat(Fraction(k, 2 << level))
+                here[k] = cand
             if cand not in in_cell:
                 yield cand
 

@@ -402,6 +402,20 @@ class QuadVal:
             raise ValueError(f"{self} is irrational")
         return self.a
 
+    # The value as numerator / denominator, like a Fraction's: the
+    # denominator is the lcm of those of a and b, and the numerator the
+    # QuadVal with integer parts. Integer-numerator code that only
+    # multiplies, adds and compares numerators serves both kinds of point.
+
+    @property
+    def denominator(self) -> int:
+        return lcm(self.a.denominator, self.b.denominator)
+
+    @property
+    def numerator(self) -> "QuadVal":
+        d = self.denominator
+        return QuadVal(self.a * d, self.b * d)
+
     # -- arithmetic -------------------------------------------------------
 
     @staticmethod

@@ -574,12 +574,13 @@ def preimage_pieces(g: Baire1Code, ball: Ball, count: int) -> list[list[Interval
         j, n = g._resolved(stage) or (None, None)
         if j is not None and s_k - pow2(-j) > 0:
             bound = s_k - pow2(-j)
-            gap = continuous_abs(continuous_sub(g.term(n), c))
+            bn, bd = bound.numerator, bound.denominator
+            kernel = continuous_abs(continuous_sub(g.term(n), c)).kernel
             for i in range(len(member)):
                 if member[i]:
                     continue
-                cell = Interval(i * pow2(-_GRID), (i + 1) * pow2(-_GRID))
-                if gap.region_eval(cell, stage).hi <= bound:
+                _, hi, d = kernel(rt_cell(i, _GRID), stage)
+                if hi * bd <= bn * d:
                     member[i] = True
         out.append(dyadic_runs([i for i, flag in enumerate(member) if flag], _GRID))
     return out

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Callable, Optional, Union
 
 from .covers import (
@@ -25,12 +25,12 @@ from .exact import (
     Interval,
     QuadVal,
     ceil_log_recip,
-    iv_add,
-    iv_mul,
     iv_pad,
+    rt_add,
+    rt_interval,
+    rt_mul,
     rt_of,
     rt_point,
-    rt_scale,
 )
 from .gauges import DirectCode, GaugeCode, Verdict, continuous_const, scale_code
 from .spaces import UnitPoint
@@ -40,23 +40,42 @@ class EvaluationError(ValueError):
     """Integrand evaluator failed; the message names the tag."""
 
 
-@dataclass(frozen=True)
 class Integrand:
     """Pointwise-enclosable function on [0,1].
 
-    evaluator(point, prec) returns an enclosure of width <= 2^-prec.
+    The integrand evaluates through a kernel, in the integer-numerator
+    format of `exact`, like a DirectCode: kernel(tag, prec) returns an
+    enclosure of width <= 2^-prec as a triple. The built-ins are kernels
+    (`from_kernel`); a caller's own Interval-valued evaluator(tag, prec) is
+    adapted to one, once, here. `at` returns the enclosure as an Interval.
     """
 
-    evaluator: Callable[[UnitPoint, int], Interval]
-    label: str = ""
+    def __init__(self, evaluator: Callable[[UnitPoint, int], Interval], label: str = ""):
+        self.kernel = lambda tag, prec: rt_of(evaluator(tag, prec))
+        self.label = label
 
-    def at(self, tag: UnitPoint, prec: int) -> Interval:
+    @classmethod
+    def from_kernel(cls, kernel: Callable[[UnitPoint, int], tuple], label: str = "") -> "Integrand":
+        """The integrand of a triple-valued kernel."""
+        f = cls.__new__(cls)
+        f.kernel, f.label = kernel, label
+        return f
+
+    def _triple(self, tag: UnitPoint, prec: int) -> tuple:
+        """The kernel's triple at the tag; any failure is an EvaluationError
+        that names the tag."""
         try:
-            return self.evaluator(tag, prec)
+            return self.kernel(tag, prec)
         except EvaluationError:
             raise
         except Exception as e:
             raise EvaluationError(f"integrand {self.label or '?'} failed at tag {tag}: {e}") from e
+
+    def at(self, tag: UnitPoint, prec: int) -> Interval:
+        return rt_interval(self._triple(tag, prec))
+
+    def __repr__(self) -> str:
+        return f"Integrand({self.label or '...'})"
 
 
 @dataclass(frozen=True)
@@ -91,23 +110,32 @@ class IntegralCertificate:
 def riemann_sum(f: Integrand, part: TaggedPartition, prec: int = 24) -> Interval:
     """Exact enclosure of sum f(tag_i) * (x_{i+1} - x_i), left to right.
 
-    The lower and upper sums are integer numerators over one running
+    Each cell's width is taken on the cut numerators, over the lcm of the
+    two cuts' denominators, and scales the kernel's triple at the tag. The
+    lower and upper sums are integer numerators over one running
     denominator, the lcm of the terms' so far; a term whose denominator
     divides it is added without growing it. Every term is exact, so the
     result is the rational that Interval arithmetic gives.
     """
     lo_sum = hi_sum = 0
     den = 1
-    for lo, hi, tag in part.cells:
-        w = hi - lo
-        if w == 0:
+    cuts = part.cuts
+    an, ad = 0, 1  # the cut at the left of the cell
+    for i, tag in enumerate(part.tags):
+        b = cuts[i + 1]
+        bn, bd = b.numerator, b.denominator
+        wd = lcm(ad, bd)
+        wn = bn * (wd // bd) - an * (wd // ad)
+        an, ad = bn, bd
+        if not wn:
             continue
-        # w > 0, so the term is [w f_lo, w f_hi]
-        t_lo, t_hi, t_den = rt_scale(w, rt_of(f.at(tag, prec)))
+        t_lo, t_hi, t_den = f._triple(tag, prec)
+        # the width is > 0, so the term is [w f_lo, w f_hi]
+        t_den *= wd
         if den % t_den:
             grow = t_den // gcd(den, t_den)
             lo_sum, hi_sum, den = lo_sum * grow, hi_sum * grow, den * grow
-        k = den // t_den
+        k = wn * (den // t_den)
         lo_sum += t_lo * k
         hi_sum += t_hi * k
     return Interval(Fraction(lo_sum, den), Fraction(hi_sum, den))
@@ -160,38 +188,44 @@ def poly_integrand(coeffs, label: str = "") -> tuple[Integrand, GaugeFamily, Fra
     """
     coeffs = [Fraction(c) for c in coeffs]
     slope = sum(abs(c) * i for i, c in enumerate(coeffs))
+    # coefficient k is nums[k] / den
+    den = lcm(*(c.denominator for c in coeffs))
+    nums = [c.numerator * (den // c.denominator) for c in coeffs] or [0]
+    points = [rt_point(c) for c in coeffs]
 
-    def ev(tag: UnitPoint, prec: int) -> Interval:
+    def kernel(tag: UnitPoint, prec: int) -> tuple:
         q = _exact_rational(tag)
         if q is not None:
-            acc = Fraction(0)
-            for c in reversed(coeffs):
-                acc = acc * q + c
-            return Interval.point(acc)
-        box = tag.approx(prec + 2)
-        acc = Interval.point(Fraction(0))
-        for c in reversed(coeffs):
-            acc = iv_add(iv_mul(acc, box), Interval.point(c))
+            # Horner on integers: sum nums[k] n^k m^(K-k) over den m^K, q = n/m
+            n, m = q.numerator, q.denominator
+            acc, scale = nums[-1], 1
+            for c in reversed(nums[:-1]):
+                scale *= m
+                acc = acc * n + c * scale
+            return acc, acc, den * scale
+        box = rt_of(tag.approx(prec + 2))
+        acc = 0, 0, 1
+        for c in reversed(points):
+            acc = rt_add(rt_mul(acc, box), c)
         return acc
 
     def fam(eps: Fraction) -> GaugeCode:
         return continuous_const(eps / (2 * slope) if slope else Fraction(1))
 
     ref = sum(c / (i + 1) for i, c in enumerate(coeffs))
-    return Integrand(ev, label=label or "poly"), GaugeFamily(fam, label="const"), ref
+    return Integrand.from_kernel(kernel, label=label or "poly"), GaugeFamily(fam, label="const"), ref
 
 
-def _sqrt_recip_eval(tag: UnitPoint, prec: int) -> Interval:
+def _sqrt_recip_kernel(tag: UnitPoint, prec: int) -> tuple:
     q = _exact_rational(tag)
     if q == 0:
-        return Interval.point(Fraction(0))  # the value at the pole, fixed by fiat
+        return 0, 0, 1  # the value at the pole, fixed by fiat
     if q is None or q < 0:
         raise EvaluationError(f"reciprocal square root needs an exact rational in [0,1], got {tag}")
     # 1/sqrt(a/b) = sqrt(b/a), enclosed by a shifted integer square root
     m = prec
-    t = (q.denominator << (2 * m)) // q.numerator
-    s = isqrt(t)
-    return Interval(Fraction(s, 1 << m), Fraction(s + 1, 1 << m))
+    s = isqrt((q.denominator << (2 * m)) // q.numerator)
+    return s, s + 1, 1 << m
 
 
 def stern_brocot_index(q: Fraction, cap: int) -> Optional[int]:
@@ -248,13 +282,12 @@ def dirichlet_gauge_family() -> GaugeFamily:
     return GaugeFamily(fam, label="dirichlet")
 
 
-def _dirichlet_eval(tag: UnitPoint, prec: int) -> Interval:
-    q = _exact_rational(tag)
-    if q is not None:
-        return Interval.point(Fraction(1))
+def _dirichlet_kernel(tag: UnitPoint, prec: int) -> tuple:
+    if tag.is_rational:
+        return 1, 1, 1
     if tag.is_exact:
-        return Interval.point(Fraction(0))
-    return Interval(Fraction(0), Fraction(1))
+        return 0, 0, 1
+    return 0, 1, 1
 
 
 def dirichlet_hints(level: int = 2) -> list[UnitPoint]:
@@ -290,18 +323,21 @@ def _sqrt_recip_family() -> GaugeFamily:
     return GaugeFamily(fam, label="sqrt-recip")
 
 
-def _step_eval(c: Fraction):
-    def ev(tag: UnitPoint, prec: int) -> Interval:
+def _step_kernel(c: Fraction):
+    cn, cd = c.numerator, c.denominator
+
+    def kernel(tag: UnitPoint, prec: int) -> tuple:
         if tag.is_exact:
-            return Interval.point(Fraction(1 if tag.exact_value() >= c else 0))
+            v = tag.exact
+            return (1, 1, 1) if v.numerator * cd >= cn * v.denominator else (0, 0, 1)
         box = tag.approx(prec)
         if box.lo >= c:
-            return Interval.point(Fraction(1))
+            return 1, 1, 1
         if box.hi < c:
-            return Interval.point(Fraction(0))
-        return Interval(Fraction(0), Fraction(1))
+            return 0, 0, 1
+        return 0, 1, 1
 
-    return ev
+    return kernel
 
 
 def builtin_integrands() -> dict:
@@ -313,17 +349,17 @@ def builtin_integrands() -> dict:
         "identity": (ident, ident_fam, Fraction(1, 2)),
         "square": (square, square_fam, Fraction(1, 3)),
         "sqrt-reciprocal": (
-            Integrand(_sqrt_recip_eval, label="sqrt-reciprocal"),
+            Integrand.from_kernel(_sqrt_recip_kernel, label="sqrt-reciprocal"),
             _sqrt_recip_family(),
             Fraction(2),
         ),
         "dirichlet": (
-            Integrand(_dirichlet_eval, label="dirichlet"),
+            Integrand.from_kernel(_dirichlet_kernel, label="dirichlet"),
             dirichlet_gauge_family(),
             Fraction(0),
         ),
         "step": (
-            Integrand(_step_eval(step_c), label="step"),
+            Integrand.from_kernel(_step_kernel(step_c), label="step"),
             GaugeFamily(lambda eps: continuous_const(eps / 2), label="const"),
             Fraction(1) - step_c,
         ),

@@ -190,7 +190,8 @@ class UnitPoint:
     def from_rat(cls, q) -> "UnitPoint":
         if type(q) is not Fraction:
             q = Fraction(q)
-        if not cls.AMBIENT.contains(q):
+        d = q.denominator
+        if not -d <= q.numerator <= 2 * d:
             raise ValueError(f"point {q} outside ambient [-1, 2]")
         return cls(exact=q)
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import ceil, floor
 
 import pytest
 from hypothesis import given, settings
@@ -21,8 +22,9 @@ from finecover.covers import (
     uncovered_witness,
     verify_cover,
     verify_partition,
+    _sweep,
 )
-from finecover.exact import Interval, QuadVal, iv_intersect, pow2, simplest_dyadic_between
+from finecover.exact import Interval, QuadVal, dyadic_runs, iv_intersect, pow2, simplest_dyadic_between
 from finecover.gauges import (
     DirectCode,
     DomainError,
@@ -32,9 +34,11 @@ from finecover.gauges import (
     pullback_gauge_phi,
     scale_code,
     transfer_gauge_psi,
+    verified_above,
     verified_at_least,
 )
 from finecover.gaugespec import parse_gauge
+from finecover.integral import builtin_integrands, default_depth, dirichlet_hints
 from finecover.spaces import CantorPoint, Cylinder, UnitPoint
 
 F = Fraction
@@ -287,38 +291,59 @@ def _point(v):
     return UnitPoint.from_quad(v) if isinstance(v, QuadVal) else UnitPoint.from_rat(v)
 
 
-_SMALL = st.fractions(F(1, 64), F(1, 2), max_denominator=64)
+# prime denominators, small and large, for balls off the dyadic grid
+_PRIMES = (3, 5, 7, 11, 13, 101, 65537, 1_000_003, 2**61 - 1)
+
+
+def _over_primes(lo, hi):
+    """Rationals in [lo, hi] over one of _PRIMES."""
+    return st.sampled_from(_PRIMES).flatmap(lambda p: st.integers(ceil(lo * p), floor(hi * p)).map(lambda n: F(n, p)))
+
+
+_SMALL = st.one_of(st.fractions(F(1, 64), F(1, 2), max_denominator=64), _over_primes(F(1, 64), F(1, 2)))
 _EXTRA_POINTS = st.one_of(
     st.fractions(F(-1, 4), F(5, 4), max_denominator=16),
+    _over_primes(F(-1, 4), F(5, 4)),
     st.builds(
         QuadVal,
         st.fractions(F(-1, 4), F(1), max_denominator=8),
         st.fractions(F(-1, 4), F(1, 4), max_denominator=8).filter(bool),
+    ),
+    st.builds(
+        QuadVal,
+        _over_primes(F(-1, 4), F(1)),
+        _over_primes(F(-1, 4), F(1, 4)).filter(bool),
     ),
 )
 
 
 @st.composite
 def _unit_covers(draw):
-    """A dyadic grid of balls with some dropped (gaps at 0, inside or near
-    1, unless the neighbours still reach), random rational and quadratic
-    balls, and balls derived from drawn ones: inside them, inside them with
-    the same left end, and around them with the same left end."""
-    n = 1 << draw(st.integers(0, 4))
+    """A grid of n balls (n a power of two or a prime) with some dropped
+    (gaps at 0, inside or near 1, unless the neighbours still reach), random
+    rational and quadratic balls over small and prime denominators, and
+    balls derived from drawn ones: inside them, inside them with the same
+    left end, around them with the same left end, and with the same left
+    end over another denominator."""
+    n = draw(st.sampled_from([1, 2, 4, 8, 16, 3, 5, 7, 11, 13]))
     stretch = draw(st.sampled_from([F(1, 2), F(3, 4), F(1)]))
     dropped = draw(st.sets(st.integers(0, n - 1), max_size=2))
     balls = [(F(2 * i + 1, 2 * n), stretch / n) for i in range(n) if i not in dropped]
     balls += draw(st.lists(st.tuples(_EXTRA_POINTS, _SMALL), max_size=6))
     if not balls:
         balls.append(draw(st.tuples(_EXTRA_POINTS, _SMALL)))
-    for j, how, s in draw(st.lists(st.tuples(st.integers(0, 99), st.integers(0, 2), _SMALL), max_size=4)):
+    for j, how, s in draw(st.lists(st.tuples(st.integers(0, 99), st.integers(0, 3), _SMALL), max_size=4)):
         v, r = balls[j % len(balls)]
         if how == 0:
-            balls.append((v + r / 4, r / 2))  # strictly inside
+            ball = v + r / 4, r / 2  # strictly inside
         elif how == 1:
-            balls.append((v - r / 4, 3 * r / 4))  # inside, same left end
+            ball = v - r / 4, 3 * r / 4  # inside, same left end
+        elif how == 2:
+            ball = v + s / 4, r + s / 4  # around, same left end
         else:
-            balls.append((v + s / 4, r + s / 4))  # around, same left end
+            ball = v - r + s, s  # same left end, radius s
+        if -1 <= ball[0] <= 2:  # a point's ambient interval
+            balls.append(ball)
     return FineCover([(_point(v), r) for v, r in balls])
 
 
@@ -341,6 +366,69 @@ def test_one_sweep_matches_the_two_sort_conversion(cover):
             assert got.entries() == want.entries()
         else:
             assert got == want
+
+
+def _is_prime(n):
+    """Miller-Rabin with the first twelve primes as bases, exact below 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % p == 0 for p in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes_after(n, count):
+    out = []
+    while len(out) < count:
+        n += 1
+        if _is_prime(n):
+            out.append(n)
+    return out
+
+
+def _prime_cover(skip=()):
+    """64 balls, ball i centred near (2i+1)/128 over one ~60-bit prime and
+    of radius near 3/256 over another, all 128 primes distinct; neighbours
+    overlap, so the cover has a gap only where balls are skipped."""
+    primes = _primes_after(1 << 59, 128)
+    balls = []
+    for i in range(64):
+        if i in skip:
+            continue
+        p, q = primes[2 * i], primes[2 * i + 1]
+        balls.append((up(F((2 * i + 1) * p // 128, p)), F(3 * q // 256 + 1, q)))
+    return FineCover(balls)
+
+
+def test_conversion_over_sixty_bit_prime_denominators():
+    """Rows keep their own denominators: each stays the lcm of one centre's
+    and one radius's, however many balls the cover has."""
+    cover = _prime_cover()
+    assert uncovered_witness(cover) is None is _ref_witness(cover)
+    assert cover_to_partition(cover) == _ref_cover_to_partition(cover)
+    assert minimize_cover(cover).entries() == _ref_minimize(cover).entries()
+    kept, _ = _sweep(cover)
+    assert len(kept) == 64
+    assert max(row[2].bit_length() for row in kept) <= 2 * 60
+
+    gappy = _prime_cover(skip={20, 41})
+    witness = uncovered_witness(gappy)
+    assert witness is not None and witness == _ref_witness(gappy)
+    assert F(39, 128) < witness < F(43, 128)
+    with pytest.raises(NotACover, match="input does not cover"):
+        cover_to_partition(gappy)
 
 
 def test_a_kept_ball_centred_outside_the_interval_is_not_a_cover():
@@ -521,6 +609,32 @@ def _point_only(g):
     return DirectCode(lambda x, s: g.region_eval(iv_intersect(x.approx(s), Interval(0, 1)), s), domain="unit")
 
 
+def _ref_find_cover_unit(g, depth, stage, hints=()):
+    """The sample-only walk of find_cover_unit as it was first written: a
+    fresh from_rat point per sample, in-cell hints by a scan of every hint,
+    and no region bound."""
+    hints = sorted(hints, key=UnitPoint.exact_value)
+    entries, frontier = [], [0]
+    for level in range(depth + 1):
+        w = pow2(-level)
+        survivors = []
+        for i in frontier:
+            a, b = F(i, 1 << level), F(i + 1, 1 << level)
+            in_cell = [h for h in hints if a <= h.exact_value() <= b]
+            cands = in_cell + [c for c in map(up, (F(2 * i + 1, 2 << level), a, b)) if c not in in_cell]
+            for m in cands:
+                if verified_above(g, m, w, stage) is Verdict.YES:
+                    entries.append((m, w))
+                    break
+            else:
+                survivors.append(i)
+        if not survivors:
+            return FineCover(entries)
+        if level == depth:
+            return Obstruction(tuple(dyadic_runs(survivors, level)), (), depth, "unit")
+        frontier = [c for i in survivors for c in (2 * i, 2 * i + 1)]
+
+
 def _assert_same_search(pruned, ref):
     assert type(pruned) is type(ref)
     if isinstance(ref, FineCover):
@@ -541,6 +655,7 @@ def test_find_cover_unit_pruning_matches_point_only_search(text, depth, stage, h
     pruned = find_cover_unit(parse_gauge(text), depth, stage, hints=hints)
     ref = find_cover_unit(_point_only(parse_gauge(text)), depth, stage, hints=hints)
     _assert_same_search(pruned, ref)
+    _assert_same_search(ref, _ref_find_cover_unit(_point_only(parse_gauge(text)), depth, stage, hints))
     # the sequence side: the phi pullback, hinted at the hints' binary expansions
     hints = [
         CantorPoint.from_pattern(format(n, "04b"), "0") if n < 16 else CantorPoint.from_pattern("", "1")
@@ -549,6 +664,43 @@ def test_find_cover_unit_pruning_matches_point_only_search(text, depth, stage, h
     pruned = find_cover_cantor(pullback_gauge_phi(parse_gauge(text)), depth, stage, hints=hints)
     ref = find_cover_cantor(_point_only(pullback_gauge_phi(parse_gauge(text))), depth, stage, hints=hints)
     _assert_same_search(pruned, ref)
+
+
+@pytest.mark.parametrize("eps", [F(1, 4), F(1, 8), F(3, 32)])
+def test_find_cover_unit_samples_match_the_fresh_point_walk_on_direct_codes(eps):
+    """The sqrt-reciprocal family at its search depth, halved as integrate
+    halves it, and dirichlet with and without its irrational hints."""
+    sqrt_fam = builtin_integrands()["sqrt-reciprocal"][1]
+    depth = default_depth("sqrt-reciprocal", eps)
+    got = find_cover_unit(scale_code(sqrt_fam.at(eps), F(1, 2)), depth, STAGE)
+    assert isinstance(got, FineCover)
+    _assert_same_search(got, _ref_find_cover_unit(scale_code(sqrt_fam.at(eps), F(1, 2)), depth, STAGE))
+    dirichlet = builtin_integrands()["dirichlet"][1]
+    for hints in ((), dirichlet_hints(), dirichlet_hints(3)):
+        got = find_cover_unit(dirichlet.at(eps), 5, STAGE, hints=hints)
+        _assert_same_search(got, _ref_find_cover_unit(dirichlet.at(eps), 5, STAGE, hints))
+
+
+_HINTS = st.one_of(
+    # cell ends at every level, 0 and 1 among them
+    st.integers(0, 6).flatmap(lambda k: st.integers(0, 1 << k).map(lambda n: up(F(n, 1 << k)))),
+    st.fractions(0, 1, max_denominator=40).map(up),
+    st.builds(
+        lambda a, b: UnitPoint.from_quad(QuadVal(a, b)),
+        st.fractions(F(1, 4), F(3, 4), max_denominator=8),
+        st.fractions(F(-1, 8), F(1, 8), max_denominator=16).filter(bool),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_GAUGES, st.integers(1, 6), st.sampled_from([1, 3, 8]), st.lists(_HINTS, max_size=4))
+def test_find_cover_unit_samples_match_the_fresh_point_walk_with_hints(text, depth, stage, hints):
+    """Hints on dyadic cell ends (repeated ones too), off the grid and
+    quadratic, for the bounded search and for its point-only twin."""
+    want = _ref_find_cover_unit(_point_only(parse_gauge(text)), depth, stage, hints)
+    _assert_same_search(find_cover_unit(parse_gauge(text), depth, stage, hints=hints), want)
+    _assert_same_search(find_cover_unit(_point_only(parse_gauge(text)), depth, stage, hints=hints), want)
 
 
 def test_find_cover_cantor_prunes_cylinders_below_the_width():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finecover.exact import CauchyViolation, Interval, QuadVal, iv_intersect, iv_pad, pow2, pow3, rt_interval
+from finecover.exact import CauchyViolation, Interval, QuadVal, dyadic_runs, iv_intersect, iv_pad, pow2, pow3, rt_interval
 from finecover.gallery import OracleSpec, oracle_pin_gauge, pin_index
 from finecover.gauges import (
     Baire1Code,
@@ -405,6 +405,42 @@ def test_preimage_pieces_inner_approximation():
     # no modulus, nothing verifiable
     bare = Baire1Code(lambda n: continuous_const(0))
     assert preimage_pieces(bare, Ball(UnitPoint.from_rat(Fraction(0)), Fraction(1)), 2) == [[], []]
+
+
+def _ref_preimage_pieces(g, ball, count):
+    """preimage_pieces as it was first written: one Interval per grid cell,
+    enclosed through region_eval."""
+    c = continuous_const(ball.center.rational_value())
+    member = [False] * 256
+    out = []
+    for k in range(count):
+        stage = 5 + k
+        s_k = ball.radius * (1 - pow2(-(k + 1)))
+        j, n = g._resolved(stage) or (None, None)
+        if j is not None and s_k - pow2(-j) > 0:
+            gap = continuous_abs(continuous_sub(g.term(n), c))
+            for i in range(256):
+                cell = Interval(i * pow2(-8), (i + 1) * pow2(-8))
+                if not member[i] and gap.region_eval(cell, stage).hi <= s_k - pow2(-j):
+                    member[i] = True
+        out.append(dyadic_runs([i for i, flag in enumerate(member) if flag], 8))
+    return out
+
+
+@pytest.mark.parametrize(
+    "center, radius", [(Fraction(0), Fraction(1, 2)), (Fraction(1, 3), Fraction(1, 4)), (Fraction(1, 2), Fraction(3, 8))]
+)
+def test_preimage_pieces_match_the_interval_cells(center, radius):
+    """Terms x and |x - 1/3| + 2^-n, whose bounds meet grid-cell ends exactly
+    (B(0, 1/2) at stage 5 needs |x| <= 7/32, the end of cell 55)."""
+    terms = [
+        lambda n: continuous_identity(),
+        lambda n: continuous_add(continuous_dist_to([Fraction(1, 3)]), continuous_const(pow2(-n))),
+    ]
+    ball = Ball(UnitPoint.from_rat(center), radius)
+    for term in terms:
+        got = preimage_pieces(Baire1Code(term, modulus=lambda j: max(1, j)), ball, 4)
+        assert got == _ref_preimage_pieces(Baire1Code(term, modulus=lambda j: max(1, j)), ball, 4)
 
 
 def test_modulus_is_resolved_once_per_stage():

@@ -1,15 +1,17 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finecover.covers import Obstruction, TaggedPartition
-from finecover.exact import Interval, QuadVal, iv_add, pow2
+from finecover.exact import Interval, QuadVal, iv_add, iv_mul, pow2, rt_interval
 from finecover.gauges import Verdict, eval_enclosure
 from finecover.integral import (
     EvaluationError,
+    Integrand,
     IntegralCertificate,
     builtin_integrands,
     default_depth,
@@ -96,6 +98,138 @@ _INTEGRANDS = st.one_of(
 @given(f=_INTEGRANDS, part=_partitions(), prec=st.integers(0, 30))
 def test_integer_sum_matches_the_interval_fold(f, part, prec):
     assert riemann_sum(f, part, prec) == _ref_riemann_sum(f, part, prec)
+
+
+# -- built-in kernels against Interval reference evaluators ---------------
+#
+# The built-in integrands are triple kernels. The evaluators below are the
+# Interval-valued references for them; each kernel's triple must be the
+# same interval, and `at` must return it.
+
+
+def _ref_poly_at(coeffs):
+    def at(tag, prec):
+        if tag.is_rational:
+            acc = F(0)
+            for c in reversed(coeffs):
+                acc = acc * tag.exact + c
+            return Interval.point(acc)
+        box = tag.approx(prec + 2)
+        acc = Interval.point(F(0))
+        for c in reversed(coeffs):
+            acc = iv_add(iv_mul(acc, box), Interval.point(c))
+        return acc
+
+    return at
+
+
+def _ref_sqrt_recip_at(tag, prec):
+    q = tag.exact if tag.is_rational else None
+    if q == 0:
+        return Interval.point(F(0))
+    if q is None or q < 0:
+        raise EvaluationError(f"reciprocal square root needs an exact rational in [0,1], got {tag}")
+    s = isqrt((q.denominator << (2 * prec)) // q.numerator)
+    return Interval(F(s, 1 << prec), F(s + 1, 1 << prec))
+
+
+def _ref_dirichlet_at(tag, prec):
+    if tag.is_rational:
+        return Interval.point(F(1))
+    if tag.is_exact:
+        return Interval.point(F(0))
+    return Interval(F(0), F(1))
+
+
+def _ref_step_at(c):
+    def at(tag, prec):
+        if tag.is_exact:
+            return Interval.point(F(1 if tag.exact_value() >= c else 0))
+        box = tag.approx(prec)
+        if box.lo >= c:
+            return Interval.point(F(1))
+        if box.hi < c:
+            return Interval.point(F(0))
+        return Interval(F(0), F(1))
+
+    return at
+
+
+_REF_AT = {
+    "identity": _ref_poly_at([F(0), F(1)]),
+    "square": _ref_poly_at([F(0), F(0), F(1)]),
+    "sqrt-reciprocal": _ref_sqrt_recip_at,
+    "dirichlet": _ref_dirichlet_at,
+    "step": _ref_step_at(F(3, 8)),
+}
+
+
+@st.composite
+def _tags(draw):
+    """A factory of one tag: rationals (0, 1, dyadic, small and large
+    denominators), quadratic irrationals, and approximant points, which
+    keep the history of their queries, so each call gets a tag of its own."""
+    kind = draw(st.sampled_from(["end", "rational", "dyadic", "quad", "approx"]))
+    if kind == "end":
+        q = draw(st.sampled_from([F(0), F(1)]))
+    elif kind == "rational":
+        q = draw(st.fractions(0, 1, max_denominator=10**6))
+    elif kind == "dyadic":
+        k = draw(st.integers(0, 40))
+        q = F(draw(st.integers(0, 1 << k)), 1 << k)
+    elif kind == "quad":
+        # |b sqrt2| < 1/4, so a + b sqrt2 lies inside [0,1]
+        a = draw(st.fractions(F(1, 4), F(3, 4), max_denominator=8))
+        b = draw(st.fractions(F(-1, 8), F(1, 8), max_denominator=16).filter(bool))
+        return lambda: UnitPoint.from_quad(QuadVal(a, b))
+    else:
+        w = draw(st.fractions(F(1, 4), F(3, 4), max_denominator=64))
+        return lambda: UnitPoint.from_fn(lambda k: Interval(w - pow2(-k - 1), w + pow2(-k - 1)))
+    return lambda: up(q)
+
+
+def _at_outcome(call):
+    try:
+        return call()
+    except EvaluationError as e:
+        return EvaluationError, str(e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_REF_AT)),
+    coeffs=st.lists(st.fractions(-3, 3, max_denominator=7), min_size=1, max_size=4),
+    tag=_tags(),
+    prec=st.integers(0, 30),
+)
+def test_integrand_kernels_match_their_interval_evaluators(name, coeffs, tag, prec):
+    """Every built-in integrand, and a random polynomial; where the
+    reference raises, `at` and the Riemann sum raise the same
+    EvaluationError, naming the tag."""
+    cases = [(builtin_integrands()[name][0], _REF_AT[name]), (poly_integrand(coeffs)[0], _ref_poly_at(coeffs))]
+    for f, ref in cases:
+        want = _at_outcome(lambda: ref(tag(), prec))
+        assert _at_outcome(lambda: rt_interval(f.kernel(tag(), prec))) == want
+        assert _at_outcome(lambda: f.at(tag(), prec)) == want
+        if isinstance(want, tuple):
+            x = tag()
+            assert str(x) in want[1]
+            with pytest.raises(EvaluationError) as got:
+                riemann_sum(f, TaggedPartition((F(0), F(1)), (x,)), prec)
+            assert str(got.value) == want[1]
+
+
+def test_an_interval_evaluator_is_adapted_to_a_kernel():
+    """A caller's own evaluator serves `at` and the sum, and a failure in it
+    is reported as an EvaluationError naming the integrand and the tag."""
+    f = Integrand(lambda tag, prec: Interval(F(1, 3), F(1, 2)), label="band")
+    assert f.at(up("1/5"), 4) == Interval(F(1, 3), F(1, 2))
+    assert riemann_sum(f, TaggedPartition((F(0), F(1, 3), F(1)), (up(0), up(1)))) == Interval(F(1, 3), F(1, 2))
+    broken = Integrand(lambda tag, prec: 1 // 0, label="broken")
+    with pytest.raises(EvaluationError, match=r"integrand broken failed at tag UnitPoint\(1/5\): integer division"):
+        broken.at(up("1/5"), 4)
+    with pytest.raises(EvaluationError, match=r"integrand broken failed at tag UnitPoint\(1/5\): integer division"):
+        riemann_sum(broken, TaggedPartition((F(0), F(1)), (up("1/5"),)))
 
 
 def test_special_value_overrides_evaluator():

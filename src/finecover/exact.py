@@ -1,25 +1,38 @@
-"""Exact rational arithmetic: intervals, dyadic helpers, quadratic values.
+"""Exact arithmetic: integer-numerator intervals, dyadic helpers, quadratics.
 
-Everything on the verified path is a Fraction, an Interval with Fraction
-endpoints, or an integer-numerator triple standing for such an Interval.
+Everything on the verified path is a Fraction or an integer-numerator
+triple (lo, hi, d) standing for the interval [lo/d, hi/d]; an Interval
+with Fraction endpoints is only the value type the public edge hands out.
 Floats never enter; display code may format decimals, but the
 computations themselves stay exact.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, gcd, isqrt, lcm
 from typing import Callable, Optional, Union
 
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+)|\.([0-9]+))?")
+
+
 def parse_rat(text: str) -> Fraction:
     """Parse a rational literal: "3/8", "-2", or a decimal like "0.125".
 
-    Decimal input is converted exactly (no float round trip).
+    Only ASCII digits, an optional sign and one "/" or "." are accepted,
+    so the value's size is bounded by the text's. Decimal input is
+    converted exactly (no float round trip).
     """
+    m = _RATIONAL.fullmatch(text.strip())
+    if m is None:
+        raise ValueError(f"not a rational: {text!r}")
+    whole, den, decimals = m.groups()
     try:
-        return Fraction(text)
+        if decimals is not None:
+            return Fraction(int(whole + decimals), 10 ** len(decimals))
+        return Fraction(int(whole), int(den or 1))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {text!r}") from exc
 
@@ -98,75 +111,27 @@ class Interval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    @property
-    def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
     def contains(self, x) -> bool:
         return self.lo <= x <= self.hi
 
-    def encloses(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
-
-
-def iv_add(a: Interval, b: Interval) -> Interval:
-    return Interval(a.lo + b.lo, a.hi + b.hi)
-
-
-def iv_mul(a: Interval, b: Interval) -> Interval:
-    products = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
-    return Interval(min(products), max(products))
-
-
-def iv_pad(a: Interval, e: Fraction) -> Interval:
-    """Widen both endpoints outward by e >= 0."""
-    if e < 0:
-        raise ValueError("pad amount must be >= 0")
-    return Interval(a.lo - e, a.hi + e)
-
-
-def iv_intersect(a: Interval, b: Interval) -> Union[Interval, None]:
-    """Intersection, or None when the intervals are disjoint."""
-    lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
-    if lo > hi:
-        return None
-    # an operand that already is the intersection is returned as it is
-    if lo is a.lo and hi is a.hi:
-        return a
-    if lo is b.lo and hi is b.hi:
-        return b
-    return Interval(lo, hi)
 
 
 class CauchyViolation(ValueError):
     """Enclosures that must share a value turned out disjoint: the source lied."""
 
 
-def iv_refine(old: Union[Interval, None], new: Interval, what: str = "enclosure") -> Interval:
-    """Fold a fresh enclosure of the same value into the accumulated one."""
-    if old is None:
-        return new
-    got = iv_intersect(old, new)
-    if got is None:
-        raise CauchyViolation(f"{what}: {new} disjoint from accumulated {old}")
-    return got
-
-
 # -- integer-numerator intervals ------------------------------------------
 #
-# Region evaluation and the point verdicts of `gauges` carry the interval
+# Codes, integrands, approximant points and sums carry the interval
 # [lo/d, hi/d] as the triple (lo, hi, d) of ints with d > 0, not
 # necessarily reduced. Each op applies the endpoint formula of interval
-# arithmetic (that of iv_add, iv_mul, iv_intersect, iv_refine or iv_pad
-# where the op has an Interval twin) to the numerators over a common
-# denominator, and operands with equal denominators combine without
-# multiplying. Every op is exact, so a triple
-# turned into an Interval by rt_interval has exactly the endpoints that
-# Fraction arithmetic gives; only the normalisation of each intermediate
-# Fraction is skipped.
+# arithmetic to the numerators over a common denominator, and operands
+# with equal denominators combine without multiplying. Every op is exact,
+# so a triple turned into an Interval by rt_interval has exactly the
+# endpoints that Fraction arithmetic on the ends gives; only the
+# normalisation of each intermediate Fraction is skipped.
 
 
 def rt_point(q: Fraction) -> tuple:
@@ -253,9 +218,10 @@ def rt_intersect(a: tuple, b: tuple) -> Optional[tuple]:
 
 
 def rt_refine(old: Optional[tuple], new: tuple, what: Callable[[], str]) -> tuple:
-    """iv_refine on triples, reduced by gcd so that refining again and
-    again cannot grow the denominator. what() names the value in the
-    error, and is only called when the enclosures turn out disjoint."""
+    """Fold a fresh enclosure into the accumulated one (None at first):
+    their intersection, reduced by gcd so that refining again and again
+    cannot grow the denominator. Disjoint ones raise CauchyViolation, and
+    only then is what() called, to name the value."""
     got = new if old is None else rt_intersect(old, new)
     if got is None:
         raise CauchyViolation(f"{what()}: {rt_interval(new)} disjoint from accumulated {rt_interval(old)}")

@@ -115,7 +115,7 @@ def heine_borel_gauge(cov: OpenCoverSpec) -> ContinuousCode:
             total = rt_add(total, rt_geom_tail(bound))
         return rt_scale(_QUARTER, total)
 
-    return ContinuousCode.from_kernel(kernel, domain="unit", label="open-cover-series")
+    return ContinuousCode(kernel, domain="unit", label="open-cover-series")
 
 
 def _merge_open(intervals) -> list:
@@ -323,7 +323,7 @@ def oracle_pin_gauge(spec: OracleSpec) -> DirectCode:
             return 0, 1, 1  # the hull of {1} and [0, 2^-(bound+1)]
         return 1, 1, 1 << f  # 2^-f
 
-    return DirectCode.from_kernel(kernel, domain="cantor", label="pin")
+    return DirectCode(kernel, domain="cantor", label="pin")
 
 
 def oracle_pin_demo(spec: OracleSpec, depth: int, stage: int) -> FineCover:

@@ -1,7 +1,7 @@
 """Coded gauges with stage-indexed three-valued evaluation.
 
-Four code strengths: continuous (region evaluator), direct (exact point
-evaluator), and pointwise limits at one or two levels (a sequence of
+Four code strengths: continuous (region kernel), direct (exact point
+kernel), and pointwise limits at one or two levels (a sequence of
 continuous codes, or a sequence of such sequences). Evaluation never
 assumes a limit exists: `eval_enclosure` reports an interval consistent
 with what has been observed through the stage budget, and `verified_above`
@@ -19,7 +19,8 @@ alone.
 Evaluation runs on the integer-numerator triples of `exact`: every code's
 `_eval` returns (lo, hi, d), the per-point accumulators hold triples
 reduced by gcd, and verdicts compare numerators by cross-multiplication.
-Only the public `eval_enclosure` turns a triple into an Interval.
+Only the public edge, `eval_enclosure` and `ContinuousCode.region_eval`,
+turns a triple into an Interval.
 """
 
 from __future__ import annotations
@@ -132,38 +133,32 @@ def _resolvable_j(modulus: Callable[[int], int], stage: int) -> Optional[int]:
     return best
 
 
-class ContinuousCode:
-    """A coded continuous function via a sound region evaluator.
+class _PointCode:
+    """A code built on one kernel, whose triples it accumulates per point."""
 
-    region_eval(region, k) must enclose {f(t) : t in region} and tighten as
-    the region shrinks and k grows. Point queries go through the point's own
-    width <= 2^-k approximant.
-
-    The code evaluates through its kernel, in the integer-numerator format
-    of `exact`: kernel(r, k) takes a unit-interval region as the triple r
-    (a sequence-space region as its Cylinder) and returns the enclosure as
-    a triple. The continuous_* constructors compose kernels, and a caller's
-    own Interval-valued region evaluator is adapted to one, once, here.
-    Point evaluations (`_eval`) stay triples too, accumulated per point.
-    """
-
-    kind = "continuous"
-
-    def __init__(self, region_eval: Callable[[Region, int], Interval], domain: str = "unit", label: str = ""):
-        if domain == "unit":
-            self.kernel = lambda r, k: rt_of(region_eval(rt_interval(r), k))
-        else:
-            self.kernel = lambda cyl, k: rt_of(region_eval(cyl, k))
+    def __init__(self, kernel: Callable, domain: str = "unit", label: str = ""):
+        self.kernel = kernel
         self.domain = domain
         self.label = label
         self._acc: dict[Point, tuple] = {}
 
-    @classmethod
-    def from_kernel(cls, kernel: Callable, domain: str = "unit", label: str = "") -> "ContinuousCode":
-        """The code of a kernel, as the continuous_* constructors build them."""
-        code = cls.__new__(cls)
-        code.kernel, code.domain, code.label, code._acc = kernel, domain, label, {}
-        return code
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.label or '...'}, domain={self.domain})"
+
+
+class ContinuousCode(_PointCode):
+    """A coded continuous function via a sound region kernel.
+
+    The kernel works in the integer-numerator format of `exact`: kernel(r,
+    k) takes a unit-interval region as the triple r (a sequence-space
+    region as its Cylinder), must return a triple enclosing {f(t) : t in
+    region}, and must tighten as the region shrinks and k grows. The
+    continuous_* constructors compose kernels. Point queries go through the
+    point's own width <= 2^-k approximant, and their triples are
+    accumulated per point.
+    """
+
+    kind = "continuous"
 
     def region_eval(self, region: Region, k: int) -> Interval:
         """Enclosure of the code over the region, built as one Interval."""
@@ -175,45 +170,24 @@ class ContinuousCode:
         self._acc[x] = got
         return got
 
-    def __repr__(self) -> str:
-        return f"ContinuousCode({self.label or '...'}, domain={self.domain})"
 
-
-class DirectCode:
+class DirectCode(_PointCode):
     """A gauge whose values are computed outright, no tower of codes.
 
-    Every enclosure the evaluator returns at a point must hold the value
-    there; the enclosures are intersected across calls, so a coarse
-    fallback is fine but a stand-in that may miss the value is not.
-
-    Like a continuous code, the code evaluates through a kernel: kernel(x,
-    s) returns the enclosure at the point x as a triple. A caller's own
-    Interval-valued point evaluator is adapted to one, once, here.
+    The kernel works in the integer-numerator format of `exact`: kernel(x,
+    s) returns the enclosure at the point x at stage s as a triple. Every
+    enclosure it returns must hold the value there; the enclosures are
+    intersected across calls, so a coarse fallback is fine but a stand-in
+    that may miss the value is not.
     """
 
     kind = "direct"
-
-    def __init__(self, point_eval: Callable[[Point, int], Interval], domain: str = "unit", label: str = ""):
-        self.kernel = lambda x, s: rt_of(point_eval(x, s))
-        self.domain = domain
-        self.label = label
-        self._acc: dict[Point, tuple] = {}
-
-    @classmethod
-    def from_kernel(cls, kernel: Callable, domain: str = "unit", label: str = "") -> "DirectCode":
-        """The code of a triple-valued point kernel."""
-        code = cls.__new__(cls)
-        code.kernel, code.domain, code.label, code._acc = kernel, domain, label, {}
-        return code
 
     def _eval(self, x: Point, stage: int) -> tuple:
         raw = self.kernel(x, stage)
         got = rt_refine(self._acc.get(x), raw, lambda: f"direct code {self.label or id(self)} at {x!r}")
         self._acc[x] = got
         return got
-
-    def __repr__(self) -> str:
-        return f"DirectCode({self.label or '...'}, domain={self.domain})"
 
 
 def _block(stage: int) -> tuple[int, int]:
@@ -388,18 +362,18 @@ def verified_at_least(g: GaugeCode, x: Point, q, stage: int) -> Verdict:
 def continuous_const(q, domain: str = "unit") -> ContinuousCode:
     q = Fraction(q)
     point = rt_point(q)
-    return ContinuousCode.from_kernel(lambda r, k: point, domain=domain, label=str(q))
+    return ContinuousCode(lambda r, k: point, domain=domain, label=str(q))
 
 
 def continuous_identity() -> ContinuousCode:
-    return ContinuousCode.from_kernel(lambda r, k: r, domain="unit", label="x")
+    return ContinuousCode(lambda r, k: r, domain="unit", label="x")
 
 
 def _combine2(op, a: ContinuousCode, b: ContinuousCode, name: str) -> ContinuousCode:
     if a.domain != b.domain:
         raise DomainError(f"cannot combine {a.domain} code with {b.domain} code")
     ka, kb = a.kernel, b.kernel
-    return ContinuousCode.from_kernel(
+    return ContinuousCode(
         lambda r, k: op(ka(r, k), kb(r, k)),
         domain=a.domain,
         label=f"{name}({a.label},{b.label})",
@@ -428,13 +402,13 @@ def continuous_max(a: ContinuousCode, b: ContinuousCode) -> ContinuousCode:
 
 def continuous_abs(a: ContinuousCode) -> ContinuousCode:
     ka = a.kernel
-    return ContinuousCode.from_kernel(lambda r, k: rt_abs(ka(r, k)), domain=a.domain, label=f"abs({a.label})")
+    return ContinuousCode(lambda r, k: rt_abs(ka(r, k)), domain=a.domain, label=f"abs({a.label})")
 
 
 def continuous_scale(q, a: ContinuousCode) -> ContinuousCode:
     q = Fraction(q)
     ka = a.kernel
-    return ContinuousCode.from_kernel(lambda r, k: rt_scale(q, ka(r, k)), domain=a.domain, label=f"scale({q},{a.label})")
+    return ContinuousCode(lambda r, k: rt_scale(q, ka(r, k)), domain=a.domain, label=f"scale({q},{a.label})")
 
 
 def continuous_dist_to(points) -> ContinuousCode:
@@ -443,7 +417,7 @@ def continuous_dist_to(points) -> ContinuousCode:
     if not pts:
         raise ValueError("need at least one point")
     boxes = rt_points(pts)
-    return ContinuousCode.from_kernel(
+    return ContinuousCode(
         lambda r, k: rt_dist(r, boxes), domain="unit", label=f"dist{tuple(str(p) for p in pts)}"
     )
 
@@ -460,7 +434,7 @@ def scale_code(g: GaugeCode, factor) -> GaugeCode:
         return continuous_scale(c, g)
     if g.kind == "direct":
         kernel = g.kernel
-        return DirectCode.from_kernel(
+        return DirectCode(
             lambda x, s: rt_scale(c, kernel(x, s)),
             domain=g.domain,
             label=f"scale({c},{g.label})",
@@ -490,14 +464,14 @@ def pullback_gauge_phi(g: GaugeCode) -> GaugeCode:
         raise DomainError("pullback needs a unit-interval code")
     if g.kind == "continuous":
         kernel = g.kernel
-        return ContinuousCode.from_kernel(
+        return ContinuousCode(
             lambda cyl, k: kernel(rt_cell(cyl.index, cyl.depth), k),
             domain="cantor",
             label=f"phi*({g.label})",
         )
     if g.kind == "direct":
         kernel = g.kernel
-        return DirectCode.from_kernel(
+        return DirectCode(
             lambda x, s: kernel(phi(x), s),
             domain="cantor",
             label=f"phi*({g.label})",
@@ -529,21 +503,22 @@ def transfer_gauge_psi(g: GaugeCode) -> DirectCode:
     if g.domain != "cantor":
         raise DomainError("psi transfer needs a sequence-space code")
 
-    def ev(z: Point, stage: int) -> Interval:
+    def kernel(z: Point, stage: int) -> tuple:
         if not isinstance(z, UnitPoint):
             raise DomainError(f"unit-interval gauge evaluated at {z!r}")
         if not z.is_rational:
-            return Interval(Fraction(0), Fraction(1, 2))
+            return 0, 1, 2
         zq = z.rational_value()
         if not 0 <= zq <= 1:
             raise DomainError(f"point {zq} outside [0,1]")
         d = dist_to_cantor(zq)
         if d > 0:
-            return Interval.point(d)
-        box = eval_enclosure(g, psi_preimage_point(zq), stage)
-        return Interval(_third_bucket(box.lo), _third_bucket(box.hi))
+            return rt_point(d)
+        lo, hi, den = g._eval(psi_preimage_point(zq), stage)
+        (a, _, e), (b, _, _) = rt_points([_third_bucket(Fraction(lo, den)), _third_bucket(Fraction(hi, den))])
+        return a, b, e
 
-    return DirectCode(ev, domain="unit", label=f"psi*({g.label})")
+    return DirectCode(kernel, domain="unit", label=f"psi*({g.label})")
 
 
 # -- verified preimage pieces -------------------------------------------

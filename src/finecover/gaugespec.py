@@ -376,7 +376,7 @@ def _continuous(node, env: dict, label: str) -> ContinuousCode:
     code = _compile(node, env)
     if isinstance(code, Fraction):
         code = continuous_const(code)
-    return ContinuousCode.from_kernel(code.kernel, domain="unit", label=label)
+    return ContinuousCode(code.kernel, domain="unit", label=label)
 
 
 def compile_gauge(node, base_dir: str = ".") -> GaugeCode:

@@ -25,7 +25,6 @@ from .exact import (
     Interval,
     QuadVal,
     ceil_log_recip,
-    iv_pad,
     rt_add,
     rt_interval,
     rt_mul,
@@ -45,21 +44,13 @@ class Integrand:
 
     The integrand evaluates through a kernel, in the integer-numerator
     format of `exact`, like a DirectCode: kernel(tag, prec) returns an
-    enclosure of width <= 2^-prec as a triple. The built-ins are kernels
-    (`from_kernel`); a caller's own Interval-valued evaluator(tag, prec) is
-    adapted to one, once, here. `at` returns the enclosure as an Interval.
+    enclosure of width <= 2^-prec as a triple. `at` returns the enclosure
+    as an Interval.
     """
 
-    def __init__(self, evaluator: Callable[[UnitPoint, int], Interval], label: str = ""):
-        self.kernel = lambda tag, prec: rt_of(evaluator(tag, prec))
+    def __init__(self, kernel: Callable[[UnitPoint, int], tuple], label: str = ""):
+        self.kernel = kernel
         self.label = label
-
-    @classmethod
-    def from_kernel(cls, kernel: Callable[[UnitPoint, int], tuple], label: str = "") -> "Integrand":
-        """The integrand of a triple-valued kernel."""
-        f = cls.__new__(cls)
-        f.kernel, f.label = kernel, label
-        return f
 
     def _triple(self, tag: UnitPoint, prec: int) -> tuple:
         """The kernel's triple at the tag; any failure is an EvaluationError
@@ -170,7 +161,7 @@ def integrate(
         raise CauchyViolation(f"converted partition failed fineness: {check}")
     prec = ceil_log_recip(eps, 2) + 1
     s = riemann_sum(f, part, prec)
-    return IntegralCertificate(eps, part, s, iv_pad(s, eps))
+    return IntegralCertificate(eps, part, s, Interval(s.lo - eps, s.hi + eps))
 
 
 # -- built-in integrands and families ------------------------------------
@@ -213,7 +204,7 @@ def poly_integrand(coeffs, label: str = "") -> tuple[Integrand, GaugeFamily, Fra
         return continuous_const(eps / (2 * slope) if slope else Fraction(1))
 
     ref = sum(c / (i + 1) for i, c in enumerate(coeffs))
-    return Integrand.from_kernel(kernel, label=label or "poly"), GaugeFamily(fam, label="const"), ref
+    return Integrand(kernel, label=label or "poly"), GaugeFamily(fam, label="const"), ref
 
 
 def _sqrt_recip_kernel(tag: UnitPoint, prec: int) -> tuple:
@@ -277,7 +268,7 @@ def dirichlet_gauge_family() -> GaugeFamily:
                 return 1, 1, 1  # exact quadratic irrational
             return 0, 1, 1
 
-        return DirectCode.from_kernel(kernel, domain="unit", label=f"dirichlet-{eps}")
+        return DirectCode(kernel, domain="unit", label=f"dirichlet-{eps}")
 
     return GaugeFamily(fam, label="dirichlet")
 
@@ -318,7 +309,7 @@ def _sqrt_recip_family() -> GaugeFamily:
             v = en * n
             return v, v, ed2 * q.denominator
 
-        return DirectCode.from_kernel(kernel, domain="unit", label=f"sqrt-recip-{eps}")
+        return DirectCode(kernel, domain="unit", label=f"sqrt-recip-{eps}")
 
     return GaugeFamily(fam, label="sqrt-recip")
 
@@ -349,17 +340,17 @@ def builtin_integrands() -> dict:
         "identity": (ident, ident_fam, Fraction(1, 2)),
         "square": (square, square_fam, Fraction(1, 3)),
         "sqrt-reciprocal": (
-            Integrand.from_kernel(_sqrt_recip_kernel, label="sqrt-reciprocal"),
+            Integrand(_sqrt_recip_kernel, label="sqrt-reciprocal"),
             _sqrt_recip_family(),
             Fraction(2),
         ),
         "dirichlet": (
-            Integrand.from_kernel(_dirichlet_kernel, label="dirichlet"),
+            Integrand(_dirichlet_kernel, label="dirichlet"),
             dirichlet_gauge_family(),
             Fraction(0),
         ),
         "step": (
-            Integrand.from_kernel(_step_kernel(step_c), label="step"),
+            Integrand(_step_kernel(step_c), label="step"),
             GaugeFamily(lambda eps: continuous_const(eps / 2), label="const"),
             Fraction(1) - step_c,
         ),

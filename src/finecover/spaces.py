@@ -18,9 +18,11 @@ from .exact import (
     Interval,
     QuadVal,
     ceil_log_recip,
-    iv_refine,
     pow2,
     pow3,
+    rt_interval,
+    rt_of,
+    rt_refine,
 )
 
 THIRD = Fraction(1, 3)
@@ -145,11 +147,6 @@ class Cylinder:
     def contains(self, other: "Cylinder") -> bool:
         return other.prefix.startswith(self.prefix)
 
-    def phi_interval(self) -> Interval:
-        """Image under phi: the dyadic cell [0.sigma, 0.sigma + 2^-|sigma|]."""
-        v = _numeral(self.prefix, 2)
-        return Interval(v, v + self.width)
-
     def __str__(self) -> str:
         return f"[{self.prefix}]" if self.prefix else "[root]"
 
@@ -182,7 +179,7 @@ class UnitPoint:
         self.exact: Union[Fraction, QuadVal, None] = exact
         self._fn = fn
         self.label = label
-        self._best: Optional[Interval] = None
+        self._best: Optional[tuple] = None  # the accumulated enclosure, a triple
         # exact never changes after this, so the hash is taken once
         self._hash = id(self) if exact is None else hash(exact)
 
@@ -236,8 +233,8 @@ class UnitPoint:
             raise ValueError(f"approximant returned width {box.width} > 2^-{k}")
         if box.hi < self.AMBIENT.lo or box.lo > self.AMBIENT.hi:
             raise ValueError(f"approximant box {box} outside ambient [-1, 2]")
-        self._best = iv_refine(self._best, box, what=str(self))
-        return self._best
+        self._best = rt_refine(self._best, rt_of(box), lambda: str(self))
+        return rt_interval(self._best)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UnitPoint):

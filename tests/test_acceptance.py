@@ -10,7 +10,7 @@ from fractions import Fraction as F
 
 from conftest import record_criterion
 
-from finecover.exact import Interval, ceil_log_recip, iv_pad, pow2
+from finecover.exact import Interval, ceil_log_recip, pow2, rt_pad, rt_point
 from finecover.spaces import CantorPoint, Cylinder, UnitPoint, leftmost_cantor_ge
 from finecover.gauges import (
     Baire1Code,
@@ -88,7 +88,7 @@ def _step_gauge(rng):
                 return vals[i]
         return vals[k]
 
-    g = DirectCode(lambda p, s: Interval.point(f(p.exact_value())), domain="unit")
+    g = DirectCode(lambda p, s: rt_point(f(p.exact_value())), domain="unit")
     return g, min(vals)
 
 
@@ -432,10 +432,10 @@ def test_criterion_7_transfer_pipelines_between_the_spaces():
     for t in range(10):
         vals = {p: rng.choice((F(1, 2), F(1, 4), F(1, 8))) for p in ("00", "01", "10", "11")}
 
-        def ev(x, s, vals=vals):
-            return Interval.point(vals[x.bits(2)])
+        def kernel(x, s, vals=vals):
+            return rt_point(vals[x.bits(2)])
 
-        g = DirectCode(ev, domain="cantor")
+        g = DirectCode(kernel, domain="cantor")
         cov = find_cover_unit(transfer_gauge_psi(g), 8, STAGE, hints=hints)
         if not isinstance(cov, FineCover):
             bad.append(f"psi {t}: unit search obstructed (vals {sorted(vals.items())})")
@@ -509,7 +509,7 @@ def test_criterion_8_soundness_and_permanence_sweep():
     # direct codes with shrinking pads: nesting plus verdict permanence
     for t in range(1500):
         v = F(rng.randrange(0, 257), 256)
-        g = DirectCode(lambda p, s, v=v: iv_pad(Interval.point(v), pow2(-s)), domain="unit")
+        g = DirectCode(lambda p, s, v=v: rt_pad(rt_point(v), s), domain="unit")
         px = UnitPoint.from_rat(F(rng.randrange(0, 9), 8))
         b1 = eval_enclosure(g, px, 3)
         b2 = eval_enclosure(g, px, 9)

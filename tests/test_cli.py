@@ -8,7 +8,6 @@ import pytest
 from finecover import cli, covers, integral
 from finecover.cli import main
 from finecover.covers import verify_cover
-from finecover.exact import Interval
 from finecover.gallery import gap_limit_point
 from finecover.gauges import DirectCode, Verdict
 from finecover.gaugespec import MAX_DEPTH, MAX_EXPONENT, parse_gauge
@@ -70,7 +69,7 @@ def test_integrate_contradicting_gauge_exits_four(capsys, monkeypatch):
         return inner(cover)
 
     def fam(eps):
-        return DirectCode(lambda p, stage: Interval.point(F(0) if converted else F(1)), label="liar")
+        return DirectCode(lambda p, stage: (0, 0, 1) if converted else (1, 1, 1), label="liar")
 
     f, _, ref = cli.builtin_integrands()["identity"]
     monkeypatch.setattr(integral, "cover_to_partition", converting)
@@ -224,6 +223,25 @@ def test_verify_flags_inflated_radius(capsys, tmp_path):
     code, out2, _ = run(capsys, "verify", "--gauge", "const:1/4", "--in", str(art))
     assert code == 3
     assert "below the radius" in out2
+
+
+@pytest.mark.parametrize(
+    "text, row",
+    [
+        pytest.param("point,radius\nrat:1e-3000000,1/2\nrat:1/2,1/2\n", 2, id="cover-exponent"),
+        pytest.param("point,radius\nrat:1/2,1/2\nrat:1/4,1_0/3\n", 3, id="cover-underscore"),
+        pytest.param("lo,hi,tag\n0,1e-3000000,rat:0\n1e-3000000,1,rat:1/2\n", 2, id="partition-exponent"),
+        pytest.param("lo,hi,tag\n0,1/2,rat:1/4\n1/2,1,rat:6.5E-1\n", 3, id="partition-tag-exponent"),
+    ],
+)
+def test_verify_refuses_exponents_and_underscores_in_csv_numbers(capsys, tmp_path, text, row):
+    # a ten-byte exponent would stand for a ten-million-bit denominator
+    art = tmp_path / "art.csv"
+    art.write_text(text)
+    code, out, err = run(capsys, "verify", "--gauge", "1", "--stage", "4", "--in", str(art))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: row {row}: not a rational: ") and "Traceback" not in err
 
 
 def test_verify_stage_sensitivity(capsys, tmp_path):

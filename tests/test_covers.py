@@ -24,7 +24,7 @@ from finecover.covers import (
     verify_partition,
     _sweep,
 )
-from finecover.exact import Interval, QuadVal, dyadic_runs, iv_intersect, pow2, simplest_dyadic_between
+from finecover.exact import Interval, QuadVal, dyadic_runs, pow2, rt_intersect, rt_of, rt_point, simplest_dyadic_between
 from finecover.gauges import (
     DirectCode,
     DomainError,
@@ -494,8 +494,8 @@ def _piecewise_const_gauge(rng):
                 return vals[i]
         return vals[-1]
 
-    def at(p: UnitPoint, stage: int) -> Interval:
-        return Interval.point(f(p.exact_value()))
+    def at(p: UnitPoint, stage: int) -> tuple:
+        return rt_point(f(p.exact_value()))
 
     return DirectCode(at, domain="unit", label="step"), min(vals)
 
@@ -567,10 +567,10 @@ def test_find_cover_unit_obstruction_localizes():
 def test_find_cover_unit_quad_hint():
     target = QuadVal(F(0), F(1, 2))  # sqrt(2)/2, interior to [1/2, 3/4]
 
-    def at(p: UnitPoint, stage: int) -> Interval:
+    def at(p: UnitPoint, stage: int) -> tuple:
         if p.is_exact and p.exact_value() == target:
-            return Interval.point(F(1))
-        return Interval.point(F(1, 64))
+            return 1, 1, 1
+        return 1, 1, 64
 
     g = DirectCode(at, domain="unit", label="spike")
     miss = find_cover_unit(g, depth=2, stage=STAGE)
@@ -601,12 +601,12 @@ _GAUGES = st.one_of(_EXPRS, st.tuples(_EXPRS, st.integers(1, 6)).map(lambda t: f
 
 
 def _point_only(g):
-    """The same region evaluator, reachable only through sample points: a
+    """The same region kernel, reachable only through sample points: a
     direct code, which the search never bounds on whole cells. A sequence
     point is evaluated on the cylinder of its first s bits."""
     if g.domain == "cantor":
-        return DirectCode(lambda x, s: g.region_eval(Cylinder(x.bits(s)), s), domain="cantor")
-    return DirectCode(lambda x, s: g.region_eval(iv_intersect(x.approx(s), Interval(0, 1)), s), domain="unit")
+        return DirectCode(lambda x, s: g.kernel(Cylinder(x.bits(s)), s), domain="cantor")
+    return DirectCode(lambda x, s: g.kernel(rt_intersect(rt_of(x.approx(s)), (0, 1, 1)), s), domain="unit")
 
 
 def _ref_find_cover_unit(g, depth, stage, hints=()):
@@ -765,8 +765,8 @@ def test_find_cover_cantor_obstruction():
 def test_find_cover_cantor_hint_first():
     z = CantorPoint.from_pattern("01", "10")
 
-    def at(p: CantorPoint, stage: int) -> Interval:
-        return Interval.point(F(1) if p == z else F(1, 4))
+    def at(p: CantorPoint, stage: int) -> tuple:
+        return (1, 1, 1) if p == z else (1, 1, 4)
 
     g = DirectCode(at, domain="cantor", label="pin")
     c = find_cover_cantor(g, depth=4, stage=STAGE, hints=[z])

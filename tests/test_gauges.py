@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from interval_ref import ref_intersect, ref_pad
 
-from finecover.exact import CauchyViolation, Interval, QuadVal, dyadic_runs, iv_intersect, iv_pad, pow2, pow3, rt_interval
+from finecover.exact import CauchyViolation, Interval, QuadVal, dyadic_runs, pow2, pow3, rt_interval, rt_intersect, rt_of, rt_point
 from finecover.gallery import OracleSpec, oracle_pin_gauge, pin_index
 from finecover.gauges import (
     Baire1Code,
@@ -93,7 +94,7 @@ def test_continuous_consistency_at_opaque_points():
         k = rng.randrange(2, 8)
         first = eval_enclosure(code, x, k)
         second = eval_enclosure(code, x, k + 4)
-        assert first.encloses(second)
+        assert first.lo <= second.lo and second.hi <= first.hi
         assert second.contains(fn(v))
         if first.width > pow2(-k + 2):
             assert second.width < first.width
@@ -128,12 +129,12 @@ def test_domain_errors():
 
 
 def test_direct_code_accumulation():
-    def ev(x, stage):
+    def kernel(x, stage):
         if stage < 5:
-            return Interval(Fraction(0), Fraction(1))
-        return Interval(Fraction(1, 2), Fraction(3, 4))
+            return 0, 1, 1
+        return 2, 3, 4
 
-    g = DirectCode(ev)
+    g = DirectCode(kernel)
     x = UnitPoint.from_rat(Fraction(1, 3))
     assert eval_enclosure(g, x, 8) == Interval(Fraction(1, 2), Fraction(3, 4))
     # later coarse queries keep what was already verified
@@ -142,12 +143,7 @@ def test_direct_code_accumulation():
 
 def test_yes_sticks_across_off_ladder_stages():
     # tight only at precision 6; the running intersection keeps the Yes
-    def ev(region, k):
-        if k == 6:
-            return Interval.point(Fraction(1, 2))
-        return Interval(Fraction(0), Fraction(1))
-
-    g = DirectCode(lambda x, s: ev(None, s))
+    g = DirectCode(lambda x, s: (1, 1, 2) if s == 6 else (0, 1, 1))
     x = UnitPoint.from_rat(Fraction(1, 4))
     assert verified_above(g, x, Fraction(1, 3), 6) is Verdict.YES
     assert verified_above(g, x, Fraction(1, 3), 10) is Verdict.YES
@@ -169,7 +165,7 @@ def test_baire1_trailing_block_example():
     )
     x = UnitPoint.from_rat(Fraction(2, 7))
     box = eval_enclosure(g, x, 10)
-    assert Interval(Fraction(1, 2), Fraction(1, 2) + Fraction(1, 32)).encloses(box)
+    assert Fraction(1, 2) <= box.lo and box.hi <= Fraction(1, 2) + Fraction(1, 32)
     assert box.contains(Fraction(1, 2))
     assert verified_above(g, x, Fraction(1, 4), 10) is Verdict.YES
     assert verified_above(g, x, Fraction(3, 5), 10) is Verdict.NO
@@ -287,7 +283,7 @@ def test_scale_code_kinds():
     assert g.label == "scale(1/2,dist('1/2',))"
     assert eval_enclosure(g, x, 4) == Interval.point(Fraction(1, 8))
 
-    d = scale_code(DirectCode(lambda p, s: Interval.point(Fraction(3, 8)), label="d"), Fraction(2))
+    d = scale_code(DirectCode(lambda p, s: (3, 3, 8), label="d"), Fraction(2))
     assert type(d) is DirectCode and d.kind == "direct" and d.label == "scale(2,d)"
     assert eval_enclosure(d, x, 4) == Interval.point(Fraction(3, 4))
 
@@ -332,7 +328,7 @@ def test_pullback_phi():
     with pytest.raises(DomainError):
         pullback_gauge_phi(continuous_const(1, domain="cantor"))
 
-    d = pullback_gauge_phi(DirectCode(lambda p, s: Interval.point(p.rational_value()), label="id"))
+    d = pullback_gauge_phi(DirectCode(lambda p, s: rt_point(p.rational_value()), label="id"))
     assert type(d) is DirectCode and d.kind == "direct"
     assert d.domain == "cantor" and d.label == "phi*(id)"
     assert eval_enclosure(d, x, 4) == Interval.point(Fraction(1, 3))
@@ -354,8 +350,13 @@ def test_pullback_phi():
     assert eval_enclosure(b2, x, 12).contains(Fraction(1, 2))
 
 
+def _psi_of(lo, hi):
+    """The psi transfer of the sequence-space direct code answering [lo, hi]."""
+    return transfer_gauge_psi(DirectCode(lambda x, s: rt_of(Interval(lo, hi)), domain="cantor"))
+
+
 def test_psi_transfer_values():
-    g = DirectCode(lambda x, s: Interval.point(Fraction(1, 2)), domain="cantor")
+    g = DirectCode(lambda x, s: (1, 1, 2), domain="cantor")
     hat = transfer_gauge_psi(g)
     assert hat.domain == "unit"
     # off the set: exact distance
@@ -364,10 +365,15 @@ def test_psi_transfer_values():
     assert eval_enclosure(hat, UnitPoint.from_rat(Fraction(1, 3)), 4) == Interval.point(Fraction(1, 9))
     assert eval_enclosure(hat, UnitPoint.from_rat(Fraction(0)), 4) == Interval.point(Fraction(1, 9))
 
-    finer = transfer_gauge_psi(DirectCode(lambda x, s: Interval.point(Fraction(3, 8)), domain="cantor"))
-    assert eval_enclosure(finer, UnitPoint.from_rat(Fraction(1)), 4) == Interval.point(pow3(-2))
-    quarter = transfer_gauge_psi(DirectCode(lambda x, s: Interval.point(Fraction(1, 4)), domain="cantor"))
-    assert eval_enclosure(quarter, UnitPoint.from_rat(Fraction(1)), 4) == Interval.point(pow3(-3))
+    one = UnitPoint.from_rat(Fraction(1))
+    assert eval_enclosure(_psi_of(Fraction(3, 8), Fraction(3, 8)), one, 4) == Interval.point(pow3(-2))
+    assert eval_enclosure(_psi_of(Fraction(1, 4), Fraction(1, 4)), one, 4) == Interval.point(pow3(-3))
+    # an inner enclosure over two buckets maps each end to its own bucket
+    assert eval_enclosure(_psi_of(Fraction(1, 4), Fraction(3, 8)), one, 4) == Interval(pow3(-3), pow3(-2))
+    assert eval_enclosure(_psi_of(Fraction(1, 5), Fraction(2)), one, 4) == Interval(pow3(-3), pow3(-1))
+    # a lower end at 0 maps to 0
+    assert eval_enclosure(_psi_of(Fraction(0), Fraction(1, 2)), one, 4) == Interval(Fraction(0), pow3(-2))
+    assert eval_enclosure(_psi_of(Fraction(0), Fraction(0)), one, 4) == Interval.point(Fraction(0))
 
     opaque = UnitPoint.from_fn(lambda k: Interval(Fraction(1, 2) - pow2(-k - 1), Fraction(1, 2) + pow2(-k - 1)))
     assert eval_enclosure(hat, opaque, 4) == Interval(Fraction(0), Fraction(1, 2))
@@ -399,7 +405,7 @@ def test_preimage_pieces_inner_approximation():
         for box in piece:
             assert Fraction(1, 4) < box.lo and box.hi < Fraction(3, 4)
         for old in prev:
-            assert any(new.encloses(old) for new in piece)
+            assert any(new.lo <= old.lo and old.hi <= new.hi for new in piece)
         prev = piece
     assert pieces[-1] != []
     # no modulus, nothing verifiable
@@ -467,8 +473,8 @@ def test_modulus_is_resolved_once_per_stage():
 # -- the Interval-valued evaluation layer, kept as the reference ----------
 #
 # Point verdicts run on integer-numerator triples. This is the layer as it
-# was written before, in Fractions and Intervals: accumulators folded with
-# iv_refine, limit codes enclosed by the padded block hull and certified
+# was written before, in Fractions and Intervals: accumulators folded by
+# intersection, limit codes enclosed by the padded block hull and certified
 # through a modulus scanned afresh each time, and verdicts decided on
 # Fraction compares. It evaluates the same kinds of codes through their
 # kernels and keeps its own accumulators, so the two layers must agree on
@@ -480,7 +486,7 @@ _UNIT = Interval(0, 1)
 def _ref_refine(old, new):
     if old is None:
         return new
-    got = iv_intersect(old, new)
+    got = ref_intersect(old, new)
     if got is None:
         raise CauchyViolation(f"{new} disjoint from accumulated {old}")
     return got
@@ -494,7 +500,7 @@ def _ref_block_enclosure(term_at, stage):
     for a, b in zip(boxes, boxes[1:]):
         hull = Interval(min(hull.lo, b.lo), max(hull.hi, b.hi))
         worst = max(worst, abs(a.lo - b.lo), abs(a.hi - b.hi))
-    return iv_pad(hull, worst)
+    return ref_pad(hull, worst)
 
 
 def _ref_resolvable_j(modulus, stage):
@@ -527,7 +533,7 @@ class _Reference:
             if g.domain == "unit":
                 if not isinstance(x, UnitPoint):
                     raise DomainError("not a unit point")
-                box = iv_intersect(x.approx(stage), _UNIT)
+                box = ref_intersect(x.approx(stage), _UNIT)
                 if box is None:
                     raise DomainError("outside [0,1]")
                 raw = g.region_eval(box, stage)
@@ -544,11 +550,11 @@ class _Reference:
         hull = _ref_block_enclosure(lambda n: self.eval(g.term(n), x, stage), stage)
         j = None if g.modulus is None else _ref_resolvable_j(g.modulus, stage)
         if j is not None:
-            cert = iv_pad(self.eval(g.term(max(1, g.modulus(j))), x, stage), pow2(-j))
+            cert = ref_pad(self.eval(g.term(max(1, g.modulus(j))), x, stage), pow2(-j))
             self.cert[key] = _ref_refine(self.cert.get(key), cert)
         known = self.cert.get(key)
         if known is not None:
-            got = iv_intersect(hull, known)
+            got = ref_intersect(hull, known)
             if got is None:
                 raise CauchyViolation("block hull avoids the certificate")
         else:
@@ -616,13 +622,13 @@ def _codes(draw, kind):
     def direct():
         g = expr()
 
-        def ev(x, s):
-            box = iv_intersect(x.approx(s), _UNIT)
+        def kernel(x, s):
+            box = rt_intersect(rt_of(x.approx(s)), (0, 1, 1))
             if box is None:
                 raise DomainError("outside [0,1]")
-            return g.region_eval(box, s)
+            return g.kernel(box, s)
 
-        return DirectCode(ev)
+        return DirectCode(kernel)
 
     def baire2(modulus):
         def level1(m):
@@ -637,9 +643,9 @@ def _codes(draw, kind):
         "direct": direct,
         # [2^-tight, 1] below stage `tight`, then a value that may lie outside
         "direct-stand-in": lambda: DirectCode(
-            lambda x, s: Interval(pow2(-tight), 1) if s < tight else Interval.point(v)
+            lambda x, s: (1, 1 << tight, 1 << tight) if s < tight else rt_point(v)
         ),
-        "direct-liar": lambda: DirectCode(lambda x, s: Interval.point(Fraction(1, 2 + s % 3))),
+        "direct-liar": lambda: DirectCode(lambda x, s: (1, 1, 2 + s % 3)),
         "baire1": lambda: Baire1Code(_geometric_terms(expr, c, ratio), modulus=_MODULUS),
         "baire1-bare": lambda: Baire1Code(_geometric_terms(expr, c, ratio)),
         "baire1-liar": lambda: Baire1Code(

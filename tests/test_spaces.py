@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from finecover.exact import CauchyViolation, Interval, QuadVal, pow2, pow3
+from finecover.exact import CauchyViolation, Interval, QuadVal, pow2, pow3, rt_cell, rt_interval
 from finecover.spaces import (
     Ball,
     CantorPoint,
@@ -77,7 +77,7 @@ def test_pattern_rejects():
 def test_cylinder_basics():
     c = Cylinder("01")
     assert c.depth == 2 and c.width == Fraction(1, 4)
-    assert c.phi_interval() == Interval(Fraction(1, 4), Fraction(1, 2))
+    assert c.index == 1
     assert c.contains(Cylinder("010")) and not c.contains(Cylinder("00"))
     assert c.contains_point(CantorPoint.from_pattern("01", "1"))
     assert not c.contains_point(CantorPoint.from_pattern("", "0"))
@@ -86,13 +86,16 @@ def test_cylinder_basics():
         Cylinder("0x1")
 
 
-def test_phi_interval_is_the_image_of_the_cylinder():
+def test_cylinder_cell_is_the_image_of_the_cylinder():
+    """phi maps a cylinder onto the dyadic cell of its index and depth, the
+    cell that the pullback of a continuous code evaluates on."""
     for depth in range(9):
         for bits in itertools.product("01", repeat=depth):
             prefix = "".join(bits)
             lo = phi_value(CantorPoint.from_pattern(prefix, "0"))
             hi = phi_value(CantorPoint.from_pattern(prefix, "1"))
-            assert Cylinder(prefix).phi_interval() == Interval(lo, hi)
+            c = Cylinder(prefix)
+            assert rt_interval(rt_cell(c.index, c.depth)) == Interval(lo, hi)
 
 
 def test_cylinder_for_ball():
@@ -159,7 +162,7 @@ def test_phi_psi_opaque_approximants():
         assert box.width <= pow2(-k)
         assert box.contains(Fraction(2, 3))
         if prev is not None:
-            assert prev.encloses(box)
+            assert prev.lo <= box.lo and box.hi <= prev.hi
         prev = box
 
     q = psi(x)  # 2*(3/4)/... = psi(1010...) = 3/4
@@ -294,13 +297,14 @@ def test_unit_point_opaque_nesting():
     assert not p.is_exact
     first = p.approx(1)
     second = p.approx(2)
-    assert first.encloses(second)
+    assert first.lo <= second.lo and second.hi <= first.hi
     assert second == Interval.point(Fraction(1, 2))
 
-    flip = UnitPoint.from_fn(lambda k: Interval.point(0 if k < 3 else 1))
+    flip = UnitPoint.from_fn(lambda k: Interval.point(0 if k < 3 else 1), label="flip")
     flip.approx(1)
-    with pytest.raises(CauchyViolation):
+    with pytest.raises(CauchyViolation) as got:
         flip.approx(3)
+    assert str(got.value) == "UnitPoint(approx, label='flip'): [1, 1] disjoint from accumulated [0, 0]"
 
     wide = UnitPoint.from_fn(lambda k: Interval(0, 1))
     with pytest.raises(ValueError):

@@ -53,6 +53,7 @@ from .serialize import (
     region_str,
     unit_str,
 )
+from .spaces import Cylinder
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -276,7 +277,7 @@ def cmd_gallery(args) -> int:
                 {
                     "demo": "oracle-pin",
                     "pinned": cantor_str(z),
-                    "blind_search": f"obstruction [{z.bits(depth)}]",
+                    "blind_search": f"obstruction {region_str(Cylinder(z.index(depth), depth))}",
                     "hinted_cover_size": len(cover),
                     "depth": depth,
                     "stage": stage,

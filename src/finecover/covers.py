@@ -99,7 +99,7 @@ class TaggedPartition:
 
 
 def _cantor_sort_key(p: CantorPoint):
-    return (p.bits(48), p.pattern or ("", ""))
+    return (p.index(48), p.pattern or ("", ""))
 
 
 class FineCover:
@@ -245,25 +245,25 @@ def uncovered_witness(cover: FineCover):
 
     Unit side: exact sweep over the closed balls; the witness is the
     simplest dyadic rational in the first gap. Cantor side: leftmost
-    unresolved branch of the cylinder prefix tree.
+    unresolved cell of the binary tree of cylinders.
     """
     if cover.space == "unit":
         return _sweep(cover)[1]
-    prefixes = {cylinder_for_ball(p, cover.radii[p]).prefix for p in cover.points}
-    maxlen = max(len(s) for s in prefixes)
+    cells = {cylinder_for_ball(p, cover.radii[p]) for p in cover.points}
+    deepest = max(c.depth for c in cells)
 
-    # depth-first, left branch first; a node is only pushed when no proper
-    # prefix of it is a cylinder of the cover, so checking the node alone
+    # depth-first, left branch first; a cell is only pushed when no cell
+    # above it is a cylinder of the cover, so checking the cell alone
     # tells whether it is covered
-    stack = [""]
+    stack = [Cylinder(0, 0)]
     while stack:
-        node = stack.pop()
-        if node in prefixes:
+        cell = stack.pop()
+        if cell in cells:
             continue
-        if len(node) >= maxlen:
-            return CantorPoint.from_pattern(node, "0")
-        stack.append(node + "1")
-        stack.append(node + "0")
+        if cell.depth >= deepest:
+            return CantorPoint.from_pattern(cell.prefix, "0")
+        i, level = 2 * cell.index, cell.depth + 1
+        stack += [Cylinder(i + 1, level), Cylinder(i, level)]
     return None
 
 
@@ -365,11 +365,6 @@ def cover_to_partition(cover: FineCover) -> TaggedPartition:
 # -- subdivision searches ------------------------------------------------
 
 
-def _numeral(i: int, level: int) -> str:
-    """The `level`-bit binary numeral of i: the prefix of Cantor cell i."""
-    return format(i, f"0{level}b") if level else ""
-
-
 def _checked_hints(g: GaugeCode, hints, space: str, key) -> list:
     """The search hints in `key` order, once the code is checked to live on
     `space` and every hint to be an exact point of it."""
@@ -382,7 +377,7 @@ def _checked_hints(g: GaugeCode, hints, space: str, key) -> list:
     return sorted(hints or (), key=key)
 
 
-def _subdivide(g: GaugeCode, depth: int, stage: int, strict: bool, region, samples, regions):
+def _subdivide(g: GaugeCode, depth: int, stage: int, strict: bool, samples, regions):
     """Breadth-first search over the binary tree of cells, for both spaces.
 
     Cell i at level l, of width w = 2^-l, is accepted on the first of
@@ -391,14 +386,13 @@ def _subdivide(g: GaugeCode, depth: int, stage: int, strict: bool, region, sampl
     level l+1. Cells left at `depth` form an Obstruction of `regions`.
 
     Branch and bound: a continuous code is first enclosed on the whole cell
-    `region(i, l)` (the kernel's input: a triple, or a Cylinder) by one
-    kernel evaluation at `stage`. When the upper end hi/d rules acceptance
-    out (hi/d <= w strict, hi/d < w non-strict, that is hi << l against
-    d), no sample could get the Yes, so the cell survives unsampled and
-    hands the bound (hi, d) to its children, which skip evaluation while it
-    still rules them out. Only cells that could not have been accepted are
-    skipped, so covers and obstructions are those of the plain sample-only
-    walk.
+    by one kernel evaluation at `stage` on the triple `rt_cell(i, l)`, in
+    either space. When the upper end hi/d rules acceptance out (hi/d <= w
+    strict, hi/d < w non-strict, that is hi << l against d), no sample
+    could get the Yes, so the cell survives unsampled and hands the bound
+    (hi, d) to its children, which skip evaluation while it still rules
+    them out. Only cells that could not have been accepted are skipped, so
+    covers and obstructions are those of the plain sample-only walk.
     """
     if depth < 1:
         raise ValueError("need depth >= 1")
@@ -414,7 +408,7 @@ def _subdivide(g: GaugeCode, depth: int, stage: int, strict: bool, region, sampl
         for i, bound in frontier:
             if bounded:
                 if bound is None or not rules_out(bound[0] << level, bound[1]):
-                    _, hi, d = g.kernel(region(i, level), stage)
+                    _, hi, d = g.kernel(rt_cell(i, level), stage)
                     if bound is None or hi * bound[1] < bound[0] * d:
                         bound = hi, d
                 if rules_out(bound[0] << level, bound[1]):
@@ -481,38 +475,35 @@ def find_cover_unit(g: GaugeCode, depth: int, stage: int, hints=()) -> Union[Fin
             if cand not in in_cell:
                 yield cand
 
-    return _subdivide(g, depth, stage, True, rt_cell, samples, dyadic_runs)
+    return _subdivide(g, depth, stage, True, samples, dyadic_runs)
 
 
 def find_cover_cantor(g: GaugeCode, depth: int, stage: int, hints=()) -> Union[FineCover, Obstruction]:
     """Breadth-first over cylinders: accept [sigma] once the gauge at some
     sample point of the cylinder is verifiably >= its width 2^-|sigma|.
 
-    Cell i at level l is the cylinder of the l-bit numeral of i, the
-    sequence-space twin of the dyadic cell that phi maps it onto. Samples
-    are in-cylinder hints first, then the two constant-tail extensions.
-    Accepted cylinders contribute (sample, 2^-|sigma|); survivors at
-    `depth` form the Obstruction, sorted by prefix. Continuous codes are
-    bounded on whole cylinders first (see `_subdivide`).
+    Cell i at level l is Cylinder(i, l), the sequence-space twin of the
+    dyadic cell that phi maps it onto. Samples are in-cylinder hints first,
+    then the two constant-tail extensions. Accepted cylinders contribute
+    (sample, 2^-|sigma|); survivors at `depth` form the Obstruction, sorted
+    by index. Continuous codes are bounded on whole cylinders first (see
+    `_subdivide`).
     """
     hints = _checked_hints(g, hints, "cantor", _cantor_sort_key)
 
-    def region(i: int, level: int) -> Cylinder:
-        return Cylinder(_numeral(i, level))
-
     def samples(i: int, level: int):
-        prefix = _numeral(i, level)
-        in_cell = [h for h in hints if h.bits(level) == prefix]
+        in_cell = [h for h in hints if h.index(level) == i]
         yield from in_cell
+        prefix = Cylinder(i, level).prefix
         for tail in "01":
             cand = CantorPoint.from_pattern(prefix, tail)
             if cand not in in_cell:
                 yield cand
 
     def regions(cells, level: int) -> list:
-        return [region(i, level) for i in cells]
+        return [Cylinder(i, level) for i in cells]
 
-    return _subdivide(g, depth, stage, False, region, samples, regions)
+    return _subdivide(g, depth, stage, False, samples, regions)
 
 
 # -- transfers of covers between the spaces ------------------------------

@@ -31,7 +31,7 @@ from .gauges import (
     continuous_dist_to,
     eval_enclosure,
 )
-from .spaces import CantorPoint, UnitPoint
+from .spaces import CantorPoint, Cylinder, UnitPoint
 
 
 class UnexpectedCover(RuntimeError):
@@ -346,15 +346,15 @@ def oracle_pin_demo(spec: OracleSpec, depth: int, stage: int) -> FineCover:
     blind = find_cover_cantor(g, depth, stage)
     if isinstance(blind, FineCover):
         raise UnexpectedCover("unhinted search covered the pinned point")
-    want = spec.Z.bits(depth)
-    got = [cyl.prefix for cyl in blind.unresolved]
-    if got != [want]:
-        raise GalleryFalsification(f"unresolved cylinders {got}, expected [{want}]")
+    want = Cylinder(spec.Z.index(depth), depth)
+    if blind.unresolved != (want,):
+        got = [cyl.prefix for cyl in blind.unresolved]
+        raise GalleryFalsification(f"unresolved cylinders {got}, expected [{want.prefix}]")
 
     seen = find_cover_cantor(g, depth, stage, hints=[spec.Z])
     if isinstance(seen, Obstruction):
         raise GalleryFalsification("hinted search still obstructed")
-    if not any(p.bits(depth) == want for p in seen.points):
+    if not any(p.index(depth) == want.index for p in seen.points):
         raise GalleryFalsification("hinted cover has no point tracking Z")
     return seen
 

@@ -83,9 +83,9 @@ Region = Union[Interval, Cylinder]
 
 
 def _point_region(x: Point, k: int, domain: str):
-    """The kernel input a point query evaluates on: the triple of an exact
-    rational point in [0,1], else of the point's approximant clipped to
-    [0,1]; or the point's depth-k cylinder."""
+    """The kernel input a point query evaluates on, a triple: that of an
+    exact rational point in [0,1], else of the point's approximant clipped
+    to [0,1]; or the dyadic cell of the point's depth-k cylinder."""
     if domain == "unit":
         if not isinstance(x, UnitPoint):
             raise DomainError(f"unit-interval code evaluated at {x!r}")
@@ -101,7 +101,7 @@ def _point_region(x: Point, k: int, domain: str):
         return box
     if not isinstance(x, CantorPoint):
         raise DomainError(f"sequence-space code evaluated at {x!r}")
-    return Cylinder(x.bits(k))
+    return rt_cell(x.index(k), k)
 
 
 @lru_cache(maxsize=32)
@@ -151,18 +151,20 @@ class ContinuousCode(_PointCode):
 
     The kernel works in the integer-numerator format of `exact`: kernel(r,
     k) takes a unit-interval region as the triple r (a sequence-space
-    region as its Cylinder), must return a triple enclosing {f(t) : t in
-    region}, and must tighten as the region shrinks and k grows. The
-    continuous_* constructors compose kernels. Point queries go through the
-    point's own width <= 2^-k approximant, and their triples are
-    accumulated per point.
+    cylinder as the triple of the dyadic cell phi maps it onto), must
+    return a triple enclosing {f(t) : t in region}, and must tighten as the
+    region shrinks and k grows. The continuous_* constructors compose
+    kernels. Point queries go through the point's own width <= 2^-k
+    approximant (a sequence point's depth-k cylinder), and their triples
+    are accumulated per point.
     """
 
     kind = "continuous"
 
     def region_eval(self, region: Region, k: int) -> Interval:
         """Enclosure of the code over the region, built as one Interval."""
-        return rt_interval(self.kernel(rt_of(region) if self.domain == "unit" else region, k))
+        r = rt_of(region) if self.domain == "unit" else rt_cell(region.index, region.depth)
+        return rt_interval(self.kernel(r, k))
 
     def _eval(self, x: Point, stage: int) -> tuple:
         raw = self.kernel(_point_region(x, stage, self.domain), stage)
@@ -463,12 +465,8 @@ def pullback_gauge_phi(g: GaugeCode) -> GaugeCode:
     if g.domain != "unit":
         raise DomainError("pullback needs a unit-interval code")
     if g.kind == "continuous":
-        kernel = g.kernel
-        return ContinuousCode(
-            lambda cyl, k: kernel(rt_cell(cyl.index, cyl.depth), k),
-            domain="cantor",
-            label=f"phi*({g.label})",
-        )
+        # a sequence-space kernel reads a cylinder as the cell phi maps it onto
+        return ContinuousCode(g.kernel, domain="cantor", label=f"phi*({g.label})")
     if g.kind == "direct":
         kernel = g.kernel
         return DirectCode(

@@ -68,6 +68,8 @@ def parse_unit(s: str) -> UnitPoint:
         inner, prec_s = rest[1:].rsplit("]@", 1)
         lo, _, hi = inner.partition(",")
         box = Interval(parse_rat(lo), parse_rat(hi))
+        if not (prec_s.isascii() and prec_s.isdigit()):
+            raise ValueError(f"approx point {s!r}: precision {prec_s!r} is not an ASCII decimal")
         prec = int(prec_s)
 
         def fn(k: int, _box=box, _prec=prec) -> Interval:
@@ -94,8 +96,19 @@ def cover_csv(cover: FineCover) -> str:
     return out.getvalue()
 
 
+def _csv_rows(text: str) -> list:
+    """The CSV records of text; one the csv module rejects is a ValueError naming its row."""
+    rows: list = []
+    try:
+        for row in csv.reader(io.StringIO(text)):
+            rows.append(row)
+    except csv.Error as e:
+        raise ValueError(f"row {len(rows) + 1}: {e}") from None
+    return rows
+
+
 def parse_cover_csv(text: str) -> FineCover:
-    rows = list(csv.reader(io.StringIO(text)))
+    rows = _csv_rows(text)
     if not rows or rows[0] != ["point", "radius"]:
         raise ValueError("cover CSV must start with the point,radius header")
     entries = []
@@ -123,7 +136,7 @@ def partition_csv(part: TaggedPartition) -> str:
 
 
 def parse_partition_csv(text: str) -> TaggedPartition:
-    rows = list(csv.reader(io.StringIO(text)))
+    rows = _csv_rows(text)
     if not rows or rows[0] != ["lo", "hi", "tag"]:
         raise ValueError("partition CSV must start with the lo,hi,tag header")
     cuts: list[Fraction] = []

@@ -20,6 +20,7 @@ from .exact import (
     ceil_log_recip,
     pow2,
     pow3,
+    rt_cell,
     rt_interval,
     rt_of,
     rt_refine,
@@ -39,13 +40,15 @@ def _norm_pattern(prefix: str, period: str) -> tuple[str, str]:
     Shrinks the period to its primitive root, then rotates trailing prefix
     bits into the period, so equal sequences get equal patterns.
     """
-    for d in range(1, len(period) + 1):
-        if len(period) % d == 0 and period == period[:d] * (len(period) // d):
-            period = period[:d]
-            break
-    while prefix and prefix[-1] == period[-1]:
-        prefix = prefix[:-1]
-        period = period[-1] + period[:-1]
+    period = period[: (period + period).find(period, 1)]  # the least shift that maps it onto itself
+    if prefix:
+        # the run of prefix bits that the period, read backwards, matches is
+        # the run of low zeros of prefix XOR the period tiled to its length
+        tiled = (period * (len(prefix) // len(period) + 1))[-len(prefix) :]
+        diff = int(prefix, 2) ^ int(tiled, 2)
+        n = (diff & -diff).bit_length() - 1 if diff else len(prefix)
+        s = len(period) - n % len(period)
+        prefix, period = prefix[: len(prefix) - n], period[s:] + period[:s]
     return prefix, period
 
 
@@ -84,10 +87,6 @@ class CantorPoint:
 
         return cls(rule, pattern=(prefix, period))
 
-    @classmethod
-    def from_rule(cls, rule: Callable[[int], int], label: Optional[str] = None) -> "CantorPoint":
-        return cls(rule, label=label)
-
     def bit(self, i: int) -> int:
         while len(self._bits) <= i:
             b = self._rule(len(self._bits))
@@ -97,7 +96,18 @@ class CantorPoint:
         return self._bits[i]
 
     def bits(self, n: int) -> str:
-        return "".join(str(self.bit(i)) for i in range(n))
+        """The first n bits: a slice of the prefix and repeated period for
+        pattern points, the cached rule bits otherwise."""
+        if self.pattern is None:
+            return "".join(str(self.bit(i)) for i in range(n))
+        prefix, period = self.pattern
+        if n > len(prefix):
+            prefix += period * -(-(n - len(prefix)) // len(period))
+        return prefix[:n]
+
+    def index(self, k: int) -> int:
+        """The depth-k cell of the point: it lies in Cylinder(x.index(k), k)."""
+        return int(self.bits(k) or "0", 2)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CantorPoint):
@@ -119,36 +129,22 @@ class CantorPoint:
 
 @dataclass(frozen=True)
 class Cylinder:
-    """The set [sigma] of sequences extending a finite bit string."""
+    """The cylinder of the sequences whose first `depth` bits spell the
+    `depth`-bit binary numeral of `index`: cell `index` at level `depth`
+    of the binary tree, which phi maps onto the dyadic cell
+    [index 2^-depth, (index + 1) 2^-depth]."""
 
-    prefix: str
+    index: int
+    depth: int
 
     def __post_init__(self) -> None:
-        if any(c not in "01" for c in self.prefix):
-            raise ValueError(f"bad cylinder prefix: {self.prefix!r}")
+        if self.depth < 0 or self.index < 0 or self.index >> self.depth:
+            raise ValueError(f"no cylinder has index {self.index} at depth {self.depth}")
 
     @property
-    def depth(self) -> int:
-        return len(self.prefix)
-
-    @property
-    def width(self) -> Fraction:
-        return pow2(-self.depth)
-
-    @property
-    def index(self) -> int:
-        """The prefix as a binary numeral: phi maps the cylinder onto the
-        dyadic cell [index 2^-depth, (index + 1) 2^-depth]."""
-        return int(self.prefix or "0", 2)
-
-    def contains_point(self, x: CantorPoint) -> bool:
-        return x.bits(self.depth) == self.prefix
-
-    def contains(self, other: "Cylinder") -> bool:
-        return other.prefix.startswith(self.prefix)
-
-    def __str__(self) -> str:
-        return f"[{self.prefix}]" if self.prefix else "[root]"
+    def prefix(self) -> str:
+        """The bit string every sequence in the cylinder starts with."""
+        return format(self.index, f"0{self.depth}b") if self.depth else ""
 
 
 def cylinder_for_ball(x: CantorPoint, r: Fraction) -> Cylinder:
@@ -156,7 +152,7 @@ def cylinder_for_ball(x: CantorPoint, r: Fraction) -> Cylinder:
     if r <= 0:
         raise ValueError("need r > 0")
     m = ceil_log_recip(min(r, Fraction(1)))
-    return Cylinder(x.bits(m))
+    return Cylinder(x.index(m), m)
 
 
 class UnitPoint:
@@ -311,8 +307,7 @@ def phi(x: CantorPoint) -> UnitPoint:
         return UnitPoint.from_rat(phi_value(x))
 
     def fn(k: int) -> Interval:
-        v = _numeral(x.bits(k + 1), 2)
-        return Interval(v, v + pow2(-k - 1))
+        return rt_interval(rt_cell(x.index(k + 1), k + 1))
 
     return UnitPoint.from_fn(fn, label=f"phi({x!r})")
 

@@ -244,6 +244,23 @@ def test_verify_refuses_exponents_and_underscores_in_csv_numbers(capsys, tmp_pat
     assert err.startswith(f"error: row {row}: not a rational: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "text, row",
+    [
+        pytest.param("point,radius\nrat:1/2,1/2\nrat:" + "1" * 320_000 + ",1/2\n", 3, id="cover"),
+        pytest.param("lo,hi,tag\n0,1," + "1" * 320_000 + "\n", 2, id="partition"),
+    ],
+)
+def test_verify_oversized_csv_field_exits_one(capsys, tmp_path, text, row):
+    # the csv module refuses fields over 131072 characters with its own error type
+    art = tmp_path / "art.csv"
+    art.write_text(text)
+    code, out, err = run(capsys, "verify", "--gauge", "1", "--stage", "4", "--in", str(art))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: row {row}: field larger than field limit") and "Traceback" not in err
+
+
 def test_verify_stage_sensitivity(capsys, tmp_path):
     art = tmp_path / "part.csv"
     art.write_text(

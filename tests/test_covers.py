@@ -24,7 +24,17 @@ from finecover.covers import (
     verify_partition,
     _sweep,
 )
-from finecover.exact import Interval, QuadVal, dyadic_runs, pow2, rt_intersect, rt_of, rt_point, simplest_dyadic_between
+from finecover.exact import (
+    Interval,
+    QuadVal,
+    dyadic_runs,
+    pow2,
+    rt_cell,
+    rt_intersect,
+    rt_of,
+    rt_point,
+    simplest_dyadic_between,
+)
 from finecover.gauges import (
     DirectCode,
     DomainError,
@@ -39,7 +49,7 @@ from finecover.gauges import (
 )
 from finecover.gaugespec import parse_gauge
 from finecover.integral import builtin_integrands, default_depth, dirichlet_hints
-from finecover.spaces import CantorPoint, Cylinder, UnitPoint
+from finecover.spaces import CantorPoint, UnitPoint, cylinder_for_ball
 
 F = Fraction
 STAGE = 8
@@ -173,6 +183,51 @@ def test_verify_cover_cantor():
     assert verify_cover(g, half, STAGE) is Verdict.NO
     w = uncovered_witness(half)
     assert w.bit(0) == 1
+
+
+def _ref_cantor_witness(cover):
+    """The sequence-side witness as first written: a depth-first walk, left
+    branch first, over the prefix strings of the cover's cylinders."""
+    prefixes = set()
+    for p, r in cover.entries():
+        m = 0
+        while F(1, 1 << m) > r:
+            m += 1
+        prefixes.add("".join(str(p.bit(i)) for i in range(m)))
+    maxlen = max(len(s) for s in prefixes)
+    stack = [""]
+    while stack:
+        node = stack.pop()
+        if node in prefixes:
+            continue
+        if len(node) >= maxlen:
+            return CantorPoint.from_pattern(node, "0")
+        stack.append(node + "1")
+        stack.append(node + "0")
+    return None
+
+
+_CELL = st.tuples(
+    st.text(alphabet="01", max_size=4),  # the cylinder's prefix
+    st.text(alphabet="01", max_size=3),  # more bits of the point inside it
+    st.sampled_from(["0", "1", "01"]),  # the point's period
+    st.booleans(),  # a radius of 3/2 the width, which names the same cylinder
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_CELL, min_size=1, max_size=12))
+def test_cantor_witness_matches_the_string_walk(cells):
+    entries = [
+        (CantorPoint.from_pattern(prefix + more, period), F(3 if wide else 2, 2 << len(prefix)))
+        for prefix, more, period, wide in cells
+    ]
+    cover = FineCover(entries)
+    got = uncovered_witness(cover)
+    assert got == _ref_cantor_witness(cover)
+    for p, r in cover.entries() if got is not None else ():
+        cell = cylinder_for_ball(p, r)
+        assert got.index(cell.depth) != cell.index
 
 
 # -- conversions ---------------------------------------------------------
@@ -603,9 +658,9 @@ _GAUGES = st.one_of(_EXPRS, st.tuples(_EXPRS, st.integers(1, 6)).map(lambda t: f
 def _point_only(g):
     """The same region kernel, reachable only through sample points: a
     direct code, which the search never bounds on whole cells. A sequence
-    point is evaluated on the cylinder of its first s bits."""
+    point is evaluated on the cell of its depth-s cylinder."""
     if g.domain == "cantor":
-        return DirectCode(lambda x, s: g.kernel(Cylinder(x.bits(s)), s), domain="cantor")
+        return DirectCode(lambda x, s: g.kernel(rt_cell(x.index(s), s), s), domain="cantor")
     return DirectCode(lambda x, s: g.kernel(rt_intersect(rt_of(x.approx(s)), (0, 1, 1)), s), domain="unit")
 
 

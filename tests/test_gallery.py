@@ -279,7 +279,7 @@ def test_pin_gauge_is_honest_on_rule_points_past_the_scan(near):
     # 2^-12; a scan bound that runs out first must not answer Yes
     spec = default_oracle_spec()
     z = spec.Z
-    x = CantorPoint.from_rule(lambda i: z.bit(i) ^ (i >= near))
+    x = CantorPoint(lambda i: z.bit(i) ^ (i >= near))
     g = oracle_pin_gauge(spec)
     assert verified_at_least(g, x, pow2(-12), 8) is Verdict.UNKNOWN
     assert eval_enclosure(g, x, 8) == Interval(F(0), F(1))

@@ -324,7 +324,7 @@ def test_pullback_phi():
     x = CantorPoint.from_pattern("", "01")  # phi = 1/3
     box = eval_enclosure(back, x, 6)
     assert box.contains(Fraction(1, 6)) and box.width <= pow2(-6)
-    assert back.region_eval(Cylinder("1"), 4) == Interval(Fraction(0), Fraction(1, 2))
+    assert back.region_eval(Cylinder(1, 1), 4) == Interval(Fraction(0), Fraction(1, 2))
     with pytest.raises(DomainError):
         pullback_gauge_phi(continuous_const(1, domain="cantor"))
 
@@ -540,7 +540,7 @@ class _Reference:
             else:
                 if not isinstance(x, CantorPoint):
                     raise DomainError("not a sequence point")
-                raw = g.region_eval(Cylinder(x.bits(stage)), stage)
+                raw = g.region_eval(Cylinder(x.index(stage), stage), stage)
             self.acc[key] = got = _ref_refine(self.acc.get(key), raw)
             return got
         if g.kind == "direct":
@@ -673,7 +673,7 @@ def _points(draw, space):
             period = draw(st.text("01", min_size=1, max_size=3))
             return lambda: CantorPoint.from_pattern(prefix, period)
         bits = prefix + "1"
-        return lambda: CantorPoint.from_rule(lambda i: int(bits[i % len(bits)]) ^ (i > 20))
+        return lambda: CantorPoint(lambda i: int(bits[i % len(bits)]) ^ (i > 20))
     kind = draw(st.sampled_from(["rational", "end", "outside", "quad", "approx"]))
     if kind == "rational":
         q = draw(st.fractions(0, 1, max_denominator=64))
@@ -835,6 +835,6 @@ def test_pin_kernel_matches_its_interval_evaluator(z, point, near, stages):
     spec = OracleSpec(CantorPoint.from_pattern(*z))
     code, at = oracle_pin_gauge(spec), _ref_pin_at(spec)
     zed = spec.Z
-    for x in (point(), zed, CantorPoint.from_rule(lambda i: zed.bit(i) ^ (i >= near))):
+    for x in (point(), zed, CantorPoint(lambda i: zed.bit(i) ^ (i >= near))):
         for s in stages:
             assert rt_interval(code.kernel(x, s)) == at(x, s), (x, s)

@@ -103,3 +103,34 @@ def test_every_definition_is_used_outside_itself():
                 used |= _referenced(node) - skip
     dead = sorted(f"{where} {name}" for name, where in definitions.items() if name not in used)
     assert not dead, dead
+
+
+_INTEGER_MATH = {"floor", "gcd", "isqrt", "lcm"}
+
+
+def _float_uses(tree: ast.Module) -> list[str]:
+    """Float literals, the name `float`, and `math` names outside the
+    integer-only functions, each with its line."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append(f"line {node.lineno}: literal {node.value!r}")
+        elif isinstance(node, ast.Name) and node.id == "float":
+            found.append(f"line {node.lineno}: float")
+        elif isinstance(node, ast.Import):
+            found += [f"line {node.lineno}: import math" for a in node.names if a.name == "math"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found += [f"line {node.lineno}: math.{a.name}" for a in node.names if a.name not in _INTEGER_MATH]
+    return found
+
+
+def test_no_floats_on_the_verified_path():
+    """Everything in the package is exact: no float literal, no `float`,
+    and from `math` only the integer functions floor, gcd, isqrt and lcm
+    (imported by name, so no other can be reached)."""
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        uses = _float_uses(ast.parse(path.read_text(), filename=str(path)))
+        if uses:
+            found[path.name] = uses
+    assert not found, found

@@ -66,6 +66,14 @@ def test_unit_rejects():
         parse_unit("approx:[1/2,3/4]")
 
 
+@pytest.mark.parametrize("prec", ["\u0661", "1_0", " 1_0 ", "+3", ""])
+def test_unit_approx_precision_is_ascii_decimal(prec):
+    # int() alone would read an Arabic-Indic one as 1 and "1_0" as 10
+    with pytest.raises(ValueError, match=r"precision .* is not an ASCII decimal"):
+        parse_unit(f"approx:[1/4,1/2]@{prec}")
+    assert parse_unit("approx:[1/4,1/2]@2").approx(2).lo == F(1, 4)
+
+
 def test_unit_cover_csv_round_trip():
     cover = FineCover(
         [

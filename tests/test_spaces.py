@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finecover.exact import CauchyViolation, Interval, QuadVal, pow2, pow3, rt_cell, rt_interval
 from finecover.spaces import (
@@ -11,6 +13,7 @@ from finecover.spaces import (
     Cylinder,
     NotInCantorSet,
     UnitPoint,
+    _norm_pattern,
     cylinder_for_ball,
     dist_to_cantor,
     leftmost_cantor_ge,
@@ -48,6 +51,55 @@ def test_pattern_equality_random():
         assert x.bits(24) == y.bits(24)
 
 
+def _ref_norm_pattern(prefix: str, period: str) -> tuple[str, str]:
+    """The pattern normalisation as first written: one trailing prefix bit
+    rotated into the period per step, quadratic in the prefix length."""
+    for d in range(1, len(period) + 1):
+        if len(period) % d == 0 and period == period[:d] * (len(period) // d):
+            period = period[:d]
+            break
+    while prefix and prefix[-1] == period[-1]:
+        prefix = prefix[:-1]
+        period = period[-1] + period[:-1]
+    return prefix, period
+
+
+_BITS = st.text(alphabet="01", max_size=40)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_BITS, _BITS.filter(bool), st.integers(0, 4), _BITS)
+def test_norm_pattern_matches_the_reference(prefix, period, repeats, head):
+    # prefixes that end in copies of the period exercise the rotation
+    prefix = head + period * repeats + prefix[: len(prefix) % 3]
+    assert _norm_pattern(prefix, period) == _ref_norm_pattern(prefix, period)
+    assert _norm_pattern(prefix, period * 3) == _ref_norm_pattern(prefix, period * 3)
+
+
+def test_norm_pattern_is_linear_in_the_prefix():
+    # a million-bit prefix the period absorbs whole, and one it stops in
+    assert _norm_pattern("0" * 10**6, "0") == ("", "0")
+    assert _norm_pattern("1" + "10" * (5 * 10**5), "10") == ("1", "10")
+    assert _norm_pattern("1" + "0" * 10**6, "01") == ("1" + "0" * 10**6, "01")
+
+
+_PATTERN_POINTS = st.builds(CantorPoint.from_pattern, _BITS, _BITS.filter(bool))
+_RULE_POINTS = st.builds(
+    lambda bits, tail: CantorPoint(lambda i: int(bits[i]) if i < len(bits) else (i * tail) % 3 % 2),
+    _BITS,
+    st.integers(1, 7),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_PATTERN_POINTS, _RULE_POINTS), st.integers(0, 200))
+def test_bits_and_index_read_what_bit_reads(x, k):
+    per_bit = "".join(str(x.bit(i)) for i in range(k))
+    assert x.bits(k) == per_bit
+    assert x.index(k) == int(per_bit or "0", 2)
+    assert Cylinder(x.index(k), k).prefix == per_bit
+
+
 def test_bit_rules():
     x = CantorPoint.from_pattern("10", "011")
     assert x.bits(8) == "10011011"
@@ -57,12 +109,12 @@ def test_bit_rules():
         calls.append(i)
         return i % 2
 
-    y = CantorPoint.from_rule(rule)
+    y = CantorPoint(rule)
     assert y.bits(4) == "0101"
     assert y.bits(4) == "0101"
     assert calls == [0, 1, 2, 3]  # cached, queried once each
 
-    bad = CantorPoint.from_rule(lambda i: 2)
+    bad = CantorPoint(lambda i: 2)
     with pytest.raises(ValueError):
         bad.bit(0)
 
@@ -75,15 +127,18 @@ def test_pattern_rejects():
 
 
 def test_cylinder_basics():
-    c = Cylinder("01")
-    assert c.depth == 2 and c.width == Fraction(1, 4)
-    assert c.index == 1
-    assert c.contains(Cylinder("010")) and not c.contains(Cylinder("00"))
-    assert c.contains_point(CantorPoint.from_pattern("01", "1"))
-    assert not c.contains_point(CantorPoint.from_pattern("", "0"))
-    assert str(Cylinder("")) == "[root]"
+    c = Cylinder(1, 2)
+    assert c.depth == 2 and c.index == 1 and c.prefix == "01"
+    assert Cylinder(0, 0).prefix == "" and Cylinder(5, 5).prefix == "00101"
+    assert c == Cylinder(1, 2) and c != Cylinder(1, 3)
+    assert CantorPoint.from_pattern("01", "1").index(2) == c.index
+    assert CantorPoint.from_pattern("", "0").index(2) != c.index
+
+
+@pytest.mark.parametrize("index, depth", [(4, 2), (-1, 2), (0, -1)])
+def test_cylinder_rejects_cells_off_the_tree(index, depth):
     with pytest.raises(ValueError):
-        Cylinder("0x1")
+        Cylinder(index, depth)
 
 
 def test_cylinder_cell_is_the_image_of_the_cylinder():
@@ -94,15 +149,16 @@ def test_cylinder_cell_is_the_image_of_the_cylinder():
             prefix = "".join(bits)
             lo = phi_value(CantorPoint.from_pattern(prefix, "0"))
             hi = phi_value(CantorPoint.from_pattern(prefix, "1"))
-            c = Cylinder(prefix)
+            c = Cylinder(int(prefix or "0", 2), depth)
+            assert c.prefix == prefix
             assert rt_interval(rt_cell(c.index, c.depth)) == Interval(lo, hi)
 
 
 def test_cylinder_for_ball():
     x = CantorPoint.from_pattern("", "01")
-    assert cylinder_for_ball(x, Fraction(1)) == Cylinder("")
-    assert cylinder_for_ball(x, Fraction(1, 2)) == Cylinder("0")
-    assert cylinder_for_ball(x, Fraction(1, 3)) == Cylinder("01")
+    assert cylinder_for_ball(x, Fraction(1)) == Cylinder(0, 0)
+    assert cylinder_for_ball(x, Fraction(1, 2)) == Cylinder(0, 1)
+    assert cylinder_for_ball(x, Fraction(1, 3)) == Cylinder(1, 2)
     with pytest.raises(ValueError):
         cylinder_for_ball(x, Fraction(0))
 
@@ -110,10 +166,11 @@ def test_cylinder_for_ball():
     for _ in range(200):
         r = Fraction(rng.randrange(1, 400), rng.randrange(1, 400))
         cyl = cylinder_for_ball(x, r)
-        assert cyl.contains_point(x)
-        assert cyl.width <= r or cyl.depth == 0
+        assert x.index(cyl.depth) == cyl.index
+        width = pow2(-cyl.depth)
+        assert width <= r or cyl.depth == 0
         if cyl.depth > 0:
-            assert 2 * cyl.width > r  # parent cylinder would be too wide
+            assert 2 * width > r  # parent cylinder would be too wide
 
 
 def test_phi_frozen_values():
@@ -153,7 +210,7 @@ def test_psi_frozen_values():
 
 
 def test_phi_psi_opaque_approximants():
-    x = CantorPoint.from_rule(lambda i: 0 if i % 2 else 1)  # 1010... = 2/3 under phi
+    x = CantorPoint(lambda i: 0 if i % 2 else 1)  # 1010... = 2/3 under phi
     p = phi(x)
     assert not p.is_exact
     prev = None

@@ -195,7 +195,7 @@ def cmd_verify(args) -> int:
         witness = uncovered_witness(cover)
         if witness is not None:
             w = cantor_str(witness) if cover.space == "cantor" else unit_str(witness)
-            print(f"not a cover: {w} is uncovered")
+            _emit(f"not a cover: {w} is uncovered\n", args.out)
             return EXIT_FAILED
         noun, pairs = "cover", cover.entries()
 
@@ -217,9 +217,9 @@ def cmd_verify(args) -> int:
         raise ValueError(f"unrecognized artifact header {header!r}")
     worst, bad = check_fineness(g, pairs, stage)
     if bad is not None:
-        print(failure(bad))
+        _emit(failure(bad) + "\n", args.out)
         return EXIT_FAILED
-    print(f"{noun} verified" if worst is Verdict.YES else f"{noun} unresolved at this stage")
+    _emit(f"{noun} verified\n" if worst is Verdict.YES else f"{noun} unresolved at this stage\n", args.out)
     return EXIT_OK if worst is Verdict.YES else EXIT_UNKNOWN
 
 
@@ -293,10 +293,11 @@ def _make_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="finecover", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, depth_default=None):
+    def common(p, depth_default=None, search=True):
         p.add_argument("--stage", type=_positive_int, default=None, help=f"verification stage (default ${_STAGE_ENV} or 48)")
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
-        p.add_argument("--depth", type=_positive_int, default=depth_default, help="dyadic search depth")
+        if search:
+            p.add_argument("--depth", type=_positive_int, default=depth_default, help="dyadic search depth")
 
     p = sub.add_parser("integrate", help="certified enclosure of a built-in integral")
     p.add_argument("--preset", required=True, help="identity, square, sqrt-reciprocal, dirichlet, step")
@@ -322,7 +323,7 @@ def _make_parser() -> argparse.ArgumentParser:
     src.add_argument("--gauge-file")
     src.add_argument("--preset")
     p.add_argument("--in", dest="artifact", required=True, help="cover or partition CSV")
-    common(p)
+    common(p, search=False)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("gallery", help="run a named demo")

@@ -159,7 +159,7 @@ class FineCover:
 
 @dataclass(frozen=True)
 class Obstruction:
-    """Regions a search could not resolve by its depth limit.
+    """Regions a search at `stage` could not resolve by its depth limit.
 
     A region survives its level when its region bound ruled out
     acceptance, when every sample said No, or when some sample said
@@ -170,7 +170,7 @@ class Obstruction:
     """
 
     unresolved: tuple
-    trace: tuple
+    stage: int
     depth_reached: int
     space: str
 
@@ -423,12 +423,7 @@ def _subdivide(g: GaugeCode, depth: int, stage: int, strict: bool, samples, regi
         if not survivors:
             return FineCover(entries)
         if level == depth:
-            unresolved = tuple(regions([i for i, _ in survivors], level))
-            trace = tuple(
-                {"region": reg, "last_verdict": Verdict.UNKNOWN, "stage": stage}
-                for reg in unresolved
-            )
-            return Obstruction(unresolved, trace, depth, g.domain)
+            return Obstruction(tuple(regions([i for i, _ in survivors], level)), stage, depth, g.domain)
         frontier = [(c, bound) for i, bound in survivors for c in (2 * i, 2 * i + 1)]
     raise AssertionError("unreachable")
 
@@ -487,12 +482,19 @@ def find_cover_cantor(g: GaugeCode, depth: int, stage: int, hints=()) -> Union[F
     then the two constant-tail extensions. Accepted cylinders contribute
     (sample, 2^-|sigma|); survivors at `depth` form the Obstruction, sorted
     by index. Continuous codes are bounded on whole cylinders first (see
-    `_subdivide`).
+    `_subdivide`). In-cylinder hints are found by bisection on the hints'
+    sorted depth-48 cells, and past depth 48 filtered by their own cell.
     """
     hints = _checked_hints(g, hints, "cantor", _cantor_sort_key)
+    keys = [h.index(48) for h in hints]
 
     def samples(i: int, level: int):
-        in_cell = [h for h in hints if h.index(level) == i]
+        # the hints whose depth-48 cell lies in Cylinder(i, level), or past depth 48 contains it
+        shift = 48 - level
+        lo = i << shift if shift >= 0 else i >> -shift
+        in_cell = hints[bisect_left(keys, lo) : bisect_left(keys, lo + (1 << max(shift, 0)))]
+        if shift < 0:
+            in_cell = [h for h in in_cell if h.index(level) == i]
         yield from in_cell
         prefix = Cylinder(i, level).prefix
         for tail in "01":

@@ -409,9 +409,6 @@ class QuadVal:
             return NotImplemented
         return QuadVal(self.a - o.a, self.b - o.b)
 
-    def __rsub__(self, other: QuadLike) -> "QuadVal":
-        return (-self) + other
-
     def __mul__(self, other: QuadLike) -> "QuadVal":
         o = self._coerce(other)
         if o is NotImplemented:

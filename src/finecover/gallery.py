@@ -195,15 +195,14 @@ def finite_subcover(cov: OpenCoverSpec, cover: FineCover, stage: int = 16) -> in
 
 @dataclass(frozen=True)
 class CauchySpec:
-    """Rational sequence with an explicit Cauchy modulus.
+    """Increasing rational sequence with an explicit Cauchy modulus.
 
     term(n) for n >= 0; modulus(j) = N with |term(n) - term(m)| <= 2^-j
-    for all n, m >= N; monotone marks increasing sequences.
+    for all n, m >= N. The limit is never below a term.
     """
 
     term: Callable[[int], Fraction]
     modulus: Optional[Callable[[int], int]] = None
-    monotone: bool = True
     label: str = ""
 
 
@@ -219,7 +218,7 @@ def _gap_term(n: int) -> Fraction:
 def default_cauchy_spec() -> CauchySpec:
     """z_n = sum of 2^(-i^2) for i = 1..n+1: increasing, gaps shrink as
     2^(-(n+2)^2), limit irrational so it never lands on a dyadic cut."""
-    return CauchySpec(_gap_term, modulus=_ceil_sqrt, monotone=True, label="gap")
+    return CauchySpec(_gap_term, modulus=_ceil_sqrt, label="gap")
 
 
 def gap_limit_point(spec: CauchySpec = None) -> UnitPoint:
@@ -232,10 +231,7 @@ def gap_limit_point(spec: CauchySpec = None) -> UnitPoint:
     def fn(k: int) -> Interval:
         n = spec.modulus(k)
         v = spec.term(n)
-        lo, hi = v - pow2(-k), v + pow2(-k)
-        if spec.monotone:
-            lo = v  # increasing: the limit is never below any term
-        return Interval(lo, hi)
+        return Interval(v, v + pow2(-k))  # increasing: the limit is not below v
 
     return UnitPoint.from_fn(fn, label=f"limit-{spec.label or 'seq'}")
 
@@ -359,7 +355,7 @@ def oracle_pin_demo(spec: OracleSpec, depth: int, stage: int) -> FineCover:
     return seen
 
 
-# -- canned open covers for demos and the CLI ----------------------------
+# -- canned open covers for the tests ------------------------------------
 
 
 def two_interval_cover() -> OpenCoverSpec:

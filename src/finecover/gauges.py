@@ -432,15 +432,9 @@ def scale_code(g: GaugeCode, factor) -> GaugeCode:
     c = Fraction(factor)
     if c <= 0:
         raise ValueError("scaling factor must be > 0")
-    if g.kind == "continuous":
-        return continuous_scale(c, g)
-    if g.kind == "direct":
+    if isinstance(g, _PointCode):
         kernel = g.kernel
-        return DirectCode(
-            lambda x, s: rt_scale(c, kernel(x, s)),
-            domain=g.domain,
-            label=f"scale({c},{g.label})",
-        )
+        return type(g)(lambda a, s: rt_scale(c, kernel(a, s)), domain=g.domain, label=f"scale({c},{g.label})")
     # a term within 2^-(j+shift) of the limit scales to within c 2^-(j+shift) <= 2^-j
     shift = 0
     while pow2(shift) < c:

@@ -379,26 +379,24 @@ def _continuous(node, env: dict, label: str) -> ContinuousCode:
     return ContinuousCode(code.kernel, domain="unit", label=label)
 
 
+def _limit(node, env: dict, names: str = ""):
+    """The code of a baire1 or baire2 node; term t binds its index to t.
+    names holds the outer indices' values, "-t" each, for the labels."""
+    op, idx, body = node[0], node[2], node[3]
+
+    def term(t: int):
+        if op == "baire2":
+            return _limit(body, {**env, idx: t}, f"{names}-{t}")
+        return _continuous(body, {**env, idx: t}, label=f"term{names}-{t}")
+
+    code = Baire2Code if op == "baire2" else Baire1Code
+    return code(term, domain="unit", label=f"spec-{op}{names}")
+
+
 def compile_gauge(node, base_dir: str = ".") -> GaugeCode:
     op, loc = node[0], node[1]
-    if op == "baire1":
-        idx, body = node[2], node[3]
-
-        def term(t: int, _idx=idx, _body=body) -> ContinuousCode:
-            return _continuous(_body, {_idx: t}, label=f"term-{t}")
-
-        return Baire1Code(term, domain="unit", label="spec-baire1")
-    if op == "baire2":
-        idx, body = node[2], node[3]
-        inner_idx, inner_body = body[2], body[3]
-
-        def term2(t: int, _oi=idx, _ii=inner_idx, _ib=inner_body) -> Baire1Code:
-            def term1(s: int) -> ContinuousCode:
-                return _continuous(_ib, {_oi: t, _ii: s}, label=f"term-{t}-{s}")
-
-            return Baire1Code(term1, domain="unit", label=f"spec-baire1-{t}")
-
-        return Baire2Code(term2, domain="unit", label="spec-baire2")
+    if op in ("baire1", "baire2"):
+        return _limit(node, {})
     if op == "builtin":
         name, arg = node[2], node[3]
         if name == "heine-borel":

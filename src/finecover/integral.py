@@ -70,14 +70,6 @@ class Integrand:
 
 
 @dataclass(frozen=True)
-class GaugeFamily:
-    """epsilon-indexed gauges: at(eps) is the gauge for accuracy eps."""
-
-    at: Callable[[Fraction], GaugeCode]
-    label: str = ""
-
-
-@dataclass(frozen=True)
 class IntegralCertificate:
     epsilon: Fraction
     partition: TaggedPartition
@@ -134,13 +126,14 @@ def riemann_sum(f: Integrand, part: TaggedPartition, prec: int = 24) -> Interval
 
 def integrate(
     f: Integrand,
-    fam: GaugeFamily,
+    fam: Callable[[Fraction], GaugeCode],
     eps,
     depth: int,
     stage: int,
     hints=(),
 ) -> Union[IntegralCertificate, Obstruction]:
-    """Search with the halved gauge, then sum over the resulting partition.
+    """Search with the halved gauge fam(eps), then sum over the resulting
+    partition. A gauge family is a function from epsilon to a gauge.
 
     The cover radii are strictly below half the gauge at their points, so
     the partition cells (at most twice a radius) stay within the full
@@ -149,7 +142,7 @@ def integrate(
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError(f"need epsilon > 0, got {eps}")
-    g = fam.at(eps)
+    g = fam(eps)
     got = find_cover_unit(scale_code(g, Fraction(1, 2)), depth, stage, hints=hints)
     if isinstance(got, Obstruction):
         return got
@@ -171,7 +164,7 @@ def _exact_rational(tag: UnitPoint) -> Optional[Fraction]:
     return tag.exact if tag.is_rational else None
 
 
-def poly_integrand(coeffs, label: str = "") -> tuple[Integrand, GaugeFamily, Fraction]:
+def poly_integrand(coeffs, label: str = "") -> tuple[Integrand, Callable[[Fraction], GaugeCode], Fraction]:
     """Rational-coefficient polynomial with a constant gauge family.
 
     The family width eps/(2L) (L a slope bound on [0,1]) makes every fine
@@ -204,7 +197,7 @@ def poly_integrand(coeffs, label: str = "") -> tuple[Integrand, GaugeFamily, Fra
         return continuous_const(eps / (2 * slope) if slope else Fraction(1))
 
     ref = sum(c / (i + 1) for i, c in enumerate(coeffs))
-    return Integrand(kernel, label=label or "poly"), GaugeFamily(fam, label="const"), ref
+    return Integrand(kernel, label=label or "poly"), fam, ref
 
 
 def _sqrt_recip_kernel(tag: UnitPoint, prec: int) -> tuple:
@@ -245,7 +238,7 @@ def stern_brocot_index(q: Fraction, cap: int) -> Optional[int]:
     return None
 
 
-def dirichlet_gauge_family() -> GaugeFamily:
+def dirichlet_gauge_family() -> Callable[[Fraction], GaugeCode]:
     """The classic vanishing-at-rationals gauge: eps * 2^-n at the n-th
     rational of the fixed enumeration, 1 at irrational points.
 
@@ -270,7 +263,7 @@ def dirichlet_gauge_family() -> GaugeFamily:
 
         return DirectCode(kernel, domain="unit", label=f"dirichlet-{eps}")
 
-    return GaugeFamily(fam, label="dirichlet")
+    return fam
 
 
 def _dirichlet_kernel(tag: UnitPoint, prec: int) -> tuple:
@@ -293,7 +286,7 @@ def dirichlet_hints(level: int = 2) -> list[UnitPoint]:
     return out
 
 
-def _sqrt_recip_family() -> GaugeFamily:
+def _sqrt_recip_family() -> Callable[[Fraction], GaugeCode]:
     def fam(eps: Fraction) -> GaugeCode:
         at_zero = rt_point((eps / 4) ** 2)
         en, ed2 = eps.numerator, 2 * eps.denominator
@@ -311,7 +304,7 @@ def _sqrt_recip_family() -> GaugeFamily:
 
         return DirectCode(kernel, domain="unit", label=f"sqrt-recip-{eps}")
 
-    return GaugeFamily(fam, label="sqrt-recip")
+    return fam
 
 
 def _step_kernel(c: Fraction):
@@ -332,7 +325,7 @@ def _step_kernel(c: Fraction):
 
 
 def builtin_integrands() -> dict:
-    """name -> (Integrand, GaugeFamily, reference value or None)."""
+    """name -> (Integrand, gauge family eps -> gauge, reference value or None)."""
     ident, ident_fam, _ = poly_integrand([0, 1], label="identity")
     square, square_fam, _ = poly_integrand([0, 0, 1], label="square")
     step_c = Fraction(3, 8)
@@ -351,7 +344,7 @@ def builtin_integrands() -> dict:
         ),
         "step": (
             Integrand(_step_kernel(step_c), label="step"),
-            GaugeFamily(lambda eps: continuous_const(eps / 2), label="const"),
+            lambda eps: continuous_const(eps / 2),
             Fraction(1) - step_c,
         ),
     }

@@ -4,8 +4,9 @@ Numerics are canonical fractions end to end so that parsing back what was
 written reproduces the same exact values. Points of the sequence space
 write as prefix/period bit patterns; unit points as "rat:", "quad:" (for
 a + b*sqrt(2)) or, for opaque points, an "approx:" enclosure at a stated
-precision. Covers and partitions are CSV with a header; obstruction
-traces are JSON.
+precision. Covers and partitions are CSV with a header; obstructions
+are JSON, their trace one entry per unresolved region, each UNKNOWN at
+the search's stage.
 """
 
 from __future__ import annotations
@@ -174,12 +175,7 @@ def obstruction_json(obs: Obstruction) -> str:
         "depth_reached": obs.depth_reached,
         "unresolved": [region_str(r) for r in obs.unresolved],
         "trace": [
-            {
-                "region": region_str(t["region"]),
-                "last_verdict": t["last_verdict"].name,
-                "stage": t["stage"],
-            }
-            for t in obs.trace
+            {"region": region_str(r), "last_verdict": "UNKNOWN", "stage": obs.stage} for r in obs.unresolved
         ],
     }
     return json.dumps(doc, indent=2) + "\n"

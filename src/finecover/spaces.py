@@ -160,11 +160,13 @@ class UnitPoint:
 
     Exact points hold a Fraction or an irrational QuadVal (from_quad turns
     a rational QuadVal into a Fraction), so `is_rational` alone tells
-    whether the point is rational, and they support exact comparison;
-    approximant points only promise enclosures of width <= 2^-k. Successive
-    approximant queries are intersected, so the published enclosures nest
-    even when the underlying rule's do not, and a contradictory rule raises
-    CauchyViolation.
+    whether the point is rational. Points compare for equality, not order:
+    two exact points are equal when their values are, an approximant point
+    only to itself, and an ordering of exact points goes through
+    `exact_value`. Approximant points only promise enclosures of width
+    <= 2^-k. Successive approximant queries are intersected, so the
+    published enclosures nest even when the underlying rule's do not, and
+    a contradictory rule raises CauchyViolation.
     """
 
     __slots__ = ("exact", "_fn", "label", "_best", "_hash")
@@ -241,27 +243,6 @@ class UnitPoint:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def _cmp_value(self, other: "UnitPoint"):
-        if not (self.is_exact and other.is_exact):
-            raise TypeError("ordering needs exact points on both sides")
-        return self.exact, other.exact
-
-    def __lt__(self, other: "UnitPoint") -> bool:
-        a, b = self._cmp_value(other)
-        return a < b
-
-    def __le__(self, other: "UnitPoint") -> bool:
-        a, b = self._cmp_value(other)
-        return a <= b
-
-    def __gt__(self, other: "UnitPoint") -> bool:
-        a, b = self._cmp_value(other)
-        return a > b
-
-    def __ge__(self, other: "UnitPoint") -> bool:
-        a, b = self._cmp_value(other)
-        return a >= b
 
     def __repr__(self) -> str:
         if self.exact is not None:

@@ -11,7 +11,6 @@ from finecover.covers import verify_cover
 from finecover.gallery import gap_limit_point
 from finecover.gauges import DirectCode, Verdict
 from finecover.gaugespec import MAX_DEPTH, MAX_EXPONENT, parse_gauge
-from finecover.integral import GaugeFamily
 from finecover.serialize import parse_cover_csv
 
 
@@ -73,7 +72,7 @@ def test_integrate_contradicting_gauge_exits_four(capsys, monkeypatch):
 
     f, _, ref = cli.builtin_integrands()["identity"]
     monkeypatch.setattr(integral, "cover_to_partition", converting)
-    monkeypatch.setattr(cli, "builtin_integrands", lambda: {"flaky": (f, GaugeFamily(fam), ref)})
+    monkeypatch.setattr(cli, "builtin_integrands", lambda: {"flaky": (f, fam, ref)})
     code, out, err = run(capsys, "integrate", "--preset", "flaky", "--epsilon", "1/4", "--depth", "4", "--stage", "1")
     assert code == 4
     assert out == ""
@@ -95,7 +94,10 @@ def test_zero_or_negative_stage_and_depth_rejected(capsys, argv, flag, value):
     code, out, err = run(capsys, *argv, flag, value)
     assert code == 1
     assert out == ""
-    assert f"argument {flag}: must be >= 1, got {value}" in err
+    if argv[0] == "verify" and flag == "--depth":
+        assert f"unrecognized arguments: --depth {value}" in err  # verify searches nothing
+    else:
+        assert f"argument {flag}: must be >= 1, got {value}" in err
 
 
 def test_verify_deep_cantor_cover_names_witness(capsys, tmp_path):
@@ -323,6 +325,74 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert out_path.read_text().splitlines()[0] == "point,radius"
+
+
+PARTITION = "lo,hi,tag\n0,1/2,rat:1/4\n1/2,1,rat:3/4\n"
+
+
+@pytest.mark.parametrize(
+    "gauge, stage, code, line",
+    [
+        ("1/2", "8", 0, "partition verified"),
+        ("min(x + 1/8, 9/8 - x)", "8", 3, "cell 0 [0/1,1/2]: gauge at rat:1/4 is below the width"),
+        ("baire1(n -> 1/2 - 2^-(n+1))", "1", 2, "partition unresolved at this stage"),
+    ],
+)
+def test_verify_partition_report_goes_to_out(capsys, tmp_path, gauge, stage, code, line):
+    art = tmp_path / "part.csv"
+    art.write_text(PARTITION)
+    argv = ["verify", "--gauge", gauge, "--in", str(art), "--stage", stage]
+    assert run(capsys, *argv) == (code, line + "\n", "")
+    report = tmp_path / "report.txt"
+    assert run(capsys, *argv, "--out", str(report)) == (code, "", "")
+    assert report.read_text() == line + "\n"
+
+
+def test_verify_uncovered_report_goes_to_out(capsys, tmp_path):
+    art = tmp_path / "cover.csv"
+    art.write_text("point,radius\nprefix=;period=0,1/2\n")
+    report = tmp_path / "report.txt"
+    code, out, _ = run(capsys, "verify", "--preset", "oracle-pin:01", "--in", str(art), "--out", str(report))
+    assert (code, out) == (3, "")
+    assert report.read_text() == "not a cover: prefix=1;period=0 is uncovered\n"
+
+
+def test_verify_has_no_depth(capsys, tmp_path):
+    art = tmp_path / "part.csv"
+    art.write_text(PARTITION)
+    code, out, err = run(capsys, "verify", "--gauge", "1/2", "--in", str(art), "--depth", "3")
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --depth 3" in err
+
+
+def test_cousin_gauge_file(capsys, tmp_path):
+    spec = tmp_path / "g.txt"
+    spec.write_text("min(x + 1/8, 9/8 - x)\n")
+    assert run(capsys, "cousin", "--gauge-file", str(spec), "--depth", "3") == (0, "point,radius\nrat:1/2,1/2\n", "")
+
+
+def test_cousin_unit_hints_file_and_hint(capsys, tmp_path):
+    # 9/20 and 3/8 + sqrt(2)/8 beat the width 1/2 in their halves, and in-cell hints come first
+    hints = tmp_path / "hints.txt"
+    hints.write_text("rat:9/20\n\n")
+    argv = ["cousin", "--gauge", "dist(0, 1) + 1/16", "--depth", "4"]
+    assert run(capsys, *argv) == (0, "point,radius\nrat:1/2,1/2\n", "")
+    got = run(capsys, *argv, "--hints-file", str(hints), "--hint", "quad:3/8,1/8")
+    assert got == (0, 'point,radius\nrat:9/20,1/2\n"quad:3/8,1/8",1/2\n', "")
+
+
+@pytest.mark.parametrize(
+    "in_file, on_line", [("prefix=11;period=01", "prefix=0;period=01"), ("prefix=0;period=01", "prefix=11;period=01")]
+)
+def test_cousin_cantor_hints_file_and_hint(capsys, tmp_path, in_file, on_line):
+    # the pinned point, from either source, accepts the root; the other hint only gets tried
+    hints = tmp_path / "hints.txt"
+    hints.write_text(f"{in_file}\n")
+    argv = ["cousin", "--gauge", "oracle-pin(prefix=11;period=01)", "--space", "cantor", "--depth", "4"]
+    code, out, _ = run(capsys, *argv)
+    assert (code, json.loads(out)["unresolved"]) == (2, ["[1101]"])
+    got = run(capsys, *argv, "--hints-file", str(hints), "--hint", on_line)
+    assert got == (0, "point,radius\nprefix=1;period=10,1/1\n", "")
 
 
 def test_module_entry_point():

@@ -602,9 +602,7 @@ def test_find_cover_unit_obstruction_whole_interval():
     assert r.depth_reached == 2
     assert r.space == "unit"
     assert list(r.unresolved) == [Interval(F(0), F(1))]
-    (entry,) = r.trace
-    assert entry["last_verdict"] is Verdict.UNKNOWN
-    assert entry["stage"] == STAGE
+    assert r.stage == STAGE
 
 
 def test_find_cover_unit_obstruction_localizes():
@@ -686,7 +684,7 @@ def _ref_find_cover_unit(g, depth, stage, hints=()):
         if not survivors:
             return FineCover(entries)
         if level == depth:
-            return Obstruction(tuple(dyadic_runs(survivors, level)), (), depth, "unit")
+            return Obstruction(tuple(dyadic_runs(survivors, level)), stage, depth, "unit")
         frontier = [c for i in survivors for c in (2 * i, 2 * i + 1)]
 
 
@@ -727,13 +725,13 @@ def test_find_cover_unit_samples_match_the_fresh_point_walk_on_direct_codes(eps)
     halves it, and dirichlet with and without its irrational hints."""
     sqrt_fam = builtin_integrands()["sqrt-reciprocal"][1]
     depth = default_depth("sqrt-reciprocal", eps)
-    got = find_cover_unit(scale_code(sqrt_fam.at(eps), F(1, 2)), depth, STAGE)
+    got = find_cover_unit(scale_code(sqrt_fam(eps), F(1, 2)), depth, STAGE)
     assert isinstance(got, FineCover)
-    _assert_same_search(got, _ref_find_cover_unit(scale_code(sqrt_fam.at(eps), F(1, 2)), depth, STAGE))
+    _assert_same_search(got, _ref_find_cover_unit(scale_code(sqrt_fam(eps), F(1, 2)), depth, STAGE))
     dirichlet = builtin_integrands()["dirichlet"][1]
     for hints in ((), dirichlet_hints(), dirichlet_hints(3)):
-        got = find_cover_unit(dirichlet.at(eps), 5, STAGE, hints=hints)
-        _assert_same_search(got, _ref_find_cover_unit(dirichlet.at(eps), 5, STAGE, hints))
+        got = find_cover_unit(dirichlet(eps), 5, STAGE, hints=hints)
+        _assert_same_search(got, _ref_find_cover_unit(dirichlet(eps), 5, STAGE, hints))
 
 
 _HINTS = st.one_of(
@@ -814,7 +812,7 @@ def test_find_cover_cantor_obstruction():
     assert isinstance(r, Obstruction)
     assert [cyl.prefix for cyl in r.unresolved] == ["00", "01", "10", "11"]
     assert r.depth_reached == 2
-    assert all(t["last_verdict"] is Verdict.UNKNOWN for t in r.trace)
+    assert r.stage == STAGE
 
 
 def test_find_cover_cantor_hint_first():
@@ -829,6 +827,61 @@ def test_find_cover_cantor_hint_first():
     assert c.entries() == [(z, F(1))]
     blind = find_cover_cantor(g, depth=4, stage=STAGE)
     assert len(blind) == 4  # without the hint it must go to width 1/4
+
+
+def _ref_find_cover_cantor(g, depth, stage, hints):
+    """The sample-only walk of find_cover_cantor with in-cylinder hints
+    found by a scan of every hint, in the search's hint order."""
+    hints = sorted(hints, key=lambda h: (h.index(48), h.pattern))
+    entries, frontier = [], [0]
+    for level in range(depth + 1):
+        survivors = []
+        for i in frontier:
+            in_cell = [h for h in hints if h.index(level) == i]
+            prefix = format(i, f"0{level}b") if level else ""
+            tails = [CantorPoint.from_pattern(prefix, t) for t in "01"]
+            for m in in_cell + [c for c in tails if c not in in_cell]:
+                if verified_at_least(g, m, pow2(-level), stage) is Verdict.YES:
+                    entries.append((m, pow2(-level)))
+                    break
+            else:
+                survivors.append(i)
+        if not survivors:
+            return FineCover(entries)
+        if level == depth:
+            return Obstruction(tuple(survivors), stage, depth, "cantor")
+        frontier = [c for i in survivors for c in (2 * i, 2 * i + 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.text("01", min_size=1, max_size=3),
+    st.integers(40, 60),
+    st.integers(-2, 3),
+    st.lists(st.tuples(st.integers(0, 64), st.text("01", max_size=6), st.text("01", min_size=1, max_size=3)), max_size=12),
+)
+def test_find_cover_cantor_hints_by_bisection_match_the_scan(period, cap, extra, spec):
+    """A gauge 2^-(n+1), n the agreement with a pinned point Z capped at
+    `cap`, accepts the cylinders off Z's path at once and Z's own only
+    past `cap`, so the search runs past depth 48. Hint m agrees with Z on
+    exactly m bits, up to 64; at hints with an even period the gauge is 4
+    times smaller, so they fall through to the next sample."""
+    z = CantorPoint.from_pattern("", period)
+    hints = [z] + [CantorPoint.from_pattern(z.bits(m) + "10"[int(z.bits(m + 1)[m])] + tail, per) for m, tail, per in spec]
+
+    def at(x: CantorPoint, stage: int) -> tuple:
+        n = next((k for k, (a, b) in enumerate(zip(x.bits(cap), z.bits(cap))) if a != b), cap)
+        return 1, 1, 1 << (n + 1 + 2 * (x in hints and len(x.pattern[1]) % 2 == 0))
+
+    g = DirectCode(at, domain="cantor", label="pinned")
+    depth = cap + extra
+    got = find_cover_cantor(g, depth, STAGE, hints=hints)
+    want = _ref_find_cover_cantor(g, depth, STAGE, hints)
+    assert type(got) is type(want)
+    if isinstance(want, FineCover):
+        assert got.entries() == want.entries()
+    else:
+        assert [cyl.index for cyl in got.unresolved] == list(want.unresolved)
 
 
 # -- transfers -----------------------------------------------------------

@@ -805,7 +805,7 @@ def test_family_kernels_match_their_interval_evaluators(family, eps, point, stag
     """Rationals (0 and 1 among them, points outside [0,1] and deep
     Stern-Brocot points past the cap), quadratic irrationals and
     approximant points."""
-    code = builtin_integrands()[family][1].at(eps)
+    code = builtin_integrands()[family][1](eps)
     at = (_ref_dirichlet_at if family == "dirichlet" else _ref_sqrt_recip_at)(eps)
     x = point()
     for s in stages:
@@ -815,7 +815,7 @@ def test_family_kernels_match_their_interval_evaluators(family, eps, point, stag
 
 def test_dirichlet_kernel_past_the_stern_brocot_cap():
     eps = Fraction(3, 10)
-    code = builtin_integrands()["dirichlet"][1].at(eps)
+    code = builtin_integrands()["dirichlet"][1](eps)
     x = UnitPoint.from_rat(Fraction(1, 70))  # index 2^68 + 2, past the cap stage + 64
     for s in (0, 5, 69, 80):
         assert rt_interval(code.kernel(x, s)) == _ref_dirichlet_at(eps)(x, s)

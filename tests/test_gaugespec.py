@@ -98,6 +98,22 @@ def test_baire2_compiles_and_encloses():
     assert box.lo <= F(1, 2) <= box.hi + F(1, 2)
 
 
+def test_limit_codes_keep_their_labels_and_indices():
+    # labels reach error messages, so they are pinned here
+    g = parse_gauge("baire2(m -> baire1(n -> 1/2 - 2^-(m+n)))")
+    inner = g.term(3).term(2)
+    assert (repr(g), repr(g.term(3)), repr(inner)) == (
+        "Baire2Code(spec-baire2, domain=unit)",
+        "Baire1Code(spec-baire1-3, domain=unit)",
+        "ContinuousCode(term-3-2, domain=unit)",
+    )
+    assert eval_enclosure(inner, up(F(1, 4)), 4) == Interval.point(F(15, 32))
+    g = parse_gauge("baire1(n -> x + 2^-n)")
+    assert (repr(g), repr(g.term(4))) == ("Baire1Code(spec-baire1, domain=unit)", "ContinuousCode(term-4, domain=unit)")
+    with pytest.raises(SpecError, match="baire1 cannot appear inside an expression"):
+        parse_gauge("baire1(n -> baire1(m -> x))").term(1)
+
+
 def test_builtin_cauchy_gap():
     g = parse_gauge("cauchy-gap(gap)")
     assert isinstance(g, Baire1Code) and g.modulus is not None

@@ -336,7 +336,7 @@ def test_stern_brocot_index_frozen():
 def test_dirichlet_gauge_values():
     _, fam, _ = builtin_integrands()["dirichlet"]
     eps = F(1, 8)
-    g = fam.at(eps)
+    g = fam(eps)
     assert eval_enclosure(g, up("1/2"), STAGE) == Interval.point(eps / 8)
     deep = eval_enclosure(g, up(F(1, 1000)), STAGE)
     assert deep.lo == 0 and deep.hi == eps * pow2(-(STAGE + 64))

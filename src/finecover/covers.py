@@ -97,6 +97,16 @@ class TaggedPartition:
             for i in range(len(self.tags))
         ]
 
+    def widths(self):
+        """(tag, wn, wd) for each cell in order: its width wn/wd taken on
+        the cut numerators, over the lcm of the two cuts' denominators."""
+        an, ad = 0, 1  # the cut at the left of the cell
+        for tag, b in zip(self.tags, self.cuts[1:]):
+            bn, bd = b.numerator, b.denominator
+            wd = lcm(ad, bd)
+            yield tag, bn * (wd // bd) - an * (wd // ad), wd
+            an, ad = bn, bd
+
 
 def _cantor_sort_key(p: CantorPoint):
     return (p.index(48), p.pattern or ("", ""))
@@ -285,7 +295,7 @@ def check_fineness(g: GaugeCode, pairs, stage: int) -> tuple[Verdict, Optional[i
 
 def verify_partition(g: GaugeCode, part: TaggedPartition, stage: int) -> Verdict:
     """Is every cell within the gauge at its tag? Yes / No / Unknown."""
-    return check_fineness(g, ((tag, hi - lo) for lo, hi, tag in part.cells), stage)[0]
+    return check_fineness(g, ((tag, Fraction(wn, wd)) for tag, wn, wd in part.widths()), stage)[0]
 
 
 def verify_cover(g: GaugeCode, cover: FineCover, stage: int) -> Verdict:

@@ -171,35 +171,11 @@ def rt_add(a: tuple, b: tuple) -> tuple:
     return alo + blo, ahi + bhi, d
 
 
-def rt_sub(a: tuple, b: tuple) -> tuple:
-    alo, ahi, blo, bhi, d = _aligned(a, b)
-    return alo - bhi, ahi - blo, d
-
-
 def rt_mul(a: tuple, b: tuple) -> tuple:
     alo, ahi, ad = a
     blo, bhi, bd = b
     products = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
     return min(products), max(products), ad * bd
-
-
-def rt_abs(a: tuple) -> tuple:
-    lo, hi, d = a
-    if lo >= 0:
-        return a
-    if hi <= 0:
-        return -hi, -lo, d
-    return 0, max(-lo, hi), d
-
-
-def rt_min(a: tuple, b: tuple) -> tuple:
-    alo, ahi, blo, bhi, d = _aligned(a, b)
-    return min(alo, blo), min(ahi, bhi), d
-
-
-def rt_max(a: tuple, b: tuple) -> tuple:
-    alo, ahi, blo, bhi, d = _aligned(a, b)
-    return max(alo, blo), max(ahi, bhi), d
 
 
 def rt_scale(c: Fraction, a: tuple) -> tuple:
@@ -261,15 +237,6 @@ def rt_points(qs) -> list:
         n = q.numerator * (d // q.denominator)
         out.append((n, n, d))
     return out
-
-
-def rt_dist(a: tuple, points: list) -> tuple:
-    """Range of min |x - p| over the points (from rt_points), x in a."""
-    best = None
-    for p in points:
-        d = rt_abs(rt_sub(a, p))
-        best = d if best is None else rt_min(best, d)
-    return best
 
 
 # A block's common denominator stays below this many bits unless a single

@@ -37,23 +37,15 @@ from .exact import (
     pow2,
     pow3,
     floor_log_recip,
-    rt_abs,
-    rt_add,
     rt_block,
     rt_cell,
-    rt_dist,
     rt_interval,
     rt_intersect,
-    rt_max,
-    rt_min,
-    rt_mul,
     rt_of,
     rt_pad,
     rt_point,
     rt_points,
     rt_refine,
-    rt_scale,
-    rt_sub,
 )
 from .spaces import (
     Ball,
@@ -153,10 +145,10 @@ class ContinuousCode(_PointCode):
     k) takes a unit-interval region as the triple r (a sequence-space
     cylinder as the triple of the dyadic cell phi maps it onto), must
     return a triple enclosing {f(t) : t in region}, and must tighten as the
-    region shrinks and k grows. The continuous_* constructors compose
-    kernels. Point queries go through the point's own width <= 2^-k
-    approximant (a sequence point's depth-k cylinder), and their triples
-    are accumulated per point.
+    region shrinks and k grows. `gaugespec` fuses a gauge expression into
+    one kernel from the kernel_* builders below. Point queries go through
+    the point's own width <= 2^-k approximant (a sequence point's depth-k
+    cylinder), and their triples are accumulated per point.
     """
 
     kind = "continuous"
@@ -358,7 +350,171 @@ def verified_at_least(g: GaugeCode, x: Point, q, stage: int) -> Verdict:
     return _verdict(g, x, q, stage, strict=False)
 
 
-# -- continuous-code constructors ---------------------------------------
+# -- fused kernels -------------------------------------------------------
+#
+# `gaugespec` builds a gauge expression's kernel in one pass from these:
+# one closure per node that reads x, with the interval arithmetic on the
+# numerators inline, and every constant operand folded into its operator
+# when the kernel is built. A chain of offsets and scalings s a + b is one
+# closure: over a single operand, interval arithmetic on such a chain is
+# exact, so the folded kernel encloses the same rationals as the chain,
+# and one whose operand is x reads the region triple without a call.
+
+
+def kernel_x(r: tuple, k: int) -> tuple:
+    """The kernel of x: the region itself."""
+    return r
+
+
+def kernel_linear(ka: Callable, s, b) -> Callable:
+    """s a + b for rationals s and b; a chain of them folds into one closure."""
+    s, b = Fraction(s), Fraction(b)
+    if hasattr(ka, "linear"):
+        ka, s0, b0 = ka.linear
+        s, b = s0 * s, b0 * s + b
+    # s lo/d + b = (a lo + c d) / (q d)
+    a, c, q = s.numerator * b.denominator, b.numerator * s.denominator, s.denominator * b.denominator
+    x = ka is kernel_x
+
+    def kernel(r, k):
+        lo, hi, d = r if x else ka(r, k)
+        if a < 0:
+            lo, hi = hi, lo
+        cd = c * d
+        return a * lo + cd, a * hi + cd, q * d
+
+    kernel.linear = ka, s, b
+    return kernel
+
+
+def kernel_abs(ka: Callable) -> Callable:
+    def kernel(r, k):
+        lo, hi, d = ka(r, k)
+        if lo >= 0:
+            return lo, hi, d
+        if hi <= 0:
+            return -hi, -lo, d
+        return 0, (hi if hi > -lo else -lo), d
+
+    return kernel
+
+
+def kernel_min_const(ka: Callable, c: Fraction) -> Callable:
+    """min(a, c): a or c where one lies below the other, else the two
+    ends over one denominator."""
+    p, q = c.numerator, c.denominator
+
+    def kernel(r, k):
+        lo, hi, d = ka(r, k)
+        pd = p * d
+        if hi * q <= pd:
+            return lo, hi, d
+        if lo * q >= pd:
+            return p, p, q
+        return lo * q, pd, d * q
+
+    return kernel
+
+
+def kernel_max_const(ka: Callable, c: Fraction) -> Callable:
+    """max(a, c), like kernel_min_const."""
+    p, q = c.numerator, c.denominator
+
+    def kernel(r, k):
+        lo, hi, d = ka(r, k)
+        pd = p * d
+        if lo * q >= pd:
+            return lo, hi, d
+        if hi * q <= pd:
+            return p, p, q
+        return pd, hi * q, d * q
+
+    return kernel
+
+
+def kernel_add(ka: Callable, kb: Callable) -> Callable:
+    def kernel(r, k):
+        alo, ahi, ad = ka(r, k)
+        blo, bhi, bd = kb(r, k)
+        if ad == bd:
+            return alo + blo, ahi + bhi, ad
+        return alo * bd + blo * ad, ahi * bd + bhi * ad, ad * bd
+
+    return kernel
+
+
+def kernel_sub(ka: Callable, kb: Callable) -> Callable:
+    def kernel(r, k):
+        alo, ahi, ad = ka(r, k)
+        blo, bhi, bd = kb(r, k)
+        if ad == bd:
+            return alo - bhi, ahi - blo, ad
+        return alo * bd - bhi * ad, ahi * bd - blo * ad, ad * bd
+
+    return kernel
+
+
+def kernel_mul(ka: Callable, kb: Callable) -> Callable:
+    def kernel(r, k):
+        alo, ahi, ad = ka(r, k)
+        blo, bhi, bd = kb(r, k)
+        products = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
+        return min(products), max(products), ad * bd
+
+    return kernel
+
+
+def kernel_min(ka: Callable, kb: Callable) -> Callable:
+    def kernel(r, k):
+        alo, ahi, ad = ka(r, k)
+        blo, bhi, bd = kb(r, k)
+        if ad != bd:
+            alo, ahi, blo, bhi, ad = alo * bd, ahi * bd, blo * ad, bhi * ad, ad * bd
+        return (alo if alo < blo else blo), (ahi if ahi < bhi else bhi), ad
+
+    return kernel
+
+
+def kernel_max(ka: Callable, kb: Callable) -> Callable:
+    def kernel(r, k):
+        alo, ahi, ad = ka(r, k)
+        blo, bhi, bd = kb(r, k)
+        if ad != bd:
+            alo, ahi, blo, bhi, ad = alo * bd, ahi * bd, blo * ad, bhi * ad, ad * bd
+        return (alo if alo > blo else blo), (ahi if ahi > bhi else bhi), ad
+
+    return kernel
+
+
+def kernel_dist(points) -> Callable:
+    """x |-> min |x - p| over a finite, nonempty set of rationals, with
+    the points over one denominator once."""
+    boxes = rt_points([Fraction(p) for p in points])
+    if not boxes:
+        raise ValueError("need at least one point")
+    nums, den = [n for n, _, _ in boxes], boxes[0][2]
+
+    def kernel(r, k):
+        lo, hi, d = r
+        if d == den:
+            ps = nums
+        else:
+            ps = [n * d for n in nums]
+            lo, hi, d = lo * den, hi * den, d * den
+        best_lo = best_hi = None
+        for n in ps:
+            a, b = lo - n, hi - n
+            if b <= 0:
+                a, b = -b, -a
+            elif a < 0:
+                a, b = 0, (b if b > -a else -a)
+            if best_lo is None or a < best_lo:
+                best_lo = a
+            if best_hi is None or b < best_hi:
+                best_hi = b
+        return best_lo, best_hi, d
+
+    return kernel
 
 
 def continuous_const(q, domain: str = "unit") -> ContinuousCode:
@@ -367,61 +523,10 @@ def continuous_const(q, domain: str = "unit") -> ContinuousCode:
     return ContinuousCode(lambda r, k: point, domain=domain, label=str(q))
 
 
-def continuous_identity() -> ContinuousCode:
-    return ContinuousCode(lambda r, k: r, domain="unit", label="x")
-
-
-def _combine2(op, a: ContinuousCode, b: ContinuousCode, name: str) -> ContinuousCode:
-    if a.domain != b.domain:
-        raise DomainError(f"cannot combine {a.domain} code with {b.domain} code")
-    ka, kb = a.kernel, b.kernel
-    return ContinuousCode(
-        lambda r, k: op(ka(r, k), kb(r, k)),
-        domain=a.domain,
-        label=f"{name}({a.label},{b.label})",
-    )
-
-
-def continuous_add(a: ContinuousCode, b: ContinuousCode) -> ContinuousCode:
-    return _combine2(rt_add, a, b, "add")
-
-
-def continuous_sub(a: ContinuousCode, b: ContinuousCode) -> ContinuousCode:
-    return _combine2(rt_sub, a, b, "sub")
-
-
-def continuous_mul(a: ContinuousCode, b: ContinuousCode) -> ContinuousCode:
-    return _combine2(rt_mul, a, b, "mul")
-
-
-def continuous_min(a: ContinuousCode, b: ContinuousCode) -> ContinuousCode:
-    return _combine2(rt_min, a, b, "min")
-
-
-def continuous_max(a: ContinuousCode, b: ContinuousCode) -> ContinuousCode:
-    return _combine2(rt_max, a, b, "max")
-
-
-def continuous_abs(a: ContinuousCode) -> ContinuousCode:
-    ka = a.kernel
-    return ContinuousCode(lambda r, k: rt_abs(ka(r, k)), domain=a.domain, label=f"abs({a.label})")
-
-
-def continuous_scale(q, a: ContinuousCode) -> ContinuousCode:
-    q = Fraction(q)
-    ka = a.kernel
-    return ContinuousCode(lambda r, k: rt_scale(q, ka(r, k)), domain=a.domain, label=f"scale({q},{a.label})")
-
-
 def continuous_dist_to(points) -> ContinuousCode:
     """x |-> min |x - p| over a finite set of rationals."""
     pts = sorted(Fraction(p) for p in points)
-    if not pts:
-        raise ValueError("need at least one point")
-    boxes = rt_points(pts)
-    return ContinuousCode(
-        lambda r, k: rt_dist(r, boxes), domain="unit", label=f"dist{tuple(str(p) for p in pts)}"
-    )
+    return ContinuousCode(kernel_dist(pts), domain="unit", label=f"dist{tuple(str(p) for p in pts)}")
 
 
 # -- generic combinators -------------------------------------------------
@@ -433,8 +538,7 @@ def scale_code(g: GaugeCode, factor) -> GaugeCode:
     if c <= 0:
         raise ValueError("scaling factor must be > 0")
     if isinstance(g, _PointCode):
-        kernel = g.kernel
-        return type(g)(lambda a, s: rt_scale(c, kernel(a, s)), domain=g.domain, label=f"scale({c},{g.label})")
+        return type(g)(kernel_linear(g.kernel, c, 0), domain=g.domain, label=f"scale({c},{g.label})")
     # a term within 2^-(j+shift) of the limit scales to within c 2^-(j+shift) <= 2^-j
     shift = 0
     while pow2(shift) < c:
@@ -532,7 +636,7 @@ def preimage_pieces(g: Baire1Code, ball: Ball, count: int) -> list[list[Interval
         raise DomainError("preimage pieces run on the unit interval")
     if not isinstance(ball.center, UnitPoint) or not ball.center.is_rational:
         raise ValueError("ball center must be an exact rational point")
-    c = continuous_const(ball.center.rational_value())
+    center = ball.center.rational_value()
     member = [False] * (1 << _GRID)
     out: list[list[Interval]] = []
     for k in range(count):
@@ -542,7 +646,7 @@ def preimage_pieces(g: Baire1Code, ball: Ball, count: int) -> list[list[Interval
         if j is not None and s_k - pow2(-j) > 0:
             bound = s_k - pow2(-j)
             bn, bd = bound.numerator, bound.denominator
-            kernel = continuous_abs(continuous_sub(g.term(n), c)).kernel
+            kernel = kernel_abs(kernel_linear(g.term(n).kernel, 1, -center))
             for i in range(len(member)):
                 if member[i]:
                     continue

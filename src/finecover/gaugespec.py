@@ -6,6 +6,12 @@ integer exponent. baire1(n -> expr) builds a stage-indexed code, n starting
 at 1; baire2 nests one more level. Built-ins name the showcase gauges:
 heine-borel(cover-file), cauchy-gap(seq-name), oracle-pin(bit-pattern).
 
+One pass over the parsed expression folds its x-free parts to exact
+constants and builds the rest as one fused kernel from the kernel_*
+builders of `finecover.gauges`: one closure per node that reads x, with
+each constant operand folded into its operator. Gauge text never becomes
+Python source.
+
 Division and exponents must not depend on x; the index n is fine. An
 expression nests at most MAX_DEPTH levels, and an exponent is at most
 MAX_EXPONENT in size. Numerals are ASCII digits. Every error carries the
@@ -34,16 +40,18 @@ from .gauges import (
     Baire2Code,
     ContinuousCode,
     GaugeCode,
-    continuous_abs,
-    continuous_add,
     continuous_const,
-    continuous_dist_to,
-    continuous_identity,
-    continuous_max,
-    continuous_min,
-    continuous_mul,
-    continuous_scale,
-    continuous_sub,
+    kernel_abs,
+    kernel_add,
+    kernel_dist,
+    kernel_linear,
+    kernel_max,
+    kernel_max_const,
+    kernel_min,
+    kernel_min_const,
+    kernel_mul,
+    kernel_sub,
+    kernel_x,
 )
 from .serialize import parse_bits
 
@@ -307,15 +315,18 @@ class _Parser:
         raise SpecError(f"unknown name {name!r}", t.line, t.col)
 
 
-# exact operation and continuous-code constructor of each operator
+# Each operator's exact operation on constants, its fused kernel on kernels,
+# and, for a binary one, its kernel with one constant operand c folded in:
+# fold(a, c, left) for the other operand's kernel a, left when c is the
+# left operand.
 _OPS = {
-    "neg": (operator.neg, lambda a: continuous_scale(-1, a)),
-    "abs": (abs, continuous_abs),
-    "add": (operator.add, continuous_add),
-    "sub": (operator.sub, continuous_sub),
-    "mul": (operator.mul, continuous_mul),
-    "min": (min, continuous_min),
-    "max": (max, continuous_max),
+    "neg": (operator.neg, lambda a: kernel_linear(a, -1, 0), None),
+    "abs": (abs, kernel_abs, None),
+    "add": (operator.add, kernel_add, lambda a, c, left: kernel_linear(a, 1, c)),
+    "sub": (operator.sub, kernel_sub, lambda a, c, left: kernel_linear(a, -1, c) if left else kernel_linear(a, 1, -c)),
+    "mul": (operator.mul, kernel_mul, lambda a, c, left: kernel_linear(a, c, 0)),
+    "min": (min, kernel_min, lambda a, c, left: kernel_min_const(a, c)),
+    "max": (max, kernel_max, lambda a, c, left: kernel_max_const(a, c)),
 }
 # what keeps an expression from being a constant: x, dist (measured from
 # x), and the combinators and built-ins, which are gauges themselves
@@ -323,20 +334,23 @@ _NOT_CONSTANT = ("x", "dist", "baire1", "baire2", "builtin")
 
 
 def _compile(node, env: dict):
-    """The exact Fraction of an x-free expression, or the continuous code of
-    one that depends on x, in one pass. Index names are frozen via env."""
+    """The exact Fraction of an x-free expression, or the fused kernel of
+    one that depends on x (see the kernel_* builders of `gauges`), in one
+    pass. Index names are frozen via env. Constants are tested by exact
+    type: a limit code compiles its terms while it is evaluated, and an
+    isinstance test against Fraction goes through the numbers ABCs."""
     op, loc = node[0], node[1]
     if op == "const":
         return node[2]
     if op == "idx":
         return Fraction(env[node[2]])
     if op == "x":
-        return continuous_identity()
+        return kernel_x
     if op == "dist":
-        return continuous_dist_to([_constant(a, env) for a in node[2]])
+        return kernel_dist([_constant(a, env) for a in node[2]])
     if op == "pow2":
         e = _compile(node[2], env)
-        if not isinstance(e, Fraction):
+        if type(e) is not Fraction:
             raise SpecError("exponent may not depend on x", *loc)
         if e.denominator != 1:
             raise SpecError(f"exponent must be an integer, got {e}", *loc)
@@ -345,17 +359,21 @@ def _compile(node, env: dict):
         return pow2(int(e))
     if op == "div":
         a, d = _compile(node[2], env), _compile(node[3], env)
-        if not isinstance(d, Fraction):
+        if type(d) is not Fraction:
             raise SpecError("divisor may not depend on x", *loc)
         if d == 0:
             raise SpecError("division by zero", *loc)
-        return a / d if isinstance(a, Fraction) else continuous_scale(1 / d, a)
+        return a / d if type(a) is Fraction else kernel_linear(a, 1 / d, 0)
     if op in _OPS:
-        exact, code = _OPS[op]
+        exact, fused, fold = _OPS[op]
         args = [_compile(a, env) for a in node[2:]]
-        if all(isinstance(a, Fraction) for a in args):
+        const = [type(a) is Fraction for a in args]
+        if all(const):
             return exact(*args)
-        return code(*(continuous_const(a) if isinstance(a, Fraction) else a for a in args))
+        if any(const):
+            a, b = args
+            return fold(b, a, True) if const[0] else fold(a, b, False)
+        return fused(*args)
     raise SpecError(f"{op} cannot appear inside an expression", *loc)
 
 
@@ -373,10 +391,10 @@ def _constant(node, env: dict) -> Fraction:
 
 
 def _continuous(node, env: dict, label: str) -> ContinuousCode:
-    code = _compile(node, env)
-    if isinstance(code, Fraction):
-        code = continuous_const(code)
-    return ContinuousCode(code.kernel, domain="unit", label=label)
+    kernel = _compile(node, env)
+    if type(kernel) is Fraction:
+        kernel = continuous_const(kernel).kernel
+    return ContinuousCode(kernel, domain="unit", label=label)
 
 
 def _limit(node, env: dict, names: str = ""):

@@ -93,8 +93,8 @@ class IntegralCertificate:
 def riemann_sum(f: Integrand, part: TaggedPartition, prec: int = 24) -> Interval:
     """Exact enclosure of sum f(tag_i) * (x_{i+1} - x_i), left to right.
 
-    Each cell's width is taken on the cut numerators, over the lcm of the
-    two cuts' denominators, and scales the kernel's triple at the tag. The
+    Each cell's width comes from `TaggedPartition.widths`, on the cut
+    numerators, and scales the kernel's triple at the tag. The
     lower and upper sums are integer numerators over one running
     denominator, the lcm of the terms' so far; a term whose denominator
     divides it is added without growing it. Every term is exact, so the
@@ -102,14 +102,7 @@ def riemann_sum(f: Integrand, part: TaggedPartition, prec: int = 24) -> Interval
     """
     lo_sum = hi_sum = 0
     den = 1
-    cuts = part.cuts
-    an, ad = 0, 1  # the cut at the left of the cell
-    for i, tag in enumerate(part.tags):
-        b = cuts[i + 1]
-        bn, bd = b.numerator, b.denominator
-        wd = lcm(ad, bd)
-        wn = bn * (wd // bd) - an * (wd // ad)
-        an, ad = bn, bd
+    for tag, wn, wd in part.widths():
         if not wn:
             continue
         t_lo, t_hi, t_den = f._triple(tag, prec)

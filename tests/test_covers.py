@@ -114,9 +114,7 @@ def test_verify_partition_halves_no():
 
 
 def test_verify_partition_identity_plus_small_no():
-    from finecover.gauges import continuous_add, continuous_identity
-
-    g = continuous_add(continuous_identity(), const("1/100"))
+    g = parse_gauge("x + 1/100")
     t = TaggedPartition((F(0), F(1, 2), F(1)), (up(0), up("1/2")))
     assert verify_partition(g, t, STAGE) is Verdict.NO
 

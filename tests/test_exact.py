@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from interval_ref import ref_add, ref_intersect, ref_mul, ref_pad
+from kernel_ref import rt_abs, rt_max, rt_min, rt_sub
 
 from finecover.exact import (
     Interval,
@@ -14,7 +15,6 @@ from finecover.exact import (
     pow2,
     pow3,
     rat_str,
-    rt_abs,
     rt_add,
     rt_block,
     rt_geom_tail,
@@ -22,14 +22,11 @@ from finecover.exact import (
     rt_intersect,
     rt_into_sum,
     rt_into_terms,
-    rt_max,
-    rt_min,
     rt_mul,
     rt_of,
     rt_pad,
     rt_point,
     rt_scale,
-    rt_sub,
     simplest_dyadic_between,
 )
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from interval_ref import ref_intersect, ref_pad
+from kernel_ref import continuous_abs, continuous_add, continuous_identity, continuous_sub
 
 from finecover.exact import CauchyViolation, Interval, QuadVal, dyadic_runs, pow2, pow3, rt_interval, rt_intersect, rt_of, rt_point
 from finecover.gallery import OracleSpec, oracle_pin_gauge, pin_index
@@ -15,16 +16,17 @@ from finecover.gauges import (
     DirectCode,
     DomainError,
     Verdict,
-    continuous_abs,
-    continuous_add,
     continuous_const,
     continuous_dist_to,
-    continuous_identity,
-    continuous_max,
-    continuous_min,
-    continuous_scale,
-    continuous_sub,
     eval_enclosure,
+    kernel_abs,
+    kernel_add,
+    kernel_dist,
+    kernel_linear,
+    kernel_max,
+    kernel_min,
+    kernel_sub,
+    kernel_x,
     preimage_pieces,
     pullback_gauge_phi,
     scale_code,
@@ -37,31 +39,37 @@ from finecover.integral import builtin_integrands, stern_brocot_index
 
 
 def _rand_expr(rng, depth=3):
-    """Random positive-free expression with an exact reference evaluator."""
+    """Random positive-free expression, a continuous code on one kernel
+    from the fused kernel builders, with an exact reference evaluator."""
+    kernel, fn = _rand_kernel(rng, depth)
+    return ContinuousCode(kernel, label="rand"), fn
+
+
+def _rand_kernel(rng, depth):
     if depth == 0 or rng.random() < 0.3:
         kind = rng.randrange(3)
         if kind == 0:
             q = Fraction(rng.randrange(0, 9), 8)
-            return continuous_const(q), lambda x, q=q: q
+            return continuous_const(q).kernel, lambda x, q=q: q
         if kind == 1:
-            return continuous_identity(), lambda x: x
+            return kernel_x, lambda x: x
         pts = sorted({Fraction(rng.randrange(0, 17), 16) for _ in range(rng.randrange(1, 4))})
-        return continuous_dist_to(pts), lambda x, ps=tuple(pts): min(abs(x - p) for p in ps)
+        return kernel_dist(pts), lambda x, ps=tuple(pts): min(abs(x - p) for p in ps)
     op = rng.randrange(6)
-    a_code, a_fn = _rand_expr(rng, depth - 1)
+    a, a_fn = _rand_kernel(rng, depth - 1)
     if op == 0:
-        return continuous_abs(a_code), lambda x: abs(a_fn(x))
+        return kernel_abs(a), lambda x: abs(a_fn(x))
     if op == 1:
         c = rng.choice([Fraction(1, 4), Fraction(1, 2)])
-        return continuous_scale(c, a_code), lambda x, c=c: c * a_fn(x)
-    b_code, b_fn = _rand_expr(rng, depth - 1)
+        return kernel_linear(a, c, 0), lambda x, c=c: c * a_fn(x)
+    b, b_fn = _rand_kernel(rng, depth - 1)
     if op == 2:
-        return continuous_add(a_code, b_code), lambda x: a_fn(x) + b_fn(x)
+        return kernel_add(a, b), lambda x: a_fn(x) + b_fn(x)
     if op == 3:
-        return continuous_sub(a_code, b_code), lambda x: a_fn(x) - b_fn(x)
+        return kernel_sub(a, b), lambda x: a_fn(x) - b_fn(x)
     if op == 4:
-        return continuous_min(a_code, b_code), lambda x: min(a_fn(x), b_fn(x))
-    return continuous_max(a_code, b_code), lambda x: max(a_fn(x), b_fn(x))
+        return kernel_min(a, b), lambda x: min(a_fn(x), b_fn(x))
+    return kernel_max(a, b), lambda x: max(a_fn(x), b_fn(x))
 
 
 def _rand_rational(rng, den_max=200):

@@ -4,23 +4,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finecover.exact import Interval, QuadVal, pow2
+from kernel_ref import compile_ref
+
+from finecover.exact import Interval, QuadVal, pow2, rt_interval
 from finecover.gauges import (
     Baire1Code,
     Baire2Code,
     ContinuousCode,
     DirectCode,
     Verdict,
+    continuous_const,
     eval_enclosure,
+    pullback_gauge_phi,
     verified_above,
 )
 from finecover.gaugespec import (
+    MAX_EXPONENT,
     SpecError,
+    _compile,
+    _lex,
+    _Parser,
+    _walk,
     parse_cover_file,
     parse_expr_const,
     parse_gauge,
 )
-from finecover.spaces import CantorPoint, UnitPoint
+from finecover.spaces import CantorPoint, Cylinder, UnitPoint
 
 
 def up(q):
@@ -329,3 +338,154 @@ def test_rendered_trees_match_the_interval_reference(tree, cell, x, quad, k):
         point = UnitPoint.from_quad(QuadVal(a, b))
         near = point.approx(k)
         assert eval_enclosure(parse_gauge(text), point, k) == ref(Interval(max(near.lo, 0), min(near.hi, 1)))
+
+
+# Rendered trees with every operator, for the fused kernels against the
+# composed-closure reference (kernel_ref). A quarter of them hold one or two
+# nodes that are errors on purpose: an exponent or divisor that reads x, a
+# zero divisor, an exponent that is not an integer or beyond MAX_EXPONENT,
+# x inside dist.
+def _good_texts():
+    leaves = st.one_of(
+        st.just("x"),
+        _RATS.map(lambda q: _rat(q)[0]),
+        st.lists(_RATS, min_size=1, max_size=4).map(lambda qs: f"dist({', '.join(_rat(q)[0] for q in qs)})"),
+        st.just("dist(1/2, (1/3 + 1/4), 2^(-3))"),
+    )
+
+    def extend(kids):
+        return st.one_of(
+            st.tuples(kids, st.sampled_from("+-*"), kids).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+            st.tuples(kids, _RATS.filter(bool)).map(lambda t: f"({t[0]} / {_rat(t[1])[0]})"),
+            st.tuples(st.sampled_from(["min", "max"]), st.lists(kids, min_size=2, max_size=3)).map(
+                lambda t: f"{t[0]}({', '.join(t[1])})"
+            ),
+            # a constant beside an operand, on either side, often inside
+            # the operand's range on a coarse cell
+            st.tuples(st.sampled_from(["min", "max"]), kids, st.fractions(0, 1, max_denominator=8), st.booleans()).map(
+                lambda t: f"{t[0]}({_rat(t[2])[0]}, {t[1]})" if t[3] else f"{t[0]}({t[1]}, {_rat(t[2])[0]})"
+            ),
+            # one operand twice: both sides come back over one denominator
+            st.tuples(kids, st.sampled_from(["+", "-", "*"])).map(lambda t: f"({t[0]} {t[1]} {t[0]})"),
+            st.tuples(st.sampled_from(["min", "max"]), kids).map(lambda t: f"{t[0]}({t[1]}, {t[1]})"),
+            kids.map(lambda a: f"|{a}|"),
+            kids.map(lambda a: f"(-{a})"),
+            st.integers(-6, 6).map(lambda e: f"2^({e})"),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=10)
+
+
+def _bad_texts():
+    good = _good_texts()
+    bad = st.one_of(
+        good.map(lambda a: f"2^(x + {a})"),
+        st.tuples(good, good).map(lambda t: f"({t[0]} / (x * {t[1]}))"),
+        good.map(lambda a: f"({a} / (1 - 1))"),
+        st.sampled_from(["2^(1/2)", f"2^({MAX_EXPONENT} + 1)", "dist(1/3, x)"]),
+    )
+    return st.one_of(
+        bad,
+        st.tuples(good, st.sampled_from("+-*"), bad).map(lambda t: f"({t[0]} {t[1]}\n {t[2]})"),
+        st.tuples(bad, bad).map(lambda t: f"max({t[0]}, {t[1]})"),
+        st.tuples(bad, bad).map(lambda t: f"({t[0]} / {t[1]})"),
+    )
+
+
+def _texts():
+    good, bad = _good_texts(), _bad_texts()
+    return st.integers(0, 3).flatmap(lambda i: bad if i == 3 else good)
+
+
+def _region_triples():
+    cell = st.integers(0, 6).flatmap(lambda level: st.tuples(st.integers(0, 2**level - 1), st.just(level)))
+    return st.lists(
+        st.one_of(
+            cell.map(lambda c: ("cell", c)),
+            st.integers(1, 64).flatmap(lambda d: st.integers(0, d).map(lambda n: ("point", (n, n, d)))),
+            cell.map(lambda c: ("thirds", (3 * c[0], 3 * c[0] + 2, 3 << c[1]))),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+
+
+def _spec_error(fn):
+    try:
+        return fn(), None
+    except SpecError as e:
+        return None, (str(e), e.line, e.col)
+
+
+def _check_fused(text, triples, k):
+    fused, err = _spec_error(lambda: parse_gauge(text))
+    tree = _Parser(_lex(text)).parse()
+    ref, ref_err = _spec_error(lambda: compile_ref(tree, {}))
+    assert err == ref_err
+    if err is not None:
+        return
+    if isinstance(ref, F):
+        ref = continuous_const(ref)
+    # the coarse cells first: there an operand's range meets a constant's
+    regions = [("cell", (0, 0)), ("cell", (0, 1)), ("cell", (1, 1)), *triples]
+    for shape, (i, level) in (r for r in regions if r[0] == "cell"):
+        cyl = Cylinder(i, level)
+        assert pullback_gauge_phi(fused).region_eval(cyl, k) == pullback_gauge_phi(ref).region_eval(cyl, k)
+    triples = [(r[0], r[0] + 1, 1 << r[1]) if shape == "cell" else r for shape, r in regions]
+    for node, _ in _walk(tree):
+        got, want = _compile(node, {}), compile_ref(node, {})
+        if isinstance(want, F):
+            assert got == want
+            continue
+        for r in triples:
+            assert rt_interval(got(r, k)) == rt_interval(want.kernel(r, k)), node
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_texts(), triples=_region_triples(), k=st.integers(0, 20))
+def test_fused_kernels_match_the_composed_reference(text, triples, k):
+    """One fused kernel per expression encloses exactly the rationals of the
+    composed closures, on dyadic cells, exact points, non-dyadic triples
+    and through phi on cylinders; a bad expression raises the same
+    SpecError, at the same line and column. Every subexpression is
+    compared on its own too, so an outer operator cannot mask an inner
+    one's error."""
+    _check_fused(text, triples, k)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # a constant folded into min or max: inside, below and above the operand
+        "min((1/2), |x - (1/3)|)",
+        "min((x + (2/1)), (1/2))",
+        "max(x, (1/2))",
+        "max((x - (2/1)), (1/2))",
+        # one operand twice, so both sides share a denominator
+        "(x + x)",
+        "(x - x)",
+        "(x * (x - (1/2)))",
+        "min(x, x)",
+        "max(|x - (1/3)|, |x - (1/3)|)",
+        # operands over different denominators
+        "(dist((1/3)) - (x / (5/1)))",
+        "(|x - (1/3)| + (x * (2/5)))",
+        "max(dist((1/3), (5/6)), ((1/2) - x))",
+        "min(|x|, (x * (2/3)))",
+        # offsets and scalings folded into one closure, of x and of others
+        "((2/1) * ((x / (3/1)) + (1/4)))",
+        "((-|(x - (1/2))|) + (1/3))",
+        "dist((1/4), (3/4), (1/2))",
+        "|(x - (2/1))|",
+        # errors, each at its own node
+        "(x + 2^(x))",
+        "((x / x) - (1 / (1 - 1)))",
+        f"max(2^(1/2), 2^({MAX_EXPONENT} + 1))",
+        "(1 + dist((1/3), x))",
+        "(2^(1/2) / 2^(x))",
+    ],
+)
+def test_fused_kernels_match_the_composed_reference_on_each_branch(text):
+    """Inputs that reach every branch of the fused kernels, which random
+    trees reach only now and then."""
+    _check_fused(text, [("thirds", (3, 5, 12)), ("point", (1, 1, 3))], 4)

@@ -1,7 +1,8 @@
 """Source hygiene that no installed linter checks: every name a module
 imports is used in that module, and every module-level definition in the
 package, and every method and property of its classes, is used somewhere
-outside its own body."""
+outside its own body; nothing in the package uses floats or runs Python
+source."""
 
 import ast
 import copy
@@ -131,6 +132,33 @@ def test_no_floats_on_the_verified_path():
     found = {}
     for path in sorted(SRC.glob("*.py")):
         uses = _float_uses(ast.parse(path.read_text(), filename=str(path)))
+        if uses:
+            found[path.name] = uses
+    assert not found, found
+
+
+_SOURCE_RUNNERS = {"exec", "eval", "compile"}
+
+
+def _source_runners(tree: ast.Module) -> list[str]:
+    """Each use of the builtins that run or compile Python source, by bare
+    name or through the `builtins` module, with its line."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in _SOURCE_RUNNERS:
+            found.append(f"line {node.lineno}: {node.id}")
+        elif isinstance(node, ast.Attribute) and node.attr in _SOURCE_RUNNERS:
+            if isinstance(node.value, ast.Name) and node.value.id in ("builtins", "__builtins__"):
+                found.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_python_source_is_run():
+    """Gauge text comes from files and argv, so nothing in the package
+    may turn text into Python: no exec, eval or compile."""
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        uses = _source_runners(ast.parse(path.read_text(), filename=str(path)))
         if uses:
             found[path.name] = uses
     assert not found, found

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from fractions import Fraction
 
 from .covers import (
     NotACover,
@@ -206,11 +207,11 @@ def cmd_verify(args) -> int:
     elif header == "lo,hi,tag":
         if g.domain != "unit":
             raise ValueError("partitions live on the unit interval")
-        cells = parse_partition_csv(text).cells
-        noun, pairs = "partition", ((tag, hi - lo) for lo, hi, tag in cells)
+        part = parse_partition_csv(text)
+        noun, pairs = "partition", ((tag, Fraction(wn, wd)) for tag, wn, wd in part.widths())
 
         def failure(i: int) -> str:
-            lo, hi, tag = cells[i]
+            lo, hi, tag = part.cuts[i], part.cuts[i + 1], part.tags[i]
             return f"cell {i} [{rat_str(lo)},{rat_str(hi)}]: gauge at {point_str(tag)} is below the width"
 
     else:

@@ -16,6 +16,11 @@ raw trailing-block hulls may legitimately jump around before the modulus
 kicks in. No-verdicts for limit codes come from the certified interval
 alone.
 
+A verdict on a continuous or direct code climbs the stage ladder and
+stops at the first decisive rung. A verdict on a limit code reads one
+trailing block and the certificate at the query's own stage; its Yes rests
+only on the terms observed unless a modulus backs it.
+
 Evaluation runs on the integer-numerator triples of `exact`: every code's
 `_eval` returns (lo, hi, d), the per-point accumulators hold triples
 reduced by gcd, and verdicts compare numerators by cross-multiplication.
@@ -98,7 +103,9 @@ def _point_region(x: Point, k: int, domain: str):
 
 @lru_cache(maxsize=32)
 def _ladder(stage: int) -> tuple:
-    """Stages actually evaluated under budget `stage`: powers of two, then the budget."""
+    """Stages a continuous or direct code's verdict climbs under budget
+    `stage`: powers of two, then the budget. A limit code's verdict reads
+    the budget alone."""
     if stage < 0:
         raise ValueError("stage must be >= 0")
     out = []
@@ -326,10 +333,9 @@ def _verdict(g: GaugeCode, x: Point, q, stage: int, strict: bool) -> Verdict:
             if got is not None:
                 return got
         return Verdict.UNKNOWN
-    for s in _ladder(stage):
-        g._eval(x, s)
-    # the best lower end observed and the certified upper end, if any,
-    # over one denominator
+    # one block at the query's own stage; the best lower end observed and
+    # the certified upper end, if any, over one denominator
+    g._eval(x, stage)
     lo, lo_d = g._best_lo[x]
     cert = g._cert.get(x)
     if cert is None:

@@ -460,7 +460,8 @@ def test_preimage_pieces_match_the_interval_cells(center, radius):
 def test_modulus_is_resolved_once_per_stage():
     """A limit code asks its modulus for the finest certified 2^-j once per
     stage, not once per certificate: a stage-s scan makes s + 2 calls
-    (j = 0 .. s + 1) and one more gives the term index."""
+    (j = 0 .. s + 1) and one more gives the term index. A verdict reads
+    only its own stage, so stage 10 is the one scan."""
     calls = []
 
     def modulus(j):
@@ -471,11 +472,66 @@ def test_modulus_is_resolved_once_per_stage():
     points = [UnitPoint.from_rat(Fraction(i, 7)) for i in range(8)]
     for x in points:
         assert verified_above(g, x, Fraction(1, 4), 10) is Verdict.YES
-    assert len(calls) == sum(s + 3 for s in (1, 2, 4, 8, 10))
+    assert len(calls) == 10 + 3
     for x in points:
         eval_enclosure(g, x, 10)
         assert verified_above(g, x, Fraction(3, 5), 10) is Verdict.NO
-    assert len(calls) == sum(s + 3 for s in (1, 2, 4, 8, 10))
+    assert len(calls) == 10 + 3
+
+
+def _recording_const(calls, key, c):
+    """A constant continuous code whose kernel appends `key` to `calls`."""
+
+    def kernel(r, k):
+        calls.append(key)
+        return c.numerator, c.numerator, c.denominator
+
+    return ContinuousCode(kernel)
+
+
+def test_limit_verdict_evaluates_one_block():
+    """A limit-code verdict evaluates the trailing block at its own stage
+    once, not the block of every rung of the stage ladder below it."""
+    x = UnitPoint.from_rat(Fraction(1, 3))
+    near_half = lambda calls, key, n: _recording_const(calls, key, Fraction(1, 2) + pow2(-n))
+    calls = []
+    g = Baire1Code(lambda n: near_half(calls, n, n))
+    assert verified_above(g, x, Fraction(1, 4), 12) is Verdict.YES
+    assert sorted(calls) == list(range(6, 13))
+    # the modulus certifies 2^-12 through term 12, one more call
+    calls = []
+    g = Baire1Code(lambda n: near_half(calls, n, n), modulus=lambda j: max(1, j))
+    assert verified_above(g, x, Fraction(1, 4), 12) is Verdict.YES
+    assert sorted(calls) == list(range(6, 13)) + [12]
+    # Baire-2 at stage 6: terms 3..6, each reading its own terms 3..6
+    calls = []
+    g = Baire2Code(lambda m: Baire1Code(lambda n: near_half(calls, (m, n), n)))
+    assert verified_above(g, x, Fraction(1, 4), 6) is Verdict.YES
+    assert sorted(calls) == [(m, n) for m in range(3, 7) for n in range(3, 7)]
+
+
+def _late_settler():
+    # terms 1 for n <= 100 and 1/1000 after, with no modulus
+    return Baire1Code(lambda n: continuous_const(Fraction(1) if n <= 100 else Fraction(1, 1000)))
+
+
+def test_modulus_free_verdict_reads_the_hull_at_its_stage():
+    """On a fresh code a stage-400 verdict sees the block n = 200..400,
+    the enclosure eval_enclosure reports, so it cannot say Yes on the
+    strength of terms it never evaluated."""
+    x = UnitPoint.from_rat(Fraction(1, 3))
+    g = _late_settler()
+    assert verified_above(g, x, Fraction(1, 2), 400) is Verdict.UNKNOWN
+    assert eval_enclosure(g, x, 400) == Interval.point(Fraction(1, 1000))
+
+
+def test_modulus_free_yes_stays_on_the_same_code():
+    """A Yes observed at stage 64 (block 32..64, all 1) stays Yes at stage
+    400 on the same code: the best lower end observed never falls."""
+    x = UnitPoint.from_rat(Fraction(1, 3))
+    g = _late_settler()
+    assert verified_above(g, x, Fraction(1, 2), 64) is Verdict.YES
+    assert verified_above(g, x, Fraction(1, 2), 400) is Verdict.YES
 
 
 # -- the Interval-valued evaluation layer, kept as the reference ----------
@@ -588,15 +644,15 @@ class _Reference:
         q = Fraction(q)
         if q < 0:
             raise ValueError("need q >= 0")
-        limit = g.kind in ("baire1", "baire2")
-        for s in _ref_ladder(stage):
-            box = self.enclosure(g, x, s)
-            if not limit:
+        if g.kind not in ("baire1", "baire2"):
+            for s in _ref_ladder(stage):
+                box = self.enclosure(g, x, s)
                 got = self._decide(box.lo, box.hi, q, strict)
                 if got is not None:
                     return got
-        if not limit:
             return Verdict.UNKNOWN
+        # a limit code reads one block, at the query's own stage
+        self.enclosure(g, x, stage)
         cert = self.cert.get((id(g), x))
         lo, hi = self.best_lo[(id(g), x)], (cert.hi if cert is not None else None)
         got = self._decide(lo, hi, q, strict)

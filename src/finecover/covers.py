@@ -81,9 +81,13 @@ class TaggedPartition:
             lo, hi = cuts[i], cuts[i + 1]
             if tag.is_exact:
                 v = tag.exact
-                vn, vd = v.numerator, v.denominator
-                (ln, ld), (hn, hd) = ends[i], ends[i + 1]
-                if vn * ld < ln * vd or vn * hd > hn * vd:
+                if type(v) is Fraction:
+                    vn, vd = v.numerator, v.denominator
+                    (ln, ld), (hn, hd) = ends[i], ends[i + 1]
+                    out = vn * ld < ln * vd or vn * hd > hn * vd
+                else:
+                    out = v < lo or v > hi
+                if out:
                     raise MalformedPartition(f"tag {i} = {v} outside its cell [{lo},{hi}]")
             else:
                 box = tag.approx(24)

@@ -304,6 +304,16 @@ def rt_into_sum(r: tuple, blocks: list) -> tuple:
     return total
 
 
+def sqrt2_sign(p: int, q: int) -> int:
+    """The sign of p + q*sqrt(2) for integers p and q. When the two terms
+    have opposite signs, p**2 against 2*q**2 tells which is larger; they
+    are never equal, as sqrt(2) is irrational."""
+    if q == 0:
+        return (p > 0) - (p < 0)
+    s = 1 if q > 0 else -1
+    return s if p * s >= 0 or p * p < 2 * q * q else -s
+
+
 QuadLike = Union["QuadVal", Fraction, int]
 
 
@@ -311,10 +321,11 @@ QuadLike = Union["QuadVal", Fraction, int]
 class QuadVal:
     """Exact value a + b*sqrt(2) with rational a, b.
 
-    Comparisons against rationals and other QuadVals are exact (sign of
-    a**2 - 2*b**2 arguments), so irrational partition tags can be checked
-    for membership without any rounding. Enclosures of prescribed width
-    come from integer square roots.
+    Comparisons against rationals and other QuadVals are exact: each one
+    clears denominators and asks `sqrt2_sign` for the sign of p + q*sqrt(2)
+    on the integer numerators, so irrational partition tags are checked for
+    membership without any rounding. Enclosures of prescribed width come
+    from integer square roots, over one integer denominator.
     """
 
     a: Fraction
@@ -388,25 +399,17 @@ class QuadVal:
 
     def _sign(self) -> int:
         a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if (a > 0) == (b > 0):
-            return 1 if a > 0 else -1
-        # opposite signs: |a| vs |b|*sqrt(2) decided by a^2 vs 2 b^2
-        lhs, rhs = a * a, 2 * b * b
-        if lhs == rhs:
-            raise AssertionError("sqrt(2) cannot be rational")
-        if lhs > rhs:
-            return 1 if a > 0 else -1
-        return 1 if b > 0 else -1
+        return sqrt2_sign(a.numerator * b.denominator, b.numerator * a.denominator)
 
     def _diff_sign(self, other: QuadLike) -> int:
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if isinstance(other, QuadVal):
+            return (self - other)._sign()
+        if not isinstance(other, (int, Fraction)):
             raise TypeError(f"cannot compare QuadVal with {type(other).__name__}")
-        return (self - o)._sign()
+        # (a - other) + b*sqrt(2), scaled by the three positive denominators
+        a, b = self.a, self.b
+        on, od, ad = other.numerator, other.denominator, a.denominator
+        return sqrt2_sign((a.numerator * od - on * ad) * b.denominator, b.numerator * ad * od)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (QuadVal, Fraction, int)):
@@ -436,14 +439,16 @@ class QuadVal:
 
     def enclosure(self, k: int) -> Interval:
         """Interval of width <= 2**-k containing the exact value."""
-        if self.b == 0:
-            return Interval.point(self.a)
-        bmag = abs(self.b)
-        m = k + (bmag.numerator // bmag.denominator).bit_length() + 1
-        s = isqrt(2 * 4**m)  # s/2^m <= sqrt2 < (s+1)/2^m
-        p1 = self.b * Fraction(s, 2**m)
-        p2 = self.b * Fraction(s + 1, 2**m)
-        return Interval(self.a + min(p1, p2), self.a + max(p1, p2))
+        a, b = self.a, self.b
+        if b == 0:
+            return Interval.point(a)
+        m = k + (abs(b.numerator) // b.denominator).bit_length() + 1
+        s = isqrt(2 << 2 * m)  # s/2^m <= sqrt2 < (s+1)/2^m
+        # both ends over the one denominator a.den * b.den * 2^m
+        base, t = a.numerator * b.denominator << m, b.numerator * a.denominator
+        lo, hi = sorted((base + t * s, base + t * s + t))
+        d = a.denominator * b.denominator << m
+        return Interval(Fraction(lo, d), Fraction(hi, d))
 
     def floor_int(self) -> int:
         if self.b == 0:

@@ -1,9 +1,13 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finecover import cli, covers, integral
 from finecover.cli import main
@@ -261,6 +265,54 @@ def test_verify_oversized_csv_field_exits_one(capsys, tmp_path, text, row):
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: row {row}: field larger than field limit") and "Traceback" not in err
+
+
+def test_verify_partition_quad_tag_outside_its_cell_exits_one(capsys, tmp_path):
+    # 3 - sqrt(2) is about 1.586: inside the ambient [-1, 2], outside [0, 1]
+    art = tmp_path / "part.csv"
+    art.write_text('lo,hi,tag\n0,1,"quad:3/1,-1/1"\n')
+    code, out, err = run(capsys, "verify", "--gauge", "1", "--stage", "4", "--in", str(art))
+    assert (code, out, err) == (1, "", "error: tag 0 = 3 + -1*sqrt2 outside its cell [0,1]\n")
+
+
+# tag components: numerals of either sign, some of them large, and pieces
+# that are not numerals at all, empty or with a stray sign or slash
+_COMPONENT = st.one_of(
+    st.fractions(-1, 2, max_denominator=16).map(lambda q: f"{q.numerator}/{q.denominator}"),
+    st.integers(-(10**60), 10**60).map(str),
+    st.builds("{}/{}".format, st.integers(-(10**40), 10**40), st.integers(0, 10**40)),
+    st.builds("{}.{}".format, st.integers(-3, 3), st.integers(0, 10**30)),
+    st.sampled_from(["", "-", "+", "/", "1/", "/2", ".5", "--1", "+-1", " 1/2 ", "1/2/3", "x", "1e3"]),
+)
+
+
+@st.composite
+def _tag_texts(draw):
+    kind = draw(st.sampled_from(["quad", "approx", "rat", "box"]))
+    if kind == "box":  # a well-formed approximant: q +- 2^-j recorded at precision p
+        q, j, p = draw(st.fractions(0, 1, max_denominator=8)), draw(st.integers(16, 40)), draw(st.integers(16, 40))
+        return f"approx:[{q - F(1, 2**j)},{q + F(1, 2**j)}]@{p}"
+    parts = ",".join(draw(st.lists(_COMPONENT, max_size=3)))
+    if kind != "approx":
+        return f"{kind}:{parts}"
+    prec = draw(st.one_of(st.integers(0, 64).map(str), st.sampled_from(["", "x", "-1", "1.5", "10" * 20])))
+    return f"approx:[{parts}]@{prec}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(tag=_tag_texts())
+def test_verify_partition_tag_fuzz_ends_in_an_exit_code(tmp_path_factory, tag):
+    """Any tag text on a one-row partition ends in exit 0-3 with no
+    traceback; a refused one prints nothing on stdout and says why on stderr."""
+    art = tmp_path_factory.mktemp("fuzz") / "part.csv"
+    art.write_text(f'lo,hi,tag\n0,1,"{tag}"\n')
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["verify", "--gauge", "x + 1/2", "--stage", "4", "--in", str(art)])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
 
 
 def test_verify_stage_sensitivity(capsys, tmp_path):

@@ -5,6 +5,7 @@ from math import ceil, floor
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from quad_ref import ref_cmp
 
 from finecover.covers import (
     FineCover,
@@ -93,6 +94,36 @@ def test_partition_accepts_zero_width_cell_and_opaque_tag():
     off = UnitPoint.from_fn(lambda k: Interval(F(7, 8), F(7, 8)))
     with pytest.raises(MalformedPartition):
         TaggedPartition((F(0), F(1, 2), F(1)), (off, up("3/4")))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    inner=st.lists(st.fractions(0, 1, max_denominator=2**40), min_size=2, max_size=2),
+    cell=st.integers(0, 2),
+    at_hi=st.booleans(),
+    inside=st.booleans(),
+    t=st.builds(lambda n, e: F(n, 2**e), st.integers(1, 7), st.integers(8, 240)),
+)
+def test_partition_quad_tag_membership_at_both_cell_ends(inner, cell, at_hi, inside, t):
+    """A tag a hair inside or outside a cell end, end +- t*(sqrt(2) - 1),
+    is kept or refused as the Fraction reference order says, with its text."""
+    cuts = (F(0), *sorted(inner), F(1))
+    lo, hi = cuts[cell], cuts[cell + 1]
+    # inside at lo: lo + t(sqrt2 - 1); inside at hi: hi - t(sqrt2 - 1)
+    end, sign = (hi, -1) if at_hi else (lo, 1)
+    if not inside:
+        sign = -sign
+    a, b = end - sign * t, sign * t
+    tag = UnitPoint.from_quad(QuadVal(a, b))
+    tags = [up(c) for c in cuts[:-1]]
+    tags[cell] = tag
+    outside = ref_cmp((a, b), (lo, 0)) < 0 or ref_cmp((a, b), (hi, 0)) > 0
+    if not outside:
+        TaggedPartition(cuts, tuple(tags))
+        return
+    with pytest.raises(MalformedPartition) as err:
+        TaggedPartition(cuts, tuple(tags))
+    assert str(err.value) == f"tag {cell} = {QuadVal(a, b)} outside its cell [{lo},{hi}]"
 
 
 # -- verify_partition ----------------------------------------------------

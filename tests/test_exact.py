@@ -1,9 +1,13 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from interval_ref import ref_add, ref_intersect, ref_mul, ref_pad
 from kernel_ref import rt_abs, rt_max, rt_min, rt_sub
+from quad_ref import ref_cmp, ref_enclosure, ref_sign
 
 from finecover.exact import (
     Interval,
@@ -28,6 +32,7 @@ from finecover.exact import (
     rt_point,
     rt_scale,
     simplest_dyadic_between,
+    sqrt2_sign,
 )
 
 
@@ -239,6 +244,77 @@ def test_quadval_enclosure_width_and_membership():
         box = v.enclosure(k)
         assert box.width <= pow2(-k)
         assert box.lo <= v <= box.hi
+
+
+# numerators of a few bits and of over 200 bits, of either sign
+_BIG = 2**260
+_INTS = st.one_of(st.integers(-64, 64), st.integers(-_BIG, _BIG))
+_RATS = st.builds(Fraction, _INTS, st.one_of(st.integers(1, 64), st.integers(1, _BIG)))
+_PARTS = st.one_of(st.just(Fraction(0)), _RATS)  # a = 0 and b = 0 included
+
+
+@st.composite
+def _sqrt2_pairs(draw):
+    """(p, q): p or q zero, any pair, or q with p of opposite sign within a
+    few units of -q*sqrt(2), where p**2 and 2*q**2 are closest."""
+    q = draw(_INTS)
+    kind = draw(st.sampled_from(["p0", "q0", "any", "near"]))
+    if kind == "p0":
+        return 0, q
+    if kind == "q0":
+        return draw(_INTS), 0
+    if kind == "any":
+        return draw(_INTS), q
+    p = isqrt(2 * q * q) + draw(st.integers(-2, 3))  # near |q|*sqrt(2)
+    return (-p if q > 0 else p), q
+
+
+@settings(max_examples=300, deadline=None)
+@given(pq=_sqrt2_pairs())
+def test_sqrt2_sign_matches_the_reference(pq):
+    p, q = pq
+    assert sqrt2_sign(p, q) == ref_sign(p, q)
+    assert sqrt2_sign(-p, -q) == -ref_sign(p, q)
+
+
+@st.composite
+def _quad_and_other(draw):
+    """A QuadVal (a, b) and an int, Fraction or QuadVal to compare it with,
+    also a rational end of one of its enclosures, a hair from its value."""
+    a, b = draw(_PARTS), draw(_PARTS)
+    kind = draw(st.sampled_from(["int", "fraction", "quad", "end", "same-b"]))
+    if kind == "int":
+        other = draw(_INTS)
+    elif kind == "fraction":
+        other = draw(_RATS)
+    elif kind == "quad":
+        other = QuadVal(draw(_PARTS), draw(_PARTS))
+    elif kind == "end":
+        box = ref_enclosure(a, b, draw(st.integers(0, 64)))
+        other = draw(st.sampled_from([box.lo, box.hi]))
+    else:
+        other = QuadVal(a + draw(_PARTS), b)
+    return (a, b), other
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_quad_and_other())
+def test_quadval_order_matches_the_reference(case):
+    (a, b), other = case
+    x = QuadVal(a, b)
+    s = ref_cmp((a, b), (other.a, other.b) if isinstance(other, QuadVal) else (other, 0))
+    assert (x < other, x <= other, x > other, x >= other) == (s < 0, s <= 0, s > 0, s >= 0)
+    # the reflected operators: a rational on the left defers to QuadVal
+    assert (other < x, other <= x, other > x, other >= x) == (s > 0, s >= 0, s < 0, s <= 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_PARTS, b=_PARTS, k=st.integers(0, 64))
+def test_quadval_enclosure_is_the_reference_interval(a, b, k):
+    # equal ends, not just a nested box: the boxes that points, verdicts
+    # and emitted bytes read stay exactly the reference's
+    got, want = QuadVal(a, b).enclosure(k), ref_enclosure(a, b, k)
+    assert (got.lo, got.hi) == (want.lo, want.hi)
 
 
 def test_quadval_floor():

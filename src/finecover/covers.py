@@ -5,10 +5,11 @@ where they got stuck.
 Fineness conventions, fixed here once: a partition cell [a,b] with tag t
 needs the gauge at t to be >= b-a (non-strict); a cover entry (p, r)
 needs the gauge at p to be >= r. The searches accept a unit-interval cell
-only on the strict verdict "gauge at sample > cell width" and emit the
-cell width as the radius, so accepted entries always verify with margin.
-On the sequence space the ball B(x, r) IS the cylinder [x restricted to m]
-with 2^-m <= r, so the acceptance test is the non-strict "gauge >= 2^-depth".
+only where "gauge at sample > cell width" holds strictly, on the sample's
+verdict or on the region kernel's lower end, and emit the cell width as
+the radius, so accepted entries always verify with margin. On the
+sequence space the ball B(x, r) IS the cylinder [x restricted to m] with
+2^-m <= r, so the acceptance test is the non-strict "gauge >= 2^-depth".
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from math import lcm
-from operator import le, lt
+from operator import ge, gt
 from typing import Optional, Union
 
 from .exact import (
@@ -399,37 +400,44 @@ def _subdivide(g: GaugeCode, depth: int, stage: int, strict: bool, samples, regi
     Yes, giving the entry (sample, w); otherwise cells 2i and 2i+1 go on to
     level l+1. Cells left at `depth` form an Obstruction of `regions`.
 
-    Branch and bound: a continuous code is first enclosed on the whole cell
-    by one kernel evaluation at `stage` on the triple `rt_cell(i, l)`, in
-    either space. When the upper end hi/d rules acceptance out (hi/d <= w
-    strict, hi/d < w non-strict, that is hi << l against d), no sample
-    could get the Yes, so the cell survives unsampled and hands the bound
-    (hi, d) to its children, which skip evaluation while it still rules
-    them out. Only cells that could not have been accepted are skipped, so
-    covers and obstructions are those of the plain sample-only walk.
+    Branch and bound, for a code with a region kernel: the code is first
+    enclosed on the whole cell by one region evaluation at `stage` on the
+    triple `rt_cell(i, l)`, in either space. When the upper end hi/d rules
+    acceptance out (hi/d <= w strict, hi/d < w non-strict, that is hi << l
+    against d), no sample could get the Yes, so the cell survives
+    unsampled and hands the bound (hi, d) to its children, which skip
+    evaluation while it still rules them out. When the lower end passes
+    the test, a sample whose own query region lies inside the cell (a
+    rational one on [0,1]; any one of a cylinder at level <= stage) is
+    taken without a verdict: the region encloses that query's enclosure
+    at `stage`, so its verdict would be Yes by that rung. A sample before
+    it, such as a quadratic hint, is still asked. Either way the covers
+    and obstructions are those of the plain sample-only walk.
     """
     if depth < 1:
         raise ValueError("need depth >= 1")
     # looked up per call: the names may be rebound to instrumented wrappers
     verdict = verified_above if strict else verified_at_least
-    rules_out = le if strict else lt  # hi << level vs d: acceptance impossible
-    bounded = g.kind == "continuous"
+    passes = gt if strict else ge  # lo << level vs d: the end lo/d passes the cell's test
+    region, unit = g.region, g.domain == "unit"
     entries = []
     frontier = [(0, None)]  # (cell index at the current level, upper bound (hi, d) on the gauge there)
     for level in range(depth + 1):
         w = pow2(-level)
         survivors = []
         for i, bound in frontier:
-            if bounded:
-                if bound is None or not rules_out(bound[0] << level, bound[1]):
-                    _, hi, d = g.kernel(rt_cell(i, level), stage)
+            lower = False  # the region's lower end passes, with samples' queries inside the cell
+            if region is not None:
+                if bound is None or passes(bound[0] << level, bound[1]):
+                    lo, hi, d = region(rt_cell(i, level), stage)
+                    lower = passes(lo << level, d) and (unit or level <= stage)
                     if bound is None or hi * bound[1] < bound[0] * d:
                         bound = hi, d
-                if rules_out(bound[0] << level, bound[1]):
+                if not passes(bound[0] << level, bound[1]):
                     survivors.append((i, bound))
                     continue
             for m in samples(i, level):
-                if verdict(g, m, w, stage) is Verdict.YES:
+                if lower and (not unit or m.is_rational) or verdict(g, m, w, stage) is Verdict.YES:
                     entries.append((m, w))
                     break
             else:
@@ -450,8 +458,8 @@ def find_cover_unit(g: GaugeCode, depth: int, stage: int, hints=()) -> Union[Fin
     sample m (in-cell hints in ascending order, then midpoint, then
     endpoints) with the strict verdict gauge(m) > 2^-l, and contributes the
     entry (m, 2^-l). Cells still unaccepted at `depth` come back as an
-    Obstruction of merged dyadic runs. Continuous codes are bounded on
-    whole cells first (see `_subdivide`).
+    Obstruction of merged dyadic runs. Codes with a region kernel are
+    bounded on whole cells first (see `_subdivide`).
 
     The samples (2i+1, 2i, 2i+2) 2^-(l+1) are built from the cell's
     integers, each when it is first tried, and kept for one level: a cell
@@ -495,9 +503,10 @@ def find_cover_cantor(g: GaugeCode, depth: int, stage: int, hints=()) -> Union[F
     dyadic cell that phi maps it onto. Samples are in-cylinder hints first,
     then the two constant-tail extensions. Accepted cylinders contribute
     (sample, 2^-|sigma|); survivors at `depth` form the Obstruction, sorted
-    by index. Continuous codes are bounded on whole cylinders first (see
-    `_subdivide`). In-cylinder hints are found by bisection on the hints'
-    sorted depth-48 cells, and past depth 48 filtered by their own cell.
+    by index. Codes with a region kernel are bounded on whole cylinders
+    first (see `_subdivide`). In-cylinder hints are found by bisection on
+    the hints' sorted depth-48 cells, and past depth 48 filtered by their
+    own cell.
     """
     hints = _checked_hints(g, hints, "cantor", _cantor_sort_key)
     keys = [h.index(48) for h in hints]

@@ -133,10 +133,12 @@ def _resolvable_j(modulus: Callable[[int], int], stage: int) -> Optional[int]:
 
 
 class _PointCode:
-    """A code built on one kernel, whose triples it accumulates per point."""
+    """A code built on one kernel, whose triples it accumulates per point,
+    and a `region` kernel that bounds it on whole cells, or None."""
 
-    def __init__(self, kernel: Callable, domain: str = "unit", label: str = ""):
+    def __init__(self, kernel: Callable, domain: str = "unit", label: str = "", region: Optional[Callable] = None):
         self.kernel = kernel
+        self.region = region
         self.domain = domain
         self.label = label
         self._acc: dict[Point, tuple] = {}
@@ -160,6 +162,9 @@ class ContinuousCode(_PointCode):
 
     kind = "continuous"
 
+    def __init__(self, kernel: Callable, domain: str = "unit", label: str = ""):
+        super().__init__(kernel, domain, label, region=kernel)
+
     def region_eval(self, region: Region, k: int) -> Interval:
         """Enclosure of the code over the region, built as one Interval."""
         r = rt_of(region) if self.domain == "unit" else rt_cell(region.index, region.depth)
@@ -180,6 +185,12 @@ class DirectCode(_PointCode):
     enclosure it returns must hold the value there; the enclosures are
     intersected across calls, so a coarse fallback is fine but a stand-in
     that may miss the value is not.
+
+    A region kernel, when given, takes a region as a triple r like a
+    continuous code's kernel, and region(r, s) must enclose kernel(x, s)
+    for every point x of r at every stage s: inclusion, not only
+    soundness, since a search accepts a cell on its lower end without
+    asking the point.
     """
 
     kind = "direct"
@@ -205,8 +216,11 @@ class _LimitCode:
     modulus, when declared, maps j to an index N past which every term sits
     within 2^-j of the limit (nondecreasing in j). It is the only source of
     negative information: without it the trailing-block hull says what the
-    limit *could* be, never what it is not.
+    limit *could* be, never what it is not. A limit code has no region
+    kernel, so the searches sample every cell of it.
     """
+
+    region = None
 
     def __init__(
         self,
@@ -543,8 +557,11 @@ def scale_code(g: GaugeCode, factor) -> GaugeCode:
     c = Fraction(factor)
     if c <= 0:
         raise ValueError("scaling factor must be > 0")
-    if isinstance(g, _PointCode):
-        return type(g)(kernel_linear(g.kernel, c, 0), domain=g.domain, label=f"scale({c},{g.label})")
+    if g.kind == "continuous":
+        return ContinuousCode(kernel_linear(g.kernel, c, 0), domain=g.domain, label=f"scale({c},{g.label})")
+    if g.kind == "direct":
+        region = g.region and kernel_linear(g.region, c, 0)
+        return DirectCode(kernel_linear(g.kernel, c, 0), domain=g.domain, label=f"scale({c},{g.label})", region=region)
     # a term within 2^-(j+shift) of the limit scales to within c 2^-(j+shift) <= 2^-j
     shift = 0
     while pow2(shift) < c:

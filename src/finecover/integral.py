@@ -281,7 +281,7 @@ def dirichlet_hints(level: int = 2) -> list[UnitPoint]:
 
 def _sqrt_recip_family() -> Callable[[Fraction], GaugeCode]:
     def fam(eps: Fraction) -> GaugeCode:
-        at_zero = rt_point((eps / 4) ** 2)
+        at_zero = z, _, zd = rt_point((eps / 4) ** 2)
         en, ed2 = eps.numerator, 2 * eps.denominator
 
         def kernel(p: UnitPoint, stage: int) -> tuple:
@@ -295,7 +295,14 @@ def _sqrt_recip_family() -> Callable[[Fraction], GaugeCode]:
             v = en * n
             return v, v, ed2 * q.denominator
 
-        return DirectCode(kernel, domain="unit", label=f"sqrt-recip-{eps}")
+        def region(r: tuple, stage: int) -> tuple:
+            lo, hi, d = r
+            if lo > 0:
+                return en * lo, en * hi, ed2 * d
+            # a cell at 0: [0, max(eps hi / 2, (eps/4)^2)]
+            return 0, max(en * hi * zd, z * ed2 * d), ed2 * d * zd
+
+        return DirectCode(kernel, domain="unit", label=f"sqrt-recip-{eps}", region=region)
 
     return fam
 

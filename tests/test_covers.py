@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from quad_ref import ref_cmp
 
+from finecover import covers
 from finecover.covers import (
     FineCover,
     MalformedPartition,
@@ -748,10 +749,11 @@ def test_find_cover_unit_pruning_matches_point_only_search(text, depth, stage, h
     _assert_same_search(pruned, ref)
 
 
-@pytest.mark.parametrize("eps", [F(1, 4), F(1, 8), F(3, 32)])
+@pytest.mark.parametrize("eps", [F(1, 4), F(1, 8), F(3, 32), F(1, 32)])
 def test_find_cover_unit_samples_match_the_fresh_point_walk_on_direct_codes(eps):
     """The sqrt-reciprocal family at its search depth, halved as integrate
-    halves it, and dirichlet with and without its irrational hints."""
+    halves it, and dirichlet with and without its irrational hints. The
+    reference walk ignores the region kernel, so it stays the reference."""
     sqrt_fam = builtin_integrands()["sqrt-reciprocal"][1]
     depth = default_depth("sqrt-reciprocal", eps)
     got = find_cover_unit(scale_code(sqrt_fam(eps), F(1, 2)), depth, STAGE)
@@ -785,14 +787,78 @@ def test_find_cover_unit_samples_match_the_fresh_point_walk_with_hints(text, dep
     _assert_same_search(find_cover_unit(_point_only(parse_gauge(text)), depth, stage, hints=hints), want)
 
 
+def _queried(monkeypatch, name):
+    """The points a search asks `name` about, in order."""
+    asked = []
+    inner = getattr(covers, name)
+
+    def counting(g, x, q, stage):
+        asked.append(x)
+        return inner(g, x, q, stage)
+
+    monkeypatch.setattr(covers, name, counting)
+    return asked
+
+
+def test_a_region_accepted_cell_still_asks_its_quadratic_first_sample(monkeypatch):
+    """The cell [1/8, 1/4] has the region [5/32, 3/16] above its width
+    1/8, and its first sample is a quadratic hint just above 1/8. At stage
+    1 that hint's query box reaches below 3/32, so its verdict is Unknown
+    and the midpoint 3/16 is accepted on the region, without a verdict. At
+    stage 8 the box is narrow and the hint itself gets the Yes."""
+    text = "min(x + 1/32, 3/16)"
+    hint = UnitPoint.from_quad(QuadVal(F(-257, 200), F(1)))  # 1/8 + (sqrt2 - 141/100)
+    asked = _queried(monkeypatch, "verified_above")
+    got = find_cover_unit(parse_gauge(text), 4, 1, hints=[hint])
+    assert hint in asked and up(F(3, 16)) not in asked
+    assert [p.exact_value() for p, _ in got.entries()] == [F(1, 8)] + [F(2 * i + 1, 16) for i in range(1, 8)]
+    _assert_same_search(got, _ref_find_cover_unit(_point_only(parse_gauge(text)), 4, 1, [hint]))
+    got = find_cover_unit(parse_gauge(text), 4, 8, hints=[hint])
+    assert (hint, F(1, 8)) in got.entries()
+    _assert_same_search(got, _ref_find_cover_unit(_point_only(parse_gauge(text)), 4, 8, [hint]))
+
+
+def test_a_rational_hint_at_a_cell_end_serves_both_neighbours(monkeypatch):
+    """The hint 1/8 is the first sample of [0, 1/8], whose verdict accepts
+    it, and of [1/8, 1/4], whose region [3/16, 1/4] accepts it unasked."""
+    asked = _queried(monkeypatch, "verified_above")
+    got = find_cover_unit(parse_gauge("x/2 + 1/8"), 4, STAGE, hints=[up(F(1, 8))])
+    assert got.entries() == [(up(F(1, 8)), F(1, 8)), (up(F(3, 8)), F(1, 4)), (up(1), F(1, 2))]
+    assert asked.count(up(F(1, 8))) == 1
+    _assert_same_search(got, _ref_find_cover_unit(_point_only(parse_gauge("x/2 + 1/8")), 4, STAGE, [up(F(1, 8))]))
+
+
+@pytest.mark.parametrize("text", ["x/2 + 1/64", "|x - 1/3| + 1/64"])
+@pytest.mark.parametrize("stage", [1, 2, 3])
+def test_a_cantor_search_deeper_than_its_stage_asks_every_cylinder_past_it(monkeypatch, text, stage):
+    """Past level `stage` a sample's query reads its depth-`stage`
+    cylinder, which is wider than the cell, so a cell there is accepted
+    only on a verdict, even when the region's lower end passes."""
+    g = pullback_gauge_phi(parse_gauge(text))
+    asked = _queried(monkeypatch, "verified_at_least")
+    got = find_cover_cantor(g, 9, stage)
+    want = _ref_find_cover_cantor(_point_only(pullback_gauge_phi(parse_gauge(text))), 9, stage, [])
+    assert isinstance(want, FineCover) and got.entries() == want.entries()
+    deep = [(p, r) for p, r in got.entries() if r < pow2(-stage)]
+    assert deep and all(p in asked for p, _ in deep)
+
+    def lower_end_passes(p, r):
+        level = r.denominator.bit_length() - 1
+        lo, _, d = g.region(rt_cell(p.index(level), level), stage)
+        return F(lo, d) >= r
+
+    assert any(lower_end_passes(p, r) for p, r in deep)
+
+
 def test_find_cover_cantor_prunes_cylinders_below_the_width():
-    # the bound 1/8 rules out levels 0..2 without a sample, and the first
-    # sample of each level-3 cylinder accepts
+    # the bound 1/8 rules out levels 0..2 without a sample, and each
+    # level-3 cylinder accepts its first sample on the region's lower end,
+    # without a point query
     g = continuous_const(F(1, 8), domain="cantor")
     c = find_cover_cantor(g, depth=3, stage=STAGE)
     assert isinstance(c, FineCover)
-    assert len(c) == 8
-    assert len(g._acc) == 8
+    assert c.entries() == [(CantorPoint.from_pattern(format(i, "03b"), "0"), F(1, 8)) for i in range(8)]
+    assert len(g._acc) == 0
 
 
 @pytest.mark.parametrize(

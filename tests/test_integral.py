@@ -9,7 +9,7 @@ from interval_ref import ref_add, ref_mul
 
 from finecover.covers import Obstruction, TaggedPartition
 from finecover.exact import Interval, QuadVal, pow2, rt_interval
-from finecover.gauges import Verdict, eval_enclosure
+from finecover.gauges import Verdict, eval_enclosure, scale_code
 from finecover.integral import (
     EvaluationError,
     Integrand,
@@ -349,3 +349,38 @@ def test_dirichlet_hints_sit_in_their_cells():
         v = h.exact_value()
         assert F(i, 4) < v < F(i + 1, 4)
         assert not v.is_rational
+
+
+def _within(inner: tuple, outer: tuple) -> bool:
+    (ilo, ihi, idn), (olo, ohi, odn) = inner, outer
+    return olo * idn <= ilo * odn and ihi * odn <= ohi * idn
+
+
+@st.composite
+def _cells_and_points(draw):
+    """A dyadic cell as a triple, the degenerate point 0 among them, and a
+    rational point of it."""
+    level = draw(st.integers(0, 40))
+    if draw(st.booleans()):
+        i = 0  # the cells [0, w] that touch the pole
+    else:
+        i = draw(st.integers(0, (1 << level) - 1))
+    if draw(st.integers(0, 9)) == 0:
+        return (0, 0, 1), F(0)
+    t = draw(st.fractions(0, 1, max_denominator=1 << 20))
+    return (i, i + 1, 1 << level), (i + t) / (1 << level)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    eps=st.fractions(F(1, 1 << 30), 4).filter(lambda e: e > 0),
+    cell_point=_cells_and_points(),
+    stage=st.integers(0, 64),
+)
+def test_sqrt_reciprocal_region_encloses_the_gauge_at_every_point_of_the_cell(eps, cell_point, stage):
+    """The inclusion contract of a direct code's region kernel, on the
+    sqrt-reciprocal family and on the half of it that integrate searches."""
+    cell, q = cell_point
+    g = builtin_integrands()["sqrt-reciprocal"][1](eps)
+    for code in (g, scale_code(g, F(1, 2))):
+        assert _within(code.kernel(up(q), stage), code.region(cell, stage))

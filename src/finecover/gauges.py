@@ -38,7 +38,6 @@ from typing import Callable, Optional, Union
 from .exact import (
     CauchyViolation,
     Interval,
-    dyadic_runs,
     pow2,
     pow3,
     floor_log_recip,
@@ -53,7 +52,6 @@ from .exact import (
     rt_refine,
 )
 from .spaces import (
-    Ball,
     CantorPoint,
     Cylinder,
     UnitPoint,
@@ -218,6 +216,13 @@ class _LimitCode:
     negative information: without it the trailing-block hull says what the
     limit *could* be, never what it is not. A limit code has no region
     kernel, so the searches sample every cell of it.
+
+    Each point keeps the stage and enclosure of its last successful query,
+    and a query at that stage again is answered from them without touching
+    a term: the terms' accumulators at x change only through a query at x
+    at another stage, which drops them, so evaluating anew would rebuild
+    the same hull and certificate. The certificate reads term N from the
+    block when N lies inside it.
     """
 
     region = None
@@ -236,6 +241,7 @@ class _LimitCode:
         self._term_cache: dict[int, GaugeCode] = {}
         self._cert: dict[Point, tuple] = {}
         self._best_lo: dict[Point, tuple] = {}  # (numerator, denominator)
+        self._last: dict[Point, tuple] = {}  # (stage, enclosure)
         self._resolved_at: dict[int, Optional[tuple]] = {}
 
     def term(self, n: int) -> GaugeCode:
@@ -256,12 +262,18 @@ class _LimitCode:
         return self._resolved_at[stage]
 
     def _limit_eval(self, x: Point, stage: int) -> tuple:
+        last = self._last.get(x)
+        if last is not None:
+            if last[0] == stage:
+                return last[1]
+            del self._last[x]  # the terms at x change from here on
         lo_n, hi_n = _block(stage)
-        hull = rt_block([self.term(n)._eval(x, stage) for n in range(lo_n, hi_n + 1)])
+        block = [self.term(n)._eval(x, stage) for n in range(lo_n, hi_n + 1)]
+        hull = rt_block(block)
         resolved = self._resolved(stage)
         if resolved is not None:
             j, n = resolved
-            cert = rt_pad(self.term(n)._eval(x, stage), j)
+            cert = rt_pad(block[n - lo_n] if lo_n <= n <= hi_n else self.term(n)._eval(x, stage), j)
             what = lambda: f"certificate of {self.label or id(self)} at {x!r}"
             self._cert[x] = rt_refine(self._cert.get(x), cert, what)
         known = self._cert.get(x)
@@ -278,6 +290,7 @@ class _LimitCode:
         prev = self._best_lo.get(x)
         if prev is None or lo * prev[1] > prev[0] * d:
             self._best_lo[x] = lo, d
+        self._last[x] = stage, got
         return got
 
     def __repr__(self) -> str:
@@ -537,6 +550,22 @@ def kernel_dist(points) -> Callable:
     return kernel
 
 
+def kernel_memo(ka: Callable) -> Callable:
+    """ka with a one-entry memo on (r, k). A kernel is a pure function of
+    its region and stage, so the terms of a limit code that share a part
+    evaluate it once per query."""
+    last = got = None
+
+    def kernel(r, k):
+        nonlocal last, got
+        if last != (r, k):
+            got = ka(r, k)
+            last = r, k
+        return got
+
+    return kernel
+
+
 def continuous_const(q, domain: str = "unit") -> ContinuousCode:
     q = Fraction(q)
     point = rt_point(q)
@@ -638,43 +667,3 @@ def transfer_gauge_psi(g: GaugeCode) -> DirectCode:
         return a, b, e
 
     return DirectCode(kernel, domain="unit", label=f"psi*({g.label})")
-
-
-# -- verified preimage pieces -------------------------------------------
-
-_GRID = 8  # membership verified on 2^-8 cells
-
-
-def preimage_pieces(g: Baire1Code, ball: Ball, count: int) -> list[list[Interval]]:
-    """Increasing closed pieces of {x : limit of g at x lies in `ball`}.
-
-    Piece k collects grid cells where "within radius r(1 - 2^-(k+1))" is
-    Yes-verified at stage 5+k through the declared modulus; each piece is
-    returned as a union of maximal closed rational intervals. Without a
-    modulus nothing is verifiable and every piece is empty.
-    """
-    if g.kind != "baire1":
-        raise ValueError("preimage pieces are defined for one-level limit codes")
-    if g.domain != "unit":
-        raise DomainError("preimage pieces run on the unit interval")
-    if not isinstance(ball.center, UnitPoint) or not ball.center.is_rational:
-        raise ValueError("ball center must be an exact rational point")
-    center = ball.center.rational_value()
-    member = [False] * (1 << _GRID)
-    out: list[list[Interval]] = []
-    for k in range(count):
-        stage = 5 + k
-        s_k = ball.radius * (1 - pow2(-(k + 1)))
-        j, n = g._resolved(stage) or (None, None)
-        if j is not None and s_k - pow2(-j) > 0:
-            bound = s_k - pow2(-j)
-            bn, bd = bound.numerator, bound.denominator
-            kernel = kernel_abs(kernel_linear(g.term(n).kernel, 1, -center))
-            for i in range(len(member)):
-                if member[i]:
-                    continue
-                _, hi, d = kernel(rt_cell(i, _GRID), stage)
-                if hi * bd <= bn * d:
-                    member[i] = True
-        out.append(dyadic_runs([i for i, flag in enumerate(member) if flag], _GRID))
-    return out

@@ -9,8 +9,9 @@ heine-borel(cover-file), cauchy-gap(seq-name), oracle-pin(bit-pattern).
 One pass over the parsed expression folds its x-free parts to exact
 constants and builds the rest as one fused kernel from the kernel_*
 builders of `finecover.gauges`: one closure per node that reads x, with
-each constant operand folded into its operator. Gauge text never becomes
-Python source.
+each constant operand folded into its operator. Within a baire1/baire2
+body, each largest part that reads x but no index is compiled once per
+gauge and shared by every term. Gauge text never becomes Python source.
 
 Division and exponents must not depend on x; the index n is fine. An
 expression nests at most MAX_DEPTH levels, and an exponent is at most
@@ -47,6 +48,7 @@ from .gauges import (
     kernel_linear,
     kernel_max,
     kernel_max_const,
+    kernel_memo,
     kernel_min,
     kernel_min_const,
     kernel_mul,
@@ -333,12 +335,19 @@ _OPS = {
 _NOT_CONSTANT = ("x", "dist", "baire1", "baire2", "builtin")
 
 
-def _compile(node, env: dict):
+def _compile(node, env: dict, shared: Optional[dict] = None):
     """The exact Fraction of an x-free expression, or the fused kernel of
     one that depends on x (see the kernel_* builders of `gauges`), in one
     pass. Index names are frozen via env. Constants are tested by exact
     type: a limit code compiles its terms while it is evaluated, and an
-    isinstance test against Fraction goes through the numbers ABCs."""
+    isinstance test against Fraction goes through the numbers ABCs.
+    shared maps the id of a node to its memoized kernel once compiled, and
+    to None until then (see _shared_parts)."""
+    if shared is not None and id(node) in shared:
+        kernel = shared[id(node)]
+        if kernel is None:
+            kernel = shared[id(node)] = kernel_memo(_compile(node, env))
+        return kernel
     op, loc = node[0], node[1]
     if op == "const":
         return node[2]
@@ -349,7 +358,7 @@ def _compile(node, env: dict):
     if op == "dist":
         return kernel_dist([_constant(a, env) for a in node[2]])
     if op == "pow2":
-        e = _compile(node[2], env)
+        e = _compile(node[2], env, shared)
         if type(e) is not Fraction:
             raise SpecError("exponent may not depend on x", *loc)
         if e.denominator != 1:
@@ -358,7 +367,7 @@ def _compile(node, env: dict):
             raise SpecError(f"exponent beyond +-{MAX_EXPONENT}", *loc)
         return pow2(int(e))
     if op == "div":
-        a, d = _compile(node[2], env), _compile(node[3], env)
+        a, d = _compile(node[2], env, shared), _compile(node[3], env, shared)
         if type(d) is not Fraction:
             raise SpecError("divisor may not depend on x", *loc)
         if d == 0:
@@ -366,7 +375,7 @@ def _compile(node, env: dict):
         return a / d if type(a) is Fraction else kernel_linear(a, 1 / d, 0)
     if op in _OPS:
         exact, fused, fold = _OPS[op]
-        args = [_compile(a, env) for a in node[2:]]
+        args = [_compile(a, env, shared) for a in node[2:]]
         const = [type(a) is Fraction for a in args]
         if all(const):
             return exact(*args)
@@ -390,22 +399,52 @@ def _constant(node, env: dict) -> Fraction:
     return _compile(node, env)
 
 
-def _continuous(node, env: dict, label: str) -> ContinuousCode:
-    kernel = _compile(node, env)
+def _continuous(node, env: dict, label: str, shared: Optional[dict] = None) -> ContinuousCode:
+    kernel = _compile(node, env, shared)
     if type(kernel) is Fraction:
         kernel = continuous_const(kernel).kernel
     return ContinuousCode(kernel, domain="unit", label=label)
 
 
-def _limit(node, env: dict, names: str = ""):
+def _shared_parts(body) -> dict:
+    """The largest parts of a limit body that read x (or dist) but no index,
+    bare x aside, keyed by id with None for a kernel not yet compiled.
+    Their value at (r, k) is the same in every term."""
+    parts = {}
+
+    def scan(node) -> tuple:
+        # whether node reads x and whether it reads an index; the parts
+        # below a node that reads an index are recorded there
+        op = node[0]
+        kids = [k for k in (node[2] if op == "dist" else node[2:]) if isinstance(k, tuple)]
+        flags = [scan(k) for k in kids]
+        reads_x = op in ("x", "dist") or any(f[0] for f in flags)
+        reads_idx = op == "idx" or any(f[1] for f in flags)
+        if reads_idx and op != "dist":  # dist arguments are constants
+            parts.update((id(k), None) for k, (kx, ki) in zip(kids, flags) if kx and not ki and k[0] != "x")
+        return reads_x, reads_idx
+
+    reads_x, reads_idx = scan(body)
+    if reads_x and not reads_idx and body[0] != "x":
+        parts[id(body)] = None
+    return parts
+
+
+def _limit(node, env: dict, names: str = "", shared: Optional[dict] = None):
     """The code of a baire1 or baire2 node; term t binds its index to t.
-    names holds the outer indices' values, "-t" each, for the labels."""
+    names holds the outer indices' values, "-t" each, for the labels.
+    The parts of the innermost body that read no index are compiled once
+    per gauge, by the first term compile that reaches them, so an error
+    in one surfaces when it did per term; the terms of a block share one
+    evaluation of each (see _shared_parts)."""
     op, idx, body = node[0], node[2], node[3]
+    if shared is None:
+        shared = _shared_parts(body[3] if op == "baire2" else body)
 
     def term(t: int):
         if op == "baire2":
-            return _limit(body, {**env, idx: t}, f"{names}-{t}")
-        return _continuous(body, {**env, idx: t}, label=f"term{names}-{t}")
+            return _limit(body, {**env, idx: t}, f"{names}-{t}", shared)
+        return _continuous(body, {**env, idx: t}, label=f"term{names}-{t}", shared=shared)
 
     code = Baire2Code if op == "baire2" else Baire1Code
     return code(term, domain="unit", label=f"spec-{op}{names}")

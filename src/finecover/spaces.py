@@ -250,17 +250,6 @@ class UnitPoint:
         return f"UnitPoint(approx, label={self.label!r})"
 
 
-@dataclass(frozen=True)
-class Ball:
-    center: Union[UnitPoint, CantorPoint]
-    radius: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "radius", Fraction(self.radius))
-        if self.radius <= 0:
-            raise ValueError("ball radius must be > 0")
-
-
 # -- phi: binary expansion 2^omega -> [0,1] ------------------------------
 
 

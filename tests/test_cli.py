@@ -220,6 +220,18 @@ def test_bad_gauge_text_exits_one_at_its_column(capsys, text, col):
     assert err.startswith(f"error: line 1, col {col}: ") and "Traceback" not in err
 
 
+def test_limit_body_errors_surface_when_a_term_is_compiled(capsys, tmp_path):
+    """A limit body's index-free part is compiled by the first term that
+    needs it, not at parse time: a bad cover file is reported before the
+    body's own error, which a search reaches at its first term."""
+    cover = tmp_path / "cover.csv"
+    cover.write_text("point,radius\nrat:1/2,zz\n")
+    code, out, err = run(capsys, "verify", "--gauge", "baire1(n -> 2^x + 2^-n)", "--in", str(cover))
+    assert (code, out, err) == (1, "", "error: row 2: not a rational: 'zz'\n")
+    code, out, err = run(capsys, "cousin", "--gauge", "baire1(n -> 2^x)")
+    assert (code, out, err) == (1, "", "error: line 1, col 14: exponent may not depend on x\n")
+
+
 def test_verify_flags_inflated_radius(capsys, tmp_path):
     _, out, _ = run(capsys, "cousin", "--gauge", "const:1/4", "--depth", "8")
     lines = out.splitlines()

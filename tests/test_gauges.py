@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from interval_ref import ref_intersect, ref_pad
-from kernel_ref import continuous_abs, continuous_add, continuous_identity, continuous_sub
+from kernel_ref import continuous_add, continuous_identity
 
-from finecover.exact import CauchyViolation, Interval, QuadVal, dyadic_runs, pow2, pow3, rt_interval, rt_intersect, rt_of, rt_point
+from finecover.exact import CauchyViolation, Interval, QuadVal, pow2, pow3, rt_interval, rt_intersect, rt_of, rt_point
 from finecover.gallery import OracleSpec, oracle_pin_gauge, pin_index
 from finecover.gauges import (
     Baire1Code,
@@ -27,14 +27,13 @@ from finecover.gauges import (
     kernel_min,
     kernel_sub,
     kernel_x,
-    preimage_pieces,
     pullback_gauge_phi,
     scale_code,
     transfer_gauge_psi,
     verified_above,
     verified_at_least,
 )
-from finecover.spaces import Ball, CantorPoint, Cylinder, UnitPoint
+from finecover.spaces import CantorPoint, Cylinder, UnitPoint
 from finecover.integral import builtin_integrands, stern_brocot_index
 
 
@@ -389,74 +388,6 @@ def test_psi_transfer_values():
         transfer_gauge_psi(continuous_const(1, domain="unit"))
 
 
-def test_preimage_pieces_constants():
-    zero = Baire1Code(lambda n: continuous_const(0), modulus=lambda j: 1)
-    pieces = preimage_pieces(zero, Ball(UnitPoint.from_rat(Fraction(0)), Fraction(1)), 3)
-    assert len(pieces) == 3
-    for piece in pieces:
-        assert piece == [Interval(Fraction(0), Fraction(1))]
-
-    one = Baire1Code(lambda n: continuous_const(1), modulus=lambda j: 1)
-    pieces = preimage_pieces(one, Ball(UnitPoint.from_rat(Fraction(0)), Fraction(1, 2)), 4)
-    assert all(piece == [] for piece in pieces)
-
-
-def test_preimage_pieces_inner_approximation():
-    # limit is |x - 1/2|; membership ball B(0, 1/4) means x in (1/4, 3/4)
-    g = Baire1Code(
-        lambda n: continuous_add(continuous_dist_to([Fraction(1, 2)]), continuous_const(pow2(-n))),
-        modulus=lambda j: max(1, j + 1),
-    )
-    pieces = preimage_pieces(g, Ball(UnitPoint.from_rat(Fraction(0)), Fraction(1, 4)), 5)
-    prev = []
-    for piece in pieces:
-        for box in piece:
-            assert Fraction(1, 4) < box.lo and box.hi < Fraction(3, 4)
-        for old in prev:
-            assert any(new.lo <= old.lo and old.hi <= new.hi for new in piece)
-        prev = piece
-    assert pieces[-1] != []
-    # no modulus, nothing verifiable
-    bare = Baire1Code(lambda n: continuous_const(0))
-    assert preimage_pieces(bare, Ball(UnitPoint.from_rat(Fraction(0)), Fraction(1)), 2) == [[], []]
-
-
-def _ref_preimage_pieces(g, ball, count):
-    """preimage_pieces as it was first written: one Interval per grid cell,
-    enclosed through region_eval."""
-    c = continuous_const(ball.center.rational_value())
-    member = [False] * 256
-    out = []
-    for k in range(count):
-        stage = 5 + k
-        s_k = ball.radius * (1 - pow2(-(k + 1)))
-        j, n = g._resolved(stage) or (None, None)
-        if j is not None and s_k - pow2(-j) > 0:
-            gap = continuous_abs(continuous_sub(g.term(n), c))
-            for i in range(256):
-                cell = Interval(i * pow2(-8), (i + 1) * pow2(-8))
-                if not member[i] and gap.region_eval(cell, stage).hi <= s_k - pow2(-j):
-                    member[i] = True
-        out.append(dyadic_runs([i for i, flag in enumerate(member) if flag], 8))
-    return out
-
-
-@pytest.mark.parametrize(
-    "center, radius", [(Fraction(0), Fraction(1, 2)), (Fraction(1, 3), Fraction(1, 4)), (Fraction(1, 2), Fraction(3, 8))]
-)
-def test_preimage_pieces_match_the_interval_cells(center, radius):
-    """Terms x and |x - 1/3| + 2^-n, whose bounds meet grid-cell ends exactly
-    (B(0, 1/2) at stage 5 needs |x| <= 7/32, the end of cell 55)."""
-    terms = [
-        lambda n: continuous_identity(),
-        lambda n: continuous_add(continuous_dist_to([Fraction(1, 3)]), continuous_const(pow2(-n))),
-    ]
-    ball = Ball(UnitPoint.from_rat(center), radius)
-    for term in terms:
-        got = preimage_pieces(Baire1Code(term, modulus=lambda j: max(1, j)), ball, 4)
-        assert got == _ref_preimage_pieces(Baire1Code(term, modulus=lambda j: max(1, j)), ball, 4)
-
-
 def test_modulus_is_resolved_once_per_stage():
     """A limit code asks its modulus for the finest certified 2^-j once per
     stage, not once per certificate: a stage-s scan makes s + 2 calls
@@ -498,16 +429,59 @@ def test_limit_verdict_evaluates_one_block():
     g = Baire1Code(lambda n: near_half(calls, n, n))
     assert verified_above(g, x, Fraction(1, 4), 12) is Verdict.YES
     assert sorted(calls) == list(range(6, 13))
-    # the modulus certifies 2^-12 through term 12, one more call
+    # the modulus certifies 2^-12 through term 12, which the block holds
     calls = []
     g = Baire1Code(lambda n: near_half(calls, n, n), modulus=lambda j: max(1, j))
     assert verified_above(g, x, Fraction(1, 4), 12) is Verdict.YES
-    assert sorted(calls) == list(range(6, 13)) + [12]
+    assert sorted(calls) == list(range(6, 13))
     # Baire-2 at stage 6: terms 3..6, each reading its own terms 3..6
     calls = []
     g = Baire2Code(lambda m: Baire1Code(lambda n: near_half(calls, (m, n), n)))
     assert verified_above(g, x, Fraction(1, 4), 6) is Verdict.YES
     assert sorted(calls) == [(m, n) for m in range(3, 7) for n in range(3, 7)]
+
+
+def test_repeated_same_stage_query_calls_no_term_kernel():
+    """A second query at the stage a point was last read at is answered
+    from the stored enclosure, by a verdict as by eval_enclosure."""
+    x = UnitPoint.from_rat(Fraction(1, 3))
+    calls = []
+    level1 = lambda m: Baire1Code(lambda n: _recording_const(calls, (m, n), Fraction(1, 2) + pow2(-n)))
+    g = Baire2Code(level1, modulus=lambda j: max(1, j + 1))
+    first = eval_enclosure(g, x, 8)
+    assert calls
+    calls.clear()
+    assert eval_enclosure(g, x, 8) == first
+    assert verified_above(g, x, Fraction(1, 4), 8) is Verdict.YES
+    assert calls == []
+
+
+def test_query_at_another_stage_reads_the_block_again():
+    """Each query at a stage other than the point's last reads its whole
+    block; another point at the same stage is a query of its own."""
+    x = UnitPoint.from_rat(Fraction(1, 3))
+    calls = []
+    g = Baire1Code(lambda n: _recording_const(calls, n, Fraction(1, 2) + pow2(-n)))
+    for stage in (8, 4, 8):
+        calls.clear()
+        eval_enclosure(g, x, stage)
+        assert calls == list(range(-(-stage // 2), stage + 1))
+    calls.clear()
+    eval_enclosure(g, UnitPoint.from_rat(Fraction(2, 3)), 8)
+    assert calls == list(range(4, 9))
+
+
+def test_certificate_outside_the_block_makes_one_extra_call():
+    """On constant terms, modulus j -> 1 certifies every 2^-j through term
+    1, which the stage-12 block 6..12 does not hold; inside the block
+    (j -> j, N = 12) the block's own triple is padded."""
+    x = UnitPoint.from_rat(Fraction(1, 3))
+    for modulus, extra in ((lambda j: 1, [1]), (lambda j: max(1, j), [])):
+        calls = []
+        g = Baire1Code(lambda n: _recording_const(calls, n, Fraction(1, 2)), modulus=modulus)
+        assert verified_above(g, x, Fraction(1, 4), 12) is Verdict.YES
+        assert verified_above(g, x, Fraction(3, 4), 12) is Verdict.NO
+        assert calls == list(range(6, 13)) + extra
 
 
 def _late_settler():

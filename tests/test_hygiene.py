@@ -2,11 +2,15 @@
 imports is used in that module, and every module-level definition in the
 package, and every method and property of its classes, is used somewhere
 outside its own body; nothing in the package uses floats or runs Python
-source."""
+source; and every code class keeps the `_eval` the benchmark's tracer
+wraps."""
 
 import ast
 import copy
+import inspect
 from pathlib import Path
+
+from finecover.gauges import Baire1Code, Baire2Code, ContinuousCode, DirectCode
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "finecover"
 TESTS = Path(__file__).resolve().parent
@@ -162,3 +166,12 @@ def test_no_python_source_is_run():
         if uses:
             found[path.name] = uses
     assert not found, found
+
+
+def test_each_code_class_defines_eval_of_x_and_stage():
+    """The benchmark's tracer wraps each code class's own `_eval` as
+    wrapper(code, x, stage), so every class keeps one of exactly that
+    shape."""
+    for cls in (ContinuousCode, DirectCode, Baire1Code, Baire2Code):
+        assert "_eval" in cls.__dict__, cls.__name__
+        assert list(inspect.signature(cls.__dict__["_eval"]).parameters) == ["self", "x", "stage"], cls.__name__

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from finecover.exact import CauchyViolation, Interval, QuadVal, pow2, pow3, rt_cell, rt_interval
 from finecover.spaces import (
-    Ball,
     CantorPoint,
     Cylinder,
     NotInCantorSet,
@@ -374,9 +373,3 @@ def test_unit_point_opaque_nesting():
     with pytest.raises(TypeError):
         UnitPoint.from_fn(fn) < UnitPoint.from_rat(Fraction(1, 2))
 
-
-def test_ball():
-    b = Ball(UnitPoint.from_rat(Fraction(1, 2)), Fraction(1, 4))
-    assert b.radius == Fraction(1, 4)
-    with pytest.raises(ValueError):
-        Ball(UnitPoint.from_rat(Fraction(1, 2)), Fraction(0))

@@ -221,8 +221,10 @@ class _LimitCode:
     and a query at that stage again is answered from them without touching
     a term: the terms' accumulators at x change only through a query at x
     at another stage, which drops them, so evaluating anew would rebuild
-    the same hull and certificate. The certificate reads term N from the
-    block when N lies inside it.
+    the same hull and certificate. An approximant point narrows its boxes
+    as any code asks it at a finer stage, so its accumulated box is kept
+    with them and must be unchanged too. The certificate reads term N from
+    the block when N lies inside it.
     """
 
     region = None
@@ -241,7 +243,7 @@ class _LimitCode:
         self._term_cache: dict[int, GaugeCode] = {}
         self._cert: dict[Point, tuple] = {}
         self._best_lo: dict[Point, tuple] = {}  # (numerator, denominator)
-        self._last: dict[Point, tuple] = {}  # (stage, enclosure)
+        self._last: dict[Point, tuple] = {}  # (stage, point's box, enclosure)
         self._resolved_at: dict[int, Optional[tuple]] = {}
 
     def term(self, n: int) -> GaugeCode:
@@ -264,8 +266,8 @@ class _LimitCode:
     def _limit_eval(self, x: Point, stage: int) -> tuple:
         last = self._last.get(x)
         if last is not None:
-            if last[0] == stage:
-                return last[1]
+            if last[0] == stage and last[1] == getattr(x, "_best", None):
+                return last[2]
             del self._last[x]  # the terms at x change from here on
         lo_n, hi_n = _block(stage)
         block = [self.term(n)._eval(x, stage) for n in range(lo_n, hi_n + 1)]
@@ -290,7 +292,7 @@ class _LimitCode:
         prev = self._best_lo.get(x)
         if prev is None or lo * prev[1] > prev[0] * d:
             self._best_lo[x] = lo, d
-        self._last[x] = stage, got
+        self._last[x] = stage, getattr(x, "_best", None), got
         return got
 
     def __repr__(self) -> str:

@@ -1,8 +1,8 @@
 """Limit codes against the reference that evaluates every query afresh
 (`limit_ref`): a query at the stage a point was last queried at is
-answered from the stored enclosure, the certificate reads its term from
-the block, and the parts of a text body that read no index are compiled
-once per gauge. None of this may change an enclosure, a verdict or where
+answered from the stored enclosure while the point's box is unchanged,
+the certificate reads its term from the block, and the parts of a text
+body that read no index are compiled once per gauge. None of this may change an enclosure, a verdict or where
 a CauchyViolation is raised."""
 
 from fractions import Fraction
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from limit_ref import Baire1Ref, Baire2Ref, ref_spec
 
 from finecover import gaugespec
-from finecover.exact import CauchyViolation, QuadVal, pow2
+from finecover.exact import CauchyViolation, Interval, QuadVal, pow2
 from finecover.gallery import CauchySpec, _gap_term, cauchy_gap_gauge, default_cauchy_spec
 from finecover.gauges import (
     Baire1Code,
@@ -110,7 +110,13 @@ def _point_pool():
         st.fractions(Fraction(1, 4), Fraction(3, 4), max_denominator=8),
         st.fractions(Fraction(-1, 8), Fraction(1, 8), max_denominator=8).filter(bool),
     ).map(lambda ab: lambda: UnitPoint.from_quad(QuadVal(*ab)))
-    return st.lists(st.one_of(rational, quad), min_size=1, max_size=4)
+    approx = st.fractions(0, 1, max_denominator=16).map(lambda w: lambda: _approximant(w))
+    return st.lists(st.one_of(rational, quad, approx), min_size=1, max_size=4)
+
+
+def _approximant(w):
+    """An opaque point at w whose boxes narrow with every finer stage asked."""
+    return UnitPoint.from_fn(lambda k: Interval(w - pow2(-k - 1), w + pow2(-k - 1)))
 
 
 def _outcome(call):
@@ -179,6 +185,21 @@ def test_index_free_part_is_compiled_once_and_evaluated_once_per_query(monkeypat
         assert eval_enclosure(g, x, stage) == eval_enclosure(ref, x, stage)
         assert evaluated == want
     assert len(compiled) == 1
+
+
+@pytest.mark.parametrize("kind", ["baire1", "baire2-bare"])
+def test_a_finer_box_of_an_approximant_point_is_read_again(kind):
+    """A query at an approximant point's last stage is not answered from
+    the stored enclosure once another query has narrowed the point's box:
+    the enclosure is the reference's, which reads the narrower box."""
+    g, ref = _CODES[kind](Baire1Code, Baire2Code), _CODES[kind](Baire1Ref, Baire2Ref)
+    x, rx = _approximant(Fraction(1, 3)), _approximant(Fraction(1, 3))
+    first = eval_enclosure(g, x, 1)
+    assert eval_enclosure(ref, rx, 1) == first
+    x.approx(8), rx.approx(8)
+    got = eval_enclosure(g, x, 1)
+    assert got == eval_enclosure(ref, rx, 1)
+    assert got.width < first.width
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .covers import (
     NotACover,
@@ -290,7 +291,9 @@ def cmd_gallery(args) -> int:
     raise ValueError(f"unknown demo {args.demo!r}")
 
 
+@cache
 def _make_parser() -> argparse.ArgumentParser:
+    """Built once per process: parsing keeps no state in the parser."""
     top = argparse.ArgumentParser(prog="finecover", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 

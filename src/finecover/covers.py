@@ -17,9 +17,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from math import lcm
-from operator import ge, gt
+from operator import attrgetter, ge, gt, itemgetter
 from typing import Optional, Union
 
 from .exact import (
@@ -35,7 +34,6 @@ from .spaces import (
     CantorPoint,
     Cylinder,
     UnitPoint,
-    cylinder_for_ball,
     dist_to_cantor,
     leftmost_cantor_ge,
     phi,
@@ -127,13 +125,12 @@ class FineCover:
     """
 
     def __init__(self, entries):
-        merged: dict = {}
-        order: list = []
+        merged: dict = {}  # point -> radius, in order of first appearance
         space = None
         for p, r in entries:
             if type(r) is not Fraction:
                 r = Fraction(r)
-            if r <= 0:
+            if r.numerator <= 0:
                 raise ValueError(f"cover radius must be > 0, got {r} at {p!r}")
             if isinstance(p, UnitPoint):
                 here = "unit"
@@ -143,23 +140,20 @@ class FineCover:
                 here = "cantor"
             else:
                 raise ValueError(f"not a point: {p!r}")
-            if space is None:
+            if space != here:
+                if space is not None:
+                    raise ValueError("cover mixes points from both spaces")
                 space = here
-            elif space != here:
-                raise ValueError("cover mixes points from both spaces")
-            if p in merged:
-                merged[p] = max(merged[p], r)
-            else:
+            if p not in merged or merged[p] < r:
                 merged[p] = r
-                order.append(p)
         if space is None:
             raise ValueError("a cover needs at least one point")
         self.space = space
-        if space == "unit":
-            order.sort(key=UnitPoint.exact_value)
+        self.points: list = list(merged)
+        if space == "cantor":
+            self.points.sort(key=_cantor_sort_key)
         else:
-            order.sort(key=_cantor_sort_key)
-        self.points: list = order
+            _sort_by_value(self.points, attrgetter("exact.numerator"), attrgetter("exact.denominator"))
         self.radii: dict = merged
 
     def __len__(self) -> int:
@@ -190,10 +184,17 @@ class Obstruction:
     space: str
 
 
-def _by_left_end(a: tuple, b: tuple) -> int:
-    """The order of two `_sweep` rows by left end, by cross-multiplication."""
-    x, y = a[0] * b[2], b[0] * a[2]
-    return (x > y) - (x < y)
+def _sort_by_value(items: list, num, den) -> None:
+    """Sort items stably by the value num(x)/den(x), an int or QuadVal
+    numerator over a positive int. With int numerators the key is the
+    integer (n << k) // d, for k past twice the bit length of the largest d:
+    two distinct values differ by more than 2^-k, so their keys differ the
+    same way, and equal values tie. Otherwise the key is the exact value."""
+    if all(type(num(x)) is int for x in items):
+        k = 2 * max((den(x).bit_length() for x in items), default=0) + 1
+        items.sort(key=lambda x: (num(x) << k) // den(x))
+    else:
+        items.sort(key=lambda x: _value(num(x), den(x)))
 
 
 def _value(n, d: int):
@@ -218,9 +219,9 @@ def _sweep(cover: FineCover) -> tuple[list, Optional[Fraction]]:
     A row (lo, hi, d, c, point, radius) holds the ball's ends and centre as
     numerators over the row's own denominator d, the lcm of the centre's
     and the radius's, so its integers stay the size of one row whatever
-    the cover. Rows compare by cross-multiplication. A quadratic centre's
-    numerator is a QuadVal with integer parts, which multiplies, subtracts
-    and compares like an int.
+    the cover. Rows compare by cross-multiplication; ties in the sort keep
+    the cover's order. A quadratic centre's numerator is a QuadVal with
+    integer parts, which multiplies, subtracts and compares like an int.
     """
     rows = []
     for p in cover.points:
@@ -231,7 +232,7 @@ def _sweep(cover: FineCover) -> tuple[list, Optional[Fraction]]:
         lo, hi = c - s, c + s
         if hi > 0 and lo < d:
             rows.append((lo, hi, d, c, p, r))
-    rows.sort(key=cmp_to_key(_by_left_end))
+    _sort_by_value(rows, itemgetter(0), itemgetter(2))
     kept = []
     reach, reach_d, gap = 0, 1, None  # [0, reach/reach_d] is covered up to the first gap
     for row in rows:
@@ -264,21 +265,26 @@ def uncovered_witness(cover: FineCover):
     """
     if cover.space == "unit":
         return _sweep(cover)[1]
-    cells = {cylinder_for_ball(p, cover.radii[p]) for p in cover.points}
-    deepest = max(c.depth for c in cells)
+    # the ball B(p, r) is the cylinder of depth m at p (`cylinder_for_ball`),
+    # here the node (1 << m) | index of the binary tree, whose children are
+    # 2u and 2u + 1; a node's depth is its bit length less one
+    cells = set()
+    for p, r in cover.radii.items():
+        m = ceil_log_recip(r)
+        cells.add((1 << m) | p.index(m))
+    deepest = max(cells).bit_length() - 1
 
     # depth-first, left branch first; a cell is only pushed when no cell
     # above it is a cylinder of the cover, so checking the cell alone
     # tells whether it is covered
-    stack = [Cylinder(0, 0)]
+    stack = [1]
     while stack:
-        cell = stack.pop()
-        if cell in cells:
+        u = stack.pop()
+        if u in cells:
             continue
-        if cell.depth >= deepest:
-            return CantorPoint.from_pattern(cell.prefix, "0")
-        i, level = 2 * cell.index, cell.depth + 1
-        stack += [Cylinder(i + 1, level), Cylinder(i, level)]
+        if u >> deepest:
+            return CantorPoint.from_pattern(bin(u)[3:], "0")
+        stack += (2 * u + 1, 2 * u)
     return None
 
 

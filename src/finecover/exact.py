@@ -9,13 +9,10 @@ computations themselves stay exact.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, gcd, isqrt, lcm
 from typing import Callable, Optional, Union
-
-_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+)|\.([0-9]+))?")
 
 
 def parse_rat(text: str) -> Fraction:
@@ -25,16 +22,19 @@ def parse_rat(text: str) -> Fraction:
     so the value's size is bounded by the text's. Decimal input is
     converted exactly (no float round trip).
     """
-    m = _RATIONAL.fullmatch(text.strip())
-    if m is None:
-        raise ValueError(f"not a rational: {text!r}")
-    whole, den, decimals = m.groups()
-    try:
-        if decimals is not None:
-            return Fraction(int(whole + decimals), 10 ** len(decimals))
-        return Fraction(int(whole), int(den or 1))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational: {text!r}") from exc
+    s = text.strip()
+    head, sep, part = s.partition("/")
+    if not sep:
+        head, sep, part = head.partition(".")
+    digits = head[1:] if head[:1] in "+-" else head  # an empty head leaves no digits either way
+    if s.isascii() and digits.isdigit() and (part.isdigit() or not sep):
+        try:
+            if sep == ".":
+                return Fraction(int(head + part), 10 ** len(part))
+            return Fraction(int(head), int(part) if sep else 1)
+        except (ValueError, ZeroDivisionError) as exc:  # a zero denominator, or past int()'s digit limit
+            raise ValueError(f"not a rational: {text!r}") from exc
+    raise ValueError(f"not a rational: {text!r}")
 
 
 def rat_str(q: Fraction) -> str:
@@ -56,11 +56,13 @@ def pow3(n: int) -> Fraction:
 
 def ceil_log_recip(q: Fraction, base: int = 2) -> int:
     """Least n >= 0 with base**(-n) <= q. Requires q > 0."""
-    if q <= 0:
-        raise ValueError("need q > 0")
     num, den = q.numerator, q.denominator
-    n = 0
-    scale = 1
+    if num <= 0:
+        raise ValueError("need q > 0")
+    # start from a lower bound read off the bit lengths: log_base(den/num)
+    # exceeds (len(den) - len(num) - 1) / ceil(log2(base))
+    n = max(den.bit_length() - num.bit_length() - 1, 0) // (base - 1).bit_length()
+    scale = base**n
     # base**(-n) <= q  iff  den <= num * base**n
     while den > num * scale:
         scale *= base

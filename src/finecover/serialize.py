@@ -112,19 +112,25 @@ def parse_cover_csv(text: str) -> FineCover:
     rows = _csv_rows(text)
     if not rows or rows[0] != ["point", "radius"]:
         raise ValueError("cover CSV must start with the point,radius header")
-    entries = []
-    for i, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise ValueError(f"row {i}: need point,radius, got {row!r}")
-        ps, rs = row
-        try:
-            p = parse_cantor(ps) if ps.startswith("prefix=") else parse_unit(ps)
-            entries.append((p, parse_rat(rs)))
-        except ValueError as e:
-            raise ValueError(f"row {i}: {e}")
-    return FineCover(entries)
+    # FineCover checks each entry as it is parsed, so its errors name the row
+    at = None  # the row being read, None once all are read
+
+    def entries():
+        nonlocal at
+        for at, row in enumerate(rows[1:], start=2):
+            if row:
+                if len(row) != 2:
+                    raise ValueError(f"need point,radius, got {row!r}")
+                ps, rs = row
+                yield parse_cantor(ps) if ps.startswith("prefix=") else parse_unit(ps), parse_rat(rs)
+        at = None
+
+    try:
+        return FineCover(entries())
+    except ValueError as e:
+        if at is None:
+            raise
+        raise ValueError(f"row {at}: {e}") from None
 
 
 def partition_csv(part: TaggedPartition) -> str:
@@ -142,13 +148,16 @@ def parse_partition_csv(text: str) -> TaggedPartition:
         raise ValueError("partition CSV must start with the lo,hi,tag header")
     cuts: list[Fraction] = []
     tags: list[UnitPoint] = []
+    hi_s = None  # the text of the last cut read
     for i, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         if len(row) != 3:
             raise MalformedPartition(f"row {i}: need lo,hi,tag, got {row!r}")
         try:
-            lo, hi = parse_rat(row[0]), parse_rat(row[1])
+            # a cell almost always starts with the text the previous one ended with
+            lo = cuts[-1] if row[0] == hi_s else parse_rat(row[0])
+            hi, hi_s = parse_rat(row[1]), row[1]
             tag = parse_unit(row[2])
         except ValueError as e:
             raise MalformedPartition(f"row {i}: {e}")

@@ -149,9 +149,7 @@ class Cylinder:
 
 def cylinder_for_ball(x: CantorPoint, r: Fraction) -> Cylinder:
     """B(x,r) as a cylinder: depth m least with 2^-m <= r."""
-    if r <= 0:
-        raise ValueError("need r > 0")
-    m = ceil_log_recip(min(r, Fraction(1)))
+    m = ceil_log_recip(r)
     return Cylinder(x.index(m), m)
 
 

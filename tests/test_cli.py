@@ -232,6 +232,22 @@ def test_limit_body_errors_surface_when_a_term_is_compiled(capsys, tmp_path):
     assert (code, out, err) == (1, "", "error: line 1, col 14: exponent may not depend on x\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param("point,radius\nrat:1/2,1/2\nrat:1/4,0/1\n", "row 3: cover radius must be > 0, got 0 at UnitPoint(1/4)",
+                     id="zero-radius"),
+        pytest.param("point,radius\nrat:1/2,1\n\nprefix=0;period=1,1/2\n", "row 4: cover mixes points from both spaces",
+                     id="mixed-spaces"),
+    ],
+)
+def test_verify_cover_entry_errors_name_their_row(capsys, tmp_path, text, message):
+    art = tmp_path / "cover.csv"
+    art.write_text(text)
+    code, out, err = run(capsys, "verify", "--gauge", "1", "--stage", "4", "--in", str(art))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_verify_flags_inflated_radius(capsys, tmp_path):
     _, out, _ = run(capsys, "cousin", "--gauge", "const:1/4", "--depth", "8")
     lines = out.splitlines()
@@ -352,6 +368,26 @@ def test_stage_env_default(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("COUSIN_GAUGE_STAGE_DEFAULT", "64")
     code2, _, _ = run(capsys, "verify", "--gauge", BAIRE, "--in", str(art))
     assert code2 == 0
+
+
+def test_main_twice_in_one_process_leaks_no_argument(capsys, tmp_path, monkeypatch):
+    """The parser is built once per process; each call still starts from the
+    defaults and reads the stage default from the environment."""
+    plain = run(capsys, "cousin", "--gauge", "const:1/4")
+    out = tmp_path / "hinted.csv"
+    assert run(capsys, "cousin", "--gauge", "const:1/4", "--depth", "3", "--hint", "rat:1/8", "--out", str(out)) == (0, "", "")
+    assert "rat:1/8," in out.read_text()
+    assert run(capsys, "cousin", "--gauge", "const:1/4") == plain
+    assert cli._make_parser() is cli._make_parser()
+
+    art = tmp_path / "part.csv"
+    art.write_text("lo,hi,tag\n0,7/16,rat:1/4\n7/16,7/8,rat:1/2\n7/8,1,rat:15/16\n")
+    monkeypatch.setenv("COUSIN_GAUGE_STAGE_DEFAULT", "1")
+    assert run(capsys, "verify", "--gauge", BAIRE, "--in", str(art), "--stage", "64")[0] == 0
+    assert run(capsys, "verify", "--gauge", BAIRE, "--in", str(art))[0] == 2
+    monkeypatch.setenv("COUSIN_GAUGE_STAGE_DEFAULT", "64")
+    assert run(capsys, "gallery", "cauchy-gap", "--depth", "12")[0] == 0
+    assert run(capsys, "verify", "--gauge", BAIRE, "--in", str(art)) == (0, "partition verified\n", "")
 
 
 def test_gallery_heine_borel(capsys, tmp_path):

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
 from math import ceil, floor
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from quad_ref import ref_cmp
+from read_ref import ref_cantor_witness, ref_cover, ref_sweep
 
 from finecover import covers
 from finecover.covers import (
@@ -51,6 +53,7 @@ from finecover.gauges import (
 )
 from finecover.gaugespec import parse_gauge
 from finecover.integral import builtin_integrands, default_depth, dirichlet_hints
+from finecover.serialize import cover_csv
 from finecover.spaces import CantorPoint, UnitPoint, cylinder_for_ball
 
 F = Fraction
@@ -451,6 +454,82 @@ def test_one_sweep_matches_the_two_sort_conversion(cover):
             assert got.entries() == want.entries()
         else:
             assert got == want
+
+
+_CENTRES = st.one_of(
+    st.fractions(F(-1), F(2), max_denominator=64),
+    _over_primes(F(-1), F(2)),
+    st.builds(
+        QuadVal,
+        st.fractions(F(-1, 2), F(3, 2), max_denominator=8),
+        st.fractions(F(-1, 4), F(1, 4), max_denominator=8).filter(bool),
+    ),
+)
+
+
+@st.composite
+def _shuffled_entries(draw):
+    """Cover entries in a drawn order: a dyadic grid, drawn centres over
+    [-1, 2] (some quadratic), drawn points again with another radius, and
+    balls with the same left end as a drawn one."""
+    n = draw(st.sampled_from([1, 2, 4, 8, 16, 3, 5]))
+    balls = [(F(2 * i + 1, 2 * n), F(1, n)) for i in range(n)]
+    balls += draw(st.lists(st.tuples(_CENTRES, _SMALL), max_size=8))
+    for j, s in draw(st.lists(st.tuples(st.integers(0, 99), _SMALL), max_size=4)):
+        v, r = balls[j % len(balls)]
+        balls.append((v, s))
+        if -1 <= v - r + s <= 2:
+            balls.append((v - r + s, s))
+    return [(_point(balls[i][0]), balls[i][1]) for i in draw(st.permutations(range(len(balls))))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=_shuffled_entries())
+def test_cover_orders_match_the_fraction_sorts(entries):
+    """FineCover's points, the sweep's kept rows and the unit witness are
+    those of the sorts by exact value and by the cross-multiplying
+    comparator, and the emitted CSV is byte for byte the same."""
+    cover = FineCover(entries)
+    points, radii = ref_cover(entries)
+    assert [p.exact for p in cover.points] == [p.exact for p in points]
+    assert cover.radii == radii
+    assert _sweep(cover) == ref_sweep(points, radii)
+    assert uncovered_witness(cover) == ref_sweep(points, radii)[1]
+    assert cover_csv(cover) == cover_csv(SimpleNamespace(entries=lambda: [(p, radii[p]) for p in points]))
+
+
+@st.composite
+def _cylinder_entries(draw):
+    """The cylinders of a depth-k grid, some dropped, of radius 2^-k or the
+    non-dyadic 4/(3 2^k) (1/3 at k = 2), and drawn balls whose radii run
+    from 1/1000 to 2, past 1."""
+    k = draw(st.integers(0, 5))
+    grid_r = draw(st.sampled_from([F(1, 1 << k), F(4, 3 << k)]))
+    dropped = draw(st.sets(st.integers(0, (1 << k) - 1), max_size=3))
+    entries = [
+        (CantorPoint.from_pattern(format(i, f"0{k}b") if k else "", draw(st.sampled_from(["0", "1", "01"]))), grid_r)
+        for i in range(1 << k)
+        if i not in dropped
+    ]
+    radius = st.sampled_from([F(1, 3), F(1), F(2), F(5, 3), F(1, 2), F(3, 4), F(3, 16), F(1, 1000)])
+    point = st.builds(CantorPoint.from_pattern, st.text(alphabet="01", max_size=7), st.sampled_from(["0", "1", "01", "110"]))
+    entries += draw(st.lists(st.tuples(point, radius), min_size=0 if entries else 1, max_size=6))
+    return entries
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=_cylinder_entries())
+def test_cantor_witness_matches_the_cylinder_walk(entries):
+    cover = FineCover(entries)
+    assert uncovered_witness(cover) == ref_cantor_witness(cover.points, cover.radii)
+
+
+def test_cantor_witness_with_and_without_a_gap():
+    grid = [(CantorPoint.from_pattern(format(i, "03b"), "0"), F(1, 7)) for i in range(8)]
+    full, gappy = FineCover(grid), FineCover(grid[:5] + grid[6:])
+    assert uncovered_witness(full) is None is ref_cantor_witness(full.points, full.radii)
+    want = CantorPoint.from_pattern("101", "0")
+    assert uncovered_witness(gappy) == want == ref_cantor_witness(gappy.points, gappy.radii)
 
 
 def _is_prime(n):

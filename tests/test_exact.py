@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from interval_ref import ref_add, ref_intersect, ref_mul, ref_pad
 from kernel_ref import rt_abs, rt_max, rt_min, rt_sub
 from quad_ref import ref_cmp, ref_enclosure, ref_sign
+from read_ref import ref_parse_rat
 
 from finecover.exact import (
     Interval,
@@ -68,6 +69,47 @@ def test_parse_rat_forms():
 def test_parse_rat_rejects(bad):
     with pytest.raises(ValueError):
         parse_rat(bad)
+
+
+def _same_parse(text):
+    """parse_rat returns what the regex parser returns, or both raise the
+    same ValueError."""
+    try:
+        want = ref_parse_rat(text)
+    except ValueError as e:
+        with pytest.raises(ValueError) as got:
+            parse_rat(text)
+        assert str(got.value) == str(e)
+        return
+    got = parse_rat(text)
+    assert type(got) is Fraction and got == want
+
+
+# digits, the separators, and characters the parser must refuse: an
+# underscore and an exponent that int() or Fraction() would read, and an
+# Arabic-Indic and a fullwidth digit that int() reads as digits
+@settings(max_examples=2000, deadline=None)
+@given(st.text(alphabet="0123456789+-/. _e\u0661\uff11\t\n\u2003", max_size=12))
+def test_parse_rat_matches_the_regex_parser(text):
+    _same_parse(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["9" * 4300, "9" * 4301, "-" + "9" * 4301, "1/" + "7" * 4301, "1." + "5" * 4300, "1" * 2000 + "." + "5" * 2301],
+)
+def test_parse_rat_at_the_int_digit_limit(text):
+    _same_parse(text)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(1, 2**200), st.integers(1, 2**200), st.sampled_from([2, 3, 10]))
+def test_ceil_log_recip_matches_the_loop_from_zero(num, den, base):
+    # the search starts from a bound read off the bit lengths; this is the loop from n = 0
+    n, scale = 0, 1
+    while den > num * scale:
+        scale, n = scale * base, n + 1
+    assert ceil_log_recip(Fraction(num, den), base) == n
 
 
 def test_rat_str_canonical():

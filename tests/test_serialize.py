@@ -130,6 +130,15 @@ def test_partition_csv_round_trip():
     assert partition_csv(back) == text
 
 
+def test_partition_cut_written_two_ways_parses():
+    # a cell may start at the previous cut written another way; only the text is reused
+    part = parse_partition_csv("lo,hi,tag\n0,1/2,rat:1/4\n2/4,3/4,rat:5/8\n0.75,1,rat:7/8\n")
+    assert part.cuts == (F(0), F(1, 2), F(3, 4), F(1))
+    with pytest.raises(MalformedPartition) as err:
+        parse_partition_csv("lo,hi,tag\n0,1/2,rat:1/4\n1/2,3/4,rat:5/8\n3/5,1,rat:7/8\n")
+    assert str(err.value) == "row 4: cell starts at 3/5, previous ended at 3/4"
+
+
 def test_partition_csv_rejects():
     with pytest.raises(MalformedPartition) as err:
         parse_partition_csv("lo,hi,tag\n0,1/4,rat:1/8\n1/2,1,rat:3/4\n")

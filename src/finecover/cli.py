@@ -53,7 +53,6 @@ from .serialize import (
     partition_csv,
     point_str,
     region_str,
-    unit_str,
 )
 from .spaces import Cylinder
 
@@ -64,19 +63,6 @@ EXIT_FAILED = 3
 EXIT_FALSIFIED = 4
 
 _STAGE_ENV = "COUSIN_GAUGE_STAGE_DEFAULT"
-
-
-def _default_stage() -> int:
-    raw = os.environ.get(_STAGE_ENV, "")
-    if raw.strip():
-        try:
-            v = int(raw)
-            if v >= 1:
-                return v
-        except ValueError:
-            pass
-        print(f"ignoring bad {_STAGE_ENV}={raw!r}", file=sys.stderr)
-    return 48
 
 
 def _positive_int(text: str) -> int:
@@ -92,30 +78,41 @@ def _positive_int(text: str) -> int:
 
 
 def _stage(args) -> int:
-    return _default_stage() if args.stage is None else args.stage
+    """--stage, else a valid $COUSIN_GAUGE_STAGE_DEFAULT, else 48."""
+    if args.stage is not None:
+        return args.stage
+    raw = os.environ.get(_STAGE_ENV, "")
+    if raw.strip():
+        try:
+            v = int(raw)
+            if v >= 1:
+                return v
+        except ValueError:
+            pass
+        print(f"ignoring bad {_STAGE_ENV}={raw!r}", file=sys.stderr)
+    return 48
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _obstruction(got) -> tuple[str, int] | None:
+    """The report of a search that stopped short of a cover: its obstruction
+    JSON with exit 2. None when the search found a cover."""
+    if isinstance(got, Obstruction):
+        return obstruction_json(got), EXIT_UNKNOWN
+    return None
 
 
 def _build_gauge(args):
     """Gauge plus the pinned point when the preset has one."""
-    preset = getattr(args, "preset", None)
-    if preset:
-        if preset == "cauchy-gap":
+    if args.preset:
+        if args.preset == "cauchy-gap":
             return cauchy_gap_gauge(default_cauchy_spec()), None
-        if preset.startswith("oracle-pin:"):
-            z = parse_bits(preset.split(":", 1)[1])
+        if args.preset.startswith("oracle-pin:"):
+            z = parse_bits(args.preset.split(":", 1)[1])
             return oracle_pin_gauge(OracleSpec(z)), z
-        raise ValueError(f"unknown preset {preset!r}")
-    if getattr(args, "gauge_file", None):
+        raise ValueError(f"unknown preset {args.preset!r}")
+    if args.gauge_file:
         return parse_gauge_file(args.gauge_file), None
-    text = getattr(args, "gauge", None)
+    text = args.gauge
     if not text:
         raise ValueError("need --gauge, --gauge-file, or --preset")
     if text.startswith("const:"):
@@ -125,10 +122,9 @@ def _build_gauge(args):
 
 def _parse_hints(args, g, pinned):
     hints = []
-    vals = list(getattr(args, "hint", None) or [])
-    path = getattr(args, "hints_file", None)
-    if path:
-        with open(path) as fh:
+    vals = list(args.hint or [])
+    if args.hints_file:
+        with open(args.hints_file) as fh:
             vals.extend(line.strip() for line in fh if line.strip())
     for v in vals:
         if v == "Z":
@@ -142,7 +138,7 @@ def _parse_hints(args, g, pinned):
     return hints
 
 
-def cmd_integrate(args) -> int:
+def cmd_integrate(args) -> tuple[str, int]:
     table = builtin_integrands()
     if args.preset not in table:
         raise ValueError(f"unknown function preset {args.preset!r}; have {', '.join(sorted(table))}")
@@ -153,36 +149,29 @@ def cmd_integrate(args) -> int:
     stage = _stage(args)
     depth = default_depth(args.preset, eps) if args.depth is None else args.depth
     got = integrate(f, fam, eps, depth, stage, hints=default_hints(args.preset))
-    if isinstance(got, Obstruction):
-        _emit(obstruction_json(got), args.out)
-        return EXIT_UNKNOWN
-    _emit(integral_json(got.as_record(args.preset, depth, stage)), args.out)
-    return EXIT_OK
+    if stop := _obstruction(got):
+        return stop
+    return integral_json(got.as_record(args.preset, depth, stage)), EXIT_OK
 
 
-def cmd_cousin(args) -> int:
+def cmd_cousin(args) -> tuple[str, int]:
     g, pinned = _build_gauge(args)
     if args.space and args.space != g.domain:
         raise ValueError(f"gauge lives on {g.domain}, not {args.space}")
     stage = _stage(args)
     hints = _parse_hints(args, g, pinned)
-    if g.domain == "cantor":
-        got = find_cover_cantor(g, args.depth, stage, hints=hints)
-    else:
-        got = find_cover_unit(g, args.depth, stage, hints=hints)
-    if isinstance(got, Obstruction):
-        _emit(obstruction_json(got), args.out)
-        return EXIT_UNKNOWN
-    if args.as_partition:
-        if g.domain != "unit":
-            raise ValueError("--as-partition applies to unit-interval covers only")
-        _emit(partition_csv(cover_to_partition(got)), args.out)
-    else:
-        _emit(cover_csv(got), args.out)
-    return EXIT_OK
+    search = find_cover_cantor if g.domain == "cantor" else find_cover_unit
+    got = search(g, args.depth, stage, hints=hints)
+    if stop := _obstruction(got):
+        return stop
+    if not args.as_partition:
+        return cover_csv(got), EXIT_OK
+    if g.domain != "unit":
+        raise ValueError("--as-partition applies to unit-interval covers only")
+    return partition_csv(cover_to_partition(got)), EXIT_OK
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[str, int]:
     g, _ = _build_gauge(args)
     stage = _stage(args)
     with open(args.artifact) as fh:
@@ -196,9 +185,7 @@ def cmd_verify(args) -> int:
             raise ValueError(f"cover is on {cover.space}, gauge on {g.domain}")
         witness = uncovered_witness(cover)
         if witness is not None:
-            w = cantor_str(witness) if cover.space == "cantor" else unit_str(witness)
-            _emit(f"not a cover: {w} is uncovered\n", args.out)
-            return EXIT_FAILED
+            return f"not a cover: {point_str(witness)} is uncovered\n", EXIT_FAILED
         noun, pairs = "cover", cover.entries()
 
         def failure(i: int) -> str:
@@ -219,76 +206,38 @@ def cmd_verify(args) -> int:
         raise ValueError(f"unrecognized artifact header {header!r}")
     worst, bad = check_fineness(g, pairs, stage)
     if bad is not None:
-        _emit(failure(bad) + "\n", args.out)
-        return EXIT_FAILED
-    _emit(f"{noun} verified\n" if worst is Verdict.YES else f"{noun} unresolved at this stage\n", args.out)
-    return EXIT_OK if worst is Verdict.YES else EXIT_UNKNOWN
+        return failure(bad) + "\n", EXIT_FAILED
+    if worst is Verdict.YES:
+        return f"{noun} verified\n", EXIT_OK
+    return f"{noun} unresolved at this stage\n", EXIT_UNKNOWN
 
 
-def cmd_gallery(args) -> int:
+def cmd_gallery(args) -> tuple[str, int]:
+    """One JSON record per demo, ending with its depth and stage; a stalled
+    heine-borel search reports its obstruction instead."""
     stage = _stage(args)
+    depth = (16 if args.demo == "cauchy-gap" else 10) if args.depth is None else args.depth
     if args.demo == "heine-borel":
         if not args.cover:
             raise ValueError("heine-borel needs --cover FILE")
         with open(args.cover) as fh:
             cov = parse_cover_file(fh.read())
-        g = heine_borel_gauge(cov)
-        depth = 10 if args.depth is None else args.depth
-        got = find_cover_unit(g, depth, stage)
-        if isinstance(got, Obstruction):
-            _emit(obstruction_json(got), args.out)
-            return EXIT_UNKNOWN
-        k = finite_subcover(cov, got)
-        _emit(
-            integral_json(
-                {
-                    "demo": "heine-borel",
-                    "cover_size": len(got),
-                    "subcover_index": k,
-                    "union_verified": True,
-                    "depth": depth,
-                    "stage": stage,
-                }
-            ),
-            args.out,
-        )
-        return EXIT_OK
-    if args.demo == "cauchy-gap":
-        depth = 16 if args.depth is None else args.depth
-        obs = gap_obstruction_demo(default_cauchy_spec(), depth, stage)
-        run = obs.unresolved[0]
-        _emit(
-            integral_json(
-                {
-                    "demo": "cauchy-gap",
-                    "unresolved": region_str(run),
-                    "width": rat_str(run.width),
-                    "depth": depth,
-                    "stage": stage,
-                }
-            ),
-            args.out,
-        )
-        return EXIT_OK
-    if args.demo == "oracle-pin":
+        got = find_cover_unit(heine_borel_gauge(cov), depth, stage)
+        if stop := _obstruction(got):
+            return stop
+        record = {"cover_size": len(got), "subcover_index": finite_subcover(cov, got), "union_verified": True}
+    elif args.demo == "cauchy-gap":
+        run = gap_obstruction_demo(default_cauchy_spec(), depth, stage).unresolved[0]
+        record = {"unresolved": region_str(run), "width": rat_str(run.width)}
+    else:
         z = parse_bits(args.bits or "01")
-        depth = 10 if args.depth is None else args.depth
         cover = oracle_pin_demo(OracleSpec(z), depth, stage)
-        _emit(
-            integral_json(
-                {
-                    "demo": "oracle-pin",
-                    "pinned": cantor_str(z),
-                    "blind_search": f"obstruction {region_str(Cylinder(z.index(depth), depth))}",
-                    "hinted_cover_size": len(cover),
-                    "depth": depth,
-                    "stage": stage,
-                }
-            ),
-            args.out,
-        )
-        return EXIT_OK
-    raise ValueError(f"unknown demo {args.demo!r}")
+        record = {
+            "pinned": cantor_str(z),
+            "blind_search": f"obstruction {region_str(Cylinder(z.index(depth), depth))}",
+            "hinted_cover_size": len(cover),
+        }
+    return integral_json({"demo": args.demo, **record, "depth": depth, "stage": stage}), EXIT_OK
 
 
 @cache
@@ -309,11 +258,14 @@ def _make_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(fn=cmd_integrate)
 
+    def gauge_source(p):
+        src = p.add_mutually_exclusive_group()
+        src.add_argument("--gauge", help="gauge expression, e.g. 'min(x+1/8, 1-x)' or const:1/4")
+        src.add_argument("--gauge-file", help="file containing a gauge expression")
+        src.add_argument("--preset", help="cauchy-gap or oracle-pin:BITS")
+
     p = sub.add_parser("cousin", help="search a fine cover for a gauge")
-    src = p.add_mutually_exclusive_group()
-    src.add_argument("--gauge", help="gauge expression, e.g. 'min(x+1/8, 1-x)' or const:1/4")
-    src.add_argument("--gauge-file", help="file containing a gauge expression")
-    src.add_argument("--preset", help="cauchy-gap or oracle-pin:BITS")
+    gauge_source(p)
     p.add_argument("--space", choices=("unit", "cantor"), default=None)
     p.add_argument("--as-partition", action="store_true", help="emit the induced tagged partition")
     p.add_argument("--hint", action="append", help="extra sample point (Z means the pinned point)")
@@ -322,10 +274,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_cousin)
 
     p = sub.add_parser("verify", help="re-check an emitted cover or partition")
-    src = p.add_mutually_exclusive_group()
-    src.add_argument("--gauge")
-    src.add_argument("--gauge-file")
-    src.add_argument("--preset")
+    gauge_source(p)
     p.add_argument("--in", dest="artifact", required=True, help="cover or partition CSV")
     common(p, search=False)
     p.set_defaults(fn=cmd_verify)
@@ -340,13 +289,23 @@ def _make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and write its report, the only output to stdout or
+    --out. Each cmd_* returns (report text, exit code) and writes nothing,
+    so a command that raises leaves both empty; exceptions map to exit
+    codes here, the --out write's included."""
     parser = _make_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_OK if not e.code else EXIT_BAD_INPUT
     try:
-        return args.fn(args)
+        text, code = args.fn(args)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except (UnexpectedCover, GalleryFalsification, CauchyViolation) as e:
         print(f"falsified: {e}", file=sys.stderr)
         return EXIT_FALSIFIED

@@ -89,7 +89,7 @@ class TaggedPartition:
                 if out:
                     raise MalformedPartition(f"tag {i} = {v} outside its cell [{lo},{hi}]")
             else:
-                box = tag.approx(24)
+                box = tag.approx(24 if tag.prec is None else min(24, tag.prec))
                 if box.hi < lo or box.lo > hi:
                     raise MalformedPartition(f"tag {i} verifiably outside its cell [{lo},{hi}]")
 

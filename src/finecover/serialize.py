@@ -45,10 +45,13 @@ def parse_bits(raw: str) -> CantorPoint:
 
 
 def unit_str(p: UnitPoint, prec: int = 24) -> str:
+    """A point recorded at a precision is written at that precision."""
     if p.is_rational:
         return f"rat:{rat_str(p.rational_value())}"
     if isinstance(p.exact, QuadVal):
         return f"quad:{rat_str(p.exact.a)},{rat_str(p.exact.b)}"
+    if p.prec is not None:
+        prec = p.prec
     box = p.approx(prec)
     return f"approx:[{rat_str(box.lo)},{rat_str(box.hi)}]@{prec}"
 
@@ -72,13 +75,7 @@ def parse_unit(s: str) -> UnitPoint:
         if not (prec_s.isascii() and prec_s.isdigit()):
             raise ValueError(f"approx point {s!r}: precision {prec_s!r} is not an ASCII decimal")
         prec = int(prec_s)
-
-        def fn(k: int, _box=box, _prec=prec) -> Interval:
-            if k > _prec:
-                raise ValueError(f"point recorded at precision {_prec}, asked for {k}")
-            return _box
-
-        return UnitPoint.from_fn(fn, label=f"approx@{prec}")
+        return UnitPoint.from_fn(lambda k: box, label=f"approx@{prec}", prec=prec)
     raise ValueError(f"unknown unit point form {s!r}")
 
 

@@ -162,12 +162,14 @@ class UnitPoint:
     two exact points are equal when their values are, an approximant point
     only to itself, and an ordering of exact points goes through
     `exact_value`. Approximant points only promise enclosures of width
-    <= 2^-k. Successive approximant queries are intersected, so the
-    published enclosures nest even when the underlying rule's do not, and
-    a contradictory rule raises CauchyViolation.
+    <= 2^-k, for k up to their `prec` when that is not None (a point
+    recorded at a precision); only approximant points set `prec`.
+    Successive approximant queries are intersected, so the published
+    enclosures nest even when the underlying rule's do not, and a
+    contradictory rule raises CauchyViolation.
     """
 
-    __slots__ = ("exact", "_fn", "label", "_best", "_hash")
+    __slots__ = ("exact", "_fn", "label", "_best", "_hash", "prec")
 
     AMBIENT = Interval(Fraction(-1), Fraction(2))
 
@@ -197,8 +199,11 @@ class UnitPoint:
         return cls(exact=v)
 
     @classmethod
-    def from_fn(cls, fn: Callable[[int], Interval], label: Optional[str] = None) -> "UnitPoint":
-        return cls(fn=fn, label=label)
+    def from_fn(cls, fn: Callable[[int], Interval], label: Optional[str] = None,
+                prec: Optional[int] = None) -> "UnitPoint":
+        p = cls(fn=fn, label=label)
+        p.prec = prec
+        return p
 
     @property
     def is_exact(self) -> bool:
@@ -224,6 +229,8 @@ class UnitPoint:
             return Interval.point(self.exact)
         if isinstance(self.exact, QuadVal):
             return self.exact.enclosure(k)
+        if self.prec is not None and k > self.prec:
+            raise ValueError(f"point recorded at precision {self.prec}, asked for {k}")
         box = self._fn(k)
         if box.width > pow2(-k):
             raise ValueError(f"approximant returned width {box.width} > 2^-{k}")

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from finecover.serialize import parse_cover_csv
 
 
 BAIRE = "baire1(n -> 1/2 - 2^-(n+1))"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -426,6 +428,52 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert out_path.read_text().splitlines()[0] == "point,radius"
+
+
+def test_obstruction_report_goes_to_out(capsys, tmp_path):
+    argv = ["cousin", "--preset", "cauchy-gap", "--depth", "10", "--stage", "12"]
+    code, obstruction, _ = run(capsys, *argv)
+    assert code == 2 and json.loads(obstruction)["unresolved"]
+    out_path = tmp_path / "obs.json"
+    assert run(capsys, *argv, "--out", str(out_path)) == (2, "", "")
+    assert out_path.read_text() == obstruction
+
+
+def test_out_into_a_missing_directory_exits_one(capsys, tmp_path):
+    out_path = tmp_path / "missing" / "cover.csv"
+    code, out, err = run(capsys, "cousin", "--gauge", "const:1/4", "--depth", "4", "--out", str(out_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: [Errno 2] ") and str(out_path) in err
+
+
+def test_obstruction_comes_before_the_partition_check(capsys):
+    # the blind Cantor search stops short of a cover, so --as-partition is
+    # never reached; with the pinned point as a hint it finds one and is
+    argv = ["cousin", "--preset", "oracle-pin:01", "--space", "cantor", "--depth", "6", "--as-partition"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (2, "")
+    assert json.loads(out)["space"] == "cantor"
+    assert run(capsys, *argv, "--hint", "Z") == (1, "", "error: --as-partition applies to unit-interval covers only\n")
+
+
+def test_benchmark_tracer_wraps_the_cli(capsys, monkeypatch):
+    """The benchmark's tracer rebinds cli.main and each layer's public
+    functions by name; a rename or a table bound at import time would show
+    only in a traced benchmark run, so one small job runs traced here."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import tracing
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["cousin", "--gauge", "const:1/4", "--depth", "3", "--stage", "8"]) == 0
+        assert tracer.total(["cli.main"])[1] == 1
+        assert tracer.total(["serialize.emit"])[1] == 1
+        assert tracer.total(["covers.search"])[1] == 1
+        assert set(tracing.counted_functions()) >= {"exact.fractions", "gauges.evals.continuous"}
+    finally:
+        tracer.uninstall()
+    assert cli.main is main
+    assert capsys.readouterr().out.startswith("point,radius\n")
 
 
 PARTITION = "lo,hi,tag\n0,1/2,rat:1/4\n1/2,1,rat:3/4\n"

@@ -1,14 +1,20 @@
 """The exact stdout of fixed CLI runs, recorded before the searches gained
-region acceptance and the sqrt-reciprocal region kernel. A search change
-that keeps its covers, partitions and obstructions must keep these bytes."""
+region acceptance and the sqrt-reciprocal region kernel, and of the
+gallery demos and an obstruction, recorded before each command returned its
+report to one writer. A change that keeps its covers, partitions, records
+and obstructions must keep these bytes and exit codes."""
 
 import pytest
 
 from finecover.cli import main
 
+# the cover file of the heine-borel run, written as two.cov in its directory
+COVER = "-1/10 6/10\n4/10 11/10\n"
+
 GOLDEN = [
     (
         ["integrate", "--preset", "identity", "--epsilon", "1/16", "--stage", "48"],
+        0,
         """\
 {
   "function": "identity",
@@ -25,6 +31,7 @@ GOLDEN = [
     ),
     (
         ["integrate", "--preset", "square", "--epsilon", "1/16", "--stage", "48"],
+        0,
         """\
 {
   "function": "square",
@@ -41,6 +48,7 @@ GOLDEN = [
     ),
     (
         ["integrate", "--preset", "sqrt-reciprocal", "--epsilon", "1/32", "--stage", "48"],
+        0,
         """\
 {
   "function": "sqrt-reciprocal",
@@ -57,6 +65,7 @@ GOLDEN = [
     ),
     (
         ["integrate", "--preset", "dirichlet", "--epsilon", "1/16", "--stage", "48"],
+        0,
         """\
 {
   "function": "dirichlet",
@@ -73,6 +82,7 @@ GOLDEN = [
     ),
     (
         ["integrate", "--preset", "step", "--epsilon", "1/16", "--stage", "48"],
+        0,
         """\
 {
   "function": "step",
@@ -89,6 +99,7 @@ GOLDEN = [
     ),
     (
         ["cousin", "--gauge", "|x - 1/3|/2 + 1/128", "--depth", "10", "--stage", "48", "--as-partition"],
+        0,
         """\
 lo,hi,tag
 0/1,1/8,rat:1/16
@@ -111,6 +122,7 @@ lo,hi,tag
     ),
     (
         ["cousin", "--gauge", "|x - 1/3|/2 + 1/128", "--depth", "10", "--stage", "48", "--as-partition", "--hint", "rat:3/8", "--hint", "quad:1/2,1/8", "--hint", "rat:1/4"],
+        0,
         """\
 lo,hi,tag
 0/1,1/8,rat:1/16
@@ -129,10 +141,73 @@ lo,hi,tag
 3/4,1/1,rat:7/8
 """,
     ),
+    (
+        ["gallery", "heine-borel", "--cover", "two.cov", "--stage", "48"],
+        0,
+        """\
+{
+  "demo": "heine-borel",
+  "cover_size": 35,
+  "subcover_index": 7,
+  "union_verified": true,
+  "depth": 10,
+  "stage": 48
+}
+""",
+    ),
+    (
+        ["gallery", "cauchy-gap", "--stage", "48"],
+        0,
+        """\
+{
+  "demo": "cauchy-gap",
+  "unresolved": "[36993/65536,18497/32768]",
+  "width": "1/65536",
+  "depth": 16,
+  "stage": 48
+}
+""",
+    ),
+    (
+        ["gallery", "oracle-pin", "--stage", "48"],
+        0,
+        """\
+{
+  "demo": "oracle-pin",
+  "pinned": "prefix=;period=01",
+  "blind_search": "obstruction [0101010101]",
+  "hinted_cover_size": 1,
+  "depth": 10,
+  "stage": 48
+}
+""",
+    ),
+    (
+        ["cousin", "--preset", "cauchy-gap", "--depth", "10", "--stage", "12"],
+        2,
+        """\
+{
+  "space": "unit",
+  "depth_reached": 10,
+  "unresolved": [
+    "[289/512,579/1024]"
+  ],
+  "trace": [
+    {
+      "region": "[289/512,579/1024]",
+      "last_verdict": "UNKNOWN",
+      "stage": 12
+    }
+  ]
+}
+""",
+    ),
 ]
 
 
-@pytest.mark.parametrize("argv, want", GOLDEN, ids=[" ".join(argv[:3]) for argv, _ in GOLDEN])
-def test_cli_output_bytes_are_unchanged(capsys, argv, want):
-    assert main(argv) == 0
+@pytest.mark.parametrize("argv, code, want", GOLDEN, ids=[" ".join(argv[:3]) for argv, _, _ in GOLDEN])
+def test_cli_output_bytes_are_unchanged(capsys, tmp_path, monkeypatch, argv, code, want):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "two.cov").write_text(COVER)
+    assert main(argv) == code
     assert capsys.readouterr().out == want

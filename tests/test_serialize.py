@@ -55,6 +55,16 @@ def test_unit_approx_capped_at_recorded_precision():
     assert box20.lo <= zbox.lo and zbox.hi <= box20.hi
     with pytest.raises(ValueError):
         back.approx(30)
+    # a recorded point writes back at its own precision, below, at and above
+    # the default 24, alone and as a partition tag
+    for k in (10, 24, 30):
+        tag = f"approx:[1/4,{F(1, 4) + F(1, 2**k)}]@{k}"
+        assert unit_str(parse_unit(tag)) == tag
+        assert unit_str(parse_unit(tag), prec=20) == tag
+        text = f'lo,hi,tag\n0/1,1/2,"{tag}"\n1/2,1/1,rat:3/4\n'
+        assert partition_csv(parse_partition_csv(text)) == text
+        with pytest.raises(ValueError, match=f"point recorded at precision {k}, asked for {k + 1}"):
+            parse_unit(tag).approx(k + 1)
 
 
 def test_unit_rejects():

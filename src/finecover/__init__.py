@@ -23,6 +23,7 @@ from .gauges import (
     DirectCode,
     Verdict,
     eval_enclosure,
+    modulus_limit,
     pullback_gauge_phi,
     scale_code,
     transfer_gauge_psi,
@@ -101,6 +102,7 @@ __all__ = [
     "heine_borel_gauge",
     "integrate",
     "minimize_cover",
+    "modulus_limit",
     "oracle_pin_demo",
     "oracle_pin_gauge",
     "parse_gauge",

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 from .covers import FineCover, Obstruction, find_cover_cantor, find_cover_unit
 from .exact import (
@@ -28,8 +28,9 @@ from .gauges import (
     ContinuousCode,
     DirectCode,
     Verdict,
-    continuous_dist_to,
     eval_enclosure,
+    kernel_dist,
+    modulus_limit,
 )
 from .spaces import CantorPoint, Cylinder, UnitPoint
 
@@ -236,17 +237,20 @@ def gap_limit_point(spec: CauchySpec = None) -> UnitPoint:
     return UnitPoint.from_fn(fn, label=f"limit-{spec.label or 'seq'}")
 
 
-def cauchy_gap_gauge(spec: CauchySpec) -> Baire1Code:
-    """Stage-n gauge |x - z_n|; the limit gauge |x - z*| vanishes exactly
-    at the missing limit. Term indices are 1-based, hence the shift."""
+def cauchy_gap_gauge(spec: CauchySpec) -> Union[DirectCode, Baire1Code]:
+    """Stage-n gauge |x - z_n|, within |z_n - z*| of the limit gauge
+    |x - z*| at every x, which vanishes exactly at the missing limit. With
+    a modulus the limit is uniform, a point code with a region; without,
+    a Baire1Code. Term indices are 1-based, hence the shift; terms are
+    labelled by index, as z_n has a denominator of 2^((n+1)^2)."""
 
     def term(t: int) -> ContinuousCode:
-        return continuous_dist_to([spec.term(t - 1)])
+        return ContinuousCode(kernel_dist([spec.term(t - 1)]), label=f"dist-z{t - 1}")
 
-    mod = None
-    if spec.modulus is not None:
-        mod = lambda j: spec.modulus(j) + 1
-    return Baire1Code(term, modulus=mod, domain="unit", label=f"gap-{spec.label or 'seq'}")
+    label = f"gap-{spec.label or 'seq'}"
+    if spec.modulus is None:
+        return Baire1Code(term, domain="unit", label=label)
+    return modulus_limit(term, lambda j: spec.modulus(j) + 1, domain="unit", label=label)
 
 
 def gap_obstruction_demo(spec: CauchySpec, depth: int, stage: int) -> Obstruction:

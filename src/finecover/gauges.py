@@ -5,21 +5,22 @@ kernel), and pointwise limits at one or two levels (a sequence of
 continuous codes, or a sequence of such sequences). Evaluation never
 assumes a limit exists: `eval_enclosure` reports an interval consistent
 with what has been observed through the stage budget, and `verified_above`
-turns that into Yes / No / Unknown with both positive answers permanent.
+turns that into Yes / No / Unknown.
 
-Permanence is structural, not hoped for. Every point code's enclosures
-must hold the value, so continuous and direct codes fold every enclosure
-they ever produce into a per-point running intersection, and one that
-misses the others is a CauchyViolation; limit codes fold only
-*certificates* derived from a declared convergence modulus, because their
-raw trailing-block hulls may legitimately jump around before the modulus
-kicks in. No-verdicts for limit codes come from the certified interval
-alone.
+A declared convergence modulus j -> N, with every term past N within 2^-j
+of the limit at every x, makes the limit uniform, and a uniform limit is
+one Baire level lower: `modulus_limit` builds such a limit as a direct
+code whose kernel is the term the modulus names, padded. What is left for
+the limit codes proper is a limit with no modulus, of which only the
+terms observed so far are known.
 
-A verdict on a continuous or direct code climbs the stage ladder and
-stops at the first decisive rung. A verdict on a limit code reads one
-trailing block and the certificate at the query's own stage; its Yes rests
-only on the terms observed unless a modulus backs it.
+Every point code's enclosures must hold the value, so continuous and
+direct codes fold every enclosure they ever produce into a per-point
+running intersection, and one that misses the others is a
+CauchyViolation. A verdict on a point code climbs the stage ladder and
+stops at the first decisive rung, and a decision is permanent. A verdict
+on a limit code reads one trailing block at the query's own stage; its
+Yes rests only on the terms observed, and it never says No.
 
 Evaluation runs on the integer-numerator triples of `exact`: every code's
 `_eval` returns (lo, hi, d), the per-point accumulators hold triples
@@ -38,7 +39,6 @@ from typing import Callable, Optional, Union
 from .exact import (
     CauchyViolation,
     Interval,
-    pow2,
     pow3,
     floor_log_recip,
     rt_block,
@@ -116,18 +116,31 @@ def _ladder(stage: int) -> tuple:
     return tuple(out)
 
 
-def _resolvable_j(modulus: Callable[[int], int], stage: int) -> Optional[int]:
-    """Largest j with modulus(j) <= stage, i.e. the finest 2^-j certified by now.
-
-    Assumes modulus is nondecreasing in j. The scan cap keeps a constant
-    modulus from looping forever.
+def _resolvable_j(modulus: Callable[[int], int], stage: int) -> int:
+    """Largest j with modulus(j) <= stage, i.e. the finest 2^-j certified by
+    now; 0 when modulus(0) > stage. Assumes modulus is nondecreasing in j.
+    The scan cap keeps a constant modulus from looping forever.
     """
-    best = None
     j = 0
-    while j <= 4 * stage + 64 and modulus(j) <= stage:
-        best = j
+    while j < 4 * stage + 64 and modulus(j + 1) <= stage:
         j += 1
-    return best
+    return j
+
+
+def _term_cache(terms: Callable[[int], GaugeCode], domain: str) -> Callable[[int], GaugeCode]:
+    """terms(n), built once per n and checked to live on `domain`."""
+    cache: dict[int, GaugeCode] = {}
+
+    def term(n: int) -> GaugeCode:
+        code = cache.get(n)
+        if code is None:
+            code = terms(n)
+            if code.domain != domain:
+                raise DomainError(f"term {n} declares domain {code.domain}, code is {domain}")
+            cache[n] = code
+        return code
+
+    return term
 
 
 class _PointCode:
@@ -209,59 +222,29 @@ def _block(stage: int) -> tuple[int, int]:
 
 
 class _LimitCode:
-    """A pointwise limit of codes one level down, known only term by term.
-
-    modulus, when declared, maps j to an index N past which every term sits
-    within 2^-j of the limit (nondecreasing in j). It is the only source of
-    negative information: without it the trailing-block hull says what the
-    limit *could* be, never what it is not. A limit code has no region
+    """A pointwise limit of codes one level down, known only term by term
+    and with no modulus (`modulus_limit` builds a limit that has one): the
+    trailing-block hull says what the limit *could* be, never what it is
+    not, so a verdict on it is Yes or Unknown. A limit code has no region
     kernel, so the searches sample every cell of it.
 
     Each point keeps the stage and enclosure of its last successful query,
     and a query at that stage again is answered from them without touching
     a term: the terms' accumulators at x change only through a query at x
     at another stage, which drops them, so evaluating anew would rebuild
-    the same hull and certificate. An approximant point narrows its boxes
-    as any code asks it at a finer stage, so its accumulated box is kept
-    with them and must be unchanged too. The certificate reads term N from
-    the block when N lies inside it.
+    the same hull. An approximant point narrows its boxes as any code asks
+    it at a finer stage, so its accumulated box is kept with them and must
+    be unchanged too.
     """
 
     region = None
 
-    def __init__(
-        self,
-        terms: Callable[[int], GaugeCode],
-        modulus: Optional[Callable[[int], int]] = None,
-        domain: str = "unit",
-        label: str = "",
-    ):
-        self.terms = terms
-        self.modulus = modulus
+    def __init__(self, terms: Callable[[int], GaugeCode], domain: str = "unit", label: str = ""):
+        self.term = _term_cache(terms, domain)
         self.domain = domain
         self.label = label
-        self._term_cache: dict[int, GaugeCode] = {}
-        self._cert: dict[Point, tuple] = {}
         self._best_lo: dict[Point, tuple] = {}  # (numerator, denominator)
         self._last: dict[Point, tuple] = {}  # (stage, point's box, enclosure)
-        self._resolved_at: dict[int, Optional[tuple]] = {}
-
-    def term(self, n: int) -> GaugeCode:
-        if n not in self._term_cache:
-            code = self.terms(n)
-            if code.domain != self.domain:
-                raise DomainError(f"term {n} declares domain {code.domain}, code is {self.domain}")
-            self._term_cache[n] = code
-        return self._term_cache[n]
-
-    def _resolved(self, stage: int) -> Optional[tuple]:
-        """(j, N): the finest 2^-j the modulus certifies by `stage` and the
-        term index N = max(1, modulus(j)) that carries it; None when the
-        modulus certifies nothing yet or there is none. Kept per stage."""
-        if stage not in self._resolved_at:
-            j = None if self.modulus is None else _resolvable_j(self.modulus, stage)
-            self._resolved_at[stage] = None if j is None else (j, max(1, self.modulus(j)))
-        return self._resolved_at[stage]
 
     def _limit_eval(self, x: Point, stage: int) -> tuple:
         last = self._last.get(x)
@@ -270,24 +253,7 @@ class _LimitCode:
                 return last[2]
             del self._last[x]  # the terms at x change from here on
         lo_n, hi_n = _block(stage)
-        block = [self.term(n)._eval(x, stage) for n in range(lo_n, hi_n + 1)]
-        hull = rt_block(block)
-        resolved = self._resolved(stage)
-        if resolved is not None:
-            j, n = resolved
-            cert = rt_pad(block[n - lo_n] if lo_n <= n <= hi_n else self.term(n)._eval(x, stage), j)
-            what = lambda: f"certificate of {self.label or id(self)} at {x!r}"
-            self._cert[x] = rt_refine(self._cert.get(x), cert, what)
-        known = self._cert.get(x)
-        if known is not None:
-            got = rt_intersect(hull, known)
-            if got is None:
-                raise CauchyViolation(
-                    f"limit code {self.label or id(self)}: block hull {rt_interval(hull)} "
-                    f"avoids certified {rt_interval(known)} at {x!r}"
-                )
-        else:
-            got = hull
+        got = rt_block([self.term(n)._eval(x, stage) for n in range(lo_n, hi_n + 1)])
         lo, _, d = got
         prev = self._best_lo.get(x)
         if prev is None or lo * prev[1] > prev[0] * d:
@@ -323,6 +289,43 @@ class Baire2Code(_LimitCode):
 
 
 GaugeCode = Union[ContinuousCode, DirectCode, Baire1Code, Baire2Code]
+
+
+def modulus_limit(
+    terms: Callable[[int], GaugeCode], modulus: Callable[[int], int], domain: str = "unit", label: str = ""
+) -> DirectCode:
+    """The limit of terms(1), terms(2), ... as a point code, given a
+    modulus: every term past modulus(j) sits within 2^-j of the limit at
+    every x, nondecreasing in j. At stage s the kernel reads term N =
+    max(1, modulus(j)) padded by 2^-j, for the finest j certified by s, or
+    j = 0 below modulus(0), reading past the budget as the trailing block
+    does below stage 2. When N < s, term s padded by 2^-j holds the limit
+    too and must meet it, else CauchyViolation. The region is term N's,
+    padded, when the terms have regions (judged on term 1), else None.
+    """
+    term = _term_cache(terms, domain)
+    resolved: dict[int, tuple] = {}  # stage -> (j, N)
+
+    def at(s: int) -> tuple:
+        got = resolved.get(s)
+        if got is None:
+            j = _resolvable_j(modulus, s)
+            got = resolved[s] = j, max(1, modulus(j))
+        return got
+
+    def kernel(x: Point, s: int) -> tuple:
+        j, n = at(s)
+        got = rt_pad(term(n)._eval(x, s), j)
+        if n < s:
+            what = lambda: f"modulus of {label or 'limit'}, term {s} against term {n}, at {x!r}"
+            rt_refine(got, rt_pad(term(s)._eval(x, s), j), what)
+        return got
+
+    def region(r: tuple, s: int) -> tuple:
+        j, n = at(s)
+        return rt_pad(term(n).region(r, s), j)
+
+    return DirectCode(kernel, domain=domain, label=label, region=region if term(1).region else None)
 
 
 def eval_enclosure(g: GaugeCode, x: Point, stage: int) -> Interval:
@@ -362,16 +365,10 @@ def _verdict(g: GaugeCode, x: Point, q, stage: int, strict: bool) -> Verdict:
             if got is not None:
                 return got
         return Verdict.UNKNOWN
-    # one block at the query's own stage; the best lower end observed and
-    # the certified upper end, if any, over one denominator
+    # one block at the query's own stage, and the best lower end observed
     g._eval(x, stage)
-    lo, lo_d = g._best_lo[x]
-    cert = g._cert.get(x)
-    if cert is None:
-        got = _decide(lo, None, lo_d, q, strict, g, x)
-    else:
-        _, hi, d = cert
-        got = _decide(lo * d, hi * lo_d, lo_d * d, q, strict, g, x)
+    lo, d = g._best_lo[x]
+    got = _decide(lo, None, d, q, strict, g, x)
     return got if got is not None else Verdict.UNKNOWN
 
 
@@ -574,12 +571,6 @@ def continuous_const(q, domain: str = "unit") -> ContinuousCode:
     return ContinuousCode(lambda r, k: point, domain=domain, label=str(q))
 
 
-def continuous_dist_to(points) -> ContinuousCode:
-    """x |-> min |x - p| over a finite set of rationals."""
-    pts = sorted(Fraction(p) for p in points)
-    return ContinuousCode(kernel_dist(pts), domain="unit", label=f"dist{tuple(str(p) for p in pts)}")
-
-
 # -- generic combinators -------------------------------------------------
 
 
@@ -593,16 +584,7 @@ def scale_code(g: GaugeCode, factor) -> GaugeCode:
     if g.kind == "direct":
         region = g.region and kernel_linear(g.region, c, 0)
         return DirectCode(kernel_linear(g.kernel, c, 0), domain=g.domain, label=f"scale({c},{g.label})", region=region)
-    # a term within 2^-(j+shift) of the limit scales to within c 2^-(j+shift) <= 2^-j
-    shift = 0
-    while pow2(shift) < c:
-        shift += 1
-    return type(g)(
-        lambda n: scale_code(g.term(n), c),
-        modulus=None if g.modulus is None else (lambda j: g.modulus(j + shift)),
-        domain=g.domain,
-        label=f"scale({c},{g.label})",
-    )
+    return type(g)(lambda n: scale_code(g.term(n), c), domain=g.domain, label=f"scale({c},{g.label})")
 
 
 # -- transfers between the two spaces ------------------------------------
@@ -626,12 +608,7 @@ def pullback_gauge_phi(g: GaugeCode) -> GaugeCode:
             domain="cantor",
             label=f"phi*({g.label})",
         )
-    return type(g)(
-        lambda n: pullback_gauge_phi(g.term(n)),
-        modulus=g.modulus,
-        domain="cantor",
-        label=f"phi*({g.label})",
-    )
+    return type(g)(lambda n: pullback_gauge_phi(g.term(n)), domain="cantor", label=f"phi*({g.label})")
 
 
 def _third_bucket(v: Fraction) -> Fraction:

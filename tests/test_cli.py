@@ -409,6 +409,19 @@ def test_gallery_cauchy_gap(capsys):
     assert F(doc["width"]) <= F(1, 2**10)
 
 
+def test_cauchy_gap_runs_at_a_deep_stage(capsys):
+    """Term t of the gap gauge has a denominator of 2^(t^2), too long to
+    write out at stage 120 and past; no label or message of a run writes
+    one."""
+    code, out, err = run(capsys, "gallery", "cauchy-gap", "--stage", "200")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    run_lo, run_hi = (F(v) for v in doc["unresolved"].strip("[]").split(","))
+    z = gap_limit_point().approx(40)
+    assert run_lo <= z.lo and z.hi <= run_hi
+    assert run(capsys, "cousin", "--preset", "cauchy-gap", "--depth", "10", "--stage", "120")[0] == 2
+
+
 def test_gallery_oracle_pin(capsys):
     code, out, _ = run(capsys, "gallery", "oracle-pin", "--bits", "0101", "--depth", "10", "--stage", "8")
     assert code == 0

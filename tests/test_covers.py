@@ -40,11 +40,12 @@ from finecover.exact import (
     simplest_dyadic_between,
 )
 from finecover.gauges import (
+    ContinuousCode,
     DirectCode,
     DomainError,
     Verdict,
     continuous_const,
-    continuous_dist_to,
+    kernel_dist,
     pullback_gauge_phi,
     scale_code,
     transfer_gauge_psi,
@@ -715,7 +716,7 @@ def test_find_cover_unit_obstruction_whole_interval():
 
 
 def test_find_cover_unit_obstruction_localizes():
-    g = continuous_dist_to([F(1, 3)])
+    g = ContinuousCode(kernel_dist([F(1, 3)]))
     r = find_cover_unit(g, depth=6, stage=STAGE)
     assert isinstance(r, Obstruction)
     total = sum(iv.width for iv in r.unresolved)

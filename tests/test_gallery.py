@@ -259,6 +259,18 @@ def test_gap_gauge_without_modulus_stays_unknown():
     assert verified_above(g, z, pow2(-20), 24) is Verdict.UNKNOWN
 
 
+@pytest.mark.parametrize("modulus", [default_cauchy_spec().modulus, None], ids=["modulus", "bare"])
+def test_gap_gauge_at_a_deep_stage_holds_the_limit_distance(modulus):
+    """At stage 200 the terms' denominators run to 2^40401; the enclosure
+    at 3/4 meets 3/4 - z* as the limit point's box of width 2^-2000 gives
+    it, and is narrower than 2^-100."""
+    g = cauchy_gap_gauge(CauchySpec(default_cauchy_spec().term, modulus=modulus))
+    box = eval_enclosure(g, UnitPoint.from_rat(F(3, 4)), 200)
+    z = gap_limit_point().approx(2000)
+    assert box.lo <= F(3, 4) - z.lo and F(3, 4) - z.hi <= box.hi
+    assert box.width < pow2(-100)
+
+
 def test_pin_gauge_values():
     spec = default_oracle_spec()
     g = oracle_pin_gauge(spec)

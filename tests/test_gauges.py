@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from interval_ref import ref_intersect, ref_pad
 from kernel_ref import continuous_add, continuous_identity
 
-from finecover.exact import CauchyViolation, Interval, QuadVal, pow2, pow3, rt_interval, rt_intersect, rt_of, rt_point
-from finecover.gallery import OracleSpec, oracle_pin_gauge, pin_index
+from finecover.exact import CauchyViolation, Interval, QuadVal, pow2, pow3, rt_cell, rt_interval, rt_intersect, rt_of, rt_point
+from finecover.gallery import OracleSpec, cauchy_gap_gauge, default_cauchy_spec, oracle_pin_gauge, pin_index
 from finecover.gauges import (
     Baire1Code,
     Baire2Code,
@@ -17,7 +17,6 @@ from finecover.gauges import (
     DomainError,
     Verdict,
     continuous_const,
-    continuous_dist_to,
     eval_enclosure,
     kernel_abs,
     kernel_add,
@@ -27,13 +26,14 @@ from finecover.gauges import (
     kernel_min,
     kernel_sub,
     kernel_x,
+    modulus_limit,
     pullback_gauge_phi,
     scale_code,
     transfer_gauge_psi,
     verified_above,
     verified_at_least,
 )
-from finecover.spaces import CantorPoint, Cylinder, UnitPoint
+from finecover.spaces import CantorPoint, Cylinder, UnitPoint, phi
 from finecover.integral import builtin_integrands, stern_brocot_index
 
 
@@ -161,15 +161,14 @@ def _geometric_baire1(limit_code, limit_fn, c, ratio, declare_modulus=True):
     def term(n):
         return continuous_add(limit_code, continuous_const(c * ratio**n))
 
-    modulus = (lambda j: max(1, j + 1)) if declare_modulus else None
-    return Baire1Code(term, modulus=modulus), limit_fn
+    if not declare_modulus:
+        return Baire1Code(term), limit_fn
+    return modulus_limit(term, lambda j: max(1, j + 1)), limit_fn
 
 
 def test_baire1_trailing_block_example():
-    g = Baire1Code(
-        lambda n: continuous_const(Fraction(1, 2) + pow2(-n)),
-        modulus=lambda j: max(1, j),
-    )
+    # with its modulus, the limit reads term 10 padded by 2^-10 at stage 10
+    g = modulus_limit(lambda n: continuous_const(Fraction(1, 2) + pow2(-n)), lambda j: max(1, j))
     x = UnitPoint.from_rat(Fraction(2, 7))
     box = eval_enclosure(g, x, 10)
     assert Fraction(1, 2) <= box.lo and box.hi <= Fraction(1, 2) + Fraction(1, 32)
@@ -194,10 +193,8 @@ def test_baire1_drift_without_modulus_is_tolerated():
 
 
 def test_baire1_lying_modulus_is_caught():
-    g = Baire1Code(
-        lambda n: continuous_const(Fraction(5 if n < 12 else 0)),
-        modulus=lambda j: 1,
-    )
+    # term 1 is 5, and term 40, read beside it at stage 40, is 0
+    g = modulus_limit(lambda n: continuous_const(Fraction(5 if n < 12 else 0)), lambda j: 1)
     x = UnitPoint.from_rat(Fraction(1, 2))
     eval_enclosure(g, x, 4)
     with pytest.raises(CauchyViolation):
@@ -248,12 +245,9 @@ def test_continuous_permanence_random():
 
 def test_baire2_double_limit():
     def level1(m):
-        return Baire1Code(
-            lambda n, m=m: continuous_const(Fraction(1, 2) + pow2(-m) + pow2(-n)),
-            modulus=lambda j: max(1, j),
-        )
+        return modulus_limit(lambda n, m=m: continuous_const(Fraction(1, 2) + pow2(-m) + pow2(-n)), lambda j: max(1, j))
 
-    g = Baire2Code(level1, modulus=lambda j: max(1, j))
+    g = modulus_limit(level1, lambda j: max(1, j))
     x = UnitPoint.from_rat(Fraction(1, 5))
     box = eval_enclosure(g, x, 12)
     assert box.contains(Fraction(1, 2))
@@ -274,60 +268,54 @@ def test_each_code_class_keeps_its_own_kind_and_eval():
 
 def _baire2_const(label):
     def level1(m):
-        return Baire1Code(
-            lambda n, m=m: continuous_const(Fraction(1, 2) + pow2(-m) + pow2(-n)),
-            modulus=lambda j: max(1, j),
-            label=f"{label}-{m}",
-        )
+        terms = lambda n, m=m: continuous_const(Fraction(1, 2) + pow2(-m) + pow2(-n))
+        return modulus_limit(terms, lambda j: max(1, j), label=f"{label}-{m}")
 
-    return Baire2Code(level1, modulus=lambda j: max(1, j), label=label)
+    return modulus_limit(level1, lambda j: max(1, j), label=label)
 
 
 def test_scale_code_kinds():
-    g = scale_code(continuous_dist_to([Fraction(1, 2)]), Fraction(1, 2))
+    g = scale_code(ContinuousCode(kernel_dist([Fraction(1, 2)]), label="dist"), Fraction(1, 2))
     x = UnitPoint.from_rat(Fraction(1, 4))
     assert type(g) is ContinuousCode and g.kind == "continuous"
-    assert g.label == "scale(1/2,dist('1/2',))"
+    assert g.label == "scale(1/2,dist)"
     assert eval_enclosure(g, x, 4) == Interval.point(Fraction(1, 8))
 
     d = scale_code(DirectCode(lambda p, s: (3, 3, 8), label="d"), Fraction(2))
     assert type(d) is DirectCode and d.kind == "direct" and d.label == "scale(2,d)"
     assert eval_enclosure(d, x, 4) == Interval.point(Fraction(3, 4))
 
+    # a limit under a modulus is a point code: its kernel and region scale
+    # exactly, with no shift of the modulus
     b = scale_code(
-        Baire1Code(
-            lambda n: continuous_const(Fraction(1, 2) + pow2(-n)),
-            modulus=lambda j: max(1, j),
-            label="b1",
-        ),
+        modulus_limit(lambda n: continuous_const(Fraction(1, 2) + pow2(-n)), lambda j: max(1, j), label="b1"),
         Fraction(2),
     )
-    assert type(b) is Baire1Code and b.kind == "baire1" and b.label == "scale(2,b1)"
-    assert b.modulus(3) == 4  # factor 2 costs one more bit of the modulus
-    assert b.term(1).label == "scale(2,1)"
+    assert type(b) is DirectCode and b.kind == "direct" and b.label == "scale(2,b1)"
     box = eval_enclosure(b, x, 12)
-    assert box.contains(Fraction(1))
-    assert box.width <= Fraction(1, 64)
+    assert box == Interval(Fraction(1), Fraction(1) + pow2(-10))  # twice term 12 padded by 2^-12
+    assert rt_interval(b.region(rt_cell(1, 2), 12)) == box
 
     b2 = scale_code(_baire2_const("b2"), Fraction(3))
-    assert type(b2) is Baire2Code and b2.kind == "baire2" and b2.label == "scale(3,b2)"
-    assert b2.modulus(5) == 7  # factor 3 costs two more bits
-    assert type(b2.term(1)) is Baire1Code and b2.term(1).label == "scale(3,b2-1)"
-    assert b2.term(1).modulus(5) == 7
+    assert type(b2) is DirectCode and b2.label == "scale(3,b2)"
     box = eval_enclosure(b2, x, 12)
     assert box.contains(Fraction(3, 2))
     assert verified_above(b2, x, Fraction(1), 12) is Verdict.YES
 
-    assert scale_code(b, Fraction(1)).modulus(3) == 4  # no shift for factors <= 1
+    # a limit with no modulus scales term by term
+    b = scale_code(Baire1Code(lambda n: continuous_const(Fraction(1, 2) + pow2(-n)), label="b1"), Fraction(2))
+    assert type(b) is Baire1Code and b.label == "scale(2,b1)"
+    assert b.term(1).label == "scale(2,1)"
+    assert eval_enclosure(b, x, 12).contains(Fraction(1))
     with pytest.raises(ValueError):
         scale_code(g, Fraction(0))
 
 
 def test_pullback_phi():
-    g = continuous_dist_to([Fraction(1, 2)])
+    g = ContinuousCode(kernel_dist([Fraction(1, 2)]), label="dist")
     back = pullback_gauge_phi(g)
     assert type(back) is ContinuousCode and back.kind == "continuous"
-    assert back.domain == "cantor" and back.label == "phi*(dist('1/2',))"
+    assert back.domain == "cantor" and back.label == "phi*(dist)"
     x = CantorPoint.from_pattern("", "01")  # phi = 1/3
     box = eval_enclosure(back, x, 6)
     assert box.contains(Fraction(1, 6)) and box.width <= pow2(-6)
@@ -340,21 +328,24 @@ def test_pullback_phi():
     assert d.domain == "cantor" and d.label == "phi*(id)"
     assert eval_enclosure(d, x, 4) == Interval.point(Fraction(1, 3))
 
-    mod = lambda j: max(1, j)
-    b = pullback_gauge_phi(
-        Baire1Code(lambda n: continuous_add(continuous_identity(), continuous_const(pow2(-n))), modulus=mod, label="b1")
-    )
-    assert type(b) is Baire1Code and b.kind == "baire1"
-    assert b.domain == "cantor" and b.label == "phi*(b1)" and b.modulus is mod
-    assert type(b.term(2)) is ContinuousCode and b.term(2).domain == "cantor"
-    box = eval_enclosure(b, x, 12)
-    assert box.contains(Fraction(1, 3)) and box.width <= Fraction(1, 64)
-
+    # a limit under a modulus pulls back as a point code, its terms read at phi(x)
+    terms = lambda n: continuous_add(continuous_identity(), continuous_const(pow2(-n)))
+    b = pullback_gauge_phi(modulus_limit(terms, lambda j: max(1, j), label="b1"))
+    assert type(b) is DirectCode and b.kind == "direct"
+    assert b.domain == "cantor" and b.label == "phi*(b1)"
+    assert eval_enclosure(b, x, 12) == Interval(Fraction(1, 3), Fraction(1, 3) + pow2(-11))
     b2 = pullback_gauge_phi(_baire2_const("b2"))
-    assert type(b2) is Baire2Code and b2.kind == "baire2"
-    assert b2.domain == "cantor" and b2.label == "phi*(b2)"
-    assert type(b2.term(1)) is Baire1Code and b2.term(1).domain == "cantor"
+    assert type(b2) is DirectCode and b2.domain == "cantor" and b2.label == "phi*(b2)"
     assert eval_enclosure(b2, x, 12).contains(Fraction(1, 2))
+
+    # a limit with no modulus pulls back term by term
+    b = pullback_gauge_phi(
+        Baire2Code(lambda m: Baire1Code(lambda n: continuous_const(Fraction(1, 2) + pow2(-m - n))), label="b2")
+    )
+    assert type(b) is Baire2Code and b.domain == "cantor" and b.label == "phi*(b2)"
+    assert type(b.term(1)) is Baire1Code and b.term(1).domain == "cantor"
+    assert type(b.term(1).term(2)) is ContinuousCode and b.term(1).term(2).domain == "cantor"
+    assert eval_enclosure(b, x, 12).contains(Fraction(1, 2))
 
 
 def _psi_of(lo, hi):
@@ -389,25 +380,27 @@ def test_psi_transfer_values():
 
 
 def test_modulus_is_resolved_once_per_stage():
-    """A limit code asks its modulus for the finest certified 2^-j once per
-    stage, not once per certificate: a stage-s scan makes s + 2 calls
-    (j = 0 .. s + 1) and one more gives the term index. A verdict reads
-    only its own stage, so stage 10 is the one scan."""
+    """A limit under a modulus asks the modulus for the finest certified
+    2^-j once per stage, not once per point or query: a stage-s scan makes
+    s + 1 calls (j = 1 .. s + 1) and one more gives the term index. A
+    verdict climbs the stage ladder: the Yes at 1/4 is decided at stage 1,
+    and after the stage-10 enclosures the accumulated one decides the No
+    at 3/5 there too."""
     calls = []
 
     def modulus(j):
         calls.append(j)
         return max(1, j)
 
-    g = Baire1Code(lambda n: continuous_const(Fraction(1, 2) + pow2(-n)), modulus=modulus)
+    g = modulus_limit(lambda n: continuous_const(Fraction(1, 2) + pow2(-n)), modulus)
     points = [UnitPoint.from_rat(Fraction(i, 7)) for i in range(8)]
     for x in points:
         assert verified_above(g, x, Fraction(1, 4), 10) is Verdict.YES
-    assert len(calls) == 10 + 3
+    assert len(calls) == (1 + 1) + 1
     for x in points:
         eval_enclosure(g, x, 10)
         assert verified_above(g, x, Fraction(3, 5), 10) is Verdict.NO
-    assert len(calls) == 10 + 3
+    assert len(calls) == (1 + 1) + 1 + (10 + 1) + 1
 
 
 def _recording_const(calls, key, c):
@@ -429,11 +422,12 @@ def test_limit_verdict_evaluates_one_block():
     g = Baire1Code(lambda n: near_half(calls, n, n))
     assert verified_above(g, x, Fraction(1, 4), 12) is Verdict.YES
     assert sorted(calls) == list(range(6, 13))
-    # the modulus certifies 2^-12 through term 12, which the block holds
+    # under a modulus the verdict climbs the ladder: stage 1 reads term 1
+    # padded by 2^-1, which settles the Yes
     calls = []
-    g = Baire1Code(lambda n: near_half(calls, n, n), modulus=lambda j: max(1, j))
+    g = modulus_limit(lambda n: near_half(calls, n, n), lambda j: max(1, j))
     assert verified_above(g, x, Fraction(1, 4), 12) is Verdict.YES
-    assert sorted(calls) == list(range(6, 13))
+    assert calls == [1]
     # Baire-2 at stage 6: terms 3..6, each reading its own terms 3..6
     calls = []
     g = Baire2Code(lambda m: Baire1Code(lambda n: near_half(calls, (m, n), n)))
@@ -443,15 +437,23 @@ def test_limit_verdict_evaluates_one_block():
 
 def test_repeated_same_stage_query_calls_no_term_kernel():
     """A second query at the stage a point was last read at is answered
-    from the stored enclosure, by a verdict as by eval_enclosure."""
+    from the stored enclosure, by a verdict as by eval_enclosure. Under a
+    modulus, each term a query reads answers from its own store: a limit
+    under a modulus whose terms are limits with none reads no term kernel
+    on a repeated query either."""
     x = UnitPoint.from_rat(Fraction(1, 3))
     calls = []
-    level1 = lambda m: Baire1Code(lambda n: _recording_const(calls, (m, n), Fraction(1, 2) + pow2(-n)))
-    g = Baire2Code(level1, modulus=lambda j: max(1, j + 1))
-    first = eval_enclosure(g, x, 8)
-    assert calls
+    level1 = lambda m: Baire1Code(lambda n: _recording_const(calls, (m, n), Fraction(1, 2) + pow2(-m) + pow2(-n)))
+    for g in (Baire2Code(level1), modulus_limit(level1, lambda j: max(1, j + 1))):
+        calls.clear()
+        first = eval_enclosure(g, x, 8)
+        assert calls
+        calls.clear()
+        assert eval_enclosure(g, x, 8) == first
+        assert calls == []
+    g = Baire2Code(level1)
+    eval_enclosure(g, x, 8)
     calls.clear()
-    assert eval_enclosure(g, x, 8) == first
     assert verified_above(g, x, Fraction(1, 4), 8) is Verdict.YES
     assert calls == []
 
@@ -472,16 +474,69 @@ def test_query_at_another_stage_reads_the_block_again():
 
 
 def test_certificate_outside_the_block_makes_one_extra_call():
-    """On constant terms, modulus j -> 1 certifies every 2^-j through term
-    1, which the stage-12 block 6..12 does not hold; inside the block
-    (j -> j, N = 12) the block's own triple is padded."""
+    """A limit under a modulus reads term N = max(1, modulus(j)) and, when
+    N lies before the stage s, term s as the one extra call, which must
+    meet term N padded. On constant terms at stage 12: modulus j -> 1 reads
+    terms 1 and 12; j -> j reads term 12 alone."""
     x = UnitPoint.from_rat(Fraction(1, 3))
-    for modulus, extra in ((lambda j: 1, [1]), (lambda j: max(1, j), [])):
+    for modulus, want in ((lambda j: 1, [1, 12]), (lambda j: max(1, j), [12])):
         calls = []
-        g = Baire1Code(lambda n: _recording_const(calls, n, Fraction(1, 2)), modulus=modulus)
-        assert verified_above(g, x, Fraction(1, 4), 12) is Verdict.YES
-        assert verified_above(g, x, Fraction(3, 4), 12) is Verdict.NO
-        assert calls == list(range(6, 13)) + extra
+        g = modulus_limit(lambda n: _recording_const(calls, n, Fraction(1, 2)), modulus)
+        assert eval_enclosure(g, x, 12).contains(Fraction(1, 2))
+        assert calls == want
+
+
+def test_below_the_first_modulus_term_reads_it_padded_by_one():
+    """Below stage modulus(0) no 2^-j is certified yet; the code reads term
+    modulus(0), which sits within 1 of the limit, padded by 1. Terms 1/2 +
+    2^-n, modulus j -> j + 5, stages 1 to 4: term 5 every time, and each
+    enclosure holds the limit 1/2."""
+    calls = []
+    g = modulus_limit(lambda n: _recording_const(calls, n, Fraction(1, 2) + pow2(-n)), lambda j: j + 5)
+    for stage in (1, 2, 3, 4):
+        x = UnitPoint.from_rat(Fraction(stage, 7))
+        calls.clear()
+        box = eval_enclosure(g, x, stage)
+        assert calls == [5]
+        assert box == Interval(pow2(-5) - Fraction(1, 2), Fraction(3, 2) + pow2(-5))
+        assert box.contains(Fraction(1, 2))
+    assert verified_above(g, x, Fraction(1, 4), 6) is Verdict.UNKNOWN  # term 6 padded by 1/2
+    assert verified_above(g, x, Fraction(1, 4), 7) is Verdict.YES  # term 7 padded by 1/4
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["gap", "geometric", "baire2"]),
+    seed=st.integers(0, 10**6),
+    level=st.integers(0, 8),
+    data=st.data(),
+)
+def test_modulus_region_encloses_the_kernel_on_its_cell(kind, seed, level, data):
+    """The inclusion contract a search relies on when it accepts a cell on
+    the region's lower end: at every stage, the region of a limit under a
+    modulus on a dyadic cell holds its enclosure at every rational point of
+    the cell, below modulus(0) as above it."""
+    if kind == "gap":
+        g = cauchy_gap_gauge(default_cauchy_spec())
+    elif kind == "geometric":
+        rng = random.Random(seed)
+        c = rng.choice([Fraction(1), Fraction(-1, 2)])
+        g, _ = _geometric_baire1(_rand_expr(rng, depth=2)[0], None, c, Fraction(1, 2))
+    else:
+        g = _baire2_const("b2")
+    i = data.draw(st.integers(0, (1 << level) - 1))
+    m = data.draw(st.integers(1, 8))
+    x = UnitPoint.from_rat(Fraction(i * m + data.draw(st.integers(0, m)), m << level))
+    for stage in data.draw(st.lists(st.integers(0, 16), min_size=1, max_size=4)):
+        box = rt_interval(g.region(rt_cell(i, level), stage))
+        got = eval_enclosure(g, x, stage)
+        assert box.lo <= got.lo and got.hi <= box.hi, (stage, box, got)
+
+
+def test_a_limit_under_a_modulus_has_a_region_when_its_terms_do():
+    terms = lambda n: continuous_const(Fraction(1, 2) + pow2(-n))
+    assert modulus_limit(terms, lambda j: j).region is not None
+    assert modulus_limit(lambda n: Baire1Code(lambda k: terms(n + k)), lambda j: j).region is None
 
 
 def _late_settler():
@@ -512,11 +567,12 @@ def test_modulus_free_yes_stays_on_the_same_code():
 #
 # Point verdicts run on integer-numerator triples. This is the layer as it
 # was written before, in Fractions and Intervals: accumulators folded by
-# intersection, limit codes enclosed by the padded block hull and certified
-# through a modulus scanned afresh each time, and verdicts decided on
-# Fraction compares. It evaluates the same kinds of codes through their
-# kernels and keeps its own accumulators, so the two layers must agree on
-# every enclosure, verdict and exception.
+# intersection, limit codes enclosed by the padded block hull, and verdicts
+# decided on Fraction compares. A limit under a modulus is given to it as a
+# `_ModulusRecord` of its terms and modulus, and evaluated with the modulus
+# scanned afresh each time. It evaluates the same kinds of codes through
+# their kernels and keeps its own accumulators, so the two layers must
+# agree on every enclosure, verdict and exception.
 
 _UNIT = Interval(0, 1)
 
@@ -561,9 +617,43 @@ def _ref_ladder(stage):
     return out
 
 
+class _ModulusRecord:
+    """A limit under a declared modulus as the reference reads it: terms,
+    built once each, and the modulus; `inner` is the limit on [0,1] that
+    this one pulls back through phi, or None."""
+
+    kind = "modulus"
+
+    def __init__(self, terms, modulus, domain="unit", inner=None):
+        built = {}
+        self.term = lambda n: built[n] if n in built else built.setdefault(n, terms(n))
+        self.modulus, self.domain, self.inner = modulus, domain, inner
+
+
+def _ref_pullback(g):
+    """pullback_gauge_phi for codes that may hold a _ModulusRecord."""
+    if isinstance(g, _ModulusRecord):
+        return _ModulusRecord(None, None, domain="cantor", inner=g)
+    if g.kind in ("baire1", "baire2"):
+        return type(g)(lambda n: _ref_pullback(g.term(n)), domain="cantor")
+    return pullback_gauge_phi(g)
+
+
 class _Reference:
     def __init__(self):
-        self.acc, self.cert, self.best_lo = {}, {}, {}
+        self.acc, self.best_lo = {}, {}
+
+    def limit_under_modulus(self, g, x, stage):
+        """Term N padded by 2^-j, checked against term `stage` padded."""
+        if g.inner is not None:
+            return self.limit_under_modulus(g.inner, phi(x), stage)
+        j = _ref_resolvable_j(g.modulus, stage)
+        j = 0 if j is None else j
+        n = max(1, g.modulus(j))
+        got = ref_pad(self.eval(g.term(n), x, stage), pow2(-j))
+        if n < stage and ref_intersect(got, ref_pad(self.eval(g.term(stage), x, stage), pow2(-j))) is None:
+            raise CauchyViolation("term `stage` avoids term N")
+        return got
 
     def eval(self, g, x, stage):
         key = (id(g), x)
@@ -581,22 +671,11 @@ class _Reference:
                 raw = g.region_eval(Cylinder(x.index(stage), stage), stage)
             self.acc[key] = got = _ref_refine(self.acc.get(key), raw)
             return got
-        if g.kind == "direct":
-            raw = rt_interval(g.kernel(x, stage))
+        if g.kind in ("direct", "modulus"):
+            raw = rt_interval(g.kernel(x, stage)) if g.kind == "direct" else self.limit_under_modulus(g, x, stage)
             self.acc[key] = got = _ref_refine(self.acc.get(key), raw)
             return got
-        hull = _ref_block_enclosure(lambda n: self.eval(g.term(n), x, stage), stage)
-        j = None if g.modulus is None else _ref_resolvable_j(g.modulus, stage)
-        if j is not None:
-            cert = ref_pad(self.eval(g.term(max(1, g.modulus(j))), x, stage), pow2(-j))
-            self.cert[key] = _ref_refine(self.cert.get(key), cert)
-        known = self.cert.get(key)
-        if known is not None:
-            got = ref_intersect(hull, known)
-            if got is None:
-                raise CauchyViolation("block hull avoids the certificate")
-        else:
-            got = hull
+        got = _ref_block_enclosure(lambda n: self.eval(g.term(n), x, stage), stage)
         prev = self.best_lo.get(key)
         self.best_lo[key] = got.lo if prev is None else max(prev, got.lo)
         return got
@@ -625,11 +704,9 @@ class _Reference:
                 if got is not None:
                     return got
             return Verdict.UNKNOWN
-        # a limit code reads one block, at the query's own stage
+        # a limit code reads one block, at the query's own stage, and never says No
         self.enclosure(g, x, stage)
-        cert = self.cert.get((id(g), x))
-        lo, hi = self.best_lo[(id(g), x)], (cert.hi if cert is not None else None)
-        got = self._decide(lo, hi, q, strict)
+        got = self._decide(self.best_lo[(id(g), x)], None, q, strict)
         return got if got is not None else Verdict.UNKNOWN
 
 
@@ -650,14 +727,16 @@ _KINDS = (
 def _codes(draw, kind):
     """(space, builder) for one gauge code of the given kind, on [0,1] or
     pulled back to the sequence space; the builder is called once per
-    layer, so that each layer evaluates codes of its own."""
+    layer, so that each layer evaluates codes of its own, with ref=True
+    for the reference layer, which gets a _ModulusRecord for each limit
+    under a modulus."""
     seed = draw(st.integers(0, 10**6))
     expr = lambda: _rand_expr(random.Random(seed), depth=2)[0]
     c = draw(st.sampled_from([Fraction(1), Fraction(-1, 2), Fraction(1, 3)]))
     ratio = draw(st.sampled_from([Fraction(1, 2), Fraction(-1, 3), Fraction(1, 4)]))
     tight, v = draw(st.integers(1, 12)), draw(st.fractions(0, 2, max_denominator=16))
 
-    def direct():
+    def direct(lim):
         g = expr()
 
         def kernel(x, s):
@@ -668,37 +747,36 @@ def _codes(draw, kind):
 
         return DirectCode(kernel)
 
-    def baire2(modulus):
+    def baire2(lim, outer):
         def level1(m):
             shifted = lambda: continuous_add(expr(), continuous_const(pow2(-m)))
-            return Baire1Code(_geometric_terms(shifted, c, ratio), modulus=_MODULUS)
+            return lim(_geometric_terms(shifted, c, ratio), _MODULUS)
 
-        return lambda: Baire2Code(level1, modulus=modulus)
+        return Baire2Code(level1) if outer is None else lim(level1, outer)
 
     flip = draw(st.integers(2, 14))
     recipes = {
-        "continuous": expr,
+        "continuous": lambda lim: expr(),
         "direct": direct,
         # [2^-tight, 1] below stage `tight`, then a value that may lie outside
-        "direct-stand-in": lambda: DirectCode(
+        "direct-stand-in": lambda lim: DirectCode(
             lambda x, s: (1, 1 << tight, 1 << tight) if s < tight else rt_point(v)
         ),
-        "direct-liar": lambda: DirectCode(lambda x, s: (1, 1, 2 + s % 3)),
-        "baire1": lambda: Baire1Code(_geometric_terms(expr, c, ratio), modulus=_MODULUS),
-        "baire1-bare": lambda: Baire1Code(_geometric_terms(expr, c, ratio)),
-        "baire1-liar": lambda: Baire1Code(
-            lambda n: continuous_const(Fraction(5 if n < flip else 0)), modulus=lambda j: 1
-        ),
-        "baire2": baire2(_MODULUS),
-        "baire2-bare": baire2(None),
+        "direct-liar": lambda lim: DirectCode(lambda x, s: (1, 1, 2 + s % 3)),
+        "baire1": lambda lim: lim(_geometric_terms(expr, c, ratio), _MODULUS),
+        "baire1-bare": lambda lim: Baire1Code(_geometric_terms(expr, c, ratio)),
+        "baire1-liar": lambda lim: lim(lambda n: continuous_const(Fraction(5 if n < flip else 0)), lambda j: 1),
+        "baire2": lambda lim: baire2(lim, _MODULUS),
+        "baire2-bare": lambda lim: baire2(lim, None),
     }
     if kind == "pin":
         z = draw(st.sampled_from([("", "01"), ("1", "0"), ("01", "110")]))
-        return "cantor", lambda: oracle_pin_gauge(OracleSpec(CantorPoint.from_pattern(*z)))
+        return "cantor", lambda ref: oracle_pin_gauge(OracleSpec(CantorPoint.from_pattern(*z)))
     recipe = recipes[kind]
+    build = lambda ref: recipe(_ModulusRecord if ref else modulus_limit)
     if draw(st.booleans()):
-        return "unit", recipe
-    return "cantor", lambda: pullback_gauge_phi(recipe())
+        return "unit", build
+    return "cantor", lambda ref: (_ref_pullback if ref else pullback_gauge_phi)(build(ref))
 
 
 @st.composite
@@ -758,7 +836,7 @@ def test_triple_layer_matches_the_interval_reference(kind, data):
         st.tuples(st.sampled_from(["enclosure", "above", "at_least"]), st.integers(0, 16), _QS),
         min_size=1, max_size=6,
     ))
-    g, x, ref, rg, rx = code(), point(), _Reference(), code(), point()
+    g, x, ref, rg, rx = code(False), point(), _Reference(), code(True), point()
     for op, stage, q in ops:
         if op == "enclosure":
             got = _outcome(lambda: eval_enclosure(g, x, stage))

@@ -125,7 +125,8 @@ def test_limit_codes_keep_their_labels_and_indices():
 
 def test_builtin_cauchy_gap():
     g = parse_gauge("cauchy-gap(gap)")
-    assert isinstance(g, Baire1Code) and g.modulus is not None
+    # with its modulus, the gap gauge is a point code with a region
+    assert isinstance(g, DirectCode) and g.region is not None
     assert eval_enclosure(g, up(F(0)), 10).lo >= F(1, 2)
     with pytest.raises(SpecError):
         parse_gauge("cauchy-gap(fibonacci)")

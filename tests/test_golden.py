@@ -1,8 +1,10 @@
 """The exact stdout of fixed CLI runs, recorded before the searches gained
-region acceptance and the sqrt-reciprocal region kernel, and of the
-gallery demos and an obstruction, recorded before each command returned its
-report to one writer. A change that keeps its covers, partitions, records
-and obstructions must keep these bytes and exit codes."""
+region acceptance and the sqrt-reciprocal region kernel, of the gallery
+demos and an obstruction, recorded before each command returned its report
+to one writer, and of three cauchy-gap runs, recorded while the gap gauge
+was still a limit code checked against certificates from its modulus. A
+change that keeps its covers, partitions, records and obstructions must
+keep these bytes and exit codes."""
 
 import pytest
 
@@ -10,6 +12,8 @@ from finecover.cli import main
 
 # the cover file of the heine-borel run, written as two.cov in its directory
 COVER = "-1/10 6/10\n4/10 11/10\n"
+# the cover CSV of the verify run, written as gap.csv
+GAP_COVER = "point,radius\nrat:1/4,1/4\nrat:3/4,1/4\n"
 
 GOLDEN = [
     (
@@ -202,6 +206,46 @@ lo,hi,tag
 }
 """,
     ),
+    (
+        ["gallery", "cauchy-gap", "--depth", "20", "--stage", "16"],
+        0,
+        """\
+{
+  "demo": "cauchy-gap",
+  "unresolved": "[36993/65536,591889/1048576]",
+  "width": "1/1048576",
+  "depth": 20,
+  "stage": 16
+}
+""",
+    ),
+    (
+        # --depth first, so that its id differs from the depth-10 run's
+        ["cousin", "--depth", "16", "--preset", "cauchy-gap", "--stage", "24"],
+        2,
+        """\
+{
+  "space": "unit",
+  "depth_reached": 16,
+  "unresolved": [
+    "[36993/65536,18497/32768]"
+  ],
+  "trace": [
+    {
+      "region": "[36993/65536,18497/32768]",
+      "last_verdict": "UNKNOWN",
+      "stage": 24
+    }
+  ]
+}
+""",
+    ),
+    (
+        # the No at 3/4 rests on the gap gauge's declared modulus
+        ["verify", "--preset", "cauchy-gap", "--in", "gap.csv", "--stage", "8"],
+        3,
+        "entry 1: gauge at rat:3/4 is below the radius 1/4\n",
+    ),
 ]
 
 
@@ -209,5 +253,6 @@ lo,hi,tag
 def test_cli_output_bytes_are_unchanged(capsys, tmp_path, monkeypatch, argv, code, want):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "two.cov").write_text(COVER)
+    (tmp_path / "gap.csv").write_text(GAP_COVER)
     assert main(argv) == code
     assert capsys.readouterr().out == want

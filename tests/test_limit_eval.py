@@ -1,16 +1,17 @@
-"""Limit codes against the reference that evaluates every query afresh
+"""Limit codes against the references that evaluate every query afresh
 (`limit_ref`): a query at the stage a point was last queried at is
 answered from the stored enclosure while the point's box is unchanged,
-the certificate reads its term from the block, and the parts of a text
-body that read no index are compiled once per gauge. None of this may change an enclosure, a verdict or where
-a CauchyViolation is raised."""
+the parts of a text body that read no index are compiled once per gauge,
+and a limit under a declared modulus resolves its modulus once per stage.
+None of this may change an enclosure, a verdict or where a
+CauchyViolation is raised."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from limit_ref import Baire1Ref, Baire2Ref, ref_spec
+from limit_ref import Baire1Ref, Baire2Ref, ModulusRef, ref_spec
 
 from finecover import gaugespec
 from finecover.exact import CauchyViolation, Interval, QuadVal, pow2
@@ -23,6 +24,7 @@ from finecover.gauges import (
     kernel_dist,
     kernel_linear,
     kernel_memo,
+    modulus_limit,
     verified_above,
     verified_at_least,
 )
@@ -31,30 +33,41 @@ from finecover.spaces import UnitPoint
 
 _MODULUS = lambda j: max(1, j + 1)  # true for terms within 2^-(n+1) of the limit
 
+# the builders of each layer: a limit with no modulus at either level, and
+# one under a declared modulus
+_CODE = (Baire1Code, Baire2Code, modulus_limit)
+_REF = (Baire1Ref, Baire2Ref, ModulusRef)
+
 
 def _near(p, c):
     """|x - p| + c as one continuous code."""
     return ContinuousCode(kernel_linear(kernel_dist([p]), 1, c))
 
 
+def _limit(bare, lim, terms, modulus):
+    return bare(terms) if modulus is None else lim(terms, modulus)
+
+
 def _baire1(modulus):
-    return lambda b1, b2: b1(lambda n: _near(Fraction(1, 3), Fraction((-1) ** n, 2 ** (n + 1))), modulus=modulus)
+    terms = lambda n: _near(Fraction(1, 3), Fraction((-1) ** n, 2 ** (n + 1)))
+    return lambda b1, b2, lim: _limit(b1, lim, terms, modulus)
 
 
 def _baire2(modulus, inner):
-    def build(b1, b2):
-        level1 = lambda m: b1(lambda n: _near(Fraction(2, 5), pow2(-m - 1) + pow2(-n - 1)), modulus=inner)
-        return b2(level1, modulus=modulus)
+    def build(b1, b2, lim):
+        level1 = lambda m: _limit(b1, lim, lambda n: _near(Fraction(2, 5), pow2(-m - 1) + pow2(-n - 1)), inner)
+        return _limit(b2, lim, level1, modulus)
 
     return build
 
 
 def _gap(modulus):
-    def build(b1, b2):
-        g = cauchy_gap_gauge(CauchySpec(_gap_term, modulus=modulus, label="gap"))
-        if b1 is Baire1Ref:
-            g.__class__ = Baire1Ref
-        return g
+    def build(b1, b2, lim):
+        if b1 is Baire1Code:
+            return cauchy_gap_gauge(CauchySpec(_gap_term, modulus=modulus, label="gap"))
+        # the gauge as defined: term t is |x - z_(t-1)|, and the modulus is shifted with it
+        terms = lambda t: ContinuousCode(kernel_dist([_gap_term(t - 1)]))
+        return _limit(b1, lim, terms, modulus and (lambda j: modulus(j) + 1))
 
     return build
 
@@ -62,12 +75,13 @@ def _gap(modulus):
 _CODES = {
     "baire1": _baire1(_MODULUS),
     "baire1-bare": _baire1(None),
-    # term N = 1 lies outside every block past stage 2, and the block of
-    # 5s is then replaced by 0s: the hull avoids the certificate
-    "baire1-liar": lambda b1, b2: b1(lambda n: _near(Fraction(1, 2), Fraction(5 if n < 5 else 0)), modulus=lambda j: 1),
-    # term N = stage alternates between 1/2 and 3/2: the certificates of
-    # two stages of different parity are disjoint
-    "baire1-flip": lambda b1, b2: b1(lambda n: _near(Fraction(0), Fraction(2 + (-1) ** n, 2)), modulus=lambda j: max(1, j)),
+    # modulus(0) = 3: stages 1 and 2 read term 3 padded by 1
+    "baire1-late": _baire1(lambda j: j + 3),
+    # term N = 1 is 5 and every term from 5 on is 0: term `stage` avoids it
+    "baire1-liar": lambda b1, b2, lim: lim(lambda n: _near(Fraction(1, 2), Fraction(5 if n < 5 else 0)), lambda j: 1),
+    # term N = stage alternates between 1/2 and 3/2: the enclosures of two
+    # stages of different parity are disjoint
+    "baire1-flip": lambda b1, b2, lim: lim(lambda n: _near(Fraction(0), Fraction(2 + (-1) ** n, 2)), lambda j: max(1, j)),
     "baire2": _baire2(_MODULUS, _MODULUS),
     "baire2-bare": _baire2(None, None),
     "baire2-inner-bare": _baire2(_MODULUS, None),
@@ -101,7 +115,7 @@ _BODIES = (
 
 def _text_code(draw):
     text = draw(st.sampled_from(_BODIES)).format(f=draw(st.sampled_from(_PARTS)), g=draw(st.sampled_from(_PARTS)))
-    return lambda b1, b2: ref_spec(text) if b1 is Baire1Ref else parse_gauge(text)
+    return lambda b1, b2, lim: ref_spec(text) if b1 is Baire1Ref else parse_gauge(text)
 
 
 def _point_pool():
@@ -146,7 +160,7 @@ def test_limit_codes_match_the_reference(kind, data):
         min_size=1,
         max_size=12,
     ))
-    g, ref = build(Baire1Code, Baire2Code), build(Baire1Ref, Baire2Ref)
+    g, ref = build(*_CODE), build(*_REF)
     xs, rxs = [p() for p in pool], [p() for p in pool]
     for i, stage, op, q in queries:
         if op == "enclosure":
@@ -157,6 +171,24 @@ def test_limit_codes_match_the_reference(kind, data):
             got = _outcome(lambda: check(g, xs[i], q, stage))
             want = _outcome(lambda: check(ref, rxs[i], q, stage))
         assert got == want, (i, stage, op, q)
+
+
+@pytest.mark.parametrize(
+    "kind, stages",
+    [("baire1-liar", (1, 4, 8)), ("baire1-flip", (1, 2)), ("gap-liar", (1, 2))],
+    ids=["baire1-liar", "baire1-flip", "gap-liar"],
+)
+def test_lying_moduli_raise_where_the_reference_does(kind, stages):
+    """Each liar's enclosures agree with the reference's until the last
+    stage, where both raise CauchyViolation: against term `stage`
+    (baire1-liar, gap-liar) or against the stage before (baire1-flip)."""
+    g, ref = _CODES[kind](*_CODE), _CODES[kind](*_REF)
+    x, rx = UnitPoint.from_rat(Fraction(1, 3)), UnitPoint.from_rat(Fraction(1, 3))
+    for stage in stages[:-1]:
+        assert eval_enclosure(g, x, stage) == eval_enclosure(ref, rx, stage)
+    for code, point in ((g, x), (ref, rx)):
+        with pytest.raises(CauchyViolation):
+            eval_enclosure(code, point, stages[-1])
 
 
 def test_index_free_part_is_compiled_once_and_evaluated_once_per_query(monkeypatch):
@@ -192,7 +224,7 @@ def test_a_finer_box_of_an_approximant_point_is_read_again(kind):
     """A query at an approximant point's last stage is not answered from
     the stored enclosure once another query has narrowed the point's box:
     the enclosure is the reference's, which reads the narrower box."""
-    g, ref = _CODES[kind](Baire1Code, Baire2Code), _CODES[kind](Baire1Ref, Baire2Ref)
+    g, ref = _CODES[kind](*_CODE), _CODES[kind](*_REF)
     x, rx = _approximant(Fraction(1, 3)), _approximant(Fraction(1, 3))
     first = eval_enclosure(g, x, 1)
     assert eval_enclosure(ref, rx, 1) == first

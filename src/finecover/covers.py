@@ -70,6 +70,7 @@ class TaggedPartition:
         if cuts[0] != 0 or cuts[-1] != 1:
             raise MalformedPartition(f"cuts must run from 0 to 1, got {cuts[0]}..{cuts[-1]}")
         ends = [(c.numerator, c.denominator) for c in cuts]
+        object.__setattr__(self, "_ends", ends)
         if any(an * bd > bn * ad for (an, ad), (bn, bd) in zip(ends, ends[1:])):
             raise MalformedPartition("cuts must be nondecreasing")
         if len(tags) != len(cuts) - 1:
@@ -103,12 +104,13 @@ class TaggedPartition:
     def widths(self):
         """(tag, wn, wd) for each cell in order: its width wn/wd taken on
         the cut numerators, over the lcm of the two cuts' denominators."""
-        an, ad = 0, 1  # the cut at the left of the cell
-        for tag, b in zip(self.tags, self.cuts[1:]):
-            bn, bd = b.numerator, b.denominator
-            wd = lcm(ad, bd)
-            yield tag, bn * (wd // bd) - an * (wd // ad), wd
-            an, ad = bn, bd
+        ends = self._ends
+        for tag, (an, ad), (bn, bd) in zip(self.tags, ends, ends[1:]):
+            if ad == bd:
+                yield tag, bn - an, ad
+            else:
+                wd = lcm(ad, bd)
+                yield tag, bn * (wd // bd) - an * (wd // ad), wd
 
 
 def _cantor_sort_key(p: CantorPoint):
@@ -398,27 +400,29 @@ def _checked_hints(g: GaugeCode, hints, space: str, key) -> list:
     return sorted(hints or (), key=key)
 
 
-def _subdivide(g: GaugeCode, depth: int, stage: int, strict: bool, samples, regions):
+def _subdivide(g: GaugeCode, depth: int, stage: int, strict: bool, samples, first, regions):
     """Breadth-first search over the binary tree of cells, for both spaces.
 
     Cell i at level l, of width w = 2^-l, is accepted on the first of
     `samples(i, l)` whose verdict "gauge > w" (strict) or "gauge >= w" is
     Yes, giving the entry (sample, w); otherwise cells 2i and 2i+1 go on to
     level l+1. Cells left at `depth` form an Obstruction of `regions`.
+    `first(i, l)` is the cell's first sample if no hint lies in it, else None.
 
-    Branch and bound, for a code with a region kernel: the code is first
-    enclosed on the whole cell by one region evaluation at `stage` on the
-    triple `rt_cell(i, l)`, in either space. When the upper end hi/d rules
-    acceptance out (hi/d <= w strict, hi/d < w non-strict, that is hi << l
-    against d), no sample could get the Yes, so the cell survives
-    unsampled and hands the bound (hi, d) to its children, which skip
-    evaluation while it still rules them out. When the lower end passes
-    the test, a sample whose own query region lies inside the cell (a
-    rational one on [0,1]; any one of a cylinder at level <= stage) is
-    taken without a verdict: the region encloses that query's enclosure
-    at `stage`, so its verdict would be Yes by that rung. A sample before
-    it, such as a quadratic hint, is still asked. Either way the covers
-    and obstructions are those of the plain sample-only walk.
+    Branch and bound, for a code with a region kernel: one region
+    evaluation at `stage` on the triple `rt_cell(i, l)`, in either space,
+    encloses the code on the whole cell as (lo, hi, d), and the cell's
+    children inherit both ends. An end passes the test when lo << l
+    beats d (> strict, >= non-strict). A cell evaluates anew only when it
+    inherits nothing, or an upper end that passes with a lower end that
+    does not. When the upper end fails, no sample could get the Yes, so the
+    cell survives unsampled. When the lower end passes, a sample whose own
+    query region lies inside the cell (a rational one on [0,1]; any one of
+    a cylinder at level <= stage) is taken without a verdict: the enclosure
+    holds that query's at `stage`, so its verdict would be Yes by that
+    rung. With no hint in the cell that is `first(i, l)`; a hint before it,
+    such as a quadratic one, is still asked. Either way the covers and
+    obstructions are those of the plain sample-only walk.
     """
     if depth < 1:
         raise ValueError("need depth >= 1")
@@ -427,32 +431,34 @@ def _subdivide(g: GaugeCode, depth: int, stage: int, strict: bool, samples, regi
     passes = gt if strict else ge  # lo << level vs d: the end lo/d passes the cell's test
     region, unit = g.region, g.domain == "unit"
     entries = []
-    frontier = [(0, None)]  # (cell index at the current level, upper bound (hi, d) on the gauge there)
+    frontier = [(0, None)]  # (cell index at the current level, enclosure (lo, hi, d) of the gauge there)
     for level in range(depth + 1):
         w = pow2(-level)
         survivors = []
-        for i, bound in frontier:
-            lower = False  # the region's lower end passes, with samples' queries inside the cell
+        for i, box in frontier:
+            lower = False  # the lower end passes, with samples' queries inside the cell
             if region is not None:
-                if bound is None or passes(bound[0] << level, bound[1]):
-                    lo, hi, d = region(rt_cell(i, level), stage)
-                    lower = passes(lo << level, d) and (unit or level <= stage)
-                    if bound is None or hi * bound[1] < bound[0] * d:
-                        bound = hi, d
-                if not passes(bound[0] << level, bound[1]):
-                    survivors.append((i, bound))
+                if box is None or passes(box[1] << level, box[2]) and not passes(box[0] << level, box[2]):
+                    box = region(rt_cell(i, level), stage)
+                lo, hi, d = box
+                if not passes(hi << level, d):
+                    survivors.append((i, box))
+                    continue
+                lower = passes(lo << level, d) and (unit or level <= stage)
+                if lower and (m := first(i, level)) is not None:
+                    entries.append((m, w))
                     continue
             for m in samples(i, level):
                 if lower and (not unit or m.is_rational) or verdict(g, m, w, stage) is Verdict.YES:
                     entries.append((m, w))
                     break
             else:
-                survivors.append((i, bound))
+                survivors.append((i, box))
         if not survivors:
             return FineCover(entries)
         if level == depth:
             return Obstruction(tuple(regions([i for i, _ in survivors], level)), stage, depth, g.domain)
-        frontier = [(c, bound) for i, bound in survivors for c in (2 * i, 2 * i + 1)]
+        frontier = [(c, box) for i, box in survivors for c in (2 * i, 2 * i + 1)]
     raise AssertionError("unreachable")
 
 
@@ -478,15 +484,19 @@ def find_cover_unit(g: GaugeCode, depth: int, stage: int, hints=()) -> Union[Fin
     # the level sampled last, its points k 2^-(level+1) by k, and those of the level before
     at, here, above = -1, {}, {}
 
+    def hinted(i: int, level: int):
+        n = 1 << level
+        return values and hints[bisect_left(values, Fraction(i, n)) : bisect_right(values, Fraction(i + 1, n))]
+
+    def first(i: int, level: int):
+        return None if hinted(i, level) else UnitPoint(Fraction(2 * i + 1, 2 << level))
+
     def samples(i: int, level: int):
         nonlocal at, here, above
         if level != at:
             above, here, at = (here if level == at + 1 else {}), {}, level
-        in_cell = ()
-        if values:
-            a, b = Fraction(i, 1 << level), Fraction(i + 1, 1 << level)
-            in_cell = hints[bisect_left(values, a) : bisect_right(values, b)]
-            yield from in_cell
+        in_cell = hinted(i, level)
+        yield from in_cell
         for k in (2 * i + 1, 2 * i, 2 * i + 2):
             cand = here.get(k)
             if cand is None:
@@ -498,7 +508,7 @@ def find_cover_unit(g: GaugeCode, depth: int, stage: int, hints=()) -> Union[Fin
             if cand not in in_cell:
                 yield cand
 
-    return _subdivide(g, depth, stage, True, samples, dyadic_runs)
+    return _subdivide(g, depth, stage, True, samples, first, dyadic_runs)
 
 
 def find_cover_cantor(g: GaugeCode, depth: int, stage: int, hints=()) -> Union[FineCover, Obstruction]:
@@ -517,13 +527,18 @@ def find_cover_cantor(g: GaugeCode, depth: int, stage: int, hints=()) -> Union[F
     hints = _checked_hints(g, hints, "cantor", _cantor_sort_key)
     keys = [h.index(48) for h in hints]
 
-    def samples(i: int, level: int):
+    def hinted(i: int, level: int):
         # the hints whose depth-48 cell lies in Cylinder(i, level), or past depth 48 contains it
         shift = 48 - level
         lo = i << shift if shift >= 0 else i >> -shift
         in_cell = hints[bisect_left(keys, lo) : bisect_left(keys, lo + (1 << max(shift, 0)))]
-        if shift < 0:
-            in_cell = [h for h in in_cell if h.index(level) == i]
+        return [h for h in in_cell if h.index(level) == i] if shift < 0 else in_cell
+
+    def first(i: int, level: int):
+        return None if hinted(i, level) else CantorPoint.from_pattern(Cylinder(i, level).prefix, "0")
+
+    def samples(i: int, level: int):
+        in_cell = hinted(i, level)
         yield from in_cell
         prefix = Cylinder(i, level).prefix
         for tail in "01":
@@ -534,7 +549,7 @@ def find_cover_cantor(g: GaugeCode, depth: int, stage: int, hints=()) -> Union[F
     def regions(cells, level: int) -> list:
         return [Cylinder(i, level) for i in cells]
 
-    return _subdivide(g, depth, stage, False, samples, regions)
+    return _subdivide(g, depth, stage, False, samples, first, regions)
 
 
 # -- transfers of covers between the spaces ------------------------------

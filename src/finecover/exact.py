@@ -195,11 +195,12 @@ def rt_intersect(a: tuple, b: tuple) -> Optional[tuple]:
     return None if lo > hi else (lo, hi, d)
 
 
-def rt_refine(old: Optional[tuple], new: tuple, what: Callable[[], str]) -> tuple:
+def rt_refine(old: Optional[tuple], new: tuple, what: Optional[Callable[[], str]]) -> tuple:
     """Fold a fresh enclosure into the accumulated one (None at first):
     their intersection, reduced by gcd so that refining again and again
     cannot grow the denominator. Disjoint ones raise CauchyViolation, and
-    only then is what() called, to name the value."""
+    only then is what() called, to name the value; with no old enclosure
+    it may be None."""
     got = new if old is None else rt_intersect(old, new)
     if got is None:
         raise CauchyViolation(f"{what()}: {rt_interval(new)} disjoint from accumulated {rt_interval(old)}")

@@ -213,7 +213,8 @@ def _ceil_sqrt(j: int) -> int:
 
 
 def _gap_term(n: int) -> Fraction:
-    return sum(pow2(-i * i) for i in range(1, n + 2))
+    top = (n + 1) ** 2  # the sum of 2^-(i^2), i = 1..n+1, as one integer over 2^top
+    return Fraction(sum(1 << (top - i * i) for i in range(1, n + 2)), 1 << top)
 
 
 def default_cauchy_spec() -> CauchySpec:

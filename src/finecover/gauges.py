@@ -157,6 +157,14 @@ class _PointCode:
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.label or '...'}, domain={self.domain})"
 
+    def _fold(self, x: Point, raw: tuple) -> tuple:
+        """Fold the enclosure raw at x into x's accumulated one. A point's
+        first enclosure has nothing to miss, so it needs no message."""
+        old = self._acc.get(x)
+        what = None if old is None else lambda: f"{self.kind} code {self.label or id(self)} at {x!r}"
+        got = self._acc[x] = rt_refine(old, raw, what)
+        return got
+
 
 class ContinuousCode(_PointCode):
     """A coded continuous function via a sound region kernel.
@@ -182,10 +190,7 @@ class ContinuousCode(_PointCode):
         return rt_interval(self.kernel(r, k))
 
     def _eval(self, x: Point, stage: int) -> tuple:
-        raw = self.kernel(_point_region(x, stage, self.domain), stage)
-        got = rt_refine(self._acc.get(x), raw, lambda: f"continuous code {self.label or id(self)} at {x!r}")
-        self._acc[x] = got
-        return got
+        return self._fold(x, self.kernel(_point_region(x, stage, self.domain), stage))
 
 
 class DirectCode(_PointCode):
@@ -207,10 +212,7 @@ class DirectCode(_PointCode):
     kind = "direct"
 
     def _eval(self, x: Point, stage: int) -> tuple:
-        raw = self.kernel(x, stage)
-        got = rt_refine(self._acc.get(x), raw, lambda: f"direct code {self.label or id(self)} at {x!r}")
-        self._acc[x] = got
-        return got
+        return self._fold(x, self.kernel(x, stage))
 
 
 def _block(stage: int) -> tuple[int, int]:
@@ -354,16 +356,21 @@ def _decide(lo, hi, d: int, q: Fraction, strict: bool, g, x) -> Optional[Verdict
 def _verdict(g: GaugeCode, x: Point, q, stage: int, strict: bool) -> Verdict:
     if type(q) is not Fraction:
         q = Fraction(q)
-    if q.numerator < 0:
+    qn, qd = q.numerator, q.denominator
+    if qn < 0:
         raise ValueError("need q >= 0")
     if not isinstance(g, _LimitCode):
         for s in _ladder(stage):
             # the returned triple is the accumulated one, which only
             # shrinks, so a decision now is permanent and cannot conflict
             # with later stages (those would fail to refine)
-            got = _decide(*g._eval(x, s), q, strict, g, x)
-            if got is not None:
-                return got
+            lo, hi, d = g._eval(x, s)
+            qnd = qn * d
+            yes, no = (lo * qd > qnd, hi * qd <= qnd) if strict else (lo * qd >= qnd, hi * qd < qnd)
+            if yes is not no:
+                return Verdict.YES if yes else Verdict.NO
+            if yes:
+                _decide(lo, hi, d, q, strict, g, x)  # raises: both sides verified
         return Verdict.UNKNOWN
     # one block at the query's own stage, and the best lower end observed
     g._eval(x, stage)
@@ -602,12 +609,9 @@ def pullback_gauge_phi(g: GaugeCode) -> GaugeCode:
         # a sequence-space kernel reads a cylinder as the cell phi maps it onto
         return ContinuousCode(g.kernel, domain="cantor", label=f"phi*({g.label})")
     if g.kind == "direct":
-        kernel = g.kernel
-        return DirectCode(
-            lambda x, s: kernel(phi(x), s),
-            domain="cantor",
-            label=f"phi*({g.label})",
-        )
+        # one image per point: that of a rule point is an approximant, equal only to itself
+        kernel, image = g.kernel, lru_cache(maxsize=None)(phi)
+        return DirectCode(lambda x, s: kernel(image(x), s), domain="cantor", label=f"phi*({g.label})")
     return type(g)(lambda n: pullback_gauge_phi(g.term(n)), domain="cantor", label=f"phi*({g.label})")
 
 

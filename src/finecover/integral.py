@@ -195,13 +195,14 @@ def poly_integrand(coeffs, label: str = "") -> tuple[Integrand, Callable[[Fracti
 
 def _sqrt_recip_kernel(tag: UnitPoint, prec: int) -> tuple:
     q = _exact_rational(tag)
-    if q == 0:
-        return 0, 0, 1  # the value at the pole, fixed by fiat
-    if q is None or q < 0:
+    if q is None or q.numerator < 0:
         raise EvaluationError(f"reciprocal square root needs an exact rational in [0,1], got {tag}")
+    n = q.numerator
+    if n == 0:
+        return 0, 0, 1  # the value at the pole, fixed by fiat
     # 1/sqrt(a/b) = sqrt(b/a), enclosed by a shifted integer square root
     m = prec
-    s = isqrt((q.denominator << (2 * m)) // q.numerator)
+    s = isqrt((q.denominator << (2 * m)) // n)
     return s, s + 1, 1 << m
 
 

@@ -55,7 +55,7 @@ from finecover.gauges import (
 from finecover.gaugespec import parse_gauge
 from finecover.integral import builtin_integrands, default_depth, dirichlet_hints
 from finecover.serialize import cover_csv
-from finecover.spaces import CantorPoint, UnitPoint, cylinder_for_ball
+from finecover.spaces import CantorPoint, Cylinder, UnitPoint, cylinder_for_ball
 
 F = Fraction
 STAGE = 8
@@ -928,6 +928,66 @@ def test_a_cantor_search_deeper_than_its_stage_asks_every_cylinder_past_it(monke
         return F(lo, d) >= r
 
     assert any(lower_end_passes(p, r) for p, r in deep)
+
+
+def test_an_inherited_lower_end_past_the_stage_still_asks_the_cylinder(monkeypatch):
+    """x/2 pulled back, at stage 1. The cylinder [01] has the region
+    [1/8, 1/4], whose lower end fails its width 1/4 and passes the width
+    1/8 of its children [010] and [011]. They inherit it at level 3, past
+    the stage, where a sample's query reads its depth-1 cylinder [0], whose
+    enclosure [0, 1/4] decides nothing. So they are asked, not accepted,
+    and are not bounded again: the left half stays unresolved, as in the
+    sample-only walk."""
+    kernel, cells = parse_gauge("x/2").kernel, []
+
+    def counting(r, k):
+        if r[2] > 2:  # a search cell; a query at stage 1 reads a depth-1 one
+            cells.append(r)
+        return kernel(r, k)
+
+    g = ContinuousCode(counting, domain="cantor")
+    asked = _queried(monkeypatch, "verified_at_least")
+    got = find_cover_cantor(g, 6, 1)
+    want = _ref_find_cover_cantor(_point_only(ContinuousCode(kernel, domain="cantor")), 6, 1, [])
+    assert isinstance(got, Obstruction) and got.unresolved == tuple(Cylinder(i, 6) for i in want.unresolved)
+    assert got.unresolved == tuple(Cylinder(i, 6) for i in range(32))
+    lo, _, d = kernel(rt_cell(1, 2), 1)
+    assert F(lo, d) == F(1, 8) and rt_cell(1, 2) in cells
+    for i in (2, 3):
+        assert rt_cell(i, 3) not in cells
+        assert CantorPoint.from_pattern(Cylinder(i, 3).prefix, "0") in asked
+
+
+def _counting_region(region):
+    """region, counting its calls in the returned list."""
+    calls = []
+
+    def counting(r, k):
+        calls.append(r)
+        return region(r, k)
+
+    return counting, calls
+
+
+def test_an_inherited_lower_end_accepts_without_a_region_evaluation():
+    """The halved identity gauge at eps = 1/512 is the constant 1/2048. Its
+    one region evaluation, at the root, hands both ends down; the lower
+    end passes at level 12, where all 4,096 cells take their midpoints.
+    The halved sqrt-reciprocal gauge at eps = 1/64 evaluates its region on
+    at most 2,045 cells. Both covers are those of the sample-only walk."""
+    eps = F(1, 512)
+    kernel, calls = _counting_region(builtin_integrands()["identity"][1](eps).kernel)
+    got = find_cover_unit(scale_code(ContinuousCode(kernel), F(1, 2)), default_depth("identity", eps), STAGE)
+    assert len(calls) == 1 and len(got) == 4096
+    assert [p for p, _ in got.entries()] == [up(F(2 * i + 1, 8192)) for i in range(4096)]
+
+    eps = F(1, 64)
+    g = builtin_integrands()["sqrt-reciprocal"][1](eps)
+    region, calls = _counting_region(g.region)
+    depth = default_depth("sqrt-reciprocal", eps)
+    got = find_cover_unit(scale_code(DirectCode(g.kernel, region=region), F(1, 2)), depth, 16)
+    assert 0 < len(calls) <= 2045
+    _assert_same_search(got, _ref_find_cover_unit(scale_code(g, F(1, 2)), depth, 16))
 
 
 def test_find_cover_cantor_prunes_cylinders_below_the_width():

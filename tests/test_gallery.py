@@ -9,6 +9,7 @@ from finecover.covers import FineCover, find_cover_unit
 from finecover.exact import Interval, pow2
 from finecover.gallery import (
     CauchySpec,
+    _gap_term,
     OpenCoverSpec,
     OracleSpec,
     UnexpectedCover,
@@ -257,6 +258,11 @@ def test_gap_gauge_without_modulus_stays_unknown():
     g = cauchy_gap_gauge(zs)
     z = gap_limit_point()
     assert verified_above(g, z, pow2(-20), 24) is Verdict.UNKNOWN
+
+
+def test_gap_terms_are_the_fraction_sums():
+    for n in range(41):
+        assert _gap_term(n) == sum(pow2(-i * i) for i in range(1, n + 2))
 
 
 @pytest.mark.parametrize("modulus", [default_cauchy_spec().modulus, None], ids=["modulus", "bare"])

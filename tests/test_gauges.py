@@ -148,6 +148,26 @@ def test_direct_code_accumulation():
     assert eval_enclosure(g, x, 1) == Interval(Fraction(1, 2), Fraction(3, 4))
 
 
+def test_cauchy_violation_texts_name_the_code_the_point_and_both_enclosures():
+    flip = ContinuousCode(lambda r, k: (k % 2, k % 2, 4), label="flip")
+    liar = DirectCode(lambda x, s: (1, 1, 2 + s % 3), label="liar")
+    bare = DirectCode(lambda x, s: (s, s, 3), domain="cantor")
+    cases = [
+        (flip, UnitPoint.from_rat(Fraction(1, 3)), "continuous code flip at UnitPoint(1/3): [0, 0] disjoint from accumulated [1/4, 1/4]"),
+        (liar, UnitPoint.from_rat(Fraction(1, 5)), "direct code liar at UnitPoint(1/5): [1/4, 1/4] disjoint from accumulated [1/3, 1/3]"),
+        (
+            bare,
+            CantorPoint.from_pattern("01", "1"),
+            f"direct code {id(bare)} at CantorPoint(prefix='0', period='1'): [2/3, 2/3] disjoint from accumulated [1/3, 1/3]",
+        ),
+    ]
+    for g, x, text in cases:
+        eval_enclosure(g, x, 1)
+        with pytest.raises(CauchyViolation) as info:
+            eval_enclosure(g, x, 2)
+        assert str(info.value) == text
+
+
 def test_yes_sticks_across_off_ladder_stages():
     # tight only at precision 6; the running intersection keeps the Yes
     g = DirectCode(lambda x, s: (1, 1, 2) if s == 6 else (0, 1, 1))
@@ -346,6 +366,31 @@ def test_pullback_phi():
     assert type(b.term(1)) is Baire1Code and b.term(1).domain == "cantor"
     assert type(b.term(1).term(2)) is ContinuousCode and b.term(1).term(2).domain == "cantor"
     assert eval_enclosure(b, x, 12).contains(Fraction(1, 2))
+
+
+def test_a_pulled_back_direct_code_reads_one_image_per_rule_point():
+    """phi of a rule point is an approximant point, equal only to itself.
+    The pullback builds it once per point, so 200 queries at one rule
+    point leave one accumulator entry in each term read, and each query
+    gives the enclosure of a fresh code's first query at an equal point."""
+
+    def pulled():
+        built = {}
+
+        def terms(n):
+            built[n] = continuous_add(continuous_identity(), continuous_const(pow2(-n)))
+            return built[n]
+
+        return pullback_gauge_phi(modulus_limit(terms, lambda j: max(1, j))), built
+
+    rule = lambda i: int(i % 3 == 0)
+    g, built = pulled()
+    x = CantorPoint(rule)
+    boxes = [eval_enclosure(g, x, 8) for _ in range(200)]
+    fresh, _ = pulled()
+    assert boxes == [eval_enclosure(fresh, CantorPoint(rule), 8)] * 200
+    # term 8 is read at stage 8; term 1 only tells whether the terms have a region
+    assert {n: len(term._acc) for n, term in built.items()} == {1: 0, 8: 1}
 
 
 def _psi_of(lo, hi):

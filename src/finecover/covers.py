@@ -426,6 +426,8 @@ def _subdivide(g: GaugeCode, depth: int, stage: int, strict: bool, samples, firs
     """
     if depth < 1:
         raise ValueError("need depth >= 1")
+    if stage < 0:
+        raise ValueError("stage must be >= 0")
     # looked up per call: the names may be rebound to instrumented wrappers
     verdict = verified_above if strict else verified_at_least
     passes = gt if strict else ge  # lo << level vs d: the end lo/d passes the cell's test

@@ -102,10 +102,8 @@ def _point_region(x: Point, k: int, domain: str):
 @lru_cache(maxsize=32)
 def _ladder(stage: int) -> tuple:
     """Stages a continuous or direct code's verdict climbs under budget
-    `stage`: powers of two, then the budget. A limit code's verdict reads
-    the budget alone."""
-    if stage < 0:
-        raise ValueError("stage must be >= 0")
+    `stage` >= 0: powers of two, then the budget. A limit code's verdict
+    reads the budget alone."""
     out = []
     s = 1
     while s <= stage:
@@ -226,9 +224,10 @@ def _block(stage: int) -> tuple[int, int]:
 class _LimitCode:
     """A pointwise limit of codes one level down, known only term by term
     and with no modulus (`modulus_limit` builds a limit that has one): the
-    trailing-block hull says what the limit *could* be, never what it is
-    not, so a verdict on it is Yes or Unknown. A limit code has no region
-    kernel, so the searches sample every cell of it.
+    hull of the trailing block at a stage says what the limit *could* be,
+    never what it is not, so a verdict on it is Yes or Unknown, read from
+    that stage's block alone, whatever stages were asked before. A limit
+    code has no region kernel, so the searches sample every cell of it.
 
     Each point keeps the stage and enclosure of its last successful query,
     and a query at that stage again is answered from them without touching
@@ -245,7 +244,6 @@ class _LimitCode:
         self.term = _term_cache(terms, domain)
         self.domain = domain
         self.label = label
-        self._best_lo: dict[Point, tuple] = {}  # (numerator, denominator)
         self._last: dict[Point, tuple] = {}  # (stage, point's box, enclosure)
 
     def _limit_eval(self, x: Point, stage: int) -> tuple:
@@ -256,10 +254,6 @@ class _LimitCode:
             del self._last[x]  # the terms at x change from here on
         lo_n, hi_n = _block(stage)
         got = rt_block([self.term(n)._eval(x, stage) for n in range(lo_n, hi_n + 1)])
-        lo, _, d = got
-        prev = self._best_lo.get(x)
-        if prev is None or lo * prev[1] > prev[0] * d:
-            self._best_lo[x] = lo, d
         self._last[x] = stage, getattr(x, "_best", None), got
         return got
 
@@ -337,46 +331,31 @@ def eval_enclosure(g: GaugeCode, x: Point, stage: int) -> Interval:
     return rt_interval(g._eval(x, stage))
 
 
-def _decide(lo, hi, d: int, q: Fraction, strict: bool, g, x) -> Optional[Verdict]:
-    """The verdict that the bounds lo/d and hi/d on the value settle, if
-    any; a bound that is None says nothing."""
-    qn, qd = q.numerator, q.denominator
-    yes = lo is not None and (lo * qd > qn * d if strict else lo * qd >= qn * d)
-    no = hi is not None and (hi * qd <= qn * d if strict else hi * qd < qn * d)
-    if yes and no:
-        op = ">" if strict else ">="
-        raise CauchyViolation(f"code {g!r} verifies both sides of {op} {q} at {x!r}")
-    if yes:
-        return Verdict.YES
-    if no:
-        return Verdict.NO
-    return None
-
-
 def _verdict(g: GaugeCode, x: Point, q, stage: int, strict: bool) -> Verdict:
+    if stage < 0:
+        raise ValueError("stage must be >= 0")
     if type(q) is not Fraction:
         q = Fraction(q)
     qn, qd = q.numerator, q.denominator
     if qn < 0:
         raise ValueError("need q >= 0")
-    if not isinstance(g, _LimitCode):
-        for s in _ladder(stage):
-            # the returned triple is the accumulated one, which only
-            # shrinks, so a decision now is permanent and cannot conflict
-            # with later stages (those would fail to refine)
-            lo, hi, d = g._eval(x, s)
-            qnd = qn * d
-            yes, no = (lo * qd > qnd, hi * qd <= qnd) if strict else (lo * qd >= qnd, hi * qd < qnd)
-            if yes is not no:
-                return Verdict.YES if yes else Verdict.NO
+    # A point code climbs the ladder, and its triple is the accumulated one,
+    # which only shrinks, so a decision is permanent and cannot conflict
+    # with later stages (those would fail to refine). A limit code reads the
+    # block at the query's own stage, whose hull never rules a value out.
+    point = not isinstance(g, _LimitCode)
+    for s in _ladder(stage) if point else (stage,):
+        lo, hi, d = g._eval(x, s)
+        qnd = qn * d
+        yes, no = (lo * qd > qnd, hi * qd <= qnd) if strict else (lo * qd >= qnd, hi * qd < qnd)
+        if yes is not no:
             if yes:
-                _decide(lo, hi, d, q, strict, g, x)  # raises: both sides verified
-        return Verdict.UNKNOWN
-    # one block at the query's own stage, and the best lower end observed
-    g._eval(x, stage)
-    lo, d = g._best_lo[x]
-    got = _decide(lo, None, d, q, strict, g, x)
-    return got if got is not None else Verdict.UNKNOWN
+                return Verdict.YES
+            if point:
+                return Verdict.NO
+        elif yes:
+            raise CauchyViolation(f"code {g!r} verifies both sides of {'>' if strict else '>='} {q} at {x!r}")
+    return Verdict.UNKNOWN
 
 
 def verified_above(g: GaugeCode, x: Point, q, stage: int) -> Verdict:
@@ -609,9 +588,11 @@ def pullback_gauge_phi(g: GaugeCode) -> GaugeCode:
         # a sequence-space kernel reads a cylinder as the cell phi maps it onto
         return ContinuousCode(g.kernel, domain="cantor", label=f"phi*({g.label})")
     if g.kind == "direct":
-        # one image per point: that of a rule point is an approximant, equal only to itself
+        # one image per point: that of a rule point is an approximant, equal
+        # only to itself; the region reads a cylinder as its cell, as above
         kernel, image = g.kernel, lru_cache(maxsize=None)(phi)
-        return DirectCode(lambda x, s: kernel(image(x), s), domain="cantor", label=f"phi*({g.label})")
+        label = f"phi*({g.label})"
+        return DirectCode(lambda x, s: kernel(image(x), s), domain="cantor", label=label, region=g.region)
     return type(g)(lambda n: pullback_gauge_phi(g.term(n)), domain="cantor", label=f"phi*({g.label})")
 
 

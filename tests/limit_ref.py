@@ -25,12 +25,7 @@ from finecover.gaugespec import _lex, _Parser
 
 def limit_eval_ref(self, x, stage: int) -> tuple:
     lo_n, hi_n = _block(stage)
-    got = rt_block([self.term(n)._eval(x, stage) for n in range(lo_n, hi_n + 1)])
-    lo, _, d = got
-    prev = self._best_lo.get(x)
-    if prev is None or lo * prev[1] > prev[0] * d:
-        self._best_lo[x] = lo, d
-    return got
+    return rt_block([self.term(n)._eval(x, stage) for n in range(lo_n, hi_n + 1)])
 
 
 class Baire1Ref(Baire1Code):

@@ -39,13 +39,18 @@ from finecover.exact import (
     rt_point,
     simplest_dyadic_between,
 )
+from finecover.gallery import cauchy_gap_gauge, default_cauchy_spec
 from finecover.gauges import (
+    Baire1Code,
+    Baire2Code,
     ContinuousCode,
     DirectCode,
     DomainError,
     Verdict,
     continuous_const,
+    eval_enclosure,
     kernel_dist,
+    modulus_limit,
     pullback_gauge_phi,
     scale_code,
     transfer_gauge_psi,
@@ -988,6 +993,49 @@ def test_an_inherited_lower_end_accepts_without_a_region_evaluation():
     got = find_cover_unit(scale_code(DirectCode(g.kernel, region=region), F(1, 2)), depth, 16)
     assert 0 < len(calls) <= 2045
     _assert_same_search(got, _ref_find_cover_unit(scale_code(g, F(1, 2)), depth, 16))
+
+
+def test_a_pulled_back_direct_code_is_bounded_on_cylinders(monkeypatch):
+    """The gap gauge under its modulus is a direct code with a region, and
+    its pullback keeps the region, since a cylinder's triple is the cell
+    phi maps it onto. Its search asks 25 verdicts, against 55 for the same
+    kernel with no region, and both leave the one cylinder 9248 at depth
+    14 unresolved."""
+    g = pullback_gauge_phi(cauchy_gap_gauge(default_cauchy_spec()))
+    asked = _queried(monkeypatch, "verified_at_least")
+    got = find_cover_cantor(g, 14, 16)
+    bounded = len(asked)
+    want = find_cover_cantor(DirectCode(g.kernel, domain="cantor"), 14, 16)
+    assert (bounded, len(asked) - bounded) == (25, 55)
+    assert got.unresolved == want.unresolved == (Cylinder(9248, 14),)
+
+
+_HALF = {
+    "continuous": lambda: const(F(1, 2)),
+    "direct": lambda: DirectCode(lambda x, s: rt_point(F(1, 2)), region=lambda r, s: rt_point(F(1, 2))),
+    "modulus": lambda: modulus_limit(lambda n: const(F(1, 2)), lambda j: j),
+    "baire1": lambda: Baire1Code(lambda n: const(F(1, 2))),
+    "baire2": lambda: Baire2Code(lambda m: Baire1Code(lambda n: const(F(1, 2)))),
+}
+
+
+@pytest.mark.parametrize("kind", _HALF)
+@pytest.mark.parametrize("space", ["unit", "cantor"])
+def test_a_negative_stage_is_rejected_by_every_verdict_and_search(kind, space):
+    """The gauge 1/2 as every code kind, in both spaces: stage -1 raises,
+    also where a region would accept every cell without a verdict."""
+    g, x, search = _HALF[kind](), up(F(1, 3)), find_cover_unit
+    if space == "cantor":
+        g, x, search = pullback_gauge_phi(g), CantorPoint.from_pattern("", "01"), find_cover_cantor
+    calls = [
+        lambda: eval_enclosure(g, x, -1),
+        lambda: verified_above(g, x, F(1, 3), -1),
+        lambda: verified_at_least(g, x, F(1, 3), -1),
+        lambda: search(g, 2, -1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="stage must be >= 0"):
+            call()
 
 
 def test_find_cover_cantor_prunes_cylinders_below_the_width():

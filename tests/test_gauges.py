@@ -599,13 +599,74 @@ def test_modulus_free_verdict_reads_the_hull_at_its_stage():
     assert eval_enclosure(g, x, 400) == Interval.point(Fraction(1, 1000))
 
 
-def test_modulus_free_yes_stays_on_the_same_code():
-    """A Yes observed at stage 64 (block 32..64, all 1) stays Yes at stage
-    400 on the same code: the best lower end observed never falls."""
+def test_a_modulus_free_verdict_reads_only_its_own_stage():
+    """Stage 64 reads the block 32..64, all 1, and stage 400 the block
+    200..400, all 1/1000. Asked in that order, the same code answers Yes
+    then Unknown, each what a fresh code answers at that stage."""
     x = UnitPoint.from_rat(Fraction(1, 3))
     g = _late_settler()
-    assert verified_above(g, x, Fraction(1, 2), 64) is Verdict.YES
-    assert verified_above(g, x, Fraction(1, 2), 400) is Verdict.YES
+    for stage, want in ((64, Verdict.YES), (400, Verdict.UNKNOWN)):
+        assert verified_above(g, x, Fraction(1, 2), stage) is want
+        assert verified_above(_late_settler(), x, Fraction(1, 2), stage) is want
+
+
+def _cycling(values):
+    """Term n is the constant values[n % len(values)]."""
+    return lambda n: continuous_const(values[n % len(values)])
+
+
+_STAGES = st.lists(st.integers(0, 64), min_size=1, max_size=8)
+_LEVELS = st.lists(st.fractions(0, 2, max_denominator=8), min_size=1, max_size=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    values=st.lists(st.fractions(0, 2, max_denominator=8), min_size=2, max_size=8),
+    baire2=st.booleans(),
+    stages=_STAGES,
+    qs=_LEVELS,
+)
+def test_modulus_free_verdicts_equal_a_fresh_codes(values, baire2, stages, qs):
+    """Non-monotone constant terms, asked at stages 0..64 in random order:
+    each verdict is the one a fresh copy of the code gives at that stage,
+    and none is No."""
+
+    def build():
+        if baire2:
+            return Baire2Code(lambda m: Baire1Code(lambda n: _cycling(values)(m + n)))
+        return Baire1Code(_cycling(values))
+
+    g, x = build(), UnitPoint.from_rat(Fraction(1, 3))
+    for stage in stages:
+        for q in qs:
+            for check in (verified_above, verified_at_least):
+                got = check(g, x, q, stage)
+                assert got is check(build(), x, q, stage) and got is not Verdict.NO, (stage, q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    limit=st.fractions(0, 2, max_denominator=8),
+    signs=st.lists(st.sampled_from([-1, 0, 1]), min_size=2, max_size=8),
+    stages=_STAGES,
+    qs=_LEVELS,
+)
+def test_a_decided_verdict_under_a_true_modulus_never_flips(limit, signs, stages, qs):
+    """Term n is limit + sign 2^-(n+1) for a cycling, non-monotone sign, so
+    modulus(j) = j + 1 is true: once decided, a verdict at q keeps its
+    answer at every stage asked after it, and that answer is the limit's."""
+    terms = lambda n: continuous_const(limit + signs[n % len(signs)] * pow2(-n - 1))
+    g, x = modulus_limit(terms, lambda j: j + 1), UnitPoint.from_rat(Fraction(1, 3))
+    decided = {}
+    for stage in stages:
+        for q in qs:
+            for strict, check in ((True, verified_above), (False, verified_at_least)):
+                got = check(g, x, q, stage)
+                if (q, strict) in decided:
+                    assert got is decided[q, strict], (stage, q, strict)
+                elif got is not Verdict.UNKNOWN:
+                    decided[q, strict] = got
+                    assert (got is Verdict.YES) == (limit > q if strict else limit >= q)
 
 
 # -- the Interval-valued evaluation layer, kept as the reference ----------
@@ -686,7 +747,7 @@ def _ref_pullback(g):
 
 class _Reference:
     def __init__(self):
-        self.acc, self.best_lo = {}, {}
+        self.acc = {}
 
     def limit_under_modulus(self, g, x, stage):
         """Term N padded by 2^-j, checked against term `stage` padded."""
@@ -720,10 +781,7 @@ class _Reference:
             raw = rt_interval(g.kernel(x, stage)) if g.kind == "direct" else self.limit_under_modulus(g, x, stage)
             self.acc[key] = got = _ref_refine(self.acc.get(key), raw)
             return got
-        got = _ref_block_enclosure(lambda n: self.eval(g.term(n), x, stage), stage)
-        prev = self.best_lo.get(key)
-        self.best_lo[key] = got.lo if prev is None else max(prev, got.lo)
-        return got
+        return _ref_block_enclosure(lambda n: self.eval(g.term(n), x, stage), stage)
 
     def enclosure(self, g, x, stage):
         if stage < 0:
@@ -750,9 +808,8 @@ class _Reference:
                     return got
             return Verdict.UNKNOWN
         # a limit code reads one block, at the query's own stage, and never says No
-        self.enclosure(g, x, stage)
-        got = self._decide(self.best_lo[(id(g), x)], None, q, strict)
-        return got if got is not None else Verdict.UNKNOWN
+        box = self.enclosure(g, x, stage)
+        return Verdict.YES if self._decide(box.lo, box.hi, q, strict) is Verdict.YES else Verdict.UNKNOWN
 
 
 def _geometric_terms(limit, c, ratio):

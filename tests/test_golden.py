@@ -2,9 +2,11 @@
 region acceptance and the sqrt-reciprocal region kernel, of the gallery
 demos and an obstruction, recorded before each command returned its report
 to one writer, and of three cauchy-gap runs, recorded while the gap gauge
-was still a limit code checked against certificates from its modulus. A
-change that keeps its covers, partitions, records and obstructions must
-keep these bytes and exit codes."""
+was still a limit code checked against certificates from its modulus, and
+of four runs on modulus-free limit gauges, recorded while such a code still
+kept the largest lower end it had seen at each point. A change that keeps
+its covers, partitions, records and obstructions must keep these bytes and
+exit codes."""
 
 import pytest
 
@@ -14,6 +16,18 @@ from finecover.cli import main
 COVER = "-1/10 6/10\n4/10 11/10\n"
 # the cover CSV of the verify run, written as gap.csv
 GAP_COVER = "point,radius\nrat:1/4,1/4\nrat:3/4,1/4\n"
+# a modulus-free Baire-1 gauge and the cover its cousin run writes, written as b1.csv
+B1 = "baire1(n -> |x - 1/3|/2 + 1/16 + 2^-(n+4))"
+B1_COVER = """\
+point,radius
+rat:1/16,1/8
+rat:3/16,1/8
+rat:9/32,1/16
+rat:11/32,1/16
+rat:1/2,1/8
+rat:3/4,1/4
+rat:7/8,1/4
+"""
 
 GOLDEN = [
     (
@@ -246,6 +260,30 @@ lo,hi,tag
         3,
         "entry 1: gauge at rat:3/4 is below the radius 1/4\n",
     ),
+    # modulus-free limit gauges, whose verdicts rest on the stage observed
+    (["cousin", "--gauge", B1, "--depth", "6", "--stage", "8"], 0, B1_COVER),
+    (["verify", "--stage", "8", "--gauge", B1, "--in", "b1.csv"], 0, "cover verified\n"),
+    (["verify", "--stage", "1", "--gauge", B1, "--in", "b1.csv"], 0, "cover verified\n"),
+    (
+        ["cousin", "--gauge", "baire2(n -> baire1(k -> |x - 1/2| + 2^-(n+4) + 2^-(k+4)))", "--depth", "5", "--stage", "4"],
+        2,
+        """\
+{
+  "space": "unit",
+  "depth_reached": 5,
+  "unresolved": [
+    "[15/32,17/32]"
+  ],
+  "trace": [
+    {
+      "region": "[15/32,17/32]",
+      "last_verdict": "UNKNOWN",
+      "stage": 4
+    }
+  ]
+}
+""",
+    ),
 ]
 
 
@@ -254,5 +292,6 @@ def test_cli_output_bytes_are_unchanged(capsys, tmp_path, monkeypatch, argv, cod
     monkeypatch.chdir(tmp_path)
     (tmp_path / "two.cov").write_text(COVER)
     (tmp_path / "gap.csv").write_text(GAP_COVER)
+    (tmp_path / "b1.csv").write_text(B1_COVER)
     assert main(argv) == code
     assert capsys.readouterr().out == want

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 from functools import cache
 
 from .covers import (
@@ -177,8 +176,8 @@ def cmd_verify(args) -> tuple[str, int]:
     with open(args.artifact) as fh:
         text = fh.read()
     header = text.splitlines()[0].strip() if text.strip() else ""
-    # each artifact kind names its noun, its (point, bound) pairs and the
-    # line that reports the pair at index i failing
+    # each artifact kind names its noun, its (point, numerator, denominator)
+    # bounds and the line that reports the bound at index i failing
     if header == "point,radius":
         cover = parse_cover_csv(text)
         if cover.space != g.domain:
@@ -186,17 +185,18 @@ def cmd_verify(args) -> tuple[str, int]:
         witness = uncovered_witness(cover)
         if witness is not None:
             return f"not a cover: {point_str(witness)} is uncovered\n", EXIT_FAILED
-        noun, pairs = "cover", cover.entries()
+        entries = cover.entries()
+        noun, bounds = "cover", [(p, r.numerator, r.denominator) for p, r in entries]
 
         def failure(i: int) -> str:
-            p, r = pairs[i]
+            p, r = entries[i]
             return f"entry {i}: gauge at {point_str(p)} is below the radius {rat_str(r)}"
 
     elif header == "lo,hi,tag":
         if g.domain != "unit":
             raise ValueError("partitions live on the unit interval")
         part = parse_partition_csv(text)
-        noun, pairs = "partition", ((tag, Fraction(wn, wd)) for tag, wn, wd in part.widths())
+        noun, bounds = "partition", part.widths()
 
         def failure(i: int) -> str:
             lo, hi, tag = part.cuts[i], part.cuts[i + 1], part.tags[i]
@@ -204,7 +204,7 @@ def cmd_verify(args) -> tuple[str, int]:
 
     else:
         raise ValueError(f"unrecognized artifact header {header!r}")
-    worst, bad = check_fineness(g, pairs, stage)
+    worst, bad = check_fineness(g, bounds, stage)
     if bad is not None:
         return failure(bad) + "\n", EXIT_FAILED
     if worst is Verdict.YES:

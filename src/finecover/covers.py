@@ -17,8 +17,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from operator import attrgetter, ge, gt, itemgetter
+from functools import cached_property
+from math import gcd, lcm
+from operator import attrgetter, ge, gt
 from typing import Optional, Union
 
 from .exact import (
@@ -29,7 +30,7 @@ from .exact import (
     rt_cell,
     simplest_dyadic_between,
 )
-from .gauges import DomainError, GaugeCode, Verdict, verified_above, verified_at_least
+from .gauges import DomainError, GaugeCode, Verdict, _verdict, verified_above, verified_at_least
 from .spaces import (
     CantorPoint,
     Cylinder,
@@ -41,7 +42,7 @@ from .spaces import (
 )
 
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
+_ONE = Fraction(1)
 
 
 class MalformedPartition(ValueError):
@@ -52,59 +53,80 @@ class NotACover(ValueError):
     """An operation requiring an exact covering received a non-covering."""
 
 
-@dataclass(frozen=True)
 class TaggedPartition:
-    """Cuts 0 = x0 <= x1 <= ... <= xn = 1 with a tag in every cell."""
+    """Cuts 0 = x0 <= x1 <= ... <= xn = 1 with a tag in every cell.
 
-    cuts: tuple
-    tags: tuple
+    Held as `ends`, each cut as its reduced (numerator, denominator), and
+    `tags`; the cuts as Fractions are built when first read. Equality,
+    hash and repr are those of the pair (cuts, tags), and no attribute
+    can be assigned.
+    """
 
-    def __post_init__(self) -> None:
+    def __init__(self, cuts, tags) -> None:
         # cuts that already are Fractions are kept as they are
-        cuts = tuple(c if type(c) is Fraction else Fraction(c) for c in self.cuts)
-        tags = tuple(self.tags)
-        object.__setattr__(self, "cuts", cuts)
-        object.__setattr__(self, "tags", tags)
-        if len(cuts) < 2:
+        cuts = tuple(c if type(c) is Fraction else Fraction(c) for c in cuts)
+        vars(self)["cuts"] = cuts
+        self._build(tuple((c.numerator, c.denominator) for c in cuts), tuple(tags))
+
+    @classmethod
+    def from_ends(cls, ends, tags) -> TaggedPartition:
+        """The partition whose cuts are n/d for the reduced pairs (n, d), d > 0, of `ends`."""
+        part = cls.__new__(cls)
+        part._build(tuple(ends), tuple(tags))
+        return part
+
+    def _build(self, ends: tuple, tags: tuple) -> None:
+        """Hold the ends and tags, then check the invariants on the ends."""
+        vars(self).update(ends=ends, tags=tags)
+        if len(ends) < 2:
             raise MalformedPartition("need at least the two endpoint cuts")
-        if cuts[0] != 0 or cuts[-1] != 1:
-            raise MalformedPartition(f"cuts must run from 0 to 1, got {cuts[0]}..{cuts[-1]}")
-        ends = [(c.numerator, c.denominator) for c in cuts]
-        object.__setattr__(self, "_ends", ends)
+        if ends[0][0] != 0 or ends[-1][0] != ends[-1][1]:
+            raise MalformedPartition(f"cuts must run from 0 to 1, got {self.cuts[0]}..{self.cuts[-1]}")
         if any(an * bd > bn * ad for (an, ad), (bn, bd) in zip(ends, ends[1:])):
             raise MalformedPartition("cuts must be nondecreasing")
-        if len(tags) != len(cuts) - 1:
-            raise MalformedPartition(f"{len(cuts) - 1} cells but {len(tags)} tags")
+        if len(tags) != len(ends) - 1:
+            raise MalformedPartition(f"{len(ends) - 1} cells but {len(tags)} tags")
         for i, tag in enumerate(tags):
             if not isinstance(tag, UnitPoint):
                 raise MalformedPartition(f"tag {i} is not a point of [0,1]")
-            lo, hi = cuts[i], cuts[i + 1]
+            (ln, ld), (hn, hd) = ends[i], ends[i + 1]
+            v = tag.exact
+            if type(v) is Fraction:
+                vn, vd = v.numerator, v.denominator
+                if vn * ld < ln * vd or vn * hd > hn * vd:
+                    raise MalformedPartition(f"tag {i} = {v} outside its cell [{self.cuts[i]},{self.cuts[i + 1]}]")
+                continue
+            lo, hi = Fraction(ln, ld), Fraction(hn, hd)
             if tag.is_exact:
-                v = tag.exact
-                if type(v) is Fraction:
-                    vn, vd = v.numerator, v.denominator
-                    (ln, ld), (hn, hd) = ends[i], ends[i + 1]
-                    out = vn * ld < ln * vd or vn * hd > hn * vd
-                else:
-                    out = v < lo or v > hi
-                if out:
+                if v < lo or v > hi:
                     raise MalformedPartition(f"tag {i} = {v} outside its cell [{lo},{hi}]")
             else:
                 box = tag.approx(24 if tag.prec is None else min(24, tag.prec))
                 if box.hi < lo or box.lo > hi:
                     raise MalformedPartition(f"tag {i} verifiably outside its cell [{lo},{hi}]")
 
-    @property
-    def cells(self):
-        return [
-            (self.cuts[i], self.cuts[i + 1], self.tags[i])
-            for i in range(len(self.tags))
-        ]
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    @cached_property
+    def cuts(self) -> tuple:
+        return tuple(Fraction(n, d) for n, d in self.ends)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ends == other.ends and self.tags == other.tags
+
+    def __hash__(self) -> int:
+        return hash((self.cuts, self.tags))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(cuts={self.cuts!r}, tags={self.tags!r})"
 
     def widths(self):
         """(tag, wn, wd) for each cell in order: its width wn/wd taken on
         the cut numerators, over the lcm of the two cuts' denominators."""
-        ends = self._ends
+        ends = self.ends
         for tag, (an, ad), (bn, bd) in zip(self.tags, ends, ends[1:]):
             if ad == bd:
                 yield tag, bn - an, ad
@@ -205,7 +227,7 @@ def _value(n, d: int):
 
 
 def _sweep(cover: FineCover) -> tuple[list, Optional[Fraction]]:
-    """One pass over a unit cover's balls, sorted once by left end.
+    """One pass over a unit cover's balls in the cover's order, by centre.
 
     Returns the rows of the balls that meet [0,1] and that no other ball
     contains, in ascending order of both ends, and the witness of the first
@@ -214,43 +236,45 @@ def _sweep(cover: FineCover) -> tuple[list, Optional[Fraction]]:
     meets [0,1] in at most an endpoint is skipped: one with hi = 0 never
     extends the reach, and one with lo = 1 can only set the gap to 1, the
     bound the witness takes anyway.
-    The covering sweep runs over the kept balls only; a dropped ball lies
-    inside a kept one whose left end is no larger, so it never extends the
-    reach and the first left end past the reach is a kept ball's.
+
+    The kept balls form a stack that rises in both ends. A ball whose
+    right end is no larger than the top's lies inside the top, since its
+    centre is no smaller, and is skipped; otherwise the kept balls whose
+    left end is no smaller than its own lie inside it and are popped. Every
+    ball seen lies inside one on the stack, so the stack ends as the balls
+    no other contains. The covering sweep then runs over the kept balls
+    only: a dropped ball lies inside a kept one, so it never extends the
+    reach, and the first left end past the reach is a kept ball's.
 
     A row (lo, hi, d, c, point, radius) holds the ball's ends and centre as
     numerators over the row's own denominator d, the lcm of the centre's
     and the radius's, so its integers stay the size of one row whatever
-    the cover. Rows compare by cross-multiplication; ties in the sort keep
-    the cover's order. A quadratic centre's numerator is a QuadVal with
-    integer parts, which multiplies, subtracts and compares like an int.
+    the cover. Rows compare by cross-multiplication. A quadratic centre's
+    numerator is a QuadVal with integer parts, which multiplies, subtracts
+    and compares like an int.
     """
-    rows = []
+    kept = []
     for p in cover.points:
         v, r = p.exact, cover.radii[p]
         vd, rd = v.denominator, r.denominator
         d = lcm(vd, rd)
         c, s = v.numerator * (d // vd), r.numerator * (d // rd)
         lo, hi = c - s, c + s
-        if hi > 0 and lo < d:
-            rows.append((lo, hi, d, c, p, r))
-    _sort_by_value(rows, itemgetter(0), itemgetter(2))
-    kept = []
-    reach, reach_d, gap = 0, 1, None  # [0, reach/reach_d] is covered up to the first gap
-    for row in rows:
-        lo, hi, d = row[0], row[1], row[2]
+        if hi <= 0 or lo >= d:
+            continue
         if kept:
-            last = kept[-1]
-            if hi * last[2] <= last[1] * d:
+            if hi * kept[-1][2] <= kept[-1][1] * d:
                 continue  # inside the last kept ball
-            if lo * last[2] == last[0] * d:
+            while kept and kept[-1][0] * d >= lo * kept[-1][2]:
                 kept.pop()  # the last kept ball is inside this one
-        kept.append(row)
-        if gap is None:
-            if lo * reach_d > reach * d:
-                gap = row
-            elif hi * reach_d > reach * d:
-                reach, reach_d = hi, d
+        kept.append((lo, hi, d, c, p, r))
+    reach, reach_d, gap = 0, 1, None  # [0, reach/reach_d] is covered up to the first gap
+    for row in kept:
+        lo, hi, d = row[0], row[1], row[2]
+        if lo * reach_d > reach * d:
+            gap = row
+            break
+        reach, reach_d = hi, d
     if reach >= reach_d:
         return kept, None
     # every row starts below 1, so the gap does too
@@ -290,15 +314,17 @@ def uncovered_witness(cover: FineCover):
     return None
 
 
-def check_fineness(g: GaugeCode, pairs, stage: int) -> tuple[Verdict, Optional[int]]:
-    """Check "gauge at x >= q" for each (x, q) in order, stopping at the first No.
+def check_fineness(g: GaugeCode, bounds, stage: int) -> tuple[Verdict, Optional[int]]:
+    """Check "gauge at x >= qn/qd" for each triple (x, qn, qd) in order, an
+    int numerator over a positive int denominator, not necessarily reduced,
+    stopping at the first No.
 
     Returns the worst verdict (No, else Unknown if any, else Yes) and the
-    index of the pair that said No, or None.
+    index of the triple that said No, or None.
     """
     worst = Verdict.YES
-    for i, (x, q) in enumerate(pairs):
-        v = verified_at_least(g, x, q, stage)
+    for i, (x, qn, qd) in enumerate(bounds):
+        v = _verdict(g, x, qn, qd, stage, False)
         if v is Verdict.NO:
             return v, i
         if v is Verdict.UNKNOWN:
@@ -308,24 +334,20 @@ def check_fineness(g: GaugeCode, pairs, stage: int) -> tuple[Verdict, Optional[i
 
 def verify_partition(g: GaugeCode, part: TaggedPartition, stage: int) -> Verdict:
     """Is every cell within the gauge at its tag? Yes / No / Unknown."""
-    return check_fineness(g, ((tag, Fraction(wn, wd)) for tag, wn, wd in part.widths()), stage)[0]
+    return check_fineness(g, part.widths(), stage)[0]
 
 
 def verify_cover(g: GaugeCode, cover: FineCover, stage: int) -> Verdict:
     """Exact covering check, then per-point radius-below-gauge verdicts."""
     if uncovered_witness(cover) is not None:
         return Verdict.NO
-    return check_fineness(g, cover.entries(), stage)[0]
+    return check_fineness(g, ((p, r.numerator, r.denominator) for p, r in cover.entries()), stage)[0]
 
 
 def partition_to_cover(part: TaggedPartition) -> FineCover:
-    """Tags become cover points with twice the cell width as radius."""
-    entries = []
-    for lo, hi, tag in part.cells:
-        if hi == lo:
-            continue  # radius would be 0; those cells carry no ball
-        entries.append((tag, 2 * (hi - lo)))
-    return FineCover(entries)
+    """Tags become cover points with twice the cell width as radius; cells
+    of width 0 carry no ball."""
+    return FineCover([(tag, Fraction(2 * wn, wd)) for tag, wn, wd in part.widths() if wn])
 
 
 def _minimal_rows(cover: FineCover) -> list:
@@ -344,19 +366,22 @@ def minimize_cover(cover: FineCover) -> FineCover:
     return FineCover([(row[4], row[5]) for row in _minimal_rows(cover)])
 
 
-def _cut(lo, lo_d: int, hi, hi_d: int) -> Fraction:
+def _cut(lo, lo_d: int, hi, hi_d: int) -> tuple[int, int]:
     """The cut in the overlap [lo/lo_d, hi/hi_d] of two neighbours, with
-    lo/lo_d <= hi/hi_d: the midpoint when it is rational, else the simplest
-    dyadic rational strictly inside."""
+    lo/lo_d <= hi/hi_d, as a reduced (n, d): the midpoint when it is
+    rational, else the simplest dyadic rational strictly inside."""
     x, y = lo * hi_d, hi * lo_d
-    m = x + y  # the midpoint is m / (2 lo_d hi_d)
+    m, d = x + y, 2 * lo_d * hi_d  # the midpoint is m / d
     if isinstance(m, QuadVal):
         if not m.is_rational:
             if x == y:
                 raise NotACover(f"overlap degenerates to the irrational point {_value(lo, lo_d)}")
-            return simplest_dyadic_between(_value(lo, lo_d), _value(hi, hi_d))
-        m = m.as_fraction()
-    return Fraction(m, 2 * lo_d * hi_d)
+            q = simplest_dyadic_between(_value(lo, lo_d), _value(hi, hi_d))
+            return q.numerator, q.denominator
+        q = m.as_fraction()
+        m, d = q.numerator, q.denominator * d
+    k = gcd(m, d)
+    return m // k, d // k
 
 
 def cover_to_partition(cover: FineCover) -> TaggedPartition:
@@ -366,23 +391,23 @@ def cover_to_partition(cover: FineCover) -> TaggedPartition:
     simplest dyadic rational strictly inside (cover points may be exact
     quadratic irrationals; cuts must stay rational). A kept ball centred
     outside [0,1] is a NotACover, since its centre cannot be a tag. The
-    overlaps are compared on the rows' numerators; a Fraction is built for
-    each cut only.
+    overlaps are compared on the rows' numerators, and the partition is
+    built from its cuts' integer ends.
     """
     rows = _minimal_rows(cover)
     for _, _, d, c, p, _ in rows:
         if not 0 <= c <= d:
             raise NotACover(f"ball centred at {p.exact} outside [0,1] cannot tag a cell")
-    cuts = [_ZERO]
+    ends = [(0, 1)]
     for (_, hi0, d0, c0, p0, _), (lo1, _, d1, c1, p1, _) in zip(rows, rows[1:]):
         # the overlap [max(centre 0, left end 1), min(centre 1, right end 0)]
         lo, lo_d = (c0, d0) if c0 * d1 >= lo1 * d0 else (lo1, d1)
         hi, hi_d = (c1, d1) if c1 * d0 <= hi0 * d1 else (hi0, d0)
         if lo * hi_d > hi * lo_d:
             raise NotACover(f"adjacent balls at {p0.exact} and {p1.exact} fail to overlap")
-        cuts.append(_cut(lo, lo_d, hi, hi_d))
-    cuts.append(_ONE)
-    return TaggedPartition(tuple(cuts), tuple(row[4] for row in rows))
+        ends.append(_cut(lo, lo_d, hi, hi_d))
+    ends.append((1, 1))
+    return TaggedPartition.from_ends(ends, [row[4] for row in rows])
 
 
 # -- subdivision searches ------------------------------------------------

@@ -331,12 +331,11 @@ def eval_enclosure(g: GaugeCode, x: Point, stage: int) -> Interval:
     return rt_interval(g._eval(x, stage))
 
 
-def _verdict(g: GaugeCode, x: Point, q, stage: int, strict: bool) -> Verdict:
+def _verdict(g: GaugeCode, x: Point, qn: int, qd: int, stage: int, strict: bool) -> Verdict:
+    """The verdict on "gauge at x > qn/qd" (strict) or ">=", for an int
+    numerator and a positive int denominator, not necessarily reduced."""
     if stage < 0:
         raise ValueError("stage must be >= 0")
-    if type(q) is not Fraction:
-        q = Fraction(q)
-    qn, qd = q.numerator, q.denominator
     if qn < 0:
         raise ValueError("need q >= 0")
     # A point code climbs the ladder, and its triple is the accumulated one,
@@ -354,18 +353,23 @@ def _verdict(g: GaugeCode, x: Point, q, stage: int, strict: bool) -> Verdict:
             if point:
                 return Verdict.NO
         elif yes:
-            raise CauchyViolation(f"code {g!r} verifies both sides of {'>' if strict else '>='} {q} at {x!r}")
+            what = f"{'>' if strict else '>='} {Fraction(qn, qd)}"
+            raise CauchyViolation(f"code {g!r} verifies both sides of {what} at {x!r}")
     return Verdict.UNKNOWN
 
 
 def verified_above(g: GaugeCode, x: Point, q, stage: int) -> Verdict:
     """Three-valued answer to "gauge value at x > q", permanent once decided."""
-    return _verdict(g, x, q, stage, strict=True)
+    if type(q) is not Fraction:
+        q = Fraction(q)
+    return _verdict(g, x, q.numerator, q.denominator, stage, strict=True)
 
 
 def verified_at_least(g: GaugeCode, x: Point, q, stage: int) -> Verdict:
     """Like verified_above but for the non-strict "gauge value at x >= q"."""
-    return _verdict(g, x, q, stage, strict=False)
+    if type(q) is not Fraction:
+        q = Fraction(q)
+    return _verdict(g, x, q.numerator, q.denominator, stage, strict=False)
 
 
 # -- fused kernels -------------------------------------------------------

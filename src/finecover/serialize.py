@@ -134,8 +134,10 @@ def partition_csv(part: TaggedPartition) -> str:
     out = io.StringIO()
     w = csv.writer(out, lineterminator="\n")
     w.writerow(["lo", "hi", "tag"])
-    for lo, hi, tag in part.cells:
-        w.writerow([rat_str(lo), rat_str(hi), unit_str(tag)])
+    # the ends are reduced, so n/d is the canonical form rat_str writes
+    ends = part.ends
+    for (an, ad), (bn, bd), tag in zip(ends, ends[1:], part.tags):
+        w.writerow([f"{an}/{ad}", f"{bn}/{bd}", unit_str(tag)])
     return out.getvalue()
 
 

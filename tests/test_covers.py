@@ -1,3 +1,6 @@
+import cProfile
+import fractions
+import pstats
 import random
 from fractions import Fraction
 from math import ceil, floor
@@ -58,7 +61,7 @@ from finecover.gauges import (
     verified_at_least,
 )
 from finecover.gaugespec import parse_gauge
-from finecover.integral import builtin_integrands, default_depth, dirichlet_hints
+from finecover.integral import builtin_integrands, default_depth, dirichlet_hints, riemann_sum
 from finecover.serialize import cover_csv
 from finecover.spaces import CantorPoint, Cylinder, UnitPoint, cylinder_for_ball
 
@@ -97,7 +100,7 @@ def test_partition_accepts_zero_width_cell_and_opaque_tag():
         (F(0), F(1, 2), F(1, 2), F(1)),
         (up("1/4"), up("1/2"), up("3/4")),
     )
-    assert len(t.cells) == 3
+    assert len(t.tags) == 3
     # opaque tag straddling its cell boundary is not refutable
     wob = UnitPoint.from_fn(lambda k: Interval(F(1, 2) - pow2(-k - 1), F(1, 2) + pow2(-k - 1)))
     TaggedPartition((F(0), F(1, 2), F(1)), (wob, up("3/4")))
@@ -134,6 +137,75 @@ def test_partition_quad_tag_membership_at_both_cell_ends(inner, cell, at_hi, ins
     with pytest.raises(MalformedPartition) as err:
         TaggedPartition(cuts, tuple(tags))
     assert str(err.value) == f"tag {cell} = {QuadVal(a, b)} outside its cell [{lo},{hi}]"
+
+
+_QUAD_TAG = UnitPoint.from_quad(QuadVal(F(1, 4), F(1, 8)))  # 1/4 + sqrt(2)/8, about 0.427
+_FAR_BOX = UnitPoint.from_fn(lambda k: Interval(F(7, 8), F(7, 8)))
+
+# (cuts, tags, the message of the MalformedPartition they raise)
+_MALFORMED = [
+    ((F(0),), (), "need at least the two endpoint cuts"),
+    ((F(0), F(1, 2)), (up("1/4"),), "cuts must run from 0 to 1, got 0..1/2"),
+    ((F(1, 3), F(1)), (up("1/2"),), "cuts must run from 0 to 1, got 1/3..1"),
+    ((F(0), F(3, 4), F(1, 2), F(1)), (up(0), up("1/2"), up("3/4")), "cuts must be nondecreasing"),
+    ((F(0), F(1, 2), F(1)), (up("1/4"),), "2 cells but 1 tags"),
+    ((F(0), F(1)), (up("1/4"), up("3/4")), "1 cells but 2 tags"),
+    ((F(0), F(1, 2), F(1)), (up("1/4"), CantorPoint.from_pattern("", "0")), "tag 1 is not a point of [0,1]"),
+    ((F(0), F(1, 2), F(1)), (up("7/8"), up("3/4")), "tag 0 = 7/8 outside its cell [0,1/2]"),
+    ((F(0), F(1, 3), F(1)), (up("1/6"), up("1/4")), "tag 1 = 1/4 outside its cell [1/3,1]"),
+    ((F(0), F(1, 2), F(1)), (up("1/4"), _QUAD_TAG), "tag 1 = 1/4 + 1/8*sqrt2 outside its cell [1/2,1]"),
+    ((F(0), F(1, 3), F(1)), (_QUAD_TAG, up("1/2")), "tag 0 = 1/4 + 1/8*sqrt2 outside its cell [0,1/3]"),
+    ((F(0), F(1, 2), F(1)), (_FAR_BOX, up("3/4")), "tag 0 verifiably outside its cell [0,1/2]"),
+]
+
+
+@pytest.mark.parametrize("cuts, tags, message", _MALFORMED)
+def test_a_malformed_partition_says_why_from_cuts_and_from_ends(cuts, tags, message):
+    """Each check gives the same text whether the partition is built from
+    Fraction cuts or from their integer ends."""
+    with pytest.raises(MalformedPartition) as err:
+        TaggedPartition(cuts, tags)
+    assert str(err.value) == message
+    with pytest.raises(MalformedPartition) as err:
+        TaggedPartition.from_ends([(c.numerator, c.denominator) for c in cuts], tags)
+    assert str(err.value) == message
+
+
+@settings(max_examples=100, deadline=None)
+@given(inner=st.lists(st.fractions(0, 1, max_denominator=60), max_size=6), share=st.fractions(0, 1, max_denominator=8))
+def test_a_partition_from_its_ends_reads_as_the_one_from_its_cuts(inner, share):
+    cuts = (F(0), *sorted(inner), F(1))
+    tags = tuple(up(lo + (hi - lo) * share) for lo, hi in zip(cuts, cuts[1:]))
+    made = TaggedPartition(cuts, tags)
+    built = TaggedPartition.from_ends([(c.numerator, c.denominator) for c in cuts], tags)
+    assert built == made and hash(built) == hash(made)
+    assert repr(built) == repr(made) == f"TaggedPartition(cuts={cuts!r}, tags={tags!r})"
+    assert built.cuts == cuts and all(type(c) is F for c in built.cuts)
+    assert list(built.widths()) == list(made.widths())
+    for field in ("cuts", "tags", "ends"):
+        with pytest.raises(AttributeError):
+            setattr(built, field, ())
+
+
+def test_converting_checking_and_summing_build_no_fraction_per_cell():
+    """The 4,096-cell identity integral at eps = 1/512: converting the cover,
+    re-checking its fineness and summing build a fixed number of Fractions,
+    the sum's two ends, not one per cut or per width."""
+    f, fam, _ = builtin_integrands()["identity"]
+    eps = F(1, 512)
+    g = fam(eps)
+    cover = find_cover_unit(scale_code(g, F(1, 2)), default_depth("identity", eps), 48)
+    assert len(cover) == 4096
+    profile = cProfile.Profile()
+    profile.enable()
+    part = cover_to_partition(cover)
+    check = verify_partition(g, part, 48)
+    total = riemann_sum(f, part, 10)
+    profile.disable()
+    assert check is Verdict.YES and total == Interval.point(F(1, 2))
+    made = sum(calls for (path, _, name), (_, calls, *_) in pstats.Stats(profile).stats.items()
+               if name == "__new__" and path == fractions.__file__)
+    assert made <= 4
 
 
 # -- verify_partition ----------------------------------------------------
@@ -417,8 +489,10 @@ def _unit_covers(draw):
     (gaps at 0, inside or near 1, unless the neighbours still reach), random
     rational and quadratic balls over small and prime denominators, and
     balls derived from drawn ones: inside them, inside them with the same
-    left end, around them with the same left end, and with the same left
-    end over another denominator."""
+    left end, around them with the same left end, with the same left end
+    over another denominator, and a neighbour overlapping them followed by
+    a ball around both, centred after them, which the sweep's stack keeps
+    and then pops together."""
     n = draw(st.sampled_from([1, 2, 4, 8, 16, 3, 5, 7, 11, 13]))
     stretch = draw(st.sampled_from([F(1, 2), F(3, 4), F(1)]))
     dropped = draw(st.sets(st.integers(0, n - 1), max_size=2))
@@ -426,7 +500,7 @@ def _unit_covers(draw):
     balls += draw(st.lists(st.tuples(_EXTRA_POINTS, _SMALL), max_size=6))
     if not balls:
         balls.append(draw(st.tuples(_EXTRA_POINTS, _SMALL)))
-    for j, how, s in draw(st.lists(st.tuples(st.integers(0, 99), st.integers(0, 3), _SMALL), max_size=4)):
+    for j, how, s in draw(st.lists(st.tuples(st.integers(0, 99), st.integers(0, 4), _SMALL), max_size=4)):
         v, r = balls[j % len(balls)]
         if how == 0:
             ball = v + r / 4, r / 2  # strictly inside
@@ -434,8 +508,12 @@ def _unit_covers(draw):
             ball = v - r / 4, 3 * r / 4  # inside, same left end
         elif how == 2:
             ball = v + s / 4, r + s / 4  # around, same left end
-        else:
+        elif how == 3:
             ball = v - r + s, s  # same left end, radius s
+        else:
+            if -1 <= v + r <= 2:
+                balls.append((v + r, r))  # overlapping it on the right
+            ball = v + 2 * r + s, 3 * r + s  # around both, centred after them
         if -1 <= ball[0] <= 2:  # a point's ambient interval
             balls.append(ball)
     return FineCover([(_point(v), r) for v, r in balls])
@@ -445,7 +523,11 @@ def _unit_covers(draw):
 @given(cover=_unit_covers())
 def test_one_sweep_matches_the_two_sort_conversion(cover):
     """uncovered_witness, minimize_cover and cover_to_partition give what
-    the two-sort conversion gives, or raise the same NotACover."""
+    the two-sort conversion gives, or raise the same NotACover; the
+    partition, built from its cuts' integer ends, reads as the one built
+    from Fraction cuts. The one-pass sweep keeps the rows the sort by left
+    end keeps."""
+    assert _sweep(cover) == ref_sweep(cover.points, cover.radii)
     assert uncovered_witness(cover) == _ref_witness(cover)
     for new, ref in ((minimize_cover, _ref_minimize), (cover_to_partition, _ref_cover_to_partition)):
         try:
@@ -459,7 +541,20 @@ def test_one_sweep_matches_the_two_sort_conversion(cover):
         if isinstance(want, FineCover):
             assert got.entries() == want.entries()
         else:
-            assert got == want
+            assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+            assert got.cuts == want.cuts and list(got.widths()) == list(want.widths())
+
+
+def test_a_ball_around_earlier_kept_balls_pops_them_all():
+    """The balls at 1/8, 1/4 and 3/8 of radius 1/8 are kept in turn, each
+    reaching past the last; the ball at 1/2 of radius 1/2, centred after
+    them, contains all three and pops them together."""
+    cover = FineCover([(up(F(n, 8)), F(1, 8)) for n in (1, 2, 3)] + [(up(F(1, 2)), F(1, 2)), (up(F(7, 8)), F(1, 4))])
+    kept, witness = _sweep(cover)
+    assert [(row[4], row[5]) for row in kept] == [(up(F(1, 2)), F(1, 2)), (up(F(7, 8)), F(1, 4))]
+    assert witness is None
+    assert (kept, witness) == ref_sweep(cover.points, cover.radii)
+    assert cover_to_partition(cover) == _ref_cover_to_partition(cover)
 
 
 _CENTRES = st.one_of(

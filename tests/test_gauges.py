@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from interval_ref import ref_intersect, ref_pad
 from kernel_ref import continuous_add, continuous_identity
 
+from finecover.covers import TaggedPartition, verify_partition
 from finecover.exact import CauchyViolation, Interval, QuadVal, pow2, pow3, rt_cell, rt_interval, rt_intersect, rt_of, rt_point
 from finecover.gallery import OracleSpec, cauchy_gap_gauge, default_cauchy_spec, oracle_pin_gauge, pin_index
 from finecover.gauges import (
@@ -16,6 +17,7 @@ from finecover.gauges import (
     DirectCode,
     DomainError,
     Verdict,
+    _verdict,
     continuous_const,
     eval_enclosure,
     kernel_abs,
@@ -33,6 +35,7 @@ from finecover.gauges import (
     verified_above,
     verified_at_least,
 )
+from finecover.gaugespec import parse_gauge
 from finecover.spaces import CantorPoint, Cylinder, UnitPoint, phi
 from finecover.integral import builtin_integrands, stern_brocot_index
 
@@ -1056,3 +1059,45 @@ def test_pin_kernel_matches_its_interval_evaluator(z, point, near, stages):
     for x in (point(), zed, CantorPoint(lambda i: zed.bit(i) ^ (i >= near))):
         for s in stages:
             assert rt_interval(code.kernel(x, s)) == at(x, s), (x, s)
+
+
+# |x - 1/3| + 1/8 as every code kind, the limits' terms converging to it from above
+_BOUND_CODES = {
+    "continuous": lambda: parse_gauge("|x - 1/3| + 1/8"),
+    "direct": lambda: DirectCode(lambda x, s: rt_point(abs(x.exact_value() - Fraction(1, 3)) + Fraction(1, 8))),
+    "modulus": lambda: modulus_limit(lambda n: parse_gauge(f"|x - 1/3| + 1/8 + 2^-{n + 2}"), lambda j: j),
+    "baire1": lambda: parse_gauge("baire1(n -> |x - 1/3| + 1/8 + 2^-(n+2))"),
+    "baire2": lambda: parse_gauge("baire2(n -> baire1(k -> |x - 1/3| + 1/8 + 2^-(n+2) + 2^-(k+2)))"),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(_BOUND_CODES)),
+    x=st.fractions(0, 1, max_denominator=12),
+    q=st.fractions(0, 1, max_denominator=24),
+    k=st.integers(1, 6),
+    strict=st.booleans(),
+    stage=st.integers(0, 12),
+)
+def test_a_bound_over_any_denominator_gives_the_reduced_bounds_verdict(kind, x, q, k, strict, stage):
+    """_verdict on the unreduced bound (k n, k d) answers what verified_above
+    or verified_at_least answers on n/d, each on a fresh code."""
+    point = UnitPoint.from_rat(x)
+    public = verified_above if strict else verified_at_least
+    want = public(_BOUND_CODES[kind](), point, q, stage)
+    got = _verdict(_BOUND_CODES[kind](), point, k * q.numerator, k * q.denominator, stage, strict)
+    assert got is want
+
+
+def test_both_sides_of_an_unreduced_width_prints_the_reduced_bound():
+    """A code whose enclosure at 1/2 is the inverted [3/4, 1/4] verifies both
+    sides of the middle cell's width, which `widths` gives as 2/4."""
+    half = UnitPoint.from_rat(Fraction(1, 2))
+    g = DirectCode(lambda x, s: (3, 1, 4) if x == half else (1, 1, 1), label="inverted")
+    part = TaggedPartition((Fraction(0), Fraction(1, 4), Fraction(3, 4), Fraction(1)),
+                           tuple(UnitPoint.from_rat(Fraction(n, 8)) for n in (1, 4, 7)))
+    assert [(wn, wd) for _, wn, wd in part.widths()] == [(1, 4), (2, 4), (1, 4)]
+    with pytest.raises(CauchyViolation) as err:
+        verify_partition(g, part, 8)
+    assert str(err.value) == f"code DirectCode(inverted, domain=unit) verifies both sides of >= 1/2 at {half!r}"

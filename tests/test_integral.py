@@ -63,7 +63,7 @@ def test_riemann_sum_propagates_evaluator_failure():
 def _ref_riemann_sum(f, part, prec):
     """The Interval fold riemann_sum was written as before its integer sum."""
     total = Interval.point(F(0))
-    for lo, hi, tag in part.cells:
+    for lo, hi, tag in zip(part.cuts, part.cuts[1:], part.tags):
         if hi != lo:
             box = f.at(tag, prec)
             total = ref_add(total, Interval((hi - lo) * box.lo, (hi - lo) * box.hi))

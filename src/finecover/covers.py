@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import attrgetter, ge, gt
+from operator import ge, gt
 from typing import Optional, Union
 
 from .exact import (
@@ -90,16 +90,15 @@ class TaggedPartition:
             if not isinstance(tag, UnitPoint):
                 raise MalformedPartition(f"tag {i} is not a point of [0,1]")
             (ln, ld), (hn, hd) = ends[i], ends[i + 1]
-            v = tag.exact
-            if type(v) is Fraction:
-                vn, vd = v.numerator, v.denominator
+            vn, vd = tag.num, tag.den
+            if type(vn) is int:
                 if vn * ld < ln * vd or vn * hd > hn * vd:
-                    raise MalformedPartition(f"tag {i} = {v} outside its cell [{self.cuts[i]},{self.cuts[i + 1]}]")
+                    raise MalformedPartition(f"tag {i} = {tag.exact} outside its cell [{self.cuts[i]},{self.cuts[i + 1]}]")
                 continue
             lo, hi = Fraction(ln, ld), Fraction(hn, hd)
-            if tag.is_exact:
-                if v < lo or v > hi:
-                    raise MalformedPartition(f"tag {i} = {v} outside its cell [{lo},{hi}]")
+            if vn is not None:
+                if tag.exact < lo or tag.exact > hi:
+                    raise MalformedPartition(f"tag {i} = {tag.exact} outside its cell [{lo},{hi}]")
             else:
                 box = tag.approx(24 if tag.prec is None else min(24, tag.prec))
                 if box.hi < lo or box.lo > hi:
@@ -177,7 +176,7 @@ class FineCover:
         if space == "cantor":
             self.points.sort(key=_cantor_sort_key)
         else:
-            _sort_by_value(self.points, attrgetter("exact.numerator"), attrgetter("exact.denominator"))
+            _sort_by_value(self.points)
         self.radii: dict = merged
 
     def __len__(self) -> int:
@@ -208,17 +207,17 @@ class Obstruction:
     space: str
 
 
-def _sort_by_value(items: list, num, den) -> None:
-    """Sort items stably by the value num(x)/den(x), an int or QuadVal
+def _sort_by_value(points: list) -> None:
+    """Sort exact unit points stably by value, num/den: an int or QuadVal
     numerator over a positive int. With int numerators the key is the
     integer (n << k) // d, for k past twice the bit length of the largest d:
     two distinct values differ by more than 2^-k, so their keys differ the
     same way, and equal values tie. Otherwise the key is the exact value."""
-    if all(type(num(x)) is int for x in items):
-        k = 2 * max((den(x).bit_length() for x in items), default=0) + 1
-        items.sort(key=lambda x: (num(x) << k) // den(x))
+    if all(type(p.num) is int for p in points):
+        k = 2 * max((p.den.bit_length() for p in points), default=0) + 1
+        points.sort(key=lambda p: (p.num << k) // p.den)
     else:
-        items.sort(key=lambda x: _value(num(x), den(x)))
+        points.sort(key=lambda p: _value(p.num, p.den))
 
 
 def _value(n, d: int):
@@ -255,10 +254,10 @@ def _sweep(cover: FineCover) -> tuple[list, Optional[Fraction]]:
     """
     kept = []
     for p in cover.points:
-        v, r = p.exact, cover.radii[p]
-        vd, rd = v.denominator, r.denominator
+        vd, r = p.den, cover.radii[p]
+        rd = r.denominator
         d = lcm(vd, rd)
-        c, s = v.numerator * (d // vd), r.numerator * (d // rd)
+        c, s = p.num * (d // vd), r.numerator * (d // rd)
         lo, hi = c - s, c + s
         if hi <= 0 or lo >= d:
             continue
@@ -516,7 +515,7 @@ def find_cover_unit(g: GaugeCode, depth: int, stage: int, hints=()) -> Union[Fin
         return values and hints[bisect_left(values, Fraction(i, n)) : bisect_right(values, Fraction(i + 1, n))]
 
     def first(i: int, level: int):
-        return None if hinted(i, level) else UnitPoint(Fraction(2 * i + 1, 2 << level))
+        return None if hinted(i, level) else UnitPoint(2 * i + 1, 2 << level)
 
     def samples(i: int, level: int):
         nonlocal at, here, above
@@ -530,7 +529,8 @@ def find_cover_unit(g: GaugeCode, depth: int, stage: int, hints=()) -> Union[Fin
                 # an even k is the point k/2 of the level before
                 cand = None if k & 1 else above.get(k >> 1)
                 if cand is None:
-                    cand = UnitPoint.from_rat(Fraction(k, 2 << level))
+                    s = (k & -k).bit_length() - 1 if k else level + 1  # the power of two k and 2 << level share
+                    cand = UnitPoint(k >> s, (2 << level) >> s)
                 here[k] = cand
             if cand not in in_cell:
                 yield cand

@@ -42,7 +42,8 @@ def rat_str(q: Fraction) -> str:
 
     Integers keep the explicit "/1" so emitted files have one shape.
     """
-    q = Fraction(q)
+    if type(q) is not Fraction:
+        q = Fraction(q)
     return f"{q.numerator}/{q.denominator}"
 
 

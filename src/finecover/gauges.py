@@ -84,9 +84,8 @@ def _point_region(x: Point, k: int, domain: str):
     if domain == "unit":
         if not isinstance(x, UnitPoint):
             raise DomainError(f"unit-interval code evaluated at {x!r}")
-        q = x.exact
-        if type(q) is Fraction:
-            n, d = q.numerator, q.denominator
+        n, d = x.num, x.den
+        if type(n) is int:
             if n < 0 or n > d:
                 raise DomainError(f"point {x!r} verifiably outside [0,1]")
             return n, n, d

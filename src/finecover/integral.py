@@ -153,10 +153,6 @@ def integrate(
 # -- built-in integrands and families ------------------------------------
 
 
-def _exact_rational(tag: UnitPoint) -> Optional[Fraction]:
-    return tag.exact if tag.is_rational else None
-
-
 def poly_integrand(coeffs, label: str = "") -> tuple[Integrand, Callable[[Fraction], GaugeCode], Fraction]:
     """Rational-coefficient polynomial with a constant gauge family.
 
@@ -171,10 +167,9 @@ def poly_integrand(coeffs, label: str = "") -> tuple[Integrand, Callable[[Fracti
     points = [rt_point(c) for c in coeffs]
 
     def kernel(tag: UnitPoint, prec: int) -> tuple:
-        q = _exact_rational(tag)
-        if q is not None:
-            # Horner on integers: sum nums[k] n^k m^(K-k) over den m^K, q = n/m
-            n, m = q.numerator, q.denominator
+        n, m = tag.num, tag.den
+        if type(n) is int:
+            # Horner on integers: sum nums[k] n^k m^(K-k) over den m^K, tag = n/m
             acc, scale = nums[-1], 1
             for c in reversed(nums[:-1]):
                 scale *= m
@@ -194,15 +189,14 @@ def poly_integrand(coeffs, label: str = "") -> tuple[Integrand, Callable[[Fracti
 
 
 def _sqrt_recip_kernel(tag: UnitPoint, prec: int) -> tuple:
-    q = _exact_rational(tag)
-    if q is None or q.numerator < 0:
+    n = tag.num
+    if type(n) is not int or n < 0:
         raise EvaluationError(f"reciprocal square root needs an exact rational in [0,1], got {tag}")
-    n = q.numerator
     if n == 0:
         return 0, 0, 1  # the value at the pole, fixed by fiat
     # 1/sqrt(a/b) = sqrt(b/a), enclosed by a shifted integer square root
     m = prec
-    s = isqrt((q.denominator << (2 * m)) // n)
+    s = isqrt((tag.den << (2 * m)) // n)
     return s, s + 1, 1 << m
 
 
@@ -244,10 +238,9 @@ def dirichlet_gauge_family() -> Callable[[Fraction], GaugeCode]:
         en, ed = eps.numerator, eps.denominator
 
         def kernel(p: UnitPoint, stage: int) -> tuple:
-            q = _exact_rational(p)
-            if q is not None:
+            if p.is_rational:
                 cap = stage + 64
-                n = stern_brocot_index(q, cap)
+                n = stern_brocot_index(p.exact, cap)
                 if n is None:
                     return 0, en, ed << cap  # [0, eps 2^-cap]
                 return en, en, ed << n  # eps 2^-n
@@ -286,15 +279,14 @@ def _sqrt_recip_family() -> Callable[[Fraction], GaugeCode]:
         en, ed2 = eps.numerator, 2 * eps.denominator
 
         def kernel(p: UnitPoint, stage: int) -> tuple:
-            q = _exact_rational(p)
-            if q is None:
+            n = p.num
+            if type(n) is not int:
                 raise EvaluationError(f"gauge needs exact rational points, got {p}")
-            n = q.numerator
             if n == 0:
                 return at_zero
-            # eps q / 2 for q = n/m
+            # eps p / 2 for p = n/m
             v = en * n
-            return v, v, ed2 * q.denominator
+            return v, v, ed2 * p.den
 
         def region(r: tuple, stage: int) -> tuple:
             lo, hi, d = r
@@ -313,8 +305,7 @@ def _step_kernel(c: Fraction):
 
     def kernel(tag: UnitPoint, prec: int) -> tuple:
         if tag.is_exact:
-            v = tag.exact
-            return (1, 1, 1) if v.numerator * cd >= cn * v.denominator else (0, 0, 1)
+            return (1, 1, 1) if tag.num * cd >= cn * tag.den else (0, 0, 1)
         box = tag.approx(prec)
         if box.lo >= c:
             return 1, 1, 1

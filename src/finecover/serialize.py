@@ -47,8 +47,8 @@ def parse_bits(raw: str) -> CantorPoint:
 def unit_str(p: UnitPoint, prec: int = 24) -> str:
     """A point recorded at a precision is written at that precision."""
     if p.is_rational:
-        return f"rat:{rat_str(p.rational_value())}"
-    if isinstance(p.exact, QuadVal):
+        return f"rat:{p.num}/{p.den}"
+    if p.is_exact:
         return f"quad:{rat_str(p.exact.a)},{rat_str(p.exact.b)}"
     if p.prec is not None:
         prec = p.prec

@@ -9,6 +9,7 @@ set C), and the exact distance-to-C walk.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
@@ -28,6 +29,7 @@ from .exact import (
 
 THIRD = Fraction(1, 3)
 TWO_THIRDS = Fraction(2, 3)
+_HASH_MODULUS = sys.hash_info.modulus
 
 
 class NotInCantorSet(ValueError):
@@ -153,42 +155,54 @@ def cylinder_for_ball(x: CantorPoint, r: Fraction) -> Cylinder:
     return Cylinder(x.index(m), m)
 
 
+def _rat_hash(n: int, d: int) -> int:
+    """hash(Fraction(n, d)) for reduced n/d with d > 0, by the formula
+    Fraction.__hash__ uses."""
+    try:
+        h = hash(hash(abs(n)) * pow(d, -1, _HASH_MODULUS))
+    except ValueError:  # d is a multiple of the modulus
+        h = sys.hash_info.inf
+    h = h if n >= 0 else -h
+    return -2 if h == -1 else h
+
+
 class UnitPoint:
     """A point of the unit interval, exact or given by a nested approximant.
 
-    Exact points hold a Fraction or an irrational QuadVal (from_quad turns
-    a rational QuadVal into a Fraction), so `is_rational` alone tells
-    whether the point is rational. Points compare for equality, not order:
-    two exact points are equal when their values are, an approximant point
-    only to itself, and an ordering of exact points goes through
-    `exact_value`. Approximant points only promise enclosures of width
-    <= 2^-k, for k up to their `prec` when that is not None (a point
+    An exact point is its value num/den, set once: reduced ints for a
+    rational point, a QuadVal with integer parts over an int for a
+    quadratic one (from_quad makes a rational QuadVal a rational point),
+    None for an approximant; `exact`, the value as a Fraction or QuadVal,
+    is built on first read. Points compare for equality, not order: exact
+    points by their pairs, an approximant only to itself. An exact point
+    hashes like its value. Approximant points only promise enclosures of
+    width <= 2^-k, for k up to their `prec` when that is not None (a point
     recorded at a precision); only approximant points set `prec`.
     Successive approximant queries are intersected, so the published
     enclosures nest even when the underlying rule's do not, and a
     contradictory rule raises CauchyViolation.
     """
 
-    __slots__ = ("exact", "_fn", "label", "_best", "_hash", "prec")
+    __slots__ = ("num", "den", "_exact", "_fn", "label", "_best", "_hash", "prec")
 
     AMBIENT = Interval(Fraction(-1), Fraction(2))
 
-    def __init__(self, exact=None, fn=None, label: Optional[str] = None):
-        self.exact: Union[Fraction, QuadVal, None] = exact
+    def __init__(self, num=None, den: int = 1, exact=None, fn=None, label: Optional[str] = None):
+        self.num, self.den = num, den
+        self._exact: Union[Fraction, QuadVal, None] = exact  # num/den, if the maker had it
         self._fn = fn
         self.label = label
         self._best: Optional[tuple] = None  # the accumulated enclosure, a triple
-        # exact never changes after this, so the hash is taken once
-        self._hash = id(self) if exact is None else hash(exact)
+        self._hash = id(self) if num is None else _rat_hash(num, den) if type(num) is int else hash(self.exact)
 
     @classmethod
     def from_rat(cls, q) -> "UnitPoint":
         if type(q) is not Fraction:
             q = Fraction(q)
-        d = q.denominator
-        if not -d <= q.numerator <= 2 * d:
+        n, d = q.numerator, q.denominator
+        if not -d <= n <= 2 * d:
             raise ValueError(f"point {q} outside ambient [-1, 2]")
-        return cls(exact=q)
+        return cls(n, d)
 
     @classmethod
     def from_quad(cls, v: QuadVal) -> "UnitPoint":
@@ -196,7 +210,7 @@ class UnitPoint:
             return cls.from_rat(v.as_fraction())
         if v < cls.AMBIENT.lo or v > cls.AMBIENT.hi:
             raise ValueError(f"point {v} outside ambient [-1, 2]")
-        return cls(exact=v)
+        return cls(v.numerator, v.denominator, v)
 
     @classmethod
     def from_fn(cls, fn: Callable[[int], Interval], label: Optional[str] = None,
@@ -206,28 +220,35 @@ class UnitPoint:
         return p
 
     @property
+    def exact(self) -> Union[Fraction, QuadVal, None]:
+        q, n = self._exact, self.num
+        if q is None and n is not None:
+            q = self._exact = Fraction(n, self.den) if type(n) is int else n * Fraction(1, self.den)
+        return q
+
+    @property
     def is_exact(self) -> bool:
-        return self.exact is not None
+        return self.num is not None
 
     @property
     def is_rational(self) -> bool:
-        return isinstance(self.exact, Fraction)
+        return type(self.num) is int
 
     def rational_value(self) -> Fraction:
-        if not isinstance(self.exact, Fraction):
+        if type(self.num) is not int:
             raise ValueError(f"{self} is not an exact rational")
         return self.exact
 
     def exact_value(self) -> ExactPoint:
-        if self.exact is None:
+        if self.num is None:
             raise ValueError(f"{self} has no exact value")
         return self.exact
 
     def approx(self, k: int) -> Interval:
         """Enclosure of width <= 2^-k; successive calls nest."""
-        if isinstance(self.exact, Fraction):
+        if type(self.num) is int:
             return Interval.point(self.exact)
-        if isinstance(self.exact, QuadVal):
+        if self.num is not None:
             return self.exact.enclosure(k)
         if self.prec is not None and k > self.prec:
             raise ValueError(f"point recorded at precision {self.prec}, asked for {k}")
@@ -242,15 +263,15 @@ class UnitPoint:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UnitPoint):
             return NotImplemented
-        if self.is_exact and other.is_exact:
-            return self.exact == other.exact
+        if self.num is not None and other.num is not None:
+            return self.num == other.num and self.den == other.den
         return self is other
 
     def __hash__(self) -> int:
         return self._hash
 
     def __repr__(self) -> str:
-        if self.exact is not None:
+        if self.num is not None:
             return f"UnitPoint({self.exact})"
         return f"UnitPoint(approx, label={self.label!r})"
 

@@ -1,9 +1,9 @@
 """Source hygiene that no installed linter checks: every name a module
 imports is used in that module, and every module-level definition in the
 package, and every method and property of its classes, is used somewhere
-outside its own body; nothing in the package uses floats or runs Python
-source; and every code class keeps the `_eval` the benchmark's tracer
-wraps."""
+outside its own body; nothing in the package uses floats, runs Python
+source or reads a unit point's value through `exact.numerator`; and
+every code class keeps the `_eval` the benchmark's tracer wraps."""
 
 import ast
 import copy
@@ -166,6 +166,37 @@ def test_no_python_source_is_run():
         if uses:
             found[path.name] = uses
     assert not found, found
+
+
+_EXACT_PAIR = {"exact.numerator", "exact.denominator"}
+
+
+def _exact_pair_reads(tree: ast.Module) -> list[str]:
+    """Each read of `.exact.numerator` or `.exact.denominator`, as an
+    attribute or through attrgetter, with its line."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute):
+            if f"{node.value.attr}.{node.attr}" in _EXACT_PAIR:
+                found.append(f"line {node.lineno}: .{node.value.attr}.{node.attr}")
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "attrgetter":
+            found += [f"line {node.lineno}: attrgetter({a.value!r})" for a in node.args
+                      if isinstance(a, ast.Constant) and a.value in _EXACT_PAIR]
+    return found
+
+
+def test_points_are_read_through_their_pair():
+    """An exact unit point holds its value as num/den; reading the
+    numerator or denominator of its `exact` would build a Fraction per
+    point, so nothing in the package does."""
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        reads = _exact_pair_reads(ast.parse(path.read_text(), filename=str(path)))
+        if reads:
+            found[path.name] = reads
+    assert not found, found
+    probe = ast.parse("p.exact.numerator\nsorted(ps, key=attrgetter('exact.denominator'))\n")
+    assert _exact_pair_reads(probe) == ["line 1: .exact.numerator", "line 2: attrgetter('exact.denominator')"]
 
 
 def test_each_code_class_defines_eval_of_x_and_stage():

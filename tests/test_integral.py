@@ -248,6 +248,27 @@ def test_integrate_identity():
     assert cert.claim.hi == cert.sum.hi + eps
 
 
+def test_integrate_builds_few_fractions(monkeypatch):
+    """The search, the partition and the sum read each point's integer
+    pair: 4,096 cells of identity at eps = 1/512 build under 200 Fractions
+    all told, where one per sample point would be over 4,096. A count of
+    work, not a timing bound."""
+    f, fam, _ = builtin_integrands()["identity"]
+    eps = F(1, 512)
+    depth = default_depth("identity", eps)
+    built, new = [], Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(cls)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    cert = integrate(f, fam, eps, depth, STAGE)
+    monkeypatch.undo()
+    assert len(cert.partition.tags) == 4096
+    assert len(built) < 200
+
+
 def test_integrate_rejects_bad_epsilon():
     f, fam, _ = builtin_integrands()["identity"]
     with pytest.raises(ValueError):

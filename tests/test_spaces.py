@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -340,6 +341,39 @@ def test_unit_point_hash_is_its_value_hash():
     assert a == b and hash(a) == hash(b) == hash(v)
     opaque = UnitPoint.from_fn(lambda k: Interval.point(Fraction(1, 2)))
     assert hash(opaque) == id(opaque) and {opaque: 1}[opaque] == 1
+
+
+def _one_point(n: int, d: int) -> None:
+    """The point built from the reduced pair (n, d) and the one from_rat
+    builds from n/d are one point, down to the hash and the dict slot."""
+    q = Fraction(n, d)
+    a, b = UnitPoint(n, d), UnitPoint.from_rat(q)
+    assert (a.num, a.den) == (b.num, b.den) == (n, d)
+    assert a == b and b == a
+    assert hash(a) == hash(b) == hash(q)
+    assert type(a.exact) is Fraction and a.exact == b.exact == q
+    assert {a: 1}[b] == 1 and {b: 2}[a] == 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 1 << 70).flatmap(lambda d: st.tuples(st.integers(-d, 2 * d), st.just(d))))
+def test_unit_point_from_its_pair_is_from_rat(nd):
+    q = Fraction(*nd)
+    _one_point(q.numerator, q.denominator)
+
+
+def test_unit_point_pair_edges():
+    """Zero, a negative value, both ambient ends, and denominators that are
+    multiples of the hash modulus, where a value hashes to +-inf's hash."""
+    m = sys.hash_info.modulus
+    for n, d in ((0, 1), (-3, 8), (-1, 1), (2, 1), (1, m), (-1, 2 * m)):
+        _one_point(n, d)
+    assert hash(UnitPoint(1, m)) == sys.hash_info.inf
+    assert hash(UnitPoint(-1, 2 * m)) == -sys.hash_info.inf
+    v = QuadVal(Fraction(1, 6), Fraction(-1, 4))
+    p = UnitPoint.from_quad(v)
+    assert p.num.a.denominator == p.num.b.denominator == 1
+    assert p.num * Fraction(1, p.den) == v == p.exact
 
 
 def test_unit_point_opaque_nesting():

@@ -29,12 +29,10 @@ from .gallery import (
     OracleSpec,
     UnexpectedCover,
     default_cauchy_spec,
-    cauchy_gap_gauge,
     finite_subcover,
     gap_obstruction_demo,
     heine_borel_gauge,
     oracle_pin_demo,
-    oracle_pin_gauge,
 )
 from .gauges import Verdict
 from .gaugespec import SpecError, parse_cover_file, parse_expr_const, parse_gauge, parse_gauge_file
@@ -101,13 +99,14 @@ def _obstruction(got) -> tuple[str, int] | None:
 
 
 def _build_gauge(args):
-    """Gauge plus the pinned point when the preset has one."""
+    """Gauge plus the pinned point when the preset has one. A preset is
+    the named gauge text: oracle-pin:BITS is oracle-pin(BITS)."""
     if args.preset:
         if args.preset == "cauchy-gap":
-            return cauchy_gap_gauge(default_cauchy_spec()), None
+            return parse_gauge("cauchy-gap()"), None
         if args.preset.startswith("oracle-pin:"):
-            z = parse_bits(args.preset.split(":", 1)[1])
-            return oracle_pin_gauge(OracleSpec(z)), z
+            bits = args.preset.split(":", 1)[1]
+            return parse_gauge(f"oracle-pin({bits})"), parse_bits(bits)
         raise ValueError(f"unknown preset {args.preset!r}")
     if args.gauge_file:
         return parse_gauge_file(args.gauge_file), None
@@ -262,7 +261,7 @@ def _make_parser() -> argparse.ArgumentParser:
         src = p.add_mutually_exclusive_group()
         src.add_argument("--gauge", help="gauge expression, e.g. 'min(x+1/8, 1-x)' or const:1/4")
         src.add_argument("--gauge-file", help="file containing a gauge expression")
-        src.add_argument("--preset", help="cauchy-gap or oracle-pin:BITS")
+        src.add_argument("--preset", help="cauchy-gap or oracle-pin:BITS, short for cauchy-gap() or oracle-pin(BITS)")
 
     p = sub.add_parser("cousin", help="search a fine cover for a gauge")
     gauge_source(p)

@@ -493,11 +493,9 @@ def parse_gauge_file(path: str) -> GaugeCode:
     return parse_gauge(text, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-def parse_expr_const(text: str, env: Optional[dict] = None) -> Fraction:
-    """Evaluate a closed expression (no x), e.g. a CLI epsilon or a tail
-    rule instantiated at a concrete index."""
-    env = env or {}
-    return _constant(_Parser(_lex(text), free_names=tuple(env)).parse(), env)
+def parse_expr_const(text: str) -> Fraction:
+    """Evaluate a closed expression (no x and no index), e.g. a CLI epsilon."""
+    return _constant(_Parser(_lex(text)).parse(), {})
 
 
 def parse_cover_file(text: str) -> OpenCoverSpec:

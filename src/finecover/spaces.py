@@ -19,7 +19,6 @@ from .exact import (
     Interval,
     QuadVal,
     ceil_log_recip,
-    pow2,
     pow3,
     rt_cell,
     rt_interval,
@@ -253,7 +252,9 @@ class UnitPoint:
         if self.prec is not None and k > self.prec:
             raise ValueError(f"point recorded at precision {self.prec}, asked for {k}")
         box = self._fn(k)
-        if box.width > pow2(-k):
+        n, d = box.width.numerator, box.width.denominator
+        # width n/d > 2^-k on the width's own integers: at k >= d.bit_length(), 2^-k < 1/d
+        if n and (k >= d.bit_length() or n << k > d):
             raise ValueError(f"approximant returned width {box.width} > 2^-{k}")
         if box.hi < self.AMBIENT.lo or box.lo > self.AMBIENT.hi:
             raise ValueError(f"approximant box {box} outside ambient [-1, 2]")

@@ -435,6 +435,62 @@ def test_bad_flags_exit_one(capsys):
     assert main(["nonsense"]) == 1
 
 
+_EXIT_PATH_FILES = {
+    "part.csv": "lo,hi,tag\n0,1,rat:1/2\n",
+    "cantor.csv": "point,radius\nprefix=;period=01,1\n",
+    "unknown.csv": "foo,bar\n1,2\n",
+    "two-fields.csv": "lo,hi,tag\n0,1\n",
+    "header-only.csv": "lo,hi,tag\n",
+    "tailed.cov": "-1/10 6/10\ntail: 1/2 2^-(n+4)\n",
+}
+
+
+@pytest.mark.parametrize(
+    "argv,env,code,err",
+    [
+        (["cousin", "--gauge", "const:1/4", "--stage", "abc"], None, 1, "argument --stage: not an integer: 'abc'\n"),
+        (["cousin", "--gauge", "const:1/4", "--depth", "4"], "abc", 0, "ignoring bad COUSIN_GAUGE_STAGE_DEFAULT='abc'\n"),
+        (["cousin", "--preset", "nope"], None, 1, "error: unknown preset 'nope'\n"),
+        (["cousin", "--depth", "4"], None, 1, "error: need --gauge, --gauge-file, or --preset\n"),
+        (["cousin", "--gauge", "const:1/4", "--hint", "Z"], None, 1,
+         "error: --hint Z only makes sense with an oracle-pin preset\n"),
+        (["verify", "--gauge", "oracle-pin(01)", "--in", "part.csv"], None, 1,
+         "error: partitions live on the unit interval\n"),
+        (["verify", "--gauge", "x", "--in", "cantor.csv"], None, 1, "error: cover is on cantor, gauge on unit\n"),
+        (["verify", "--gauge", "x", "--in", "unknown.csv"], None, 1, "error: unrecognized artifact header 'foo,bar'\n"),
+        (["gallery", "heine-borel"], None, 1, "error: heine-borel needs --cover FILE\n"),
+        (["integrate", "--preset", "identity", "--epsilon", "1/16", "--depth", "1"], None, 2, ""),
+        (["gallery", "heine-borel", "--cover", "tailed.cov", "--depth", "1"], None, 2, ""),
+        (["verify", "--gauge", "x", "--in", "two-fields.csv"], None, 1, "error: row 2: need lo,hi,tag, got ['0', '1']\n"),
+        (["verify", "--gauge", "x", "--in", "header-only.csv"], None, 1, "error: no cells\n"),
+        (["cousin", "--gauge", "1/2 )"], None, 1, "error: line 1, col 5: trailing input starting at ')'\n"),
+        (["cousin", "--gauge", "|x"], None, 1, "error: line 1, col 1: unclosed |...|\n"),
+        (["cousin", "--gauge", "baire1(n x)"], None, 1, "error: line 1, col 10: expected -> after the index name\n"),
+        (["cousin", "--gauge", "heine-borel"], None, 1,
+         "error: line 1, col 12: heine-borel needs a parenthesized argument\n"),
+    ],
+)
+def test_exit_paths(capsys, tmp_path, monkeypatch, argv, env, code, err):
+    """Each branch ends in its exit code: a message and no report on exit 1,
+    the obstruction JSON and no message on exit 2, and on exit 0 a bad
+    stage default is reported and the stage falls back to 48."""
+    for name, text in _EXIT_PATH_FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    if env is not None:
+        monkeypatch.setenv("COUSIN_GAUGE_STAGE_DEFAULT", env)
+    got, out, got_err = run(capsys, *argv)
+    assert got == code
+    assert got_err.endswith(err) if err else got_err == ""
+    if code == 0:
+        monkeypatch.delenv("COUSIN_GAUGE_STAGE_DEFAULT")
+        assert run(capsys, *argv, "--stage", "48") == (0, out, "")
+    elif code == 1:
+        assert out == ""
+    else:
+        assert json.loads(out)["unresolved"] == ["[0/1,1/1]"]
+
+
 def test_out_flag_writes_file(capsys, tmp_path):
     out_path = tmp_path / "cover.csv"
     code, out, _ = run(capsys, "cousin", "--gauge", "const:1/4", "--depth", "8", "--out", str(out_path))

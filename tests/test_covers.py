@@ -395,6 +395,15 @@ def test_cover_to_partition_quad_points_get_dyadic_cuts():
     assert lo < v < hi  # the quad tag sits inside its cell
 
 
+def test_cover_to_partition_cuts_two_quad_centres_at_their_rational_midpoint():
+    # the overlap runs from one centre to the other, 1/2 -+ sqrt(2)/8, and
+    # its midpoint 1/2 is rational although neither end is
+    centres = [UnitPoint.from_quad(QuadVal(F(1, 2), F(s, 8))) for s in (-1, 1)]
+    t = cover_to_partition(FineCover([(c, F(1, 2)) for c in centres]))
+    assert t.cuts == (F(0), F(1, 2), F(1))
+    assert list(t.tags) == centres
+
+
 # The conversion as it was written before the single sweep, kept as the
 # reference: the balls sorted and swept for the witness, then the rows
 # sorted by (lo, -hi), the contained ones dropped, and a second FineCover.

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -82,6 +83,29 @@ def test_unit_approx_precision_is_ascii_decimal(prec):
     with pytest.raises(ValueError, match=r"precision .* is not an ASCII decimal"):
         parse_unit(f"approx:[1/4,1/2]@{prec}")
     assert parse_unit("approx:[1/4,1/2]@2").approx(2).lo == F(1, 4)
+
+
+def test_unit_approx_width_check_allocates_nothing_like_its_precision():
+    # a box wider than 2^-k at a huge recorded k is refused on the width's
+    # own integers, without building 2^k
+    tag = "approx:[1/2,1073741825/2147483648]@100000000"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as err:
+            unit_str(parse_unit(tag))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == "approximant returned width 1/2147483648 > 2^-100000000"
+    assert peak < 1 << 20
+    assert unit_str(parse_unit("approx:[1/2,1/2]@100000000")) == "approx:[1/2,1/2]@100000000"
+    for box, k, fits in (("0,1/8", 3, True), ("0,1/8", 4, False), ("0,3/16", 2, True), ("0,3/16", 3, False)):
+        point = parse_unit(f"approx:[{box}]@{k}")
+        if fits:
+            assert point.approx(k).width <= F(1, 2**k)
+        else:
+            with pytest.raises(ValueError, match=r"approximant returned width .* > 2\^-"):
+                point.approx(k)
 
 
 def test_unit_cover_csv_round_trip():

@@ -81,12 +81,9 @@ def _stage(args) -> int:
     raw = os.environ.get(_STAGE_ENV, "")
     if raw.strip():
         try:
-            v = int(raw)
-            if v >= 1:
-                return v
-        except ValueError:
-            pass
-        print(f"ignoring bad {_STAGE_ENV}={raw!r}", file=sys.stderr)
+            return _positive_int(raw)
+        except argparse.ArgumentTypeError:
+            print(f"ignoring bad {_STAGE_ENV}={raw!r}", file=sys.stderr)
     return 48
 
 

@@ -71,18 +71,13 @@ def ceil_log_recip(q: Fraction, base: int = 2) -> int:
     return n
 
 
-def floor_log_recip(q: Fraction, base: int = 2) -> int:
-    """Greatest n >= 0 with base**(-n) >= q. Requires 0 < q <= 1."""
+def floor_log_recip(q: Fraction) -> int:
+    """Greatest n >= 0 with 2**(-n) >= q. Requires 0 < q <= 1."""
     if not 0 < q <= 1:
         raise ValueError("need 0 < q <= 1")
-    num, den = q.numerator, q.denominator
-    n = 0
-    # base**(-(n+1)) >= q  iff  den >= num * base**(n+1)
-    scale = base
-    while den >= num * scale:
-        scale *= base
-        n += 1
-    return n
+    # the least n with 2**(-n) <= q, less one unless q is that power
+    n = ceil_log_recip(q)
+    return n if q.denominator == q.numerator << n else n - 1
 
 
 @dataclass(frozen=True)

@@ -179,7 +179,7 @@ def finite_subcover(cov: OpenCoverSpec, cover: FineCover, stage: int = 16) -> in
                 kp = 0
                 break
             if box.lo > 0:
-                kp = floor_log_recip(box.lo, 2) + 1
+                kp = floor_log_recip(box.lo) + 1
                 break
         if kp is None:
             raise GalleryFalsification(f"gauge not verifiably positive at cover point {p}")
@@ -284,10 +284,6 @@ class OracleSpec:
     Z: CantorPoint
 
 
-def default_oracle_spec() -> OracleSpec:
-    return OracleSpec(CantorPoint.from_pattern("", "01"))
-
-
 def pin_index(spec: OracleSpec, x: CantorPoint, bound: int = 0) -> Optional[int]:
     """f(x) = 1 + first bit where x disagrees with Z, 0 at Z itself;
     None when no disagreement shows up within the scan bound."""
@@ -359,19 +355,3 @@ def oracle_pin_demo(spec: OracleSpec, depth: int, stage: int) -> FineCover:
         raise GalleryFalsification("hinted cover has no point tracking Z")
     return seen
 
-
-# -- canned open covers for the tests ------------------------------------
-
-
-def two_interval_cover() -> OpenCoverSpec:
-    return OpenCoverSpec(((Fraction(-1, 10), Fraction(6, 10)), (Fraction(4, 10), Fraction(11, 10))))
-
-
-def tailed_cover() -> OpenCoverSpec:
-    def tail(n: int):
-        return (Fraction(1, n + 2), pow2(-2 * (n + 2)))
-
-    return OpenCoverSpec(
-        ((Fraction(-1, 8), Fraction(9, 32)), (Fraction(1, 4), Fraction(9, 8))),
-        tail=tail,
-    )

@@ -256,8 +256,7 @@ class _LimitCode:
         self._last[x] = stage, getattr(x, "_best", None), got
         return got
 
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.label or '...'}, domain={self.domain})"
+    __repr__ = _PointCode.__repr__
 
 
 # Each code class defines its own `kind` and `_eval`, even where `_eval` only

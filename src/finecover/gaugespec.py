@@ -167,6 +167,9 @@ def _walk(node):
         stack.extend((k, level + 1) for k in kids if isinstance(k, tuple))
 
 
+_BINOPS = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
+
+
 class _Parser:
     def __init__(self, toks: list, free_names: tuple = ()):
         self.toks = toks
@@ -200,26 +203,18 @@ class _Parser:
         return node
 
     def expr(self):
-        node = self.term()
-        while True:
-            t = self.peek()
-            if t.kind == "sym" and t.text in "+-":
-                self.take()
-                rhs = self.term()
-                node = ("add" if t.text == "+" else "sub", (t.line, t.col), node, rhs)
-            else:
-                return node
+        return self.chain("+-", self.term)
 
     def term(self):
-        node = self.unary()
-        while True:
-            t = self.peek()
-            if t.kind == "sym" and t.text in "*/":
-                self.take()
-                rhs = self.unary()
-                node = ("mul" if t.text == "*" else "div", (t.line, t.col), node, rhs)
-            else:
-                return node
+        return self.chain("*/", self.unary)
+
+    def chain(self, ops: str, operand):
+        """operand (op operand)*, folded to the left, for the symbols in ops."""
+        node = operand()
+        while (t := self.peek()).kind == "sym" and t.text in ops:
+            self.take()
+            node = (_BINOPS[t.text], (t.line, t.col), node, operand())
+        return node
 
     def unary(self):
         # every recursion of the parser passes through here

@@ -79,19 +79,18 @@ def parse_unit(s: str) -> UnitPoint:
     raise ValueError(f"unknown unit point form {s!r}")
 
 
-def point_str(p, prec: int = 24) -> str:
-    if isinstance(p, CantorPoint):
-        return cantor_str(p)
-    return unit_str(p, prec)
+def point_str(p) -> str:
+    return cantor_str(p) if isinstance(p, CantorPoint) else unit_str(p)
+
+
+def _csv(rows) -> str:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
 
 
 def cover_csv(cover: FineCover) -> str:
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(["point", "radius"])
-    for p, r in cover.entries():
-        w.writerow([point_str(p), rat_str(r)])
-    return out.getvalue()
+    return _csv([["point", "radius"], *([point_str(p), rat_str(r)] for p, r in cover.entries())])
 
 
 def _csv_rows(text: str) -> list:
@@ -131,14 +130,10 @@ def parse_cover_csv(text: str) -> FineCover:
 
 
 def partition_csv(part: TaggedPartition) -> str:
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(["lo", "hi", "tag"])
     # the ends are reduced, so n/d is the canonical form rat_str writes
     ends = part.ends
-    for (an, ad), (bn, bd), tag in zip(ends, ends[1:], part.tags):
-        w.writerow([f"{an}/{ad}", f"{bn}/{bd}", unit_str(tag)])
-    return out.getvalue()
+    cells = zip(ends, ends[1:], part.tags)
+    return _csv([["lo", "hi", "tag"], *([f"{an}/{ad}", f"{bn}/{bd}", unit_str(t)] for (an, ad), (bn, bd), t in cells)])
 
 
 def parse_partition_csv(text: str) -> TaggedPartition:

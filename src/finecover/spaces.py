@@ -176,7 +176,7 @@ class UnitPoint:
     points by their pairs, an approximant only to itself. An exact point
     hashes like its value. Approximant points only promise enclosures of
     width <= 2^-k, for k up to their `prec` when that is not None (a point
-    recorded at a precision); only approximant points set `prec`.
+    recorded at a precision); `prec` is None for exact points.
     Successive approximant queries are intersected, so the published
     enclosures nest even when the underlying rule's do not, and a
     contradictory rule raises CauchyViolation.
@@ -186,11 +186,12 @@ class UnitPoint:
 
     AMBIENT = Interval(Fraction(-1), Fraction(2))
 
-    def __init__(self, num=None, den: int = 1, exact=None, fn=None, label: Optional[str] = None):
+    def __init__(self, num=None, den: int = 1, exact=None, fn=None, label: Optional[str] = None, prec=None):
         self.num, self.den = num, den
         self._exact: Union[Fraction, QuadVal, None] = exact  # num/den, if the maker had it
         self._fn = fn
         self.label = label
+        self.prec = prec
         self._best: Optional[tuple] = None  # the accumulated enclosure, a triple
         self._hash = id(self) if num is None else _rat_hash(num, den) if type(num) is int else hash(self.exact)
 
@@ -212,11 +213,8 @@ class UnitPoint:
         return cls(v.numerator, v.denominator, v)
 
     @classmethod
-    def from_fn(cls, fn: Callable[[int], Interval], label: Optional[str] = None,
-                prec: Optional[int] = None) -> "UnitPoint":
-        p = cls(fn=fn, label=label)
-        p.prec = prec
-        return p
+    def from_fn(cls, fn: Callable[[int], Interval], label: Optional[str] = None, prec=None) -> "UnitPoint":
+        return cls(fn=fn, label=label, prec=prec)
 
     @property
     def exact(self) -> Union[Fraction, QuadVal, None]:

@@ -491,6 +491,24 @@ def test_exit_paths(capsys, tmp_path, monkeypatch, argv, env, code, err):
         assert json.loads(out)["unresolved"] == ["[0/1,1/1]"]
 
 
+@pytest.mark.parametrize("raw", ["0", "-3", "9" * 5000])
+def test_bad_stage_default_falls_back_to_48(capsys, monkeypatch, raw):
+    argv = ["cousin", "--gauge", "const:1/4", "--depth", "4"]
+    monkeypatch.setenv("COUSIN_GAUGE_STAGE_DEFAULT", raw)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, f"ignoring bad COUSIN_GAUGE_STAGE_DEFAULT={raw!r}\n")
+    monkeypatch.delenv("COUSIN_GAUGE_STAGE_DEFAULT")
+    assert run(capsys, *argv, "--stage", "48") == (0, out, "")
+
+
+def test_relative_heine_borel_path_in_gauge_text_reads_from_the_cwd(capsys, tmp_path, monkeypatch):
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "cov.txt").write_text("-1/10 6/10\n4/10 11/10\n")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "cousin", "--gauge", "heine-borel(cov.txt)", "--depth", "4")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: line 1, col 1: cannot read cover file: ") and err.endswith("'./cov.txt'\n")
+
 def test_out_flag_writes_file(capsys, tmp_path):
     out_path = tmp_path / "cover.csv"
     code, out, _ = run(capsys, "cousin", "--gauge", "const:1/4", "--depth", "8", "--out", str(out_path))

@@ -1302,6 +1302,13 @@ def test_transfer_cover_psi_drops_gap_balls():
         transfer_cover_psi(FineCover([(up("1/2"), F(1, 8))]))
 
 
+def test_transfer_cover_psi_drops_a_ball_right_of_the_interval():
+    base = [(up("0"), F(1, 2)), (up("1"), F(1, 2))]
+    # the ball of radius 1/4 at 3/2 lies wholly right of 1
+    with_outside = transfer_cover_psi(FineCover(base + [(up("3/2"), F(1, 4))]))
+    assert list(with_outside.entries()) == list(transfer_cover_psi(FineCover(base)).entries())
+
+
 def test_transfer_cover_psi_anchors_off_set_ball():
     # 5/16 is off the set but its ball [1/4, 3/8] touches it at 1/4
     c = FineCover([(up("5/16"), F(1, 16)), (up("1/2"), F(3, 4))])

@@ -156,6 +156,18 @@ def test_log_recip_characterization():
             assert pow2(-m) >= q > pow2(-(m + 1))
 
 
+def test_floor_log_recip_at_and_beside_the_powers_of_two():
+    # the one case where the floor and ceiling logs agree is q = 2^-k
+    for k in range(200):
+        assert floor_log_recip(pow2(-k)) == k
+        for q in (Fraction(1, 2**k + 1), Fraction(2, 2 ** (k + 1) - 1)):
+            if q <= 1:
+                m = floor_log_recip(q)
+                assert pow2(-m) >= q > pow2(-(m + 1))
+    with pytest.raises(ValueError, match="need 0 < q <= 1"):
+        floor_log_recip(Fraction(3, 2))
+
+
 def test_interval_basic():
     box = Interval(Fraction(1, 4), Fraction(1, 2))
     assert box.width == Fraction(1, 4)
@@ -365,6 +377,15 @@ def test_quadval_floor():
     assert (-1 * r2).floor_int() == -2
     assert QuadVal(Fraction(7, 2)).floor_int() == 3
     assert exact_floor(Fraction(-1, 2)) == -1
+
+
+def test_quadval_floor_doubles_its_precision_until_the_box_decides():
+    # 1 - 99/70 + sqrt2 sits 7e-5 below 1, so the box at precision 8 still
+    # straddles 1 and floor_int has to refine
+    v = QuadVal(1 - Fraction(99, 70), 1)
+    box = v.enclosure(8)
+    assert box.lo < 1 < box.hi
+    assert exact_floor(v) == 0
 
 
 def test_quadval_as_fraction():

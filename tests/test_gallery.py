@@ -10,13 +10,13 @@ from finecover.exact import Interval, pow2
 from finecover.gallery import (
     CauchySpec,
     _gap_term,
+    _merge_open,
     OpenCoverSpec,
     OracleSpec,
     UnexpectedCover,
     cauchy_gap_gauge,
     check_star,
     default_cauchy_spec,
-    default_oracle_spec,
     finite_subcover,
     gap_limit_point,
     gap_obstruction_demo,
@@ -24,12 +24,25 @@ from finecover.gallery import (
     oracle_pin_demo,
     oracle_pin_gauge,
     pin_index,
-    tailed_cover,
-    two_interval_cover,
 )
 from finecover.gauges import Verdict, eval_enclosure, verified_above, verified_at_least
 from finecover.gaugespec import parse_cover_file
 from finecover.spaces import CantorPoint, UnitPoint
+
+
+def two_interval_cover() -> OpenCoverSpec:
+    return OpenCoverSpec(((F(-1, 10), F(6, 10)), (F(4, 10), F(11, 10))))
+
+
+def tailed_cover() -> OpenCoverSpec:
+    def tail(n: int):
+        return (F(1, n + 2), pow2(-2 * (n + 2)))
+
+    return OpenCoverSpec(((F(-1, 8), F(9, 32)), (F(1, 4), F(9, 8))), tail=tail)
+
+
+def default_oracle_spec() -> OracleSpec:
+    return OracleSpec(CantorPoint.from_pattern("", "01"))
 
 
 def test_open_cover_spec_rejects_bad_intervals():
@@ -201,6 +214,20 @@ def test_finite_subcover_with_tail_rule():
     assert isinstance(cover, FineCover)
     k = finite_subcover(cov, cover)
     assert 1 <= k <= 12
+
+
+def test_finite_subcover_is_index_zero_when_the_gauge_exceeds_one():
+    cov = OpenCoverSpec(((F(-10), F(11)),))
+    g = heine_borel_gauge(cov)
+    cover = find_cover_unit(g, 4, 8)
+    assert isinstance(cover, FineCover)
+    assert all(eval_enclosure(g, p, 16).lo > 1 for p in cover.points)
+    assert finite_subcover(cov, cover) == 0
+
+
+def test_merge_open_keeps_disjoint_intervals_apart():
+    assert _merge_open([]) == []
+    assert _merge_open([(F(1, 2), F(1)), (F(0), F(1, 4))]) == [(F(0), F(1, 4)), (F(1, 2), F(1))]
 
 
 def test_gap_sequence_defaults():

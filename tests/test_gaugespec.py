@@ -28,6 +28,7 @@ from finecover.gaugespec import (
     parse_cover_file,
     parse_expr_const,
     parse_gauge,
+    parse_gauge_file,
 )
 from finecover.spaces import CantorPoint, Cylinder, UnitPoint
 
@@ -149,6 +150,15 @@ def test_builtin_heine_borel(tmp_path):
     assert value_at(g, F(1, 2)) == F(3, 80)
     with pytest.raises(SpecError):
         parse_gauge(f"heine-borel({tmp_path / 'missing.cov'})")
+
+
+def test_heine_borel_relative_path_resolves_against_the_gauge_file(tmp_path, monkeypatch):
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    (sub / "cov.txt").write_text("-1/10 6/10\n4/10 11/10\n")
+    (sub / "g.txt").write_text("heine-borel(cov.txt)\n")
+    monkeypatch.chdir(tmp_path)
+    assert value_at(parse_gauge_file(str(sub / "g.txt")), F(1, 2)) == F(3, 80)
 
 
 def test_parse_cover_file_with_tail():

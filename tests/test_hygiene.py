@@ -3,17 +3,21 @@ imports is used in that module, and every module-level definition in the
 package, and every method and property of its classes, is used somewhere
 outside its own body; nothing in the package uses floats, runs Python
 source or reads a unit point's value through `exact.numerator`; and
-every code class keeps the `_eval` the benchmark's tracer wraps."""
+every code class keeps the `_eval` the benchmark's tracer wraps, and the
+tracer installs on the package as it stands."""
 
 import ast
 import copy
+import importlib
 import inspect
+import sys
 from pathlib import Path
 
 from finecover.gauges import Baire1Code, Baire2Code, ContinuousCode, DirectCode
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "finecover"
 TESTS = Path(__file__).resolve().parent
+PERFBENCH = TESTS.parent / "perfbench"
 
 
 def _quoted_annotations(tree: ast.AST) -> set[str]:
@@ -206,3 +210,31 @@ def test_each_code_class_defines_eval_of_x_and_stage():
     for cls in (ContinuousCode, DirectCode, Baire1Code, Baire2Code):
         assert "_eval" in cls.__dict__, cls.__name__
         assert list(inspect.signature(cls.__dict__["_eval"]).parameters) == ["self", "x", "stage"], cls.__name__
+
+
+def test_the_benchmark_tracer_installs_on_the_package():
+    """The traced pass rebinds the SPANS functions, each code class's own
+    `_eval` and `Integrand.at`, and the counting pass reads
+    `Interval.__post_init__`, `CantorPoint.bit` and `UnitPoint.approx`: a
+    rename of any of them fails here, not only in the benchmark's own test.
+    perfbench/ is only read: its module is imported without a bytecode file."""
+    import finecover.cli  # noqa: F401  every module the tracer patches
+
+    codes = (ContinuousCode, DirectCode, Baire1Code, Baire2Code)
+    evals = [cls.__dict__["_eval"] for cls in codes]
+    sys.path.insert(0, str(PERFBENCH))
+    write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        tracing = importlib.import_module("tracing")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+        sys.dont_write_bytecode = write
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
+    assert [cls.__dict__["_eval"] for cls in codes] == evals
+    counted = tracing.counted_functions()
+    assert all(counted.values()), counted

@@ -23,6 +23,7 @@ from finecover.integral import (
     riemann_sum,
     stern_brocot_index,
 )
+from finecover.serialize import parse_unit
 from finecover.spaces import UnitPoint
 
 F = Fraction
@@ -405,3 +406,16 @@ def test_sqrt_reciprocal_region_encloses_the_gauge_at_every_point_of_the_cell(ep
     g = builtin_integrands()["sqrt-reciprocal"][1](eps)
     for code in (g, scale_code(g, F(1, 2))):
         assert _within(code.kernel(up(q), stage), code.region(cell, stage))
+
+
+@pytest.mark.parametrize(
+    "tag,want",
+    [
+        ("approx:[1/2,9/16]@4", Interval(F(1), F(1))),  # the box lies right of the jump
+        ("approx:[1/8,1/4]@3", Interval(F(0), F(0))),  # left of it
+        ("approx:[5/16,7/16]@3", Interval(F(0), F(1))),  # across it
+    ],
+)
+def test_step_on_an_approximant_tag_reads_its_box(tag, want):
+    f, _, _ = builtin_integrands()["step"]
+    assert riemann_sum(f, TaggedPartition((F(0), F(1)), (parse_unit(tag),)), 3) == want

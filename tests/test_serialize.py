@@ -192,3 +192,10 @@ def test_obstruction_json_shape_and_determinism():
     assert all(t["last_verdict"] == "UNKNOWN" for t in doc["trace"])
     region = doc["unresolved"][0]
     assert region.startswith("[") and "," in region
+
+
+def test_prec_is_none_on_exact_points_and_the_recorded_precision_on_approximants():
+    assert UnitPoint.from_rat(F(1, 2)).prec is None
+    assert UnitPoint.from_quad(QuadVal(0, F(1, 2))).prec is None
+    assert parse_unit("rat:3/8").prec is None
+    assert parse_unit("approx:[1/2,9/16]@4").prec == 4

@@ -26,6 +26,7 @@ from .exact import (
     QuadVal,
     ceil_log_recip,
     dyadic_runs,
+    pair_value,
     pow2,
     rt_cell,
     simplest_dyadic_between,
@@ -57,9 +58,9 @@ class TaggedPartition:
     """Cuts 0 = x0 <= x1 <= ... <= xn = 1 with a tag in every cell.
 
     Held as `ends`, each cut as its reduced (numerator, denominator), and
-    `tags`; the cuts as Fractions are built when first read. Equality,
-    hash and repr are those of the pair (cuts, tags), and no attribute
-    can be assigned.
+    `tags`; the cuts as Fractions are built when first read. Equality
+    and hash are those of the pair (ends, tags), repr shows the cuts and
+    tags, and no attribute can be assigned.
     """
 
     def __init__(self, cuts, tags) -> None:
@@ -117,7 +118,7 @@ class TaggedPartition:
         return self.ends == other.ends and self.tags == other.tags
 
     def __hash__(self) -> int:
-        return hash((self.cuts, self.tags))
+        return hash((self.ends, self.tags))
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}(cuts={self.cuts!r}, tags={self.tags!r})"
@@ -217,12 +218,7 @@ def _sort_by_value(points: list) -> None:
         k = 2 * max((p.den.bit_length() for p in points), default=0) + 1
         points.sort(key=lambda p: (p.num << k) // p.den)
     else:
-        points.sort(key=lambda p: _value(p.num, p.den))
-
-
-def _value(n, d: int):
-    """The exact value n/d of an int or QuadVal numerator over d."""
-    return n * Fraction(1, d)
+        points.sort(key=lambda p: p.exact)
 
 
 def _sweep(cover: FineCover) -> tuple[list, Optional[Fraction]]:
@@ -277,8 +273,8 @@ def _sweep(cover: FineCover) -> tuple[list, Optional[Fraction]]:
     if reach >= reach_d:
         return kept, None
     # every row starts below 1, so the gap does too
-    nxt = _ONE if gap is None else _value(gap[0], gap[2])
-    return kept, simplest_dyadic_between(_value(reach, reach_d), nxt)
+    nxt = _ONE if gap is None else pair_value(gap[0], gap[2])
+    return kept, simplest_dyadic_between(pair_value(reach, reach_d), nxt)
 
 
 def uncovered_witness(cover: FineCover):
@@ -374,8 +370,8 @@ def _cut(lo, lo_d: int, hi, hi_d: int) -> tuple[int, int]:
     if isinstance(m, QuadVal):
         if not m.is_rational:
             if x == y:
-                raise NotACover(f"overlap degenerates to the irrational point {_value(lo, lo_d)}")
-            q = simplest_dyadic_between(_value(lo, lo_d), _value(hi, hi_d))
+                raise NotACover(f"overlap degenerates to the irrational point {pair_value(lo, lo_d)}")
+            q = simplest_dyadic_between(pair_value(lo, lo_d), pair_value(hi, hi_d))
             return q.numerator, q.denominator
         q = m.as_fraction()
         m, d = q.numerator, q.denominator * d

@@ -345,20 +345,6 @@ class QuadVal:
             raise ValueError(f"{self} is irrational")
         return self.a
 
-    # The value as numerator / denominator, like a Fraction's: the
-    # denominator is the lcm of those of a and b, and the numerator the
-    # QuadVal with integer parts. Integer-numerator code that only
-    # multiplies, adds and compares numerators serves both kinds of point.
-
-    @property
-    def denominator(self) -> int:
-        return lcm(self.a.denominator, self.b.denominator)
-
-    @property
-    def numerator(self) -> "QuadVal":
-        d = self.denominator
-        return QuadVal(self.a * d, self.b * d)
-
     # -- arithmetic -------------------------------------------------------
 
     @staticmethod
@@ -449,7 +435,7 @@ class QuadVal:
         d = a.denominator * b.denominator << m
         return Interval(Fraction(lo, d), Fraction(hi, d))
 
-    def floor_int(self) -> int:
+    def __floor__(self) -> int:
         if self.b == 0:
             return floor(self.a)
         prec = 8
@@ -468,10 +454,9 @@ class QuadVal:
 ExactPoint = Union[Fraction, QuadVal]
 
 
-def exact_floor(x: ExactPoint) -> int:
-    if isinstance(x, QuadVal):
-        return x.floor_int()
-    return floor(x)
+def pair_value(n, d: int) -> ExactPoint:
+    """The exact value n/d of an int or QuadVal numerator over a positive int."""
+    return Fraction(n, d) if type(n) is int else n * Fraction(1, d)
 
 
 def dyadic_runs(cells, level: int) -> list[Interval]:
@@ -495,7 +480,7 @@ def simplest_dyadic_between(lo: ExactPoint, hi: ExactPoint) -> Fraction:
         raise ValueError("need lo < hi")
     k = 0
     while True:
-        m = exact_floor(lo * pow2(k)) + 1
+        m = floor(lo * pow2(k)) + 1
         cand = Fraction(m, 2**k)
         if lo < cand < hi:
             return cand

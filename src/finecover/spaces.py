@@ -9,9 +9,9 @@ set C), and the exact distance-to-C walk.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Optional, Union
 
 from .exact import (
@@ -19,6 +19,7 @@ from .exact import (
     Interval,
     QuadVal,
     ceil_log_recip,
+    pair_value,
     pow3,
     rt_cell,
     rt_interval,
@@ -28,7 +29,6 @@ from .exact import (
 
 THIRD = Fraction(1, 3)
 TWO_THIRDS = Fraction(2, 3)
-_HASH_MODULUS = sys.hash_info.modulus
 
 
 class NotInCantorSet(ValueError):
@@ -154,17 +154,6 @@ def cylinder_for_ball(x: CantorPoint, r: Fraction) -> Cylinder:
     return Cylinder(x.index(m), m)
 
 
-def _rat_hash(n: int, d: int) -> int:
-    """hash(Fraction(n, d)) for reduced n/d with d > 0, by the formula
-    Fraction.__hash__ uses."""
-    try:
-        h = hash(hash(abs(n)) * pow(d, -1, _HASH_MODULUS))
-    except ValueError:  # d is a multiple of the modulus
-        h = sys.hash_info.inf
-    h = h if n >= 0 else -h
-    return -2 if h == -1 else h
-
-
 class UnitPoint:
     """A point of the unit interval, exact or given by a nested approximant.
 
@@ -174,12 +163,13 @@ class UnitPoint:
     None for an approximant; `exact`, the value as a Fraction or QuadVal,
     is built on first read. Points compare for equality, not order: exact
     points by their pairs, an approximant only to itself. An exact point
-    hashes like its value. Approximant points only promise enclosures of
-    width <= 2^-k, for k up to their `prec` when that is not None (a point
-    recorded at a precision); `prec` is None for exact points.
-    Successive approximant queries are intersected, so the published
-    enclosures nest even when the underlying rule's do not, and a
-    contradictory rule raises CauchyViolation.
+    hashes by its pair, an approximant by identity. Approximant points
+    only promise enclosures of width <= 2^-k, for k up to their `prec`
+    when that is not None (a point recorded at a precision); `prec` is
+    None for exact points. Successive approximant queries are
+    intersected, so the published enclosures nest even when the
+    underlying rule's do not, and a contradictory rule raises
+    CauchyViolation.
     """
 
     __slots__ = ("num", "den", "_exact", "_fn", "label", "_best", "_hash", "prec")
@@ -193,7 +183,7 @@ class UnitPoint:
         self.label = label
         self.prec = prec
         self._best: Optional[tuple] = None  # the accumulated enclosure, a triple
-        self._hash = id(self) if num is None else _rat_hash(num, den) if type(num) is int else hash(self.exact)
+        self._hash = id(self) if num is None else hash((num, den))
 
     @classmethod
     def from_rat(cls, q) -> "UnitPoint":
@@ -210,7 +200,9 @@ class UnitPoint:
             return cls.from_rat(v.as_fraction())
         if v < cls.AMBIENT.lo or v > cls.AMBIENT.hi:
             raise ValueError(f"point {v} outside ambient [-1, 2]")
-        return cls(v.numerator, v.denominator, v)
+        a, b = v.a, v.b
+        d = lcm(a.denominator, b.denominator)
+        return cls(QuadVal(a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)), d, v)
 
     @classmethod
     def from_fn(cls, fn: Callable[[int], Interval], label: Optional[str] = None, prec=None) -> "UnitPoint":
@@ -220,7 +212,7 @@ class UnitPoint:
     def exact(self) -> Union[Fraction, QuadVal, None]:
         q, n = self._exact, self.num
         if q is None and n is not None:
-            q = self._exact = Fraction(n, self.den) if type(n) is int else n * Fraction(1, self.den)
+            q = self._exact = pair_value(n, self.den)
         return q
 
     @property

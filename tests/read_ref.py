@@ -9,7 +9,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from math import lcm
 
-from finecover.exact import simplest_dyadic_between
+from finecover.exact import QuadVal, simplest_dyadic_between
 from finecover.spaces import CantorPoint, Cylinder, UnitPoint
 
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+)|\.([0-9]+))?")
@@ -47,15 +47,24 @@ def _value(n, d: int):
     return n * Fraction(1, d)
 
 
+def _pair(v) -> tuple:
+    """A Fraction's (numerator, denominator); a QuadVal's denominator is
+    the lcm of its parts', and its numerator the QuadVal with integer parts."""
+    if isinstance(v, Fraction):
+        return v.numerator, v.denominator
+    d = lcm(v.a.denominator, v.b.denominator)
+    return QuadVal(v.a * d, v.b * d), d
+
+
 def ref_sweep(points, radii) -> tuple[list, object]:
     """The kept rows and the first gap's witness of the balls, taken in the
     order of `points`."""
     rows = []
     for p in points:
-        v, r = p.exact, radii[p]
-        vd, rd = v.denominator, r.denominator
+        (vn, vd), r = _pair(p.exact), radii[p]
+        rd = r.denominator
         d = lcm(vd, rd)
-        c, s = v.numerator * (d // vd), r.numerator * (d // rd)
+        c, s = vn * (d // vd), r.numerator * (d // rd)
         lo, hi = c - s, c + s
         if hi > 0 and lo < d:
             rows.append((lo, hi, d, c, p, r))

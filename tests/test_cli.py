@@ -509,6 +509,29 @@ def test_relative_heine_borel_path_in_gauge_text_reads_from_the_cwd(capsys, tmp_
     assert (code, out) == (1, "")
     assert err.startswith("error: line 1, col 1: cannot read cover file: ") and err.endswith("'./cov.txt'\n")
 
+
+@pytest.mark.parametrize(
+    "argv,name,text,err",
+    [
+        (["verify", "--gauge", "1/2", "--in"], "ap.csv", 'point,radius\n"approx:[0,1/2]@3",1/2\n',
+         "error: row 2: cover points must be exact\n"),
+        (["gallery", "heine-borel", "--cover"], "F.cov", "x 1\n",
+         "error: line 1, col 1: bad endpoint: line 1, col 1: x is not allowed here\n"),
+    ],
+)
+def test_bad_input_file_exits_one(capsys, tmp_path, monkeypatch, argv, name, text, err):
+    (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv, name) == (1, "", err)
+
+
+def test_not_a_cover_exits_four(capsys, monkeypatch):
+    def refuse(cover):
+        raise covers.NotACover("probe")
+
+    monkeypatch.setattr(cli, "cover_to_partition", refuse)
+    assert run(capsys, "cousin", "--gauge", "1/2", "--depth", "2", "--as-partition") == (4, "", "not a cover: probe\n")
+
 def test_out_flag_writes_file(capsys, tmp_path):
     out_path = tmp_path / "cover.csv"
     code, out, _ = run(capsys, "cousin", "--gauge", "const:1/4", "--depth", "8", "--out", str(out_path))

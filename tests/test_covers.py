@@ -712,6 +712,17 @@ def test_a_kept_ball_centred_outside_the_interval_is_not_a_cover():
         cover_to_partition(cover)
 
 
+def test_two_quad_balls_touching_at_an_irrational_point_are_not_a_cover():
+    # [sqrt2/2 - 1, sqrt2/2] and [sqrt2/2, sqrt2/2 + 1/2] share only the end
+    # sqrt2/2, so no rational cut fits between the two tags
+    r2 = QuadVal(0, F(1, 2))
+    cover = FineCover([(UnitPoint.from_quad(r2 - F(1, 2)), F(1, 2)), (UnitPoint.from_quad(r2 + F(1, 4)), F(1, 4))])
+    assert uncovered_witness(cover) is None
+    with pytest.raises(NotACover) as err:
+        cover_to_partition(cover)
+    assert str(err.value) == "overlap degenerates to the irrational point 0 + 1/2*sqrt2"
+
+
 def _conversion_outcome(convert, cover):
     try:
         got = convert(cover)

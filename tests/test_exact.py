@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import isqrt
+from math import floor, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +14,6 @@ from finecover.exact import (
     Interval,
     QuadVal,
     ceil_log_recip,
-    exact_floor,
     floor_log_recip,
     parse_rat,
     pow2,
@@ -373,19 +372,29 @@ def test_quadval_enclosure_is_the_reference_interval(a, b, k):
 
 def test_quadval_floor():
     r2 = QuadVal(0, 1)
-    assert (5 * r2).floor_int() == 7
-    assert (-1 * r2).floor_int() == -2
-    assert QuadVal(Fraction(7, 2)).floor_int() == 3
-    assert exact_floor(Fraction(-1, 2)) == -1
+    assert floor(5 * r2) == 7
+    assert floor(-1 * r2) == -2
+    assert floor(QuadVal(Fraction(7, 2))) == 3
+    assert floor(Fraction(-1, 2)) == -1
 
 
 def test_quadval_floor_doubles_its_precision_until_the_box_decides():
     # 1 - 99/70 + sqrt2 sits 7e-5 below 1, so the box at precision 8 still
-    # straddles 1 and floor_int has to refine
+    # straddles 1 and the floor has to refine
     v = QuadVal(1 - Fraction(99, 70), 1)
     box = v.enclosure(8)
     assert box.lo < 1 < box.hi
-    assert exact_floor(v) == 0
+    assert floor(v) == 0
+
+
+@pytest.mark.parametrize("p, q", [(99, 70), (239, 169), (19601, 13860), (8119, 5741)])
+@pytest.mark.parametrize("n", [-3, 0, 1, 5])
+def test_math_floor_of_a_quadval_just_below_and_just_above_an_integer(p, q, n):
+    # n + (sqrt2 - p/q) and n - (sqrt2 - p/q) sit within 1e-4 of n, on
+    # opposite sides of it: below when p/q > sqrt2, above when p/q < sqrt2
+    above = p * p > 2 * q * q
+    assert floor(QuadVal(n - Fraction(p, q), 1)) == (n - 1 if above else n)
+    assert floor(QuadVal(n + Fraction(p, q), -1)) == (n if above else n - 1)
 
 
 def test_quadval_as_fraction():
@@ -414,5 +423,5 @@ def test_simplest_dyadic_prefers_coarse():
         k = cut.denominator.bit_length() - 1
         if k > 0:
             # no strictly coarser dyadic fits
-            coarser = Fraction(exact_floor(a * pow2(k - 1)) + 1, 2 ** (k - 1))
+            coarser = Fraction(floor(a * pow2(k - 1)) + 1, 2 ** (k - 1))
             assert not (a < coarser < b)

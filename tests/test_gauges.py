@@ -138,6 +138,13 @@ def test_domain_errors():
         eval_enclosure(h, UnitPoint.from_rat(Fraction(1, 2)), 4)
 
 
+def test_a_limit_term_on_the_other_space_is_a_domain_error():
+    g = Baire1Code(lambda n: continuous_const(1, domain="cantor"))
+    with pytest.raises(DomainError) as err:
+        eval_enclosure(g, UnitPoint.from_rat(Fraction(1, 2)), 4)
+    assert str(err.value) == "term 2 declares domain cantor, code is unit"
+
+
 def test_direct_code_accumulation():
     def kernel(x, stage):
         if stage < 5:

@@ -238,3 +238,21 @@ def test_the_benchmark_tracer_installs_on_the_package():
     assert [cls.__dict__["_eval"] for cls in codes] == evals
     counted = tracing.counted_functions()
     assert all(counted.values()), counted
+
+
+def test_the_benchmark_checks_import_from_the_package():
+    """perfbench/checks.py imports what the benchmark's checks call from the
+    package (`verify_cover`, `parse_gauge`, `CantorPoint` and the rest) and
+    jobs.py what they read: a rename of any of them fails here, not later
+    as a failed benchmark run. perfbench/ is only read: its modules are
+    imported without a bytecode file."""
+    sys.path.insert(0, str(PERFBENCH))
+    write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        jobs = importlib.import_module("jobs")
+        checks = importlib.import_module("checks")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+        sys.dont_write_bytecode = write
+    assert checks.pin_bits is jobs.pin_bits and checks.INTEGRALS is jobs.INTEGRALS

@@ -173,6 +173,12 @@ def test_partition_cut_written_two_ways_parses():
     assert str(err.value) == "row 4: cell starts at 3/5, previous ended at 3/4"
 
 
+def test_partition_csv_needs_its_header():
+    with pytest.raises(ValueError) as err:
+        parse_partition_csv("x,y\n")
+    assert str(err.value) == "partition CSV must start with the lo,hi,tag header"
+
+
 def test_partition_csv_rejects():
     with pytest.raises(MalformedPartition) as err:
         parse_partition_csv("lo,hi,tag\n0,1/4,rat:1/8\n1/2,1,rat:3/4\n")

@@ -328,17 +328,17 @@ def test_unit_point_quad():
         UnitPoint.from_quad(QuadVal(2, 1))
 
 
-def test_unit_point_hash_is_its_value_hash():
-    """The hash is taken once, at construction: an exact point hashes like
-    its value, so equal points hash alike however they were built, and an
+def test_unit_point_hash_is_its_pair_hash():
+    """The hash is taken once, at construction: an exact point hashes by
+    its pair, so equal points hash alike however they were built, and an
     approximant point by identity."""
     for q in (Fraction(3, 8), Fraction(-1), Fraction(2), Fraction(1, 3)):
-        assert hash(UnitPoint.from_rat(q)) == hash(q)
+        assert hash(UnitPoint.from_rat(q)) == hash(UnitPoint(q.numerator, q.denominator))
     half = UnitPoint.from_quad(QuadVal(Fraction(1, 2), 0))
-    assert half == UnitPoint.from_rat(Fraction(1, 2)) and hash(half) == hash(Fraction(1, 2))
+    assert half == UnitPoint.from_rat(Fraction(1, 2)) and hash(half) == hash(UnitPoint(1, 2))
     v = QuadVal(Fraction(1, 2), Fraction(1, 4))
     a, b = UnitPoint.from_quad(v), UnitPoint.from_quad(QuadVal(Fraction(2, 4), Fraction(1, 4)))
-    assert a == b and hash(a) == hash(b) == hash(v)
+    assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
     opaque = UnitPoint.from_fn(lambda k: Interval.point(Fraction(1, 2)))
     assert hash(opaque) == id(opaque) and {opaque: 1}[opaque] == 1
 
@@ -350,7 +350,7 @@ def _one_point(n: int, d: int) -> None:
     a, b = UnitPoint(n, d), UnitPoint.from_rat(q)
     assert (a.num, a.den) == (b.num, b.den) == (n, d)
     assert a == b and b == a
-    assert hash(a) == hash(b) == hash(q)
+    assert hash(a) == hash(b)
     assert type(a.exact) is Fraction and a.exact == b.exact == q
     assert {a: 1}[b] == 1 and {b: 2}[a] == 2
 
@@ -364,16 +364,36 @@ def test_unit_point_from_its_pair_is_from_rat(nd):
 
 def test_unit_point_pair_edges():
     """Zero, a negative value, both ambient ends, and denominators that are
-    multiples of the hash modulus, where a value hashes to +-inf's hash."""
+    multiples of the hash modulus."""
     m = sys.hash_info.modulus
     for n, d in ((0, 1), (-3, 8), (-1, 1), (2, 1), (1, m), (-1, 2 * m)):
         _one_point(n, d)
-    assert hash(UnitPoint(1, m)) == sys.hash_info.inf
-    assert hash(UnitPoint(-1, 2 * m)) == -sys.hash_info.inf
     v = QuadVal(Fraction(1, 6), Fraction(-1, 4))
     p = UnitPoint.from_quad(v)
     assert p.num.a.denominator == p.num.b.denominator == 1
     assert p.num * Fraction(1, p.den) == v == p.exact
+
+
+def test_from_quad_puts_both_parts_over_the_lcm_of_their_denominators():
+    p = UnitPoint.from_quad(QuadVal(Fraction(1, 6), Fraction(-1, 4)))
+    assert p.den == 12 and p.num == QuadVal(2, -3)
+    q = UnitPoint(QuadVal(2, -3), 12)
+    assert q == p and hash(q) == hash(p) and {p: 1}[q] == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fractions(-1, 2, max_denominator=1 << 40))
+def test_equal_points_hash_alike_however_built(q):
+    """UnitPoint(n, d), from_rat and from_quad of a rational QuadVal build
+    one point: equal, hashing alike, and one dict key."""
+    built = [
+        UnitPoint(q.numerator, q.denominator),
+        UnitPoint.from_rat(q),
+        UnitPoint.from_quad(QuadVal(q)),
+        UnitPoint.from_quad(QuadVal(q, 0)),
+    ]
+    assert all(p == built[0] for p in built)
+    assert len({hash(p) for p in built}) == 1 and len(set(built)) == 1
 
 
 def test_unit_point_opaque_nesting():

@@ -218,10 +218,11 @@ def cmd_gallery(args) -> tuple[str, int]:
             raise ValueError("heine-borel needs --cover FILE")
         with open(args.cover) as fh:
             cov = parse_cover_file(fh.read())
-        got = find_cover_unit(heine_borel_gauge(cov), depth, stage)
+        g = heine_borel_gauge(cov)
+        got = find_cover_unit(g, depth, stage)
         if stop := _obstruction(got):
             return stop
-        record = {"cover_size": len(got), "subcover_index": finite_subcover(cov, got), "union_verified": True}
+        record = {"cover_size": len(got), "subcover_index": finite_subcover(cov, got, g=g), "union_verified": True}
     elif args.demo == "cauchy-gap":
         run = gap_obstruction_demo(default_cauchy_spec(), depth, stage).unresolved[0]
         record = {"unresolved": region_str(run), "width": rat_str(run.width)}

@@ -30,6 +30,7 @@ from .exact import (
     pow2,
     rt_cell,
     simplest_dyadic_between,
+    sqrt2_sign,
 )
 from .gauges import DomainError, GaugeCode, Verdict, _verdict, verified_above, verified_at_least
 from .spaces import (
@@ -96,11 +97,13 @@ class TaggedPartition:
                 if vn * ld < ln * vd or vn * hd > hn * vd:
                     raise MalformedPartition(f"tag {i} = {tag.exact} outside its cell [{self.cuts[i]},{self.cuts[i + 1]}]")
                 continue
-            lo, hi = Fraction(ln, ld), Fraction(hn, hd)
             if vn is not None:
-                if tag.exact < lo or tag.exact > hi:
-                    raise MalformedPartition(f"tag {i} = {tag.exact} outside its cell [{lo},{hi}]")
+                # (a + b*sqrt(2))/vd against the ends, b nonzero, on the integer parts
+                a, b = vn.a.numerator, vn.b.numerator
+                if sqrt2_sign(a * ld - ln * vd, b * ld) < 0 or sqrt2_sign(hn * vd - a * hd, -b * hd) < 0:
+                    raise MalformedPartition(f"tag {i} = {tag.exact} outside its cell [{self.cuts[i]},{self.cuts[i + 1]}]")
             else:
+                lo, hi = Fraction(ln, ld), Fraction(hn, hd)
                 box = tag.approx(24 if tag.prec is None else min(24, tag.prec))
                 if box.hi < lo or box.lo > hi:
                     raise MalformedPartition(f"tag {i} verifiably outside its cell [{lo},{hi}]")

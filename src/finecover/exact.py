@@ -15,8 +15,9 @@ from math import floor, gcd, isqrt, lcm
 from typing import Callable, Optional, Union
 
 
-def parse_rat(text: str) -> Fraction:
-    """Parse a rational literal: "3/8", "-2", or a decimal like "0.125".
+def parse_pair(text: str) -> tuple[int, int]:
+    """Parse a rational literal, "3/8", "-2" or a decimal like "0.125", to
+    its reduced (numerator, denominator), the denominator positive.
 
     Only ASCII digits, an optional sign and one "/" or "." are accepted,
     so the value's size is bounded by the text's. Decimal input is
@@ -30,11 +31,20 @@ def parse_rat(text: str) -> Fraction:
     if s.isascii() and digits.isdigit() and (part.isdigit() or not sep):
         try:
             if sep == ".":
-                return Fraction(int(head + part), 10 ** len(part))
-            return Fraction(int(head), int(part) if sep else 1)
-        except (ValueError, ZeroDivisionError) as exc:  # a zero denominator, or past int()'s digit limit
+                n, d = int(head + part), 10 ** len(part)
+            else:
+                n, d = int(head), int(part) if sep else 1
+        except ValueError as exc:  # past int()'s digit limit
             raise ValueError(f"not a rational: {text!r}") from exc
+        if d:  # a zero denominator falls through to the error
+            g = gcd(n, d)
+            return n // g, d // g
     raise ValueError(f"not a rational: {text!r}")
+
+
+def parse_rat(text: str) -> Fraction:
+    """The Fraction of a rational literal, as parse_pair reads it."""
+    return Fraction(*parse_pair(text))
 
 
 def rat_str(q: Fraction) -> str:

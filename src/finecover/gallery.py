@@ -162,19 +162,21 @@ def check_star(cov: OpenCoverSpec, g: ContinuousCode, p, k: int) -> Verdict:
     return Verdict.UNKNOWN
 
 
-def finite_subcover(cov: OpenCoverSpec, cover: FineCover, stage: int = 16) -> int:
+def finite_subcover(cov: OpenCoverSpec, cover: FineCover, stage: int = 16, g: Optional[ContinuousCode] = None) -> int:
     """Index k such that the first k+1 intervals already cover [0,1].
 
     k is the max over cover points of the least exponent the gauge
     verifiably beats; the union is then checked exactly and the result
-    only returned when the check passes.
+    only returned when the check passes. g is heine_borel_gauge(cov),
+    built here unless the caller already has it.
     """
-    g = heine_borel_gauge(cov)
+    g = heine_borel_gauge(cov) if g is None else g
+    stages = sorted({max(s, stage) for s in _STAR_STAGES})
     k = 0
     for p in cover.points:
         kp = None
-        for s in _STAR_STAGES:
-            box = eval_enclosure(g, p, max(s, stage))
+        for s in stages:
+            box = eval_enclosure(g, p, s)
             if box.lo > 1:
                 kp = 0
                 break

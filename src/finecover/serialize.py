@@ -6,7 +6,8 @@ write as prefix/period bit patterns; unit points as "rat:", "quad:" (for
 a + b*sqrt(2)) or, for opaque points, an "approx:" enclosure at a stated
 precision. Covers and partitions are CSV with a header; obstructions
 are JSON, their trace one entry per unresolved region, each UNKNOWN at
-the search's stage.
+the search's stage. A number cell reads as its reduced integer pair, and
+points and cuts are built from the pairs; a radius text is read once a file.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-from fractions import Fraction
+from functools import cache
 
 from .covers import FineCover, MalformedPartition, Obstruction, TaggedPartition
-from .exact import Interval, QuadVal, parse_rat, rat_str
+from .exact import Interval, parse_pair, parse_rat, rat_str
 from .spaces import CantorPoint, Cylinder, UnitPoint
 
 
@@ -59,12 +60,12 @@ def unit_str(p: UnitPoint, prec: int = 24) -> str:
 def parse_unit(s: str) -> UnitPoint:
     body = s.strip()
     if body.startswith("rat:"):
-        return UnitPoint.from_rat(parse_rat(body[4:]))
+        return UnitPoint.from_pair(*parse_pair(body[4:]))
     if body.startswith("quad:"):
         a, _, b = body[5:].partition(",")
         if not b:
             raise ValueError(f"quad point needs two components, got {s!r}")
-        return UnitPoint.from_quad(QuadVal(parse_rat(a), parse_rat(b)))
+        return UnitPoint.from_parts(*parse_pair(a), *parse_pair(b))
     if body.startswith("approx:"):
         rest = body[7:]
         if "]@" not in rest or not rest.startswith("["):
@@ -110,6 +111,7 @@ def parse_cover_csv(text: str) -> FineCover:
         raise ValueError("cover CSV must start with the point,radius header")
     # FineCover checks each entry as it is parsed, so its errors name the row
     at = None  # the row being read, None once all are read
+    radius = cache(parse_rat)  # a searched cover's radii are a few powers of two
 
     def entries():
         nonlocal at
@@ -118,7 +120,7 @@ def parse_cover_csv(text: str) -> FineCover:
                 if len(row) != 2:
                     raise ValueError(f"need point,radius, got {row!r}")
                 ps, rs = row
-                yield parse_cantor(ps) if ps.startswith("prefix=") else parse_unit(ps), parse_rat(rs)
+                yield parse_cantor(ps) if ps.startswith("prefix=") else parse_unit(ps), radius(rs)
         at = None
 
     try:
@@ -140,7 +142,7 @@ def parse_partition_csv(text: str) -> TaggedPartition:
     rows = _csv_rows(text)
     if not rows or rows[0] != ["lo", "hi", "tag"]:
         raise ValueError("partition CSV must start with the lo,hi,tag header")
-    cuts: list[Fraction] = []
+    ends: list[tuple] = []  # each cut as its reduced (n, d)
     tags: list[UnitPoint] = []
     hi_s = None  # the text of the last cut read
     for i, row in enumerate(rows[1:], start=2):
@@ -150,20 +152,20 @@ def parse_partition_csv(text: str) -> TaggedPartition:
             raise MalformedPartition(f"row {i}: need lo,hi,tag, got {row!r}")
         try:
             # a cell almost always starts with the text the previous one ended with
-            lo = cuts[-1] if row[0] == hi_s else parse_rat(row[0])
-            hi, hi_s = parse_rat(row[1]), row[1]
+            lo = ends[-1] if row[0] == hi_s else parse_pair(row[0])
+            hi, hi_s = parse_pair(row[1]), row[1]
             tag = parse_unit(row[2])
         except ValueError as e:
             raise MalformedPartition(f"row {i}: {e}")
-        if not cuts:
-            cuts.append(lo)
-        elif cuts[-1] != lo:
-            raise MalformedPartition(f"row {i}: cell starts at {row[0]}, previous ended at {rat_str(cuts[-1])}")
-        cuts.append(hi)
+        if not ends:
+            ends.append(lo)
+        elif ends[-1] != lo:
+            raise MalformedPartition(f"row {i}: cell starts at {row[0]}, previous ended at %d/%d" % ends[-1])
+        ends.append(hi)
         tags.append(tag)
     if not tags:
         raise MalformedPartition("no cells")
-    return TaggedPartition(tuple(cuts), tuple(tags))
+    return TaggedPartition.from_ends(ends, tags)
 
 
 def region_str(region) -> str:

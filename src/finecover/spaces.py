@@ -25,6 +25,7 @@ from .exact import (
     rt_interval,
     rt_of,
     rt_refine,
+    sqrt2_sign,
 )
 
 THIRD = Fraction(1, 3)
@@ -77,7 +78,7 @@ class CantorPoint:
 
     @classmethod
     def from_pattern(cls, prefix: str, period: str) -> "CantorPoint":
-        if period == "" or any(c not in "01" for c in prefix + period):
+        if period == "" or (prefix + period).strip("01"):
             raise ValueError(f"bad bit pattern: prefix={prefix!r} period={period!r}")
         prefix, period = _norm_pattern(prefix, period)
 
@@ -159,7 +160,7 @@ class UnitPoint:
 
     An exact point is its value num/den, set once: reduced ints for a
     rational point, a QuadVal with integer parts over an int for a
-    quadratic one (from_quad makes a rational QuadVal a rational point),
+    quadratic one (one with no sqrt2 part is built as a rational one),
     None for an approximant; `exact`, the value as a Fraction or QuadVal,
     is built on first read. Points compare for equality, not order: exact
     points by their pairs, an approximant only to itself. An exact point
@@ -176,9 +177,9 @@ class UnitPoint:
 
     AMBIENT = Interval(Fraction(-1), Fraction(2))
 
-    def __init__(self, num=None, den: int = 1, exact=None, fn=None, label: Optional[str] = None, prec=None):
+    def __init__(self, num=None, den: int = 1, fn=None, label: Optional[str] = None, prec=None):
         self.num, self.den = num, den
-        self._exact: Union[Fraction, QuadVal, None] = exact  # num/den, if the maker had it
+        self._exact: Union[Fraction, QuadVal, None] = None  # num/den, built on first read
         self._fn = fn
         self.label = label
         self.prec = prec
@@ -186,23 +187,33 @@ class UnitPoint:
         self._hash = id(self) if num is None else hash((num, den))
 
     @classmethod
-    def from_rat(cls, q) -> "UnitPoint":
-        if type(q) is not Fraction:
-            q = Fraction(q)
-        n, d = q.numerator, q.denominator
+    def from_pair(cls, n: int, d: int) -> "UnitPoint":
+        """The rational point n/d, for a reduced pair with d > 0."""
         if not -d <= n <= 2 * d:
-            raise ValueError(f"point {q} outside ambient [-1, 2]")
+            raise ValueError(f"point {Fraction(n, d)} outside ambient [-1, 2]")
         return cls(n, d)
 
     @classmethod
+    def from_parts(cls, an: int, ad: int, bn: int, bd: int) -> "UnitPoint":
+        """The point an/ad + (bn/bd)*sqrt(2), for reduced pairs with positive
+        denominators; a rational one when bn is 0."""
+        if not bn:
+            return cls.from_pair(an, ad)
+        d = lcm(ad, bd)
+        a, b = an * (d // ad), bn * (d // bd)
+        # -1 <= (a + b*sqrt(2))/d <= 2, on the integers
+        if sqrt2_sign(a + d, b) < 0 or sqrt2_sign(2 * d - a, -b) < 0:
+            raise ValueError(f"point {QuadVal(Fraction(an, ad), Fraction(bn, bd))} outside ambient [-1, 2]")
+        return cls(QuadVal(a, b), d)
+
+    @classmethod
+    def from_rat(cls, q) -> "UnitPoint":
+        q = q if type(q) is Fraction else Fraction(q)
+        return cls.from_pair(q.numerator, q.denominator)
+
+    @classmethod
     def from_quad(cls, v: QuadVal) -> "UnitPoint":
-        if v.is_rational:
-            return cls.from_rat(v.as_fraction())
-        if v < cls.AMBIENT.lo or v > cls.AMBIENT.hi:
-            raise ValueError(f"point {v} outside ambient [-1, 2]")
-        a, b = v.a, v.b
-        d = lcm(a.denominator, b.denominator)
-        return cls(QuadVal(a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)), d, v)
+        return cls.from_parts(v.a.numerator, v.a.denominator, v.b.numerator, v.b.denominator)
 
     @classmethod
     def from_fn(cls, fn: Callable[[int], Interval], label: Optional[str] = None, prec=None) -> "UnitPoint":

@@ -1,8 +1,10 @@
 """The read side of `verify` as it was written on Fraction compares, kept as
 the reference the tests check the integer versions against: the regex
-rational parser, a cover's point order by exact value, the unit sweep that
-sorts its rows with a cross-multiplying comparator, and the sequence-space
-witness walk that builds a `Cylinder` for every node it visits."""
+rational parser, a quadratic point checked against the ambient interval
+with QuadVal compares, a cover's point order by exact value, the unit sweep
+that sorts its rows with a cross-multiplying comparator, and the
+sequence-space witness walk that builds a `Cylinder` for every node it
+visits."""
 
 import re
 from fractions import Fraction
@@ -26,6 +28,19 @@ def ref_parse_rat(text: str) -> Fraction:
         return Fraction(int(whole), int(den or 1))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {text!r}") from exc
+
+
+def ref_from_quad(v: QuadVal) -> UnitPoint:
+    """The point v: a rational point when v is rational, else v's parts over
+    the lcm of their denominators, checked against [-1, 2] as QuadVals."""
+    if v.is_rational:
+        q = v.as_fraction()
+        if not -1 <= q <= 2:
+            raise ValueError(f"point {q} outside ambient [-1, 2]")
+        return UnitPoint(q.numerator, q.denominator)
+    if v < -1 or v > 2:
+        raise ValueError(f"point {v} outside ambient [-1, 2]")
+    return UnitPoint(*_pair(v))
 
 
 def ref_cover(entries) -> tuple[list, dict]:

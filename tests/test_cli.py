@@ -510,13 +510,42 @@ def test_relative_heine_borel_path_in_gauge_text_reads_from_the_cwd(capsys, tmp_
     assert err.startswith("error: line 1, col 1: cannot read cover file: ") and err.endswith("'./cov.txt'\n")
 
 
+_VERIFY = ["verify", "--gauge", "1/2", "--in"]
+
+
 @pytest.mark.parametrize(
     "argv,name,text,err",
     [
-        (["verify", "--gauge", "1/2", "--in"], "ap.csv", 'point,radius\n"approx:[0,1/2]@3",1/2\n',
+        (_VERIFY, "ap.csv", 'point,radius\n"approx:[0,1/2]@3",1/2\n',
          "error: row 2: cover points must be exact\n"),
         (["gallery", "heine-borel", "--cover"], "F.cov", "x 1\n",
          "error: line 1, col 1: bad endpoint: line 1, col 1: x is not allowed here\n"),
+        # the reader's texts for points outside [-1, 2], a quadratic tag
+        # outside its cell, cells that do not meet, and zero denominators
+        pytest.param(_VERIFY, 'c.csv', 'point,radius\nrat:5/2,1/2\n',
+                     'error: row 2: point 5/2 outside ambient [-1, 2]\n', id='rat-above'),
+        pytest.param(_VERIFY, 'c.csv', 'point,radius\nrat:-3,1/2\n',
+                     'error: row 2: point -3 outside ambient [-1, 2]\n', id='rat-below'),
+        pytest.param(_VERIFY, 'c.csv', 'point,radius\n"quad:2,1",1/2\n',
+                     'error: row 2: point 2 + 1*sqrt2 outside ambient [-1, 2]\n', id='quad-above'),
+        pytest.param(_VERIFY, 'c.csv', 'point,radius\n"quad:-1,-1/2",1/2\n',
+                     'error: row 2: point -1 + -1/2*sqrt2 outside ambient [-1, 2]\n', id='quad-below'),
+        pytest.param(_VERIFY, 'c.csv', 'point,radius\n"quad:1/2",1/2\n',
+                     "error: row 2: quad point needs two components, got 'quad:1/2'\n", id='quad-one-part'),
+        pytest.param(_VERIFY, 'c.csv', 'point,radius\nrat:1/2,1/0\n',
+                     "error: row 2: not a rational: '1/0'\n", id='radius-zero-den'),
+        pytest.param(_VERIFY, 'p.csv', 'lo,hi,tag\n0/1,1/2,"quad:0,1/2"\n1/2,1/1,rat:3/4\n',
+                     'error: tag 0 = 0 + 1/2*sqrt2 outside its cell [0,1/2]\n', id='quad-tag-above-cell'),
+        pytest.param(_VERIFY, 'p.csv', 'lo,hi,tag\n0/1,1/2,rat:1/4\n1/2,1/1,"quad:1,-1/2"\n',
+                     'error: tag 1 = 1 + -1/2*sqrt2 outside its cell [1/2,1]\n', id='quad-tag-below-cell'),
+        pytest.param(_VERIFY, 'p.csv', 'lo,hi,tag\n0/1,1/1,"quad:2,1"\n',
+                     'error: row 2: point 2 + 1*sqrt2 outside ambient [-1, 2]\n', id='quad-tag-outside-ambient'),
+        pytest.param(_VERIFY, 'p.csv', 'lo,hi,tag\n0/1,1/2,rat:1/4\n1/3,1/1,rat:1/2\n',
+                     'error: row 3: cell starts at 1/3, previous ended at 1/2\n', id='cell-start-mismatch'),
+        pytest.param(_VERIFY, 'p.csv', 'lo,hi,tag\n0/1,1/0,rat:1/4\n',
+                     "error: row 2: not a rational: '1/0'\n", id='cut-zero-den-hi'),
+        pytest.param(_VERIFY, 'p.csv', 'lo,hi,tag\n0/0,1/2,rat:1/4\n1/2,1/1,rat:3/4\n',
+                     "error: row 2: not a rational: '0/0'\n", id='cut-zero-den-lo'),
     ],
 )
 def test_bad_input_file_exits_one(capsys, tmp_path, monkeypatch, argv, name, text, err):

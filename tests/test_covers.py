@@ -7,7 +7,7 @@ from math import ceil, floor
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from quad_ref import ref_cmp
 from read_ref import ref_cantor_witness, ref_cover, ref_sweep
@@ -137,6 +137,28 @@ def test_partition_quad_tag_membership_at_both_cell_ends(inner, cell, at_hi, ins
     with pytest.raises(MalformedPartition) as err:
         TaggedPartition(cuts, tuple(tags))
     assert str(err.value) == f"tag {cell} = {QuadVal(a, b)} outside its cell [{lo},{hi}]"
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    inner=st.lists(st.fractions(0, 1, max_denominator=2**30), min_size=2, max_size=2),
+    a=st.fractions(-2, 2, max_denominator=2**30),
+    b=st.fractions(-1, 1, max_denominator=2**30).filter(bool),
+)
+def test_partition_quad_tag_check_agrees_with_quadval_order(inner, a, b):
+    """A random irrational tag in the middle of three random cells is kept
+    exactly when QuadVal's order puts it inside the cell."""
+    v = QuadVal(a, b)
+    assume(-1 <= v <= 2)
+    cuts = (F(0), *sorted(inner), F(1))
+    lo, hi = cuts[1], cuts[2]
+    tags = (up(0), UnitPoint.from_quad(v), up(1))
+    if lo <= v <= hi:
+        TaggedPartition(cuts, tags)
+        return
+    with pytest.raises(MalformedPartition) as err:
+        TaggedPartition(cuts, tags)
+    assert str(err.value) == f"tag 1 = {v} outside its cell [{lo},{hi}]"
 
 
 _QUAD_TAG = UnitPoint.from_quad(QuadVal(F(1, 4), F(1, 8)))  # 1/4 + sqrt(2)/8, about 0.427

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import floor, isqrt
+from math import floor, gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +15,7 @@ from finecover.exact import (
     QuadVal,
     ceil_log_recip,
     floor_log_recip,
+    parse_pair,
     parse_rat,
     pow2,
     pow3,
@@ -71,17 +72,19 @@ def test_parse_rat_rejects(bad):
 
 
 def _same_parse(text):
-    """parse_rat returns what the regex parser returns, or both raise the
-    same ValueError."""
+    """parse_rat returns what the regex parser returns and parse_pair its
+    reduced pair, or all three raise the same ValueError."""
     try:
         want = ref_parse_rat(text)
     except ValueError as e:
-        with pytest.raises(ValueError) as got:
-            parse_rat(text)
-        assert str(got.value) == str(e)
+        for parse in (parse_rat, parse_pair):
+            with pytest.raises(ValueError) as got:
+                parse(text)
+            assert str(got.value) == str(e)
         return
     got = parse_rat(text)
     assert type(got) is Fraction and got == want
+    assert parse_pair(text) == (want.numerator, want.denominator)
 
 
 # digits, the separators, and characters the parser must refuse: an
@@ -91,6 +94,33 @@ def _same_parse(text):
 @given(st.text(alphabet="0123456789+-/. _e\u0661\uff11\t\n\u2003", max_size=12))
 def test_parse_rat_matches_the_regex_parser(text):
     _same_parse(text)
+
+
+_digits = st.text(alphabet="0123456789", min_size=1, max_size=6)
+_space = st.sampled_from(["", " ", "\t", "  "])
+# a literal built from a sign, digits with any leading zeros and a "/" or
+# "." part, zero denominators included; or one with a field left empty or
+# holding an underscore, an exponent or a non-ASCII digit
+_literal = st.tuples(
+    _space,
+    st.sampled_from(["", "+", "-"]),
+    st.one_of(_digits, st.sampled_from(["", "1_0", "\u0661", "\uff11"])),
+    st.sampled_from(["", "/", "."]),
+    st.one_of(_digits, st.sampled_from(["", "0", "00", "1_0", "5e3", "1E2", "\u0662"])),
+    _space,
+).map(lambda t: t[0] + t[1] + t[2] + (t[3] + t[4] if t[3] else "") + t[5])
+
+
+@settings(max_examples=2000, deadline=None)
+@given(_literal)
+def test_parse_pair_matches_the_regex_parser_on_built_literals(text):
+    _same_parse(text)
+
+
+@pytest.mark.parametrize("text", ["0/5", "-0", "+6/8", "007/010", "-2.50", " 0.000 "])
+def test_parse_pair_reduces_with_a_positive_denominator(text):
+    n, d = parse_pair(text)
+    assert d > 0 and gcd(n, d) == 1 and Fraction(n, d) == ref_parse_rat(text)
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 
@@ -5,10 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from finecover import cli, gallery
 from finecover.covers import FineCover, find_cover_unit
 from finecover.exact import Interval, pow2
 from finecover.gallery import (
     CauchySpec,
+    GalleryFalsification,
     _gap_term,
     _merge_open,
     OpenCoverSpec,
@@ -223,6 +226,38 @@ def test_finite_subcover_is_index_zero_when_the_gauge_exceeds_one():
     assert isinstance(cover, FineCover)
     assert all(eval_enclosure(g, p, 16).lo > 1 for p in cover.points)
     assert finite_subcover(cov, cover) == 0
+
+
+def test_finite_subcover_asks_each_stage_once(monkeypatch):
+    """At the default stage 16 the ladder 4, 8, 16, 32, 64 reads 16, 32, 64,
+    each once: a cover point in the gap between two intervals, where the
+    gauge is never verifiably positive, tries every stage and fails."""
+    asked = []
+
+    def counted(g, x, stage):
+        asked.append(stage)
+        return eval_enclosure(g, x, stage)
+
+    monkeypatch.setattr(gallery, "eval_enclosure", counted)
+    cov = OpenCoverSpec(((F(-1, 10), F(4, 10)), (F(6, 10), F(11, 10))))
+    with pytest.raises(GalleryFalsification):
+        finite_subcover(cov, FineCover([(UnitPoint.from_rat(F(1, 2)), F(1, 4))]))
+    assert asked == [16, 32, 64]
+
+
+def test_gallery_heine_borel_builds_its_gauge_once(monkeypatch, tmp_path, capsys):
+    built = []
+
+    def counted(cov):
+        built.append(cov)
+        return heine_borel_gauge(cov)
+
+    monkeypatch.setattr(cli, "heine_borel_gauge", counted)
+    monkeypatch.setattr(gallery, "heine_borel_gauge", counted)
+    (tmp_path / "two.cov").write_text("-1/10 6/10\n4/10 11/10\n")
+    assert cli.main(["gallery", "heine-borel", "--cover", str(tmp_path / "two.cov"), "--depth", "8"]) == 0
+    assert json.loads(capsys.readouterr().out)["union_verified"] is True
+    assert len(built) == 1
 
 
 def test_merge_open_keeps_disjoint_intervals_apart():

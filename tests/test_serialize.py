@@ -1,4 +1,7 @@
+import cProfile
+import fractions
 import json
+import pstats
 import tracemalloc
 from fractions import Fraction as F
 
@@ -43,6 +46,18 @@ def test_unit_rat_and_quad_round_trip():
     s = unit_str(q)
     assert s == "quad:1/4,1/16"
     assert parse_unit(s) == q
+
+
+def test_a_quad_cell_with_no_sqrt2_part_reads_as_its_rational_point():
+    """"quad:1/2,0" is the point "rat:1/2": one pair, one hash, one cover
+    entry, and the same tag in a partition."""
+    q, r = parse_unit("quad:1/2,0"), parse_unit("rat:1/2")
+    assert q.is_rational and (q.num, q.den) == (r.num, r.den) == (1, 2)
+    assert q == r and hash(q) == hash(r)
+    cover = parse_cover_csv('point,radius\n"quad:1/2,0",1/4\nrat:1/2,1/2\n')
+    assert cover.entries() == [(r, F(1, 2))]
+    part = parse_partition_csv('lo,hi,tag\n0/1,1/2,"quad:1/4,0"\n1/2,1/1,rat:1/2\n')
+    assert part.tags == (parse_unit("rat:1/4"), r)
 
 
 def test_unit_approx_capped_at_recorded_precision():
@@ -185,6 +200,30 @@ def test_partition_csv_rejects():
     assert "row 3" in str(err.value)
     with pytest.raises(MalformedPartition):
         parse_partition_csv("lo,hi,tag\n")
+
+
+def _fractions_made(parse, text) -> int:
+    """The Fractions parse(text) constructs, counted by cProfile."""
+    profile = cProfile.Profile()
+    profile.enable()
+    parse(text)
+    profile.disable()
+    return sum(calls for (path, _, name), (_, calls, *_) in pstats.Stats(profile).stats.items()
+               if path == fractions.__file__ and name in ("__new__", "_from_coprime_ints"))
+
+
+def _dyadic_cover_csv(rows: int) -> str:
+    """rows cell midpoints over [0,1], their radii cycling through 2^-11..2^-18."""
+    return "point,radius\n" + "".join(f"rat:{2 * i + 1}/{2 * rows},1/{1 << (11 + i % 8)}\n" for i in range(rows))
+
+
+def test_reading_builds_fractions_per_distinct_radius_not_per_row():
+    """A 1,024-row cover with 8 distinct radii builds one Fraction per
+    radius, as a 64-row one does; a 1,024-cell partition builds none."""
+    made = [_fractions_made(parse_cover_csv, _dyadic_cover_csv(rows)) for rows in (1024, 64)]
+    assert made == [8, 8]
+    cells = "".join(f"{i}/1024,{i + 1}/1024,rat:{2 * i + 1}/2048\n" for i in range(1024))
+    assert _fractions_made(parse_partition_csv, "lo,hi,tag\n" + cells) == 0
 
 
 def test_obstruction_json_shape_and_determinism():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from read_ref import ref_from_quad
 
 from finecover.exact import CauchyViolation, Interval, QuadVal, pow2, pow3, rt_cell, rt_interval
 from finecover.spaces import (
@@ -394,6 +395,45 @@ def test_equal_points_hash_alike_however_built(q):
     ]
     assert all(p == built[0] for p in built)
     assert len({hash(p) for p in built}) == 1 and len(set(built)) == 1
+
+
+def _built(make, *args):
+    """The point make(*args) as its pair, or the message it raised."""
+    try:
+        p = make(*args)
+    except ValueError as e:
+        return str(e)
+    return p.num, p.den
+
+
+def _same_quad_point(a: Fraction, b: Fraction) -> None:
+    """from_parts on the reduced pairs of a and b builds the point, or
+    raises the message, that from_quad and the QuadVal-compare reference
+    do for a + b*sqrt(2)."""
+    parts = (a.numerator, a.denominator, b.numerator, b.denominator)
+    got = _built(UnitPoint.from_parts, *parts)
+    assert got == _built(UnitPoint.from_quad, QuadVal(a, b)) == _built(ref_from_quad, QuadVal(a, b))
+
+
+# parts of both signs, many of them putting the point outside [-1, 2]
+@settings(max_examples=1000, deadline=None)
+@given(st.fractions(-4, 4, max_denominator=1 << 20), st.fractions(-4, 4, max_denominator=1 << 20))
+def test_from_parts_is_from_quad_and_the_quadval_reference(a, b):
+    _same_quad_point(a, b)
+
+
+# 140/99 < sqrt(2) < 99/70, both within 1e-4 of it: each pair below puts a
+# point on an ambient end, or just inside or just outside one
+_LO, _HI, _TINY = Fraction(140, 99), Fraction(99, 70), Fraction(1, 10**5)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [(-1, 0), (2, 0), (-1 - _LO, 1), (-1 - _HI, 1), (2 + _LO, -1), (2 + _HI, -1),
+     (-1, _TINY), (2, -_TINY), (-1, -_TINY), (2, _TINY)],
+)
+def test_from_parts_at_and_beside_the_ambient_ends(a, b):
+    _same_quad_point(Fraction(a), Fraction(b))
 
 
 def test_unit_point_opaque_nesting():

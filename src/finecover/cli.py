@@ -195,8 +195,8 @@ def cmd_verify(args) -> tuple[str, int]:
         noun, bounds = "partition", part.widths()
 
         def failure(i: int) -> str:
-            lo, hi, tag = part.cuts[i], part.cuts[i + 1], part.tags[i]
-            return f"cell {i} [{rat_str(lo)},{rat_str(hi)}]: gauge at {point_str(tag)} is below the width"
+            (ln, ld), (hn, hd) = part.ends[i], part.ends[i + 1]
+            return f"cell {i} [{ln}/{ld},{hn}/{hd}]: gauge at {point_str(part.tags[i])} is below the width"
 
     else:
         raise ValueError(f"unrecognized artifact header {header!r}")

@@ -10,6 +10,10 @@ verdict or on the region kernel's lower end, and emit the cell width as
 the radius, so accepted entries always verify with margin. On the
 sequence space the ball B(x, r) IS the cylinder [x restricted to m] with
 2^-m <= r, so the acceptance test is the non-strict "gauge >= 2^-depth".
+
+The fineness check reads a code's region kernel the same way: a run of
+rows whose hull the region bounds above every row's bound passes at once,
+and a No or an Unknown comes only from a row's own verdict.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .exact import (
     simplest_dyadic_between,
     sqrt2_sign,
 )
-from .gauges import DomainError, GaugeCode, Verdict, _verdict, verified_above, verified_at_least
+from .gauges import DomainError, GaugeCode, Verdict, _point_region, _verdict, verified_above, verified_at_least
 from .spaces import (
     CantorPoint,
     Cylinder,
@@ -312,6 +316,62 @@ def uncovered_witness(cover: FineCover):
     return None
 
 
+def _run_box(g: GaugeCode, x, stage: int) -> Optional[tuple]:
+    """The query triple at `stage` of a row whose point is not a rational
+    unit point, when it may join a run: a quadratic point inside [0,1]
+    under a continuous code, or an eventually periodic sequence. Else None,
+    and the row keeps its own verdict: an approximant, whose box narrows as
+    it is asked; a point outside [0,1] or of the wrong space, which raises
+    there; a quadratic point under a direct code, whose kernel reads the
+    point itself and may reject it; a rule-only sequence, whose bits are
+    read only as far as its verdict asks."""
+    if g.domain == "unit":
+        if type(x) is UnitPoint and isinstance(x.num, QuadVal) and g.kind == "continuous":
+            a, b = x.num.a.numerator, x.num.b.numerator
+            if sqrt2_sign(a, b) > 0 and sqrt2_sign(x.den - a, -b) > 0:
+                return _point_region(x, stage, "unit")
+        return None
+    if type(x) is CantorPoint and x.pattern is not None:
+        return rt_cell(x.index(stage), stage)
+    return None
+
+
+def _hull(g: GaugeCode, rows: list, i: int, end: int, stage: int, boxes: dict) -> tuple:
+    """(j, hull, bn, bd) for the run rows[i:j], which stops at `end` or at
+    the first row that keeps its own verdict: the hull of the rows' query
+    triples at `stage`, and the largest bound bn/bd. The ends and the bound
+    are kept as (n, d) pairs and compared by cross-multiplication, so the
+    integers stay the size of one row. A rational unit row's triple is read
+    off its point; any other row's `_run_box` is kept in `boxes` by index."""
+    unit = g.domain == "unit"
+    ln, ld, hn, hd, bn, bd = 1, 0, -1, 0, -1, 0  # +inf, -inf, -inf as n/0
+    for j in range(i, end):
+        x, qn, qd = rows[j]
+        if qn < 0:
+            break
+        if unit and type(x) is UnitPoint and type(x.num) is int:
+            lo = hi = x.num
+            d = x.den
+            if lo < 0 or lo > d:
+                break
+        else:
+            if j not in boxes:
+                boxes[j] = _run_box(g, x, stage)
+            box = boxes[j]
+            if box is None:
+                break
+            lo, hi, d = box
+        if lo * ld < ln * d:
+            ln, ld = lo, d
+        if hi * hd > hn * d:
+            hn, hd = hi, d
+        if qn * bd > bn * qd:
+            bn, bd = qn, qd
+    else:
+        j = end
+    return j, (ln * hd, hn * ld, ld * hd), bn, bd
+
+
 def check_fineness(g: GaugeCode, bounds, stage: int) -> tuple[Verdict, Optional[int]]:
     """Check "gauge at x >= qn/qd" for each triple (x, qn, qd) in order, an
     int numerator over a positive int denominator, not necessarily reduced,
@@ -319,14 +379,44 @@ def check_fineness(g: GaugeCode, bounds, stage: int) -> tuple[Verdict, Optional[
 
     Returns the worst verdict (No, else Unknown if any, else Yes) and the
     index of the triple that said No, or None.
+
+    A code with a region kernel accepts a run of consecutive rows at once
+    when the region's lower end over the hull of the rows' query triples at
+    `stage` is >= the run's largest bound. Each row's verdict would be Yes:
+    its last rung reads the kernel on its own triple, inside the hull,
+    which the region encloses, and a sound code says No at no earlier rung.
+    The runs gallop: the first is the whole list; a run that passes is
+    skipped and the next is twice as long, one that fails is halved, and at
+    length 1 the row takes its own verdict and the next run has length 2.
+    So the region only ever says Yes, and every No and Unknown, with its
+    index, comes from the row's own verdict. A row with a negative bound,
+    or one that `_run_box` turns away, ends a run and takes its own
+    verdict, so an error it raises is raised at its own index. Codes with
+    no region kernel ask every row.
     """
     worst = Verdict.YES
-    for i, (x, qn, qd) in enumerate(bounds):
+    rows, boxes = list(bounds), {}
+    i, n = 0, len(rows)
+    size = n if g.region is not None and stage >= 0 else 0  # the next run's length; 0 asks every row
+    while i < n:
+        if size > 1:
+            j, hull, bn, bd = _hull(g, rows, i, min(n, i + size), stage, boxes)
+            if j - i > 1:
+                lo, _, d = g.region(hull, stage)
+                if lo * bd >= bn * d:
+                    i, size = j, 2 * size
+                else:
+                    size = (j - i) // 2
+                continue
+        x, qn, qd = rows[i]
         v = _verdict(g, x, qn, qd, stage, False)
         if v is Verdict.NO:
             return v, i
         if v is Verdict.UNKNOWN:
             worst = v
+        i += 1
+        if size:
+            size = max(size, 2)
     return worst, None
 
 

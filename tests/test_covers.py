@@ -9,16 +9,19 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from fineness_ref import ref_check_fineness
 from quad_ref import ref_cmp
 from read_ref import ref_cantor_witness, ref_cover, ref_sweep
 
 from finecover import covers
+from finecover.cli import main
 from finecover.covers import (
     FineCover,
     MalformedPartition,
     NotACover,
     Obstruction,
     TaggedPartition,
+    check_fineness,
     cover_to_partition,
     find_cover_cantor,
     find_cover_unit,
@@ -316,6 +319,183 @@ def test_verify_cover_cantor():
     assert verify_cover(g, half, STAGE) is Verdict.NO
     w = uncovered_witness(half)
     assert w.bit(0) == 1
+
+
+# -- check_fineness: runs of rows on one region evaluation ----------------
+
+
+def _approx(q):
+    """An approximant point at the rational q, with boxes of width 2^-k."""
+    return UnitPoint.from_fn(lambda k: Interval(q - F(1, 2 << k), q + F(1, 2 << k)), label=f"~{q}")
+
+
+def _unit_point(spec):
+    kind, q, b = spec
+    if kind == "rat":
+        return up(q)
+    if kind == "quad":
+        return UnitPoint.from_quad(QuadVal(q, b))
+    return _approx(q)
+
+
+def _cantor_point(spec):
+    prefix, period = spec
+    if period:
+        return CantorPoint.from_pattern(prefix, period)
+    # rule-only, with a bad bit that only a query past the prefix's next three bits reads
+    return CantorPoint(lambda i: int(prefix[i]) if i < len(prefix) else 1 if i < len(prefix) + 3 else 2, label=prefix)
+
+
+_UNIT_SPECS = st.tuples(st.just("rat"), st.fractions(-1, 2, max_denominator=16), st.none()) | st.tuples(
+    st.sampled_from(["quad", "approx"]),
+    st.fractions(F(-1, 2), F(3, 2), max_denominator=16),
+    st.fractions(F(-1, 4), F(1, 4), max_denominator=16).filter(bool),
+)
+_CANTOR_SPECS = st.tuples(st.text("01", max_size=6), st.sampled_from(["0", "1", "01", "110", ""]))
+_BOUNDS = st.sampled_from([F(0), F(1, 1 << 20), F(1, 64), F(1, 16), F(1, 8), F(1, 4), F(1, 2), F(1), F(-1, 8)]) | st.fractions(
+    0, 1, max_denominator=64
+)
+
+
+def _gauge_builder(kind, text, eps):
+    def gauge():
+        if kind == "text":
+            return parse_gauge(text)
+        if kind == "cantor":
+            return pullback_gauge_phi(parse_gauge(text))
+        if kind == "gap":
+            return cauchy_gap_gauge(default_cauchy_spec())
+        return builtin_integrands()["sqrt-reciprocal"][1](eps)
+
+    return gauge
+
+
+def _rows_builder(shape, specs, scale):
+    """Rows (point, qn, qd) built afresh from their specs: straight, of a
+    unit cover, or of a partition from its cuts and tag kinds."""
+
+    def rows():
+        if shape == "partition":
+            cuts, kinds = specs
+            # a tag in the middle of its cell, off it by sqrt(2)/8 of the width, or an approximant there
+            tags = [
+                up(a) if a == b or t == "rat" else _approx((a + b) / 2) if t == "approx"
+                else UnitPoint.from_quad(QuadVal((a + b) / 2, (b - a) / 8))
+                for t, a, b in zip(kinds, cuts, cuts[1:])
+            ]
+            got = [(p, F(wn, wd)) for p, wn, wd in TaggedPartition(cuts, tags).widths()]
+        else:
+            point = _cantor_point if shape == "cantor" else _unit_point
+            got = [(point(p), r) for p, r in specs]
+            if shape == "cover":
+                got = FineCover(got).entries()
+        return [(p, (r * scale).numerator, (r * scale).denominator) for p, r in got]
+
+    return rows
+
+
+@st.composite
+def _fineness_cases(draw):
+    """(gauge, rows, stage), the gauge and rows as builders, since both keep
+    state per point, with the bounds scaled down by 2^-20 half of the time
+    so that most rows are fine."""
+    kind = draw(st.sampled_from(["text", "text", "gap", "sqrt", "cantor"]))
+    text = draw(_GAUGES) if kind in ("text", "cantor") else None
+    eps = draw(st.sampled_from([F(1, 4), F(1, 32)]))
+    stage = draw(st.sampled_from([0, 1, 48]))
+    scale = draw(st.sampled_from([F(1), F(1, 1 << 20)]))
+    shape = "cantor" if kind == "cantor" else draw(st.sampled_from(["rows", "cover", "partition"]))
+    if shape == "partition":
+        cuts = [F(0), *sorted(draw(st.lists(st.fractions(0, 1, max_denominator=32), max_size=10))), F(1)]
+        specs = cuts, draw(st.lists(st.sampled_from(["rat", "quad", "approx"]), min_size=len(cuts) - 1, max_size=len(cuts) - 1))
+    else:
+        specs = draw(st.lists(st.tuples(_CANTOR_SPECS if shape == "cantor" else _UNIT_SPECS, _BOUNDS), min_size=1, max_size=12))
+        if shape == "cover":
+            specs = [(p, r) for p, r in specs if p[0] != "approx" and r > 0]  # cover points are exact, radii positive
+            assume(specs)
+    return _gauge_builder(kind, text, eps), _rows_builder(shape, specs, scale), stage
+
+
+def _outcome(check, g, rows, stage):
+    try:
+        return check(g, rows, stage)
+    except Exception as exc:  # the type and message are the outcome
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_fineness_cases())
+def test_check_fineness_by_runs_matches_one_verdict_per_row(case):
+    """Gauge texts on [0,1] and pulled back to sequences, the gap gauge (a
+    modulus code with regions) and the sqrt-reciprocal direct code with its
+    region; rational, quadratic and approximant points, centres in [-1, 2],
+    rule-only sequences; stages 0, 1 and 48. Every verdict, index, error
+    type and message is the reference's."""
+    gauge, rows, stage = case
+    assert _outcome(check_fineness, gauge(), rows(), stage) == _outcome(ref_check_fineness, gauge(), rows(), stage)
+
+
+def _counted_verdicts(monkeypatch):
+    asked = []
+    inner = covers._verdict
+
+    def counting(g, x, qn, qd, stage, strict):
+        asked.append(x)
+        return inner(g, x, qn, qd, stage, strict)
+
+    monkeypatch.setattr(covers, "_verdict", counting)
+    return asked
+
+
+def _grid_rows(n, radius):
+    return [(up(F(2 * i + 1, 2 * n)), radius.numerator, radius.denominator) for i in range(n)]
+
+
+def test_a_fine_cover_under_a_constant_gauge_takes_no_verdict(monkeypatch):
+    asked = _counted_verdicts(monkeypatch)
+    cover = FineCover([(p, F(qn, qd)) for p, qn, qd in _grid_rows(1024, F(1, 2048))])
+    assert verify_cover(const(F(1, 1024)), cover, 48) is Verdict.YES
+    assert asked == []
+
+
+def test_one_bad_row_is_found_by_its_own_verdict(monkeypatch, tmp_path, capsys):
+    """Row 517 of 1,024 has a radius above the gauge: the runs around it
+    pass on their regions, and the row itself says No."""
+    rows = _grid_rows(1024, F(1, 2048))
+    rows[517] = (rows[517][0], 1, 256)
+    asked = _counted_verdicts(monkeypatch)
+    assert check_fineness(const(F(1, 1024)), rows, 48) == (Verdict.NO, 517)
+    assert 0 < len(asked) < 40 and asked[-1] == rows[517][0]
+    path = tmp_path / "cover.csv"
+    path.write_text(cover_csv(FineCover([(p, F(qn, qd)) for p, qn, qd in rows])))
+    assert main(["verify", "--gauge", "1/1024", "--in", str(path), "--stage", "48"]) == 3
+    assert capsys.readouterr().out == "entry 517: gauge at rat:1035/2048 is below the radius 1/256\n"
+
+
+def test_a_direct_code_without_a_region_asks_every_row(monkeypatch):
+    asked = _counted_verdicts(monkeypatch)
+    g = DirectCode(lambda x, s: (1, 1, 1024), label="1/1024")
+    rows = _grid_rows(1024, F(1, 2048))
+    assert check_fineness(g, rows, 48) == (Verdict.YES, None)
+    assert asked == [p for p, _, _ in rows]
+
+
+def test_approximant_and_outside_rows_take_their_own_verdicts(monkeypatch):
+    """An approximant is asked in its turn, its box untouched before that;
+    a point outside [0,1] raises DomainError at its own row, after the
+    rows before it passed on their region."""
+    asked = _counted_verdicts(monkeypatch)
+    g = const(F(1, 4))
+    tag = _approx(F(1, 3))
+    rows = [(up(F(i, 8)), 1, 8) for i in range(4)] + [(tag, 1, 8)] + [(up(F(i, 8)), 1, 8) for i in range(4, 9)]
+    assert check_fineness(g, rows, 48) == (Verdict.YES, None)
+    assert asked == [tag]
+    asked.clear()
+    outside = up(F(-1, 8))
+    rows = [(up(F(i, 8)), 1, 8) for i in range(8)] + [(outside, 1, 8)] + [(up(F(1, 2)), 1, 8)]
+    with pytest.raises(DomainError, match="outside"):
+        check_fineness(parse_gauge("x + 1/4"), rows, 48)
+    assert asked == [outside]
 
 
 def _ref_cantor_witness(cover):

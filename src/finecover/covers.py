@@ -18,10 +18,10 @@ and a No or an Unknown comes only from a row's own verdict.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from math import gcd, lcm
 from operator import ge, gt
 from typing import Optional, Union
@@ -30,7 +30,7 @@ from .exact import (
     QuadVal,
     ceil_log_recip,
     dyadic_runs,
-    pair_value,
+    pair_str,
     pow2,
     rt_cell,
     simplest_dyadic_between,
@@ -46,9 +46,6 @@ from .spaces import (
     phi,
     psi_preimage_point,
 )
-
-
-_ONE = Fraction(1)
 
 
 class MalformedPartition(ValueError):
@@ -97,15 +94,15 @@ class TaggedPartition:
                 raise MalformedPartition(f"tag {i} is not a point of [0,1]")
             (ln, ld), (hn, hd) = ends[i], ends[i + 1]
             vn, vd = tag.num, tag.den
-            if type(vn) is int:
-                if vn * ld < ln * vd or vn * hd > hn * vd:
-                    raise MalformedPartition(f"tag {i} = {tag.exact} outside its cell [{self.cuts[i]},{self.cuts[i + 1]}]")
-                continue
             if vn is not None:
-                # (a + b*sqrt(2))/vd against the ends, b nonzero, on the integer parts
-                a, b = vn.a.numerator, vn.b.numerator
-                if sqrt2_sign(a * ld - ln * vd, b * ld) < 0 or sqrt2_sign(hn * vd - a * hd, -b * hd) < 0:
-                    raise MalformedPartition(f"tag {i} = {tag.exact} outside its cell [{self.cuts[i]},{self.cuts[i + 1]}]")
+                # vn/vd against the ends; for vn = a + b*sqrt(2), b nonzero, on the ints a and b
+                if type(vn) is int:
+                    inside = vn * ld >= ln * vd and vn * hd <= hn * vd
+                else:
+                    a, b = vn.a, vn.b
+                    inside = sqrt2_sign(a * ld - ln * vd, b * ld) > 0 and sqrt2_sign(hn * vd - a * hd, -b * hd) > 0
+                if not inside:
+                    raise MalformedPartition(f"tag {i} = {pair_str(vn, vd)} outside its cell [{self.cuts[i]},{self.cuts[i + 1]}]")
             else:
                 lo, hi = Fraction(ln, ld), Fraction(hn, hd)
                 box = tag.approx(24 if tag.prec is None else min(24, tag.prec))
@@ -215,17 +212,25 @@ class Obstruction:
     space: str
 
 
+def _cmp_value(p: UnitPoint, q: UnitPoint) -> int:
+    """The sign of p - q for exact unit points: num den' against num' den,
+    an int or a QuadVal, whose sign `sqrt2_sign` reads on its ints."""
+    x = p.num * q.den - q.num * p.den
+    return sqrt2_sign(x.a, x.b) if type(x) is QuadVal else (x > 0) - (x < 0)
+
+
 def _sort_by_value(points: list) -> None:
     """Sort exact unit points stably by value, num/den: an int or QuadVal
     numerator over a positive int. With int numerators the key is the
     integer (n << k) // d, for k past twice the bit length of the largest d:
     two distinct values differ by more than 2^-k, so their keys differ the
-    same way, and equal values tie. Otherwise the key is the exact value."""
+    same way, and equal values tie. Otherwise the points compare on their
+    pairs (`_cmp_value`)."""
     if all(type(p.num) is int for p in points):
         k = 2 * max((p.den.bit_length() for p in points), default=0) + 1
         points.sort(key=lambda p: (p.num << k) // p.den)
     else:
-        points.sort(key=lambda p: p.exact)
+        points.sort(key=cmp_to_key(_cmp_value))
 
 
 def _sweep(cover: FineCover) -> tuple[list, Optional[Fraction]]:
@@ -252,8 +257,8 @@ def _sweep(cover: FineCover) -> tuple[list, Optional[Fraction]]:
     numerators over the row's own denominator d, the lcm of the centre's
     and the radius's, so its integers stay the size of one row whatever
     the cover. Rows compare by cross-multiplication. A quadratic centre's
-    numerator is a QuadVal with integer parts, which multiplies, subtracts
-    and compares like an int.
+    numerator is a QuadVal on two ints, which multiplies, subtracts and
+    compares like an int, and the witness's floor is taken on its ints too.
     """
     kept = []
     for p in cover.points:
@@ -280,8 +285,8 @@ def _sweep(cover: FineCover) -> tuple[list, Optional[Fraction]]:
     if reach >= reach_d:
         return kept, None
     # every row starts below 1, so the gap does too
-    nxt = _ONE if gap is None else pair_value(gap[0], gap[2])
-    return kept, simplest_dyadic_between(pair_value(reach, reach_d), nxt)
+    nxt = (1, 1) if gap is None else (gap[0], gap[2])
+    return kept, Fraction(*simplest_dyadic_between(reach, reach_d, *nxt))
 
 
 def uncovered_witness(cover: FineCover):
@@ -326,8 +331,8 @@ def _run_box(g: GaugeCode, x, stage: int) -> Optional[tuple]:
     point itself and may reject it; a rule-only sequence, whose bits are
     read only as far as its verdict asks."""
     if g.domain == "unit":
-        if type(x) is UnitPoint and isinstance(x.num, QuadVal) and g.kind == "continuous":
-            a, b = x.num.a.numerator, x.num.b.numerator
+        if type(x) is UnitPoint and type(x.num) is QuadVal and g.kind == "continuous":
+            a, b = x.num.a, x.num.b
             if sqrt2_sign(a, b) > 0 and sqrt2_sign(x.den - a, -b) > 0:
                 return _point_region(x, stage, "unit")
         return None
@@ -457,17 +462,16 @@ def minimize_cover(cover: FineCover) -> FineCover:
 def _cut(lo, lo_d: int, hi, hi_d: int) -> tuple[int, int]:
     """The cut in the overlap [lo/lo_d, hi/hi_d] of two neighbours, with
     lo/lo_d <= hi/hi_d, as a reduced (n, d): the midpoint when it is
-    rational, else the simplest dyadic rational strictly inside."""
+    rational, else the simplest dyadic rational strictly inside. The ends'
+    numerators are ints or QuadVals, and so is the midpoint's."""
     x, y = lo * hi_d, hi * lo_d
     m, d = x + y, 2 * lo_d * hi_d  # the midpoint is m / d
-    if isinstance(m, QuadVal):
-        if not m.is_rational:
+    if type(m) is QuadVal:
+        if m.b:
             if x == y:
-                raise NotACover(f"overlap degenerates to the irrational point {pair_value(lo, lo_d)}")
-            q = simplest_dyadic_between(pair_value(lo, lo_d), pair_value(hi, hi_d))
-            return q.numerator, q.denominator
-        q = m.as_fraction()
-        m, d = q.numerator, q.denominator * d
+                raise NotACover(f"overlap degenerates to the irrational point {pair_str(lo, lo_d)}")
+            return simplest_dyadic_between(lo, lo_d, hi, hi_d)
+        m = m.a
     k = gcd(m, d)
     return m // k, d // k
 
@@ -485,14 +489,14 @@ def cover_to_partition(cover: FineCover) -> TaggedPartition:
     rows = _minimal_rows(cover)
     for _, _, d, c, p, _ in rows:
         if not 0 <= c <= d:
-            raise NotACover(f"ball centred at {p.exact} outside [0,1] cannot tag a cell")
+            raise NotACover(f"ball centred at {pair_str(p.num, p.den)} outside [0,1] cannot tag a cell")
     ends = [(0, 1)]
     for (_, hi0, d0, c0, p0, _), (lo1, _, d1, c1, p1, _) in zip(rows, rows[1:]):
         # the overlap [max(centre 0, left end 1), min(centre 1, right end 0)]
         lo, lo_d = (c0, d0) if c0 * d1 >= lo1 * d0 else (lo1, d1)
         hi, hi_d = (c1, d1) if c1 * d0 <= hi0 * d1 else (hi0, d0)
         if lo * hi_d > hi * lo_d:
-            raise NotACover(f"adjacent balls at {p0.exact} and {p1.exact} fail to overlap")
+            raise NotACover(f"adjacent balls at {pair_str(p0.num, p0.den)} and {pair_str(p1.num, p1.den)} fail to overlap")
         ends.append(_cut(lo, lo_d, hi, hi_d))
     ends.append((1, 1))
     return TaggedPartition.from_ends(ends, [row[4] for row in rows])
@@ -501,8 +505,8 @@ def cover_to_partition(cover: FineCover) -> TaggedPartition:
 # -- subdivision searches ------------------------------------------------
 
 
-def _checked_hints(g: GaugeCode, hints, space: str, key) -> list:
-    """The search hints in `key` order, once the code is checked to live on
+def _checked_hints(g: GaugeCode, hints, space: str) -> list:
+    """The search hints as a new list, once the code is checked to live on
     `space` and every hint to be an exact point of it."""
     if g.domain != space:
         raise DomainError(f"{space} search got a {g.domain} code")
@@ -510,7 +514,7 @@ def _checked_hints(g: GaugeCode, hints, space: str, key) -> list:
     for h in hints or ():
         if not isinstance(h, point_type) or (space == "unit" and not h.is_exact):
             raise ValueError(f"{space} search hints must be exact points of that space, got {h!r}")
-    return sorted(hints or (), key=key)
+    return list(hints or ())
 
 
 def _subdivide(g: GaugeCode, depth: int, stage: int, strict: bool, samples, first, regions):
@@ -591,14 +595,18 @@ def find_cover_unit(g: GaugeCode, depth: int, stage: int, hints=()) -> Union[Fin
 
     Each sample (2i+1, 2i or 2i+2) 2^-(l+1) is built from the cell's
     integers when it is tried. In-cell hints are found by bisection on the
-    sorted hint values.
+    hints sorted by value, each compared with a cell end on its pair.
     """
-    hints = _checked_hints(g, hints, "unit", UnitPoint.exact_value)
-    values = [h.exact for h in hints]
+    hints = _checked_hints(g, hints, "unit")
+    _sort_by_value(hints)
 
     def hinted(i: int, level: int):
+        # the hints h with i/n <= h <= (i+1)/n: the first at or past i/n up to the first past (i+1)/n
         n = 1 << level
-        return values and hints[bisect_left(values, Fraction(i, n)) : bisect_right(values, Fraction(i + 1, n))]
+        return hints and hints[
+            bisect_left(hints, True, key=lambda h: h.num * n >= i * h.den) :
+            bisect_left(hints, True, key=lambda h: h.num * n > (i + 1) * h.den)
+        ]
 
     def first(i: int, level: int):
         return None if hinted(i, level) else UnitPoint(2 * i + 1, 2 << level)
@@ -628,7 +636,7 @@ def find_cover_cantor(g: GaugeCode, depth: int, stage: int, hints=()) -> Union[F
     the hints' sorted depth-48 cells, and past depth 48 filtered by their
     own cell.
     """
-    hints = _checked_hints(g, hints, "cantor", _cantor_sort_key)
+    hints = sorted(_checked_hints(g, hints, "cantor"), key=_cantor_sort_key)
     keys = [h.index(48) for h in hints]
 
     def hinted(i: int, level: int):
@@ -687,7 +695,7 @@ def transfer_cover_psi(cover: FineCover) -> FineCover:
     entries = []
     for p, r in cover.entries():
         if not p.is_rational:
-            raise ValueError(f"psi transfer needs rational cover points, got {p.exact}")
+            raise ValueError(f"psi transfer needs rational cover points, got {pair_str(p.num, p.den)}")
         v = p.exact
         lo, hi = max(v - r, Fraction(0)), min(v + r, Fraction(1))
         if lo > hi:

@@ -1,8 +1,11 @@
 """Exact arithmetic: integer-numerator intervals, dyadic helpers, quadratics.
 
-Everything on the verified path is a Fraction or an integer-numerator
-triple (lo, hi, d) standing for the interval [lo/d, hi/d]; an Interval
-with Fraction endpoints is only the value type the public edge hands out.
+Everything on the verified path is a Fraction, an integer-numerator
+triple (lo, hi, d) standing for the interval [lo/d, hi/d], or a QuadVal,
+the element a + b*sqrt(2) of Z[sqrt(2)] on two ints that a quadratic
+point holds over its int denominator, enclosed by a triple from an
+integer square root. An Interval with Fraction endpoints is only the
+value type the public edge hands out.
 Floats never enter; display code may format decimals, but the
 computations themselves stay exact.
 """
@@ -12,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, gcd, isqrt, lcm
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 
 def parse_pair(text: str) -> tuple[int, int]:
@@ -323,150 +326,101 @@ def sqrt2_sign(p: int, q: int) -> int:
     return s if p * s >= 0 or p * p < 2 * q * q else -s
 
 
-QuadLike = Union["QuadVal", Fraction, int]
+def _parts(x) -> Optional[tuple]:
+    """(a, b) of an int or a QuadVal; None for anything else."""
+    if type(x) is int:
+        return x, 0
+    return (x.a, x.b) if type(x) is QuadVal else None
 
 
 @dataclass(frozen=True)
 class QuadVal:
-    """Exact value a + b*sqrt(2) with rational a, b.
+    """The element a + b*sqrt(2) of Z[sqrt(2)], on two ints.
 
-    Comparisons against rationals and other QuadVals are exact: each one
-    clears denominators and asks `sqrt2_sign` for the sign of p + q*sqrt(2)
-    on the integer numerators, so irrational partition tags are checked for
-    membership without any rounding. Enclosures of prescribed width come
-    from integer square roots, over one integer denominator.
+    A quadratic unit point is a QuadVal over its int denominator. Sums,
+    differences and products with ints and other QuadVals stay on ints,
+    and an order comparison is `sqrt2_sign` of the difference, so
+    irrational partition tags are compared without any rounding.
     """
 
-    a: Fraction
-    b: Fraction = Fraction(0)
+    a: int
+    b: int = 0
 
-    def __post_init__(self) -> None:
-        if type(self.a) is not Fraction:
-            object.__setattr__(self, "a", Fraction(self.a))
-        if type(self.b) is not Fraction:
-            object.__setattr__(self, "b", Fraction(self.b))
-
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def as_fraction(self) -> Fraction:
-        if self.b != 0:
-            raise ValueError(f"{self} is irrational")
-        return self.a
-
-    # -- arithmetic -------------------------------------------------------
-
-    @staticmethod
-    def _coerce(other: QuadLike) -> "QuadVal":
-        if isinstance(other, QuadVal):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadVal(Fraction(other))
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other: QuadLike) -> "QuadVal":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QuadVal(self.a + o.a, self.b + o.b)
+    def __add__(self, other) -> "QuadVal":
+        o = _parts(other)
+        return NotImplemented if o is None else QuadVal(self.a + o[0], self.b + o[1])
 
     __radd__ = __add__
 
-    def __neg__(self) -> "QuadVal":
-        return QuadVal(-self.a, -self.b)
+    def __sub__(self, other) -> "QuadVal":
+        o = _parts(other)
+        return NotImplemented if o is None else QuadVal(self.a - o[0], self.b - o[1])
 
-    def __sub__(self, other: QuadLike) -> "QuadVal":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QuadVal(self.a - o.a, self.b - o.b)
+    def __rsub__(self, other) -> "QuadVal":
+        o = _parts(other)
+        return NotImplemented if o is None else QuadVal(o[0] - self.a, o[1] - self.b)
 
-    def __mul__(self, other: QuadLike) -> "QuadVal":
-        o = self._coerce(other)
-        if o is NotImplemented:
+    def __mul__(self, other) -> "QuadVal":
+        o = _parts(other)
+        if o is None:
             return NotImplemented
-        return QuadVal(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
+        c, d = o
+        return QuadVal(self.a * c + 2 * self.b * d, self.a * d + self.b * c)
 
     __rmul__ = __mul__
 
-    # -- exact order ------------------------------------------------------
-
-    def _sign(self) -> int:
-        a, b = self.a, self.b
-        return sqrt2_sign(a.numerator * b.denominator, b.numerator * a.denominator)
-
-    def _diff_sign(self, other: QuadLike) -> int:
-        if isinstance(other, QuadVal):
-            return (self - other)._sign()
-        if not isinstance(other, (int, Fraction)):
+    def _diff_sign(self, other) -> int:
+        o = _parts(other)
+        if o is None:
             raise TypeError(f"cannot compare QuadVal with {type(other).__name__}")
-        # (a - other) + b*sqrt(2), scaled by the three positive denominators
-        a, b = self.a, self.b
-        on, od, ad = other.numerator, other.denominator, a.denominator
-        return sqrt2_sign((a.numerator * od - on * ad) * b.denominator, b.numerator * ad * od)
+        return sqrt2_sign(self.a - o[0], self.b - o[1])
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (QuadVal, Fraction, int)):
-            return NotImplemented
-        o = self._coerce(other)
-        return self.a == o.a and self.b == o.b
+        o = _parts(other)
+        return NotImplemented if o is None else (self.a, self.b) == o
 
     def __hash__(self) -> int:
-        # rational-valued QuadVals hash like their Fraction
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, "sqrt2"))
+        # rational-valued QuadVals hash like their int
+        return hash((self.a, self.b, "sqrt2")) if self.b else hash(self.a)
 
-    def __lt__(self, other: QuadLike) -> bool:
+    def __lt__(self, other) -> bool:
         return self._diff_sign(other) < 0
 
-    def __le__(self, other: QuadLike) -> bool:
+    def __le__(self, other) -> bool:
         return self._diff_sign(other) <= 0
 
-    def __gt__(self, other: QuadLike) -> bool:
+    def __gt__(self, other) -> bool:
         return self._diff_sign(other) > 0
 
-    def __ge__(self, other: QuadLike) -> bool:
+    def __ge__(self, other) -> bool:
         return self._diff_sign(other) >= 0
 
-    # -- approximation ----------------------------------------------------
-
-    def enclosure(self, k: int) -> Interval:
-        """Interval of width <= 2**-k containing the exact value."""
-        a, b = self.a, self.b
-        if b == 0:
-            return Interval.point(a)
-        m = k + (abs(b.numerator) // b.denominator).bit_length() + 1
-        s = isqrt(2 << 2 * m)  # s/2^m <= sqrt2 < (s+1)/2^m
-        # both ends over the one denominator a.den * b.den * 2^m
-        base, t = a.numerator * b.denominator << m, b.numerator * a.denominator
-        lo, hi = sorted((base + t * s, base + t * s + t))
-        d = a.denominator * b.denominator << m
-        return Interval(Fraction(lo, d), Fraction(hi, d))
-
     def __floor__(self) -> int:
-        if self.b == 0:
-            return floor(self.a)
-        prec = 8
-        while True:
-            box = self.enclosure(prec)
-            if floor(box.lo) == floor(box.hi):
-                return floor(box.lo)
-            prec *= 2  # terminates: the value is irrational
+        # b*sqrt(2) is irrational for b != 0, so its floor is isqrt(2b^2)
+        # when b > 0 and one less than -isqrt(2b^2) when b < 0
+        a, b = self.a, self.b
+        if b > 0:
+            return a + isqrt(2 * b * b)
+        return a - isqrt(2 * b * b) - 1 if b else a
 
-    def __str__(self) -> str:
-        if self.b == 0:
-            return str(self.a)
-        return f"{self.a} + {self.b}*sqrt2"
+    def enclosure(self, k: int, den: int = 1) -> tuple:
+        """The triple (lo, hi, den << m) of width <= 2**-k around
+        (a + b*sqrt(2))/den, for an int den > 0: b times the bracket
+        s/2^m <= sqrt(2) < (s+1)/2^m, s = isqrt(2 << 2m), shifted by a."""
+        a, b = self.a, self.b
+        if not b:
+            return a, a, den
+        m = k + (abs(b) // den).bit_length() + 1
+        lo = (a << m) + b * isqrt(2 << 2 * m)
+        return (lo, lo + b, den << m) if b > 0 else (lo + b, lo, den << m)
 
 
-ExactPoint = Union[Fraction, QuadVal]
-
-
-def pair_value(n, d: int) -> ExactPoint:
-    """The exact value n/d of an int or QuadVal numerator over a positive int."""
-    return Fraction(n, d) if type(n) is int else n * Fraction(1, d)
+def pair_str(n, d: int) -> str:
+    """The text of n/d, n an int or a QuadVal and d > 0: "3/4", or
+    "1/4 + 1/8*sqrt2". For display only: it builds Fractions."""
+    if type(n) is int:
+        return str(Fraction(n, d))
+    return f"{Fraction(n.a, d)} + {Fraction(n.b, d)}*sqrt2"
 
 
 def dyadic_runs(cells, level: int) -> list[Interval]:
@@ -484,14 +438,16 @@ def dyadic_runs(cells, level: int) -> list[Interval]:
     return [Interval(Fraction(a, 1 << level), Fraction(b, 1 << level)) for a, b in runs]
 
 
-def simplest_dyadic_between(lo: ExactPoint, hi: ExactPoint) -> Fraction:
-    """Dyadic rational m/2**k strictly inside (lo, hi), with k minimal."""
-    if not lo < hi:
+def simplest_dyadic_between(lo, lo_d: int, hi, hi_d: int) -> tuple[int, int]:
+    """The dyadic rational m/2**k strictly inside (lo/lo_d, hi/hi_d), with k
+    minimal, as its reduced pair (m, 2**k). The numerators are ints or
+    QuadVals over positive int denominators; m is one more than the floor
+    of lo 2^k / lo_d, which is floor(lo 2^k) // lo_d, all on the integers."""
+    if not lo * hi_d < hi * lo_d:
         raise ValueError("need lo < hi")
     k = 0
     while True:
-        m = floor(lo * pow2(k)) + 1
-        cand = Fraction(m, 2**k)
-        if lo < cand < hi:
-            return cand
+        m = floor(lo * (1 << k)) // lo_d + 1
+        if m * hi_d < hi * (1 << k):
+            return m, 1 << k
         k += 1

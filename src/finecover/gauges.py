@@ -79,8 +79,9 @@ Region = Union[Interval, Cylinder]
 
 def _point_region(x: Point, k: int, domain: str):
     """The kernel input a point query evaluates on, a triple: that of an
-    exact rational point in [0,1], else of the point's approximant clipped
-    to [0,1]; or the dyadic cell of the point's depth-k cylinder."""
+    exact rational point in [0,1], else the width-2^-k enclosure of a
+    quadratic point (`QuadVal.enclosure`) or the point's approximant,
+    clipped to [0,1]; or the dyadic cell of the point's depth-k cylinder."""
     if domain == "unit":
         if not isinstance(x, UnitPoint):
             raise DomainError(f"unit-interval code evaluated at {x!r}")
@@ -89,7 +90,7 @@ def _point_region(x: Point, k: int, domain: str):
             if n < 0 or n > d:
                 raise DomainError(f"point {x!r} verifiably outside [0,1]")
             return n, n, d
-        box = rt_intersect(rt_of(x.approx(k)), _UNIT_CELL)
+        box = rt_intersect(rt_of(x.approx(k)) if n is None else n.enclosure(k, d), _UNIT_CELL)
         if box is None:
             raise DomainError(f"point {x!r} verifiably outside [0,1]")
         return box

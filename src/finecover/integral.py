@@ -23,7 +23,6 @@ from .covers import (
 from .exact import (
     CauchyViolation,
     Interval,
-    QuadVal,
     ceil_log_recip,
     rt_add,
     rt_interval,
@@ -175,7 +174,7 @@ def poly_integrand(coeffs, label: str = "") -> tuple[Integrand, Callable[[Fracti
                 scale *= m
                 acc = acc * n + c * scale
             return acc, acc, den * scale
-        box = rt_of(tag.approx(prec + 2))
+        box = rt_of(tag.approx(prec + 2)) if n is None else n.enclosure(prec + 2, m)
         acc = 0, 0, 1
         for c in reversed(points):
             acc = rt_add(rt_mul(acc, box), c)
@@ -268,8 +267,8 @@ def dirichlet_hints(level: int = 2) -> list[UnitPoint]:
     n = 1 << level
     out = []
     for i in range(n):
-        off = QuadVal(Fraction(i, n), Fraction(1, 4 * n))  # i/n + sqrt(2)/(4n)
-        out.append(UnitPoint.from_quad(off))
+        # i/n + sqrt(2)/(4n); i/n need not be reduced, as 4n is a multiple of n
+        out.append(UnitPoint.from_parts(i, n, 1, 4 * n))
     return out
 
 

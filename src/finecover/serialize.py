@@ -16,6 +16,7 @@ import csv
 import io
 import json
 from functools import cache
+from math import gcd
 
 from .covers import FineCover, MalformedPartition, Obstruction, TaggedPartition
 from .exact import Interval, parse_pair, parse_rat, rat_str
@@ -50,7 +51,9 @@ def unit_str(p: UnitPoint, prec: int = 24) -> str:
     if p.is_rational:
         return f"rat:{p.num}/{p.den}"
     if p.is_exact:
-        return f"quad:{rat_str(p.exact.a)},{rat_str(p.exact.b)}"
+        a, b, d = p.num.a, p.num.b, p.den
+        ga, gb = gcd(a, d), gcd(b, d)
+        return f"quad:{a // ga}/{d // ga},{b // gb}/{d // gb}"
     if p.prec is not None:
         prec = p.prec
     box = p.approx(prec)

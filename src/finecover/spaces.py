@@ -15,11 +15,10 @@ from math import lcm
 from typing import Callable, Optional, Union
 
 from .exact import (
-    ExactPoint,
     Interval,
     QuadVal,
     ceil_log_recip,
-    pair_value,
+    pair_str,
     pow3,
     rt_cell,
     rt_interval,
@@ -159,10 +158,13 @@ class UnitPoint:
     """A point of the unit interval, exact or given by a nested approximant.
 
     An exact point is its value num/den, set once: reduced ints for a
-    rational point, a QuadVal with integer parts over an int for a
+    rational point, a QuadVal a + b*sqrt(2) on two ints over an int for a
     quadratic one (one with no sqrt2 part is built as a rational one),
-    None for an approximant; `exact`, the value as a Fraction or QuadVal,
-    is built on first read. Points compare for equality, not order: exact
+    None for an approximant. A quadratic point is read, ordered and
+    enclosed on those ints (`QuadVal.enclosure` gives the triple). Its
+    `exact`, built on first read for callers outside the package, is the
+    pair (a/den, b/den) of Fractions; a rational point's is the Fraction
+    num/den. Points compare for equality, not order: exact
     points by their pairs, an approximant only to itself. An exact point
     hashes by its pair, an approximant by identity. Approximant points
     only promise enclosures of width <= 2^-k, for k up to their `prec`
@@ -179,7 +181,7 @@ class UnitPoint:
 
     def __init__(self, num=None, den: int = 1, fn=None, label: Optional[str] = None, prec=None):
         self.num, self.den = num, den
-        self._exact: Union[Fraction, QuadVal, None] = None  # num/den, built on first read
+        self._exact: Union[Fraction, tuple, None] = None  # num/den, built on first read
         self._fn = fn
         self.label = label
         self.prec = prec
@@ -196,14 +198,15 @@ class UnitPoint:
     @classmethod
     def from_parts(cls, an: int, ad: int, bn: int, bd: int) -> "UnitPoint":
         """The point an/ad + (bn/bd)*sqrt(2), for reduced pairs with positive
-        denominators; a rational one when bn is 0."""
+        denominators, as a QuadVal over the lcm of ad and bd; a rational
+        one when bn is 0."""
         if not bn:
             return cls.from_pair(an, ad)
         d = lcm(ad, bd)
         a, b = an * (d // ad), bn * (d // bd)
         # -1 <= (a + b*sqrt(2))/d <= 2, on the integers
         if sqrt2_sign(a + d, b) < 0 or sqrt2_sign(2 * d - a, -b) < 0:
-            raise ValueError(f"point {QuadVal(Fraction(an, ad), Fraction(bn, bd))} outside ambient [-1, 2]")
+            raise ValueError(f"point {pair_str(QuadVal(a, b), d)} outside ambient [-1, 2]")
         return cls(QuadVal(a, b), d)
 
     @classmethod
@@ -212,18 +215,15 @@ class UnitPoint:
         return cls.from_pair(q.numerator, q.denominator)
 
     @classmethod
-    def from_quad(cls, v: QuadVal) -> "UnitPoint":
-        return cls.from_parts(v.a.numerator, v.a.denominator, v.b.numerator, v.b.denominator)
-
-    @classmethod
     def from_fn(cls, fn: Callable[[int], Interval], label: Optional[str] = None, prec=None) -> "UnitPoint":
         return cls(fn=fn, label=label, prec=prec)
 
     @property
-    def exact(self) -> Union[Fraction, QuadVal, None]:
+    def exact(self) -> Union[Fraction, tuple, None]:
         q, n = self._exact, self.num
         if q is None and n is not None:
-            q = self._exact = pair_value(n, self.den)
+            d = self.den
+            q = self._exact = Fraction(n, d) if type(n) is int else (Fraction(n.a, d), Fraction(n.b, d))
         return q
 
     @property
@@ -239,7 +239,7 @@ class UnitPoint:
             raise ValueError(f"{self} is not an exact rational")
         return self.exact
 
-    def exact_value(self) -> ExactPoint:
+    def exact_value(self) -> Union[Fraction, tuple]:
         if self.num is None:
             raise ValueError(f"{self} has no exact value")
         return self.exact
@@ -249,7 +249,7 @@ class UnitPoint:
         if type(self.num) is int:
             return Interval.point(self.exact)
         if self.num is not None:
-            return self.exact.enclosure(k)
+            return rt_interval(self.num.enclosure(k, self.den))
         if self.prec is not None and k > self.prec:
             raise ValueError(f"point recorded at precision {self.prec}, asked for {k}")
         box = self._fn(k)
@@ -274,7 +274,7 @@ class UnitPoint:
 
     def __repr__(self) -> str:
         if self.num is not None:
-            return f"UnitPoint({self.exact})"
+            return f"UnitPoint({pair_str(self.num, self.den)})"
         return f"UnitPoint(approx, label={self.label!r})"
 
 

@@ -4,7 +4,13 @@ The acceptance tests register one result per criterion via record_criterion.
 The terminal summary then prints one PASS/FAIL line per criterion so the
 outcome of the whole acceptance run is visible at a glance, even when a
 criterion test aborts partway through.
+
+`quad(a, b)` builds the unit point a + b*sqrt(2) from rational parts.
 """
+
+from fractions import Fraction
+
+from finecover.spaces import UnitPoint
 
 _RESULTS: dict[int, tuple[str, bool, str]] = {}
 
@@ -27,3 +33,11 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         title, ok, detail = _RESULTS[num]
         word = "PASS" if ok else "FAIL"
         terminalreporter.write_line(f"criterion {num} ({title}): {word} [{detail}]")
+
+
+def quad(a, b=0) -> UnitPoint:
+    """The unit point a + b*sqrt(2) for rationals a and b (ints, Fractions
+    or their text), built by `UnitPoint.from_parts` from their reduced
+    pairs: a rational point when b is 0."""
+    a, b = Fraction(a), Fraction(b)
+    return UnitPoint.from_parts(a.numerator, a.denominator, b.numerator, b.denominator)

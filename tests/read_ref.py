@@ -1,7 +1,7 @@
 """The read side of `verify` as it was written on Fraction compares, kept as
 the reference the tests check the integer versions against: the regex
 rational parser, a quadratic point checked against the ambient interval
-with QuadVal compares, a cover's point order by exact value, the unit sweep
+by `quad_ref.ref_cmp`, a cover's point order by exact value, the unit sweep
 that sorts its rows with a cross-multiplying comparator, and the
 sequence-space witness walk that builds a `Cylinder` for every node it
 visits."""
@@ -10,6 +10,8 @@ import re
 from fractions import Fraction
 from functools import cmp_to_key
 from math import lcm
+
+from quad_ref import ref_cmp
 
 from finecover.exact import QuadVal, simplest_dyadic_between
 from finecover.spaces import CantorPoint, Cylinder, UnitPoint
@@ -30,17 +32,30 @@ def ref_parse_rat(text: str) -> Fraction:
         raise ValueError(f"not a rational: {text!r}") from exc
 
 
-def ref_from_quad(v: QuadVal) -> UnitPoint:
-    """The point v: a rational point when v is rational, else v's parts over
-    the lcm of their denominators, checked against [-1, 2] as QuadVals."""
-    if v.is_rational:
-        q = v.as_fraction()
-        if not -1 <= q <= 2:
-            raise ValueError(f"point {q} outside ambient [-1, 2]")
-        return UnitPoint(q.numerator, q.denominator)
-    if v < -1 or v > 2:
-        raise ValueError(f"point {v} outside ambient [-1, 2]")
-    return UnitPoint(*_pair(v))
+def ref_from_quad(a, b) -> UnitPoint:
+    """The point a + b*sqrt(2): a rational point when b is 0, else the parts
+    over the lcm of their denominators, checked against [-1, 2] by ref_cmp."""
+    a, b = Fraction(a), Fraction(b)
+    if not b:
+        if not -1 <= a <= 2:
+            raise ValueError(f"point {a} outside ambient [-1, 2]")
+        return UnitPoint(a.numerator, a.denominator)
+    if ref_cmp((a, b), (-1, 0)) < 0 or ref_cmp((a, b), (2, 0)) > 0:
+        raise ValueError(f"point {a} + {b}*sqrt2 outside ambient [-1, 2]")
+    return UnitPoint(*ref_pair((a, b)))
+
+
+_BY_VALUE = cmp_to_key(ref_cmp)
+
+
+def ref_value(p: UnitPoint) -> tuple:
+    """An exact point's value as quad_ref's pair (a, b), for a + b*sqrt(2)."""
+    return (p.exact, Fraction(0)) if p.is_rational else p.exact
+
+
+def ref_value_key(p: UnitPoint):
+    """Sort key of exact points by value, on ref_cmp."""
+    return _BY_VALUE(ref_value(p))
 
 
 def ref_cover(entries) -> tuple[list, dict]:
@@ -50,7 +65,7 @@ def ref_cover(entries) -> tuple[list, dict]:
     for p, r in entries:
         r = Fraction(r)
         radii[p] = max(radii[p], r) if p in radii else r
-    return sorted(radii, key=UnitPoint.exact_value), radii
+    return sorted(radii, key=ref_value_key), radii
 
 
 def _by_left_end(a: tuple, b: tuple) -> int:
@@ -58,17 +73,16 @@ def _by_left_end(a: tuple, b: tuple) -> int:
     return (x > y) - (x < y)
 
 
-def _value(n, d: int):
-    return n * Fraction(1, d)
-
-
-def _pair(v) -> tuple:
-    """A Fraction's (numerator, denominator); a QuadVal's denominator is
-    the lcm of its parts', and its numerator the QuadVal with integer parts."""
+def ref_pair(v) -> tuple:
+    """A Fraction's (numerator, denominator); for a pair (a, b) standing for
+    a + b*sqrt(2), the lcm d of the parts' denominators and the QuadVal of
+    the parts' numerators over d (an int when b is 0)."""
     if isinstance(v, Fraction):
         return v.numerator, v.denominator
-    d = lcm(v.a.denominator, v.b.denominator)
-    return QuadVal(v.a * d, v.b * d), d
+    a, b = v
+    d = lcm(a.denominator, b.denominator)
+    an, bn = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
+    return (QuadVal(an, bn) if bn else an), d
 
 
 def ref_sweep(points, radii) -> tuple[list, object]:
@@ -76,7 +90,7 @@ def ref_sweep(points, radii) -> tuple[list, object]:
     order of `points`."""
     rows = []
     for p in points:
-        (vn, vd), r = _pair(p.exact), radii[p]
+        (vn, vd), r = ref_pair(p.exact), radii[p]
         rd = r.denominator
         d = lcm(vd, rd)
         c, s = vn * (d // vd), r.numerator * (d // rd)
@@ -102,8 +116,8 @@ def ref_sweep(points, radii) -> tuple[list, object]:
                 reach, reach_d = hi, d
     if reach >= reach_d:
         return kept, None
-    nxt = Fraction(1) if gap is None else _value(gap[0], gap[2])
-    return kept, simplest_dyadic_between(_value(reach, reach_d), nxt)
+    nxt = (1, 1) if gap is None else (gap[0], gap[2])
+    return kept, Fraction(*simplest_dyadic_between(reach, reach_d, *nxt))
 
 
 def ref_cantor_witness(points, radii):

@@ -3,15 +3,17 @@ import fractions
 import pstats
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 from math import ceil, floor
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from conftest import quad
 from fineness_ref import ref_check_fineness
-from quad_ref import ref_cmp
-from read_ref import ref_cantor_witness, ref_cover, ref_sweep
+from quad_ref import ref_cmp, ref_sign
+from read_ref import ref_cantor_witness, ref_cover, ref_pair, ref_sweep, ref_value, ref_value_key
 
 from finecover import covers
 from finecover.cli import main
@@ -36,7 +38,6 @@ from finecover.covers import (
 )
 from finecover.exact import (
     Interval,
-    QuadVal,
     dyadic_runs,
     pow2,
     rt_cell,
@@ -130,7 +131,7 @@ def test_partition_quad_tag_membership_at_both_cell_ends(inner, cell, at_hi, ins
     if not inside:
         sign = -sign
     a, b = end - sign * t, sign * t
-    tag = UnitPoint.from_quad(QuadVal(a, b))
+    tag = quad(a, b)
     tags = [up(c) for c in cuts[:-1]]
     tags[cell] = tag
     outside = ref_cmp((a, b), (lo, 0)) < 0 or ref_cmp((a, b), (hi, 0)) > 0
@@ -139,7 +140,7 @@ def test_partition_quad_tag_membership_at_both_cell_ends(inner, cell, at_hi, ins
         return
     with pytest.raises(MalformedPartition) as err:
         TaggedPartition(cuts, tuple(tags))
-    assert str(err.value) == f"tag {cell} = {QuadVal(a, b)} outside its cell [{lo},{hi}]"
+    assert str(err.value) == f"tag {cell} = {a} + {b}*sqrt2 outside its cell [{lo},{hi}]"
 
 
 @settings(max_examples=500, deadline=None)
@@ -150,21 +151,21 @@ def test_partition_quad_tag_membership_at_both_cell_ends(inner, cell, at_hi, ins
 )
 def test_partition_quad_tag_check_agrees_with_quadval_order(inner, a, b):
     """A random irrational tag in the middle of three random cells is kept
-    exactly when QuadVal's order puts it inside the cell."""
-    v = QuadVal(a, b)
-    assume(-1 <= v <= 2)
+    exactly when the reference order (`quad_ref`) puts it inside the cell."""
+    v = (a, b)
+    assume(ref_cmp(v, (-1, 0)) >= 0 and ref_cmp(v, (2, 0)) <= 0)
     cuts = (F(0), *sorted(inner), F(1))
     lo, hi = cuts[1], cuts[2]
-    tags = (up(0), UnitPoint.from_quad(v), up(1))
-    if lo <= v <= hi:
+    tags = (up(0), quad(a, b), up(1))
+    if ref_cmp(v, (lo, 0)) >= 0 and ref_cmp(v, (hi, 0)) <= 0:
         TaggedPartition(cuts, tags)
         return
     with pytest.raises(MalformedPartition) as err:
         TaggedPartition(cuts, tags)
-    assert str(err.value) == f"tag 1 = {v} outside its cell [{lo},{hi}]"
+    assert str(err.value) == f"tag 1 = {a} + {b}*sqrt2 outside its cell [{lo},{hi}]"
 
 
-_QUAD_TAG = UnitPoint.from_quad(QuadVal(F(1, 4), F(1, 8)))  # 1/4 + sqrt(2)/8, about 0.427
+_QUAD_TAG = quad(F(1, 4), F(1, 8))  # 1/4 + sqrt(2)/8, about 0.427
 _FAR_BOX = UnitPoint.from_fn(lambda k: Interval(F(7, 8), F(7, 8)))
 
 # (cuts, tags, the message of the MalformedPartition they raise)
@@ -334,7 +335,7 @@ def _unit_point(spec):
     if kind == "rat":
         return up(q)
     if kind == "quad":
-        return UnitPoint.from_quad(QuadVal(q, b))
+        return quad(q, b)
     return _approx(q)
 
 
@@ -380,7 +381,7 @@ def _rows_builder(shape, specs, scale):
             # a tag in the middle of its cell, off it by sqrt(2)/8 of the width, or an approximant there
             tags = [
                 up(a) if a == b or t == "rat" else _approx((a + b) / 2) if t == "approx"
-                else UnitPoint.from_quad(QuadVal((a + b) / 2, (b - a) / 8))
+                else quad((a + b) / 2, (b - a) / 8)
                 for t, a, b in zip(kinds, cuts, cuts[1:])
             ]
             got = [(p, F(wn, wd)) for p, wn, wd in TaggedPartition(cuts, tags).widths()]
@@ -588,19 +589,19 @@ def test_cover_to_partition_frozen():
 
 
 def test_cover_to_partition_quad_points_get_dyadic_cuts():
-    r2 = QuadVal(F(0), F(1, 2))  # sqrt(2)/2
-    pts = [(up("1/4"), F(1, 2)), (UnitPoint.from_quad(r2), F(1, 2)), (up("7/8"), F(1, 2))]
+    r2 = (F(0), F(1, 2))  # sqrt(2)/2
+    pts = [(up("1/4"), F(1, 2)), (quad(*r2), F(1, 2)), (up("7/8"), F(1, 2))]
     t = cover_to_partition(FineCover(pts))
     assert all(isinstance(x, F) for x in t.cuts)
     v = r2
     lo, hi = t.cuts[1], t.cuts[2]
-    assert lo < v < hi  # the quad tag sits inside its cell
+    assert ref_cmp((lo, 0), v) < 0 < ref_cmp((hi, 0), v)  # the quad tag sits inside its cell
 
 
 def test_cover_to_partition_cuts_two_quad_centres_at_their_rational_midpoint():
     # the overlap runs from one centre to the other, 1/2 -+ sqrt(2)/8, and
     # its midpoint 1/2 is rational although neither end is
-    centres = [UnitPoint.from_quad(QuadVal(F(1, 2), F(s, 8))) for s in (-1, 1)]
+    centres = [quad(F(1, 2), F(s, 8)) for s in (-1, 1)]
     t = cover_to_partition(FineCover([(c, F(1, 2)) for c in centres]))
     assert t.cuts == (F(0), F(1, 2), F(1))
     assert list(t.tags) == centres
@@ -609,63 +610,91 @@ def test_cover_to_partition_cuts_two_quad_centres_at_their_rational_midpoint():
 # The conversion as it was written before the single sweep, kept as the
 # reference: the balls sorted and swept for the witness, then the rows
 # sorted by (lo, -hi), the contained ones dropped, and a second FineCover.
-# Balls that miss [0,1] are dropped first, as the sweep does.
+# Balls that miss [0,1] are dropped first, as the sweep does. Values are
+# quad_ref's pairs (a, b) for a + b*sqrt(2), ordered by ref_cmp.
+
+_BY_VALUE = cmp_to_key(ref_cmp)
+_ONE = (F(1), F(0))
+
+
+def _shift(v, q):
+    """v + q for a pair v and a rational q."""
+    return v[0] + q, v[1]
+
+
+def _text(v):
+    """A pair's value as the package's messages write it."""
+    return f"{v[0]} + {v[1]}*sqrt2" if v[1] else str(v[0])
+
+
+def _in_ambient(v):
+    return ref_cmp(v, (-1, 0)) >= 0 and ref_cmp(v, (2, 0)) <= 0
 
 
 def _ref_witness(cover):
-    balls = sorted((p.exact - cover.radii[p], p.exact + cover.radii[p]) for p in cover.points)
-    t, i = F(0), 0
-    while i < len(balls) and balls[i][0] <= t:
-        t = max(t, balls[i][1])
+    balls = sorted(
+        ((_shift(ref_value(p), -r), _shift(ref_value(p), r)) for p, r in cover.entries()),
+        key=lambda ball: (_BY_VALUE(ball[0]), _BY_VALUE(ball[1])),
+    )
+    t, i = (F(0), F(0)), 0
+    while i < len(balls) and ref_cmp(balls[i][0], t) <= 0:
+        t = max(t, balls[i][1], key=_BY_VALUE)
         i += 1
-    if t >= 1:
+    if ref_cmp(t, _ONE) >= 0:
         return None
-    nxt = balls[i][0] if i < len(balls) else F(1)
-    return simplest_dyadic_between(t, min(nxt, F(1)))
+    nxt = balls[i][0] if i < len(balls) else _ONE
+    return F(*simplest_dyadic_between(*ref_pair(t), *ref_pair(min(nxt, _ONE, key=_BY_VALUE))))
 
 
 def _ref_minimize(cover):
     if _ref_witness(cover) is not None:
         raise NotACover("input does not cover [0,1]")
-    meets = [(p, r) for p, r in cover.entries() if p.exact + r > 0 and p.exact - r < 1]
-    rows = sorted((p.exact - r, -(p.exact + r), p, r) for p, r in meets)
+    meets = [
+        (p, r) for p, r in cover.entries()
+        if ref_sign(*_shift(ref_value(p), r)) > 0 and ref_cmp(_shift(ref_value(p), -r), _ONE) < 0
+    ]
+    rows = sorted(
+        ((_shift(ref_value(p), -r), _shift(ref_value(p), r), p, r) for p, r in meets),
+        key=lambda row: (_BY_VALUE(row[0]), _BY_VALUE((-row[1][0], -row[1][1]))),
+    )
     best_hi, kept = None, []
-    for lo, neg_hi, p, r in rows:
-        if best_hi is not None and -neg_hi <= best_hi:
+    for lo, hi, p, r in rows:
+        if best_hi is not None and ref_cmp(hi, best_hi) <= 0:
             continue
-        best_hi = -neg_hi
+        best_hi = hi
         kept.append((p, r))
     return FineCover(kept)
 
 
 def _ref_cover_to_partition(cover):
     slim = _ref_minimize(cover)
-    pts = [(p, p.exact, slim.radii[p]) for p in slim.points]
+    pts = [(p, ref_value(p), slim.radii[p]) for p in slim.points]
     for _, v, _ in pts:
-        if not 0 <= v <= 1:
-            raise NotACover(f"ball centred at {v} outside [0,1] cannot tag a cell")
+        if ref_sign(*v) < 0 or ref_cmp(v, _ONE) > 0:
+            raise NotACover(f"ball centred at {_text(v)} outside [0,1] cannot tag a cell")
     cuts = [F(0)]
     for (p0, v0, r0), (p1, v1, r1) in zip(pts, pts[1:]):
-        lo, hi = max(v0, v1 - r1), min(v1, v0 + r0)
-        if lo > hi:
-            raise NotACover(f"adjacent balls at {v0} and {v1} fail to overlap")
-        if lo == hi:
-            if isinstance(lo, QuadVal) and not lo.is_rational:
-                raise NotACover(f"overlap degenerates to the irrational point {lo}")
-            cut = lo.as_fraction() if isinstance(lo, QuadVal) else lo
+        lo, hi = max(v0, _shift(v1, -r1), key=_BY_VALUE), min(v1, _shift(v0, r0), key=_BY_VALUE)
+        if ref_cmp(lo, hi) > 0:
+            raise NotACover(f"adjacent balls at {_text(v0)} and {_text(v1)} fail to overlap")
+        if ref_cmp(lo, hi) == 0:
+            if lo[1]:
+                raise NotACover(f"overlap degenerates to the irrational point {_text(lo)}")
+            cut = lo[0]
         else:
-            mid = (lo + hi) * F(1, 2)
-            if isinstance(mid, QuadVal):
-                cut = mid.as_fraction() if mid.is_rational else simplest_dyadic_between(lo, hi)
-            else:
-                cut = mid
+            mid = ((lo[0] + hi[0]) / 2, (lo[1] + hi[1]) / 2)
+            cut = F(*simplest_dyadic_between(*ref_pair(lo), *ref_pair(hi))) if mid[1] else mid[0]
         cuts.append(F(cut))
     cuts.append(F(1))
     return TaggedPartition(tuple(cuts), tuple(p for p, _, _ in pts))
 
 
 def _point(v):
-    return UnitPoint.from_quad(v) if isinstance(v, QuadVal) else UnitPoint.from_rat(v)
+    return quad(*v)
+
+
+def _rat(q):
+    return q, F(0)
 
 
 # prime denominators, small and large, for balls off the dyadic grid
@@ -679,15 +708,13 @@ def _over_primes(lo, hi):
 
 _SMALL = st.one_of(st.fractions(F(1, 64), F(1, 2), max_denominator=64), _over_primes(F(1, 64), F(1, 2)))
 _EXTRA_POINTS = st.one_of(
-    st.fractions(F(-1, 4), F(5, 4), max_denominator=16),
-    _over_primes(F(-1, 4), F(5, 4)),
-    st.builds(
-        QuadVal,
+    st.fractions(F(-1, 4), F(5, 4), max_denominator=16).map(_rat),
+    _over_primes(F(-1, 4), F(5, 4)).map(_rat),
+    st.tuples(
         st.fractions(F(-1, 4), F(1), max_denominator=8),
         st.fractions(F(-1, 4), F(1, 4), max_denominator=8).filter(bool),
     ),
-    st.builds(
-        QuadVal,
+    st.tuples(
         _over_primes(F(-1, 4), F(1)),
         _over_primes(F(-1, 4), F(1, 4)).filter(bool),
     ),
@@ -707,25 +734,25 @@ def _unit_covers(draw):
     n = draw(st.sampled_from([1, 2, 4, 8, 16, 3, 5, 7, 11, 13]))
     stretch = draw(st.sampled_from([F(1, 2), F(3, 4), F(1)]))
     dropped = draw(st.sets(st.integers(0, n - 1), max_size=2))
-    balls = [(F(2 * i + 1, 2 * n), stretch / n) for i in range(n) if i not in dropped]
+    balls = [(_rat(F(2 * i + 1, 2 * n)), stretch / n) for i in range(n) if i not in dropped]
     balls += draw(st.lists(st.tuples(_EXTRA_POINTS, _SMALL), max_size=6))
     if not balls:
         balls.append(draw(st.tuples(_EXTRA_POINTS, _SMALL)))
     for j, how, s in draw(st.lists(st.tuples(st.integers(0, 99), st.integers(0, 4), _SMALL), max_size=4)):
         v, r = balls[j % len(balls)]
         if how == 0:
-            ball = v + r / 4, r / 2  # strictly inside
+            ball = _shift(v, r / 4), r / 2  # strictly inside
         elif how == 1:
-            ball = v - r / 4, 3 * r / 4  # inside, same left end
+            ball = _shift(v, -r / 4), 3 * r / 4  # inside, same left end
         elif how == 2:
-            ball = v + s / 4, r + s / 4  # around, same left end
+            ball = _shift(v, s / 4), r + s / 4  # around, same left end
         elif how == 3:
-            ball = v - r + s, s  # same left end, radius s
+            ball = _shift(v, s - r), s  # same left end, radius s
         else:
-            if -1 <= v + r <= 2:
-                balls.append((v + r, r))  # overlapping it on the right
-            ball = v + 2 * r + s, 3 * r + s  # around both, centred after them
-        if -1 <= ball[0] <= 2:  # a point's ambient interval
+            if _in_ambient(_shift(v, r)):
+                balls.append((_shift(v, r), r))  # overlapping it on the right
+            ball = _shift(v, 2 * r + s), 3 * r + s  # around both, centred after them
+        if _in_ambient(ball[0]):  # a point's ambient interval
             balls.append(ball)
     return FineCover([(_point(v), r) for v, r in balls])
 
@@ -769,10 +796,9 @@ def test_a_ball_around_earlier_kept_balls_pops_them_all():
 
 
 _CENTRES = st.one_of(
-    st.fractions(F(-1), F(2), max_denominator=64),
-    _over_primes(F(-1), F(2)),
-    st.builds(
-        QuadVal,
+    st.fractions(F(-1), F(2), max_denominator=64).map(_rat),
+    _over_primes(F(-1), F(2)).map(_rat),
+    st.tuples(
         st.fractions(F(-1, 2), F(3, 2), max_denominator=8),
         st.fractions(F(-1, 4), F(1, 4), max_denominator=8).filter(bool),
     ),
@@ -785,13 +811,13 @@ def _shuffled_entries(draw):
     [-1, 2] (some quadratic), drawn points again with another radius, and
     balls with the same left end as a drawn one."""
     n = draw(st.sampled_from([1, 2, 4, 8, 16, 3, 5]))
-    balls = [(F(2 * i + 1, 2 * n), F(1, n)) for i in range(n)]
+    balls = [(_rat(F(2 * i + 1, 2 * n)), F(1, n)) for i in range(n)]
     balls += draw(st.lists(st.tuples(_CENTRES, _SMALL), max_size=8))
     for j, s in draw(st.lists(st.tuples(st.integers(0, 99), _SMALL), max_size=4)):
         v, r = balls[j % len(balls)]
         balls.append((v, s))
-        if -1 <= v - r + s <= 2:
-            balls.append((v - r + s, s))
+        if _in_ambient(_shift(v, s - r)):
+            balls.append((_shift(v, s - r), s))
     return [(_point(balls[i][0]), balls[i][1]) for i in draw(st.permutations(range(len(balls))))]
 
 
@@ -808,6 +834,17 @@ def test_cover_orders_match_the_fraction_sorts(entries):
     assert _sweep(cover) == ref_sweep(points, radii)
     assert uncovered_witness(cover) == ref_sweep(points, radii)[1]
     assert cover_csv(cover) == cover_csv(SimpleNamespace(entries=lambda: [(p, radii[p]) for p in points]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_CENTRES, min_size=1, max_size=12).flatmap(lambda vs: st.permutations(vs + vs[: len(vs) // 2])))
+def test_mixed_points_sort_stably_by_their_reference_values(values):
+    """Rational and quadratic points, some of equal value but built apart,
+    are put in the order a stable sort by their quad_ref values gives."""
+    points = [_point(v) for v in values]
+    got = list(points)
+    covers._sort_by_value(got)
+    assert [id(p) for p in got] == [id(p) for p in sorted(points, key=ref_value_key)]
 
 
 @st.composite
@@ -917,8 +954,7 @@ def test_a_kept_ball_centred_outside_the_interval_is_not_a_cover():
 def test_two_quad_balls_touching_at_an_irrational_point_are_not_a_cover():
     # [sqrt2/2 - 1, sqrt2/2] and [sqrt2/2, sqrt2/2 + 1/2] share only the end
     # sqrt2/2, so no rational cut fits between the two tags
-    r2 = QuadVal(0, F(1, 2))
-    cover = FineCover([(UnitPoint.from_quad(r2 - F(1, 2)), F(1, 2)), (UnitPoint.from_quad(r2 + F(1, 4)), F(1, 4))])
+    cover = FineCover([(quad(F(-1, 2), F(1, 2)), F(1, 2)), (quad(F(1, 4), F(1, 2)), F(1, 4))])
     assert uncovered_witness(cover) is None
     with pytest.raises(NotACover) as err:
         cover_to_partition(cover)
@@ -1050,7 +1086,7 @@ def test_find_cover_unit_obstruction_localizes():
 
 
 def test_find_cover_unit_quad_hint():
-    target = QuadVal(F(0), F(1, 2))  # sqrt(2)/2, interior to [1/2, 3/4]
+    target = (F(0), F(1, 2))  # sqrt(2)/2, interior to [1/2, 3/4]
 
     def at(p: UnitPoint, stage: int) -> tuple:
         if p.is_exact and p.exact_value() == target:
@@ -1062,7 +1098,7 @@ def test_find_cover_unit_quad_hint():
     assert isinstance(miss, Obstruction)
     assert list(miss.unresolved) == [Interval(F(0), F(1))]
 
-    hit = find_cover_unit(g, depth=2, stage=STAGE, hints=[UnitPoint.from_quad(target)])
+    hit = find_cover_unit(g, depth=2, stage=STAGE, hints=[quad(*target)])
     assert isinstance(hit, Obstruction)
     # the spike value 1 beats the width of [1/2, 1] already at level 1
     assert list(hit.unresolved) == [Interval(F(0), F(1, 2))]
@@ -1098,14 +1134,14 @@ def _ref_find_cover_unit(g, depth, stage, hints=()):
     """The sample-only walk of find_cover_unit as it was first written: a
     fresh from_rat point per sample, in-cell hints by a scan of every hint,
     and no region bound."""
-    hints = sorted(hints, key=UnitPoint.exact_value)
+    hints = sorted(hints, key=ref_value_key)
     entries, frontier = [], [0]
     for level in range(depth + 1):
         w = pow2(-level)
         survivors = []
         for i in frontier:
             a, b = F(i, 1 << level), F(i + 1, 1 << level)
-            in_cell = [h for h in hints if a <= h.exact_value() <= b]
+            in_cell = [h for h in hints if ref_cmp(ref_value(h), (a, 0)) >= 0 and ref_cmp(ref_value(h), (b, 0)) <= 0]
             cands = in_cell + [c for c in map(up, (F(2 * i + 1, 2 << level), a, b)) if c not in in_cell]
             for m in cands:
                 if verified_above(g, m, w, stage) is Verdict.YES:
@@ -1172,7 +1208,7 @@ _HINTS = st.one_of(
     st.integers(0, 6).flatmap(lambda k: st.integers(0, 1 << k).map(lambda n: up(F(n, 1 << k)))),
     st.fractions(0, 1, max_denominator=40).map(up),
     st.builds(
-        lambda a, b: UnitPoint.from_quad(QuadVal(a, b)),
+        quad,
         st.fractions(F(1, 4), F(3, 4), max_denominator=8),
         st.fractions(F(-1, 8), F(1, 8), max_denominator=16).filter(bool),
     ),
@@ -1209,7 +1245,7 @@ def test_a_region_accepted_cell_still_asks_its_quadratic_first_sample(monkeypatc
     and the midpoint 3/16 is accepted on the region, without a verdict. At
     stage 8 the box is narrow and the hint itself gets the Yes."""
     text = "min(x + 1/32, 3/16)"
-    hint = UnitPoint.from_quad(QuadVal(F(-257, 200), F(1)))  # 1/8 + (sqrt2 - 141/100)
+    hint = quad(F(-257, 200), F(1))  # 1/8 + (sqrt2 - 141/100)
     asked = _queried(monkeypatch, "verified_above")
     got = find_cover_unit(parse_gauge(text), 4, 1, hints=[hint])
     assert hint in asked and up(F(3, 16)) not in asked

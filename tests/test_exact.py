@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from interval_ref import ref_add, ref_intersect, ref_mul, ref_pad
 from kernel_ref import rt_abs, rt_max, rt_min, rt_sub
+from conftest import quad
 from quad_ref import ref_cmp, ref_enclosure, ref_sign
 from read_ref import ref_parse_rat
 
@@ -35,6 +36,7 @@ from finecover.exact import (
     simplest_dyadic_between,
     sqrt2_sign,
 )
+from finecover.gauges import DomainError, _point_region
 
 
 def rand_rat(rng, span=40):
@@ -215,8 +217,8 @@ def test_interval_coerces_only_non_fractions():
     assert type(Interval.point(3).lo) is Fraction
     with pytest.raises(ValueError):
         Interval(Fraction(2), 1)
-    q = QuadVal(1, "1/2")
-    assert type(q.a) is Fraction and q.b == Fraction(1, 2)
+    q = QuadVal(1, 2)
+    assert type(q.a) is int and q.b == 2
 
 
 def rand_triple(rng, box):
@@ -295,45 +297,43 @@ def test_quadval_algebra():
     r2 = QuadVal(0, 1)
     assert r2 * r2 == 2
     assert (r2 - 1) * (r2 + 1) == 1
-    assert QuadVal(Fraction(1, 2)) + Fraction(1, 2) == 1
-    third = Fraction(1, 3) * r2
-    assert third * 3 == r2
+    assert QuadVal(1) + 1 == 2 and 1 - r2 == QuadVal(1, -1)
+    third = 3 * r2
+    assert third == r2 * 3 == QuadVal(0, 3)
 
 
 def test_quadval_order():
+    # the bounds 3/2, 7/5, 17/12 and 3/4 of the Fraction order, cleared of their denominators
     r2 = QuadVal(0, 1)
-    assert 1 < r2 < Fraction(3, 2)
-    assert Fraction(7, 5) < r2 < Fraction(17, 12)
+    assert 1 < r2 < 2 and 2 * r2 < 3
+    assert 7 < 5 * r2 and 12 * r2 < 17
     assert not r2 < r2
     assert r2 <= r2
-    half_r2 = Fraction(1, 2) * r2
-    assert Fraction(1, 2) < half_r2 < Fraction(3, 4)
-    assert -r2 < -Fraction(7, 5)
+    assert 1 < r2 < 2 * r2 < 3
+    assert -5 * r2 < -7
 
 
 def test_quadval_hash_matches_fraction():
-    q = QuadVal(Fraction(3, 4))
-    assert q == Fraction(3, 4)
-    assert hash(q) == hash(Fraction(3, 4))
+    q = QuadVal(3)
+    assert q == 3
+    assert hash(q) == hash(Fraction(3)) == hash(3)
     table = {q: "here"}
-    assert table[Fraction(3, 4)] == "here"
+    assert table[3] == "here"
 
 
 def test_quadval_enclosure_width_and_membership():
     rng = random.Random(7104)
     for _ in range(200):
-        v = QuadVal(rand_rat(rng), rand_rat(rng))
+        v, d = QuadVal(rng.randint(-40, 40), rng.randint(-40, 40)), rng.randint(1, 40)
         k = rng.randint(0, 30)
-        box = v.enclosure(k)
-        assert box.width <= pow2(-k)
-        assert box.lo <= v <= box.hi
+        lo, hi, e = v.enclosure(k, d)
+        assert (hi - lo) << k <= e
+        assert lo * d <= v * e <= hi * d
 
 
 # numerators of a few bits and of over 200 bits, of either sign
 _BIG = 2**260
 _INTS = st.one_of(st.integers(-64, 64), st.integers(-_BIG, _BIG))
-_RATS = st.builds(Fraction, _INTS, st.one_of(st.integers(1, 64), st.integers(1, _BIG)))
-_PARTS = st.one_of(st.just(Fraction(0)), _RATS)  # a = 0 and b = 0 included
 
 
 @st.composite
@@ -360,87 +360,130 @@ def test_sqrt2_sign_matches_the_reference(pq):
     assert sqrt2_sign(-p, -q) == -ref_sign(p, q)
 
 
+_DENS = st.one_of(st.integers(1, 64), st.integers(1, _BIG))
+
+
 @st.composite
 def _quad_and_other(draw):
-    """A QuadVal (a, b) and an int, Fraction or QuadVal to compare it with,
-    also a rational end of one of its enclosures, a hair from its value."""
-    a, b = draw(_PARTS), draw(_PARTS)
-    kind = draw(st.sampled_from(["int", "fraction", "quad", "end", "same-b"]))
+    """A value (a + b*sqrt(2))/d on ints and one to compare it with: an
+    int, another such value, a rational end of one of its enclosures, a
+    hair from it, or one with the same b and d."""
+    a, b, d = draw(_INTS), draw(_INTS), draw(_DENS)
+    kind = draw(st.sampled_from(["int", "quad", "end", "same-b"]))
     if kind == "int":
-        other = draw(_INTS)
-    elif kind == "fraction":
-        other = draw(_RATS)
+        other = draw(_INTS), 0, 1
     elif kind == "quad":
-        other = QuadVal(draw(_PARTS), draw(_PARTS))
+        other = draw(_INTS), draw(_INTS), draw(_DENS)
     elif kind == "end":
-        box = ref_enclosure(a, b, draw(st.integers(0, 64)))
-        other = draw(st.sampled_from([box.lo, box.hi]))
+        box = ref_enclosure(Fraction(a, d), Fraction(b, d), draw(st.integers(0, 64)))
+        end = draw(st.sampled_from([box.lo, box.hi]))
+        other = end.numerator, 0, end.denominator
     else:
-        other = QuadVal(a + draw(_PARTS), b)
-    return (a, b), other
+        other = a + draw(_INTS), b, d
+    return (a, b, d), other
 
 
 @settings(max_examples=400, deadline=None)
 @given(case=_quad_and_other())
 def test_quadval_order_matches_the_reference(case):
-    (a, b), other = case
-    x = QuadVal(a, b)
-    s = ref_cmp((a, b), (other.a, other.b) if isinstance(other, QuadVal) else (other, 0))
-    assert (x < other, x <= other, x > other, x >= other) == (s < 0, s <= 0, s > 0, s >= 0)
-    # the reflected operators: a rational on the left defers to QuadVal
-    assert (other < x, other <= x, other > x, other >= x) == (s > 0, s >= 0, s < 0, s <= 0)
+    (a, b, d), (c, e, f) = case
+    # x/d against y/f is x*f against y*d, on the ints
+    x, y = QuadVal(a, b) * f, (QuadVal(c, e) if e else c) * d
+    s = ref_cmp((Fraction(a, d), Fraction(b, d)), (Fraction(c, f), Fraction(e, f)))
+    assert (x < y, x <= y, x > y, x >= y, x == y) == (s < 0, s <= 0, s > 0, s >= 0, s == 0)
+    # the reflected operators: an int on the left defers to QuadVal
+    assert (y < x, y <= x, y > x, y >= x) == (s > 0, s >= 0, s < 0, s <= 0)
+    assert ((x - y) > 0) - ((x - y) < 0) == sqrt2_sign((x - y).a, (x - y).b) == s
 
 
 @settings(max_examples=300, deadline=None)
-@given(a=_PARTS, b=_PARTS, k=st.integers(0, 64))
-def test_quadval_enclosure_is_the_reference_interval(a, b, k):
+@given(a=_INTS, b=_INTS, d=_DENS, k=st.integers(0, 64))
+def test_quadval_enclosure_is_the_reference_interval(a, b, d, k):
     # equal ends, not just a nested box: the boxes that points, verdicts
     # and emitted bytes read stay exactly the reference's
-    got, want = QuadVal(a, b).enclosure(k), ref_enclosure(a, b, k)
+    got, want = rt_interval(QuadVal(a, b).enclosure(k, d)), ref_enclosure(Fraction(a, d), Fraction(b, d), k)
     assert (got.lo, got.hi) == (want.lo, want.hi)
+
+
+def _ref_floor(a: Fraction, b: Fraction) -> int:
+    """floor(a + b*sqrt(2)) by brute force: reference enclosures at doubling
+    precision until both ends share their floor."""
+    k = 1
+    while True:
+        box = ref_enclosure(a, b, k)
+        if floor(box.lo) == floor(box.hi):
+            return floor(box.lo)
+        k *= 2
+
+
+@st.composite
+def _quad_points(draw):
+    """(a, b, d) with (a + b*sqrt(2))/d in [-1, 2], b nonzero: a is chosen
+    so that a + b*sqrt(2) lies between the ints j and j + 1."""
+    b, d = draw(_INTS.filter(bool)), draw(st.one_of(st.integers(1, 64), st.integers(1, 2**80)))
+    j = draw(st.one_of(st.integers(-d, 2 * d - 1), st.sampled_from([-d, -1, 0, d - 1, d, 2 * d - 1])))
+    return j - floor(QuadVal(0, b)), b, d
+
+
+@settings(max_examples=300, deadline=None)
+@given(abd=_quad_points(), k=st.integers(0, 64))
+def test_quad_sign_floor_and_point_region_match_the_reference(abd, k):
+    """On int parts over an int denominator: the sign and floor agree with
+    the reference and its brute-force floor, and the query triple of the
+    point at stage k is the reference enclosure clipped to [0,1] (or a
+    DomainError when that is empty)."""
+    a, b, d = abd
+    fa, fb = Fraction(a, d), Fraction(b, d)
+    v = QuadVal(a, b)
+    assert sqrt2_sign(a, b) == ref_sign(fa, fb) == (v > 0) - (v < 0)
+    assert floor(v) == _ref_floor(Fraction(a), Fraction(b))
+    assert floor(v) // d == _ref_floor(fa, fb)
+    box = ref_enclosure(fa, fb, k)
+    lo, hi = max(box.lo, 0), min(box.hi, 1)
+    point = quad(fa, fb)
+    if lo > hi:
+        with pytest.raises(DomainError):
+            _point_region(point, k, "unit")
+    else:
+        assert rt_interval(_point_region(point, k, "unit")) == Interval(lo, hi)
 
 
 def test_quadval_floor():
     r2 = QuadVal(0, 1)
     assert floor(5 * r2) == 7
     assert floor(-1 * r2) == -2
-    assert floor(QuadVal(Fraction(7, 2))) == 3
+    assert floor(QuadVal(7)) // 2 == 3  # 7/2
     assert floor(Fraction(-1, 2)) == -1
 
 
-def test_quadval_floor_doubles_its_precision_until_the_box_decides():
-    # 1 - 99/70 + sqrt2 sits 7e-5 below 1, so the box at precision 8 still
-    # straddles 1 and the floor has to refine
-    v = QuadVal(1 - Fraction(99, 70), 1)
-    box = v.enclosure(8)
-    assert box.lo < 1 < box.hi
-    assert floor(v) == 0
+def test_quadval_floor_decides_where_a_coarse_enclosure_straddles_the_integer():
+    # 1 - 99/70 + sqrt2 = (-29 + 70 sqrt2)/70 sits 7e-5 below 1, so its
+    # box at precision 8 still straddles 1; the floor on the ints needs no box
+    v = QuadVal(-29, 70)
+    lo, hi, e = v.enclosure(8, 70)
+    assert lo < e < hi
+    assert floor(v) // 70 == 0
 
 
 @pytest.mark.parametrize("p, q", [(99, 70), (239, 169), (19601, 13860), (8119, 5741)])
 @pytest.mark.parametrize("n", [-3, 0, 1, 5])
 def test_math_floor_of_a_quadval_just_below_and_just_above_an_integer(p, q, n):
     # n + (sqrt2 - p/q) and n - (sqrt2 - p/q) sit within 1e-4 of n, on
-    # opposite sides of it: below when p/q > sqrt2, above when p/q < sqrt2
+    # opposite sides of it: below when p/q > sqrt2, above when p/q < sqrt2;
+    # each is a QuadVal over q, floored on the ints
     above = p * p > 2 * q * q
-    assert floor(QuadVal(n - Fraction(p, q), 1)) == (n - 1 if above else n)
-    assert floor(QuadVal(n + Fraction(p, q), -1)) == (n if above else n - 1)
-
-
-def test_quadval_as_fraction():
-    assert QuadVal(Fraction(2, 3)).as_fraction() == Fraction(2, 3)
-    with pytest.raises(ValueError):
-        QuadVal(0, 1).as_fraction()
+    assert floor(QuadVal(n * q - p, q)) // q == (n - 1 if above else n)
+    assert floor(QuadVal(n * q + p, -q)) // q == (n if above else n - 1)
 
 
 def test_simplest_dyadic_between():
-    assert simplest_dyadic_between(Fraction(1, 3), Fraction(2, 3)) == Fraction(1, 2)
-    assert simplest_dyadic_between(Fraction(0), Fraction(1, 5)) == Fraction(1, 8)
+    assert simplest_dyadic_between(1, 3, 2, 3) == (1, 2)
+    assert simplest_dyadic_between(0, 1, 1, 5) == (1, 8)
     r2 = QuadVal(0, 1)
     low = r2 - 1  # ~0.41421
-    cut = simplest_dyadic_between(low, low + Fraction(1, 64))
-    assert low < cut < low + Fraction(1, 64)
-    assert cut.denominator & (cut.denominator - 1) == 0  # power of two
+    n, d = simplest_dyadic_between(low, 1, 64 * low + 1, 64)  # between low and low + 1/64
+    assert low * d < n and 64 * n < (64 * low + 1) * d
+    assert d & (d - 1) == 0  # power of two
 
 
 def test_simplest_dyadic_prefers_coarse():
@@ -448,7 +491,7 @@ def test_simplest_dyadic_prefers_coarse():
     for _ in range(200):
         a = Fraction(rng.randint(0, 2**12 - 2), 2**12)
         b = a + Fraction(rng.randint(1, 40), 2**12)
-        cut = simplest_dyadic_between(a, b)
+        cut = Fraction(*simplest_dyadic_between(a.numerator, a.denominator, b.numerator, b.denominator))
         assert a < cut < b
         k = cut.denominator.bit_length() - 1
         if k > 0:

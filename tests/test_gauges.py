@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import quad
 from interval_ref import ref_intersect, ref_pad
 from kernel_ref import continuous_add, continuous_identity
 
 from finecover.covers import TaggedPartition, verify_partition
-from finecover.exact import CauchyViolation, Interval, QuadVal, pow2, pow3, rt_cell, rt_interval, rt_intersect, rt_of, rt_point
+from finecover.exact import CauchyViolation, Interval, pow2, pow3, rt_cell, rt_interval, rt_intersect, rt_of, rt_point
 from finecover.gallery import OracleSpec, cauchy_gap_gauge, default_cauchy_spec, oracle_pin_gauge, pin_index
 from finecover.gauges import (
     Baire1Code,
@@ -912,7 +913,7 @@ def _points(draw, space):
     elif kind == "quad":
         a = draw(st.fractions(0, 1, max_denominator=8))
         b = draw(st.fractions(Fraction(-1, 4), Fraction(1, 4), max_denominator=8).filter(bool))
-        return lambda: UnitPoint.from_quad(QuadVal(a, b))
+        return lambda: quad(a, b)
     else:
         w = draw(st.fractions(0, 1, max_denominator=64))
         return lambda: UnitPoint.from_fn(lambda k: Interval(w - pow2(-k - 1), w + pow2(-k - 1)))

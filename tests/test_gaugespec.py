@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conftest
 from kernel_ref import compile_ref
+from quad_ref import ref_cmp, ref_sign
 
-from finecover.exact import Interval, QuadVal, pow2, rt_interval
+from finecover.exact import Interval, pow2, rt_interval
 from finecover.gauges import (
     Baire1Code,
     Baire2Code,
@@ -342,8 +344,8 @@ def test_rendered_trees_match_the_interval_reference(tree, cell, x, quad, k):
     assert g.region_eval(box, k) == ref(box)
     assert g.region_eval(Interval.point(x), k) == ref(Interval.point(x))
     a, b = quad
-    if 0 <= QuadVal(a, b) <= 1:
-        point = UnitPoint.from_quad(QuadVal(a, b))
+    if ref_sign(a, b) >= 0 and ref_cmp((a, b), (1, 0)) <= 0:
+        point = conftest.quad(a, b)
         near = point.approx(k)
         assert eval_enclosure(parse_gauge(text), point, k) == ref(Interval(max(near.lo, 0), min(near.hi, 1)))
 

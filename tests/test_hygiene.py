@@ -172,12 +172,13 @@ def test_no_python_source_is_run():
     assert not found, found
 
 
-_EXACT_PAIR = {"exact.numerator", "exact.denominator"}
+_EXACT_PAIR = {"exact.numerator", "exact.denominator", "exact.a", "exact.b", "exact.enclosure"}
 
 
 def _exact_pair_reads(tree: ast.Module) -> list[str]:
-    """Each read of `.exact.numerator` or `.exact.denominator`, as an
-    attribute or through attrgetter, with its line."""
+    """Each read of `.exact.numerator`, `.exact.denominator`, `.exact.a`,
+    `.exact.b` or `.exact.enclosure`, as an attribute or through
+    attrgetter, with its line."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute):
@@ -190,17 +191,24 @@ def _exact_pair_reads(tree: ast.Module) -> list[str]:
 
 
 def test_points_are_read_through_their_pair():
-    """An exact unit point holds its value as num/den; reading the
-    numerator or denominator of its `exact` would build a Fraction per
-    point, so nothing in the package does."""
+    """An exact unit point holds its value as num/den, a quadratic one as a
+    QuadVal on two ints over an int; reading the numerator or denominator
+    of its `exact`, or a quadratic value's parts or enclosure through it,
+    would build Fractions per point, so nothing in the package does."""
     found = {}
     for path in sorted(SRC.glob("*.py")):
         reads = _exact_pair_reads(ast.parse(path.read_text(), filename=str(path)))
         if reads:
             found[path.name] = reads
     assert not found, found
-    probe = ast.parse("p.exact.numerator\nsorted(ps, key=attrgetter('exact.denominator'))\n")
-    assert _exact_pair_reads(probe) == ["line 1: .exact.numerator", "line 2: attrgetter('exact.denominator')"]
+    probe = ast.parse(
+        "p.exact.numerator\nsorted(ps, key=attrgetter('exact.denominator'))\n"
+        "p.exact.a\np.exact.b\nattrgetter('exact.b')\np.exact.enclosure(8)\n"
+    )
+    assert sorted(_exact_pair_reads(probe)) == [  # in line order; the walk goes by depth
+        "line 1: .exact.numerator", "line 2: attrgetter('exact.denominator')", "line 3: .exact.a",
+        "line 4: .exact.b", "line 5: attrgetter('exact.b')", "line 6: .exact.enclosure",
+    ]
 
 
 def test_each_code_class_defines_eval_of_x_and_stage():

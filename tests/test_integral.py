@@ -5,10 +5,13 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import quad
 from interval_ref import ref_add, ref_mul
+from quad_ref import ref_cmp
+from read_ref import ref_value
 
 from finecover.covers import Obstruction, TaggedPartition
-from finecover.exact import Interval, QuadVal, pow2, rt_interval
+from finecover.exact import Interval, pow2, rt_interval
 from finecover.gauges import Verdict, eval_enclosure, scale_code
 from finecover.integral import (
     EvaluationError,
@@ -84,7 +87,7 @@ def _partitions(draw):
         if w and draw(st.booleans()):
             # lo + w c (sqrt2 - 1), strictly inside for 0 < c <= 2
             c = draw(st.fractions(F(1, 8), 2, max_denominator=8))
-            tags.append(UnitPoint.from_quad(QuadVal(lo - w * c, w * c)))
+            tags.append(quad(lo - w * c, w * c))
         else:
             tags.append(up(lo + w * draw(st.fractions(0, 1, max_denominator=12))))
     return TaggedPartition(tuple(cuts), tuple(tags))
@@ -146,7 +149,7 @@ def _ref_dirichlet_at(tag, prec):
 def _ref_step_at(c):
     def at(tag, prec):
         if tag.is_exact:
-            return Interval.point(F(1 if tag.exact_value() >= c else 0))
+            return Interval.point(F(1 if ref_cmp(ref_value(tag), (c, 0)) >= 0 else 0))
         box = tag.approx(prec)
         if box.lo >= c:
             return Interval.point(F(1))
@@ -183,7 +186,7 @@ def _tags(draw):
         # |b sqrt2| < 1/4, so a + b sqrt2 lies inside [0,1]
         a = draw(st.fractions(F(1, 4), F(3, 4), max_denominator=8))
         b = draw(st.fractions(F(-1, 8), F(1, 8), max_denominator=16).filter(bool))
-        return lambda: UnitPoint.from_quad(QuadVal(a, b))
+        return lambda: quad(a, b)
     else:
         w = draw(st.fractions(F(1, 4), F(3, 4), max_denominator=64))
         return lambda: UnitPoint.from_fn(lambda k: Interval(w - pow2(-k - 1), w + pow2(-k - 1)))
@@ -362,15 +365,15 @@ def test_dirichlet_gauge_values():
     assert eval_enclosure(g, up("1/2"), STAGE) == Interval.point(eps / 8)
     deep = eval_enclosure(g, up(F(1, 1000)), STAGE)
     assert deep.lo == 0 and deep.hi == eps * pow2(-(STAGE + 64))
-    quad = UnitPoint.from_quad(QuadVal(F(0), F(1, 2)))
-    assert eval_enclosure(g, quad, STAGE) == Interval.point(F(1))
+    irrational = quad(F(0), F(1, 2))
+    assert eval_enclosure(g, irrational, STAGE) == Interval.point(F(1))
 
 
 def test_dirichlet_hints_sit_in_their_cells():
     for i, h in enumerate(dirichlet_hints()):
-        v = h.exact_value()
-        assert F(i, 4) < v < F(i + 1, 4)
-        assert not v.is_rational
+        v = h.exact_value()  # the pair (a, b) of a + b*sqrt(2)
+        assert ref_cmp((F(i, 4), 0), v) < 0 < ref_cmp((F(i + 1, 4), 0), v)
+        assert not h.is_rational and v[1]
 
 
 def _within(inner: tuple, outer: tuple) -> bool:

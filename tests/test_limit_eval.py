@@ -11,10 +11,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import conftest
 from limit_ref import Baire1Ref, Baire2Ref, ModulusRef, ref_spec
 
 from finecover import gaugespec
-from finecover.exact import CauchyViolation, Interval, QuadVal, pow2
+from finecover.exact import CauchyViolation, Interval, pow2
 from finecover.gallery import CauchySpec, _gap_term, cauchy_gap_gauge, default_cauchy_spec
 from finecover.gauges import (
     Baire1Code,
@@ -123,7 +124,7 @@ def _point_pool():
     quad = st.tuples(
         st.fractions(Fraction(1, 4), Fraction(3, 4), max_denominator=8),
         st.fractions(Fraction(-1, 8), Fraction(1, 8), max_denominator=8).filter(bool),
-    ).map(lambda ab: lambda: UnitPoint.from_quad(QuadVal(*ab)))
+    ).map(lambda ab: lambda: conftest.quad(*ab))
     approx = st.fractions(0, 1, max_denominator=16).map(lambda w: lambda: _approximant(w))
     return st.lists(st.one_of(rational, quad, approx), min_size=1, max_size=4)
 

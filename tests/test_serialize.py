@@ -6,9 +6,9 @@ import tracemalloc
 from fractions import Fraction as F
 
 import pytest
+from conftest import quad
 
 from finecover.covers import FineCover, MalformedPartition, TaggedPartition
-from finecover.exact import QuadVal
 from finecover.gallery import default_cauchy_spec, gap_limit_point, gap_obstruction_demo
 from finecover.serialize import (
     cantor_str,
@@ -42,7 +42,7 @@ def test_unit_rat_and_quad_round_trip():
     p = UnitPoint.from_rat(F(3, 8))
     assert unit_str(p) == "rat:3/8"
     assert parse_unit("rat:3/8") == p
-    q = UnitPoint.from_quad(QuadVal(F(1, 4), F(1, 16)))
+    q = quad(F(1, 4), F(1, 16))
     s = unit_str(q)
     assert s == "quad:1/4,1/16"
     assert parse_unit(s) == q
@@ -127,7 +127,7 @@ def test_unit_cover_csv_round_trip():
     cover = FineCover(
         [
             (UnitPoint.from_rat(F(1, 4)), F(1, 2)),
-            (UnitPoint.from_quad(QuadVal(F(1, 2), F(1, 32))), F(1, 4)),
+            (quad(F(1, 2), F(1, 32)), F(1, 4)),
             (UnitPoint.from_rat(F(7, 8)), F(1, 2)),
         ]
     )
@@ -167,7 +167,7 @@ def test_partition_csv_round_trip():
         (F(0), F(1, 4), F(1, 2), F(1)),
         (
             UnitPoint.from_rat(F(1, 8)),
-            UnitPoint.from_quad(QuadVal(F(3, 8), F(1, 64))),
+            quad(F(3, 8), F(1, 64)),
             UnitPoint.from_rat(F(3, 4)),
         ),
     )
@@ -241,6 +241,6 @@ def test_obstruction_json_shape_and_determinism():
 
 def test_prec_is_none_on_exact_points_and_the_recorded_precision_on_approximants():
     assert UnitPoint.from_rat(F(1, 2)).prec is None
-    assert UnitPoint.from_quad(QuadVal(0, F(1, 2))).prec is None
+    assert quad(0, F(1, 2)).prec is None
     assert parse_unit("rat:3/8").prec is None
     assert parse_unit("approx:[1/2,9/16]@4").prec == 4

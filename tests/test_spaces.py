@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import quad
 from read_ref import ref_from_quad
 
 from finecover.exact import CauchyViolation, Interval, QuadVal, pow2, pow3, rt_cell, rt_interval
@@ -315,18 +316,17 @@ def test_unit_point_exact():
 
 
 def test_unit_point_quad():
-    v = QuadVal(Fraction(1, 2), Fraction(1, 4))  # 1/2 + sqrt2/4
-    p = UnitPoint.from_quad(v)
+    p = quad(Fraction(1, 2), Fraction(1, 4))  # 1/2 + sqrt2/4
     assert p.is_exact and not p.is_rational
     box = p.approx(20)
     assert box.width <= pow2(-20)
     with pytest.raises(ValueError):
         p.rational_value()
     # rational quads normalize to plain fractions
-    q = UnitPoint.from_quad(QuadVal(Fraction(1, 2), 0))
+    q = quad(Fraction(1, 2), 0)
     assert q.is_rational and q == UnitPoint.from_rat(Fraction(1, 2))
     with pytest.raises(ValueError):
-        UnitPoint.from_quad(QuadVal(2, 1))
+        quad(2, 1)
 
 
 def test_unit_point_hash_is_its_pair_hash():
@@ -335,10 +335,9 @@ def test_unit_point_hash_is_its_pair_hash():
     approximant point by identity."""
     for q in (Fraction(3, 8), Fraction(-1), Fraction(2), Fraction(1, 3)):
         assert hash(UnitPoint.from_rat(q)) == hash(UnitPoint(q.numerator, q.denominator))
-    half = UnitPoint.from_quad(QuadVal(Fraction(1, 2), 0))
+    half = quad(Fraction(1, 2), 0)
     assert half == UnitPoint.from_rat(Fraction(1, 2)) and hash(half) == hash(UnitPoint(1, 2))
-    v = QuadVal(Fraction(1, 2), Fraction(1, 4))
-    a, b = UnitPoint.from_quad(v), UnitPoint.from_quad(QuadVal(Fraction(2, 4), Fraction(1, 4)))
+    a, b = quad(Fraction(1, 2), Fraction(1, 4)), quad(Fraction(2, 4), Fraction(1, 4))
     assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
     opaque = UnitPoint.from_fn(lambda k: Interval.point(Fraction(1, 2)))
     assert hash(opaque) == id(opaque) and {opaque: 1}[opaque] == 1
@@ -369,14 +368,14 @@ def test_unit_point_pair_edges():
     m = sys.hash_info.modulus
     for n, d in ((0, 1), (-3, 8), (-1, 1), (2, 1), (1, m), (-1, 2 * m)):
         _one_point(n, d)
-    v = QuadVal(Fraction(1, 6), Fraction(-1, 4))
-    p = UnitPoint.from_quad(v)
-    assert p.num.a.denominator == p.num.b.denominator == 1
-    assert p.num * Fraction(1, p.den) == v == p.exact
+    v = Fraction(1, 6), Fraction(-1, 4)
+    p = quad(*v)
+    assert type(p.num.a) is type(p.num.b) is int
+    assert (Fraction(p.num.a, p.den), Fraction(p.num.b, p.den)) == v == p.exact
 
 
 def test_from_quad_puts_both_parts_over_the_lcm_of_their_denominators():
-    p = UnitPoint.from_quad(QuadVal(Fraction(1, 6), Fraction(-1, 4)))
+    p = quad(Fraction(1, 6), Fraction(-1, 4))
     assert p.den == 12 and p.num == QuadVal(2, -3)
     q = UnitPoint(QuadVal(2, -3), 12)
     assert q == p and hash(q) == hash(p) and {p: 1}[q] == 1
@@ -385,13 +384,13 @@ def test_from_quad_puts_both_parts_over_the_lcm_of_their_denominators():
 @settings(max_examples=200, deadline=None)
 @given(st.fractions(-1, 2, max_denominator=1 << 40))
 def test_equal_points_hash_alike_however_built(q):
-    """UnitPoint(n, d), from_rat and from_quad of a rational QuadVal build
+    """UnitPoint(n, d), from_rat and from_parts with no sqrt2 part build
     one point: equal, hashing alike, and one dict key."""
     built = [
         UnitPoint(q.numerator, q.denominator),
         UnitPoint.from_rat(q),
-        UnitPoint.from_quad(QuadVal(q)),
-        UnitPoint.from_quad(QuadVal(q, 0)),
+        quad(q),
+        quad(q, 0),
     ]
     assert all(p == built[0] for p in built)
     assert len({hash(p) for p in built}) == 1 and len(set(built)) == 1
@@ -408,11 +407,11 @@ def _built(make, *args):
 
 def _same_quad_point(a: Fraction, b: Fraction) -> None:
     """from_parts on the reduced pairs of a and b builds the point, or
-    raises the message, that from_quad and the QuadVal-compare reference
-    do for a + b*sqrt(2)."""
+    raises the message, that the tests' `quad` and the reference
+    (`ref_from_quad`, on quad_ref's order) do for a + b*sqrt(2)."""
     parts = (a.numerator, a.denominator, b.numerator, b.denominator)
     got = _built(UnitPoint.from_parts, *parts)
-    assert got == _built(UnitPoint.from_quad, QuadVal(a, b)) == _built(ref_from_quad, QuadVal(a, b))
+    assert got == _built(quad, a, b) == _built(ref_from_quad, a, b)
 
 
 # parts of both signs, many of them putting the point outside [-1, 2]

@@ -25,8 +25,10 @@ Yes rests only on the terms observed, and it never says No.
 Evaluation runs on the integer-numerator triples of `exact`: every code's
 `_eval` returns (lo, hi, d), the per-point accumulators hold triples
 reduced by gcd, and verdicts compare numerators by cross-multiplication.
-Only the public edge, `eval_enclosure` and `ContinuousCode.region_eval`,
-turns a triple into an Interval.
+In this module only the public edge, `eval_enclosure` and
+`ContinuousCode.region_eval`, turns a triple into an Interval; elsewhere
+`spaces.UnitPoint.approx`, `integral.riemann_sum` and `exact.dyadic_runs` build
+Intervals for their callers in the same way.
 """
 
 from __future__ import annotations

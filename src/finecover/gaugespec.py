@@ -13,19 +13,29 @@ each constant operand folded into its operator. Within a baire1/baire2
 body, each largest part that reads x but no index is compiled once per
 gauge and shared by every term. Gauge text never becomes Python source.
 
+Text becomes tokens by one compiled pattern, `_TOKEN`, matched once per
+token. Its alternatives, in the order they are tried: a newline; other
+blanks (exactly what `str.isspace` accepts); a comment from # to the end
+of the line; a numeral of ASCII digits; a built-in name; any other name,
+a run of `str.isalnum` characters and underscores that starts with a
+letter (checked after the match, since "_" and digits such as "²" match
+too); an arrow (-> |-> ↦ →); a one-character symbol, the middle dot ·
+meaning *. A built-in's argument, up to its matching close paren on the
+same line, is captured raw by the lexer's one hand scan.
+
 Division and exponents must not depend on x; the index n is fine. An
 expression nests at most MAX_DEPTH levels, and an exponent is at most
-MAX_EXPONENT in size. Numerals are ASCII digits. Every error carries the
-1-based line and column it was noticed at.
+MAX_EXPONENT in size. Every error carries the 1-based line and column it
+was noticed at.
 """
 
 from __future__ import annotations
 
 import operator
 import os
-from dataclasses import dataclass
+import re
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .exact import pow2
 from .gallery import (
@@ -77,17 +87,16 @@ MAX_DEPTH = 100
 # power a text asks for, at parse time or in a term at some index, has
 # more than 65,537 bits.
 MAX_EXPONENT = 1 << 16
-_DIGITS = frozenset("0123456789")
-# symbol text -> token; arrows are tried before the one-character symbols
-# "|" and "-" they start with, and the last two arrows are typeset variants
-_ARROWS = ("|->", "->", "↦", "→")
-_SYMBOLS = {c: ("sym", c) for c in "()+-*/^|,"}
-_SYMBOLS.update({a: ("arrow", a) for a in _ARROWS})
-_SYMBOLS["·"] = ("sym", "*")  # middle dot multiplies
+# The group that matched names the token's kind, and blanks and comments
+# match none. No quantifier nests, so lexing is linear in the text.
+_TOKEN = re.compile(
+    r"(?P<newline>\n)|[^\S\n]+|#[^\n]*|(?P<num>[0-9]+)"
+    rf"|(?P<builtin>{'|'.join(_BUILTINS)})[^\S\n]*|(?P<name>\w+)"
+    r"|(?P<arrow>\|->|->|↦|→)|(?P<sym>[()+\-*/^|,·])"
+)
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str  # num name sym arrow raw end
     text: str
     line: int
@@ -96,60 +105,35 @@ class _Tok:
 
 def _lex(src: str) -> list:
     toks = []
-    n = len(src)
-    line, line_start, i = 1, 0, 0
-
-    def scan(j: int, ok) -> int:
-        while j < n and ok(src[j]):
-            j += 1
-        return j
-
-    def col(at: int) -> int:
-        return at - line_start + 1
-
-    def tok(kind: str, text: str, at: int) -> None:
-        toks.append(_Tok(kind, text, line, col(at)))
-
+    line, line_start, i, n = 1, 0, 0, len(src)
     while i < n:
-        c, start = src[i], i
-        if c == "\n":
-            line, line_start, i = line + 1, i + 1, i + 1
-        elif c.isspace():
-            i += 1
-        elif c == "#":
-            i = scan(i, lambda ch: ch != "\n")
-        elif c in _DIGITS:
-            i = scan(i, _DIGITS.__contains__)
-            tok("num", src[start:i], start)
-        elif c.isalpha():
-            hit = next((b for b in _BUILTINS if src.startswith(b, i)), None)
-            if hit is None:
-                i = scan(i, lambda ch: ch.isalnum() or ch == "_")
-                tok("name", src[start:i], start)
-                continue
+        m = _TOKEN.match(src, i)
+        col = i - line_start + 1
+        if m is None or m.lastgroup == "name" and not src[i].isalpha():
+            raise SpecError(f"stray character {src[i]!r}", line, col)
+        kind, i = m.lastgroup, m.end()
+        if kind == "newline":
+            line, line_start = line + 1, i
+        elif kind == "builtin":
             # built-in arguments (paths, bit patterns) are captured raw, up
             # to the matching close paren on the same line
-            tok("name", hit, start)
-            i = scan(i + len(hit), lambda ch: ch.isspace() and ch != "\n")
-            if i >= n or src[i] != "(":
-                raise SpecError(f"{hit} needs a parenthesized argument", line, col(i))
-            tok("sym", "(", i)
+            hit = m["builtin"]
+            toks.append(_Tok("name", hit, line, col))
+            col = i - line_start + 1  # of the "("
+            if not src.startswith("(", i):
+                raise SpecError(f"{hit} needs a parenthesized argument", line, col)
             depth, j = 1, i + 1
             while j < n and src[j] != "\n" and depth:
                 depth += {"(": 1, ")": -1}.get(src[j], 0)
                 j += 1
             if depth:
-                raise SpecError(f"unclosed {hit}(...)", line, col(j))
-            tok("raw", src[i + 1 : j - 1], i + 1)
-            tok("sym", ")", j - 1)
+                raise SpecError(f"unclosed {hit}(...)", line, j - line_start + 1)
+            toks += [_Tok("sym", "(", line, col), _Tok("raw", src[i + 1 : j - 1], line, col + 1),
+                     _Tok("sym", ")", line, j - line_start)]
             i = j
-        else:
-            text = next((a for a in _ARROWS if src.startswith(a, i)), c)
-            if text not in _SYMBOLS:
-                raise SpecError(f"stray character {c!r}", line, col(i))
-            tok(*_SYMBOLS[text], start)
-            i += len(text)
-    tok("end", "", i)
+        elif kind:
+            toks.append(_Tok(kind, "*" if m[0] == "·" else m[0], line, col))
+    toks.append(_Tok("end", "", line, i - line_start + 1))
     return toks
 
 
@@ -531,12 +515,12 @@ def parse_cover_file(text: str) -> OpenCoverSpec:
         head.append((a, b))
     tail = None
     if tail_exprs is not None:
-        ce, re = tail_exprs
+        center, radius = tail_exprs
 
         def tail(n: int):
             # called at any index while a search runs, so a failure cites the rule's line
             try:
-                return (_compile(ce, {"n": n}), _compile(re, {"n": n}))
+                return (_compile(center, {"n": n}), _compile(radius, {"n": n}))
             except ValueError as e:
                 raise SpecError(f"in tail rule: {e}", tail_ln, 1)
 

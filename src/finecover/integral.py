@@ -24,6 +24,7 @@ from .exact import (
     CauchyViolation,
     Interval,
     ceil_log_recip,
+    pair_str,
     rt_add,
     rt_interval,
     rt_mul,
@@ -199,23 +200,24 @@ def _sqrt_recip_kernel(tag: UnitPoint, prec: int) -> tuple:
     return s, s + 1, 1 << m
 
 
-def stern_brocot_index(q: Fraction, cap: int) -> Optional[int]:
-    """Position of q in the fixed enumeration of rationals in [0,1]:
-    0, 1, then breadth-first mediants; None if the index exceeds cap."""
-    if q < 0 or q > 1:
-        raise ValueError(f"enumeration covers [0,1] only, got {q}")
-    if q == 0:
+def stern_brocot_index(n: int, d: int, cap: int) -> Optional[int]:
+    """Position of n/d (d > 0) in the fixed enumeration of rationals in
+    [0,1]: 0, 1, then breadth-first mediants; None if the index exceeds
+    cap. The walk compares n/d with each mediant on the integers."""
+    if n < 0 or n > d:
+        raise ValueError(f"enumeration covers [0,1] only, got {pair_str(n, d)}")
+    if n == 0:
         return 1 if cap >= 1 else None
-    if q == 1:
+    if n == d:
         return 2 if cap >= 2 else None
     ln, ld, rn, rd = 0, 1, 1, 1
     level, path = 0, 0
     while (1 << level) + 2 <= cap:
         mn, md = ln + rn, ld + rd
-        if q * md == mn:
-            n = (1 << level) + 2 + path
-            return n if n <= cap else None
-        if q * md < mn:
+        if n * md == mn * d:
+            at = (1 << level) + 2 + path
+            return at if at <= cap else None
+        if n * md < mn * d:
             rn, rd = mn, md
             path = path * 2
         else:
@@ -239,7 +241,7 @@ def dirichlet_gauge_family() -> Callable[[Fraction], GaugeCode]:
         def kernel(p: UnitPoint, stage: int) -> tuple:
             if p.is_rational:
                 cap = stage + 64
-                n = stern_brocot_index(p.exact, cap)
+                n = stern_brocot_index(p.num, p.den, cap)
                 if n is None:
                     return 0, en, ed << cap  # [0, eps 2^-cap]
                 return en, en, ed << n  # eps 2^-n

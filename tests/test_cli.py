@@ -7,7 +7,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from finecover import cli, covers, integral
@@ -344,6 +344,72 @@ def test_verify_partition_tag_fuzz_ends_in_an_exit_code(tmp_path_factory, tag):
     assert "Traceback" not in err.getvalue()
     if code == 1:
         assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+
+
+# Gauge texts for the cousin fuzzer. Pieces: numerals, names and symbols,
+# the combinators and comments, each built-in with an argument it accepts
+# and one it refuses, and characters the grammar does not know. Texts:
+# expressions built by the grammar, some with one piece spliced in, and
+# strings of pieces.
+_GAUGE_PIECES = (
+    "x", "n", "m", "0", "1", "3/4", "1/8", "2^-", "2^", "min(", "max(", "dist(", "baire1(n -> ",
+    "baire2(m -> ", "|", "(", ")", ",", "+", "-", "*", "/", "^", "·", "->", "↦", " ", "\n", "# c\n",
+    "#", "cauchy-gap()", "cauchy-gap(1)", "oracle-pin(01)", "oracle-pin(", "heine-borel(cover)",
+    "heine-borel(none)", "const:", "é", "@", "_", "²",
+)
+
+
+def _gauge_exprs(*names):
+    """Expressions over x, constants and the index names given."""
+    leaves = st.sampled_from(["x", "1", "3/4", "1/8", "2^-3", "dist(1/4, 3/4)", *names, *(f"2^-{n}" for n in names)])
+    return st.recursive(
+        leaves,
+        lambda e: st.one_of(
+            st.builds("({} {} {})".format, e, st.sampled_from("+-*/·"), e),
+            st.builds("{}({}, {})".format, st.sampled_from(["min", "max"]), e, e),
+            st.builds("|{}|".format, e),
+            st.builds("-{}".format, e),
+        ),
+        max_leaves=6,
+    )
+
+
+_GAUGE_EXPRS = st.one_of(
+    _gauge_exprs(),
+    _gauge_exprs("n").map("baire1(n -> {})".format),
+    _gauge_exprs("m", "n").map("baire2(m -> baire1(n -> {}))".format),
+)
+_GAUGE_TEXTS = st.one_of(
+    _GAUGE_EXPRS,
+    st.builds(lambda t, piece, at: t[:at] + piece + t[at:], _GAUGE_EXPRS, st.sampled_from(_GAUGE_PIECES), st.integers(0, 40)),
+    st.lists(st.sampled_from(_GAUGE_PIECES), max_size=16).map("".join),
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_GAUGE_TEXTS, stage=st.sampled_from(["1", "2", "8", "48"]))
+def test_cousin_gauge_text_fuzz_ends_in_an_exit_code(monkeypatch, tmp_path, text, stage):
+    """Any gauge text ends a cousin search in exit 0, 1 or 2 and raises
+    nothing; a refused one prints nothing on stdout and says why on
+    stderr. The text goes in as --gauge=TEXT, since argparse would read a
+    separate argument that starts with - as an option. heine-borel reads
+    its cover file from the working directory, here a fresh one."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cover").write_text("-1/8 5/8\n1/2 9/8\n")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["cousin", f"--gauge={text}", "--depth", "2", "--stage", stage])
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+
+
+@pytest.mark.xfail(strict=True, raises=AttributeError, reason="uncovered_witness returns a Fraction, which point_str cannot write")
+def test_verify_names_the_gap_in_a_rational_cover(capsys, tmp_path):
+    # the balls [0, 1/2] and [5/8, 7/8] miss (1/2, 5/8), whose simplest dyadic is 9/16
+    art = tmp_path / "cover.csv"
+    art.write_text("point,radius\nrat:1/4,1/4\nrat:3/4,1/8\n")
+    assert run(capsys, "verify", "--gauge", "1/2", "--in", str(art)) == (3, "not a cover: rat:9/16 is uncovered\n", "")
 
 
 def test_verify_stage_sensitivity(capsys, tmp_path):

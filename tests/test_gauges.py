@@ -984,10 +984,9 @@ def _ref_pin_at(spec):
 
 def _ref_dirichlet_at(eps):
     def at(p, stage):
-        q = p.exact if p.is_rational else None
-        if q is not None:
+        if p.is_rational:
             cap = stage + 64
-            n = stern_brocot_index(q, cap)
+            n = stern_brocot_index(p.num, p.den, cap)
             if n is None:
                 return Interval(Fraction(0), eps * pow2(-cap))
             return Interval.point(eps * pow2(-n))
@@ -1048,7 +1047,7 @@ def test_dirichlet_kernel_past_the_stern_brocot_cap():
     x = UnitPoint.from_rat(Fraction(1, 70))  # index 2^68 + 2, past the cap stage + 64
     for s in (0, 5, 69, 80):
         assert rt_interval(code.kernel(x, s)) == _ref_dirichlet_at(eps)(x, s)
-    assert stern_brocot_index(Fraction(1, 70), 64) is None
+    assert stern_brocot_index(1, 70, 64) is None
 
 
 @settings(max_examples=100, deadline=None)

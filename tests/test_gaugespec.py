@@ -1,3 +1,5 @@
+import re
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 
 import conftest
 from kernel_ref import compile_ref
+from lex_ref import ref_lex
 from quad_ref import ref_cmp, ref_sign
 
 from finecover.exact import Interval, pow2, rt_interval
@@ -219,6 +222,41 @@ def test_end_of_input_after_a_comment_points_past_it():
     with pytest.raises(SpecError) as err:
         parse_gauge("min(x, 1) +  # unfinished")
     assert (err.value.line, err.value.col) == (1, 26)
+
+
+# Pieces of gauge text for the lexer property: every token kind, the
+# built-ins with and without their argument, every arrow, comments and
+# line breaks, blanks that are not newlines, letters, digits and symbols
+# the grammar does not know, and word characters that are not letters.
+_LEX_PIECES = (
+    "0", "7", "42", "x", "n", "x1", "min", "baire1", "heine-borel", "cauchy-gap", "oracle-pin",
+    "oracle-pin(01)", "(", ")", "+", "-", "*", "/", "^", "|", ",", "·", "->", "|->", "↦", "→",
+    "#", "\n", "\r", "\t", " ", "\x1c", "\x85", "\u2028", "é", "Σ", "²", "½", "٣", "_", ";", "=", "@",
+)
+
+
+def _lexed(lex, text):
+    """The (kind, text, line, col) of each token, or the error's message
+    and position."""
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in lex(text)]
+    except SpecError as e:
+        return ("error", str(e), e.line, e.col)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=st.lists(st.sampled_from(_LEX_PIECES), max_size=24).map("".join))
+def test_lex_matches_the_reference_scanner(text):
+    assert _lexed(_lex, text) == _lexed(ref_lex, text)
+
+
+def test_token_pattern_classes_are_the_scanners_predicates():
+    r"""The pattern scans blanks with [^\S\n] and names with \w, where the
+    reference scanner asks str.isspace and str.isalnum; over every code
+    point the two agree."""
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"[^\S\n]", every) == [c for c in every if c.isspace() and c != "\n"]
+    assert re.findall(r"\w", every) == [c for c in every if c.isalnum() or c == "_"]
 
 
 # Random expression trees as (text, exact evaluator, interval evaluator);

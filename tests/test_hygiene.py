@@ -1,7 +1,8 @@
 """Source hygiene that no installed linter checks: every name a module
 imports is used in that module, and every module-level definition in the
 package, and every method and property of its classes, is used somewhere
-outside its own body; nothing in the package uses floats, runs Python
+outside its own body, and all but a listed few by the package itself;
+nothing in the package uses floats, runs Python
 source or reads a unit point's value through `exact.numerator`; and
 every code class keeps the `_eval` the benchmark's tracer wraps, and the
 tracer installs on the package as it stands."""
@@ -112,6 +113,37 @@ def test_every_definition_is_used_outside_itself():
                 used |= _referenced(node) - skip
     dead = sorted(f"{where} {name}" for name, where in definitions.items() if name not in used)
     assert not dead, dead
+
+
+# The package definitions that only callers outside src/finecover use
+# (the tests, the benchmark and library users), qualified by class for a
+# method or property. A name leaves the list when it gains a caller in the
+# package or goes, so the list only shrinks.
+_OUTSIDE_ONLY = {
+    "verify_cover", "partition_to_cover", "minimize_cover", "transfer_cover_phi", "transfer_cover_psi",
+    "Interval.contains", "check_star", "gap_limit_point", "ContinuousCode.region_eval", "pullback_gauge_phi",
+    "transfer_gauge_psi", "cylinder_for_ball", "UnitPoint.exact_value", "psi",
+}
+
+
+def test_every_definition_has_a_caller_in_the_package():
+    """When nothing in src/ calls a helper, the helper goes: every
+    module-level definition of the package, and every method and property
+    of its classes, dunders and `__init__.py` aside, is used by some other
+    code in the package, except the outside-only names listed above. The
+    re-exports of `__init__.py` call nothing, so they do not count."""
+    definitions, used = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            for node, own, skip in _units(stmt):
+                method = node is not stmt and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                definitions |= {(name, f"{stmt.name}.{name}" if method else name) for name in own}
+                used |= _referenced(node) - skip
+    uncalled = {qualified for name, qualified in definitions if name not in used}
+    assert sorted(uncalled - _OUTSIDE_ONLY) == [], "no caller in src/finecover"
+    assert sorted(_OUTSIDE_ONLY - uncalled) == [], "gone, or called in src/finecover: drop from _OUTSIDE_ONLY"
 
 
 _INTEGER_MATH = {"floor", "gcd", "isqrt", "lcm"}

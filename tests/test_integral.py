@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -350,12 +350,29 @@ def test_stern_brocot_index_frozen():
         F(3, 4): 9,
     }
     for q, n in want.items():
-        assert stern_brocot_index(q, 100) == n
-    assert stern_brocot_index(F(3, 5), 8) == 8
-    assert stern_brocot_index(F(3, 5), 7) is None
-    assert stern_brocot_index(F(1, 1000), 100) is None
-    with pytest.raises(ValueError):
-        stern_brocot_index(F(3, 2), 100)
+        assert stern_brocot_index(q.numerator, q.denominator, 100) == n
+    assert stern_brocot_index(3, 5, 8) == 8
+    assert stern_brocot_index(3, 5, 7) is None
+    assert stern_brocot_index(1, 1000, 100) is None
+    with pytest.raises(ValueError, match=r"^enumeration covers \[0,1\] only, got 3/2$"):
+        stern_brocot_index(3, 2, 100)
+    with pytest.raises(ValueError, match=r"^enumeration covers \[0,1\] only, got -1/4$"):
+        stern_brocot_index(-1, 4, 100)
+
+
+def test_stern_brocot_index_matches_the_breadth_first_enumeration():
+    # 0, 1, then the mediants of the Stern-Brocot tree's levels 0..7 in order
+    order, gaps = [F(0), F(1)], [(F(0), F(1))]
+    for _ in range(8):
+        mediants = [F(a.numerator + b.numerator, a.denominator + b.denominator) for a, b in gaps]
+        order += mediants
+        gaps = [g for (a, b), m in zip(gaps, mediants) for g in ((a, m), (m, b))]
+    index = {q: i for i, q in enumerate(order, start=1)}
+    for d in range(1, 48):
+        for n in filter(lambda n: gcd(n, d) == 1, range(d + 1)):
+            at = index.get(F(n, d))
+            for cap in (0, 1, 2, 3, 9, 66, 130, len(order)):
+                assert stern_brocot_index(n, d, cap) == (at if at is not None and at <= cap else None), (n, d, cap)
 
 
 def test_dirichlet_gauge_values():

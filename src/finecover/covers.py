@@ -21,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cmp_to_key
 from math import gcd, lcm
 from operator import ge, gt
 from typing import Optional, Union
@@ -60,16 +60,13 @@ class TaggedPartition:
     """Cuts 0 = x0 <= x1 <= ... <= xn = 1 with a tag in every cell.
 
     Held as `ends`, each cut as its reduced (numerator, denominator), and
-    `tags`; the cuts as Fractions are built when first read. Equality
+    `tags`; the cuts as Fractions are built on each read. Equality
     and hash are those of the pair (ends, tags), repr shows the cuts and
     tags, and no attribute can be assigned.
     """
 
     def __init__(self, cuts, tags) -> None:
-        # cuts that already are Fractions are kept as they are
-        cuts = tuple(c if type(c) is Fraction else Fraction(c) for c in cuts)
-        vars(self)["cuts"] = cuts
-        self._build(tuple((c.numerator, c.denominator) for c in cuts), tuple(tags))
+        self._build(tuple((c.numerator, c.denominator) for c in map(Fraction, cuts)), tuple(tags))
 
     @classmethod
     def from_ends(cls, ends, tags) -> TaggedPartition:
@@ -112,7 +109,7 @@ class TaggedPartition:
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
 
-    @cached_property
+    @property
     def cuts(self) -> tuple:
         return tuple(Fraction(n, d) for n, d in self.ends)
 
@@ -132,11 +129,8 @@ class TaggedPartition:
         the cut numerators, over the lcm of the two cuts' denominators."""
         ends = self.ends
         for tag, (an, ad), (bn, bd) in zip(self.tags, ends, ends[1:]):
-            if ad == bd:
-                yield tag, bn - an, ad
-            else:
-                wd = lcm(ad, bd)
-                yield tag, bn * (wd // bd) - an * (wd // ad), wd
+            wd = lcm(ad, bd)
+            yield tag, bn * (wd // bd) - an * (wd // ad), wd
 
 
 def _cantor_sort_key(p: CantorPoint):

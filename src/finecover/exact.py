@@ -158,8 +158,6 @@ def rt_cell(i: int, level: int) -> tuple:
 def rt_of(box: Interval) -> tuple:
     lo, hi = box.lo, box.hi
     a, b = lo.denominator, hi.denominator
-    if a == b:
-        return lo.numerator, hi.numerator, a
     return lo.numerator * b, hi.numerator * a, a * b
 
 
@@ -408,8 +406,6 @@ class QuadVal:
         (a + b*sqrt(2))/den, for an int den > 0: b times the bracket
         s/2^m <= sqrt(2) < (s+1)/2^m, s = isqrt(2 << 2m), shifted by a."""
         a, b = self.a, self.b
-        if not b:
-            return a, a, den
         m = k + (abs(b) // den).bit_length() + 1
         lo = (a << m) + b * isqrt(2 << 2 * m)
         return (lo, lo + b, den << m) if b > 0 else (lo + b, lo, den << m)

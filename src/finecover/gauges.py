@@ -27,8 +27,8 @@ Evaluation runs on the integer-numerator triples of `exact`: every code's
 reduced by gcd, and verdicts compare numerators by cross-multiplication.
 In this module only the public edge, `eval_enclosure` and
 `ContinuousCode.region_eval`, turns a triple into an Interval; elsewhere
-`spaces.UnitPoint.approx`, `integral.riemann_sum` and `exact.dyadic_runs` build
-Intervals for their callers in the same way.
+`spaces.UnitPoint.approx`, `integral.Integrand.at`, `integral.riemann_sum`
+and `exact.dyadic_runs` build Intervals for their callers in the same way.
 """
 
 from __future__ import annotations
@@ -377,8 +377,9 @@ def verified_at_least(g: GaugeCode, x: Point, q, stage: int) -> Verdict:
 #
 # `gaugespec` builds a gauge expression's kernel in one pass from these:
 # one closure per node that reads x, with the interval arithmetic on the
-# numerators inline, and every constant operand folded into its operator
-# when the kernel is built. A chain of offsets and scalings s a + b is one
+# numerators inline. A constant operand of +, -, * or min is folded into
+# its operator when the kernel is built; that of max is the constant's
+# point kernel. A chain of offsets and scalings s a + b is one
 # closure: over a single operand, interval arithmetic on such a chain is
 # exact, so the folded kernel encloses the same rationals as the chain,
 # and one whose operand is x reads the region triple without a call.
@@ -439,28 +440,10 @@ def kernel_min_const(ka: Callable, c: Fraction) -> Callable:
     return kernel
 
 
-def kernel_max_const(ka: Callable, c: Fraction) -> Callable:
-    """max(a, c), like kernel_min_const."""
-    p, q = c.numerator, c.denominator
-
-    def kernel(r, k):
-        lo, hi, d = ka(r, k)
-        pd = p * d
-        if lo * q >= pd:
-            return lo, hi, d
-        if hi * q <= pd:
-            return p, p, q
-        return pd, hi * q, d * q
-
-    return kernel
-
-
 def kernel_add(ka: Callable, kb: Callable) -> Callable:
     def kernel(r, k):
         alo, ahi, ad = ka(r, k)
         blo, bhi, bd = kb(r, k)
-        if ad == bd:
-            return alo + blo, ahi + bhi, ad
         return alo * bd + blo * ad, ahi * bd + bhi * ad, ad * bd
 
     return kernel
@@ -470,8 +453,6 @@ def kernel_sub(ka: Callable, kb: Callable) -> Callable:
     def kernel(r, k):
         alo, ahi, ad = ka(r, k)
         blo, bhi, bd = kb(r, k)
-        if ad == bd:
-            return alo - bhi, ahi - blo, ad
         return alo * bd - bhi * ad, ahi * bd - blo * ad, ad * bd
 
     return kernel
@@ -491,8 +472,7 @@ def kernel_min(ka: Callable, kb: Callable) -> Callable:
     def kernel(r, k):
         alo, ahi, ad = ka(r, k)
         blo, bhi, bd = kb(r, k)
-        if ad != bd:
-            alo, ahi, blo, bhi, ad = alo * bd, ahi * bd, blo * ad, bhi * ad, ad * bd
+        alo, ahi, blo, bhi, ad = alo * bd, ahi * bd, blo * ad, bhi * ad, ad * bd
         return (alo if alo < blo else blo), (ahi if ahi < bhi else bhi), ad
 
     return kernel
@@ -502,8 +482,7 @@ def kernel_max(ka: Callable, kb: Callable) -> Callable:
     def kernel(r, k):
         alo, ahi, ad = ka(r, k)
         blo, bhi, bd = kb(r, k)
-        if ad != bd:
-            alo, ahi, blo, bhi, ad = alo * bd, ahi * bd, blo * ad, bhi * ad, ad * bd
+        alo, ahi, blo, bhi, ad = alo * bd, ahi * bd, blo * ad, bhi * ad, ad * bd
         return (alo if alo > blo else blo), (ahi if ahi > bhi else bhi), ad
 
     return kernel
@@ -519,13 +498,10 @@ def kernel_dist(points) -> Callable:
 
     def kernel(r, k):
         lo, hi, d = r
-        if d == den:
-            ps = nums
-        else:
-            ps = [n * d for n in nums]
-            lo, hi, d = lo * den, hi * den, d * den
+        lo, hi = lo * den, hi * den
         best_lo = best_hi = None
-        for n in ps:
+        for n in nums:
+            n *= d
             a, b = lo - n, hi - n
             if b <= 0:
                 a, b = -b, -a
@@ -535,7 +511,7 @@ def kernel_dist(points) -> Callable:
                 best_lo = a
             if best_hi is None or b < best_hi:
                 best_hi = b
-        return best_lo, best_hi, d
+        return best_lo, best_hi, d * den
 
     return kernel
 

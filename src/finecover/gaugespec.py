@@ -9,7 +9,8 @@ heine-borel(cover-file), cauchy-gap(seq-name), oracle-pin(bit-pattern).
 One pass over the parsed expression folds its x-free parts to exact
 constants and builds the rest as one fused kernel from the kernel_*
 builders of `finecover.gauges`: one closure per node that reads x, with
-each constant operand folded into its operator. Within a baire1/baire2
+each constant operand of +, -, * and min folded into its operator, and
+that of max read as a point kernel. Within a baire1/baire2
 body, each largest part that reads x but no index is compiled once per
 gauge and shared by every term. Gauge text never becomes Python source.
 
@@ -57,7 +58,6 @@ from .gauges import (
     kernel_dist,
     kernel_linear,
     kernel_max,
-    kernel_max_const,
     kernel_memo,
     kernel_min,
     kernel_min_const,
@@ -297,9 +297,9 @@ class _Parser:
 
 
 # Each operator's exact operation on constants, its fused kernel on kernels,
-# and, for a binary one, its kernel with one constant operand c folded in:
+# and, for a binary one, its kernel with one constant operand c:
 # fold(a, c, left) for the other operand's kernel a, left when c is the
-# left operand.
+# left operand. max takes c as its point kernel; the others fold it in.
 _OPS = {
     "neg": (operator.neg, lambda a: kernel_linear(a, -1, 0), None),
     "abs": (abs, kernel_abs, None),
@@ -307,7 +307,7 @@ _OPS = {
     "sub": (operator.sub, kernel_sub, lambda a, c, left: kernel_linear(a, -1, c) if left else kernel_linear(a, 1, -c)),
     "mul": (operator.mul, kernel_mul, lambda a, c, left: kernel_linear(a, c, 0)),
     "min": (min, kernel_min, lambda a, c, left: kernel_min_const(a, c)),
-    "max": (max, kernel_max, lambda a, c, left: kernel_max_const(a, c)),
+    "max": (max, kernel_max, lambda a, c, left: kernel_max(a, continuous_const(c).kernel)),
 }
 # what keeps an expression from being a constant: x, dist (measured from
 # x), and the combinators and built-ins, which are gauges themselves

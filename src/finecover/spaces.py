@@ -162,7 +162,7 @@ class UnitPoint:
     quadratic one (one with no sqrt2 part is built as a rational one),
     None for an approximant. A quadratic point is read, ordered and
     enclosed on those ints (`QuadVal.enclosure` gives the triple). Its
-    `exact`, built on first read for callers outside the package, is the
+    `exact`, built on each read for callers outside the package, is the
     pair (a/den, b/den) of Fractions; a rational point's is the Fraction
     num/den. Points compare for equality, not order: exact
     points by their pairs, an approximant only to itself. An exact point
@@ -175,13 +175,12 @@ class UnitPoint:
     CauchyViolation.
     """
 
-    __slots__ = ("num", "den", "_exact", "_fn", "label", "_best", "_hash", "prec")
+    __slots__ = ("num", "den", "_fn", "label", "_best", "_hash", "prec")
 
     AMBIENT = Interval(Fraction(-1), Fraction(2))
 
     def __init__(self, num=None, den: int = 1, fn=None, label: Optional[str] = None, prec=None):
         self.num, self.den = num, den
-        self._exact: Union[Fraction, tuple, None] = None  # num/den, built on first read
         self._fn = fn
         self.label = label
         self.prec = prec
@@ -220,11 +219,10 @@ class UnitPoint:
 
     @property
     def exact(self) -> Union[Fraction, tuple, None]:
-        q, n = self._exact, self.num
-        if q is None and n is not None:
-            d = self.den
-            q = self._exact = Fraction(n, d) if type(n) is int else (Fraction(n.a, d), Fraction(n.b, d))
-        return q
+        n, d = self.num, self.den
+        if n is None:
+            return None
+        return Fraction(n, d) if type(n) is int else (Fraction(n.a, d), Fraction(n.b, d))
 
     @property
     def is_exact(self) -> bool:

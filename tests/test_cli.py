@@ -346,6 +346,85 @@ def test_verify_partition_tag_fuzz_ends_in_an_exit_code(tmp_path_factory, tag):
         assert out.getvalue() == "" and err.getvalue().startswith("error: ")
 
 
+# Artifacts for the verify fuzzer: a well-formed partition CSV, Cantor
+# cover CSV or heine-borel cover file, then some of its cells replaced and
+# some of its rows dropped. Unit-interval cover CSVs stay out while a gap
+# in one still raises (test_verify_names_the_gap_in_a_rational_cover).
+_NUMBERS = st.one_of(st.fractions(-1, 2, max_denominator=8).map(str), _COMPONENT)
+_TAGS = st.one_of(
+    _tag_texts(),
+    st.fractions(0, 1, max_denominator=8).map("rat:{}".format),
+    # sqrt2 - 1 and 1/2 + sqrt2/4 lie in (0, 1), sqrt2 outside it; a box at a precision past any stage
+    st.sampled_from(["quad:-1/1,1/1", "quad:1/2,1/4", "quad:0/1,1/1", "approx:[1/3,1/3]@" + "9" * 40]),
+)
+_BITS = st.text("01", max_size=3)
+_CANTOR_POINTS = st.one_of(
+    st.builds("prefix={};period={}".format, _BITS, _BITS),
+    st.sampled_from(["prefix=2;period=1", "prefix=0", "period=1", "rat:1/2", "prefix=;period=01;", ""]),
+)
+_TAIL_EXPRS = st.sampled_from(["n", "1/n", "2^-n", "x", "1/(n - 3)", "1/(n - 9)", "2^-(n*n)", "-1/n", "0", "(n - 2)/n", "2^n"])
+
+
+def _mutated(draw, rows, cells):
+    """rows with some cells replaced by draws from cells[column] and some rows dropped."""
+    for i, j in draw(st.lists(st.tuples(st.integers(0, 7), st.integers(0, len(cells) - 1)), max_size=3)):
+        if rows:
+            rows[i % len(rows)][j] = draw(cells[j])
+    for i in draw(st.lists(st.integers(0, 7), max_size=2)):
+        if rows:
+            del rows[i % len(rows)]
+    return rows
+
+
+def _csv_text(header: str, rows) -> str:
+    return header + "\n" + "".join(",".join(f'"{c}"' for c in row) + "\n" for row in rows)
+
+
+@st.composite
+def _partition_args(draw):
+    cuts = [F(0), *sorted(draw(st.lists(st.fractions(0, 1, max_denominator=8), max_size=4))), F(1)]
+    rows = [[str(lo), str(hi), f"rat:{lo}"] for lo, hi in zip(cuts, cuts[1:])]
+    rows = _mutated(draw, rows, [_NUMBERS, _NUMBERS, _TAGS])
+    gauge = draw(st.sampled_from(["1", "x + 1/2", "min(x + 1/8, 1 - x)"]))
+    return {"art.csv": _csv_text("lo,hi,tag", rows)}, ["verify", "--gauge", gauge, "--in", "art.csv"]
+
+
+@st.composite
+def _cantor_cover_args(draw):
+    # fine for the gauge pinned at 0101...: that point and three other quarters
+    rows = [["prefix=;period=01", "1/4"]] + [[f"prefix={p};period=0", "1/4"] for p in ("00", "10", "11")]
+    rows = _mutated(draw, rows, [_CANTOR_POINTS, _NUMBERS])
+    return {"art.csv": _csv_text("point,radius", rows)}, ["verify", "--gauge", "oracle-pin(01)", "--in", "art.csv"]
+
+
+@st.composite
+def _heine_borel_args(draw):
+    rows = [["-1/8", "5/8"], ["1/2", "9/8"]]
+    rows = _mutated(draw, rows, [_NUMBERS, _NUMBERS])  # equal or swapped ends make an empty interval
+    lines = [" ".join(row) for row in rows]
+    if draw(st.booleans()):
+        lines.append(f"tail: {draw(_TAIL_EXPRS)} {draw(_TAIL_EXPRS)}")
+    return {"cover": "\n".join(lines) + "\n"}, ["gallery", "heine-borel", "--cover", "cover", "--depth", "6"]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.one_of(_partition_args(), _cantor_cover_args(), _heine_borel_args()), stage=st.sampled_from(["1", "4", "8"]))
+def test_verify_artifact_fuzz_ends_in_an_exit_code(monkeypatch, tmp_path, case, stage):
+    """Any mutated partition CSV, Cantor cover CSV or heine-borel cover
+    file ends in an exit code 0-4 and raises nothing; a refused one prints
+    nothing on stdout and says why on stderr."""
+    files, argv = case
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([*argv, "--stage", stage])
+    assert code in (0, 1, 2, 3, 4)
+    if code == 1:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+
+
 # Gauge texts for the cousin fuzzer. Pieces: numerals, names and symbols,
 # the combinators and comments, each built-in with an argument it accepts
 # and one it refuses, and characters the grammar does not know. Texts:

@@ -3,7 +3,7 @@ import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import conftest
@@ -491,6 +491,15 @@ def _check_fused(text, triples, k):
 
 @settings(max_examples=300, deadline=None)
 @given(text=_texts(), triples=_region_triples(), k=st.integers(0, 20))
+# one operand twice, so both sides come over one denominator; a constant
+# beside max on either side; regions over dist's own point denominator
+@example(text="(|x - 1/3| + |x - 1/3|)", triples=[("thirds", (3, 5, 12))], k=4)
+@example(text="(|x - 1/3| - |x - 1/3|)", triples=[("thirds", (3, 5, 12))], k=4)
+@example(text="min(|x - 1/3|, |x - 1/3|)", triples=[("thirds", (3, 5, 12))], k=4)
+@example(text="max(|x - 1/3|, |x - 1/3|)", triples=[("thirds", (3, 5, 12))], k=4)
+@example(text="max(x, 1/4)", triples=[("point", (1, 1, 8))], k=4)
+@example(text="max(1/4, x)", triples=[("point", (1, 1, 8))], k=4)
+@example(text="dist(1/3, 2/3)", triples=[("thirds", (0, 2, 3)), ("point", (1, 1, 3))], k=4)
 def test_fused_kernels_match_the_composed_reference(text, triples, k):
     """One fused kernel per expression encloses exactly the rationals of the
     composed closures, on dyadic cells, exact points, non-dyadic triples

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from conftest import quad
 from interval_ref import ref_add, ref_mul
@@ -101,6 +101,8 @@ _INTEGRANDS = st.one_of(
 
 @settings(max_examples=150, deadline=None)
 @given(f=_INTEGRANDS, part=_partitions(), prec=st.integers(0, 30))
+# a middle cell whose two cuts share their denominator, between two that do not
+@example(f=poly_integrand([0, 1])[0], part=TaggedPartition((F(0), F(1, 3), F(2, 3), F(1)), (up("1/6"), up("1/2"), up("5/6"))), prec=4)
 def test_integer_sum_matches_the_interval_fold(f, part, prec):
     assert riemann_sum(f, part, prec) == _ref_riemann_sum(f, part, prec)
 

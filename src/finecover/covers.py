@@ -13,7 +13,9 @@ sequence space the ball B(x, r) IS the cylinder [x restricted to m] with
 
 The fineness check reads a code's region kernel the same way: a run of
 rows whose hull the region bounds above every row's bound passes at once,
-and a No or an Unknown comes only from a row's own verdict.
+and a No or an Unknown comes only from a row's own verdict. Limit codes
+take part too, through the region of their stage block; the searches
+sample every cell of a limit code instead (see `_subdivide`).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .exact import (
     simplest_dyadic_between,
     sqrt2_sign,
 )
-from .gauges import DomainError, GaugeCode, Verdict, _point_region, _verdict, verified_above, verified_at_least
+from .gauges import DomainError, GaugeCode, Verdict, _LimitCode, _point_region, _verdict, verified_above, verified_at_least
 from .spaces import (
     CantorPoint,
     Cylinder,
@@ -390,8 +392,11 @@ def check_fineness(g: GaugeCode, bounds, stage: int) -> tuple[Verdict, Optional[
     So the region only ever says Yes, and every No and Unknown, with its
     index, comes from the row's own verdict. A row with a negative bound,
     or one that `_run_box` turns away, ends a run and takes its own
-    verdict, so an error it raises is raised at its own index. Codes with
-    no region kernel ask every row.
+    verdict, so an error it raises is raised at its own index. A limit
+    code's region bounds its stage block, which is what its verdict reads
+    (`gauges._LimitCode`). A region of None has no bound at this stage, on
+    any hull, so every row from there takes its own verdict, as do all rows
+    of a code with no region kernel.
     """
     worst = Verdict.YES
     rows, boxes = list(bounds), {}
@@ -401,8 +406,10 @@ def check_fineness(g: GaugeCode, bounds, stage: int) -> tuple[Verdict, Optional[
         if size > 1:
             j, hull, bn, bd = _hull(g, rows, i, min(n, i + size), stage, boxes)
             if j - i > 1:
-                lo, _, d = g.region(hull, stage)
-                if lo * bd >= bn * d:
+                box = g.region(hull, stage)
+                if box is None:  # no bound at this stage, on any hull
+                    size = 0
+                elif box[0] * bd >= bn * box[2]:
                     i, size = j, 2 * size
                 else:
                     size = (j - i) // 2
@@ -534,6 +541,12 @@ def _subdivide(g: GaugeCode, depth: int, stage: int, strict: bool, samples, firs
     rung. With no hint in the cell that is `first(i, l)`; a hint before it,
     such as a quadratic one, is still asked. Either way the covers and
     obstructions are those of the plain sample-only walk.
+
+    Limit codes are sampled cell by cell, though they have a region: its
+    pad is at least one term's spread over the whole cell, which at the
+    cell's own scale is about the width the gauge must beat, so it seldom
+    decides a cell and would cost each cell one more block evaluation.
+    Their verdicts are asked in the order of the sample-only walk.
     """
     if depth < 1:
         raise ValueError("need depth >= 1")
@@ -542,7 +555,7 @@ def _subdivide(g: GaugeCode, depth: int, stage: int, strict: bool, samples, firs
     # looked up per call: the names may be rebound to instrumented wrappers
     verdict = verified_above if strict else verified_at_least
     passes = gt if strict else ge  # lo << level vs d: the end lo/d passes the cell's test
-    region, unit = g.region, g.domain == "unit"
+    region, unit = None if isinstance(g, _LimitCode) else g.region, g.domain == "unit"
     entries = []
     frontier = [(0, None)]  # (cell index at the current level, enclosure (lo, hi, d) of the gauge there)
     for level in range(depth + 1):
@@ -553,15 +566,16 @@ def _subdivide(g: GaugeCode, depth: int, stage: int, strict: bool, samples, firs
             if region is not None:
                 if box is None or passes(box[1] << level, box[2]) and not passes(box[0] << level, box[2]):
                     box = region(rt_cell(i, level), stage)
-                lo, hi, d = box
-                if not passes(hi << level, d):
-                    survivors.append((i, box))
-                    continue
-                lower = passes(lo << level, d) and (unit or level <= stage)
-                # `first` spares the common cell a samples generator: about 8% of perfbench search rows/s (2-core host)
-                if lower and (m := first(i, level)) is not None:
-                    entries.append((m, w))
-                    continue
+                if box is not None:  # None: a limit code under a modulus met a term with no region
+                    lo, hi, d = box
+                    if not passes(hi << level, d):
+                        survivors.append((i, box))
+                        continue
+                    lower = passes(lo << level, d) and (unit or level <= stage)
+                    # `first` spares the common cell a samples generator: about 8% of perfbench search rows/s (2-core host)
+                    if lower and (m := first(i, level)) is not None:
+                        entries.append((m, w))
+                        continue
             for m in samples(i, level):
                 if lower and (not unit or m.is_rational) or verdict(g, m, w, stage) is Verdict.YES:
                     entries.append((m, w))

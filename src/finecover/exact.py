@@ -222,15 +222,33 @@ def rt_pad(a: tuple, j: int) -> tuple:
     return (lo << j) - d, (hi << j) + d, d << j
 
 
+def _block_ends(boxes: list) -> tuple:
+    """(ends, lo, hi, den): the boxes' ends over the lcm den of their
+    denominators, and the numerators of their hull."""
+    den = lcm(*(d for _, _, d in boxes))
+    ends = [(lo * (den // d), hi * (den // d)) for lo, hi, d in boxes]
+    return ends, min(e[0] for e in ends), max(e[1] for e in ends), den
+
+
 def rt_block(boxes: list) -> tuple:
     """The hull of the boxes, padded by the largest gap between the ends of
     neighbours, over the lcm of their denominators."""
-    den = lcm(*(d for _, _, d in boxes))
-    ends = [(lo * (den // d), hi * (den // d)) for lo, hi, d in boxes]
-    lo, hi = min(e[0] for e in ends), max(e[1] for e in ends)
+    ends, lo, hi, den = _block_ends(boxes)
     worst = 0
     for (alo, ahi), (blo, bhi) in zip(ends, ends[1:]):
         worst = max(worst, abs(alo - blo), abs(ahi - bhi))
+    return lo - worst, hi + worst, den
+
+
+def rt_block_region(regions: list) -> tuple:
+    """An enclosure of rt_block(boxes) for any boxes, each inside the region
+    of the same place: the regions' hull, padded by the widest extent
+    max(hi) - min(lo) of two neighbours, which bounds every gap between the
+    ends of their boxes."""
+    ends, lo, hi, den = _block_ends(regions)
+    worst = 0
+    for (alo, ahi), (blo, bhi) in zip(ends, ends[1:]):
+        worst = max(worst, max(ahi, bhi) - min(alo, blo))
     return lo - worst, hi + worst, den
 
 

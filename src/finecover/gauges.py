@@ -20,7 +20,8 @@ running intersection, and one that misses the others is a
 CauchyViolation. A verdict on a point code climbs the stage ladder and
 stops at the first decisive rung, and a decision is permanent. A verdict
 on a limit code reads one trailing block at the query's own stage; its
-Yes rests only on the terms observed, and it never says No.
+Yes rests only on the terms observed, and it never says No. The limit
+code's region kernel bounds that block on a whole region.
 
 Evaluation runs on the integer-numerator triples of `exact`: every code's
 `_eval` returns (lo, hi, d), the per-point accumulators hold triples
@@ -44,6 +45,7 @@ from .exact import (
     pow3,
     floor_log_recip,
     rt_block,
+    rt_block_region,
     rt_cell,
     rt_interval,
     rt_intersect,
@@ -206,7 +208,10 @@ class DirectCode(_PointCode):
     continuous code's kernel, and region(r, s) must enclose kernel(x, s)
     for every point x of r at every stage s: inclusion, not only
     soundness, since a search accepts a cell on its lower end without
-    asking the point.
+    asking the point. It may return None at a stage where it has no bound
+    on any region, as a limit under a modulus does at a stage whose term
+    has none; the search then samples the cell and the fineness check asks
+    the rows.
     """
 
     kind = "direct"
@@ -228,8 +233,15 @@ class _LimitCode:
     and with no modulus (`modulus_limit` builds a limit that has one): the
     hull of the trailing block at a stage says what the limit *could* be,
     never what it is not, so a verdict on it is Yes or Unknown, read from
-    that stage's block alone, whatever stages were asked before. A limit
-    code has no region kernel, so the searches sample every cell of it.
+    that stage's block alone, whatever stages were asked before.
+
+    Its region kernel, `region(r, s)`, encloses the stage-s block at every
+    point whose query region lies inside r: each term's enclosure at such
+    a point lies inside the term's region on r (`exact.rt_block_region`).
+    It returns None when a block term has no region. That is judged block
+    by block, so building the code or reading its region compiles no term.
+    The fineness check reads it on runs of rows; the searches sample every
+    cell (see `covers._subdivide`).
 
     Each point keeps the stage and enclosure of its last successful query,
     and a query at that stage again is answered from them without touching
@@ -239,8 +251,6 @@ class _LimitCode:
     it at a finer stage, so its accumulated box is kept with them and must
     be unchanged too.
     """
-
-    region = None
 
     def __init__(self, terms: Callable[[int], GaugeCode], domain: str = "unit", label: str = ""):
         self.term = _term_cache(terms, domain)
@@ -258,6 +268,17 @@ class _LimitCode:
         got = rt_block([self.term(n)._eval(x, stage) for n in range(lo_n, hi_n + 1)])
         self._last[x] = stage, getattr(x, "_best", None), got
         return got
+
+    def region(self, r: tuple, stage: int) -> Optional[tuple]:
+        lo_n, hi_n = _block(stage)
+        boxes = []
+        for n in range(lo_n, hi_n + 1):
+            kernel = self.term(n).region
+            box = kernel and kernel(r, stage)
+            if box is None:
+                return None
+            boxes.append(box)
+        return rt_block_region(boxes)
 
     __repr__ = _PointCode.__repr__
 
@@ -298,7 +319,8 @@ def modulus_limit(
     j = 0 below modulus(0), reading past the budget as the trailing block
     does below stage 2. When N < s, term s padded by 2^-j holds the limit
     too and must meet it, else CauchyViolation. The region is term N's,
-    padded, when the terms have regions (judged on term 1), else None.
+    padded, when the terms have regions, else None: judged on term 1, and
+    on a limit code's term 1 as far down as the terms are limit codes.
     """
     term = _term_cache(terms, domain)
     resolved: dict[int, tuple] = {}  # stage -> (j, N)
@@ -318,11 +340,15 @@ def modulus_limit(
             rt_refine(got, rt_pad(term(s)._eval(x, s), j), what)
         return got
 
-    def region(r: tuple, s: int) -> tuple:
+    def region(r: tuple, s: int) -> Optional[tuple]:
         j, n = at(s)
-        return rt_pad(term(n).region(r, s), j)
+        box = term(n).region(r, s)
+        return box and rt_pad(box, j)
 
-    return DirectCode(kernel, domain=domain, label=label, region=region if term(1).region else None)
+    first = term(1)
+    while isinstance(first, _LimitCode):
+        first = first.term(1)
+    return DirectCode(kernel, domain=domain, label=label, region=region if first.region else None)
 
 
 def eval_enclosure(g: GaugeCode, x: Point, stage: int) -> Interval:

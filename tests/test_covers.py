@@ -15,7 +15,7 @@ from fineness_ref import ref_check_fineness
 from quad_ref import ref_cmp, ref_sign
 from read_ref import ref_cantor_witness, ref_cover, ref_pair, ref_sweep, ref_value, ref_value_key
 
-from finecover import covers
+from finecover import covers, gauges
 from finecover.cli import main
 from finecover.covers import (
     FineCover,
@@ -42,11 +42,12 @@ from finecover.exact import (
     pow2,
     rt_cell,
     rt_intersect,
+    rt_interval,
     rt_of,
     rt_point,
     simplest_dyadic_between,
 )
-from finecover.gallery import cauchy_gap_gauge, default_cauchy_spec
+from finecover.gallery import CauchySpec, cauchy_gap_gauge, default_cauchy_spec
 from finecover.gauges import (
     Baire1Code,
     Baire2Code,
@@ -54,6 +55,7 @@ from finecover.gauges import (
     DirectCode,
     DomainError,
     Verdict,
+    _LimitCode,
     continuous_const,
     eval_enclosure,
     kernel_dist,
@@ -358,14 +360,25 @@ _BOUNDS = st.sampled_from([F(0), F(1, 1 << 20), F(1, 64), F(1, 16), F(1, 8), F(1
 )
 
 
+def _mixed_baire1(text):
+    """baire1(n -> text + 2^-n), whose terms past the second are point-only
+    direct codes, with no region."""
+    term = lambda n: parse_gauge(f"{text} + 2^-{n}")
+    return Baire1Code(lambda n: term(n) if n <= 2 else _point_only(term(n)))
+
+
 def _gauge_builder(kind, text, eps):
     def gauge():
-        if kind == "text":
+        if kind in ("text", "baire1", "baire2"):
             return parse_gauge(text)
-        if kind == "cantor":
+        if kind in ("cantor", "cantor-baire1"):
             return pullback_gauge_phi(parse_gauge(text))
         if kind == "gap":
             return cauchy_gap_gauge(default_cauchy_spec())
+        if kind == "gap-baire1":
+            return cauchy_gap_gauge(CauchySpec(default_cauchy_spec().term, modulus=None))
+        if kind == "mixed-baire1":
+            return _mixed_baire1(text)
         return builtin_integrands()["sqrt-reciprocal"][1](eps)
 
     return gauge
@@ -400,12 +413,13 @@ def _fineness_cases(draw):
     """(gauge, rows, stage), the gauge and rows as builders, since both keep
     state per point, with the bounds scaled down by 2^-20 half of the time
     so that most rows are fine."""
-    kind = draw(st.sampled_from(["text", "text", "gap", "sqrt", "cantor"]))
-    text = draw(_GAUGES) if kind in ("text", "cantor") else None
+    kind = draw(st.sampled_from(["text", "text", "gap", "sqrt", "cantor", "baire1", "baire2", "gap-baire1",
+                                 "cantor-baire1", "mixed-baire1"]))
+    text = draw(_BAIRE1 if kind in ("baire1", "cantor-baire1") else _BAIRE2 if kind == "baire2" else _GAUGES)
     eps = draw(st.sampled_from([F(1, 4), F(1, 32)]))
-    stage = draw(st.sampled_from([0, 1, 48]))
+    stage = draw(st.sampled_from([0, 1, 2, 4, 48]))
     scale = draw(st.sampled_from([F(1), F(1, 1 << 20)]))
-    shape = "cantor" if kind == "cantor" else draw(st.sampled_from(["rows", "cover", "partition"]))
+    shape = "cantor" if kind.startswith("cantor") else draw(st.sampled_from(["rows", "cover", "partition"]))
     if shape == "partition":
         cuts = [F(0), *sorted(draw(st.lists(st.fractions(0, 1, max_denominator=32), max_size=10))), F(1)]
         specs = cuts, draw(st.lists(st.sampled_from(["rat", "quad", "approx"]), min_size=len(cuts) - 1, max_size=len(cuts) - 1))
@@ -429,9 +443,11 @@ def _outcome(check, g, rows, stage):
 def test_check_fineness_by_runs_matches_one_verdict_per_row(case):
     """Gauge texts on [0,1] and pulled back to sequences, the gap gauge (a
     modulus code with regions) and the sqrt-reciprocal direct code with its
-    region; rational, quadratic and approximant points, centres in [-1, 2],
-    rule-only sequences; stages 0, 1 and 48. Every verdict, index, error
-    type and message is the reference's."""
+    region; limit codes: baire1 and baire2 texts, a baire1 text pulled
+    back, the gap gauge with no modulus, and a baire1 code whose later
+    terms have no region; rational, quadratic and approximant points,
+    centres in [-1, 2], rule-only sequences; stages 0, 1, 2, 4 and 48.
+    Every verdict, index, error type and message is the reference's."""
     gauge, rows, stage = case
     assert _outcome(check_fineness, gauge(), rows(), stage) == _outcome(ref_check_fineness, gauge(), rows(), stage)
 
@@ -497,6 +513,91 @@ def test_approximant_and_outside_rows_take_their_own_verdicts(monkeypatch):
     with pytest.raises(DomainError, match="outside"):
         check_fineness(parse_gauge("x + 1/4"), rows, 48)
     assert asked == [outside]
+
+
+@settings(max_examples=120, deadline=None)
+@given(text=st.deferred(lambda: _BAIRE1 | _BAIRE2), level=st.integers(0, 6), data=st.data())
+def test_a_limit_region_holds_the_block_at_every_point_of_its_hull(text, level, data):
+    """What the fineness runs rest on: at stages 0, 1, 2, 3 and 8 the region
+    of a baire1 or baire2 text, on a dyadic cell or on the hull of one of
+    its rationals and another of [0,1], holds the enclosure at that
+    rational; and the region of its phi pullback, on the hull of a pattern
+    point's cylinder at a level up to the stage and another pattern point's
+    query cell, holds the enclosure at the first point."""
+    g, h = parse_gauge(text), pullback_gauge_phi(parse_gauge(text))
+    i = data.draw(st.integers(0, (1 << level) - 1))
+    x = (i + data.draw(st.fractions(0, 1, max_denominator=12))) / (1 << level)
+    y = data.draw(st.none() | st.fractions(0, 1, max_denominator=16))
+    cell = rt_cell(i, level) if y is None else rt_of(Interval(min(x, y), max(x, y)))
+    patterns = st.tuples(st.text("01", max_size=6), st.sampled_from(["0", "1", "01", "110"]))
+    z, other = (CantorPoint.from_pattern(*data.draw(patterns)) for _ in range(2))
+    for stage in (0, 1, 2, 3, 8):
+        box, got = rt_interval(g.region(cell, stage)), eval_enclosure(g, up(x), stage)
+        assert box.lo <= got.lo and got.hi <= box.hi, (stage, box, got)
+        m = data.draw(st.integers(0, stage))
+        ends = [rt_interval(rt_cell(z.index(m), m)), rt_interval(rt_cell(other.index(stage), stage))]
+        hull = rt_of(Interval(min(e.lo for e in ends), max(e.hi for e in ends)))
+        box, got = rt_interval(h.region(hull, stage)), eval_enclosure(h, z, stage)
+        assert box.lo <= got.lo and got.hi <= box.hi, (stage, box, got)
+
+
+def test_a_limit_whose_later_terms_have_no_region_asks_their_rows(monkeypatch):
+    """baire1(n -> 1/8 + 2^-n) with no region past its second term. At
+    stage 2 its block, terms 1 and 2, has the region [1/8, 7/8], and the
+    fine grid passes on it without a verdict. At stage 4 the block, terms
+    2 to 4, has none, so after that one region call every row takes its
+    own verdict. Both agree with the reference, and nothing raises."""
+    rows = _grid_rows(64, F(1, 128))
+    asked, regions, inner = _counted_verdicts(monkeypatch), [], _LimitCode.region
+
+    def counting(self, r, s):
+        regions.append(s)
+        return inner(self, r, s)
+
+    monkeypatch.setattr(_LimitCode, "region", counting)
+    for stage, verdicts in ((2, 0), (4, 64)):
+        asked.clear()
+        regions.clear()
+        assert check_fineness(_mixed_baire1("1/8"), rows, stage) == (Verdict.YES, None)
+        assert (len(asked), regions) == (verdicts, [stage])
+        assert ref_check_fineness(_mixed_baire1("1/8"), rows, stage) == (Verdict.YES, None)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "baire1(n -> x/2 + 1/16 + 2^-(n+2))",
+        "baire1(n -> (|x - 1/3| + 1/8) * (1 - 2^-n))",
+        "baire2(n -> baire1(k -> min(x, 1/4) + 1/32 + 2^-(n+3) + 2^-(k+3)))",
+    ],
+)
+@pytest.mark.parametrize("stage", [1, 4, 8])
+def test_the_searches_sample_a_limit_code_and_never_read_its_region(monkeypatch, text, stage):
+    """With the block region made to raise, both searches on a limit code,
+    on [0,1] and pulled back, return the cover or obstruction of the
+    sample-only walk and ask the same verdicts in the same order."""
+    asked, inner = [], gauges._verdict
+
+    def recording(g, x, qn, qd, s, strict):
+        asked.append((x, qn, qd, s, strict))
+        return inner(g, x, qn, qd, s, strict)
+
+    def no_region(self, r, s):
+        raise AssertionError("a search read a limit code's region")
+
+    monkeypatch.setattr(gauges, "_verdict", recording)
+    monkeypatch.setattr(_LimitCode, "region", no_region)
+    got = find_cover_unit(parse_gauge(text), 5, stage)
+    searched, asked[:] = asked[:], []
+    _assert_same_search(got, _ref_find_cover_unit(parse_gauge(text), 5, stage))
+    assert searched == asked
+    asked.clear()
+    got = find_cover_cantor(pullback_gauge_phi(parse_gauge(text)), 5, stage)
+    searched, asked[:] = asked[:], []
+    want = _ref_find_cover_cantor(pullback_gauge_phi(parse_gauge(text)), 5, stage, [])
+    assert type(got) is type(want)
+    assert (got.entries() == want.entries()) if isinstance(want, FineCover) else [c.index for c in got.unresolved] == list(want.unresolved)
+    assert searched == asked
 
 
 def _ref_cantor_witness(cover):
@@ -1119,6 +1220,14 @@ _EXPRS = st.recursive(
     max_leaves=6,
 )
 _GAUGES = st.one_of(_EXPRS, st.tuples(_EXPRS, st.integers(1, 6)).map(lambda t: f"|{t[0]}| + 2^-{t[1]}"))
+# limit bodies in n: terms that fall to their limit, or rise to it
+_BODIES = st.one_of(
+    st.tuples(_EXPRS, st.integers(0, 4)).map(lambda t: f"{t[0]} + 2^-(n+{t[1]})"),
+    _EXPRS.map(lambda e: f"({e}) * (1 - 2^-n)"),
+    st.tuples(_EXPRS, _EXPRS, st.integers(0, 4)).map(lambda t: f"min({t[0]} + 2^-(n+{t[2]}), ({t[1]}) * (1 - 2^-n))"),
+)
+_BAIRE1 = _BODIES.map(lambda b: f"baire1(n -> {b})")
+_BAIRE2 = st.tuples(_BODIES, st.integers(0, 4)).map(lambda t: f"baire2(n -> baire1(k -> {t[0]} + 2^-(k+{t[1]})))")
 
 
 def _point_only(g):

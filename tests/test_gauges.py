@@ -562,7 +562,7 @@ def test_below_the_first_modulus_term_reads_it_padded_by_one():
 
 @settings(max_examples=80, deadline=None)
 @given(
-    kind=st.sampled_from(["gap", "geometric", "baire2"]),
+    kind=st.sampled_from(["gap", "geometric", "baire2", "baire1-terms"]),
     seed=st.integers(0, 10**6),
     level=st.integers(0, 8),
     data=st.data(),
@@ -571,15 +571,19 @@ def test_modulus_region_encloses_the_kernel_on_its_cell(kind, seed, level, data)
     """The inclusion contract a search relies on when it accepts a cell on
     the region's lower end: at every stage, the region of a limit under a
     modulus on a dyadic cell holds its enclosure at every rational point of
-    the cell, below modulus(0) as above it."""
+    the cell, below modulus(0) as above it; its terms continuous, limits
+    under a modulus, or Baire-1 codes with no modulus."""
     if kind == "gap":
         g = cauchy_gap_gauge(default_cauchy_spec())
     elif kind == "geometric":
         rng = random.Random(seed)
         c = rng.choice([Fraction(1), Fraction(-1, 2)])
         g, _ = _geometric_baire1(_rand_expr(rng, depth=2)[0], None, c, Fraction(1, 2))
-    else:
+    elif kind == "baire2":
         g = _baire2_const("b2")
+    else:
+        terms = lambda n: Baire1Code(lambda k: continuous_const(Fraction(1, 2) + pow2(-n) + pow2(-k)))
+        g = modulus_limit(terms, lambda j: max(1, j))
     i = data.draw(st.integers(0, (1 << level) - 1))
     m = data.draw(st.integers(1, 8))
     x = UnitPoint.from_rat(Fraction(i * m + data.draw(st.integers(0, m)), m << level))
@@ -592,7 +596,9 @@ def test_modulus_region_encloses_the_kernel_on_its_cell(kind, seed, level, data)
 def test_a_limit_under_a_modulus_has_a_region_when_its_terms_do():
     terms = lambda n: continuous_const(Fraction(1, 2) + pow2(-n))
     assert modulus_limit(terms, lambda j: j).region is not None
-    assert modulus_limit(lambda n: Baire1Code(lambda k: terms(n + k)), lambda j: j).region is None
+    assert modulus_limit(lambda n: Baire1Code(lambda k: terms(n + k)), lambda j: j).region is not None
+    bare = lambda n: DirectCode(lambda x, s: rt_point(Fraction(1, 2)))
+    assert modulus_limit(lambda n: Baire1Code(bare), lambda j: j).region is None
 
 
 def _late_settler():

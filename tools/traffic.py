@@ -1,6 +1,7 @@
 """Line traffic of the benchmark's jobs over src/finecover.
 
     python3 tools/traffic.py --seed 1 --seed 7 gauges.py:452 covers.py:131
+    python3 tools/traffic.py --seed 1 --workload search covers.py:418
     python3 tools/traffic.py --seed 1
 
 Builds the `search` and `verify-artifacts` job lists of perfbench/jobs.py
@@ -14,8 +15,9 @@ no process-wide cache carries over from one to the next.
 Given FILE:LINE arguments (FILE relative to src/finecover), it prints the
 hits of each of those lines per seed, both workloads summed, with the
 line's text. Without them, it prints every line of a function body in
-src/finecover that no job ran at any of the seeds. `--smoke` uses the
-short job lists of the benchmark's smoke test.
+src/finecover that no job ran at any of the seeds. `--workload NAME`
+counts that workload alone, and `--smoke` uses the short job lists of the
+benchmark's smoke test.
 """
 
 from __future__ import annotations
@@ -105,11 +107,11 @@ def function_lines(path: Path) -> set:
     return out
 
 
-def _counts(seed: int, smoke: bool) -> Counter:
-    """Both workloads at one seed, each in a fresh interpreter."""
+def _counts(seed: int, smoke: bool, workloads: tuple) -> Counter:
+    """The workloads at one seed, summed, each in a fresh interpreter."""
     total: Counter = Counter()
     env = {**os.environ, "PYTHONHASHSEED": "0", "PYTHONPATH": str(ROOT / "src")}
-    for workload in WORKLOADS:
+    for workload in workloads:
         argv = [sys.executable, __file__, "--child", workload, "--seed", str(seed)] + (["--smoke"] if smoke else [])
         got = subprocess.run(argv, env=env, stdout=subprocess.PIPE, text=True, check=True)
         total.update({(f, line): n for f, line, n in json.loads(got.stdout)})
@@ -119,6 +121,7 @@ def _counts(seed: int, smoke: bool) -> Counter:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--seed", type=int, action="append", required=True, help="job-list seed; repeat for several")
+    p.add_argument("--workload", choices=WORKLOADS, help="count this workload alone; by default both, summed")
     p.add_argument("--smoke", action="store_true", help="the smoke test's short job lists")
     p.add_argument("--child", choices=WORKLOADS, help=argparse.SUPPRESS)
     p.add_argument("lines", nargs="*", metavar="FILE:LINE")
@@ -127,7 +130,8 @@ def main(argv=None) -> int:
         hits = traffic(args.child, args.seed[0], args.smoke)
         json.dump([[f, line, n] for (f, line), n in sorted(hits.items())], sys.stdout)
         return 0
-    counts = [_counts(seed, args.smoke) for seed in args.seed]
+    workloads = (args.workload,) if args.workload else WORKLOADS
+    counts = [_counts(seed, args.smoke, workloads) for seed in args.seed]
     if args.lines:
         print("line".ljust(18) + "".join(f"seed {s}".rjust(12) for s in args.seed))
         for spec in args.lines:

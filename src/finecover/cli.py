@@ -17,11 +17,12 @@ from functools import cache
 from .covers import (
     NotACover,
     Obstruction,
+    check_cover,
     check_fineness,
     cover_to_partition,
     find_cover_cantor,
     find_cover_unit,
-    uncovered_witness,
+    row_point,
 )
 from .exact import CauchyViolation, rat_str
 from .gallery import (
@@ -172,27 +173,27 @@ def cmd_verify(args) -> tuple[str, int]:
     with open(args.artifact) as fh:
         text = fh.read()
     header = text.splitlines()[0].strip() if text.strip() else ""
-    # each artifact kind names its noun, its (point, numerator, denominator)
-    # bounds and the line that reports the bound at index i failing
+    # each artifact kind names its noun, its worst verdict with the index
+    # of the bound that failed, and the line that reports that failure
     if header == "point,radius":
         cover = parse_cover_csv(text)
         if cover.space != g.domain:
             raise ValueError(f"cover is on {cover.space}, gauge on {g.domain}")
-        witness = uncovered_witness(cover)
+        witness, worst, bad = check_cover(g, cover, stage)
         if witness is not None:
             return f"not a cover: {point_str(witness)} is uncovered\n", EXIT_FAILED
-        entries = cover.entries()
-        noun, bounds = "cover", [(p, r.numerator, r.denominator) for p, r in entries]
+        noun = "cover"
 
         def failure(i: int) -> str:
-            p, r = entries[i]
-            return f"entry {i}: gauge at {point_str(p)} is below the radius {rat_str(r)}"
+            row = cover.rows[i]
+            return f"entry {i}: gauge at {point_str(row_point(cover.space, row))} is below the radius {row[2]}/{row[3]}"
 
     elif header == "lo,hi,tag":
         if g.domain != "unit":
             raise ValueError("partitions live on the unit interval")
         part = parse_partition_csv(text)
-        noun, bounds = "partition", part.widths()
+        noun = "partition"
+        worst, bad = check_fineness(g, part.widths(), stage)
 
         def failure(i: int) -> str:
             (ln, ld), (hn, hd) = part.ends[i], part.ends[i + 1]
@@ -200,7 +201,6 @@ def cmd_verify(args) -> tuple[str, int]:
 
     else:
         raise ValueError(f"unrecognized artifact header {header!r}")
-    worst, bad = check_fineness(g, bounds, stage)
     if bad is not None:
         return failure(bad) + "\n", EXIT_FAILED
     if worst is Verdict.YES:

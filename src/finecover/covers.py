@@ -23,7 +23,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from math import gcd, lcm
 from operator import ge, gt
 from typing import Optional, Union
@@ -45,6 +45,7 @@ from .spaces import (
     UnitPoint,
     dist_to_cantor,
     leftmost_cantor_ge,
+    pattern_index,
     phi,
     psi_preimage_point,
 )
@@ -135,12 +136,38 @@ class TaggedPartition:
             yield tag, bn * (wd // bd) - an * (wd // ad), wd
 
 
-def _cantor_sort_key(p: CantorPoint):
-    return (p.index(48), p.pattern or ("", ""))
+def cover_entry(p, radius: tuple) -> tuple:
+    """The keyed entry (space, key, radius) of the cover entry at p with
+    the reduced radius (rn, rd), once p is checked to be exact and rn > 0.
+    The key is p's (num, den) or pattern; key + radius is its row."""
+    if radius[0] <= 0:
+        raise ValueError(f"cover radius must be > 0, got {Fraction(*radius)} at {p!r}")
+    if isinstance(p, UnitPoint):
+        if p.num is None:
+            raise ValueError("cover points must be exact")
+        return "unit", (p.num, p.den), radius
+    if isinstance(p, CantorPoint):
+        if p.pattern is None:
+            raise ValueError("cover points must be exact")
+        return "cantor", p.pattern, radius
+    raise ValueError(f"not a point: {p!r}")
+
+
+def row_point(space: str, row: tuple):
+    """The point of a cover row, or of its key."""
+    if space == "unit":
+        return UnitPoint(row[0], row[1])
+    return CantorPoint(pattern=(row[0], row[1]))
 
 
 class FineCover:
-    """Finite set of points with a positive radius each.
+    """Finite set of points with a positive radius each, held as its rows,
+    the merged entries on integers in output order: a unit row (num, den,
+    rn, rd) is the point num/den, num an int or a QuadVal as in
+    `UnitPoint`, with the reduced radius rn/rd, in order of value; a
+    sequence-space row (prefix, period, rn, rd) holds a canonical pattern,
+    in order of depth-48 cell, then pattern. `points`, `radii` and
+    `entries()` are built from the rows when first read.
 
     Duplicate points are merged keeping the larger radius (covering and
     fineness both survive: the kept ball contains the dropped one). Points
@@ -149,45 +176,52 @@ class FineCover:
     """
 
     def __init__(self, entries):
-        merged: dict = {}  # point -> radius, in order of first appearance
-        space = None
-        for p, r in entries:
-            if type(r) is not Fraction:
-                r = Fraction(r)
-            if r.numerator <= 0:
-                raise ValueError(f"cover radius must be > 0, got {r} at {p!r}")
-            if isinstance(p, UnitPoint):
-                here = "unit"
-                if not p.is_exact:
-                    raise ValueError("cover points must be exact")
-            elif isinstance(p, CantorPoint):
-                here = "cantor"
-            else:
-                raise ValueError(f"not a point: {p!r}")
-            if space != here:
-                if space is not None:
-                    raise ValueError("cover mixes points from both spaces")
-                space = here
-            if p not in merged or merged[p] < r:
-                merged[p] = r
-        if space is None:
-            raise ValueError("a cover needs at least one point")
-        self.space = space
-        self.points: list = list(merged)
-        if space == "cantor":
-            self.points.sort(key=_cantor_sort_key)
-        else:
-            _sort_by_value(self.points)
-        self.radii: dict = merged
+        self.space, self.rows = _merge(cover_entry(p, Fraction(r).as_integer_ratio()) for p, r in entries)
+
+    @classmethod
+    def from_keyed(cls, keyed) -> FineCover:
+        """The cover of keyed entries (`cover_entry`), merged as `__init__`
+        merges its entries."""
+        cover = cls.__new__(cls)
+        cover.space, cover.rows = _merge(keyed)
+        return cover
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.rows)
+
+    @cached_property
+    def points(self) -> list:
+        return [row_point(self.space, row) for row in self.rows]
+
+    @cached_property
+    def radii(self) -> dict:
+        return {p: Fraction(row[2], row[3]) for p, row in zip(self.points, self.rows)}
 
     def entries(self):
         return [(p, self.radii[p]) for p in self.points]
 
     def __repr__(self) -> str:
-        return f"FineCover({self.space}, {len(self.points)} points)"
+        return f"FineCover({self.space}, {len(self.rows)} points)"
+
+
+def _merge(keyed) -> tuple[str, list]:
+    """The space and the rows, in output order, of keyed entries (space,
+    key, radius): the entries of one key merge to the largest radius."""
+    merged: dict = {}  # key -> row
+    space = None
+    for here, key, (rn, rd) in keyed:
+        if here != space:
+            if space is not None:
+                raise ValueError("cover mixes points from both spaces")
+            space = here
+        old = merged.get(key)
+        if old is None or rn * old[3] > old[2] * rd:
+            merged[key] = (*key, rn, rd)
+    if space is None:
+        raise ValueError("a cover needs at least one point")
+    out = list(merged.values())
+    out.sort(key=_value_key(out) if space == "unit" else lambda row: (pattern_index(row[0], row[1], 48), row))
+    return space, out
 
 
 @dataclass(frozen=True)
@@ -208,25 +242,29 @@ class Obstruction:
     space: str
 
 
-def _cmp_value(p: UnitPoint, q: UnitPoint) -> int:
-    """The sign of p - q for exact unit points: num den' against num' den,
-    an int or a QuadVal, whose sign `sqrt2_sign` reads on its ints."""
-    x = p.num * q.den - q.num * p.den
+def _cmp_value(p: tuple, q: tuple) -> int:
+    """The sign of p - q for tuples that start with the (num, den) of exact
+    unit points: num den' - num' den, whose sign `sqrt2_sign` reads."""
+    x = p[0] * q[1] - q[0] * p[1]
     return sqrt2_sign(x.a, x.b) if type(x) is QuadVal else (x > 0) - (x < 0)
 
 
-def _sort_by_value(points: list) -> None:
-    """Sort exact unit points stably by value, num/den: an int or QuadVal
-    numerator over a positive int. With int numerators the key is the
+def _value_key(items: list):
+    """A sort key by value for tuples that start with the (num, den) of an
+    exact unit point, such as cover rows. With int numerators it is the
     integer (n << k) // d, for k past twice the bit length of the largest d:
     two distinct values differ by more than 2^-k, so their keys differ the
-    same way, and equal values tie. Otherwise the points compare on their
-    pairs (`_cmp_value`)."""
-    if all(type(p.num) is int for p in points):
-        k = 2 * max((p.den.bit_length() for p in points), default=0) + 1
-        points.sort(key=lambda p: (p.num << k) // p.den)
-    else:
-        points.sort(key=cmp_to_key(_cmp_value))
+    same way, and equal values tie. Else it is `_cmp_value`."""
+    if all(type(x[0]) is int for x in items):
+        k = 2 * max((x[1].bit_length() for x in items), default=0) + 1
+        return lambda x: (x[0] << k) // x[1]
+    return cmp_to_key(_cmp_value)
+
+
+def _sort_by_value(points: list) -> None:
+    """Sort exact unit points stably by value (`_value_key`)."""
+    key = _value_key([(p.num, p.den) for p in points])
+    points.sort(key=lambda p: key((p.num, p.den)))
 
 
 def _sweep(cover: FineCover) -> tuple[list, Optional[Fraction]]:
@@ -249,19 +287,19 @@ def _sweep(cover: FineCover) -> tuple[list, Optional[Fraction]]:
     only: a dropped ball lies inside a kept one, so it never extends the
     reach, and the first left end past the reach is a kept ball's.
 
-    A row (lo, hi, d, c, point, radius) holds the ball's ends and centre as
+    A sweep row (lo, hi, d, c, row) holds the ball's ends and centre as
     numerators over the row's own denominator d, the lcm of the centre's
     and the radius's, so its integers stay the size of one row whatever
-    the cover. Rows compare by cross-multiplication. A quadratic centre's
-    numerator is a QuadVal on two ints, which multiplies, subtracts and
-    compares like an int, and the witness's floor is taken on its ints too.
+    the cover, and the cover row it came from. Rows compare by
+    cross-multiplication. A quadratic centre's numerator is a QuadVal on
+    two ints, which multiplies, subtracts and compares like an int, and
+    the witness's floor is taken on its ints too.
     """
     kept = []
-    for p in cover.points:
-        vd, r = p.den, cover.radii[p]
-        rd = r.denominator
+    for row in cover.rows:
+        vn, vd, rn, rd = row
         d = lcm(vd, rd)
-        c, s = p.num * (d // vd), r.numerator * (d // rd)
+        c, s = vn * (d // vd), rn * (d // rd)
         lo, hi = c - s, c + s
         if hi <= 0 or lo >= d:
             continue
@@ -270,7 +308,7 @@ def _sweep(cover: FineCover) -> tuple[list, Optional[Fraction]]:
                 continue  # inside the last kept ball
             while kept and kept[-1][0] * d >= lo * kept[-1][2]:
                 kept.pop()  # the last kept ball is inside this one
-        kept.append((lo, hi, d, c, p, r))
+        kept.append((lo, hi, d, c, row))
     reach, reach_d, gap = 0, 1, None  # [0, reach/reach_d] is covered up to the first gap
     for row in kept:
         lo, hi, d = row[0], row[1], row[2]
@@ -297,10 +335,11 @@ def uncovered_witness(cover: FineCover):
     # the ball B(p, r) is the cylinder of depth m at p (`cylinder_for_ball`),
     # here the node (1 << m) | index of the binary tree, whose children are
     # 2u and 2u + 1; a node's depth is its bit length less one
-    cells = set()
-    for p, r in cover.radii.items():
-        m = ceil_log_recip(r)
-        cells.add((1 << m) | p.index(m))
+    cells, depths = set(), {}  # depths: radius pair -> m
+    for prefix, period, rn, rd in cover.rows:
+        if (m := depths.get((rn, rd))) is None:
+            m = depths[rn, rd] = ceil_log_recip(Fraction(rn, rd))
+        cells.add((1 << m) | pattern_index(prefix, period, m))
     deepest = max(cells).bit_length() - 1
 
     # depth-first, left branch first; a cell is only pushed when no cell
@@ -325,16 +364,17 @@ def _run_box(g: GaugeCode, x, stage: int) -> Optional[tuple]:
     it is asked; a point outside [0,1] or of the wrong space, which raises
     there; a quadratic point under a direct code, whose kernel reads the
     point itself and may reject it; a rule-only sequence, whose bits are
-    read only as far as its verdict asks."""
+    read only as far as its verdict asks. A cover row x of g's space is
+    read as its point."""
     if g.domain == "unit":
+        x = row_point("unit", x) if type(x) is tuple else x
         if type(x) is UnitPoint and type(x.num) is QuadVal and g.kind == "continuous":
             a, b = x.num.a, x.num.b
             if sqrt2_sign(a, b) > 0 and sqrt2_sign(x.den - a, -b) > 0:
                 return _point_region(x, stage, "unit")
         return None
-    if type(x) is CantorPoint and x.pattern is not None:
-        return rt_cell(x.index(stage), stage)
-    return None
+    x = x.pattern if type(x) is CantorPoint else x if type(x) is tuple else None
+    return None if x is None else rt_cell(pattern_index(x[0], x[1], stage), stage)
 
 
 def _hull(g: GaugeCode, rows: list, i: int, end: int, stage: int, boxes: dict) -> tuple:
@@ -343,16 +383,22 @@ def _hull(g: GaugeCode, rows: list, i: int, end: int, stage: int, boxes: dict) -
     triples at `stage`, and the largest bound bn/bd. The ends and the bound
     are kept as (n, d) pairs and compared by cross-multiplication, so the
     integers stay the size of one row. A rational unit row's triple is read
-    off its point; any other row's `_run_box` is kept in `boxes` by index."""
+    off its point or its cover row; any other row's `_run_box` is kept in
+    `boxes` by index."""
     unit = g.domain == "unit"
     ln, ld, hn, hd, bn, bd = 1, 0, -1, 0, -1, 0  # +inf, -inf, -inf as n/0
     for j in range(i, end):
         x, qn, qd = rows[j]
         if qn < 0:
             break
-        if unit and type(x) is UnitPoint and type(x.num) is int:
-            lo = hi = x.num
-            d = x.den
+        if type(x) is tuple:
+            lo, d = x[0], x[1]
+        elif type(x) is UnitPoint:
+            lo, d = x.num, x.den
+        else:
+            lo = None
+        if unit and type(lo) is int:
+            hi = lo
             if lo < 0 or lo > d:
                 break
         else:
@@ -376,7 +422,8 @@ def _hull(g: GaugeCode, rows: list, i: int, end: int, stage: int, boxes: dict) -
 def check_fineness(g: GaugeCode, bounds, stage: int) -> tuple[Verdict, Optional[int]]:
     """Check "gauge at x >= qn/qd" for each triple (x, qn, qd) in order, an
     int numerator over a positive int denominator, not necessarily reduced,
-    stopping at the first No.
+    stopping at the first No. x is a point, or a cover row of g's space,
+    whose point is built only for a verdict of its own.
 
     Returns the worst verdict (No, else Unknown if any, else Yes) and the
     index of the triple that said No, or None.
@@ -415,7 +462,7 @@ def check_fineness(g: GaugeCode, bounds, stage: int) -> tuple[Verdict, Optional[
                     size = (j - i) // 2
                 continue
         x, qn, qd = rows[i]
-        v = _verdict(g, x, qn, qd, stage, False)
+        v = _verdict(g, row_point(g.domain, x) if type(x) is tuple else x, qn, qd, stage, False)
         if v is Verdict.NO:
             return v, i
         if v is Verdict.UNKNOWN:
@@ -431,11 +478,20 @@ def verify_partition(g: GaugeCode, part: TaggedPartition, stage: int) -> Verdict
     return check_fineness(g, part.widths(), stage)[0]
 
 
+def check_cover(g: GaugeCode, cover: FineCover, stage: int) -> tuple:
+    """(witness, verdict, index): `uncovered_witness`, No and None when
+    there is a witness, else None and `check_fineness` on the cover's rows,
+    or on its points, whose verdicts raise, when g lives on the other space."""
+    witness = uncovered_witness(cover)
+    if witness is not None:
+        return witness, Verdict.NO, None
+    xs = cover.rows if cover.space == g.domain else cover.points
+    return None, *check_fineness(g, [(x, row[2], row[3]) for x, row in zip(xs, cover.rows)], stage)
+
+
 def verify_cover(g: GaugeCode, cover: FineCover, stage: int) -> Verdict:
     """Exact covering check, then per-point radius-below-gauge verdicts."""
-    if uncovered_witness(cover) is not None:
-        return Verdict.NO
-    return check_fineness(g, ((p, r.numerator, r.denominator) for p, r in cover.entries()), stage)[0]
+    return check_cover(g, cover, stage)[1]
 
 
 def partition_to_cover(part: TaggedPartition) -> FineCover:
@@ -457,7 +513,7 @@ def _minimal_rows(cover: FineCover) -> list:
 def minimize_cover(cover: FineCover) -> FineCover:
     """Drop every ball that meets [0,1] in at most an endpoint or lies
     inside another; the covering must survive intact."""
-    return FineCover([(row[4], row[5]) for row in _minimal_rows(cover)])
+    return FineCover.from_keyed(("unit", row[4][:2], row[4][2:]) for row in _minimal_rows(cover))
 
 
 def _cut(lo, lo_d: int, hi, hi_d: int) -> tuple[int, int]:
@@ -488,19 +544,19 @@ def cover_to_partition(cover: FineCover) -> TaggedPartition:
     built from its cuts' integer ends.
     """
     rows = _minimal_rows(cover)
-    for _, _, d, c, p, _ in rows:
+    for _, _, d, c, (vn, vd, _, _) in rows:
         if not 0 <= c <= d:
-            raise NotACover(f"ball centred at {pair_str(p.num, p.den)} outside [0,1] cannot tag a cell")
+            raise NotACover(f"ball centred at {pair_str(vn, vd)} outside [0,1] cannot tag a cell")
     ends = [(0, 1)]
-    for (_, hi0, d0, c0, p0, _), (lo1, _, d1, c1, p1, _) in zip(rows, rows[1:]):
+    for (_, hi0, d0, c0, p0), (lo1, _, d1, c1, p1) in zip(rows, rows[1:]):
         # the overlap [max(centre 0, left end 1), min(centre 1, right end 0)]
         lo, lo_d = (c0, d0) if c0 * d1 >= lo1 * d0 else (lo1, d1)
         hi, hi_d = (c1, d1) if c1 * d0 <= hi0 * d1 else (hi0, d0)
         if lo * hi_d > hi * lo_d:
-            raise NotACover(f"adjacent balls at {pair_str(p0.num, p0.den)} and {pair_str(p1.num, p1.den)} fail to overlap")
+            raise NotACover(f"adjacent balls at {pair_str(p0[0], p0[1])} and {pair_str(p1[0], p1[1])} fail to overlap")
         ends.append(_cut(lo, lo_d, hi, hi_d))
     ends.append((1, 1))
-    return TaggedPartition.from_ends(ends, [row[4] for row in rows])
+    return TaggedPartition.from_ends(ends, [row_point("unit", row[4]) for row in rows])
 
 
 # -- subdivision searches ------------------------------------------------
@@ -513,7 +569,7 @@ def _checked_hints(g: GaugeCode, hints, space: str) -> list:
         raise DomainError(f"{space} search got a {g.domain} code")
     point_type = UnitPoint if space == "unit" else CantorPoint
     for h in hints or ():
-        if not isinstance(h, point_type) or (space == "unit" and not h.is_exact):
+        if not isinstance(h, point_type) or (h.num if space == "unit" else h.pattern) is None:
             raise ValueError(f"{space} search hints must be exact points of that space, got {h!r}")
     return list(hints or ())
 
@@ -523,9 +579,10 @@ def _subdivide(g: GaugeCode, depth: int, stage: int, strict: bool, samples, firs
 
     Cell i at level l, of width w = 2^-l, is accepted on the first of
     `samples(i, l)` whose verdict "gauge > w" (strict) or "gauge >= w" is
-    Yes, giving the entry (sample, w); otherwise cells 2i and 2i+1 go on to
-    level l+1. Cells left at `depth` form an Obstruction of `regions`.
-    `first(i, l)` is the cell's first sample if no hint lies in it, else None.
+    Yes, giving the cover entry (sample, w), w as the pair (1, 2^l);
+    otherwise cells 2i and 2i+1 go on to level l+1. Cells left at `depth`
+    form an Obstruction of `regions`. `first(i, l)` is the cover key of the
+    cell's first sample if no hint lies in it, else None.
 
     Branch and bound, for a code with a region kernel: one region
     evaluation at `stage` on the triple `rt_cell(i, l)`, in either space,
@@ -538,9 +595,10 @@ def _subdivide(g: GaugeCode, depth: int, stage: int, strict: bool, samples, firs
     query region lies inside the cell (a rational one on [0,1]; any one of
     a cylinder at level <= stage) is taken without a verdict: the enclosure
     holds that query's at `stage`, so its verdict would be Yes by that
-    rung. With no hint in the cell that is `first(i, l)`; a hint before it,
-    such as a quadratic one, is still asked. Either way the covers and
-    obstructions are those of the plain sample-only walk.
+    rung. With no hint in the cell that is `first(i, l)`, whose row is
+    built from its key with no point; a hint before it, such as a
+    quadratic one, is still asked. Either way the covers and obstructions
+    are those of the plain sample-only walk.
 
     Limit codes are sampled cell by cell, though they have a region: its
     pad is at least one term's spread over the whole cell, which at the
@@ -556,10 +614,10 @@ def _subdivide(g: GaugeCode, depth: int, stage: int, strict: bool, samples, firs
     verdict = verified_above if strict else verified_at_least
     passes = gt if strict else ge  # lo << level vs d: the end lo/d passes the cell's test
     region, unit = None if isinstance(g, _LimitCode) else g.region, g.domain == "unit"
-    entries = []
+    keyed = []
     frontier = [(0, None)]  # (cell index at the current level, enclosure (lo, hi, d) of the gauge there)
     for level in range(depth + 1):
-        w = pow2(-level)
+        w, radius = pow2(-level), (1, 1 << level)
         survivors = []
         for i, box in frontier:
             lower = False  # the lower end passes, with samples' queries inside the cell
@@ -573,17 +631,17 @@ def _subdivide(g: GaugeCode, depth: int, stage: int, strict: bool, samples, firs
                         continue
                     lower = passes(lo << level, d) and (unit or level <= stage)
                     # `first` spares the common cell a samples generator: about 8% of perfbench search rows/s (2-core host)
-                    if lower and (m := first(i, level)) is not None:
-                        entries.append((m, w))
+                    if lower and (key := first(i, level)) is not None:
+                        keyed.append((g.domain, key, radius))
                         continue
             for m in samples(i, level):
                 if lower and (not unit or m.is_rational) or verdict(g, m, w, stage) is Verdict.YES:
-                    entries.append((m, w))
+                    keyed.append(cover_entry(m, radius))
                     break
             else:
                 survivors.append((i, box))
         if not survivors:
-            return FineCover(entries)
+            return FineCover.from_keyed(keyed)
         if level == depth:
             return Obstruction(tuple(regions([i for i, _ in survivors], level)), stage, depth, g.domain)
         frontier = [(c, box) for i, box in survivors for c in (2 * i, 2 * i + 1)]
@@ -617,7 +675,7 @@ def find_cover_unit(g: GaugeCode, depth: int, stage: int, hints=()) -> Union[Fin
         ]
 
     def first(i: int, level: int):
-        return None if hinted(i, level) else UnitPoint(2 * i + 1, 2 << level)
+        return None if hinted(i, level) else (2 * i + 1, 2 << level)
 
     def samples(i: int, level: int):
         in_cell = hinted(i, level)
@@ -644,7 +702,7 @@ def find_cover_cantor(g: GaugeCode, depth: int, stage: int, hints=()) -> Union[F
     the hints' sorted depth-48 cells, and past depth 48 filtered by their
     own cell.
     """
-    hints = sorted(_checked_hints(g, hints, "cantor"), key=_cantor_sort_key)
+    hints = sorted(_checked_hints(g, hints, "cantor"), key=lambda h: (h.index(48), h.pattern))
     keys = [h.index(48) for h in hints]
 
     def hinted(i: int, level: int):
@@ -655,7 +713,7 @@ def find_cover_cantor(g: GaugeCode, depth: int, stage: int, hints=()) -> Union[F
         return [h for h in in_cell if h.index(level) == i] if shift < 0 else in_cell
 
     def first(i: int, level: int):
-        return None if hinted(i, level) else CantorPoint.from_pattern(Cylinder(i, level).prefix, "0")
+        return None if hinted(i, level) else (Cylinder(i, level).prefix.rstrip("0"), "0")
 
     def samples(i: int, level: int):
         in_cell = hinted(i, level)

@@ -41,7 +41,7 @@ def parse_pair(text: str) -> tuple[int, int]:
             raise ValueError(f"not a rational: {text!r}") from exc
         if d:  # a zero denominator falls through to the error
             g = gcd(n, d)
-            return n // g, d // g
+            return (n, d) if g == 1 else (n // g, d // g)
     raise ValueError(f"not a rational: {text!r}")
 
 

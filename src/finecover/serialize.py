@@ -6,8 +6,9 @@ write as prefix/period bit patterns; unit points as "rat:", "quad:" (for
 a + b*sqrt(2)) or, for opaque points, an "approx:" enclosure at a stated
 precision. Covers and partitions are CSV with a header; obstructions
 are JSON, their trace one entry per unresolved region, each UNKNOWN at
-the search's stage. A number cell reads as its reduced integer pair, and
-points and cuts are built from the pairs; a radius text is read once a file.
+the search's stage. A number cell reads as its reduced integer pair; a
+radius text is read once a file. A cover is read into its integer rows
+(see `FineCover`) and written from them, with no point built for a row.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ import json
 from functools import cache
 from math import gcd
 
-from .covers import FineCover, MalformedPartition, Obstruction, TaggedPartition
+from .covers import FineCover, MalformedPartition, Obstruction, TaggedPartition, cover_entry, row_point
 from .exact import Interval, parse_pair, parse_rat, rat_str
-from .spaces import CantorPoint, Cylinder, UnitPoint
+from .spaces import CantorPoint, Cylinder, UnitPoint, canonical_pattern, unit_value
 
 
 def cantor_str(p: CantorPoint) -> str:
@@ -30,12 +31,16 @@ def cantor_str(p: CantorPoint) -> str:
     return f"prefix={prefix};period={period}"
 
 
-def parse_cantor(s: str) -> CantorPoint:
+def _pattern(s: str) -> tuple[str, str]:
+    """The canonical (prefix, period) of a "prefix=...;period=..." text."""
     body = s.strip()
     if not body.startswith("prefix=") or ";period=" not in body:
         raise ValueError(f"expected prefix=...;period=..., got {s!r}")
-    prefix, period = body[len("prefix="):].split(";period=", 1)
-    return CantorPoint.from_pattern(prefix, period)
+    return canonical_pattern(*body[len("prefix="):].split(";period=", 1))
+
+
+def parse_cantor(s: str) -> CantorPoint:
+    return CantorPoint.from_pattern(*_pattern(s))
 
 
 def parse_bits(raw: str) -> CantorPoint:
@@ -46,29 +51,43 @@ def parse_bits(raw: str) -> CantorPoint:
     return CantorPoint.from_pattern("", raw)
 
 
+def _exact_str(num, den: int) -> str:
+    if type(num) is int:
+        return f"rat:{num}/{den}"
+    a, b = num.a, num.b
+    ga, gb = gcd(a, den), gcd(b, den)
+    return f"quad:{a // ga}/{den // ga},{b // gb}/{den // gb}"
+
+
 def unit_str(p: UnitPoint, prec: int = 24) -> str:
     """A point recorded at a precision is written at that precision."""
-    if p.is_rational:
-        return f"rat:{p.num}/{p.den}"
     if p.is_exact:
-        a, b, d = p.num.a, p.num.b, p.den
-        ga, gb = gcd(a, d), gcd(b, d)
-        return f"quad:{a // ga}/{d // ga},{b // gb}/{d // gb}"
+        return _exact_str(p.num, p.den)
     if p.prec is not None:
         prec = p.prec
     box = p.approx(prec)
     return f"approx:[{rat_str(box.lo)},{rat_str(box.hi)}]@{prec}"
 
 
-def parse_unit(s: str) -> UnitPoint:
+def _exact_value(s: str):
+    """The (num, den) of a "rat:" or "quad:" point text (`unit_value`);
+    None for any other form."""
     body = s.strip()
     if body.startswith("rat:"):
-        return UnitPoint.from_pair(*parse_pair(body[4:]))
+        return unit_value(*parse_pair(body[4:]))
     if body.startswith("quad:"):
         a, _, b = body[5:].partition(",")
         if not b:
             raise ValueError(f"quad point needs two components, got {s!r}")
-        return UnitPoint.from_parts(*parse_pair(a), *parse_pair(b))
+        return unit_value(*parse_pair(a), *parse_pair(b))
+    return None
+
+
+def parse_unit(s: str) -> UnitPoint:
+    value = _exact_value(s)
+    if value is not None:
+        return UnitPoint(*value)
+    body = s.strip()
     if body.startswith("approx:"):
         rest = body[7:]
         if "]@" not in rest or not rest.startswith("["):
@@ -94,7 +113,8 @@ def _csv(rows) -> str:
 
 
 def cover_csv(cover: FineCover) -> str:
-    return _csv([["point", "radius"], *([point_str(p), rat_str(r)] for p, r in cover.entries())])
+    point = _exact_str if cover.space == "unit" else "prefix={};period={}".format
+    return _csv([["point", "radius"], *([point(a, b), f"{rn}/{rd}"] for a, b, rn, rd in cover.rows)])
 
 
 def _csv_rows(text: str) -> list:
@@ -112,22 +132,28 @@ def parse_cover_csv(text: str) -> FineCover:
     rows = _csv_rows(text)
     if not rows or rows[0] != ["point", "radius"]:
         raise ValueError("cover CSV must start with the point,radius header")
-    # FineCover checks each entry as it is parsed, so its errors name the row
+    # the cover checks each row as it is read, so its errors name the row
     at = None  # the row being read, None once all are read
-    radius = cache(parse_rat)  # a searched cover's radii are a few powers of two
+    radius = cache(parse_pair)  # a searched cover's radii are a few powers of two
 
-    def entries():
+    def keyed():
         nonlocal at
         for at, row in enumerate(rows[1:], start=2):
             if row:
                 if len(row) != 2:
                     raise ValueError(f"need point,radius, got {row!r}")
                 ps, rs = row
-                yield parse_cantor(ps) if ps.startswith("prefix=") else parse_unit(ps), radius(rs)
+                space, key = ("cantor", _pattern(ps)) if ps.startswith("prefix=") else ("unit", _exact_value(ps))
+                p = parse_unit(ps) if key is None else None  # an approximant, or an unknown form
+                r = radius(rs)
+                if p is None and r[0] > 0:
+                    yield space, key, r
+                else:  # the checks on a point entry name the row's fault
+                    yield cover_entry(row_point(space, key) if p is None else p, r)
         at = None
 
     try:
-        return FineCover(entries())
+        return FineCover.from_keyed(keyed())
     except ValueError as e:
         if at is None:
             raise

@@ -53,23 +53,50 @@ def _norm_pattern(prefix: str, period: str) -> tuple[str, str]:
     return prefix, period
 
 
-class CantorPoint:
-    """A point of 2^omega: a total bit rule, optionally eventually periodic.
+def canonical_pattern(prefix: str, period: str) -> tuple[str, str]:
+    """The canonical (prefix, period) of a valid bit pattern. One whose
+    period is primitive and whose prefix is empty or ends in a bit other
+    than the period's last is canonical, so `_norm_pattern` runs on others."""
+    if period == "" or (prefix + period).strip("01"):
+        raise ValueError(f"bad bit pattern: prefix={prefix!r} period={period!r}")
+    if (period + period).find(period, 1) == len(period) and (not prefix or prefix[-1] != period[-1]):
+        return prefix, period
+    return _norm_pattern(prefix, period)
 
-    Pattern points (finite prefix + repeating period) compare and hash by
-    the canonical pattern, so searches can deduplicate them; rule-only
-    points compare by identity. Queried bits are cached, which is also what
-    enforces that the rule is deterministic.
+
+def pattern_bits(prefix: str, period: str, n: int) -> str:
+    """The first n bits of the sequence prefix, then period repeated."""
+    if n > len(prefix):
+        prefix += period * -(-(n - len(prefix)) // len(period))
+    return prefix[:n]
+
+
+def pattern_index(prefix: str, period: str, k: int) -> int:
+    """The depth-k cell of the pattern's sequence, as `CantorPoint.index`."""
+    return int(pattern_bits(prefix, period, k) or "0", 2)
+
+
+class CantorPoint:
+    """A point of 2^omega: an eventually periodic bit pattern, or a total
+    bit rule.
+
+    A pattern point holds its canonical (prefix, period) and reads its bits
+    off it; pattern points compare and hash by the pattern, so searches can
+    deduplicate them. Rule-only points compare by identity. Their queried
+    bits are cached, which is also what enforces that the rule is
+    deterministic.
     """
 
     __slots__ = ("_rule", "pattern", "label", "_bits")
 
     def __init__(
         self,
-        rule: Callable[[int], int],
+        rule: Optional[Callable[[int], int]] = None,
         pattern: Optional[tuple[str, str]] = None,
         label: Optional[str] = None,
     ):
+        """A rule-only point of `rule`, or with no rule the pattern point of
+        `pattern`, which must be canonical (`canonical_pattern`)."""
         self._rule = rule
         self.pattern = pattern
         self.label = label
@@ -77,18 +104,12 @@ class CantorPoint:
 
     @classmethod
     def from_pattern(cls, prefix: str, period: str) -> "CantorPoint":
-        if period == "" or (prefix + period).strip("01"):
-            raise ValueError(f"bad bit pattern: prefix={prefix!r} period={period!r}")
-        prefix, period = _norm_pattern(prefix, period)
-
-        def rule(i: int, _p=prefix, _q=period) -> int:
-            if i < len(_p):
-                return int(_p[i])
-            return int(_q[(i - len(_p)) % len(_q)])
-
-        return cls(rule, pattern=(prefix, period))
+        return cls(pattern=canonical_pattern(prefix, period))
 
     def bit(self, i: int) -> int:
+        if self.pattern is not None:
+            prefix, period = self.pattern
+            return int(prefix[i] if i < len(prefix) else period[(i - len(prefix)) % len(period)])
         while len(self._bits) <= i:
             b = self._rule(len(self._bits))
             if b not in (0, 1):
@@ -101,10 +122,7 @@ class CantorPoint:
         pattern points, the cached rule bits otherwise."""
         if self.pattern is None:
             return "".join(str(self.bit(i)) for i in range(n))
-        prefix, period = self.pattern
-        if n > len(prefix):
-            prefix += period * -(-(n - len(prefix)) // len(period))
-        return prefix[:n]
+        return pattern_bits(*self.pattern, n)
 
     def index(self, k: int) -> int:
         """The depth-k cell of the point: it lies in Cylinder(x.index(k), k)."""
@@ -175,7 +193,7 @@ class UnitPoint:
     CauchyViolation.
     """
 
-    __slots__ = ("num", "den", "_fn", "label", "_best", "_hash", "prec")
+    __slots__ = ("num", "den", "_fn", "label", "_best", "prec")
 
     AMBIENT = Interval(Fraction(-1), Fraction(2))
 
@@ -185,33 +203,16 @@ class UnitPoint:
         self.label = label
         self.prec = prec
         self._best: Optional[tuple] = None  # the accumulated enclosure, a triple
-        self._hash = id(self) if num is None else hash((num, den))
-
-    @classmethod
-    def from_pair(cls, n: int, d: int) -> "UnitPoint":
-        """The rational point n/d, for a reduced pair with d > 0."""
-        if not -d <= n <= 2 * d:
-            raise ValueError(f"point {Fraction(n, d)} outside ambient [-1, 2]")
-        return cls(n, d)
 
     @classmethod
     def from_parts(cls, an: int, ad: int, bn: int, bd: int) -> "UnitPoint":
-        """The point an/ad + (bn/bd)*sqrt(2), for reduced pairs with positive
-        denominators, as a QuadVal over the lcm of ad and bd; a rational
-        one when bn is 0."""
-        if not bn:
-            return cls.from_pair(an, ad)
-        d = lcm(ad, bd)
-        a, b = an * (d // ad), bn * (d // bd)
-        # -1 <= (a + b*sqrt(2))/d <= 2, on the integers
-        if sqrt2_sign(a + d, b) < 0 or sqrt2_sign(2 * d - a, -b) < 0:
-            raise ValueError(f"point {pair_str(QuadVal(a, b), d)} outside ambient [-1, 2]")
-        return cls(QuadVal(a, b), d)
+        """The point an/ad + (bn/bd)*sqrt(2) (see `unit_value`)."""
+        return cls(*unit_value(an, ad, bn, bd))
 
     @classmethod
     def from_rat(cls, q) -> "UnitPoint":
         q = q if type(q) is Fraction else Fraction(q)
-        return cls.from_pair(q.numerator, q.denominator)
+        return cls(*unit_value(q.numerator, q.denominator))
 
     @classmethod
     def from_fn(cls, fn: Callable[[int], Interval], label: Optional[str] = None, prec=None) -> "UnitPoint":
@@ -268,12 +269,28 @@ class UnitPoint:
         return self is other
 
     def __hash__(self) -> int:
-        return self._hash
+        return id(self) if self.num is None else hash((self.num, self.den))
 
     def __repr__(self) -> str:
         if self.num is not None:
             return f"UnitPoint({pair_str(self.num, self.den)})"
         return f"UnitPoint(approx, label={self.label!r})"
+
+
+def unit_value(an: int, ad: int, bn: int = 0, bd: int = 1) -> tuple:
+    """The exact value (num, den) of an/ad + (bn/bd)*sqrt(2) in the ambient
+    [-1, 2], for reduced pairs with positive denominators: (an, ad) when bn
+    is 0, else a QuadVal over the lcm of ad and bd."""
+    if not bn:
+        if not -ad <= an <= 2 * ad:
+            raise ValueError(f"point {Fraction(an, ad)} outside ambient [-1, 2]")
+        return an, ad
+    d = lcm(ad, bd)
+    a, b = an * (d // ad), bn * (d // bd)
+    # -1 <= (a + b*sqrt(2))/d <= 2, on the integers
+    if sqrt2_sign(a + d, b) < 0 or sqrt2_sign(2 * d - a, -b) < 0:
+        raise ValueError(f"point {pair_str(QuadVal(a, b), d)} outside ambient [-1, 2]")
+    return QuadVal(a, b), d
 
 
 # -- phi: binary expansion 2^omega -> [0,1] ------------------------------

@@ -1,11 +1,14 @@
 """The read side of `verify` as it was written on Fraction compares, kept as
 the reference the tests check the integer versions against: the regex
 rational parser, a quadratic point checked against the ambient interval
-by `quad_ref.ref_cmp`, a cover's point order by exact value, the unit sweep
+by `quad_ref.ref_cmp`, a cover's point order by exact value or by
+sequence-space cell, its CSV written from Fraction values, the unit sweep
 that sorts its rows with a cross-multiplying comparator, and the
 sequence-space witness walk that builds a `Cylinder` for every node it
 visits."""
 
+import csv
+import io
 import re
 from fractions import Fraction
 from functools import cmp_to_key
@@ -66,6 +69,40 @@ def ref_cover(entries) -> tuple[list, dict]:
         r = Fraction(r)
         radii[p] = max(radii[p], r) if p in radii else r
     return sorted(radii, key=ref_value_key), radii
+
+
+def _ratio_str(q: Fraction) -> str:
+    return f"{q.numerator}/{q.denominator}"
+
+
+def ref_cantor_cover(entries) -> tuple[list, dict]:
+    """A sequence-space cover's points and radii: points merged by their
+    patterns keeping the larger radius, sorted by depth-48 cell, then
+    pattern."""
+    radii: dict = {}
+    for p, r in entries:
+        r = Fraction(r)
+        radii[p] = max(radii[p], r) if p in radii else r
+    return sorted(radii, key=lambda p: (p.index(48), p.pattern)), radii
+
+
+def _point_text(p) -> str:
+    if isinstance(p, CantorPoint):
+        return f"prefix={p.pattern[0]};period={p.pattern[1]}"
+    v = p.exact
+    return f"rat:{_ratio_str(v)}" if isinstance(v, Fraction) else f"quad:{_ratio_str(v[0])},{_ratio_str(v[1])}"
+
+
+def ref_cover_csv(points, radii) -> str:
+    """The CSV of a cover whose points are written in the given order, a
+    unit point from its Fraction value, "rat:n/d" or "quad:a,b" for
+    a + b*sqrt(2), a sequence from its pattern."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["point", "radius"])
+    for p in points:
+        writer.writerow([_point_text(p), _ratio_str(radii[p])])
+    return out.getvalue()
 
 
 def _by_left_end(a: tuple, b: tuple) -> int:

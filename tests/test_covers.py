@@ -5,7 +5,6 @@ import random
 from fractions import Fraction
 from functools import cmp_to_key
 from math import ceil, floor
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import quad
 from fineness_ref import ref_check_fineness
 from quad_ref import ref_cmp, ref_sign
-from read_ref import ref_cantor_witness, ref_cover, ref_pair, ref_sweep, ref_value, ref_value_key
+from read_ref import ref_cantor_witness, ref_cover, ref_cover_csv, ref_pair, ref_sweep, ref_value, ref_value_key
 
 from finecover import covers, gauges
 from finecover.cli import main
@@ -276,6 +275,18 @@ def test_cover_rejects_bad_entries():
         FineCover([])
     with pytest.raises(ValueError):
         FineCover([(up("1/2"), F(1, 2)), (CantorPoint.from_pattern("", "0"), F(1, 2))])
+
+
+@pytest.mark.parametrize(
+    "point", [UnitPoint.from_fn(lambda k: Interval(F(1, 3), F(1, 3))), CantorPoint(lambda i: i % 2)], ids=["approx", "rule"]
+)
+def test_a_cover_point_must_be_exact(point):
+    """A cover row holds an exact value or a pattern, so an approximant
+    and a rule-only sequence are turned away, after the radius check."""
+    with pytest.raises(ValueError, match="cover points must be exact"):
+        FineCover([(point, F(1, 2))])
+    with pytest.raises(ValueError, match="cover radius must be > 0"):
+        FineCover([(point, F(0))])
 
 
 def test_uncovered_witness_frozen():
@@ -858,6 +869,19 @@ def _unit_covers(draw):
     return FineCover([(_point(v), r) for v, r in balls])
 
 
+def _swept(sweep) -> tuple[list, object]:
+    """`_sweep`'s kept rows as (lo, hi, d, c, num, den, rn, rd), the ball's
+    ends and centre over d, then its cover row, and the witness."""
+    kept, witness = sweep
+    return [(lo, hi, d, c, *row) for lo, hi, d, c, row in kept], witness
+
+
+def _ref_swept(sweep) -> tuple[list, object]:
+    """The same projection of `ref_sweep`'s rows (lo, hi, d, c, point, radius)."""
+    kept, witness = sweep
+    return [(lo, hi, d, c, p.num, p.den, r.numerator, r.denominator) for lo, hi, d, c, p, r in kept], witness
+
+
 @settings(max_examples=200, deadline=None)
 @given(cover=_unit_covers())
 def test_one_sweep_matches_the_two_sort_conversion(cover):
@@ -866,7 +890,7 @@ def test_one_sweep_matches_the_two_sort_conversion(cover):
     partition, built from its cuts' integer ends, reads as the one built
     from Fraction cuts. The one-pass sweep keeps the rows the sort by left
     end keeps."""
-    assert _sweep(cover) == ref_sweep(cover.points, cover.radii)
+    assert _swept(_sweep(cover)) == _ref_swept(ref_sweep(cover.points, cover.radii))
     assert uncovered_witness(cover) == _ref_witness(cover)
     for new, ref in ((minimize_cover, _ref_minimize), (cover_to_partition, _ref_cover_to_partition)):
         try:
@@ -890,9 +914,9 @@ def test_a_ball_around_earlier_kept_balls_pops_them_all():
     them, contains all three and pops them together."""
     cover = FineCover([(up(F(n, 8)), F(1, 8)) for n in (1, 2, 3)] + [(up(F(1, 2)), F(1, 2)), (up(F(7, 8)), F(1, 4))])
     kept, witness = _sweep(cover)
-    assert [(row[4], row[5]) for row in kept] == [(up(F(1, 2)), F(1, 2)), (up(F(7, 8)), F(1, 4))]
+    assert [row[4] for row in kept] == [(1, 2, 1, 2), (7, 8, 1, 4)]
     assert witness is None
-    assert (kept, witness) == ref_sweep(cover.points, cover.radii)
+    assert _swept((kept, witness)) == _ref_swept(ref_sweep(cover.points, cover.radii))
     assert cover_to_partition(cover) == _ref_cover_to_partition(cover)
 
 
@@ -932,9 +956,9 @@ def test_cover_orders_match_the_fraction_sorts(entries):
     points, radii = ref_cover(entries)
     assert [p.exact for p in cover.points] == [p.exact for p in points]
     assert cover.radii == radii
-    assert _sweep(cover) == ref_sweep(points, radii)
+    assert _swept(_sweep(cover)) == _ref_swept(ref_sweep(points, radii))
     assert uncovered_witness(cover) == ref_sweep(points, radii)[1]
-    assert cover_csv(cover) == cover_csv(SimpleNamespace(entries=lambda: [(p, radii[p]) for p in points]))
+    assert cover_csv(cover) == ref_cover_csv(points, radii)
 
 
 @settings(max_examples=300, deadline=None)
@@ -1517,6 +1541,7 @@ def test_find_cover_cantor_prunes_cylinders_below_the_width():
         (find_cover_cantor, "cantor", UnitPoint.from_rat(F(1, 2))),
         (find_cover_unit, "unit", CantorPoint.from_pattern("", "01")),
         (find_cover_unit, "unit", UnitPoint.from_fn(lambda k: Interval(F(1, 3), F(1, 3)))),
+        (find_cover_cantor, "cantor", CantorPoint(lambda i: i % 2)),
     ],
 )
 def test_search_rejects_hints_from_the_wrong_space(search, domain, hint):

@@ -16,6 +16,7 @@ from finecover.spaces import (
     NotInCantorSet,
     UnitPoint,
     _norm_pattern,
+    canonical_pattern,
     cylinder_for_ball,
     dist_to_cantor,
     leftmost_cantor_ge,
@@ -76,6 +77,16 @@ def test_norm_pattern_matches_the_reference(prefix, period, repeats, head):
     prefix = head + period * repeats + prefix[: len(prefix) % 3]
     assert _norm_pattern(prefix, period) == _ref_norm_pattern(prefix, period)
     assert _norm_pattern(prefix, period * 3) == _ref_norm_pattern(prefix, period * 3)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_BITS, _BITS.filter(bool), st.integers(0, 4), _BITS)
+def test_canonical_pattern_is_the_reference_normalisation(prefix, period, repeats, head):
+    """The shortcut for patterns that are canonical already gives what the
+    full normalisation gives, on patterns of both kinds."""
+    prefix = head + period * repeats + prefix[: len(prefix) % 3]
+    for p, q in ((prefix, period), (prefix, period * 2), ("", period), (prefix + "01"[period[-1] == "0"], period)):
+        assert canonical_pattern(p, q) == _ref_norm_pattern(p, q)
 
 
 def test_norm_pattern_is_linear_in_the_prefix():

@@ -166,8 +166,8 @@ class FineCover:
     rn, rd) is the point num/den, num an int or a QuadVal as in
     `UnitPoint`, with the reduced radius rn/rd, in order of value; a
     sequence-space row (prefix, period, rn, rd) holds a canonical pattern,
-    in order of depth-48 cell, then pattern. `points`, `radii` and
-    `entries()` are built from the rows when first read.
+    in order of depth-48 cell, then pattern. `points` is built from the
+    rows when first read, and `entries()` pairs it with the rows' radii.
 
     Duplicate points are merged keeping the larger radius (covering and
     fineness both survive: the kept ball contains the dropped one). Points
@@ -193,12 +193,8 @@ class FineCover:
     def points(self) -> list:
         return [row_point(self.space, row) for row in self.rows]
 
-    @cached_property
-    def radii(self) -> dict:
-        return {p: Fraction(row[2], row[3]) for p, row in zip(self.points, self.rows)}
-
     def entries(self):
-        return [(p, self.radii[p]) for p in self.points]
+        return [(p, Fraction(row[2], row[3])) for p, row in zip(self.points, self.rows)]
 
     def __repr__(self) -> str:
         return f"FineCover({self.space}, {len(self.rows)} points)"
@@ -259,12 +255,6 @@ def _value_key(items: list):
         k = 2 * max((x[1].bit_length() for x in items), default=0) + 1
         return lambda x: (x[0] << k) // x[1]
     return cmp_to_key(_cmp_value)
-
-
-def _sort_by_value(points: list) -> None:
-    """Sort exact unit points stably by value (`_value_key`)."""
-    key = _value_key([(p.num, p.den) for p in points])
-    points.sort(key=lambda p: key((p.num, p.den)))
 
 
 def _sweep(cover: FineCover) -> tuple[list, Optional[Fraction]]:
@@ -361,11 +351,11 @@ def _run_box(g: GaugeCode, x, stage: int) -> Optional[tuple]:
     unit point, when it may join a run: a quadratic point inside [0,1]
     under a continuous code, or an eventually periodic sequence. Else None,
     and the row keeps its own verdict: an approximant, whose box narrows as
-    it is asked; a point outside [0,1] or of the wrong space, which raises
-    there; a quadratic point under a direct code, whose kernel reads the
-    point itself and may reject it; a rule-only sequence, whose bits are
-    read only as far as its verdict asks. A cover row x of g's space is
-    read as its point."""
+    it is asked; a point outside [0,1] or of the other space, which its
+    verdict rejects; a quadratic point under a direct code, whose kernel
+    reads the point itself and may reject it; a rule-only sequence, whose
+    bits are read only as far as its verdict asks. A cover row x, of g's
+    space as `check_cover` passes it, is read as its point."""
     if g.domain == "unit":
         x = row_point("unit", x) if type(x) is tuple else x
         if type(x) is UnitPoint and type(x.num) is QuadVal and g.kind == "continuous":
@@ -480,13 +470,14 @@ def verify_partition(g: GaugeCode, part: TaggedPartition, stage: int) -> Verdict
 
 def check_cover(g: GaugeCode, cover: FineCover, stage: int) -> tuple:
     """(witness, verdict, index): `uncovered_witness`, No and None when
-    there is a witness, else None and `check_fineness` on the cover's rows,
-    or on its points, whose verdicts raise, when g lives on the other space."""
+    there is a witness, else None and `check_fineness` on the cover's rows.
+    A cover of the other space than g's is a DomainError, gap or none."""
+    if cover.space != g.domain:
+        raise DomainError(f"cover is on {cover.space}, gauge on {g.domain}")
     witness = uncovered_witness(cover)
     if witness is not None:
         return witness, Verdict.NO, None
-    xs = cover.rows if cover.space == g.domain else cover.points
-    return None, *check_fineness(g, [(x, row[2], row[3]) for x, row in zip(xs, cover.rows)], stage)
+    return None, *check_fineness(g, [(row, row[2], row[3]) for row in cover.rows], stage)
 
 
 def verify_cover(g: GaugeCode, cover: FineCover, stage: int) -> Verdict:
@@ -500,10 +491,10 @@ def partition_to_cover(part: TaggedPartition) -> FineCover:
     return FineCover([(tag, Fraction(2 * wn, wd)) for tag, wn, wd in part.widths() if wn])
 
 
-def _minimal_rows(cover: FineCover) -> list:
-    """The rows of `_sweep` for a unit cover that must cover [0,1]."""
+def _minimal_rows(cover: FineCover, caller: str) -> list:
+    """The rows of `_sweep` for a unit cover that must cover [0,1]; errors name `caller`."""
     if cover.space != "unit":
-        raise ValueError("minimize_cover works on unit-interval covers")
+        raise ValueError(f"{caller} works on unit-interval covers")
     kept, witness = _sweep(cover)
     if witness is not None:
         raise NotACover("input does not cover [0,1]")
@@ -513,7 +504,7 @@ def _minimal_rows(cover: FineCover) -> list:
 def minimize_cover(cover: FineCover) -> FineCover:
     """Drop every ball that meets [0,1] in at most an endpoint or lies
     inside another; the covering must survive intact."""
-    return FineCover.from_keyed(("unit", row[4][:2], row[4][2:]) for row in _minimal_rows(cover))
+    return FineCover.from_keyed(("unit", row[4][:2], row[4][2:]) for row in _minimal_rows(cover, "minimize_cover"))
 
 
 def _cut(lo, lo_d: int, hi, hi_d: int) -> tuple[int, int]:
@@ -543,7 +534,7 @@ def cover_to_partition(cover: FineCover) -> TaggedPartition:
     overlaps are compared on the rows' numerators, and the partition is
     built from its cuts' integer ends.
     """
-    rows = _minimal_rows(cover)
+    rows = _minimal_rows(cover, "cover_to_partition")
     for _, _, d, c, (vn, vd, _, _) in rows:
         if not 0 <= c <= d:
             raise NotACover(f"ball centred at {pair_str(vn, vd)} outside [0,1] cannot tag a cell")
@@ -664,7 +655,8 @@ def find_cover_unit(g: GaugeCode, depth: int, stage: int, hints=()) -> Union[Fin
     hints sorted by value, each compared with a cell end on its pair.
     """
     hints = _checked_hints(g, hints, "unit")
-    _sort_by_value(hints)
+    key = _value_key([(h.num, h.den) for h in hints])
+    hints.sort(key=lambda h: key((h.num, h.den)))
 
     def hinted(i: int, level: int):
         # the hints h with i/n <= h <= (i+1)/n: the first at or past i/n up to the first past (i+1)/n

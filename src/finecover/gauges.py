@@ -82,13 +82,11 @@ Region = Union[Interval, Cylinder]
 
 
 def _point_region(x: Point, k: int, domain: str):
-    """The kernel input a point query evaluates on, a triple: that of an
-    exact rational point in [0,1], else the width-2^-k enclosure of a
-    quadratic point (`QuadVal.enclosure`) or the point's approximant,
-    clipped to [0,1]; or the dyadic cell of the point's depth-k cylinder."""
+    """The triple a query at x, a point of `domain` (`_check_query`),
+    evaluates its kernel on: that of an exact rational point in [0,1], else
+    the width-2^-k enclosure of a quadratic point (`QuadVal.enclosure`) or
+    the approximant, clipped to [0,1]; or the depth-k cylinder's cell."""
     if domain == "unit":
-        if not isinstance(x, UnitPoint):
-            raise DomainError(f"unit-interval code evaluated at {x!r}")
         n, d = x.num, x.den
         if type(n) is int:
             if n < 0 or n > d:
@@ -98,8 +96,6 @@ def _point_region(x: Point, k: int, domain: str):
         if box is None:
             raise DomainError(f"point {x!r} verifiably outside [0,1]")
         return box
-    if not isinstance(x, CantorPoint):
-        raise DomainError(f"sequence-space code evaluated at {x!r}")
     return rt_cell(x.index(k), k)
 
 
@@ -351,18 +347,26 @@ def modulus_limit(
     return DirectCode(kernel, domain=domain, label=label, region=region if first.region else None)
 
 
-def eval_enclosure(g: GaugeCode, x: Point, stage: int) -> Interval:
-    """Interval consistent with every limit value observable through `stage`."""
+def _check_query(g: GaugeCode, x: Point, stage: int) -> None:
+    """Raise unless `stage` >= 0 and x is a point of g's space: every query
+    enters through `eval_enclosure` or `_verdict`, which call this once, so
+    no code, nor any term or kernel under it, sees a point of the other space."""
     if stage < 0:
         raise ValueError("stage must be >= 0")
+    if not isinstance(x, UnitPoint if g.domain == "unit" else CantorPoint):
+        raise DomainError(f"{'unit-interval' if g.domain == 'unit' else 'sequence-space'} code evaluated at {x!r}")
+
+
+def eval_enclosure(g: GaugeCode, x: Point, stage: int) -> Interval:
+    """Interval consistent with every limit value observable through `stage`."""
+    _check_query(g, x, stage)
     return rt_interval(g._eval(x, stage))
 
 
 def _verdict(g: GaugeCode, x: Point, qn: int, qd: int, stage: int, strict: bool) -> Verdict:
     """The verdict on "gauge at x > qn/qd" (strict) or ">=", for an int
     numerator and a positive int denominator, not necessarily reduced."""
-    if stage < 0:
-        raise ValueError("stage must be >= 0")
+    _check_query(g, x, stage)
     if qn < 0:
         raise ValueError("need q >= 0")
     # A point code climbs the ladder, and its triple is the accumulated one,
@@ -622,9 +626,7 @@ def transfer_gauge_psi(g: GaugeCode) -> DirectCode:
     if g.domain != "cantor":
         raise DomainError("psi transfer needs a sequence-space code")
 
-    def kernel(z: Point, stage: int) -> tuple:
-        if not isinstance(z, UnitPoint):
-            raise DomainError(f"unit-interval gauge evaluated at {z!r}")
+    def kernel(z: UnitPoint, stage: int) -> tuple:
         if not z.is_rational:
             return 0, 1, 2
         zq = z.rational_value()

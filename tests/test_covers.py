@@ -46,7 +46,7 @@ from finecover.exact import (
     rt_point,
     simplest_dyadic_between,
 )
-from finecover.gallery import CauchySpec, cauchy_gap_gauge, default_cauchy_spec
+from finecover.gallery import CauchySpec, OracleSpec, cauchy_gap_gauge, default_cauchy_spec, oracle_pin_gauge
 from finecover.gauges import (
     Baire1Code,
     Baire2Code,
@@ -66,7 +66,7 @@ from finecover.gauges import (
     verified_at_least,
 )
 from finecover.gaugespec import parse_gauge
-from finecover.integral import builtin_integrands, default_depth, dirichlet_hints, riemann_sum
+from finecover.integral import builtin_integrands, default_depth, dirichlet_gauge_family, dirichlet_hints, riemann_sum
 from finecover.serialize import cover_csv
 from finecover.spaces import CantorPoint, Cylinder, UnitPoint, cylinder_for_ball
 
@@ -265,7 +265,7 @@ def test_verify_partition_identity_plus_small_no():
 def test_cover_merges_duplicates_keeping_larger_radius():
     c = FineCover([(up("1/2"), F(1, 4)), (up("1/2"), F(1, 2))])
     assert len(c) == 1
-    assert c.radii[up("1/2")] == F(1, 2)
+    assert dict(c.entries())[up("1/2")] == F(1, 2)
 
 
 def test_cover_rejects_bad_entries():
@@ -780,7 +780,7 @@ def _ref_minimize(cover):
 
 def _ref_cover_to_partition(cover):
     slim = _ref_minimize(cover)
-    pts = [(p, ref_value(p), slim.radii[p]) for p in slim.points]
+    pts = [(p, ref_value(p), r) for p, r in slim.entries()]
     for _, v, _ in pts:
         if ref_sign(*v) < 0 or ref_cmp(v, _ONE) > 0:
             raise NotACover(f"ball centred at {_text(v)} outside [0,1] cannot tag a cell")
@@ -890,7 +890,7 @@ def test_one_sweep_matches_the_two_sort_conversion(cover):
     partition, built from its cuts' integer ends, reads as the one built
     from Fraction cuts. The one-pass sweep keeps the rows the sort by left
     end keeps."""
-    assert _swept(_sweep(cover)) == _ref_swept(ref_sweep(cover.points, cover.radii))
+    assert _swept(_sweep(cover)) == _ref_swept(ref_sweep(cover.points, dict(cover.entries())))
     assert uncovered_witness(cover) == _ref_witness(cover)
     for new, ref in ((minimize_cover, _ref_minimize), (cover_to_partition, _ref_cover_to_partition)):
         try:
@@ -916,7 +916,7 @@ def test_a_ball_around_earlier_kept_balls_pops_them_all():
     kept, witness = _sweep(cover)
     assert [row[4] for row in kept] == [(1, 2, 1, 2), (7, 8, 1, 4)]
     assert witness is None
-    assert _swept((kept, witness)) == _ref_swept(ref_sweep(cover.points, cover.radii))
+    assert _swept((kept, witness)) == _ref_swept(ref_sweep(cover.points, dict(cover.entries())))
     assert cover_to_partition(cover) == _ref_cover_to_partition(cover)
 
 
@@ -955,7 +955,7 @@ def test_cover_orders_match_the_fraction_sorts(entries):
     cover = FineCover(entries)
     points, radii = ref_cover(entries)
     assert [p.exact for p in cover.points] == [p.exact for p in points]
-    assert cover.radii == radii
+    assert dict(cover.entries()) == radii
     assert _swept(_sweep(cover)) == _ref_swept(ref_sweep(points, radii))
     assert uncovered_witness(cover) == ref_sweep(points, radii)[1]
     assert cover_csv(cover) == ref_cover_csv(points, radii)
@@ -967,8 +967,8 @@ def test_mixed_points_sort_stably_by_their_reference_values(values):
     """Rational and quadratic points, some of equal value but built apart,
     are put in the order a stable sort by their quad_ref values gives."""
     points = [_point(v) for v in values]
-    got = list(points)
-    covers._sort_by_value(got)
+    key = covers._value_key([(p.num, p.den) for p in points])
+    got = sorted(points, key=lambda p: key((p.num, p.den)))
     assert [id(p) for p in got] == [id(p) for p in sorted(points, key=ref_value_key)]
 
 
@@ -995,15 +995,15 @@ def _cylinder_entries(draw):
 @given(entries=_cylinder_entries())
 def test_cantor_witness_matches_the_cylinder_walk(entries):
     cover = FineCover(entries)
-    assert uncovered_witness(cover) == ref_cantor_witness(cover.points, cover.radii)
+    assert uncovered_witness(cover) == ref_cantor_witness(cover.points, dict(cover.entries()))
 
 
 def test_cantor_witness_with_and_without_a_gap():
     grid = [(CantorPoint.from_pattern(format(i, "03b"), "0"), F(1, 7)) for i in range(8)]
     full, gappy = FineCover(grid), FineCover(grid[:5] + grid[6:])
-    assert uncovered_witness(full) is None is ref_cantor_witness(full.points, full.radii)
+    assert uncovered_witness(full) is None is ref_cantor_witness(full.points, dict(full.entries()))
     want = CantorPoint.from_pattern("101", "0")
-    assert uncovered_witness(gappy) == want == ref_cantor_witness(gappy.points, gappy.radii)
+    assert uncovered_witness(gappy) == want == ref_cantor_witness(gappy.points, dict(gappy.entries()))
 
 
 def _is_prime(n):
@@ -1522,6 +1522,62 @@ def test_a_negative_stage_is_rejected_by_every_verdict_and_search(kind, space):
     for call in calls:
         with pytest.raises(ValueError, match="stage must be >= 0"):
             call()
+
+
+def _code_on(kind: str, space: str):
+    """The code `kind` on `space`: the gauge 1/2 as each kind of `_HALF`, a
+    direct code that answers 1 wherever it is asked, the pin and psi
+    gauges, and a Dirichlet gauge."""
+    if kind == "one":
+        return DirectCode(lambda x, s: (1, 1, 1), domain=space)
+    if kind == "pin":
+        return oracle_pin_gauge(OracleSpec(CantorPoint.from_pattern("", "01")))
+    if kind == "psi":
+        return transfer_gauge_psi(continuous_const(F(1, 2), domain="cantor"))
+    if kind == "dirichlet":
+        return dirichlet_gauge_family()(F(1, 2))
+    g = _HALF[kind]()
+    return pullback_gauge_phi(g) if space == "cantor" else g
+
+
+@pytest.mark.parametrize(
+    "kind, space",
+    [(kind, space) for kind in [*_HALF, "one"] for space in ("unit", "cantor")]
+    + [("pin", "cantor"), ("psi", "unit"), ("dirichlet", "unit")],
+)
+def test_every_code_kind_rejects_the_other_space(kind, space):
+    """A point, a cover (whole or with a gap) or a partition of the other
+    space is a DomainError for every query and check, whatever the kernel
+    would answer there: a code answers only on its own space."""
+    g = _code_on(kind, space)
+    if space == "unit":
+        x, other = CantorPoint.from_pattern("", "01"), "cantor"
+        whole = FineCover([(CantorPoint.from_pattern("", "0"), 1)])
+        gappy = FineCover([(CantorPoint.from_pattern("0", "0"), F(1, 2))])
+    else:
+        x, other = up(F(1, 3)), "unit"
+        whole, gappy = FineCover([(up(F(1, 2)), F(1, 2))]), FineCover([(up(F(1, 4)), F(1, 8))])
+    name = "unit-interval" if space == "unit" else "sequence-space"
+    at_x = f"^{name} code evaluated at "
+    calls = [
+        (at_x, lambda: eval_enclosure(g, x, STAGE)),
+        (at_x, lambda: verified_above(g, x, F(1, 4), STAGE)),
+        (at_x, lambda: verified_at_least(g, x, F(1, 4), STAGE)),
+        (at_x, lambda: check_fineness(g, [(x, 1, 4), (x, 1, 4)], STAGE)),
+        (f"^cover is on {other}, gauge on {space}$", lambda: verify_cover(g, whole, STAGE)),
+        (f"^cover is on {other}, gauge on {space}$", lambda: verify_cover(g, gappy, STAGE)),
+    ]
+    if space == "cantor":
+        calls.append((at_x, lambda: verify_partition(g, TaggedPartition([0, 1], [up(F(1, 2))]), STAGE)))
+    for message, call in calls:
+        with pytest.raises(DomainError, match=message):
+            call()
+
+
+@pytest.mark.parametrize("convert", [minimize_cover, cover_to_partition])
+def test_a_sequence_space_cover_is_refused_by_the_conversion_asked(convert):
+    with pytest.raises(ValueError, match=f"^{convert.__name__} works on unit-interval covers$"):
+        convert(FineCover([(CantorPoint.from_pattern("", "0"), 1)]))
 
 
 def test_find_cover_cantor_prunes_cylinders_below_the_width():

@@ -3,7 +3,8 @@ imports is used in that module, and every module-level definition in the
 package, and every method and property of its classes, is used somewhere
 outside its own body, and all but a listed few by the package itself;
 nothing in the package uses floats, runs Python
-source or reads a unit point's value through `exact.numerator`; and
+source or reads a unit point's value through `exact.numerator`; one
+function raises the rule that a code answers only on its own space; and
 every code class keeps the `_eval` the benchmark's tracer wraps, and the
 tracer installs on the package as it stands."""
 
@@ -241,6 +242,42 @@ def test_points_are_read_through_their_pair():
         "line 1: .exact.numerator", "line 2: attrgetter('exact.denominator')", "line 3: .exact.a",
         "line 4: .exact.b", "line 5: attrgetter('exact.b')", "line 6: .exact.enclosure",
     ]
+
+
+def _raisers(tree: ast.AST, text: str) -> list[str]:
+    """The innermost function around each raise whose message holds `text`
+    as a string or a literal part of an f-string, with the raise's line;
+    `<module>` outside any function."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Raise) and any(
+                isinstance(c, ast.Constant) and isinstance(c.value, str) and text in c.value for c in ast.walk(child)
+            ):
+                found.append(f"line {child.lineno}: {where}")
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_the_space_rule_is_raised_in_one_place():
+    """A code answers only at points of its own space, and one guard says
+    so for every code kind as each query enters (`gauges._check_query`):
+    no other function raises "code evaluated at", so the check cannot
+    scatter into partial copies again."""
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        raisers = _raisers(ast.parse(path.read_text(), filename=str(path)), "code evaluated at")
+        if raisers:
+            found[path.name] = [r.split(": ")[1] for r in raisers]
+    assert found == {"gauges.py": ["_check_query"]}, found
+    probe = ast.parse(
+        "raise E('unit code evaluated at x')\n"
+        "def f(x):\n    def g():\n        raise E(f'{x} code evaluated at {x}')\n    raise E('other')\n"
+    )
+    assert _raisers(probe, "code evaluated at") == ["line 1: <module>", "line 4: g"]
 
 
 def test_each_code_class_defines_eval_of_x_and_stage():

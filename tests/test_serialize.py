@@ -142,7 +142,7 @@ def test_unit_cover_csv_round_trip():
     assert text.splitlines()[0] == "point,radius"
     back = parse_cover_csv(text)
     assert back.points == cover.points
-    assert back.radii == cover.radii
+    assert dict(back.entries()) == dict(cover.entries())
     assert cover_csv(back) == text
 
 

@@ -154,6 +154,8 @@ def cmd_cousin(args) -> tuple[str, int]:
     g, pinned = _build_gauge(args)
     if args.space and args.space != g.domain:
         raise ValueError(f"gauge lives on {g.domain}, not {args.space}")
+    if args.as_partition and g.domain != "unit":
+        raise ValueError("--as-partition applies to unit-interval covers only")
     stage = _stage(args)
     hints = _parse_hints(args, g, pinned)
     search = find_cover_cantor if g.domain == "cantor" else find_cover_unit
@@ -162,8 +164,6 @@ def cmd_cousin(args) -> tuple[str, int]:
         return stop
     if not args.as_partition:
         return cover_csv(got), EXIT_OK
-    if g.domain != "unit":
-        raise ValueError("--as-partition applies to unit-interval covers only")
     return partition_csv(cover_to_partition(got)), EXIT_OK
 
 

@@ -59,14 +59,18 @@ class NotACover(ValueError):
     """An operation requiring an exact covering received a non-covering."""
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class TaggedPartition:
     """Cuts 0 = x0 <= x1 <= ... <= xn = 1 with a tag in every cell.
 
-    Held as `ends`, each cut as its reduced (numerator, denominator), and
-    `tags`; the cuts as Fractions are built on each read. Equality
-    and hash are those of the pair (ends, tags), repr shows the cuts and
-    tags, and no attribute can be assigned.
+    A frozen dataclass on `ends`, each cut as its reduced (numerator,
+    denominator), and `tags`, so equality and hash are those of the pair
+    (ends, tags) and no field can be assigned or deleted; the cuts as
+    Fractions are built on each read, and repr shows the cuts and tags.
     """
+
+    ends: tuple
+    tags: tuple
 
     def __init__(self, cuts, tags) -> None:
         self._build(tuple((c.numerator, c.denominator) for c in map(Fraction, cuts)), tuple(tags))
@@ -80,7 +84,8 @@ class TaggedPartition:
 
     def _build(self, ends: tuple, tags: tuple) -> None:
         """Hold the ends and tags, then check the invariants on the ends."""
-        vars(self).update(ends=ends, tags=tags)
+        object.__setattr__(self, "ends", ends)
+        object.__setattr__(self, "tags", tags)
         if len(ends) < 2:
             raise MalformedPartition("need at least the two endpoint cuts")
         if ends[0][0] != 0 or ends[-1][0] != ends[-1][1]:
@@ -109,20 +114,9 @@ class TaggedPartition:
                 if box.hi < lo or box.lo > hi:
                     raise MalformedPartition(f"tag {i} verifiably outside its cell [{lo},{hi}]")
 
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
     @property
     def cuts(self) -> tuple:
         return tuple(Fraction(n, d) for n, d in self.ends)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.ends == other.ends and self.tags == other.tags
-
-    def __hash__(self) -> int:
-        return hash((self.ends, self.tags))
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}(cuts={self.cuts!r}, tags={self.tags!r})"
@@ -565,15 +559,16 @@ def _checked_hints(g: GaugeCode, hints, space: str) -> list:
     return list(hints or ())
 
 
-def _subdivide(g: GaugeCode, depth: int, stage: int, strict: bool, samples, first, regions):
+def _subdivide(g: GaugeCode, depth: int, stage: int, strict: bool, samples, regions, first=None):
     """Breadth-first search over the binary tree of cells, for both spaces.
 
     Cell i at level l, of width w = 2^-l, is accepted on the first of
     `samples(i, l)` whose verdict "gauge > w" (strict) or "gauge >= w" is
     Yes, giving the cover entry (sample, w), w as the pair (1, 2^l);
     otherwise cells 2i and 2i+1 go on to level l+1. Cells left at `depth`
-    form an Obstruction of `regions`. `first(i, l)` is the cover key of the
-    cell's first sample if no hint lies in it, else None.
+    form an Obstruction of `regions`. The unit search alone passes
+    `first(i, l)`, the cover key of the cell's first sample if no hint lies
+    in it, else None.
 
     Branch and bound, for a code with a region kernel: one region
     evaluation at `stage` on the triple `rt_cell(i, l)`, in either space,
@@ -586,10 +581,11 @@ def _subdivide(g: GaugeCode, depth: int, stage: int, strict: bool, samples, firs
     query region lies inside the cell (a rational one on [0,1]; any one of
     a cylinder at level <= stage) is taken without a verdict: the enclosure
     holds that query's at `stage`, so its verdict would be Yes by that
-    rung. With no hint in the cell that is `first(i, l)`, whose row is
-    built from its key with no point; a hint before it, such as a
-    quadratic one, is still asked. Either way the covers and obstructions
-    are those of the plain sample-only walk.
+    rung. On [0,1], with no hint in the cell, that is `first(i, l)`, whose
+    row is built from its key with no point; a hint before it, such as a
+    quadratic one, is still asked. A cylinder takes its first sample,
+    hinted or not. Either way the covers and obstructions are those of the
+    plain sample-only walk.
 
     Limit codes are sampled cell by cell, though they have a region: its
     pad is at least one term's spread over the whole cell, which at the
@@ -622,7 +618,7 @@ def _subdivide(g: GaugeCode, depth: int, stage: int, strict: bool, samples, firs
                         continue
                     lower = passes(lo << level, d) and (unit or level <= stage)
                     # `first` spares the common cell a samples generator: about 8% of perfbench search rows/s (2-core host)
-                    if lower and (key := first(i, level)) is not None:
+                    if lower and first and (key := first(i, level)) is not None:
                         keyed.append((g.domain, key, radius))
                         continue
             for m in samples(i, level):
@@ -678,7 +674,7 @@ def find_cover_unit(g: GaugeCode, depth: int, stage: int, hints=()) -> Union[Fin
             if cand not in in_cell:
                 yield cand
 
-    return _subdivide(g, depth, stage, True, samples, first, dyadic_runs)
+    return _subdivide(g, depth, stage, True, samples, dyadic_runs, first)
 
 
 def find_cover_cantor(g: GaugeCode, depth: int, stage: int, hints=()) -> Union[FineCover, Obstruction]:
@@ -690,9 +686,10 @@ def find_cover_cantor(g: GaugeCode, depth: int, stage: int, hints=()) -> Union[F
     then the two constant-tail extensions. Accepted cylinders contribute
     (sample, 2^-|sigma|); survivors at `depth` form the Obstruction, sorted
     by index. Codes with a region kernel are bounded on whole cylinders
-    first (see `_subdivide`). In-cylinder hints are found by bisection on
-    the hints' sorted depth-48 cells, and past depth 48 filtered by their
-    own cell.
+    first, and a cylinder whose lower end passes takes its first sample,
+    hinted or not, with no verdict (see `_subdivide`). In-cylinder hints
+    are found by bisection on the hints' sorted depth-48 cells, and past
+    depth 48 filtered by their own cell.
     """
     hints = sorted(_checked_hints(g, hints, "cantor"), key=lambda h: (h.index(48), h.pattern))
     keys = [h.index(48) for h in hints]
@@ -703,9 +700,6 @@ def find_cover_cantor(g: GaugeCode, depth: int, stage: int, hints=()) -> Union[F
         lo = i << shift if shift >= 0 else i >> -shift
         in_cell = hints[bisect_left(keys, lo) : bisect_left(keys, lo + (1 << max(shift, 0)))]
         return [h for h in in_cell if h.index(level) == i] if shift < 0 else in_cell
-
-    def first(i: int, level: int):
-        return None if hinted(i, level) else (Cylinder(i, level).prefix.rstrip("0"), "0")
 
     def samples(i: int, level: int):
         in_cell = hinted(i, level)
@@ -719,7 +713,7 @@ def find_cover_cantor(g: GaugeCode, depth: int, stage: int, hints=()) -> Union[F
     def regions(cells, level: int) -> list:
         return [Cylinder(i, level) for i in cells]
 
-    return _subdivide(g, depth, stage, False, samples, first, regions)
+    return _subdivide(g, depth, stage, False, samples, regions)
 
 
 # -- transfers of covers between the spaces ------------------------------

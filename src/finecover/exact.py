@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from math import floor, gcd, isqrt, lcm
 from typing import Callable, Optional
 
@@ -349,14 +350,17 @@ def _parts(x) -> Optional[tuple]:
     return (x.a, x.b) if type(x) is QuadVal else None
 
 
+@total_ordering
 @dataclass(frozen=True)
 class QuadVal:
     """The element a + b*sqrt(2) of Z[sqrt(2)], on two ints.
 
     A quadratic unit point is a QuadVal over its int denominator. Sums,
     differences and products with ints and other QuadVals stay on ints,
-    and an order comparison is `sqrt2_sign` of the difference, so
-    irrational partition tags are compared without any rounding.
+    and `__lt__` is `sqrt2_sign` of the difference, so irrational
+    partition tags are compared without any rounding. `total_ordering`
+    derives the other orders from `__lt__` and `__eq__`; any operand but
+    an int or a QuadVal raises TypeError, in either order.
     """
 
     a: int
@@ -385,12 +389,6 @@ class QuadVal:
 
     __rmul__ = __mul__
 
-    def _diff_sign(self, other) -> int:
-        o = _parts(other)
-        if o is None:
-            raise TypeError(f"cannot compare QuadVal with {type(other).__name__}")
-        return sqrt2_sign(self.a - o[0], self.b - o[1])
-
     def __eq__(self, other: object) -> bool:
         o = _parts(other)
         return NotImplemented if o is None else (self.a, self.b) == o
@@ -400,16 +398,10 @@ class QuadVal:
         return hash((self.a, self.b, "sqrt2")) if self.b else hash(self.a)
 
     def __lt__(self, other) -> bool:
-        return self._diff_sign(other) < 0
-
-    def __le__(self, other) -> bool:
-        return self._diff_sign(other) <= 0
-
-    def __gt__(self, other) -> bool:
-        return self._diff_sign(other) > 0
-
-    def __ge__(self, other) -> bool:
-        return self._diff_sign(other) >= 0
+        o = _parts(other)
+        if o is None:
+            raise TypeError(f"cannot compare QuadVal with {type(other).__name__}")
+        return sqrt2_sign(self.a - o[0], self.b - o[1]) < 0
 
     def __floor__(self) -> int:
         # b*sqrt(2) is irrational for b != 0, so its floor is isqrt(2b^2)

@@ -730,14 +730,19 @@ def test_out_into_a_missing_directory_exits_one(capsys, tmp_path):
     assert err.startswith("error: [Errno 2] ") and str(out_path) in err
 
 
-def test_obstruction_comes_before_the_partition_check(capsys):
-    # the blind Cantor search stops short of a cover, so --as-partition is
-    # never reached; with the pinned point as a hint it finds one and is
+def test_partition_check_comes_before_the_search(capsys, monkeypatch):
+    # a sequence-space gauge is refused before any search, so the answer
+    # does not hang on whether the search would find a cover (the blind
+    # search stops short; with the pinned point as a hint it finds one)
+    def no_search(*args, **kwargs):
+        raise AssertionError("search ran")
+
+    monkeypatch.setattr(cli, "find_cover_cantor", no_search)
+    monkeypatch.setattr(cli, "find_cover_unit", no_search)
     argv = ["cousin", "--preset", "oracle-pin:01", "--space", "cantor", "--depth", "6", "--as-partition"]
-    code, out, err = run(capsys, *argv)
-    assert (code, err) == (2, "")
-    assert json.loads(out)["space"] == "cantor"
-    assert run(capsys, *argv, "--hint", "Z") == (1, "", "error: --as-partition applies to unit-interval covers only\n")
+    refusal = (1, "", "error: --as-partition applies to unit-interval covers only\n")
+    assert run(capsys, *argv) == refusal
+    assert run(capsys, *argv, "--hint", "Z") == refusal
 
 
 def test_benchmark_tracer_wraps_the_cli(capsys, monkeypatch):

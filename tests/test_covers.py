@@ -214,6 +214,20 @@ def test_a_partition_from_its_ends_reads_as_the_one_from_its_cuts(inner, share):
             setattr(built, field, ())
 
 
+def test_a_partition_is_a_frozen_value():
+    cuts, tags = (F(0), F(1, 3), F(1)), (up("1/4"), up("1/2"))
+    part = TaggedPartition(cuts, tags)
+    same = TaggedPartition.from_ends([(0, 1), (1, 3), (1, 1)], tags)
+    assert part == same and hash(part) == hash(same)
+    assert part != TaggedPartition(cuts, (up("1/4"), up("2/3")))
+    assert part.__eq__(3) is NotImplemented and part != 3
+    with pytest.raises(AttributeError, match="cannot assign to field 'ends'"):
+        part.ends = ((0, 1), (1, 1))
+    with pytest.raises(AttributeError):
+        del part.ends
+    assert part.ends == ((0, 1), (1, 3), (1, 1)) and part.tags == tags
+
+
 def test_converting_checking_and_summing_build_no_fraction_per_cell():
     """The 4,096-cell identity integral at eps = 1/512: converting the cover,
     re-checking its fineness and summing build a fixed number of Fractions,

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from math import floor, gcd, isqrt
+from operator import ge, gt, le, lt
 
 import pytest
 from hypothesis import example, given, settings
@@ -392,10 +393,20 @@ def test_quadval_order_matches_the_reference(case):
     # x/d against y/f is x*f against y*d, on the ints
     x, y = QuadVal(a, b) * f, (QuadVal(c, e) if e else c) * d
     s = ref_cmp((Fraction(a, d), Fraction(b, d)), (Fraction(c, f), Fraction(e, f)))
-    assert (x < y, x <= y, x > y, x >= y, x == y) == (s < 0, s <= 0, s > 0, s >= 0, s == 0)
+    assert (x < y, x <= y, x > y, x >= y, x == y, x != y) == (s < 0, s <= 0, s > 0, s >= 0, s == 0, s != 0)
     # the reflected operators: an int on the left defers to QuadVal
     assert (y < x, y <= x, y > x, y >= x) == (s > 0, s >= 0, s < 0, s <= 0)
     assert ((x - y) > 0) - ((x - y) < 0) == sqrt2_sign((x - y).a, (x - y).b) == s
+
+
+@pytest.mark.parametrize("op", [lt, le, gt, ge])
+@pytest.mark.parametrize("value", [QuadVal(1, 1), QuadVal(3)])
+def test_quadval_refuses_to_order_against_a_fraction(op, value):
+    # a Fraction is not an element of Z[sqrt(2)]: every order refuses it,
+    # from either side, rather than answer on some rounding
+    for left, right in ((value, Fraction(1, 2)), (Fraction(1, 2), value)):
+        with pytest.raises(TypeError, match="cannot compare QuadVal with Fraction"):
+            op(left, right)
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,7 +1,8 @@
 """Source hygiene that no installed linter checks: every name a module
 imports is used in that module, and every module-level definition in the
 package, and every method and property of its classes, is used somewhere
-outside its own body, and all but a listed few by the package itself;
+outside its own body, and all but a listed few by the package itself (a
+method only where the package reaches it as an attribute);
 nothing in the package uses floats, runs Python
 source or reads a unit point's value through `exact.numerator`; one
 function raises the rule that a code answers only on its own space; and
@@ -123,8 +124,25 @@ def test_every_definition_is_used_outside_itself():
 _OUTSIDE_ONLY = {
     "verify_cover", "partition_to_cover", "minimize_cover", "transfer_cover_phi", "transfer_cover_psi",
     "Interval.contains", "check_star", "gap_limit_point", "ContinuousCode.region_eval", "pullback_gauge_phi",
-    "transfer_gauge_psi", "cylinder_for_ball", "UnitPoint.exact_value", "psi",
+    "transfer_gauge_psi", "cylinder_for_ball", "UnitPoint.exact_value", "psi", "Integrand.at",
 }
+
+
+def _uncalled(trees) -> set[str]:
+    """The definitions of the parsed modules `trees`, dunders aside, that no
+    other code in them uses, a method or property qualified by its class.
+    A module-level name is used where it is read, imported or reached as
+    an attribute; a method or property only where it is reached as an
+    attribute, so a bare local of the same spelling does not keep it."""
+    definitions, used, reached = set(), set(), set()
+    for tree in trees:
+        for stmt in tree.body:
+            for node, own, skip in _units(stmt):
+                method = node is not stmt and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                definitions |= {(name, f"{stmt.name}.{name}" if method else name, method) for name in own}
+                used |= _referenced(node) - skip
+                reached |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)} - skip
+    return {qualified for name, qualified, method in definitions if name not in (reached if method else used)}
 
 
 def test_every_definition_has_a_caller_in_the_package():
@@ -133,18 +151,16 @@ def test_every_definition_has_a_caller_in_the_package():
     of its classes, dunders and `__init__.py` aside, is used by some other
     code in the package, except the outside-only names listed above. The
     re-exports of `__init__.py` call nothing, so they do not count."""
-    definitions, used = set(), set()
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
-            for node, own, skip in _units(stmt):
-                method = node is not stmt and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                definitions |= {(name, f"{stmt.name}.{name}" if method else name) for name in own}
-                used |= _referenced(node) - skip
-    uncalled = {qualified for name, qualified in definitions if name not in used}
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    uncalled = _uncalled(trees)
     assert sorted(uncalled - _OUTSIDE_ONLY) == [], "no caller in src/finecover"
     assert sorted(_OUTSIDE_ONLY - uncalled) == [], "gone, or called in src/finecover: drop from _OUTSIDE_ONLY"
+    probe = ast.parse(
+        "class C:\n    def at(self, x):\n        return x\n    def used(self):\n        return 1\n"
+        "def f(c):\n    at = 1\n    return at, c.used()\n"
+        "f(C())\n"
+    )
+    assert _uncalled([probe]) == {"C.at"}
 
 
 _INTEGER_MATH = {"floor", "gcd", "isqrt", "lcm"}

@@ -18,7 +18,7 @@ from .covers import (
     NotACover,
     Obstruction,
     check_cover,
-    check_fineness,
+    check_partition,
     cover_to_partition,
     find_cover_cantor,
     find_cover_unit,
@@ -187,11 +187,9 @@ def cmd_verify(args) -> tuple[str, int]:
             return f"entry {i}: gauge at {point_str(row_point(cover.space, row))} is below the radius {row[2]}/{row[3]}"
 
     elif header == "lo,hi,tag":
-        if g.domain != "unit":
-            raise ValueError("partitions live on the unit interval")
         part = parse_partition_csv(text)
         noun = "partition"
-        worst, bad = check_fineness(g, part.widths(), stage)
+        worst, bad = check_partition(g, part, stage)
 
         def failure(i: int) -> str:
             (ln, ld), (hn, hd) = part.ends[i], part.ends[i + 1]

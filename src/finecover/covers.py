@@ -459,7 +459,16 @@ def check_fineness(g: GaugeCode, bounds, stage: int) -> tuple[Verdict, Optional[
 
 def verify_partition(g: GaugeCode, part: TaggedPartition, stage: int) -> Verdict:
     """Is every cell within the gauge at its tag? Yes / No / Unknown."""
-    return check_fineness(g, part.widths(), stage)[0]
+    return check_partition(g, part, stage)[0]
+
+
+def check_partition(g: GaugeCode, part: TaggedPartition, stage: int) -> tuple[Verdict, Optional[int]]:
+    """`check_fineness` on the partition's cells, each width against the
+    gauge at its tag. A partition lives on [0,1], so a sequence-space code
+    is a DomainError."""
+    if g.domain != "unit":
+        raise DomainError("partitions live on the unit interval")
+    return check_fineness(g, part.widths(), stage)
 
 
 def check_cover(g: GaugeCode, cover: FineCover, stage: int) -> tuple:

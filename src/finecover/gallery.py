@@ -311,7 +311,17 @@ def oracle_pin_gauge(spec: OracleSpec) -> DirectCode:
     either Z (value 1) or disagrees past bit b (value at most 2^-(b+1)),
     so the evaluator answers the hull [0, 1]. That enclosure is exactly
     what hides Z's neighborhood from unhinted searches.
+
+    The region of a triple (lo, hi, 2^m), a dyadic cell or a hull of
+    such cells, reads the prefix shared by the depth-m cylinders it spans,
+    cut to the scan bound. If that prefix leaves Z at bit i, every point
+    there has f = i + 1, found by the kernel's scan, and the region is the
+    exact point 2^-(i+1); else, and on any other triple, it is [0, 1].
+    Every prefix of Z reads [0, 1], so the region names no more of Z than
+    the kernel does, while pin covers verify in runs and the searches take
+    every cylinder off Z on its region.
     """
+    z = spec.Z
 
     def kernel(x: CantorPoint, stage: int) -> tuple:
         bound = max(stage, 8)
@@ -322,7 +332,19 @@ def oracle_pin_gauge(spec: OracleSpec) -> DirectCode:
             return 0, 1, 1  # the hull of {1} and [0, 2^-(bound+1)]
         return 1, 1, 1 << f  # 2^-f
 
-    return DirectCode(kernel, domain="cantor", label="pin")
+    def region(r: tuple, stage: int) -> tuple:
+        lo, hi, d = r
+        if d & (d - 1) or not 0 <= lo < hi <= d:
+            return 0, 1, 1
+        # the cylinders lo .. hi - 1 at depth m share the bits above the highest where lo and hi - 1 differ
+        m = d.bit_length() - 1
+        t = min(m - (lo ^ (hi - 1)).bit_length(), max(stage, 8))
+        off = (lo >> (m - t)) ^ z.index(t)
+        if not off:
+            return 0, 1, 1  # Z, every 2^-f, and the kernel's hull
+        return 1, 1, 1 << (t - off.bit_length() + 1)  # 2^-(i+1), i the first bit off Z
+
+    return DirectCode(kernel, domain="cantor", label="pin", region=region)
 
 
 def oracle_pin_demo(spec: OracleSpec, depth: int, stage: int) -> FineCover:

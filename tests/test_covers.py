@@ -22,7 +22,9 @@ from finecover.covers import (
     NotACover,
     Obstruction,
     TaggedPartition,
+    check_cover,
     check_fineness,
+    check_partition,
     cover_to_partition,
     find_cover_cantor,
     find_cover_unit,
@@ -398,6 +400,8 @@ def _gauge_builder(kind, text, eps):
             return parse_gauge(text)
         if kind in ("cantor", "cantor-baire1"):
             return pullback_gauge_phi(parse_gauge(text))
+        if kind == "cantor-pin":
+            return oracle_pin_gauge(OracleSpec(CantorPoint.from_pattern("01", "10")))
         if kind == "gap":
             return cauchy_gap_gauge(default_cauchy_spec())
         if kind == "gap-baire1":
@@ -439,7 +443,7 @@ def _fineness_cases(draw):
     state per point, with the bounds scaled down by 2^-20 half of the time
     so that most rows are fine."""
     kind = draw(st.sampled_from(["text", "text", "gap", "sqrt", "cantor", "baire1", "baire2", "gap-baire1",
-                                 "cantor-baire1", "mixed-baire1"]))
+                                 "cantor-baire1", "mixed-baire1", "cantor-pin"]))
     text = draw(_BAIRE1 if kind in ("baire1", "cantor-baire1") else _BAIRE2 if kind == "baire2" else _GAUGES)
     eps = draw(st.sampled_from([F(1, 4), F(1, 32)]))
     stage = draw(st.sampled_from([0, 1, 2, 4, 48]))
@@ -467,8 +471,8 @@ def _outcome(check, g, rows, stage):
 @given(_fineness_cases())
 def test_check_fineness_by_runs_matches_one_verdict_per_row(case):
     """Gauge texts on [0,1] and pulled back to sequences, the gap gauge (a
-    modulus code with regions) and the sqrt-reciprocal direct code with its
-    region; limit codes: baire1 and baire2 texts, a baire1 text pulled
+    modulus code with regions), the sqrt-reciprocal direct code and the
+    oracle-pin gauge with their regions; limit codes: baire1 and baire2 texts, a baire1 text pulled
     back, the gap gauge with no modulus, and a baire1 code whose later
     terms have no region; rational, quadratic and approximant points,
     centres in [-1, 2], rule-only sequences; stages 0, 1, 2, 4 and 48.
@@ -1582,7 +1586,9 @@ def test_every_code_kind_rejects_the_other_space(kind, space):
         (f"^cover is on {other}, gauge on {space}$", lambda: verify_cover(g, gappy, STAGE)),
     ]
     if space == "cantor":
-        calls.append((at_x, lambda: verify_partition(g, TaggedPartition([0, 1], [up(F(1, 2))]), STAGE)))
+        part = TaggedPartition([0, 1], [up(F(1, 2))])
+        calls.append(("^partitions live on the unit interval$", lambda: verify_partition(g, part, STAGE)))
+        calls.append(("^partitions live on the unit interval$", lambda: check_partition(g, part, STAGE)))
     for message, call in calls:
         with pytest.raises(DomainError, match=message):
             call()
@@ -1722,6 +1728,176 @@ def test_find_cover_cantor_hints_by_bisection_match_the_scan(period, cap, extra,
         assert got.entries() == want.entries()
     else:
         assert [cyl.index for cyl in got.unresolved] == list(want.unresolved)
+
+
+# -- the oracle-pin region ----------------------------------------------
+
+_PIN_Z = st.tuples(st.text("01", max_size=5), st.text("01", min_size=1, max_size=4)).map(lambda p: CantorPoint.from_pattern(*p))
+_TAILS = st.sampled_from(["0", "1", "01", "110"])
+
+
+def _flip(z, k, tail, period):
+    """The pattern point that agrees with z before bit k, differs at bit k,
+    then reads tail and repeats period."""
+    return CantorPoint.from_pattern(z.bits(k) + "10"[z.bit(k)] + tail, period)
+
+
+@settings(max_examples=300, deadline=None)
+@given(z=_PIN_Z, level=st.integers(0, 20), data=st.data())
+def test_the_pin_region_holds_the_kernel_at_every_point_it_spans(z, level, data):
+    """On a cell rt_cell(i, l), l <= 20, on Z's path, off it at a drawn bit
+    or anywhere, or on the unreduced hull in `_hull`'s shape of that cell
+    with itself or with a cell that shares a shorter prefix with it, at
+    stages 0 to 24: the region holds the kernel's triple at every point of
+    the cylinders it spans, drawn as Z with a bit flipped and a random
+    tail, constant-tail extensions of the end cells, a rule-only point
+    that follows Z past its cell, and Z itself when its cell lies inside."""
+    g = oracle_pin_gauge(OracleSpec(z))
+
+    def cell() -> int:
+        how = data.draw(st.sampled_from(["on", "off", "any"]))
+        if how == "on" or not level:
+            return z.index(level)
+        if how == "off":
+            return z.index(level) ^ (1 << data.draw(st.integers(0, level - 1)))
+        return data.draw(st.integers(0, (1 << level) - 1))
+
+    # the cell alone (-2), as its own unreduced hull (-1), or its hull with the cell that differs at index bit b
+    i, b, n = cell(), data.draw(st.integers(-2, level - 1)), 1 << level
+    i, j = sorted((i, i ^ (1 << b))) if b >= 0 else (i, i)
+    r = rt_cell(i, level) if b == -2 else (i * n, (j + 1) * n, n * n)
+    prefix = lambda c: format(c, f"0{level}b") if level else ""
+    points = [CantorPoint.from_pattern(prefix(c), t) for c in (i, j) for t in "01"]
+    points += [_flip(z, data.draw(st.integers(0, level + 4)), data.draw(st.text("01", max_size=4)), data.draw(_TAILS)) for _ in range(3)]
+    points += [CantorPoint(lambda b: int(prefix(i)[b]) if b < level else z.bit(b)), z]
+    inside = [x for x in points if i <= x.index(level) <= j]
+    for stage in range(25):
+        lo, hi, d = g.region(r, stage)
+        for x in inside:
+            klo, khi, kd = g.kernel(x, stage)
+            assert F(lo, d) <= F(klo, kd) and F(khi, kd) <= F(hi, d), (stage, x)
+
+
+def test_the_pin_region_names_no_prefix_of_z():
+    """Every prefix of Z, and every cell too wide or off the dyadic grid to
+    name a prefix, reads [0, 1]. A cell that leaves Z at bit i reads
+    2^-(i+1) once the scan bound max(stage, 8) passes i."""
+    z = CantorPoint.from_pattern("1", "0110")
+    g = oracle_pin_gauge(OracleSpec(z))
+    for level in range(13):
+        assert g.region(rt_cell(z.index(level), level), 0) == (0, 1, 1)
+        for bit in range(level):
+            off = rt_cell(z.index(level) ^ (1 << (level - 1 - bit)), level)
+            assert [g.region(off, s) for s in (0, 9, 12)] == [(1, 1, 2 << bit) if bit < b else (0, 1, 1) for b in (8, 9, 12)]
+    assert g.region((0, 4, 4), 8) == g.region((1, 2, 3), 8) == g.region((2, 1, 4), 8) == (0, 1, 1)
+    assert g.region((4, 8, 16), 8) == g.region((0, 2, 4), 8) == (1, 1, 2)  # [01] over 16, and [0] as a hull
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    _PIN_Z,
+    st.integers(1, 12),
+    st.integers(0, 14),
+    st.booleans(),
+    st.lists(st.tuples(st.integers(0, 12), st.text("01", max_size=3), _TAILS), max_size=3),
+)
+def test_a_pin_search_is_the_sample_only_walk(z, depth, stage, hinted, near):
+    """Blind or hinted at Z, with near neighbours of Z as hints or not, at
+    stages below and above the depth: the bounded search gives the cover
+    or the obstruction of the sample-only walk."""
+    spec = OracleSpec(z)
+    hints = [z] * hinted + [_flip(z, k, tail, period) for k, tail, period in near]
+    got = find_cover_cantor(oracle_pin_gauge(spec), depth, stage, hints=hints)
+    want = _ref_find_cover_cantor(oracle_pin_gauge(spec), depth, stage, hints)
+    assert type(got) is type(want)
+    if isinstance(want, FineCover):
+        assert got.entries() == want.entries()
+    else:
+        assert [cyl.index for cyl in got.unresolved] == list(want.unresolved)
+
+
+def test_a_blind_pin_search_takes_the_cylinders_off_z_on_their_region(monkeypatch):
+    """Blind at depth 10 and stage 8, the pin gauge of 0(01) asks 24
+    verdicts: the two samples of each of the 9 cylinders along Z down to
+    level 8, whose region is [0, 1], and 6 for the four cylinders past the
+    stage. The 8 cylinders off Z at levels 1 to 8 are taken on their
+    region. The same kernel with no region asks 32, and both leave Z's
+    cylinder."""
+    z = CantorPoint.from_pattern("0", "01")
+    g = oracle_pin_gauge(OracleSpec(z))
+    asked = _queried(monkeypatch, "verified_at_least")
+    got = find_cover_cantor(g, 10, 8)
+    bounded = len(asked)
+    want = find_cover_cantor(DirectCode(g.kernel, domain="cantor"), 10, 8)
+    assert (bounded, len(asked) - bounded) == (24, 32)
+    assert got.unresolved == want.unresolved == (Cylinder(z.index(10), 10),)
+
+
+def _pin_cover(rng, n, z, shape):
+    """A cover by the leaves of a random complete prefix tree that splits
+    each of the 16 cells of level 4 into n/16 leaves, each leaf's radius
+    its width, as the
+    benchmark builds pin covers: a pattern point in each leaf off Z, and in
+    Z's leaf Z itself ("fine") or the leaf's 0-tail ("blind"); "gap" drops
+    a row off Z's leaf from a fine cover."""
+    leaves = []
+    for i in range(16):
+        tree = [format(i, "04b")]
+        while len(tree) < n // 16:
+            k = rng.randrange(len(tree))
+            if len(tree[k]) < 14:
+                tree[k : k + 1] = [tree[k] + "0", tree[k] + "1"]
+        leaves += tree
+    zbits, rows = z.bits(16), []
+    for leaf in leaves:
+        if not zbits.startswith(leaf):
+            rows.append((CantorPoint.from_pattern(leaf, rng.choice(["0", "1", "01", "10", "110"])), F(1, 1 << len(leaf))))
+        else:
+            rows.append((CantorPoint.from_pattern(leaf, "0") if shape == "blind" else z, F(1, 1 << len(leaf))))
+    if shape == "gap":
+        del rows[rng.choice([k for k, leaf in enumerate(leaves) if not zbits.startswith(leaf)])]
+    return FineCover(rows)
+
+
+def _z_leaf(rows, z) -> int:
+    """The index of the row whose ball, a cylinder, holds Z."""
+    return next(k for k, (p, _, qd) in enumerate(rows) if p.index(qd.bit_length() - 1) == z.index(qd.bit_length() - 1))
+
+
+@pytest.mark.parametrize("shape", ["fine", "blind", "gap"])
+@pytest.mark.parametrize("seed", range(3))
+def test_a_pin_cover_checks_as_one_verdict_per_row(shape, seed):
+    """Pin covers of 256 rows in the benchmark's three shapes, at stages 0
+    to 48: `check_fineness` on the rows gives the reference's verdict and
+    index, and so does `check_cover`, but for the gap, which it names."""
+    rng = random.Random(seed)
+    z = CantorPoint.from_pattern("1000" + "".join(rng.choice("01") for _ in range(seed)), "10" if seed % 2 else "011")
+    cover = _pin_cover(rng, 256, z, shape)
+    rows = [(p, r.numerator, r.denominator) for p, r in cover.entries()]
+    for stage in (0, 3, 8, 16, 48):
+        want = ref_check_fineness(oracle_pin_gauge(OracleSpec(z)), rows, stage)
+        assert want == ((Verdict.NO, _z_leaf(rows, z)) if shape == "blind" else (Verdict.YES, None))
+        assert check_fineness(oracle_pin_gauge(OracleSpec(z)), rows, stage) == want
+        witness, *got = check_cover(oracle_pin_gauge(OracleSpec(z)), cover, stage)
+        if shape == "gap":
+            assert witness is not None and witness == uncovered_witness(cover) and got == [Verdict.NO, None]
+        else:
+            assert witness is None and tuple(got) == want
+
+
+@pytest.mark.parametrize("shape, want", [("fine", Verdict.YES), ("blind", Verdict.NO)])
+def test_a_pin_cover_of_1024_rows_takes_at_most_four_verdicts(monkeypatch, shape, want):
+    """At stage 16, as the benchmark verifies them: a fine pin cover passes
+    on its runs, and a blind one fails at Z's leaf on that row's own
+    verdict, each with at most 4 row verdicts."""
+    z = CantorPoint.from_pattern("1000", "110")
+    cover = _pin_cover(random.Random(1), 1024, z, shape)
+    asked = _counted_verdicts(monkeypatch)
+    witness, verdict, bad = check_cover(oracle_pin_gauge(OracleSpec(z)), cover, 16)
+    assert (witness, verdict) == (None, want) and 0 < len(asked) <= 4
+    if shape == "blind":
+        assert bad == _z_leaf([(p, r.numerator, r.denominator) for p, r in cover.entries()], z)
+        assert cover.points[bad] == asked[-1]
 
 
 # -- transfers -----------------------------------------------------------
